@@ -18,6 +18,8 @@
 //                      reported — the steady-state cold-load cost)
 //   --min-speedup=X    exit 1 unless text_ms/image_ms >= X (CI gate)
 //   --max-image-ms=X   exit 1 unless image_ms <= X (CI gate)
+//   --max-text-ms=X    exit 1 unless text_ms <= X (CI gate: keeps a
+//                      super-linear parse or index build from returning)
 //   --out=PATH         JSON artifact path (default BENCH_load.json)
 
 #include <algorithm>
@@ -78,6 +80,7 @@ int Run(int argc, char** argv) {
       static_cast<size_t>(std::max<int64_t>(1, cli.GetInt("repeats", 5)));
   const double min_speedup = cli.GetDouble("min-speedup", 0.0);
   const double max_image_ms = cli.GetDouble("max-image-ms", 0.0);
+  const double max_text_ms = cli.GetDouble("max-text-ms", 0.0);
   const std::string out = cli.GetString("out", "BENCH_load.json");
 
   // BA with attachment degree 8: |E| ~= 8n, so n = target/16 gives the
@@ -153,6 +156,11 @@ int Run(int argc, char** argv) {
   if (max_image_ms > 0.0 && image_best > max_image_ms) {
     std::fprintf(stderr, "FAIL: image load %.2f ms above limit %.2f ms\n",
                  image_best, max_image_ms);
+    return 1;
+  }
+  if (max_text_ms > 0.0 && text_best > max_text_ms) {
+    std::fprintf(stderr, "FAIL: text load %.1f ms above limit %.1f ms\n",
+                 text_best, max_text_ms);
     return 1;
   }
   return 0;

@@ -45,7 +45,7 @@ class MergeDsu {
 
 }  // namespace
 
-CoreIndex::CoreIndex(const Graph& graph) {
+CoreIndex::CoreIndex(const Graph& graph, BuildStats* stats) {
   CoreDecomposition cores = ComputeCores(graph);
   const VertexId n = graph.NumVertices();
   // The tree is grown in plain vectors and only wrapped into ConstArrays
@@ -55,6 +55,10 @@ CoreIndex::CoreIndex(const Graph& graph) {
   std::vector<uint32_t> first_child(n, kNil);
   std::vector<uint32_t> next_sibling(n, kNil);
   std::vector<VertexId> vertex(n);
+  // Child-list length per node, build-time only: a fold moves the
+  // shorter list into the longer one.
+  std::vector<uint32_t> num_children(n, 0);
+  BuildStats counts;
   // Leaves 0..n-1 mirror the vertices.
   for (VertexId v = 0; v < n; ++v) {
     level[v] = cores.core[v];
@@ -68,12 +72,14 @@ CoreIndex::CoreIndex(const Graph& graph) {
     first_child.push_back(kNil);
     next_sibling.push_back(kNil);
     vertex.push_back(kNil);
+    num_children.push_back(0);
     return id;
   };
   auto attach = [&](uint32_t p, uint32_t child) {
     parent[child] = p;
     next_sibling[child] = first_child[p];
     first_child[p] = child;
+    ++num_children[p];
   };
 
   if (n > 0) {
@@ -109,16 +115,22 @@ CoreIndex::CoreIndex(const Graph& graph) {
               level[nw] == block_level && vertex[nw] == kNil;
           uint32_t target;
           if (nv_reusable && nw_reusable) {
-            // Fold nw's children into nv; nw becomes an orphan no leaf
-            // path traverses.
-            target = nv;
-            uint32_t child = first_child[nw];
+            // Fold the node with fewer children into the other; it becomes
+            // an orphan no leaf path traverses. A moved child always lands
+            // in a list at least twice as long as the one it left, so each
+            // child moves O(log n) times: O(n log n) moves in all.
+            target = num_children[nv] >= num_children[nw] ? nv : nw;
+            const uint32_t source = target == nv ? nw : nv;
+            uint32_t child = first_child[source];
             while (child != kNil) {
               const uint32_t next = next_sibling[child];
-              attach(nv, child);
+              attach(target, child);
               child = next;
             }
-            first_child[nw] = kNil;
+            counts.child_moves += num_children[source];
+            ++counts.folds;
+            first_child[source] = kNil;
+            num_children[source] = 0;
           } else if (nv_reusable) {
             target = nv;
             attach(nv, nw);
@@ -138,6 +150,7 @@ CoreIndex::CoreIndex(const Graph& graph) {
     }
   }
 
+  if (stats != nullptr) *stats = counts;
   degeneracy_ = cores.degeneracy;
   core_ = ConstArray<uint32_t>(std::move(cores.core));
   node_level_ = ConstArray<uint32_t>(std::move(level));

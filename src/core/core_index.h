@@ -11,7 +11,9 @@
 //   - "the maximal CST(k) community of v"        in O(answer size)
 //   - "the best community of v" (CSM)            in O(answer size)
 //
-// after an O((|V| + |E|) α(|V|)) build.
+// after an O(|E| α(|V|) + |V| log |V|) build: the union-find pass is
+// near-linear, and folding the shorter child list into the longer one
+// bounds the merge-tree child moves by O(|V| log |V|).
 //
 // Structure: vertices join a union-find in decreasing core-number order;
 // whenever components merge while processing level k, the merge tree gains
@@ -40,7 +42,16 @@ class CoreIndex {
  public:
   static constexpr uint32_t kNil = ~uint32_t{0};
 
-  explicit CoreIndex(const Graph& graph);
+  /// Work counters of one build, for regression tests and benches.
+  struct BuildStats {
+    /// Same-level merges that folded one internal node into another.
+    uint64_t folds = 0;
+    /// Children re-attached by those folds.
+    uint64_t child_moves = 0;
+  };
+
+  /// Builds the index. `stats` (optional) receives the build's counters.
+  explicit CoreIndex(const Graph& graph, BuildStats* stats = nullptr);
 
   /// Adopts a precomputed index (the store/ image loader). The caller is
   /// responsible for structural validity: `core` has one entry per

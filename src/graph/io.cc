@@ -1,5 +1,8 @@
 #include "graph/io.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -84,56 +87,169 @@ bool ReadLine(std::FILE* f, std::string& line) {
   return true;
 }
 
+/// Reads the rest of `file` into `out`. Returns false on a read error.
+bool ReadAll(std::FILE* file, std::string& out) {
+  struct stat info {};
+  size_t capacity = size_t{1} << 16;
+  if (fstat(fileno(file), &info) == 0 && info.st_size > 0) {
+    capacity = static_cast<size_t>(info.st_size) + 1;
+  }
+  out.resize(capacity);
+  size_t used = 0;
+  while (true) {
+    used += std::fread(out.data() + used, 1, out.size() - used, file);
+    if (used < out.size()) break;  // EOF or error; full means maybe more
+    out.resize(out.size() * 2);
+  }
+  out.resize(used);
+  return std::ferror(file) == 0;
+}
+
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Parses one id from [p, end) exactly as strtoull(p, &next, 10) parses
+/// a NUL-terminated copy of the line: leading whitespace, an optional
+/// sign, then decimal digits; overflow saturates, '-' negates modulo
+/// 2^64. Sets *next to the first unparsed byte, or to `p` when no digit
+/// was found.
+uint64_t ParseId(const char* p, const char* end, const char** next) {
+  const char* s = p;
+  while (s < end && IsSpace(*s)) ++s;
+  bool negative = false;
+  if (s < end && (*s == '+' || *s == '-')) {
+    negative = *s == '-';
+    ++s;
+  }
+  if (s == end || !IsDigit(*s)) {
+    *next = p;
+    return 0;
+  }
+  constexpr uint64_t kMax = ~uint64_t{0};
+  uint64_t value = 0;
+  bool overflow = false;
+  for (; s < end && IsDigit(*s); ++s) {
+    const auto digit = static_cast<uint64_t>(*s - '0');
+    if (value > (kMax - digit) / 10) {
+      overflow = true;
+    } else {
+      value = value * 10 + digit;
+    }
+  }
+  *next = s;
+  if (overflow) return kMax;
+  return negative ? 0 - value : value;
+}
+
+/// Maps raw edge-list ids to dense ids in order of first call. Ids below
+/// `dense_limit` index a flat table that grows on demand; larger ones
+/// (sparse or 64-bit ids) go through a hash map. A raw id always takes
+/// the same path, so the numbering does not depend on the mix.
+class IdRemap {
+ public:
+  explicit IdRemap(uint64_t dense_limit) : dense_limit_(dense_limit) {}
+
+  VertexId Intern(uint64_t raw) {
+    if (raw < dense_limit_) {
+      if (raw >= dense_.size()) {
+        const uint64_t grown = std::max<uint64_t>(raw + 1, 2 * dense_.size());
+        dense_.resize(static_cast<size_t>(std::min(grown, dense_limit_)),
+                      kInvalidVertex);
+      }
+      VertexId& slot = dense_[static_cast<size_t>(raw)];
+      if (slot == kInvalidVertex) slot = next_++;
+      return slot;
+    }
+    const auto [it, inserted] = sparse_.try_emplace(raw, next_);
+    if (inserted) ++next_;
+    return it->second;
+  }
+
+  VertexId size() const { return next_; }
+
+ private:
+  uint64_t dense_limit_;
+  std::vector<VertexId> dense_;
+  std::unordered_map<uint64_t, VertexId> sparse_;
+  VertexId next_ = 0;
+};
+
 }  // namespace
 
 std::optional<Graph> LoadEdgeList(const std::string& path, IoError* error) {
   if (error != nullptr) *error = IoError{};
-  File file(path, "r");
-  if (!file.ok()) {
-    return Fail(error, IoErrorKind::kOpen,
-                Format("cannot open '%s' for reading", path.c_str()));
+  std::string buffer;
+  {
+    File file(path, "r");
+    if (!file.ok()) {
+      return Fail(error, IoErrorKind::kOpen,
+                  Format("cannot open '%s' for reading", path.c_str()));
+    }
+    if (!ReadAll(file.get(), buffer)) {
+      return Fail(error, IoErrorKind::kOpen,
+                  Format("cannot read '%s'", path.c_str()));
+    }
   }
 
-  std::unordered_map<uint64_t, VertexId> remap;
+  // Ids below the file's byte count are dense enough for the flat table:
+  // it then never outgrows four bytes per input byte.
+  IdRemap remap(std::max<uint64_t>(buffer.size(), uint64_t{1} << 16));
   EdgeList edges;
-  auto intern = [&remap](uint64_t raw) {
-    return remap.emplace(raw, static_cast<VertexId>(remap.size()))
-        .first->second;
-  };
-
-  std::string line;
+  // An edge line takes at least 4 bytes ("1 2\n"), so this never
+  // reallocates; pages the parse does not reach are never touched.
+  edges.reserve((buffer.size() + 1) / 4);
+  const char* cursor = buffer.data();
+  const char* const eof = cursor + buffer.size();
   uint64_t line_no = 0;
-  while (ReadLine(file.get(), line)) {
+  while (cursor < eof) {
+    // One line is [cursor, end); trailing carriage returns (CRLF files)
+    // are not part of it.
+    const auto* newline = static_cast<const char*>(
+        std::memchr(cursor, '\n', static_cast<size_t>(eof - cursor)));
+    const char* end = newline != nullptr ? newline : eof;
+    const char* const next_line = newline != nullptr ? newline + 1 : eof;
     ++line_no;
-    const size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;  // blank / CR-only line
-    if (line[start] == '#' || line[start] == '%') continue;
-    const char* cursor = line.c_str() + start;
-    char* end = nullptr;
-    const uint64_t u = std::strtoull(cursor, &end, 10);
+    while (end > cursor && end[-1] == '\r') --end;
+    while (cursor < end && (*cursor == ' ' || *cursor == '\t')) ++cursor;
+    const char* const start = cursor;
+    cursor = next_line;
+    if (start == end) continue;  // blank / CR-only line
+    if (*start == '#' || *start == '%') continue;
+    const char* after_u = nullptr;
+    const uint64_t u = ParseId(start, end, &after_u);
     // The line number rides in the message text too: consumers that only
     // surface `message` (the locsd ERR detail, logs) still point at the
     // offending line.
-    if (end == cursor) {
+    if (after_u == start) {
+      const std::string text(start, end);
       return Fail(error, IoErrorKind::kParse,
                   Format("line %" PRIu64
                          ": expected \"u v\" edge, got \"%.60s\"",
-                         line_no, cursor),
+                         line_no, text.c_str()),
                   line_no);
     }
-    cursor = end;
-    const uint64_t v = std::strtoull(cursor, &end, 10);
-    if (end == cursor) {
+    const char* after_v = nullptr;
+    const uint64_t v = ParseId(after_u, end, &after_v);
+    if (after_v == after_u) {
       return Fail(error, IoErrorKind::kParse,
                   Format("line %" PRIu64 ": edge for vertex %" PRIu64
                          " is missing its endpoint",
                          line_no, u),
                   line_no);
     }
-    // Extra columns (weights, timestamps) are ignored, as before.
-    edges.emplace_back(intern(u), intern(v));
+    // Extra columns (weights, timestamps) are ignored. The second column
+    // is numbered before the first: that is the order earlier releases
+    // used, and served ids must not change.
+    const VertexId second = remap.Intern(v);
+    const VertexId first = remap.Intern(u);
+    edges.emplace_back(first, second);
   }
-  return BuildGraph(static_cast<VertexId>(remap.size()), edges);
+  buffer = {};
+  return BuildGraph(remap.size(), edges);
 }
 
 bool SaveEdgeList(const Graph& graph, const std::string& path) {

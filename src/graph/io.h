@@ -54,9 +54,11 @@ struct IoError {
 
 /// Loads a whitespace-separated edge list ("u v" per line; lines starting
 /// with '#' or '%' are comments — the format of SNAP dataset files).
-/// Vertex ids are compacted to a dense [0, n) range in first-seen order.
-/// Returns std::nullopt if the file cannot be opened or parsed; `error`
-/// (optional) receives the failure detail.
+/// Columns after the second are ignored. Vertex ids are compacted to a
+/// dense [0, n) range in order of first appearance, reading each line's
+/// second column before its first: "5 7\n5 9\n" numbers 7 as 0, 5 as 1
+/// and 9 as 2. Returns std::nullopt if the file cannot be read or parsed;
+/// `error` (optional) receives the failure detail.
 std::optional<Graph> LoadEdgeList(const std::string& path,
                                   IoError* error = nullptr);
 

@@ -14,10 +14,14 @@
 //                          over the mmap is correctly aligned for its
 //                          element type
 //
-// The checksum is FNV-1a 64 over the entire file with the checksum
-// field itself read as zero. Version policy: the format version bumps
-// on any layout change; readers reject unknown versions rather than
-// guess (images are cheap to regenerate from the source graph).
+// The checksum is XXH64 (seed 0, checksum.h) over the entire file with
+// the checksum field itself read as zero. Version policy: the format
+// version bumps on any layout or checksum change; readers reject other
+// versions rather than guess (images are cheap to regenerate from the
+// source graph with `locs_cli compile`).
+//
+// Versions: v1 used FNV-1a 64 as the checksum. v2 switched to XXH64;
+// the layout is unchanged.
 
 #ifndef LOCS_STORE_FORMAT_H_
 #define LOCS_STORE_FORMAT_H_
@@ -31,8 +35,8 @@ namespace locs::store {
 inline constexpr char kImageMagic[8] = {'L', 'O', 'C', 'S',
                                         'I', 'M', 'G', '1'};
 
-/// Current (only) format version.
-inline constexpr uint32_t kImageVersion = 1;
+/// The format version this build writes and the only one it reads.
+inline constexpr uint32_t kImageVersion = 2;
 
 /// Written as a native uint32; reads back byte-reversed on a machine of
 /// the opposite endianness, which the reader rejects with a typed error.
@@ -42,7 +46,7 @@ inline constexpr uint32_t kEndianTagSwapped = 0x04030201u;
 /// Every section payload starts at a multiple of this.
 inline constexpr uint64_t kSectionAlign = 8;
 
-/// Section identifiers. A version-1 image contains each exactly once.
+/// Section identifiers. An image contains each exactly once.
 enum class SectionId : uint32_t {
   kMeta = 1,              ///< ImageMeta scalars
   kOffsets = 2,           ///< uint64[n+1] CSR offsets
@@ -65,7 +69,7 @@ struct ImageHeader {
   uint32_t version;
   uint32_t endian;
   uint64_t file_bytes;  ///< total file size; must match the mapping
-  uint64_t checksum;    ///< FNV-1a 64 with this field read as zero
+  uint64_t checksum;    ///< XXH64 with this field read as zero
   uint32_t section_count;
   uint32_t reserved;
 };
@@ -94,21 +98,6 @@ struct ImageMeta {
   uint32_t reserved;
 };
 static_assert(sizeof(ImageMeta) == 40, "meta layout is part of the ABI");
-
-inline constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-/// Incremental FNV-1a 64: feed chunks, threading the returned state into
-/// the next call's `state`.
-inline uint64_t Fnv1a64(const void* data, size_t bytes,
-                        uint64_t state = kFnvOffsetBasis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    state ^= p[i];
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 /// Rounds `offset` up to the next section boundary.
 inline constexpr uint64_t AlignUp(uint64_t offset) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "store/checksum.h"
 #include "store/format.h"
 #include "store/image.h"
 #include "store/mapped_file.h"
@@ -55,16 +56,6 @@ template <typename T>
 std::span<const T> SectionSpan(const Sections& s, SectionId id) {
   return {reinterpret_cast<const T*>(SectionData(s, id)),
           static_cast<size_t>(SectionLength(s, id) / sizeof(T))};
-}
-
-/// Checksum over the mapping with the header's checksum field zeroed.
-uint64_t FileChecksum(const char* base, size_t size) {
-  constexpr size_t kField = offsetof(ImageHeader, checksum);
-  constexpr char kZeros[sizeof(uint64_t)] = {};
-  uint64_t fnv = Fnv1a64(base, kField);
-  fnv = Fnv1a64(kZeros, sizeof(kZeros), fnv);
-  return Fnv1a64(base + kField + sizeof(uint64_t),
-                 size - kField - sizeof(uint64_t), fnv);
 }
 
 /// The merge-tree links must form a forest rooted by kNil parents:
@@ -150,7 +141,8 @@ std::optional<LoadedImage> LoadGraphImage(const std::string& path,
     Fail(error, IoErrorKind::kParse,
          path + ": unsupported image version " +
              std::to_string(header.version) + " (reader supports " +
-             std::to_string(kImageVersion) + ")");
+             std::to_string(kImageVersion) +
+             "); recompile it from the source graph with locs_cli compile");
     return std::nullopt;
   }
   if (header.file_bytes != size) {
@@ -160,7 +152,7 @@ std::optional<LoadedImage> LoadGraphImage(const std::string& path,
              std::to_string(header.file_bytes));
     return std::nullopt;
   }
-  if (FileChecksum(base, size) != header.checksum) {
+  if (ImageChecksum(base, size) != header.checksum) {
     Fail(error, IoErrorKind::kParse, path + ": checksum mismatch");
     return std::nullopt;
   }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "store/checksum.h"
 #include "store/format.h"
 #include "store/image.h"
 
@@ -19,8 +20,8 @@ void Fail(IoError* error, IoErrorKind kind, std::string message) {
   error->line = 0;
 }
 
-/// fwrite that also threads the running FNV-1a state, so the checksum is
-/// computed in one streaming pass (the header's checksum field is
+/// fwrite that also feeds the running checksum, so it is computed in
+/// one streaming pass (the header's checksum field is
 /// written as zero and patched after the last section).
 class HashingWriter {
  public:
@@ -28,7 +29,7 @@ class HashingWriter {
 
   bool Write(const void* data, size_t bytes) {
     if (bytes == 0) return true;
-    fnv_ = Fnv1a64(data, bytes, fnv_);
+    checksum_.Update(data, bytes);
     written_ += bytes;
     return std::fwrite(data, 1, bytes, file_) == bytes;
   }
@@ -45,12 +46,12 @@ class HashingWriter {
     return true;
   }
 
-  uint64_t checksum() const { return fnv_; }
+  uint64_t checksum() const { return checksum_.Digest(); }
   uint64_t written() const { return written_; }
 
  private:
   std::FILE* file_;
-  uint64_t fnv_ = kFnvOffsetBasis;
+  Checksum64 checksum_;
   uint64_t written_ = 0;
 };
 

@@ -78,6 +78,42 @@ TEST(CoreIndexTest, EmptyAndSingleton) {
   EXPECT_FALSE(index.HasCst(0, 1));
 }
 
+/// A 2L-cycle x_0 y_0 x_1 y_1 ... x_{L-1} y_{L-1} labelled so that the
+/// build meets every same-level merge in its worst order. Every vertex
+/// has core number 2, and the build visits one level's vertices in peel
+/// order, which breaks ties by ascending id: x_0, x_1, ... (ids 0 to
+/// L-1), then the y's (ids 2L-1 down to L). x_i's ascending neighbor list
+/// is [y_i, y_{i-1}]: it first joins its partner y_i in a fresh node,
+/// then meets the growing component through y_{i-1}. Both sides then own
+/// a node at level 2, and the fold must move the pair's two children, not
+/// the component's O(i).
+Graph AdversarialFoldCycle(VertexId pairs) {
+  const auto x = [](VertexId i) { return i; };
+  const auto y = [pairs](VertexId i) { return 2 * pairs - 1 - i; };
+  GraphBuilder builder(2 * pairs);
+  for (VertexId i = 0; i < pairs; ++i) {
+    builder.AddEdge(x(i), y(i));
+    builder.AddEdge(x(i), y(i == 0 ? pairs - 1 : i - 1));
+  }
+  return builder.Build();
+}
+
+TEST(CoreIndexTest, SameLevelFoldsMoveNLogNChildren) {
+  const Graph graph = AdversarialFoldCycle(2048);
+  const uint64_t n = graph.NumVertices();
+  CoreIndex::BuildStats stats;
+  const CoreIndex index(graph, &stats);
+  uint64_t log_n = 0;
+  while ((uint64_t{1} << log_n) < n) ++log_n;
+  // The pattern does fold once per pair; folding the component into
+  // each new pair's node instead moves about n^2/4 children.
+  EXPECT_GE(stats.folds, n / 2 - 2);
+  EXPECT_LE(stats.child_moves, n * log_n);
+  // One component of the 2-core, whatever the fold order.
+  EXPECT_EQ(index.CstMembers(0, 2).size(), n);
+  ExpectMatchesGlobal(AdversarialFoldCycle(40));
+}
+
 class CoreIndexRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CoreIndexRandomTest, MatchesGlobalOnGnp) {

@@ -25,8 +25,10 @@
 namespace locs {
 namespace {
 
-/// The graph family grid.
-enum class Family { kGnp, kBarabasi, kPowerLaw, kLfr, kPlanted };
+/// The graph family grid. 64 bits wide so GridParam has no padding:
+/// gtest prints the parameter's raw bytes into each test's listed name,
+/// and uninitialised padding made those names change from run to run.
+enum class Family : uint64_t { kGnp, kBarabasi, kPowerLaw, kLfr, kPlanted };
 
 std::string FamilyName(Family family) {
   switch (family) {

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "graph/invariants.h"
+#include "graph/ordering.h"
 #include "test_util.h"
 
 namespace locs {
@@ -151,6 +158,64 @@ TEST(PaperFigure1Test, MatchesExampleOneStructure) {
 TEST(PaperFigure1Test, LabelRoundTrip) {
   for (char c = 'a'; c <= 'n'; ++c) {
     EXPECT_EQ(gen::Figure1Label(gen::Figure1Vertex(c)), std::string(1, c));
+  }
+}
+
+// Property: the counting CSR build and the rank-transpose ordering match
+// simple references (a std::set per vertex; a comparator sort per list)
+// on random edge soups with duplicates in both orientations, self-loops
+// and isolated vertices.
+TEST(GraphBuilderPropertyTest, MatchesSetAndSortReferences) {
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const auto n = static_cast<VertexId>(rng() % 60);
+    const size_t m = n == 0 ? 0 : rng() % (4 * n + 1);
+    EdgeList edges;
+    for (size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<VertexId>(rng() % n);
+      // Skew toward repeats and self-loops.
+      const auto v = rng() % 8 == 0 ? u : static_cast<VertexId>(rng() % n);
+      edges.emplace_back(u, v);
+      if (rng() % 4 == 0) edges.emplace_back(v, u);
+    }
+
+    std::vector<std::set<VertexId>> adjacency(n);
+    for (const auto& [u, v] : edges) {
+      if (u == v) continue;
+      adjacency[u].insert(v);
+      adjacency[v].insert(u);
+    }
+    std::vector<uint64_t> offsets = {0};
+    std::vector<VertexId> neighbors;
+    for (const auto& list : adjacency) {
+      neighbors.insert(neighbors.end(), list.begin(), list.end());
+      offsets.push_back(neighbors.size());
+    }
+
+    GraphBuilder builder(n);
+    builder.AddEdges(edges);
+    const Graph built = builder.Build();
+    const Graph one_shot = BuildGraph(n, edges);
+    ASSERT_EQ(built.offsets(), offsets);
+    ASSERT_EQ(built.neighbors(), neighbors);
+    ASSERT_EQ(one_shot.offsets(), offsets);
+    ASSERT_EQ(one_shot.neighbors(), neighbors);
+
+    std::vector<VertexId> ordered = neighbors;
+    for (VertexId v = 0; v < n; ++v) {
+      std::sort(ordered.begin() + static_cast<ptrdiff_t>(offsets[v]),
+                ordered.begin() + static_cast<ptrdiff_t>(offsets[v + 1]),
+                [&](VertexId a, VertexId b) {
+                  if (adjacency[a].size() != adjacency[b].size()) {
+                    return adjacency[a].size() > adjacency[b].size();
+                  }
+                  return a < b;
+                });
+    }
+    const OrderedAdjacency by_degree(built);
+    ASSERT_EQ(by_degree.offsets(), offsets);
+    ASSERT_EQ(by_degree.neighbors(), ordered);
   }
 }
 

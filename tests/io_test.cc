@@ -6,8 +6,18 @@
 
 #include <unistd.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
@@ -283,6 +293,220 @@ TEST(EdgeListIoTest, EmptyGraphRoundTrip) {
   const auto loaded = LoadBinary(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->NumVertices(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Edge-list parser: numbering and a differential check against the
+// line-at-a-time parser it replaced.
+
+TEST(EdgeListIoTest, NumbersSecondColumnBeforeFirst) {
+  // Ids are numbered in order of first appearance, reading each line's
+  // second column before its first: 7 -> 0, 5 -> 1, 9 -> 2.
+  const std::string path = TempPath("numbering.txt");
+  {
+    std::ofstream out(path);
+    out << "5 7\n5 9\n";
+  }
+  const auto loaded = LoadEdgeList(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->offsets(), (std::vector<uint64_t>{0, 1, 3, 4}));
+  EXPECT_EQ(loaded->neighbors(), (std::vector<VertexId>{1, 0, 2, 1}));
+}
+
+TEST(EdgeListIoTest, UnreadablePathIsOpenError) {
+  // A directory opens but cannot be read.
+  IoError error;
+  EXPECT_FALSE(LoadEdgeList(::testing::TempDir(), &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kOpen);
+}
+
+/// What a load produced: the CSR arrays, or the error.
+struct LoadOutcome {
+  bool ok = false;
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> neighbors;
+  IoErrorKind kind = IoErrorKind::kNone;
+  uint64_t line = 0;
+  std::string message;
+};
+
+LoadOutcome Load(const std::string& text) {
+  const std::string path = TempPath("differential.txt");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  LoadOutcome outcome;
+  IoError error;
+  const auto graph = LoadEdgeList(path, &error);
+  outcome.ok = graph.has_value();
+  if (graph.has_value()) {
+    outcome.offsets.assign(graph->offsets().begin(), graph->offsets().end());
+    outcome.neighbors.assign(graph->neighbors().begin(),
+                             graph->neighbors().end());
+  }
+  outcome.kind = error.kind;
+  outcome.line = error.line;
+  outcome.message = error.message;
+  return outcome;
+}
+
+/// The reference: the line-at-a-time parser LoadEdgeList used to be.
+/// strtoull on each NUL-terminated line, a hash map numbering each
+/// line's second column before its first, and a std::set adjacency.
+LoadOutcome ReferenceLoad(const std::string& text) {
+  LoadOutcome outcome;
+  std::unordered_map<uint64_t, VertexId> remap;
+  const auto intern = [&remap](uint64_t raw) {
+    return remap.emplace(raw, static_cast<VertexId>(remap.size()))
+        .first->second;
+  };
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::istringstream in(text);
+  std::string line;
+  uint64_t line_no = 0;
+  char message[256];
+  while (std::getline(in, line)) {
+    ++line_no;
+    while (!line.empty() && (line.back() == '\r' || line.back() == '\n')) {
+      line.pop_back();
+    }
+    const size_t start = line.find_first_not_of(" \t");
+    if (start == std::string::npos) continue;
+    if (line[start] == '#' || line[start] == '%') continue;
+    const char* cursor = line.c_str() + start;
+    char* end = nullptr;
+    const uint64_t u = std::strtoull(cursor, &end, 10);
+    if (end == cursor) {
+      std::snprintf(message, sizeof(message),
+                    "line %" PRIu64 ": expected \"u v\" edge, got \"%.60s\"",
+                    line_no, cursor);
+      outcome.kind = IoErrorKind::kParse;
+      outcome.line = line_no;
+      outcome.message = message;
+      return outcome;
+    }
+    cursor = end;
+    const uint64_t v = std::strtoull(cursor, &end, 10);
+    if (end == cursor) {
+      std::snprintf(message, sizeof(message),
+                    "line %" PRIu64 ": edge for vertex %" PRIu64
+                    " is missing its endpoint",
+                    line_no, u);
+      outcome.kind = IoErrorKind::kParse;
+      outcome.line = line_no;
+      outcome.message = message;
+      return outcome;
+    }
+    const VertexId second = intern(v);
+    const VertexId first = intern(u);
+    edges.emplace_back(first, second);
+  }
+  std::vector<std::set<VertexId>> adjacency(remap.size());
+  for (const auto& [a, b] : edges) {
+    if (a == b) continue;
+    adjacency[a].insert(b);
+    adjacency[b].insert(a);
+  }
+  outcome.ok = true;
+  outcome.offsets.push_back(0);
+  for (const auto& list : adjacency) {
+    outcome.neighbors.insert(outcome.neighbors.end(), list.begin(),
+                             list.end());
+    outcome.offsets.push_back(outcome.neighbors.size());
+  }
+  return outcome;
+}
+
+void ExpectSameAsReference(const std::string& text) {
+  SCOPED_TRACE(::testing::Message() << "input: \"" << text << "\"");
+  const LoadOutcome want = ReferenceLoad(text);
+  const LoadOutcome got = Load(text);
+  ASSERT_EQ(got.ok, want.ok) << got.message;
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.neighbors, want.neighbors);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.line, want.line);
+  EXPECT_EQ(got.message, want.message);
+}
+
+TEST(EdgeListDifferentialTest, LineEndingsAndWhitespace) {
+  ExpectSameAsReference("1 2\r\n2 3\r\n3 1\r\n");
+  ExpectSameAsReference("1\t2\n\t2 \t3\n   3   1   \n");
+  ExpectSameAsReference("1 2\r\r\n\r\n \r\n2 3");
+  ExpectSameAsReference("1 2\n2 3");  // no final newline
+  ExpectSameAsReference("1\r2\n\v3 4\n");
+  ExpectSameAsReference("");
+  ExpectSameAsReference("\n\n\n");
+}
+
+TEST(EdgeListDifferentialTest, CommentsAndBlankLines) {
+  ExpectSameAsReference("# header\n% other\n\n  # indented\n1 2\n\n");
+  ExpectSameAsReference("#1 2\n%3 4\n5 6 # trailing text\n");
+  ExpectSameAsReference("1 2\n# " + std::string(5000, 'c') + "\n2 3\n");
+}
+
+TEST(EdgeListDifferentialTest, ExtraColumnsDuplicatesAndSelfLoops) {
+  ExpectSameAsReference("1 2 0.5\n2 3 7 9 x\n3 1\tweight\n");
+  ExpectSameAsReference("1 2\n2 1\n1 2\n2 1\n2 3\n3 2\n");
+  ExpectSameAsReference("4 4\n1 2\n2 2\n5 5\n");  // self-loop ids still count
+}
+
+TEST(EdgeListDifferentialTest, WideAndMixedIds) {
+  // 2^33 and above: beyond any dense table, so they take the hash path.
+  ExpectSameAsReference("8589934592 17179869184\n17179869184 8589934593\n");
+  ExpectSameAsReference("18446744073709551615 0\n0 18446744073709551614\n");
+  // Dense and sparse ids interleaved: one numbering for both.
+  ExpectSameAsReference(
+      "3 8589934592\n70000 3\n8589934592 5\n5 70000\n4294967296 3\n");
+  // Overflow saturates and '-' wraps, as strtoull does.
+  ExpectSameAsReference("99999999999999999999999 1\n-1 +2\n-0 1\n");
+}
+
+TEST(EdgeListDifferentialTest, ErrorsKeepLineAndMessage) {
+  ExpectSameAsReference("1 2\nnot numbers\n");
+  ExpectSameAsReference("1 2\n7\n");
+  ExpectSameAsReference("1 2\r\n7 \r\n");
+  ExpectSameAsReference("# c\n\n1 x\n");
+  ExpectSameAsReference("1 2\n- 3\n");
+  ExpectSameAsReference("1 2\n\v\n");
+  ExpectSameAsReference("1 2\n" + std::string(100, 'z') + "\n");
+}
+
+TEST(EdgeListDifferentialTest, RandomTextMatchesReference) {
+  // Token soup weighted toward valid lines, so most inputs parse far
+  // before an error (if any) stops them.
+  const std::vector<std::string> ids = {
+      "0", "1", "2", "3", "17", "65535", "65536", "70000", "4294967296",
+      "8589934592", "18446744073709551615", "99999999999999999999", "-3",
+      "+4", "007"};
+  const std::vector<std::string> junk = {"#", "%", "x", "-", "+", "\r",
+                                         "\v", "", " ", "\t", "1.5"};
+  std::mt19937_64 rng(20240611);
+  for (int round = 0; round < 400; ++round) {
+    std::string text;
+    const int lines = static_cast<int>(rng() % 40);
+    for (int l = 0; l < lines; ++l) {
+      const uint64_t shape = rng() % 20;
+      if (shape == 0) {
+        text += junk[rng() % junk.size()];
+      } else if (shape == 1) {
+        text += "# comment " + ids[rng() % ids.size()];
+      } else if (shape == 2) {
+        text += ids[rng() % ids.size()];
+      } else {
+        if (rng() % 4 == 0) text += junk[rng() % junk.size()];
+        text += ids[rng() % ids.size()];
+        text += rng() % 3 == 0 ? "\t" : " ";
+        text += ids[rng() % ids.size()];
+        if (rng() % 5 == 0) text += " " + junk[rng() % junk.size()];
+      }
+      text += rng() % 6 == 0 ? "\r\n" : "\n";
+    }
+    if (rng() % 3 == 0 && !text.empty()) text.pop_back();
+    ExpectSameAsReference(text);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -34,6 +36,7 @@
 #include "graph/ordering.h"
 #include "serve/admission.h"
 #include "serve/session.h"
+#include "store/checksum.h"
 #include "store/format.h"
 #include "store/image.h"
 #include "util/failpoint.h"
@@ -62,13 +65,28 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 /// payload bytes and still get past the checksum gate — exercising the
 /// structural validation layer behind it.
 void FixChecksum(std::string* bytes) {
-  constexpr size_t kField = offsetof(ImageHeader, checksum);
-  const char zeros[sizeof(uint64_t)] = {};
-  uint64_t fnv = Fnv1a64(bytes->data(), kField);
-  fnv = Fnv1a64(zeros, sizeof(zeros), fnv);
-  fnv = Fnv1a64(bytes->data() + kField + sizeof(uint64_t),
-                bytes->size() - kField - sizeof(uint64_t), fnv);
-  std::memcpy(bytes->data() + kField, &fnv, sizeof(fnv));
+  const uint64_t checksum = ImageChecksum(bytes->data(), bytes->size());
+  std::memcpy(bytes->data() + offsetof(ImageHeader, checksum), &checksum,
+              sizeof(checksum));
+}
+
+/// Rewrites a current image as format v1 wrote it: version 1 and an
+/// FNV-1a 64 checksum over the file with the checksum field read as zero.
+/// v1 and v2 share the layout, so this is byte for byte what a v1 writer
+/// produced for the same arrays.
+void DowngradeToV1(std::string* bytes) {
+  const uint32_t v1 = 1;
+  std::memcpy(bytes->data() + offsetof(ImageHeader, version), &v1,
+              sizeof(v1));
+  std::memset(bytes->data() + offsetof(ImageHeader, checksum), 0,
+              sizeof(uint64_t));
+  uint64_t fnv = 14695981039346656037ull;
+  for (const char c : *bytes) {
+    fnv ^= static_cast<unsigned char>(c);
+    fnv *= 1099511628211ull;
+  }
+  std::memcpy(bytes->data() + offsetof(ImageHeader, checksum), &fnv,
+              sizeof(fnv));
 }
 
 /// Absolute offset of a section's payload, read from the section table.
@@ -261,6 +279,61 @@ TEST(StoreCraftedTest, UnsupportedVersionIsRejectedWithDetail) {
   EXPECT_EQ(error.kind, IoErrorKind::kParse);
   EXPECT_NE(error.message.find("version"), std::string::npos)
       << error.message;
+}
+
+TEST(StoreCraftedTest, VersionOneImageIsRejectedUntilRecompiled) {
+  const Graph graph = gen::Barbell(4, 0);
+  const std::string path = CompileToTemp(graph, "v1_src");
+  std::string bytes = ReadFileBytes(path);
+  DowngradeToV1(&bytes);
+  WriteFileBytes(path, bytes);
+  IoError error;
+  EXPECT_FALSE(LoadGraphImage(path, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find("unsupported image version 1"),
+            std::string::npos)
+      << error.message;
+  EXPECT_NE(error.message.find("recompile"), std::string::npos)
+      << error.message;
+
+  // Recompiling over the stale file brings it back.
+  ASSERT_TRUE(CompileGraphImage(graph, path, &error)) << error.message;
+  const std::optional<LoadedImage> loaded = LoadGraphImage(path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error.message;
+  EXPECT_EQ(loaded->graph.neighbors(), graph.neighbors());
+}
+
+TEST(StoreChecksumTest, MatchesReferenceXxh64AndIgnoresSplits) {
+  // Reference XXH64 (seed 0) digests. Words are read in host byte
+  // order, which is the reference's order on little-endian hosts.
+  const struct {
+    std::string input;
+    uint64_t digest;
+  } vectors[] = {
+      {"", 0xEF46DB3751D8E999ull},
+      {"a", 0xD24EC4F1A98C6E5Bull},
+      {"abc", 0x44BC2CF5AD770999ull},
+      // 39 bytes: one full 32-byte stripe plus an 8-byte word and tail.
+      {"Nobody inspects the spammish repetition", 0xFBCEA83C8A378BF1ull},
+  };
+  for (const auto& [input, digest] : vectors) {
+    if constexpr (std::endian::native != std::endian::little) break;
+    Checksum64 checksum;
+    checksum.Update(input.data(), input.size());
+    EXPECT_EQ(checksum.Digest(), digest) << '"' << input << '"';
+  }
+  std::string data;
+  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 7));
+  Checksum64 whole;
+  whole.Update(data.data(), data.size());
+  for (const size_t step : {1, 3, 8, 31, 32, 33, 100}) {
+    SCOPED_TRACE(step);
+    Checksum64 split;
+    for (size_t at = 0; at < data.size(); at += step) {
+      split.Update(data.data() + at, std::min(step, data.size() - at));
+    }
+    EXPECT_EQ(split.Digest(), whole.Digest());
+  }
 }
 
 TEST(StoreCraftedTest, OppositeEndiannessIsRejectedWithDetail) {
