@@ -41,6 +41,21 @@ namespace locs::bench {
 namespace {
 
 constexpr uint32_t kQueryK = 6;
+constexpr char kCacheTag[] = "micro_serve_20k";
+
+/// The served dataset. Generating it also writes the cached image at
+/// CachePath(kCacheTag), which the sweep and locsd then load.
+Graph MicroServeGraph() {
+  gen::LfrParams params;
+  params.n = 20000;
+  params.min_degree = 5;
+  params.max_degree = 80;
+  params.min_community = 20;
+  params.max_community = 150;
+  params.mu = 0.1;
+  params.seed = 808;
+  return CachedLfrComponent(params, kCacheTag);
+}
 
 /// Queries per session; LOCS_BENCH_SCALE multiplies it.
 size_t QueriesPerSession() {
@@ -190,23 +205,8 @@ SweepPoint RunSweepPoint(serve::GraphRegistry& registry, Executor& executor,
 /// output show what it cost. Exit is nonzero only when a request
 /// ultimately failed after exhausting its attempts.
 int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
-  const Graph graph = [] {
-    gen::LfrParams params;
-    params.n = 20000;
-    params.min_degree = 5;
-    params.max_degree = 80;
-    params.min_community = 20;
-    params.max_community = 150;
-    params.mu = 0.1;
-    params.seed = 808;
-    return CachedLfrComponent(params, "micro_serve_20k");
-  }();
-  const uint32_t n = graph.NumVertices();
-  const std::string path = CacheDir() + "/micro_serve_20k.lcsg";
-  if (!SaveBinary(graph, path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
+  const uint32_t n = MicroServeGraph().NumVertices();
+  const std::string path = CachePath(kCacheTag);
 
   const auto make_options = [port](uint64_t seed) {
     serve::RetryClientOptions options;
@@ -307,23 +307,8 @@ int Main() {
       "not in the paper — service-layer economics of PR 4 (locsd)",
       "qps grows with sessions until cores saturate; p95 stays bounded");
 
-  const Graph graph = [] {
-    gen::LfrParams params;
-    params.n = 20000;
-    params.min_degree = 5;
-    params.max_degree = 80;
-    params.min_community = 20;
-    params.max_community = 150;
-    params.mu = 0.1;
-    params.seed = 808;
-    return CachedLfrComponent(params, "micro_serve_20k");
-  }();
-  const uint32_t n = graph.NumVertices();
-  const std::string path = CacheDir() + "/micro_serve_20k.lcsg";
-  if (!SaveBinary(graph, path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
+  const uint32_t n = MicroServeGraph().NumVertices();
+  const std::string path = CachePath(kCacheTag);
 
   serve::GraphRegistry registry;
   IoError io_error;

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "graph/io.h"
 #include "graph/traversal.h"
+#include "store/image.h"
 #include "util/check.h"
 #include "util/cli.h"
 #include "util/timer.h"
@@ -70,10 +70,12 @@ Graph GenerateComponent(const gen::LfrParams& params) {
 Graph LoadOrGenerate(const std::string& cache_path,
                      const gen::LfrParams& params) {
   if (FileExists(cache_path)) {
-    auto loaded = LoadBinary(cache_path);
-    if (loaded.has_value()) return std::move(*loaded);
-    std::fprintf(stderr, "[datasets] cache %s unreadable; regenerating\n",
-                 cache_path.c_str());
+    IoError error;
+    auto loaded = store::LoadGraphImage(cache_path, &error);
+    if (loaded.has_value()) return std::move(loaded->graph);
+    std::fprintf(stderr,
+                 "[datasets] cache %s unreadable (%s); regenerating\n",
+                 cache_path.c_str(), error.message.c_str());
   }
   WallTimer timer;
   Graph graph = GenerateComponent(params);
@@ -82,9 +84,10 @@ Graph LoadOrGenerate(const std::string& cache_path,
                cache_path.c_str(), graph.NumVertices(),
                static_cast<unsigned long>(graph.NumEdges()),
                timer.Seconds());
-  if (!SaveBinary(graph, cache_path)) {
-    std::fprintf(stderr, "[datasets] warning: could not cache %s\n",
-                 cache_path.c_str());
+  IoError error;
+  if (!store::CompileGraphImage(graph, cache_path, &error)) {
+    std::fprintf(stderr, "[datasets] warning: could not cache %s: %s\n",
+                 cache_path.c_str(), error.message.c_str());
   }
   return graph;
 }
@@ -95,6 +98,10 @@ std::string CacheDir() {
   const std::string dir = "data";
   ::mkdir(dir.c_str(), 0755);  // best-effort; EEXIST is fine
   return dir;
+}
+
+std::string CachePath(const std::string& cache_tag) {
+  return CacheDir() + "/" + cache_tag + std::string(store::kImageExtension);
 }
 
 const std::vector<std::string>& StandInNames() {
@@ -118,10 +125,9 @@ Dataset LoadStandIn(const std::string& name) {
   params.mu = recipe.mu;
   params.seed = recipe.seed;
 
-  const std::string path = CacheDir() + "/" + name + ScaleTag() + ".lcsg";
   Dataset dataset;
   dataset.name = name;
-  dataset.graph = LoadOrGenerate(path, params);
+  dataset.graph = LoadOrGenerate(CachePath(name + ScaleTag()), params);
   return dataset;
 }
 
@@ -135,8 +141,7 @@ std::vector<Dataset> LoadAllStandIns() {
 
 Graph CachedLfrComponent(const gen::LfrParams& params,
                          const std::string& cache_tag) {
-  const std::string path = CacheDir() + "/" + cache_tag + ".lcsg";
-  return LoadOrGenerate(path, params);
+  return LoadOrGenerate(CachePath(cache_tag), params);
 }
 
 }  // namespace locs::bench

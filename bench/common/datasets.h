@@ -8,7 +8,8 @@
 // Set LOCS_BENCH_SCALE to grow every dataset proportionally.
 //
 // Generated graphs are reduced to their largest connected component (as the
-// paper does, §6.1.1) and cached as binary CSR files under data/.
+// paper does, §6.1.1) and cached as graph images (src/store/) under data/;
+// a cache file that fails the image checks is regenerated.
 
 #ifndef LOCS_BENCH_COMMON_DATASETS_H_
 #define LOCS_BENCH_COMMON_DATASETS_H_
@@ -43,6 +44,10 @@ Graph CachedLfrComponent(const gen::LfrParams& params,
 
 /// Directory used for the dataset cache (created on demand).
 std::string CacheDir();
+
+/// The cache's graph image for `cache_tag` (a stand-in name plus scale
+/// tag, or CachedLfrComponent's tag).
+std::string CachePath(const std::string& cache_tag);
 
 }  // namespace locs::bench
 

@@ -14,8 +14,8 @@
 #include <set>
 
 #include "core/core_index.h"
-#include "core/parallel.h"
 #include "core/searcher.h"
+#include "exec/batch_runner.h"
 #include "gen/lfr.h"
 #include "graph/traversal.h"
 #include "util/cli.h"

@@ -42,14 +42,6 @@ std::string Format(const char* fmt, ...) {
   return buf;
 }
 
-constexpr char kMagic[8] = {'L', 'O', 'C', 'S', 'G', 'R', 'F', '1'};
-
-struct BinaryHeader {
-  char magic[8];
-  uint64_t num_vertices;
-  uint64_t num_half_edges;
-};
-
 /// RAII wrapper over std::FILE.
 class File {
  public:
@@ -178,10 +170,26 @@ class IdRemap {
   VertexId next_ = 0;
 };
 
-}  // namespace
-
-std::optional<Graph> LoadEdgeList(const std::string& path, IoError* error) {
+/// Runs one text loader and turns an allocation failure anywhere in its
+/// read, parse or build into a kAlloc error: their memory use grows with
+/// the input, so an oversized file must fail typed instead of aborting
+/// the process.
+template <typename Reader>
+std::optional<Graph> NoThrowLoad(Reader read, const std::string& path,
+                                 IoError* error) {
   if (error != nullptr) *error = IoError{};
+  try {
+    // Fault-injection site: "io.text.alloc" simulates the loader running
+    // out of memory.
+    if (LOCS_FAILPOINT("io.text.alloc")) throw std::bad_alloc();
+    return read(path, error);
+  } catch (const std::bad_alloc&) {
+    return Fail(error, IoErrorKind::kAlloc,
+                Format("out of memory loading '%s'", path.c_str()));
+  }
+}
+
+std::optional<Graph> ReadEdgeList(const std::string& path, IoError* error) {
   std::string buffer;
   {
     File file(path, "r");
@@ -252,23 +260,7 @@ std::optional<Graph> LoadEdgeList(const std::string& path, IoError* error) {
   return BuildGraph(remap.size(), edges);
 }
 
-bool SaveEdgeList(const Graph& graph, const std::string& path) {
-  File file(path, "w");
-  if (!file.ok()) return false;
-  std::fprintf(file.get(),
-               "# locs edge list: %" PRIu32 " vertices, %" PRIu64
-               " edges\n",
-               graph.NumVertices(), graph.NumEdges());
-  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
-    for (VertexId v : graph.Neighbors(u)) {
-      if (u < v) std::fprintf(file.get(), "%u %u\n", u, v);
-    }
-  }
-  return std::fflush(file.get()) == 0;
-}
-
-std::optional<Graph> LoadMetis(const std::string& path, IoError* error) {
-  if (error != nullptr) *error = IoError{};
+std::optional<Graph> ReadMetis(const std::string& path, IoError* error) {
   File file(path, "r");
   if (!file.ok()) {
     return Fail(error, IoErrorKind::kOpen,
@@ -312,6 +304,15 @@ std::optional<Graph> LoadMetis(const std::string& path, IoError* error) {
   if (!fmt.empty() && fmt.find_first_not_of('0') != std::string::npos) {
     return Fail(error, IoErrorKind::kParse,
                 Format("weighted format \"%s\" is unsupported", fmt.c_str()),
+                line_no);
+  }
+  // Vertex ids are 32-bit and kInvalidVertex is reserved, so a larger
+  // count cannot be built; neighbor ids are range-checked against it.
+  if (n >= kInvalidVertex) {
+    return Fail(error, IoErrorKind::kParse,
+                Format("header declares %" PRIu64
+                       " vertices; at most %" PRIu32 " are supported",
+                       n, kInvalidVertex - 1),
                 line_no);
   }
   GraphBuilder builder(static_cast<VertexId>(n));
@@ -358,6 +359,31 @@ std::optional<Graph> LoadMetis(const std::string& path, IoError* error) {
   return graph;
 }
 
+}  // namespace
+
+std::optional<Graph> LoadEdgeList(const std::string& path, IoError* error) {
+  return NoThrowLoad(ReadEdgeList, path, error);
+}
+
+bool SaveEdgeList(const Graph& graph, const std::string& path) {
+  File file(path, "w");
+  if (!file.ok()) return false;
+  std::fprintf(file.get(),
+               "# locs edge list: %" PRIu32 " vertices, %" PRIu64
+               " edges\n",
+               graph.NumVertices(), graph.NumEdges());
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (VertexId v : graph.Neighbors(u)) {
+      if (u < v) std::fprintf(file.get(), "%u %u\n", u, v);
+    }
+  }
+  return std::fflush(file.get()) == 0;
+}
+
+std::optional<Graph> LoadMetis(const std::string& path, IoError* error) {
+  return NoThrowLoad(ReadMetis, path, error);
+}
+
 bool SaveMetis(const Graph& graph, const std::string& path) {
   File file(path, "w");
   if (!file.ok()) return false;
@@ -374,85 +400,6 @@ bool SaveMetis(const Graph& graph, const std::string& path) {
   return std::fflush(file.get()) == 0;
 }
 
-std::optional<Graph> LoadBinary(const std::string& path, IoError* error) {
-  if (error != nullptr) *error = IoError{};
-  File file(path, "rb");
-  if (!file.ok()) {
-    return Fail(error, IoErrorKind::kOpen,
-                Format("cannot open '%s' for reading", path.c_str()));
-  }
-  BinaryHeader header{};
-  if (std::fread(&header, sizeof(header), 1, file.get()) != 1) {
-    return Fail(error, IoErrorKind::kTruncated,
-                "file ends before the 24-byte header");
-  }
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Fail(error, IoErrorKind::kParse,
-                "bad magic (not a LOCSGRF1 binary graph)");
-  }
-  std::vector<uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  // Fault-injection site: "io.binary.alloc" simulates the CSR arrays
-  // failing to allocate (they can reach multiple GB on large graphs, the
-  // one place the loader's memory use is data-dependent).
-  if (LOCS_FAILPOINT("io.binary.alloc")) {
-    return Fail(error, IoErrorKind::kAlloc,
-                Format("cannot allocate CSR arrays for %" PRIu64
-                       " vertices / %" PRIu64 " half-edges",
-                       header.num_vertices, header.num_half_edges));
-  }
-  try {
-    offsets.resize(header.num_vertices + 1);
-    neighbors.resize(header.num_half_edges);
-  } catch (const std::bad_alloc&) {
-    return Fail(error, IoErrorKind::kAlloc,
-                Format("cannot allocate CSR arrays for %" PRIu64
-                       " vertices / %" PRIu64 " half-edges",
-                       header.num_vertices, header.num_half_edges));
-  }
-  // Fault-injection site: "io.binary.short_read" forces the truncation
-  // path a short read of the offsets array would take.
-  if (LOCS_FAILPOINT("io.binary.short_read") ||
-      std::fread(offsets.data(), sizeof(uint64_t), offsets.size(),
-                 file.get()) != offsets.size()) {
-    return Fail(error, IoErrorKind::kTruncated,
-                Format("short read: file ends inside the %" PRIu64
-                       "-entry offset array",
-                       header.num_vertices + 1));
-  }
-  if (!neighbors.empty() &&
-      std::fread(neighbors.data(), sizeof(VertexId), neighbors.size(),
-                 file.get()) != neighbors.size()) {
-    return Fail(error, IoErrorKind::kTruncated,
-                Format("short read: file ends inside the %" PRIu64
-                       "-entry neighbor array",
-                       header.num_half_edges));
-  }
-  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
-}
-
-bool SaveBinary(const Graph& graph, const std::string& path) {
-  File file(path, "wb");
-  if (!file.ok()) return false;
-  BinaryHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.num_vertices = graph.NumVertices();
-  header.num_half_edges = graph.neighbors().size();
-  if (std::fwrite(&header, sizeof(header), 1, file.get()) != 1) return false;
-  if (std::fwrite(graph.offsets().data(), sizeof(uint64_t),
-                  graph.offsets().size(),
-                  file.get()) != graph.offsets().size()) {
-    return false;
-  }
-  if (!graph.neighbors().empty() &&
-      std::fwrite(graph.neighbors().data(), sizeof(VertexId),
-                  graph.neighbors().size(),
-                  file.get()) != graph.neighbors().size()) {
-    return false;
-  }
-  return std::fflush(file.get()) == 0;
-}
-
 std::optional<Graph> LoadGraphAuto(const std::string& path,
                                    IoError* error) {
   const auto ends_with = [&path](std::string_view suffix) {
@@ -460,7 +407,6 @@ std::optional<Graph> LoadGraphAuto(const std::string& path,
            path.compare(path.size() - suffix.size(), suffix.size(),
                         suffix) == 0;
   };
-  if (ends_with(".lcsg")) return LoadBinary(path, error);
   if (ends_with(".metis") || ends_with(".graph")) {
     return LoadMetis(path, error);
   }

@@ -1,5 +1,5 @@
-// Graph persistence: SNAP-style edge-list text files and a fast binary
-// format used by the benchmark dataset cache.
+// Graph persistence: SNAP-style edge-list and METIS text files. The one
+// binary graph format is the checksummed image of src/store/.
 
 #ifndef LOCS_GRAPH_IO_H_
 #define LOCS_GRAPH_IO_H_
@@ -19,7 +19,7 @@ namespace locs {
 enum class IoErrorKind : uint8_t {
   kNone,       ///< load succeeded
   kOpen,       ///< file missing / not readable
-  kParse,      ///< malformed content (text formats, bad magic)
+  kParse,      ///< malformed content (text formats, bad image magic)
   kTruncated,  ///< file ended before the declared data (short read)
   kAlloc,      ///< an allocation for the graph data failed
 };
@@ -57,8 +57,9 @@ struct IoError {
 /// Columns after the second are ignored. Vertex ids are compacted to a
 /// dense [0, n) range in order of first appearance, reading each line's
 /// second column before its first: "5 7\n5 9\n" numbers 7 as 0, 5 as 1
-/// and 9 as 2. Returns std::nullopt if the file cannot be read or parsed;
-/// `error` (optional) receives the failure detail.
+/// and 9 as 2. Returns std::nullopt if the file cannot be read or parsed,
+/// or if memory runs out (kAlloc); `error` (optional) receives the
+/// failure detail.
 std::optional<Graph> LoadEdgeList(const std::string& path,
                                   IoError* error = nullptr);
 
@@ -69,28 +70,18 @@ bool SaveEdgeList(const Graph& graph, const std::string& path);
 /// Loads a METIS graph file: a header line "n m [fmt]" followed by one
 /// line per vertex (1-based neighbor ids; '%' comment lines allowed).
 /// Only the plain unweighted format (fmt absent or "0"/"00"/"000") is
-/// supported. Returns std::nullopt on open/parse failure, with detail in
-/// `error` when provided.
+/// supported; the vertex count must fit a VertexId. Returns std::nullopt
+/// on open/parse/alloc failure, with detail in `error` when provided.
 std::optional<Graph> LoadMetis(const std::string& path,
                                IoError* error = nullptr);
 
 /// Writes the graph in plain METIS format. Returns false on I/O failure.
 bool SaveMetis(const Graph& graph, const std::string& path);
 
-/// Loads the binary CSR format written by SaveBinary. Returns std::nullopt
-/// on open failure, bad magic, or truncation, with detail in `error` when
-/// provided.
-std::optional<Graph> LoadBinary(const std::string& path,
-                                IoError* error = nullptr);
-
-/// Writes the graph in a compact binary CSR format (magic + version +
-/// counts + raw arrays). Returns false on I/O failure.
-bool SaveBinary(const Graph& graph, const std::string& path);
-
-/// Loads a graph with the format chosen by file extension: `.lcsg` is the
-/// binary CSR format, `.metis`/`.graph` is METIS, anything else is a
-/// whitespace edge list. This is the one auto-detection rule shared by the
-/// CLI, the serving layer, and the bench dataset cache.
+/// Loads a text graph with the format chosen by file extension:
+/// `.metis`/`.graph` is METIS, anything else is a whitespace edge list.
+/// This is the one extension rule shared by the CLI and the serving
+/// layer, both of which sniff for a graph image first.
 std::optional<Graph> LoadGraphAuto(const std::string& path,
                                    IoError* error = nullptr);
 

@@ -2,10 +2,10 @@
 //
 // A failpoint is a named site in library code that a test (or the
 // LOCS_FAILPOINT environment variable) can arm to force a rare failure
-// path: an IO short-read, an allocation failure, a mid-search deadline.
+// path: an image open failure, an allocation failure, a mid-search deadline.
 // Sites look like
 //
-//   if (LOCS_FAILPOINT("io.binary.short_read")) return ...error...;
+//   if (LOCS_FAILPOINT("serve.registry.load_error")) return ...error...;
 //
 // and cost nothing when the facility is compiled out
 // (-DLOCS_FAILPOINTS=0): the macro folds to `false` and the branch is

@@ -5,8 +5,11 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+
+#include "util/failpoint.h"
 
 namespace locs {
 namespace {
@@ -56,7 +59,7 @@ TEST(CliIntegrationTest, UsageOnNoArgs) {
 }
 
 TEST(CliIntegrationTest, GenerateStatsQueryPipeline) {
-  const std::string graph_path = TempPath("cli_pipeline.lcsg");
+  const std::string graph_path = TempPath("cli_pipeline.metis");
   {
     const auto [code, out] = RunCli(
         "generate --model=lfr --n=2000 --seed=5 --output=" + graph_path);
@@ -96,7 +99,7 @@ TEST(CliIntegrationTest, CompileRejectsAnAlreadyCompiledImage) {
   // Recompiling a .limg must fail with a clear diagnostic, not a
   // confusing edge-list parse error from feeding binary bytes to the
   // text loader.
-  const std::string graph_path = TempPath("cli_recompile.lcsg");
+  const std::string graph_path = TempPath("cli_recompile.metis");
   const std::string image_path = TempPath("cli_recompile.limg");
   ASSERT_EQ(RunCli("generate --model=gnp --n=60 --p=0.2 --seed=4 "
                    "--output=" +
@@ -115,7 +118,7 @@ TEST(CliIntegrationTest, UnopenableTraceFileIsAHardError) {
   // A --trace= path that cannot be opened must abort the run with the
   // typed open-error exit code — not run untraced with exit 0 and not
   // collapse into the generic failure code.
-  const std::string graph_path = TempPath("cli_trace_err.lcsg");
+  const std::string graph_path = TempPath("cli_trace_err.metis");
   ASSERT_EQ(RunCli("generate --model=gnp --n=50 --p=0.2 --seed=9 --output=" +
                    graph_path)
                 .first,
@@ -127,7 +130,7 @@ TEST(CliIntegrationTest, UnopenableTraceFileIsAHardError) {
 }
 
 TEST(CliIntegrationTest, LocalAndGlobalAgreeOnGoodness) {
-  const std::string graph_path = TempPath("cli_agree.lcsg");
+  const std::string graph_path = TempPath("cli_agree.metis");
   ASSERT_EQ(RunCli("generate --model=ba --n=1000 --m=4 --seed=3 --output=" +
                    graph_path)
                 .first,
@@ -148,34 +151,39 @@ TEST(CliIntegrationTest, LocalAndGlobalAgreeOnGoodness) {
 }
 
 TEST(CliIntegrationTest, ConvertRoundTripAcrossFormats) {
-  const std::string binary_path = TempPath("cli_conv.lcsg");
   const std::string metis_path = TempPath("cli_conv.metis");
   const std::string edge_path = TempPath("cli_conv.txt");
+  const std::string back_path = TempPath("cli_conv_back.metis");
+  const std::string image_path = TempPath("cli_conv.limg");
   ASSERT_EQ(RunCli("generate --model=gnp --n=300 --p=0.05 --seed=2 "
                    "--output=" +
-                   binary_path)
-                .first,
-            0);
-  ASSERT_EQ(RunCli("convert --input=" + binary_path +
-                   " --output=" + metis_path)
+                   metis_path)
                 .first,
             0);
   ASSERT_EQ(RunCli("convert --input=" + metis_path +
                    " --output=" + edge_path)
                 .first,
             0);
-  // All three report identical edge counts in stats.
+  ASSERT_EQ(RunCli("convert --input=" + edge_path +
+                   " --output=" + back_path)
+                .first,
+            0);
+  ASSERT_EQ(RunCli("compile " + metis_path + " " + image_path).first, 0);
+  // Every format reports identical edge counts in stats.
   const auto edges_of = [](const std::string& path) {
     const auto [code, out] = RunCli("stats --input=" + path);
     EXPECT_EQ(code, 0);
     const size_t pos = out.find("edges");
     return out.substr(pos, out.find('\n', pos) - pos);
   };
-  EXPECT_EQ(edges_of(binary_path), edges_of(metis_path));
+  const std::string edges = edges_of(metis_path);
+  EXPECT_EQ(edges_of(edge_path), edges);
+  EXPECT_EQ(edges_of(back_path), edges);
+  EXPECT_EQ(edges_of(image_path), edges);
 }
 
 TEST(CliIntegrationTest, BatchCommandRunsBothModes) {
-  const std::string graph_path = TempPath("cli_batch.lcsg");
+  const std::string graph_path = TempPath("cli_batch.metis");
   ASSERT_EQ(RunCli("generate --model=lfr --n=1500 --seed=9 --output=" +
                    graph_path)
                 .first,
@@ -238,6 +246,25 @@ TEST(CliIntegrationTest, UnknownCommandHasDistinctExitAndStderr) {
       << err;
   // The usage path (no arguments) keeps its own exit code.
   EXPECT_NE(RunCli("").first, 64);
+}
+
+TEST(CliIntegrationTest, LoadFailuresMapToTypedExitCodes) {
+  // A METIS vertex count past the 32-bit id range is a parse error, not
+  // an abort inside the graph builder.
+  const std::string huge_path = TempPath("cli_huge.metis");
+  {
+    std::ofstream out(huge_path);
+    out << "4294967297 1\n2\n";
+  }
+  EXPECT_EQ(RunCli("stats --input=" + huge_path).first, 4);  // parse
+#if LOCS_FAILPOINTS
+  // Running out of memory in a text loader (forced before the parse) is
+  // the alloc exit code.
+  ::setenv("LOCS_FAILPOINT", "io.text.alloc", 1);
+  const int code = RunCli("stats --input=" + huge_path).first;
+  ::unsetenv("LOCS_FAILPOINT");
+  EXPECT_EQ(code, 6);  // alloc
+#endif
 }
 
 TEST(CliIntegrationTest, ErrorsAreClean) {

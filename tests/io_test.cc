@@ -1,16 +1,15 @@
-// Tests for edge-list and binary graph persistence.
+// Tests for edge-list, METIS and binary graph persistence and load errors.
 
 #include "graph/io.h"
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <set>
 #include <sstream>
@@ -23,13 +22,18 @@
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "graph/invariants.h"
+#include "store/image.h"
 #include "util/failpoint.h"
 
 namespace locs {
 namespace {
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 TEST(EdgeListIoTest, RoundTrip) {
@@ -134,51 +138,64 @@ TEST(EdgeListIoTest, MalformedLineFails) {
   EXPECT_FALSE(LoadEdgeList(path).has_value());
 }
 
+/// Drops the last `bytes` bytes of the file at `path`.
+void ChopTail(const std::string& path, size_t bytes) {
+  std::ifstream in(path, std::ios::binary);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(content.size(), bytes);
+  content.resize(content.size() - bytes);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+}
+
+// The binary graph format is the graph image (store/image.h).
+
 TEST(BinaryIoTest, ExactRoundTrip) {
   Graph original = gen::ErdosRenyiGnp(200, 0.05, 11);
-  const std::string path = TempPath("graph.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
-  const auto loaded = LoadBinary(path);
+  const std::string path = TempPath("graph.limg");
+  ASSERT_TRUE(store::CompileGraphImage(original, path));
+  const auto loaded = store::LoadGraphImage(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->offsets(), original.offsets());
-  EXPECT_EQ(loaded->neighbors(), original.neighbors());
+  EXPECT_EQ(loaded->graph.offsets(), original.offsets());
+  EXPECT_EQ(loaded->graph.neighbors(), original.neighbors());
 }
 
 TEST(BinaryIoTest, PreservesIsolatedVertices) {
   Graph original = BuildGraph(10, {{0, 1}});
-  const std::string path = TempPath("isolated.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
-  const auto loaded = LoadBinary(path);
+  const std::string path = TempPath("isolated.limg");
+  ASSERT_TRUE(store::CompileGraphImage(original, path));
+  const auto loaded = store::LoadGraphImage(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->NumVertices(), 10u);
-  EXPECT_EQ(loaded->NumEdges(), 1u);
+  EXPECT_EQ(loaded->graph.NumVertices(), 10u);
+  EXPECT_EQ(loaded->graph.NumEdges(), 1u);
 }
 
 TEST(BinaryIoTest, RejectsBadMagic) {
-  const std::string path = TempPath("junk.lcsg");
+  const std::string path = TempPath("junk.limg");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a locs graph file at all, padding padding";
+    out << std::string(256, 'x');
   }
-  EXPECT_FALSE(LoadBinary(path).has_value());
+  EXPECT_FALSE(store::LoadGraphImage(path).has_value());
 }
 
 TEST(BinaryIoTest, RejectsTruncatedFile) {
   Graph original = gen::Clique(20);
-  const std::string path = TempPath("trunc.lcsg");
-  ASSERT_TRUE(SaveBinary(original, path));
-  // Truncate the file to half its size.
-  std::FILE* f = std::fopen(path.c_str(), "r+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  EXPECT_FALSE(LoadBinary(path).has_value());
+  const std::string path = TempPath("trunc.limg");
+  ASSERT_TRUE(store::CompileGraphImage(original, path));
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const size_t size = static_cast<size_t>(in.tellg());
+  in.close();
+  ChopTail(path, size / 2);
+  EXPECT_FALSE(store::LoadGraphImage(path).has_value());
 }
 
 TEST(BinaryIoTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(LoadBinary("/nonexistent/path/graph.lcsg").has_value());
+  EXPECT_FALSE(
+      store::LoadGraphImage("/nonexistent/path/graph.limg").has_value());
 }
 
 TEST(MetisIoTest, RoundTrip) {
@@ -288,11 +305,17 @@ TEST(MetisIoTest, IsolatedVerticesViaEmptyLines) {
 
 TEST(EdgeListIoTest, EmptyGraphRoundTrip) {
   Graph empty = BuildGraph(0, {});
-  const std::string path = TempPath("empty.lcsg");
-  ASSERT_TRUE(SaveBinary(empty, path));
-  const auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->NumVertices(), 0u);
+  const std::string metis_path = TempPath("empty.metis");
+  ASSERT_TRUE(SaveMetis(empty, metis_path));
+  const auto from_metis = LoadMetis(metis_path);
+  ASSERT_TRUE(from_metis.has_value());
+  EXPECT_EQ(from_metis->NumVertices(), 0u);
+
+  const std::string image_path = TempPath("empty.limg");
+  ASSERT_TRUE(store::CompileGraphImage(empty, image_path));
+  const auto from_image = store::LoadGraphImage(image_path);
+  ASSERT_TRUE(from_image.has_value());
+  EXPECT_EQ(from_image->graph.NumVertices(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +545,8 @@ TEST(IoErrorTest, MissingFileReportsOpenKindInEveryFormat) {
   EXPECT_FALSE(LoadMetis(TempPath("nope.metis"), &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kOpen);
 
-  EXPECT_FALSE(LoadBinary(TempPath("nope.lcsg"), &error).has_value());
+  EXPECT_FALSE(
+      store::LoadGraphImage(TempPath("nope.limg"), &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kOpen);
 }
 
@@ -594,79 +618,86 @@ TEST(IoErrorTest, MetisMissingVertexLinesIsTruncated) {
   EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
 }
 
-TEST(IoErrorTest, BinaryBadMagicIsParseError) {
-  const std::string path = TempPath("badmagic.lcsg");
+TEST(IoErrorTest, MetisVertexCountBeyondVertexIdIsParseError) {
+  // 2^32 + 1 narrows to 1 as a VertexId, and neighbor 2 is in range for
+  // the unnarrowed count: the header itself must be refused.
+  const std::string path = TempPath("huge.metis");
   {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTAGRAPHFILE_________________";
+    std::ofstream out(path);
+    out << "% comment\n4294967297 1\n2\n";
   }
   IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
+  EXPECT_FALSE(LoadMetis(path, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_EQ(error.line, 2u);
+
+  // kInvalidVertex itself is reserved, so 2^32 - 1 is refused too.
+  {
+    std::ofstream out(path);
+    out << "4294967295 0\n";
+  }
+  EXPECT_FALSE(LoadMetis(path, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_EQ(error.line, 1u);
+}
+
+TEST(IoErrorTest, BinaryBadMagicIsParseError) {
+  const std::string path = TempPath("badmagic.limg");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "NOTAGRAPHFILE_________________" << std::string(256, '_');
+  }
+  IoError error;
+  EXPECT_FALSE(store::LoadGraphImage(path, &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kParse);
 }
 
 TEST(IoErrorTest, BinaryTruncationIsReported) {
   Graph g = gen::Clique(6);
-  const std::string path = TempPath("trunc_err.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-  // Chop the file in the middle of the neighbor array.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  bytes.resize(bytes.size() - 8);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
+  const std::string path = TempPath("trunc_err.limg");
+  ASSERT_TRUE(store::CompileGraphImage(g, path));
+  // Chop the file in the middle of its last section.
+  ChopTail(path, 8);
   IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
+  EXPECT_FALSE(store::LoadGraphImage(path, &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
 }
 
 #if LOCS_FAILPOINTS
 
-TEST(IoFailpointTest, ShortReadFailpointForcesTruncationPath) {
-  Graph g = gen::Clique(5);
-  const std::string path = TempPath("fp_short.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
-  // Sanity: the file itself is fine.
-  ASSERT_TRUE(LoadBinary(path).has_value());
-
-  failpoint::ScopedFailpoint fp("io.binary.short_read");
-  IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
-  EXPECT_GE(failpoint::HitCount("io.binary.short_read"), 1u);
-}
-
 TEST(IoFailpointTest, AllocFailpointForcesAllocError) {
   Graph g = gen::Clique(5);
-  const std::string path = TempPath("fp_alloc.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
+  const std::string edge_path = TempPath("fp_alloc.txt");
+  const std::string metis_path = TempPath("fp_alloc.metis");
+  ASSERT_TRUE(SaveEdgeList(g, edge_path));
+  ASSERT_TRUE(SaveMetis(g, metis_path));
 
-  failpoint::ScopedFailpoint fp("io.binary.alloc");
+  failpoint::ScopedFailpoint fp("io.text.alloc");
   IoError error;
-  EXPECT_FALSE(LoadBinary(path, &error).has_value());
+  EXPECT_FALSE(LoadEdgeList(edge_path, &error).has_value());
   EXPECT_EQ(error.kind, IoErrorKind::kAlloc);
-  EXPECT_GE(failpoint::HitCount("io.binary.alloc"), 1u);
+  EXPECT_FALSE(LoadMetis(metis_path, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kAlloc);
+  EXPECT_EQ(failpoint::HitCount("io.text.alloc"), 2u);
 
-  // Disarmed again, the same file loads.
-  failpoint::Disarm("io.binary.alloc");
-  EXPECT_TRUE(LoadBinary(path, &error).has_value());
+  // Disarmed again, the same files load.
+  failpoint::Disarm("io.text.alloc");
+  EXPECT_TRUE(LoadEdgeList(edge_path, &error).has_value());
+  EXPECT_TRUE(error.ok());
+  EXPECT_TRUE(LoadMetis(metis_path, &error).has_value());
   EXPECT_TRUE(error.ok());
 }
 
 TEST(IoFailpointTest, SkipCountDelaysTheFailure) {
   Graph g = gen::Clique(4);
-  const std::string path = TempPath("fp_skip.lcsg");
-  ASSERT_TRUE(SaveBinary(g, path));
+  const std::string path = TempPath("fp_skip.txt");
+  ASSERT_TRUE(SaveEdgeList(g, path));
 
-  failpoint::ScopedFailpoint fp("io.binary.short_read", /*skip=*/2);
-  EXPECT_TRUE(LoadBinary(path).has_value());   // hit 1: skipped
-  EXPECT_TRUE(LoadBinary(path).has_value());   // hit 2: skipped
-  EXPECT_FALSE(LoadBinary(path).has_value());  // hit 3: fires
-  EXPECT_EQ(failpoint::HitCount("io.binary.short_read"), 3u);
+  failpoint::ScopedFailpoint fp("io.text.alloc", /*skip=*/2);
+  EXPECT_TRUE(LoadEdgeList(path).has_value());   // hit 1: skipped
+  EXPECT_TRUE(LoadEdgeList(path).has_value());   // hit 2: skipped
+  EXPECT_FALSE(LoadEdgeList(path).has_value());  // hit 3: fires
+  EXPECT_EQ(failpoint::HitCount("io.text.alloc"), 3u);
 }
 
 #endif  // LOCS_FAILPOINTS

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 
@@ -26,10 +27,18 @@ using testing::ToSet;
 
 constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
 
+// gtest prints a parameter without a printer as its raw bytes, and
+// gtest_discover_tests copies that text into the ctest test names. The
+// four bytes after `rule` are a zeroed member, not padding, so the names
+// carry no stale heap bytes and are the same on every build.
 struct Config {
+  Config(CsmCandidateRule r, double g) : rule(r), gamma(g) {}
+
   CsmCandidateRule rule;
+  std::int32_t zero = 0;
   double gamma;
 };
+static_assert(sizeof(Config) == 16, "no padding may reach the test names");
 
 std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
   std::string name = info.param.rule == CsmCandidateRule::kFromVisited

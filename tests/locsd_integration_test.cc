@@ -42,8 +42,12 @@ std::pair<int, std::string> RunShell(const std::string& command) {
   return {WEXITSTATUS(status), output};
 }
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -70,7 +74,7 @@ std::string Field(const std::string& line, const std::string& key) {
 /// Generates the shared test graph once per process.
 const std::string& GraphPath() {
   static const std::string path = [] {
-    const std::string p = TempPath("locsd_it.lcsg");
+    const std::string p = TempPath("locsd_it.metis");
     const auto [code, out] = RunShell(
         std::string(LOCS_CLI_PATH) +
         " generate --model=lfr --n=2000 --seed=5 --output=" + p);

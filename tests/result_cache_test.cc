@@ -21,8 +21,12 @@
 namespace locs::serve {
 namespace {
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 // ---------------------------------------------------------------------
@@ -88,8 +92,8 @@ struct CacheFixture {
   }
 
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("cache_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("cache_fix_" + name + ".metis");
+    ASSERT_TRUE(SaveMetis(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -213,10 +217,10 @@ TEST(ResultCacheServeTest, EvictAndReloadDifferentGraphNeverServesStale) {
   // query, different graph contents — the cached barbell reply must not
   // survive the re-LOAD.
   CacheFixture fix;
-  const std::string barbell_path = TempPath("cache_swap_barbell.lcsg");
-  const std::string cycle_path = TempPath("cache_swap_cycle.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), barbell_path));
-  ASSERT_TRUE(SaveBinary(gen::Cycle(12), cycle_path));
+  const std::string barbell_path = TempPath("cache_swap_barbell.metis");
+  const std::string cycle_path = TempPath("cache_swap_cycle.metis");
+  ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), barbell_path));
+  ASSERT_TRUE(SaveMetis(gen::Cycle(12), cycle_path));
 
   const auto replies = fix.Run(
       {
@@ -247,8 +251,8 @@ TEST(ResultCacheServeTest, ReplacingLoadOfSameFileStillMintsNewEpoch) {
   // replies: the registry cannot know the file is unchanged, so every
   // load generation gets its own key space (conservative, always safe).
   CacheFixture fix;
-  const std::string path = TempPath("cache_reload_same.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), path));
+  const std::string path = TempPath("cache_reload_same.metis");
+  ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), path));
   const auto replies = fix.Run(
       {
           "LOAD g " + path,

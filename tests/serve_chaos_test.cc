@@ -35,8 +35,12 @@ namespace {
 
 using failpoint::ScopedFailpoint;
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 bool StartsWith(const std::string& text, const std::string& prefix) {
@@ -72,8 +76,8 @@ struct ChaosFixture {
   ResultCache cache{64};
 
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("chaos_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("chaos_fix_" + name + ".metis");
+    ASSERT_TRUE(SaveMetis(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -362,8 +366,8 @@ TEST(ServeChaosTest, PeriodicSolverFaultFiresEveryOtherQuery) {
 
 TEST(ServeChaosTest, RegistryLoadFaultIsTypedIoErrorAndRecoverable) {
   ChaosFixture fix;
-  const std::string path = TempPath("chaos_load.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(8), path));
+  const std::string path = TempPath("chaos_load.metis");
+  ASSERT_TRUE(SaveMetis(gen::Clique(8), path));
   std::vector<std::string> faulted;
   {
     ScopedFailpoint fault("serve.registry.load_error");

@@ -32,7 +32,7 @@ TEST(WireParseTest, BlankLinesAreIgnorable) {
 }
 
 TEST(WireParseTest, EveryVerbRoundTrips) {
-  EXPECT_EQ(Parse("LOAD g /tmp/g.lcsg").request.verb, Verb::kLoad);
+  EXPECT_EQ(Parse("LOAD g /tmp/g.metis").request.verb, Verb::kLoad);
   EXPECT_EQ(Parse("LOADIMG g /tmp/g.limg").request.verb, Verb::kLoadImg);
   EXPECT_EQ(Parse("EVICT g").request.verb, Verb::kEvict);
   EXPECT_EQ(Parse("LIST").request.verb, Verb::kList);

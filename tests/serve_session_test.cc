@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +28,12 @@
 namespace locs::serve {
 namespace {
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 /// Shared server state plus a scripted-session driver. Scripts run over
@@ -45,10 +50,10 @@ struct ServeFixture {
       AdmissionController::Options admit = AdmissionController::Options())
       : registry(max_graphs), admission(admit) {}
 
-  /// Registers `graph` under `name` via a temp binary file.
+  /// Registers `graph` under `name` via a temp METIS file.
   void Register(const std::string& name, const Graph& graph) {
-    const std::string path = TempPath("serve_fix_" + name + ".lcsg");
-    ASSERT_TRUE(SaveBinary(graph, path));
+    const std::string path = TempPath("serve_fix_" + name + ".metis");
+    ASSERT_TRUE(SaveMetis(graph, path));
     IoError error;
     bool full = false;
     ASSERT_NE(registry.Load(name, path, &error, &full), nullptr)
@@ -135,8 +140,8 @@ TEST(ServeSessionTest, KnownStructureQueriesAreExact) {
 
 TEST(ServeSessionTest, LoadEvictListLifecycle) {
   ServeFixture fix;
-  const std::string path = TempPath("serve_lifecycle.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(8), path));
+  const std::string path = TempPath("serve_lifecycle.metis");
+  ASSERT_TRUE(SaveMetis(gen::Clique(8), path));
   const auto replies = fix.Run(
       {
           "LOAD k8 " + path,
@@ -146,7 +151,7 @@ TEST(ServeSessionTest, LoadEvictListLifecycle) {
           "CST k8 0 7",  // evicted name is gone for new queries
           "EVICT k8",    // double-evict is a typed error
           "LIST",
-          "LOAD broken /nonexistent/file.lcsg",
+          "LOAD broken /nonexistent/file.metis",
       },
       "lifecycle");
   ASSERT_EQ(replies.size(), 8u);
@@ -159,6 +164,21 @@ TEST(ServeSessionTest, LoadEvictListLifecycle) {
   EXPECT_TRUE(StartsWith(replies[5], "ERR unknown-graph"));
   EXPECT_EQ(replies[6], "OK graphs=0");
   EXPECT_TRUE(StartsWith(replies[7], "ERR io open:")) << replies[7];
+}
+
+TEST(ServeSessionTest, OversizedMetisHeaderIsATypedLoadError) {
+  // A vertex count past the 32-bit id range once aborted the daemon in
+  // the graph builder; it must draw a typed reply and keep serving.
+  ServeFixture fix;
+  const std::string path = TempPath("serve_huge.metis");
+  {
+    std::ofstream out(path);
+    out << "4294967297 1\n2\n";
+  }
+  const auto replies = fix.Run({"LOAD huge " + path, "PING"}, "huge_metis");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(StartsWith(replies[0], "ERR io parse:")) << replies[0];
+  EXPECT_EQ(replies[1], "OK pong");
 }
 
 TEST(ServeSessionTest, ExecutionErrorsAreTypedAndNonFatal) {
@@ -187,10 +207,10 @@ TEST(ServeSessionTest, ExecutionErrorsAreTypedAndNonFatal) {
 
 TEST(ServeSessionTest, RegistryCapacityIsEnforced) {
   ServeFixture fix(/*max_graphs=*/1);
-  const std::string path_a = TempPath("serve_cap_a.lcsg");
-  const std::string path_b = TempPath("serve_cap_b.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Clique(4), path_a));
-  ASSERT_TRUE(SaveBinary(gen::Cycle(5), path_b));
+  const std::string path_a = TempPath("serve_cap_a.metis");
+  const std::string path_b = TempPath("serve_cap_b.metis");
+  ASSERT_TRUE(SaveMetis(gen::Clique(4), path_a));
+  ASSERT_TRUE(SaveMetis(gen::Cycle(5), path_b));
   const auto replies = fix.Run(
       {
           "LOAD a " + path_a,
@@ -365,8 +385,8 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
   ServerOptions options;
   options.max_sessions = 4;
   CommunityServer shared(options);
-  const std::string path = TempPath("serve_tcp.lcsg");
-  ASSERT_TRUE(SaveBinary(gen::Barbell(6, 2), path));
+  const std::string path = TempPath("serve_tcp.metis");
+  ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), path));
   IoError io_error;
   bool full = false;
   ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);

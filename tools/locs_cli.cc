@@ -7,14 +7,15 @@
 //   batch    --input=G --mode=cst|csm         batch queries on the
 //            [--queries-file=F|--sample=N]    persistent executor
 //   decompose --input=G [--top=N]             core decomposition summary
-//   convert  --input=G --output=F             between edgelist/metis/binary
+//   convert  --input=G --output=F             between edgelist and metis
 //   compile  <input> <image>                  build a mmap-ready graph
 //                                             image (src/store/)
 //   generate --model=lfr|ba|gnp --output=F    synthetic graphs
 //
 // Graph files are auto-detected: a graph image by its magic bytes (any
-// extension), then by extension — .lcsg (binary), .metis / .graph
-// (METIS), anything else is treated as a whitespace edge list.
+// extension), then by extension — .metis / .graph (METIS), anything
+// else is treated as a whitespace edge list. `compile` is the only
+// writer of graph images.
 
 #include <algorithm>
 #include <cstdio>
@@ -124,7 +125,6 @@ int AttachTrace(const CommandLine& cli, const char* label,
 }
 
 bool SaveAuto(const Graph& graph, const std::string& path) {
-  if (EndsWith(path, ".lcsg")) return SaveBinary(graph, path);
   if (EndsWith(path, ".metis") || EndsWith(path, ".graph")) {
     return SaveMetis(graph, path);
   }

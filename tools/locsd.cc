@@ -8,7 +8,7 @@
 // gracefully: in-flight requests finish, a final STATS line goes to
 // stderr.
 //
-//   locsd --stdio --preload=g=web.lcsg
+//   locsd --stdio --preload=g=web.limg
 //   locsd --port=0 --port-file=/tmp/locsd.port &
 //   locs_cli client --port="$(cat /tmp/locsd.port)"
 
