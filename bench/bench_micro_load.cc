@@ -32,11 +32,9 @@
 #include <vector>
 
 #include "common/reporting.h"
-#include "core/core_index.h"
-#include "core/local_cst.h"
+#include "core/snapshot.h"
 #include "gen/barabasi.h"
 #include "graph/io.h"
-#include "graph/ordering.h"
 #include "store/image.h"
 #include "util/cli.h"
 
@@ -53,17 +51,14 @@ std::string TempDir() {
 uint32_t TextColdLoad(const std::string& path) {
   const std::optional<Graph> graph = LoadEdgeList(path);
   if (!graph.has_value()) std::abort();
-  const GraphFacts facts = GraphFacts::Compute(*graph);
-  const OrderedAdjacency ordered(*graph);
-  const CoreIndex index(*graph);
-  return index.Degeneracy() + facts.max_degree +
-         static_cast<uint32_t>(ordered.NumVertices() != 0);
+  const Snapshot snapshot = Snapshot::Build(*graph);
+  return snapshot.index.Degeneracy() + snapshot.facts.max_degree +
+         static_cast<uint32_t>(snapshot.ordered.NumVertices() != 0);
 }
 
 uint32_t ImageColdLoad(const std::string& path) {
   IoError error;
-  const std::optional<store::LoadedImage> image =
-      store::LoadGraphImage(path, &error);
+  const std::optional<Snapshot> image = store::LoadGraphImage(path, &error);
   if (!image.has_value()) {
     std::fprintf(stderr, "image load failed: %s\n", error.message.c_str());
     std::abort();

@@ -17,9 +17,9 @@ int main() {
   std::printf("graph: %u vertices, %lu edges\n", graph.NumVertices(),
               static_cast<unsigned long>(graph.NumEdges()));
 
-  // A CommunitySearcher owns the graph plus all precomputations (graph
-  // facts for the analytic bounds, degree-ordered adjacency for fast
-  // expansion).
+  // A CommunitySearcher builds the graph's Snapshot (graph facts for the
+  // analytic bounds, degree-ordered adjacency for fast expansion, the
+  // core index for exact non-existence) and binds the solvers to it.
   CommunitySearcher searcher(std::move(graph));
 
   const VertexId a = gen::Figure1Vertex('a');

@@ -1,27 +1,15 @@
 #include "core/searcher.h"
 
 #include "core/global.h"
-#include "util/timer.h"
 
 namespace locs {
 
 namespace {
 
-std::unique_ptr<OrderedAdjacency> MaybeBuildOrdered(
-    const Graph& graph, bool enabled, double* build_ms) {
-  if (!enabled) {
-    *build_ms = 0.0;
-    return nullptr;
-  }
-  WallTimer timer;
-  auto ordered = std::make_unique<OrderedAdjacency>(graph);
-  *build_ms = timer.Millis();
-  return ordered;
-}
-
-}  // namespace
-
-namespace {
+/// CstAdaptive dispatches to global search when the exact |V≥k| / |V|
+/// ratio exceeds this fraction — the regime where the paper observes
+/// global search competitive (small k, §6.1.3).
+constexpr double kAdaptiveGlobalFraction = 0.35;
 
 /// tail[k] = |{v : deg(v) >= k}| for k in [0, max_degree + 1].
 std::vector<uint64_t> ComputeTailCounts(const Graph& graph) {
@@ -38,27 +26,39 @@ std::vector<uint64_t> ComputeTailCounts(const Graph& graph) {
 
 }  // namespace
 
-CommunitySearcher::CommunitySearcher(Graph graph, const Options& options)
-    : graph_(std::move(graph)),
-      facts_(GraphFacts::Compute(graph_)),
-      adaptive_global_fraction_(options.adaptive_global_fraction),
-      tail_count_(ComputeTailCounts(graph_)),
-      ordered_(MaybeBuildOrdered(graph_, options.build_ordered_adjacency,
-                                 &ordering_build_ms_)),
-      cst_solver_(graph_, ordered_.get(), &facts_),
-      csm_solver_(graph_, ordered_.get(), &facts_),
-      multi_solver_(graph_, ordered_.get(), &facts_) {}
+CommunitySearcher::CommunitySearcher(std::shared_ptr<const Snapshot> snapshot)
+    : snapshot_(std::move(snapshot)),
+      cst_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
+      csm_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
+      multi_solver_(snapshot_->graph, &snapshot_->ordered,
+                    &snapshot_->facts) {}
+
+CommunitySearcher::CommunitySearcher(Graph graph)
+    : CommunitySearcher(std::make_shared<const Snapshot>(
+          Snapshot::Build(std::move(graph)))) {}
+
+bool CommunitySearcher::IndexRulesOut(std::span<const VertexId> seeds,
+                                      uint32_t k, QueryStats* stats) const {
+  bool outside = false;
+  for (const VertexId v : seeds) {
+    if (v >= graph().NumVertices()) return false;
+    outside = outside || !snapshot_->index.HasCst(v, k);
+  }
+  if (outside && stats != nullptr) *stats = QueryStats{};
+  return outside;
+}
 
 SearchResult CommunitySearcher::Cst(VertexId v0, uint32_t k,
                                     const CstOptions& options,
                                     QueryStats* stats, QueryGuard* guard) {
+  if (IndexRulesOut({&v0, 1}, k, stats)) return SearchResult::MakeNotExists();
   return cst_solver_.Solve(v0, k, options, stats, guard);
 }
 
 SearchResult CommunitySearcher::CstGlobal(VertexId v0, uint32_t k,
                                           QueryStats* stats,
                                           QueryGuard* guard) {
-  return GlobalCst(graph_, v0, k, stats, guard, recorder_);
+  return GlobalCst(graph(), v0, k, stats, guard, recorder_);
 }
 
 void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
@@ -69,11 +69,12 @@ void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
 }
 
 double CommunitySearcher::DegreeTailFraction(uint32_t k) const {
-  if (graph_.NumVertices() == 0) return 0.0;
+  if (graph().NumVertices() == 0) return 0.0;
+  if (tail_count_.empty()) tail_count_ = ComputeTailCounts(graph());
   const uint64_t count =
       k < tail_count_.size() ? tail_count_[k] : 0;
   return static_cast<double>(count) /
-         static_cast<double>(graph_.NumVertices());
+         static_cast<double>(graph().NumVertices());
 }
 
 SearchResult CommunitySearcher::CstAdaptive(VertexId v0, uint32_t k,
@@ -86,10 +87,10 @@ SearchResult CommunitySearcher::CstAdaptive(VertexId v0, uint32_t k,
   // the graph survives the Proposition-3 pruning, candidate generation
   // degenerates to a slower global pass (the small-k regime of Figures
   // 8/9); dispatch straight to the global peel in that regime.
-  if (k > 2 && DegreeTailFraction(k) > adaptive_global_fraction_) {
-    return GlobalCst(graph_, v0, k, stats, guard, recorder_);
+  if (k > 2 && DegreeTailFraction(k) > kAdaptiveGlobalFraction) {
+    return GlobalCst(graph(), v0, k, stats, guard, recorder_);
   }
-  return cst_solver_.Solve(v0, k, options, stats, guard);
+  return Cst(v0, k, options, stats, guard);
 }
 
 SearchResult CommunitySearcher::Csm(VertexId v0, const CsmOptions& options,
@@ -99,12 +100,13 @@ SearchResult CommunitySearcher::Csm(VertexId v0, const CsmOptions& options,
 
 SearchResult CommunitySearcher::CsmGlobal(VertexId v0, QueryStats* stats,
                                           QueryGuard* guard) {
-  return GlobalCsm(graph_, v0, stats, guard, recorder_);
+  return GlobalCsm(graph(), v0, stats, guard, recorder_);
 }
 
 SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
                                          uint32_t k, QueryStats* stats,
                                          QueryGuard* guard) {
+  if (IndexRulesOut(query, k, stats)) return SearchResult::MakeNotExists();
   return multi_solver_.CstMulti(query, k, stats, guard);
 }
 

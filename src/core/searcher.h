@@ -1,30 +1,34 @@
 // CommunitySearcher — the high-level public API of the library.
 //
-// Owns a graph plus every precomputation the paper's solvers use (whole-
-// graph facts for the Theorem-3/5 bounds, the §4.3.2 degree-ordered
-// adjacency) and exposes the four solver entry points: local/global CST and
-// local/global CSM.
+// Binds the paper's three local solvers (CST, CSM, multi-vertex) to one
+// immutable Snapshot: the graph plus its whole-graph facts (Theorem-3/5
+// bounds), the §4.3.2 degree-ordered adjacency and the CoreIndex. It is
+// the one type that does this binding; a locsd session binds a registry
+// entry the same way. Exposes the local and global CST/CSM entry points.
 //
 // Typical use:
-//   CommunitySearcher searcher(std::move(graph));
+//   CommunitySearcher searcher(std::move(graph));   // builds the snapshot
 //   auto community = searcher.Cst(v, 5);            // CST(5), local search
 //   auto best = searcher.Csm(v);                    // best community
 //
 // The searcher is stateful scratch-wise (solvers reuse epoch-stamped
-// buffers) and therefore not thread-safe; create one per thread.
+// buffers) and therefore not thread-safe; create one per thread over a
+// shared snapshot.
 
 #ifndef LOCS_CORE_SEARCHER_H_
 #define LOCS_CORE_SEARCHER_H_
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/common.h"
 #include "core/local_csm.h"
 #include "core/local_cst.h"
 #include "core/multi.h"
 #include "core/result.h"
+#include "core/snapshot.h"
 #include "graph/graph.h"
-#include "graph/ordering.h"
 #include "util/guard.h"
 
 namespace locs {
@@ -32,39 +36,21 @@ namespace locs {
 /// High-level community search over one graph.
 class CommunitySearcher {
  public:
-  struct Options {
-    /// Build the degree-descending adjacency at construction (§4.3.2).
-    /// Costs one sort pass over the adjacency; per-query expansion then
-    /// prunes low-degree tails. Disable to reproduce the "non-opt" rows of
-    /// Figure 7.
-    bool build_ordered_adjacency = true;
-    /// CstAdaptive dispatches to global search when the estimated
-    /// |V≥k| / |V| ratio (Theorem 4 machinery) exceeds this fraction —
-    /// the regime where the paper observes global search competitive
-    /// (small k, §6.1.3).
-    double adaptive_global_fraction = 0.35;
-  };
-
-  // (Two overloads rather than a defaulted argument: a nested struct's
-  // default member initializers cannot be used as a default argument
-  // inside the enclosing class definition.)
-  explicit CommunitySearcher(Graph graph)
-      : CommunitySearcher(std::move(graph), Options()) {}
-  CommunitySearcher(Graph graph, const Options& options);
+  /// Binds the solvers to `snapshot`, which the searcher keeps alive.
+  explicit CommunitySearcher(std::shared_ptr<const Snapshot> snapshot);
+  /// Builds the snapshot of `graph` (Snapshot::Build) and binds to it.
+  explicit CommunitySearcher(Graph graph);
 
   CommunitySearcher(const CommunitySearcher&) = delete;
   CommunitySearcher& operator=(const CommunitySearcher&) = delete;
 
-  const Graph& graph() const { return graph_; }
-  const GraphFacts& facts() const { return facts_; }
-  bool has_ordered_adjacency() const { return ordered_ != nullptr; }
-  /// Milliseconds spent building the ordered adjacency (the offline
-  /// precomputation cost column of Table 2); 0 when disabled.
-  double ordering_build_ms() const { return ordering_build_ms_; }
+  const Graph& graph() const { return snapshot_->graph; }
+  const GraphFacts& facts() const { return snapshot_->facts; }
 
-  /// Local CST(k) (§4). kNotExists iff no solution exists; an optional
-  /// `guard` can interrupt the query with a graceful partial answer (see
-  /// core/result.h).
+  /// Local CST(k) (§4). kNotExists iff no solution exists; a vertex
+  /// outside the k-core is answered from the CoreIndex without a search
+  /// (`stats` then reads all zeros). An optional `guard` can interrupt the
+  /// query with a graceful partial answer (see core/result.h).
   SearchResult Cst(VertexId v0, uint32_t k, const CstOptions& options = {},
                    QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
 
@@ -83,8 +69,7 @@ class CommunitySearcher {
                            QueryGuard* guard = nullptr);
 
   /// Fraction of vertices with degree >= k (exact, from the degree
-  /// histogram computed at construction) — the dispatch signal of
-  /// CstAdaptive.
+  /// histogram built on first use) — the dispatch signal of CstAdaptive.
   double DegreeTailFraction(uint32_t k) const;
 
   /// Local CSM (Algorithm 4). Exact when options select CSM2 or γ → −∞.
@@ -97,7 +82,8 @@ class CommunitySearcher {
                          QueryGuard* guard = nullptr);
 
   /// Multi-vertex CST(k) (extension; see core/multi.h): a connected
-  /// community containing every query vertex with δ >= k.
+  /// community containing every query vertex with δ >= k. Takes the same
+  /// CoreIndex shortcut as Cst when any seed lies outside the k-core.
   SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
                         QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr);
@@ -114,15 +100,17 @@ class CommunitySearcher {
   void set_recorder(obs::Recorder* recorder);
 
  private:
-  Graph graph_;
-  GraphFacts facts_;
-  double adaptive_global_fraction_;
-  /// tail_count_[k]: number of vertices with degree >= k.
-  std::vector<uint64_t> tail_count_;
-  // Declared before ordered_: MaybeBuildOrdered writes the timing through
-  // a pointer during ordered_'s initialization.
-  double ordering_build_ms_ = 0.0;
-  std::unique_ptr<OrderedAdjacency> ordered_;
+  /// True when the CoreIndex proves CST(k) has no answer for `seeds`: a
+  /// δ >= k community lies inside the k-core (Lemma 3/4). Zeroes `*stats`
+  /// (optional) when it does. Out-of-range ids are left to the solvers,
+  /// which reject them.
+  bool IndexRulesOut(std::span<const VertexId> seeds, uint32_t k,
+                     QueryStats* stats) const;
+
+  std::shared_ptr<const Snapshot> snapshot_;
+  /// tail_count_[k]: number of vertices with degree >= k; empty until the
+  /// first DegreeTailFraction call, so binding costs no O(|V|) pass.
+  mutable std::vector<uint64_t> tail_count_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   LocalCstSolver cst_solver_;
   LocalCsmSolver csm_solver_;

@@ -1,7 +1,9 @@
 #include "serve/registry.h"
 
+#include <optional>
 #include <utility>
 
+#include "store/image.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -39,29 +41,36 @@ std::shared_ptr<const ServedGraph> GraphRegistry::Load(
   // sniff and lets the image reader reject non-images with a typed
   // error.
   WallTimer timer;
-  std::shared_ptr<ServedGraph> entry;
-  if (source == LoadSource::kImage || store::SniffGraphImage(path)) {
-    if (image_attempted != nullptr) *image_attempted = true;
-    auto image = store::LoadGraphImage(path, error);
-    if (!image.has_value()) return nullptr;
-    const double load_ms = timer.Millis();
-    entry = std::make_shared<ServedGraph>(name, path, std::move(*image));
-    entry->load_ms = load_ms;
-    entry->build_ms = 0.0;  // nothing to build: the image holds it all
+  const bool from_image =
+      source == LoadSource::kImage || store::SniffGraphImage(path);
+  if (image_attempted != nullptr) *image_attempted = from_image;
+  std::optional<Snapshot> snapshot;
+  double load_ms = 0.0;
+  double build_ms = 0.0;  // nothing to build: an image holds it all
+  if (from_image) {
+    snapshot = store::LoadGraphImage(path, error);
+    if (!snapshot.has_value()) return nullptr;
+    load_ms = timer.Millis();
   } else {
     auto graph = LoadGraphAuto(path, error);
     if (!graph.has_value()) return nullptr;
-    const double load_ms = timer.Millis();
+    load_ms = timer.Millis();
     timer.Restart();
-    entry = std::make_shared<ServedGraph>(name, path, std::move(*graph));
-    entry->load_ms = load_ms;
-    entry->build_ms = timer.Millis();
+    snapshot = Snapshot::Build(std::move(*graph));
+    build_ms = timer.Millis();
   }
+  auto entry = std::make_shared<ServedGraph>(name, path, std::move(*snapshot));
+  entry->load_ms = load_ms;
+  entry->build_ms = build_ms;
+  entry->from_image = from_image;
   entry->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  // As in Evict: the replaced entry is destroyed (its arrays freed or
+  // unmapped) after the lock is released, never while lookups wait.
+  std::shared_ptr<const ServedGraph> replaced;
   MutexLock lock(mutex_);
   auto [it, inserted] = graphs_.try_emplace(name, entry);
   if (!inserted) {
-    it->second = entry;  // replacing LOAD: last writer wins
+    replaced = std::exchange(it->second, entry);  // last writer wins
   } else if (graphs_.size() > max_graphs_) {
     graphs_.erase(it);  // lost the race for the final slot
     if (full != nullptr) *full = true;

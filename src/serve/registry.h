@@ -1,11 +1,11 @@
 // GraphRegistry — named, shared, immutable graphs for the serving layer.
 //
 // A resident server answers many queries against few graphs, so the
-// registry loads each graph once, precomputes everything the solvers can
-// reuse (GraphFacts for the Theorem-3/5 bounds, the §4.3.2 degree-ordered
-// adjacency, and the CoreIndex whose O(1) core-number lookup gives exact
-// CST-existence answers), and hands sessions a
-// shared_ptr<const ServedGraph>. Sessions never copy graph data; an
+// registry loads each graph once as a Snapshot (core/snapshot.h: the
+// graph, its GraphFacts, the §4.3.2 degree-ordered adjacency and the
+// CoreIndex) — mapped from a graph image, or built by Snapshot::Build —
+// and hands sessions a shared_ptr<const ServedGraph>, which a session
+// binds through a CommunitySearcher. Sessions never copy graph data; an
 // EVICT or replacing LOAD only drops the registry's reference, so
 // queries already holding the entry finish safely on the old snapshot
 // and the memory is reclaimed when the last session lets go — the same
@@ -24,28 +24,20 @@
 #include <string>
 #include <vector>
 
-#include "core/core_index.h"
-#include "core/local_cst.h"
-#include "graph/graph.h"
+#include "core/snapshot.h"
 #include "graph/io.h"
-#include "graph/ordering.h"
-#include "store/image.h"
 #include "util/thread_annotations.h"
 
 namespace locs::serve {
 
-/// One registered graph plus every shared precomputation. Immutable after
-/// construction; safe for concurrent queries from any number of sessions.
-struct ServedGraph {
+/// One registered snapshot plus its serving metadata. Immutable after
+/// registration; safe for concurrent queries from any number of sessions.
+struct ServedGraph : Snapshot {
   std::string name;
   std::string source_path;
-  Graph graph;
-  GraphFacts facts;
-  OrderedAdjacency ordered;
-  CoreIndex index;
   double load_ms = 0.0;   ///< file parse (or image map+verify) time
-  double build_ms = 0.0;  ///< facts + ordering + core-index build time
-                          ///< (0 for image loads: all precomputed)
+  double build_ms = 0.0;  ///< Snapshot::Build time (0 for image loads:
+                          ///< all precomputed)
   /// True when this snapshot is mmap-backed by a graph image; its arrays
   /// view the mapping, kept alive by the ConstArray keepalives.
   bool from_image = false;
@@ -55,25 +47,10 @@ struct ServedGraph {
   /// contents they were computed from (see serve/result_cache.h).
   uint64_t epoch = 0;
 
-  ServedGraph(std::string name_in, std::string path_in, Graph graph_in)
-      : name(std::move(name_in)),
-        source_path(std::move(path_in)),
-        graph(std::move(graph_in)),
-        facts(GraphFacts::Compute(graph)),
-        ordered(graph),
-        index(graph) {}
-
-  /// Image-backed snapshot: everything was deserialized, nothing is
-  /// rebuilt.
-  ServedGraph(std::string name_in, std::string path_in,
-              store::LoadedImage image)
-      : name(std::move(name_in)),
-        source_path(std::move(path_in)),
-        graph(std::move(image.graph)),
-        facts(image.facts),
-        ordered(std::move(image.ordered)),
-        index(std::move(image.index)),
-        from_image(true) {}
+  ServedGraph(std::string name_in, std::string path_in, Snapshot snapshot)
+      : Snapshot(std::move(snapshot)),
+        name(std::move(name_in)),
+        source_path(std::move(path_in)) {}
 };
 
 /// Thread-safe name -> ServedGraph map with a capacity cap.

@@ -284,8 +284,9 @@ std::string Session::ExecEvict(const Request& request) {
     return FormatError(WireError::kUnknownGraph,
                        "no graph named '" + request.graph + "'");
   }
-  if (bound_ != nullptr && bound_->entry->name == request.graph) {
-    bound_.reset();  // do not serve stale data under an evicted name
+  if (bound_ != nullptr && bound_->name == request.graph) {
+    searcher_.reset();  // do not serve stale data under an evicted name
+    bound_.reset();
   }
   return "OK evicted=" + request.graph;
 }
@@ -312,8 +313,8 @@ std::string Session::ExecStats() {
                                              registry_.size());
 }
 
-Session::BoundSolvers* Session::Bind(const std::string& name,
-                                     std::string* error_reply) {
+CommunitySearcher* Session::Bind(const std::string& name,
+                                 std::string* error_reply) {
   auto entry = registry_.Get(name);
   if (entry == nullptr) {
     metrics_.CountError(WireError::kUnknownGraph);
@@ -321,11 +322,13 @@ Session::BoundSolvers* Session::Bind(const std::string& name,
                                "no graph named '" + name + "'");
     return nullptr;
   }
-  if (bound_ == nullptr || bound_->entry != entry) {
-    bound_ = std::make_unique<BoundSolvers>(std::move(entry),
-                                            &metrics_.recorder());
+  if (bound_ != entry) {
+    searcher_.reset();  // free the old scratch before allocating the new
+    searcher_ = std::make_unique<CommunitySearcher>(entry);
+    searcher_->set_recorder(&metrics_.recorder());
+    bound_ = std::move(entry);
   }
-  return bound_.get();
+  return searcher_.get();
 }
 
 QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
@@ -351,9 +354,9 @@ QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
 
 std::string Session::ExecQuery(const Request& request) {
   std::string error_reply;
-  BoundSolvers* solvers = Bind(request.graph, &error_reply);
-  if (solvers == nullptr) return error_reply;
-  const Graph& graph = solvers->entry->graph;
+  CommunitySearcher* searcher = Bind(request.graph, &error_reply);
+  if (searcher == nullptr) return error_reply;
+  const Graph& graph = searcher->graph();
   for (const VertexId v : request.vertices) {
     if (v >= graph.NumVertices()) {
       metrics_.CountError(WireError::kVertexRange);
@@ -386,45 +389,23 @@ std::string Session::ExecQuery(const Request& request) {
   WallTimer timer;
   QueryGuard guard(EffectiveLimits(request.limits));
   SearchResult result;
-  const CoreIndex& index = solvers->entry->index;
   switch (request.verb) {
     case Verb::kCst:
-      // Exact O(1) non-existence from the precomputed core index: CST(k)
-      // has an answer iff the vertex lies in the k-core (Lemma 3/4), so
-      // a miss skips the whole local search + global fallback.
-      if (!index.HasCst(request.vertices[0], request.k)) {
-        result = SearchResult::MakeNotExists();
-      } else {
-        result = solvers->cst.Solve(request.vertices[0], request.k, {},
-                                    nullptr, &guard);
-      }
+      result = searcher->Cst(request.vertices[0], request.k, {}, nullptr,
+                             &guard);
       break;
     case Verb::kCsm: {
       CsmOptions csm_options;
       csm_options.gamma = request.gamma;
-      result = solvers->csm.Solve(request.vertices[0], csm_options,
-                                  nullptr, &guard);
+      result = searcher->Csm(request.vertices[0], csm_options, nullptr,
+                             &guard);
       break;
     }
     case Verb::kMulti:
-      if (request.multi_max) {
-        result = solvers->multi.CsmMulti(request.vertices, nullptr, &guard);
-      } else {
-        // Same index shortcut, per seed vertex: every member of a δ>=k
-        // community lies in the k-core, so one seed outside it is an
-        // exact negative.
-        bool possible = true;
-        for (const VertexId v : request.vertices) {
-          if (!index.HasCst(v, request.k)) {
-            possible = false;
-            break;
-          }
-        }
-        result = possible ? solvers->multi.CstMulti(request.vertices,
-                                                    request.k, nullptr,
-                                                    &guard)
-                          : SearchResult::MakeNotExists();
-      }
+      result = request.multi_max
+                   ? searcher->CsmMulti(request.vertices, nullptr, &guard)
+                   : searcher->CstMulti(request.vertices, request.k,
+                                        nullptr, &guard);
       break;
     default:
       return FormatError(WireError::kUnknownVerb, "not a query verb");
@@ -439,7 +420,7 @@ std::string Session::ExecQuery(const Request& request) {
   // re-LOAD raced this query.
   if (options_.cache != nullptr && !result.Interrupted()) {
     const size_t evicted = options_.cache->Insert(
-        MakeCacheKey(solvers->entry->epoch, request), reply);
+        MakeCacheKey(bound_->epoch, request), reply);
     metrics_.CountCacheInsert();
     metrics_.CountCacheEvictions(evicted);
   }

@@ -2,12 +2,12 @@
 //
 // A session reads wire-protocol lines from its transport, executes them
 // against the shared GraphRegistry under the shared AdmissionController,
-// and writes one reply line per request. Solver state is per-session:
-// the epoch-stamped LocalCst/Csm/Multi solvers bound to the most
-// recently queried graph persist across requests, so a session issuing
-// many queries against one graph pays the O(|V|) solver construction
-// once, and scratch resets in O(1) per query (the BatchRunner economics,
-// applied to interactive traffic).
+// and writes one reply line per request. Solver state is per-session: a
+// CommunitySearcher bound to the most recently queried registry entry
+// persists across requests, so a session issuing many queries against
+// one graph pays the O(|V|) solver construction once, and scratch resets
+// in O(1) per query (the BatchRunner economics, applied to interactive
+// traffic).
 //
 // The session never terminates on malformed input — every parse or
 // execution failure is a typed `ERR` reply and the loop continues. It
@@ -22,9 +22,7 @@
 #include <memory>
 #include <string>
 
-#include "core/local_csm.h"
-#include "core/local_cst.h"
-#include "core/multi.h"
+#include "core/searcher.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
 #include "serve/registry.h"
@@ -76,28 +74,6 @@ class Session {
   uint64_t requests_handled() const { return requests_handled_; }
 
  private:
-  /// Solvers bound to one registry entry. Holding the shared_ptr keeps
-  /// the graph alive even if it is evicted or replaced mid-session. The
-  /// recorder (the server-wide aggregate living in ServerMetrics) feeds
-  /// the per-phase totals of the STATS line.
-  struct BoundSolvers {
-    std::shared_ptr<const ServedGraph> entry;
-    LocalCstSolver cst;
-    LocalCsmSolver csm;
-    LocalMultiSolver multi;
-
-    BoundSolvers(std::shared_ptr<const ServedGraph> bound,
-                 obs::Recorder* recorder)
-        : entry(std::move(bound)),
-          cst(entry->graph, &entry->ordered, &entry->facts),
-          csm(entry->graph, &entry->ordered, &entry->facts),
-          multi(entry->graph, &entry->ordered, &entry->facts) {
-      cst.set_recorder(recorder);
-      csm.set_recorder(recorder);
-      multi.set_recorder(recorder);
-    }
-  };
-
   /// Dispatches one parsed request; returns the reply line. Sets
   /// `*quit` for QUIT.
   std::string Dispatch(const Request& request, bool* quit);
@@ -108,9 +84,10 @@ class Session {
   std::string ExecQuery(const Request& request);
   std::string ExecStats();
 
-  /// Binds solvers to the named graph (cache-aware); null + ERR reply in
-  /// `*error_reply` when the graph is unknown.
-  BoundSolvers* Bind(const std::string& name, std::string* error_reply);
+  /// Binds the searcher to the named graph's current entry (rebinding
+  /// only when the entry changed); null + ERR reply in `*error_reply`
+  /// when the graph is unknown.
+  CommunitySearcher* Bind(const std::string& name, std::string* error_reply);
 
   /// Result-cache key for `request` against graph generation `epoch`:
   /// epoch + verb + query vertices + k/max + γ + the *effective* limits
@@ -134,7 +111,13 @@ class Session {
   AdmissionController& admission_;
   ServerMetrics& metrics_;
   const SessionOptions options_;
-  std::unique_ptr<BoundSolvers> bound_;
+  /// The bound registry entry: holding it keeps the snapshot alive even
+  /// if it is evicted or replaced mid-session, and supplies the name
+  /// (EVICT) and epoch (cache keys). `searcher_` binds the same entry;
+  /// its recorder is the server-wide aggregate in ServerMetrics, which
+  /// feeds the per-phase totals of the STATS line.
+  std::shared_ptr<const ServedGraph> bound_;
+  std::unique_ptr<CommunitySearcher> searcher_;
   uint64_t requests_handled_ = 0;
 };
 

@@ -108,8 +108,8 @@ bool SniffGraphImage(const std::string& path) {
   return ok;
 }
 
-std::optional<LoadedImage> LoadGraphImage(const std::string& path,
-                                          IoError* error) {
+std::optional<Snapshot> LoadGraphImage(const std::string& path,
+                                       IoError* error) {
   if (error != nullptr) *error = IoError{};
   auto mapped = MappedFile::Open(path, error);
   if (mapped == nullptr) return std::nullopt;
@@ -333,8 +333,8 @@ std::optional<LoadedImage> LoadGraphImage(const std::string& path,
   facts.num_edges = half / 2;
   facts.max_degree = meta.max_degree;
   facts.connected = meta.connected != 0;
-  return LoadedImage{std::move(graph), facts, std::move(ordered),
-                     std::move(index)};
+  return Snapshot{std::move(graph), facts, std::move(ordered),
+                  std::move(index)};
 }
 
 }  // namespace locs::store

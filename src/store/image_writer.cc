@@ -162,10 +162,9 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
 
 bool CompileGraphImage(const Graph& graph, const std::string& path,
                        IoError* error) {
-  const GraphFacts facts = GraphFacts::Compute(graph);
-  const OrderedAdjacency ordered(graph);
-  const CoreIndex index(graph);
-  return WriteGraphImage(graph, facts, ordered, index, path, error);
+  const Snapshot snapshot = Snapshot::Build(graph);
+  return WriteGraphImage(graph, snapshot.facts, snapshot.ordered,
+                         snapshot.index, path, error);
 }
 
 }  // namespace locs::store

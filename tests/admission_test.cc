@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -128,11 +129,13 @@ class LadderScenario {
   /// Parks critical waiters until `target` of them are queued.
   void FillQueue(unsigned target) {
     while (admission_->Snapshot().queued < target) {
+      // Read the depth before spawning: a waiter that queues before the
+      // read would otherwise be counted in `want` and never observed.
+      const unsigned want = admission_->Snapshot().queued;
       waiters_.emplace_back([this] {
         AdmissionTicket ticket(*admission_);
         EXPECT_TRUE(ticket.admitted());
       });
-      const unsigned want = admission_->Snapshot().queued;
       WaitUntil([&] { return admission_->Snapshot().queued > want; });
     }
   }
@@ -140,10 +143,16 @@ class LadderScenario {
   AdmissionController& admission() { return *admission_; }
 
  private:
+  /// Bounded by wall-clock time, not by a yield count: on an
+  /// oversubscribed host a fixed number of yields can pass in
+  /// milliseconds.
   template <typename Pred>
   static void WaitUntil(Pred pred) {
-    for (int spin = 0; !pred(); ++spin) {
-      ASSERT_LT(spin, 100000) << "scenario setup stalled";
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pred()) {
+      ASSERT_TRUE(std::chrono::steady_clock::now() < give_up)
+          << "scenario setup stalled";
       std::this_thread::yield();
     }
   }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <string>
 
 #include "util/failpoint.h"
@@ -112,6 +113,37 @@ TEST(CliIntegrationTest, CompileRejectsAnAlreadyCompiledImage) {
   EXPECT_EQ(code, 2);
   EXPECT_NE(out.find("already a compiled graph image"), std::string::npos)
       << out;
+}
+
+TEST(CliIntegrationTest, ImageInputAnswersLikeItsSourceText) {
+  // cst/csm over a compiled image use the snapshot the image stores; a
+  // text input builds the same snapshot. Only the timings may differ.
+  const std::string graph_path = TempPath("cli_same_answer.metis");
+  const std::string image_path = TempPath("cli_same_answer.limg");
+  ASSERT_EQ(RunCli("generate --model=lfr --n=1500 --seed=9 --output=" +
+                   graph_path)
+                .first,
+            0);
+  ASSERT_EQ(RunCli("compile " + graph_path + " " + image_path).first, 0);
+  const auto masked = [](const std::string& text) {
+    return std::regex_replace(text, std::regex("[0-9.]+ms"), "<t>ms");
+  };
+  for (const std::string query :
+       {"cst --vertex=7 --k=3", "cst --vertex=7 --k=99",
+        "cst --vertex=7 --k=3 --global", "csm --vertex=7"}) {
+    SCOPED_TRACE(query);
+    const auto [text_code, text_out] =
+        RunCli(query + " --limit=0 --input=" + graph_path);
+    const auto [image_code, image_out] =
+        RunCli(query + " --limit=0 --input=" + image_path);
+    ASSERT_EQ(text_code, 0) << text_out;
+    EXPECT_EQ(image_code, text_code);
+    EXPECT_EQ(masked(image_out), masked(text_out));
+  }
+  // k above the degeneracy: the core index answers without a search.
+  EXPECT_NE(RunCli("cst --vertex=7 --k=99 --input=" + image_path)
+                .second.find(", 0 vertices visited"),
+            std::string::npos);
 }
 
 TEST(CliIntegrationTest, UnopenableTraceFileIsAHardError) {

@@ -1,5 +1,6 @@
 // Property-based differential tests: seeded random graphs from src/gen/,
-// local solvers checked against the global baselines, and the telemetry
+// local solvers checked against the global baselines, the searcher's
+// CoreIndex shortcut checked against the bare solvers, and the telemetry
 // layer checked against the legacy counters and against itself (timing
 // on vs off).
 //
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,9 @@
 #include "core/kcore.h"
 #include "core/local_csm.h"
 #include "core/local_cst.h"
+#include "core/multi.h"
+#include "core/searcher.h"
+#include "core/snapshot.h"
 #include "core/validate.h"
 #include "gen/barabasi.h"
 #include "gen/erdos_renyi.h"
@@ -245,6 +250,54 @@ TEST(PropertyTelemetry, CountersProjectExactlyAndTimingIsInert) {
     // The aggregate saw exactly the timed queries.
     const obs::AggregateRecorder::Totals totals = aggregate.Snapshot();
     EXPECT_EQ(totals.queries, expected_queries);
+  }
+}
+
+// ---------------------------------------------------------------------
+// CommunitySearcher's CoreIndex shortcut: Cst and CstMulti answer
+// kNotExists exactly when a seed lies outside the k-core, and otherwise
+// return what a bare local solver over the same snapshot returns.
+// ---------------------------------------------------------------------
+TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
+  for (const GraphCase& c : PropertyGraphs()) {
+    const auto snapshot =
+        std::make_shared<const Snapshot>(Snapshot::Build(c.graph));
+    const Graph& g = snapshot->graph;
+    const CoreIndex& index = snapshot->index;
+    CommunitySearcher searcher(snapshot);
+    LocalCstSolver cst(g, &snapshot->ordered, &snapshot->facts);
+    LocalMultiSolver multi(g, &snapshot->ordered, &snapshot->facts);
+    const VertexId n = g.NumVertices();
+    for (VertexId v = 0; v < n; ++v) {
+      const VertexId partner = (v * 7 + 3) % n;
+      for (uint32_t k = 0; k <= index.Degeneracy() + 1; ++k) {
+        SCOPED_TRACE(c.label + " v=" + std::to_string(v) +
+                     " partner=" + std::to_string(partner) +
+                     " k=" + std::to_string(k));
+        const SearchResult single = searcher.Cst(v, k);
+        ASSERT_EQ(single.status == Termination::kNotExists,
+                  !index.HasCst(v, k));
+        if (single.has_value()) {
+          const SearchResult bare = cst.Solve(v, k);
+          ASSERT_TRUE(bare.has_value());
+          EXPECT_EQ(single->members, bare->members);
+          EXPECT_EQ(single->min_degree, bare->min_degree);
+        }
+        if (partner == v) continue;
+        const std::vector<VertexId> seeds = {v, partner};
+        const SearchResult pair = searcher.CstMulti(seeds, k);
+        if (!index.HasCst(v, k) || !index.HasCst(partner, k)) {
+          EXPECT_EQ(pair.status, Termination::kNotExists);
+          continue;
+        }
+        const SearchResult bare = multi.CstMulti(seeds, k);
+        ASSERT_EQ(pair.status, bare.status);
+        if (bare.has_value()) {
+          EXPECT_EQ(pair->members, bare->members);
+          EXPECT_EQ(pair->min_degree, bare->min_degree);
+        }
+      }
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
+#include "graph/builder.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
 
@@ -17,7 +18,6 @@ using testing::ToSet;
 TEST(CommunitySearcherTest, FacadeBasics) {
   CommunitySearcher searcher(gen::PaperFigure1());
   auto v = [](char c) { return gen::Figure1Vertex(c); };
-  EXPECT_TRUE(searcher.has_ordered_adjacency());
   EXPECT_TRUE(searcher.facts().connected);
   EXPECT_EQ(searcher.facts().num_vertices, 14u);
   EXPECT_EQ(searcher.facts().num_edges, 26u);
@@ -42,20 +42,6 @@ TEST(CommunitySearcherTest, LocalAgreesWithGlobalEndToEnd) {
                 searcher.CstGlobal(v0, k).has_value());
     }
   }
-}
-
-TEST(CommunitySearcherTest, OrderingCanBeDisabled) {
-  CommunitySearcher::Options options;
-  options.build_ordered_adjacency = false;
-  CommunitySearcher searcher(gen::Clique(10), options);
-  EXPECT_FALSE(searcher.has_ordered_adjacency());
-  EXPECT_DOUBLE_EQ(searcher.ordering_build_ms(), 0.0);
-  EXPECT_TRUE(searcher.Cst(0, 5).has_value());
-}
-
-TEST(CommunitySearcherTest, OrderingBuildTimeReported) {
-  CommunitySearcher searcher(gen::ErdosRenyiGnp(2000, 0.01, 77));
-  EXPECT_GT(searcher.ordering_build_ms(), 0.0);
 }
 
 TEST(CommunitySearcherTest, DegreeTailFraction) {
@@ -85,17 +71,23 @@ TEST(CommunitySearcherTest, AdaptiveAlwaysExact) {
 }
 
 TEST(CommunitySearcherTest, AdaptiveDispatchBoundary) {
-  // Fraction forced to 0: every query goes local; forced to 1: global.
-  CommunitySearcher::Options local_only;
-  local_only.adaptive_global_fraction = 1.1;  // never exceeded
-  CommunitySearcher a(gen::Clique(8), local_only);
+  // CstAdaptive goes global when |V>=k| / |V| exceeds 0.35 (for k > 2).
+  // A clique with a long tail keeps the fraction at k=3 below it (8/28):
+  // local search, which stops before visiting the whole clique.
+  GraphBuilder lollipop(28);
+  for (VertexId u = 0; u < 8; ++u) {
+    for (VertexId v = u + 1; v < 8; ++v) lollipop.AddEdge(u, v);
+  }
+  for (VertexId v = 8; v < 28; ++v) lollipop.AddEdge(v - 1, v);
+  CommunitySearcher a(lollipop.Build());
+  EXPECT_LT(a.DegreeTailFraction(3), 0.35);
   QueryStats stats;
   a.CstAdaptive(0, 3, {}, &stats);
   EXPECT_LT(stats.visited_vertices, 8u);  // local path (stops early)
 
-  CommunitySearcher::Options global_only;
-  global_only.adaptive_global_fraction = 0.0;
-  CommunitySearcher b(gen::Clique(8), global_only);
+  // A bare clique keeps every vertex (fraction 1): the global peel.
+  CommunitySearcher b(gen::Clique(8));
+  EXPECT_GT(b.DegreeTailFraction(3), 0.35);
   b.CstAdaptive(0, 3, {}, &stats);
   EXPECT_EQ(stats.visited_vertices, 8u);  // global path (whole graph)
 }
@@ -112,6 +104,11 @@ TEST(CommunitySearcherTest, StatsPlumbing) {
   EXPECT_EQ(stats.answer_size, 12u);
   searcher.CsmGlobal(0, &stats);
   EXPECT_EQ(stats.answer_size, 12u);
+  // Vertex 0 lies outside the (empty) 12-core: the CoreIndex answers and
+  // the caller's stats read all zeros.
+  EXPECT_FALSE(searcher.Cst(0, 12, {}, &stats).has_value());
+  EXPECT_EQ(stats.visited_vertices, 0u);
+  EXPECT_EQ(stats.answer_size, 0u);
 }
 
 }  // namespace

@@ -127,6 +127,27 @@ std::string CompileToTemp(const Graph& graph, const std::string& tag) {
 // ---------------------------------------------------------------------------
 // Round-trip: every persisted array and scalar is bit-identical.
 
+/// Every array and fact of `loaded` equals `built`'s.
+void ExpectSameSnapshot(const Snapshot& loaded, const Snapshot& built) {
+  EXPECT_EQ(loaded.graph.offsets(), built.graph.offsets());
+  EXPECT_EQ(loaded.graph.neighbors(), built.graph.neighbors());
+  EXPECT_EQ(loaded.facts.num_vertices, built.facts.num_vertices);
+  EXPECT_EQ(loaded.facts.num_edges, built.facts.num_edges);
+  EXPECT_EQ(loaded.facts.max_degree, built.facts.max_degree);
+  EXPECT_EQ(loaded.facts.connected, built.facts.connected);
+  EXPECT_EQ(loaded.ordered.offsets(), built.ordered.offsets());
+  EXPECT_EQ(loaded.ordered.neighbors(), built.ordered.neighbors());
+  EXPECT_EQ(loaded.index.Degeneracy(), built.index.Degeneracy());
+  EXPECT_EQ(loaded.index.NumTreeNodes(), built.index.NumTreeNodes());
+  EXPECT_EQ(loaded.index.core_numbers(), built.index.core_numbers());
+  EXPECT_EQ(loaded.index.node_level(), built.index.node_level());
+  EXPECT_EQ(loaded.index.node_parent(), built.index.node_parent());
+  EXPECT_EQ(loaded.index.node_first_child(), built.index.node_first_child());
+  EXPECT_EQ(loaded.index.node_next_sibling(),
+            built.index.node_next_sibling());
+  EXPECT_EQ(loaded.index.node_vertex(), built.index.node_vertex());
+}
+
 void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   SCOPED_TRACE(tag);
   const GraphFacts facts = GraphFacts::Compute(graph);
@@ -137,26 +158,18 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   ASSERT_TRUE(WriteGraphImage(graph, facts, ordered, index, path, &error))
       << error.message;
 
-  const std::optional<LoadedImage> loaded = LoadGraphImage(path, &error);
+  const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error.message;
   EXPECT_TRUE(error.ok());
+  ExpectSameSnapshot(*loaded, Snapshot{graph, facts, ordered, index});
 
-  EXPECT_EQ(loaded->graph.offsets(), graph.offsets());
-  EXPECT_EQ(loaded->graph.neighbors(), graph.neighbors());
-  EXPECT_EQ(loaded->facts.num_vertices, facts.num_vertices);
-  EXPECT_EQ(loaded->facts.num_edges, facts.num_edges);
-  EXPECT_EQ(loaded->facts.max_degree, facts.max_degree);
-  EXPECT_EQ(loaded->facts.connected, facts.connected);
-  EXPECT_EQ(loaded->ordered.offsets(), ordered.offsets());
-  EXPECT_EQ(loaded->ordered.neighbors(), ordered.neighbors());
-  EXPECT_EQ(loaded->index.Degeneracy(), index.Degeneracy());
-  EXPECT_EQ(loaded->index.NumTreeNodes(), index.NumTreeNodes());
-  EXPECT_EQ(loaded->index.core_numbers(), index.core_numbers());
-  EXPECT_EQ(loaded->index.node_level(), index.node_level());
-  EXPECT_EQ(loaded->index.node_parent(), index.node_parent());
-  EXPECT_EQ(loaded->index.node_first_child(), index.node_first_child());
-  EXPECT_EQ(loaded->index.node_next_sibling(), index.node_next_sibling());
-  EXPECT_EQ(loaded->index.node_vertex(), index.node_vertex());
+  // The compile path builds through Snapshot::Build; its image must map
+  // back to exactly what Snapshot::Build produces in memory.
+  const Snapshot built = Snapshot::Build(graph);
+  const std::optional<Snapshot> compiled =
+      LoadGraphImage(CompileToTemp(graph, "rt_compiled_" + tag), &error);
+  ASSERT_TRUE(compiled.has_value()) << error.message;
+  ExpectSameSnapshot(*compiled, built);
 
   // Query-level equivalence on top of the array-level identity.
   const VertexId n = graph.NumVertices();
@@ -298,7 +311,7 @@ TEST(StoreCraftedTest, VersionOneImageIsRejectedUntilRecompiled) {
 
   // Recompiling over the stale file brings it back.
   ASSERT_TRUE(CompileGraphImage(graph, path, &error)) << error.message;
-  const std::optional<LoadedImage> loaded = LoadGraphImage(path, &error);
+  const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error.message;
   EXPECT_EQ(loaded->graph.neighbors(), graph.neighbors());
 }

@@ -206,8 +206,11 @@ int CmdClient(const CommandLine& cli) {
 }
 
 /// Loads --input; on failure prints the IoError detail and stores the
-/// matching exit code into *exit_code (left untouched on success).
-std::optional<Graph> RequireGraph(const CommandLine& cli, int* exit_code) {
+/// matching exit code into *exit_code (left untouched on success). When
+/// the input is a graph image and `image` is non-null, the stored
+/// snapshot lands in *image; the returned graph shares its arrays.
+std::optional<Graph> RequireGraph(const CommandLine& cli, int* exit_code,
+                                  std::optional<Snapshot>* image = nullptr) {
   const std::string input = cli.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr, "error: --input is required\n");
@@ -220,8 +223,9 @@ std::optional<Graph> RequireGraph(const CommandLine& cli, int* exit_code) {
   // --input for every subcommand, whatever it is named.
   std::optional<Graph> graph;
   if (store::SniffGraphImage(input)) {
-    auto image = store::LoadGraphImage(input, &error);
-    if (image.has_value()) graph = std::move(image->graph);
+    auto snapshot = store::LoadGraphImage(input, &error);
+    if (snapshot.has_value()) graph = snapshot->graph;
+    if (image != nullptr) *image = std::move(snapshot);
   } else {
     graph = LoadGraphAuto(input, &error);
   }
@@ -247,6 +251,19 @@ std::optional<Graph> RequireGraph(const CommandLine& cli, int* exit_code) {
                static_cast<unsigned long>(graph->NumEdges()),
                timer.Millis());
   return graph;
+}
+
+/// RequireGraph for the query commands (null on failure): a graph image
+/// keeps the precomputations it stores; a text input goes through
+/// Snapshot::Build.
+std::shared_ptr<const Snapshot> RequireSnapshot(const CommandLine& cli,
+                                                int* exit_code) {
+  std::optional<Snapshot> image;
+  auto graph = RequireGraph(cli, exit_code, &image);
+  if (!graph.has_value()) return nullptr;
+  return std::make_shared<const Snapshot>(
+      image.has_value() ? std::move(*image)
+                        : Snapshot::Build(std::move(*graph)));
 }
 
 int CmdStats(const CommandLine& cli) {
@@ -286,15 +303,15 @@ int CmdStats(const CommandLine& cli) {
 
 int CmdCst(const CommandLine& cli) {
   int load_rc = 1;
-  auto graph = RequireGraph(cli, &load_rc);
-  if (!graph.has_value()) return load_rc;
+  const auto snapshot = RequireSnapshot(cli, &load_rc);
+  if (snapshot == nullptr) return load_rc;
   const auto v0 = static_cast<VertexId>(cli.GetInt("vertex", 0));
   const auto k = static_cast<uint32_t>(cli.GetInt("k", 1));
-  if (v0 >= graph->NumVertices()) {
+  if (v0 >= snapshot->graph.NumVertices()) {
     std::fprintf(stderr, "error: vertex out of range\n");
     return 1;
   }
-  CommunitySearcher searcher(std::move(*graph));
+  CommunitySearcher searcher(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "cst", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
@@ -332,14 +349,14 @@ int CmdCst(const CommandLine& cli) {
 
 int CmdCsm(const CommandLine& cli) {
   int load_rc = 1;
-  auto graph = RequireGraph(cli, &load_rc);
-  if (!graph.has_value()) return load_rc;
+  const auto snapshot = RequireSnapshot(cli, &load_rc);
+  if (snapshot == nullptr) return load_rc;
   const auto v0 = static_cast<VertexId>(cli.GetInt("vertex", 0));
-  if (v0 >= graph->NumVertices()) {
+  if (v0 >= snapshot->graph.NumVertices()) {
     std::fprintf(stderr, "error: vertex out of range\n");
     return 1;
   }
-  CommunitySearcher searcher(std::move(*graph));
+  CommunitySearcher searcher(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "csm", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
@@ -401,19 +418,17 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
 
 int CmdBatch(const CommandLine& cli) {
   int load_rc = 1;
-  auto graph = RequireGraph(cli, &load_rc);
-  if (!graph.has_value()) return load_rc;
+  const auto snapshot = RequireSnapshot(cli, &load_rc);
+  if (snapshot == nullptr) return load_rc;
   const std::string mode = cli.GetString("mode", "cst");
   if (mode != "cst" && mode != "csm") {
     std::fprintf(stderr, "error: --mode must be cst or csm\n");
     return 1;
   }
-  const auto queries = BatchQueries(cli, *graph);
+  const auto queries = BatchQueries(cli, snapshot->graph);
   if (!queries.has_value()) return 1;
 
-  const GraphFacts facts = GraphFacts::Compute(*graph);
-  const OrderedAdjacency ordered(*graph);
-  BatchRunner runner(*graph, &ordered, &facts);
+  BatchRunner runner(snapshot->graph, &snapshot->ordered, &snapshot->facts);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "batch", &trace); rc != 0) return rc;
   if (trace != nullptr) runner.set_recorder(trace.get());
