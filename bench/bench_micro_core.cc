@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/bucket_list.h"
-#include "core/dynamic_cores.h"
 #include "core/global.h"
 #include "core/kcore.h"
 #include "core/local_cst.h"
@@ -124,34 +123,6 @@ BENCHMARK(BM_LocalCstQuery)
     ->Arg(static_cast<int>(Strategy::kLG))
     ->Arg(static_cast<int>(Strategy::kLI))
     ->Unit(benchmark::kMicrosecond);
-
-void BM_DynamicCoreUpdate(benchmark::State& state) {
-  // Incremental maintenance throughput: random edge churn on a live
-  // graph while core numbers stay exact. Compare against
-  // BM_CoreDecomposition (the recompute-from-scratch alternative).
-  const Graph& g = TestGraph();
-  DynamicCores dynamic(g);
-  Rng rng(99);
-  std::vector<Edge> removed;
-  for (auto _ : state) {
-    if (!removed.empty() && rng.Chance(0.5)) {
-      const Edge e = removed.back();
-      removed.pop_back();
-      benchmark::DoNotOptimize(dynamic.AddEdge(e.first, e.second));
-    } else {
-      const auto u = static_cast<VertexId>(rng.Below(g.NumVertices()));
-      if (dynamic.Degree(u) == 0) continue;
-      // Remove a random incident edge (remembered for re-insertion so
-      // the graph stays near its original density).
-      const auto& nbrs = dynamic.Neighbors(u);
-      const VertexId v = nbrs[rng.Below(nbrs.size())];
-      benchmark::DoNotOptimize(dynamic.RemoveEdge(u, v));
-      removed.emplace_back(u, v);
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DynamicCoreUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_GlobalCstQuery(benchmark::State& state) {
   const Graph& g = TestGraph();

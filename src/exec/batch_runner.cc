@@ -136,9 +136,7 @@ CstBatchResult BatchRunner::RunCst(const std::vector<VertexId>& queries,
   WallTimer timer;
   const bool has_batch_deadline = limits.deadline_ms > 0.0;
   const QueryGuard::Clock::time_point batch_deadline =
-      QueryGuard::Clock::now() +
-      std::chrono::duration_cast<QueryGuard::Clock::duration>(
-          std::chrono::duration<double, std::milli>(limits.deadline_ms));
+      DeadlineAfterMs(limits.deadline_ms);
   std::vector<WorkerTotals> totals(executor_->num_workers());
   const Executor::RunResult run = executor_->ParallelFor(
       queries.size(),
@@ -169,9 +167,7 @@ CsmBatchResult BatchRunner::RunCsm(const std::vector<VertexId>& queries,
   WallTimer timer;
   const bool has_batch_deadline = limits.deadline_ms > 0.0;
   const QueryGuard::Clock::time_point batch_deadline =
-      QueryGuard::Clock::now() +
-      std::chrono::duration_cast<QueryGuard::Clock::duration>(
-          std::chrono::duration<double, std::milli>(limits.deadline_ms));
+      DeadlineAfterMs(limits.deadline_ms);
   std::vector<WorkerTotals> totals(executor_->num_workers());
   const Executor::RunResult run = executor_->ParallelFor(
       queries.size(),

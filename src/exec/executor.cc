@@ -4,6 +4,8 @@
 #include <chrono>
 #include <exception>
 
+#include "util/guard.h"
+
 namespace locs {
 
 namespace {
@@ -176,10 +178,7 @@ Executor::RunResult Executor::ParallelFor(size_t num_items, const Body& body,
   job.cancel = options.cancel;
   job.has_deadline = options.deadline_ms > 0.0;
   if (job.has_deadline) {
-    job.deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               options.deadline_ms));
+    job.deadline = DeadlineAfterMs(options.deadline_ms);
   }
 
   unsigned workers = num_workers_;

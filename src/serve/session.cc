@@ -216,7 +216,9 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
       if (LOCS_FAILPOINT("serve.slow_query")) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
       }
-      std::string reply = is_query ? ExecQuery(request) : ExecLoad(request);
+      std::string cache_key;
+      std::string reply =
+          is_query ? ExecQuery(request, &cache_key) : ExecLoad(request);
       if (options_.max_reply_bytes != 0 &&
           reply.size() > options_.max_reply_bytes) {
         metrics_.CountError(WireError::kReplyTooLarge);
@@ -226,6 +228,12 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
                 " bytes exceeds cap " +
                 std::to_string(options_.max_reply_bytes) +
                 "; page with limit=");
+        cache_key.clear();  // never cache a reply the cap replaced
+      }
+      if (!cache_key.empty()) {
+        const size_t evicted = options_.cache->Insert(cache_key, reply);
+        metrics_.CountCacheInsert();
+        metrics_.CountCacheEvictions(evicted);
       }
       if (is_query) {
         if (reply.compare(0, 2, "OK") == 0) {
@@ -352,7 +360,8 @@ QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
   return limits;
 }
 
-std::string Session::ExecQuery(const Request& request) {
+std::string Session::ExecQuery(const Request& request,
+                               std::string* cache_key) {
   std::string error_reply;
   CommunitySearcher* searcher = Bind(request.graph, &error_reply);
   if (searcher == nullptr) return error_reply;
@@ -412,19 +421,15 @@ std::string Session::ExecQuery(const Request& request) {
   }
   metrics_.RecordLatencyUs(static_cast<uint64_t>(timer.Micros()));
   if (result.Interrupted()) metrics_.CountInterrupted();
-  std::string reply = FormatQueryReply(result, member_limit, request.trace);
   // Admit only settled results: an interrupted reply reflects where the
   // guard happened to trip, not a deterministic function of the key.
   // The insert key uses the epoch of the entry that answered (not the
   // registry's current one), keeping key and value consistent even if a
   // re-LOAD raced this query.
   if (options_.cache != nullptr && !result.Interrupted()) {
-    const size_t evicted = options_.cache->Insert(
-        MakeCacheKey(bound_->epoch, request), reply);
-    metrics_.CountCacheInsert();
-    metrics_.CountCacheEvictions(evicted);
+    *cache_key = MakeCacheKey(bound_->epoch, request);
   }
-  return reply;
+  return FormatQueryReply(result, member_limit, request.trace);
 }
 
 std::string Session::MakeCacheKey(uint64_t epoch,

@@ -81,7 +81,9 @@ class Session {
   std::string ExecLoad(const Request& request);
   std::string ExecEvict(const Request& request);
   std::string ExecList();
-  std::string ExecQuery(const Request& request);
+  /// Runs a query verb. Sets `*cache_key` when the reply may be cached;
+  /// Dispatch inserts it only after the reply-size cap let it through.
+  std::string ExecQuery(const Request& request, std::string* cache_key);
   std::string ExecStats();
 
   /// Binds the searcher to the named graph's current entry (rebinding

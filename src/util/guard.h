@@ -90,6 +90,29 @@ struct QueryLimits {
   }
 };
 
+/// The steady-clock instant `ms` milliseconds from now, saturating: a
+/// deadline too far out to represent (huge or infinite `ms`) becomes
+/// `time_point::max()`, i.e. no deadline in practice, where a plain
+/// duration_cast would overflow the integer tick count (undefined
+/// behaviour). A non-positive or NaN `ms` yields now. The one
+/// milliseconds-to-time-point conversion for every deadline.
+inline std::chrono::steady_clock::time_point DeadlineAfterMs(double ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  if (!(ms > 0.0)) return now;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(ms))
+                           .count();
+  const Clock::rep headroom = (Clock::time_point::max() - now).count();
+  // 0 < ticks < double(headroom) <= 2^63: the cast below is in range.
+  if (!(ticks < static_cast<double>(headroom))) {
+    return Clock::time_point::max();
+  }
+  const auto span = static_cast<Clock::rep>(ticks);
+  return span >= headroom ? Clock::time_point::max()
+                          : now + Clock::duration(span);
+}
+
 /// See the file comment. Not thread-safe (one guard per in-flight query);
 /// the cancel flag it watches may be set from any thread.
 class QueryGuard {
@@ -106,10 +129,7 @@ class QueryGuard {
       : cancel_(limits.cancel), work_budget_(limits.work_budget) {
     if (limits.deadline_ms > 0.0) {
       has_deadline_ = true;
-      deadline_ = Clock::now() +
-                  std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          limits.deadline_ms));
+      deadline_ = DeadlineAfterMs(limits.deadline_ms);
     }
     if (!limits.Unlimited()) next_poll_ = 0;  // poll on the first Spend
   }

@@ -347,6 +347,21 @@ TEST_F(BatchRunnerTest, CsmResultsAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(BatchRunnerTest, UnrepresentableDeadlineCompletesEveryQuery) {
+  // A batch deadline past the clock's range saturates to "never" in
+  // both the executor and every query guard; it must not expire at once.
+  BatchRunner runner(graph_, &ordered_, &facts_);
+  BatchLimits limits;
+  limits.deadline_ms = 1e300;
+  limits.query_deadline_ms = 1e300;
+  const auto batch = runner.RunCst(queries_, 3, {}, limits);
+  EXPECT_EQ(batch.stats.completed, queries_.size());
+  EXPECT_FALSE(batch.stats.deadline_hit);
+  EXPECT_EQ(batch.stats.CountOf(Termination::kFound) +
+                batch.stats.CountOf(Termination::kNotExists),
+            queries_.size());
+}
+
 TEST_F(BatchRunnerTest, RepeatedBatchesOnOneRunnerStayIdentical) {
   // Per-worker solvers persist across batches; the O(1) epoch reset must
   // keep later batches byte-identical to the first.

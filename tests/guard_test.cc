@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <vector>
 
 #include "core/global.h"
@@ -117,6 +118,21 @@ TEST(QueryGuardTest, ExpiredDeadlineTripsOnFirstSpend) {
   QueryGuard guard = ExpiredGuard();
   EXPECT_TRUE(guard.Spend(1));
   EXPECT_EQ(guard.cause(), Termination::kDeadline);
+}
+
+TEST(QueryGuardTest, UnrepresentableDeadlineNeverTrips) {
+  // Past ~9.2e12 ms the nanosecond tick count no longer fits in int64:
+  // such a deadline saturates to "never" instead of expiring at once.
+  for (const double ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    QueryLimits limits;
+    limits.deadline_ms = ms;
+    QueryGuard guard(limits);
+    EXPECT_FALSE(guard.Spend(1)) << ms;
+    EXPECT_FALSE(guard.Stopped()) << ms;
+    EXPECT_EQ(DeadlineAfterMs(ms), QueryGuard::Clock::time_point::max())
+        << ms;
+  }
 }
 
 TEST(QueryGuardTest, CancelFlagTrips) {

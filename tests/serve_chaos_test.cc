@@ -319,6 +319,25 @@ TEST(ServeChaosTest, OversizedReplyBecomesTypedErrorAndSessionContinues) {
   EXPECT_EQ(snap.q_failed, 1u);
 }
 
+TEST(ServeChaosTest, OversizedReplyIsNeverCached) {
+  // The cap must hold on every repeat: an over-cap reply is replaced
+  // before the cache sees it, so the second request cannot be answered
+  // with the full line from memory.
+  ChaosFixture fix;
+  fix.Register("kq", gen::Clique(48));
+  fix.options.max_reply_bytes = 96;
+  fix.options.cache = &fix.cache;
+  const auto replies =
+      fix.Run({"CST kq 0 47", "CST kq 0 47"}, "too_large_cached");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(StartsWith(replies[0], "ERR too-large")) << replies[0];
+  EXPECT_TRUE(StartsWith(replies[1], "ERR too-large")) << replies[1];
+  const MetricsSnapshot snap = fix.metrics.Snapshot();
+  EXPECT_EQ(snap.q_failed, 2u);
+  EXPECT_EQ(snap.cache_hits, 0u);
+  EXPECT_EQ(fix.cache.size(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Deep-path failpoints: solver, registry, cache.
 

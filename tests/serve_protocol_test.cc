@@ -211,7 +211,12 @@ TEST(WireParseTest, ErrorAndVerbNamesAreStable) {
 /// until EOF/error.
 std::vector<std::pair<Transport::ReadStatus, std::string>> Feed(
     const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/transport_feed.bin";
+  // Named after the running test: ctest runs each test as its own
+  // process in parallel, and two feeding one path read each other's bytes.
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "/" +
+                           test->test_suite_name() + "." + test->name() +
+                           ".transport_feed.bin";
   const int write_fd =
       ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
   EXPECT_GE(write_fd, 0);

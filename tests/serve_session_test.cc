@@ -245,6 +245,25 @@ TEST(ServeSessionTest, MemberLimitDefaultsAndOverrides) {
       << replies[1];
 }
 
+TEST(ServeSessionTest, UnrepresentableDeadlineMeansNoDeadline) {
+  // The wire accepts any deadline >= 0, inf included. One too large for
+  // the clock's tick count must behave as "no deadline", not expire at
+  // the first guard poll.
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(8));
+  const auto replies = fix.Run(
+      {
+          "CST g 0 7 deadline_ms=1e12",
+          "CST g 0 7 deadline_ms=1e13",
+          "CST g 0 7 deadline_ms=inf",
+      },
+      "huge_deadline");
+  ASSERT_EQ(replies.size(), 3u);
+  for (const std::string& reply : replies) {
+    EXPECT_TRUE(StartsWith(reply, "OK status=found n=8")) << reply;
+  }
+}
+
 TEST(ServeSessionTest, DrainFlagRejectsQueriesAndEndsSession) {
   ServeFixture fix;
   fix.Register("g", gen::Clique(4));

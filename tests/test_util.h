@@ -44,12 +44,6 @@ inline uint32_t BruteForceCsmGoodness(const Graph& graph, VertexId v0) {
   return best;
 }
 
-/// Brute force: does CST(k) have a solution for v0?
-inline bool BruteForceCstExists(const Graph& graph, VertexId v0,
-                                uint32_t k) {
-  return BruteForceCsmGoodness(graph, v0) >= k;
-}
-
 /// Brute force smallest CST(k) answer size (0 when infeasible).
 inline size_t BruteForceMcstSize(const Graph& graph, VertexId v0,
                                  uint32_t k) {
