@@ -1,9 +1,10 @@
 // Friend recommendation — the paper's first motivating application (§1).
 //
 // Given a social network and a user u, recommend the members of u's best
-// community that are not yet u's friends. Local CSM finds that community
-// by exploring only u's neighborhood, so the recommendation is interactive
-// even on large networks.
+// community that are not yet u's friends. The searcher reads that
+// community off its core index with one BFS over its members, so the
+// recommendation costs what the community's size costs, even on large
+// networks.
 //
 //   ./build/examples/friend_recommendation [--n=20000] [--user=123]
 
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
 
   WallTimer query_timer;
   QueryStats stats;
-  const Community circle = *searcher.Csm(user, {}, &stats);
+  const Community circle = *searcher.Csm(user, &stats);
   const double ms = query_timer.Millis();
 
   const auto friends = searcher.graph().Neighbors(user);

@@ -206,13 +206,14 @@ std::vector<VertexId> CoreIndex::SubtreeLeaves(uint32_t node) const {
 }
 
 std::vector<VertexId> CoreIndex::CstMembers(VertexId v, uint32_t k) const {
-  LOCS_CHECK_LT(v, node_vertex_.size());
+  LOCS_CHECK_LT(v, core_.size());
   const uint32_t node = AncestorAtLevel(v, k);
   if (node == kNil) return {};
   return SubtreeLeaves(node);
 }
 
 Community CoreIndex::Csm(VertexId v) const {
+  LOCS_CHECK_LT(v, core_.size());
   Community community;
   community.min_degree = core_[v];
   community.members = CstMembers(v, core_[v]);

@@ -1,6 +1,8 @@
 #include "core/searcher.h"
 
 #include "core/global.h"
+#include "core/validate.h"
+#include "util/prefetch.h"
 
 namespace locs {
 
@@ -29,9 +31,8 @@ std::vector<uint64_t> ComputeTailCounts(const Graph& graph) {
 CommunitySearcher::CommunitySearcher(std::shared_ptr<const Snapshot> snapshot)
     : snapshot_(std::move(snapshot)),
       cst_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
-      csm_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
-      multi_solver_(snapshot_->graph, &snapshot_->ordered,
-                    &snapshot_->facts) {}
+      multi_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
+      csm_seen_(snapshot_->graph.NumVertices()) {}
 
 CommunitySearcher::CommunitySearcher(Graph graph)
     : CommunitySearcher(std::make_shared<const Snapshot>(
@@ -64,7 +65,6 @@ SearchResult CommunitySearcher::CstGlobal(VertexId v0, uint32_t k,
 void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder != nullptr ? recorder : &obs::Recorder::Null();
   cst_solver_.set_recorder(recorder_);
-  csm_solver_.set_recorder(recorder_);
   multi_solver_.set_recorder(recorder_);
 }
 
@@ -93,9 +93,83 @@ SearchResult CommunitySearcher::CstAdaptive(VertexId v0, uint32_t k,
   return Cst(v0, k, options, stats, guard);
 }
 
-SearchResult CommunitySearcher::Csm(VertexId v0, const CsmOptions& options,
-                                    QueryStats* stats, QueryGuard* guard) {
-  return csm_solver_.Solve(v0, options, stats, guard);
+SearchResult CommunitySearcher::Csm(VertexId v0, QueryStats* stats,
+                                    QueryGuard* guard) {
+  LOCS_CHECK_LT(v0, graph().NumVertices());
+  QueryGuard unlimited;
+  QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
+  std::vector<VertexId> members;
+  SearchResult result;
+  if (!g.Stopped() &&
+      MaxcoreComponent(v0, g, tracker.Enter(obs::Phase::kConnectivity),
+                       &members)) {
+    telemetry.answer_size = members.size();
+    result = SearchResult::MakeFound(
+        Community{std::move(members), snapshot_->index.CoreNumber(v0)});
+  } else {
+    // Any connected community holding v0 is a valid partial; the
+    // singleton needs no degree recount.
+    result = SearchResult::MakeInterrupted(g.cause(), Community{{v0}, 0});
+  }
+  tracker.Finish();
+  result.telemetry = telemetry;
+  if (stats != nullptr) *stats = ToQueryStats(telemetry);
+  recorder_->Record(telemetry);
+  // CSM has no minimum-degree threshold: pass k = 0.
+  LOCS_VALIDATE_RESULT("CommunitySearcher::Csm", graph(), result, v0, 0);
+  return result;
+}
+
+bool CommunitySearcher::MaxcoreComponent(VertexId v0, QueryGuard& guard,
+                                         obs::PhaseStats& ph,
+                                         std::vector<VertexId>* out) {
+  // v0's k*-core component (k* = core(v0)) is the maximal connected set
+  // holding v0 whose vertices all have core number >= k*: its induced
+  // minimum degree is >= k*, and it cannot exceed k* since v0 is not in
+  // the (k*+1)-core.
+  const uint32_t* const core = snapshot_->index.core_numbers().data();
+  const uint64_t* const offsets = graph().offsets().data();
+  const VertexId* const adjacency = graph().neighbors().data();
+  const uint32_t k_star = core[v0];
+  csm_seen_.NewEpoch();
+  csm_seen_.Set(v0);
+  out->push_back(v0);
+  for (size_t head = 0; head < out->size(); ++head) {
+    // Two-stage prefetch down the queue: the offset of the vertex two
+    // distances ahead, then the first two adjacency cache lines of the one
+    // a distance ahead (a maxcore member's list spans about two).
+    const size_t queued = out->size();
+    if (head + 2 * kPrefetchDistance < queued) {
+      LOCS_PREFETCH(offsets + (*out)[head + 2 * kPrefetchDistance]);
+    }
+    if (head + kPrefetchDistance < queued) {
+      const VertexId* const list =
+          adjacency + offsets[(*out)[head + kPrefetchDistance]];
+      LOCS_PREFETCH(list);
+      LOCS_PREFETCH(list + 16);
+    }
+    const std::span<const VertexId> nbrs = graph().Neighbors((*out)[head]);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (i + kPrefetchDistance < nbrs.size()) {
+        const VertexId ahead = nbrs[i + kPrefetchDistance];
+        LOCS_PREFETCH(core + ahead);
+        csm_seen_.Prefetch(ahead);
+      }
+      const VertexId w = nbrs[i];
+      if (core[w] < k_star) {
+        ++ph.candidates_rejected;
+      } else if (csm_seen_.TestAndSet(w)) {
+        ++ph.candidates_generated;
+        out->push_back(w);
+      }
+    }
+    ++ph.vertices_visited;
+    ph.edges_scanned += nbrs.size();
+    if (guard.Spend(1 + nbrs.size())) return false;
+  }
+  return true;
 }
 
 SearchResult CommunitySearcher::CsmGlobal(VertexId v0, QueryStats* stats,

@@ -1,19 +1,20 @@
 // CommunitySearcher — the high-level public API of the library.
 //
-// Binds the paper's three local solvers (CST, CSM, multi-vertex) to one
-// immutable Snapshot: the graph plus its whole-graph facts (Theorem-3/5
-// bounds), the §4.3.2 degree-ordered adjacency and the CoreIndex. It is
-// the one type that does this binding; a locsd session binds a registry
-// entry the same way. Exposes the local and global CST/CSM entry points.
+// Binds the paper's local CST and multi-vertex solvers to one immutable
+// Snapshot: the graph plus its whole-graph facts (Theorem-3/5 bounds), the
+// §4.3.2 degree-ordered adjacency and the CoreIndex, and answers CSM from
+// that index. It is the one type that does this binding; a locsd session
+// binds a registry entry the same way. Exposes the local and global
+// CST/CSM entry points.
 //
 // Typical use:
 //   CommunitySearcher searcher(std::move(graph));   // builds the snapshot
 //   auto community = searcher.Cst(v, 5);            // CST(5), local search
 //   auto best = searcher.Csm(v);                    // best community
 //
-// The searcher is stateful scratch-wise (solvers reuse epoch-stamped
-// buffers) and therefore not thread-safe; create one per thread over a
-// shared snapshot.
+// The searcher is stateful scratch-wise (solvers and the CSM BFS reuse
+// epoch-stamped buffers) and therefore not thread-safe; create one per
+// thread over a shared snapshot.
 
 #ifndef LOCS_CORE_SEARCHER_H_
 #define LOCS_CORE_SEARCHER_H_
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "core/common.h"
-#include "core/local_csm.h"
+#include "core/epoch.h"
 #include "core/local_cst.h"
 #include "core/multi.h"
 #include "core/result.h"
@@ -72,9 +73,13 @@ class CommunitySearcher {
   /// histogram built on first use) — the dispatch signal of CstAdaptive.
   double DegreeTailFraction(uint32_t k) const;
 
-  /// Local CSM (Algorithm 4). Exact when options select CSM2 or γ → −∞.
-  SearchResult Csm(VertexId v0, const CsmOptions& options = {},
-                   QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
+  /// Exact CSM from the CoreIndex: v0's connected component of its
+  /// maxcore (Lemma 4), δ = CoreNumber(v0), members in BFS order. One BFS
+  /// over the vertices whose core number is at least v0's, so the cost
+  /// follows the answer. An interrupted query's partial is {v0}, δ = 0.
+  /// The paper's local CSM (Algorithm 4) is LocalCsmSolver.
+  SearchResult Csm(VertexId v0, QueryStats* stats = nullptr,
+                   QueryGuard* guard = nullptr);
 
   /// Global CSM (§3.2): greedy minimum-degree deletion via core
   /// decomposition.
@@ -106,6 +111,10 @@ class CommunitySearcher {
   /// which reject them.
   bool IndexRulesOut(std::span<const VertexId> seeds, uint32_t k,
                      QueryStats* stats) const;
+  /// Appends to `out` the BFS from v0 over vertices whose core number is
+  /// at least v0's. Returns false when the guard trips mid-BFS.
+  bool MaxcoreComponent(VertexId v0, QueryGuard& guard, obs::PhaseStats& ph,
+                        std::vector<VertexId>* out);
 
   std::shared_ptr<const Snapshot> snapshot_;
   /// tail_count_[k]: number of vertices with degree >= k; empty until the
@@ -113,8 +122,9 @@ class CommunitySearcher {
   mutable std::vector<uint64_t> tail_count_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   LocalCstSolver cst_solver_;
-  LocalCsmSolver csm_solver_;
   LocalMultiSolver multi_solver_;
+  /// Csm's BFS seen-set.
+  EpochFlags csm_seen_;
 };
 
 }  // namespace locs

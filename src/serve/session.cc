@@ -403,13 +403,9 @@ std::string Session::ExecQuery(const Request& request,
       result = searcher->Cst(request.vertices[0], request.k, {}, nullptr,
                              &guard);
       break;
-    case Verb::kCsm: {
-      CsmOptions csm_options;
-      csm_options.gamma = request.gamma;
-      result = searcher->Csm(request.vertices[0], csm_options, nullptr,
-                             &guard);
+    case Verb::kCsm:
+      result = searcher->Csm(request.vertices[0], nullptr, &guard);
       break;
-    }
     case Verb::kMulti:
       result = request.multi_max
                    ? searcher->CsmMulti(request.vertices, nullptr, &guard)

@@ -22,8 +22,9 @@
 // `limit=<n>` capping the member ids echoed in the reply (0 = all),
 // `trace=<0|1>` appending a per-phase telemetry breakdown to the reply
 // (deterministic: counters only, no durations), and `gamma=<double>`
-// tuning the CSM Equation-8 search budget (signed: negative γ widens
-// the budget, `-inf` disables it; ignored by CST/MULTI).
+// (signed, `-inf` allowed), the Equation-8 budget of the paper's local
+// CSM search. Every served verb ignores γ: CSM is answered exactly from
+// the core index. The option still parses and still keys the cache.
 //
 // Every reply is also one line: `OK ...`, `ERR <kind> <detail>` or
 // `BUSY <detail>` (admission fast-reject). The parser is total: any byte
@@ -107,7 +108,7 @@ struct Request {
   QueryLimits limits;             ///< deadline_ms= / budget= options
   uint64_t member_limit = 0;      ///< limit= option; 0 = all members
   bool trace = false;             ///< trace= option; phase breakdown
-  double gamma = 0.0;             ///< gamma= option; CSM Eq.-8 budget γ
+  double gamma = 0.0;             ///< gamma= option; locsd ignores it
 };
 
 /// ParseRequest outcome: either a request or a typed error with detail.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/core_index.h"
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -36,6 +37,22 @@ TEST(CheckDeathTest, Figure1LabelBounds) {
 
 TEST(CheckDeathTest, CycleRequiresThreeVertices) {
   EXPECT_DEATH(gen::Cycle(2), "LOCS_CHECK failed");
+}
+
+// Barbell(6, 2) has 14 vertices but 17 merge-tree nodes: ids in [14, 17)
+// name internal nodes, not vertices, and must be rejected as such.
+TEST(CheckDeathTest, CoreIndexCstMembersRejectsTreeNodeId) {
+  const Graph g = gen::Barbell(6, 2);
+  const CoreIndex index(g);
+  ASSERT_GT(index.NumTreeNodes(), g.NumVertices());
+  EXPECT_DEATH(index.CstMembers(14, 1), "LOCS_CHECK failed");
+}
+
+TEST(CheckDeathTest, CoreIndexCsmRejectsTreeNodeId) {
+  const Graph g = gen::Barbell(6, 2);
+  const CoreIndex index(g);
+  ASSERT_GT(index.NumTreeNodes(), g.NumVertices());
+  EXPECT_DEATH(index.Csm(14), "LOCS_CHECK failed");
 }
 
 }  // namespace

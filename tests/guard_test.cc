@@ -452,7 +452,7 @@ TEST(GuardedSearcherTest, ForceDeadlineFailpointInterruptsEverySolver) {
   }
   {
     QueryGuard guard(limits);
-    const SearchResult result = searcher.Csm(0, {}, nullptr, &guard);
+    const SearchResult result = searcher.Csm(0, nullptr, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
   }
   {

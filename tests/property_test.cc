@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,47 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
           EXPECT_EQ(pair->min_degree, bare->min_degree);
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// CommunitySearcher::Csm answers from the CoreIndex: δ is the core
+// number (and GlobalCsm's δ); where local CSM2 falls back to G[C] both
+// return v0's maxcore component in the same BFS order, and where CSM2
+// stops early at the Eq.-7 bound its smaller prefix lies inside it.
+// ---------------------------------------------------------------------
+TEST(PropertySearcher, IndexCsmMatchesLocalCsm2) {
+  for (const GraphCase& c : PropertyGraphs()) {
+    const auto snapshot =
+        std::make_shared<const Snapshot>(Snapshot::Build(c.graph));
+    const Graph& g = snapshot->graph;
+    CommunitySearcher searcher(snapshot);
+    LocalCsmSolver csm2(g, &snapshot->ordered, &snapshot->facts);
+    const CoreDecomposition cores = ComputeCores(g);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      SCOPED_TRACE(c.label + " v=" + std::to_string(v));
+      const SearchResult index = searcher.Csm(v);
+      ASSERT_TRUE(index.has_value());
+      EXPECT_EQ(index->min_degree, cores.core[v]);
+      const SearchResult global = GlobalCsm(g, v);
+      ASSERT_TRUE(global.has_value());
+      EXPECT_EQ(index->min_degree, global->min_degree);
+      const SearchResult local = csm2.Solve(v, {});
+      ASSERT_TRUE(local.has_value());
+      if (local.telemetry.used_global_fallback) {
+        EXPECT_EQ(index->members, local->members);
+      } else {
+        const std::set<VertexId> answer(index->members.begin(),
+                                        index->members.end());
+        for (const VertexId w : local->members) {
+          EXPECT_EQ(answer.count(w), 1u) << "prefix member " << w;
+        }
+      }
+      const std::string err =
+          validate::CheckCommunity(g, *index.community, {v});
+      EXPECT_TRUE(err.empty()) << err;
+      EXPECT_EQ(index.telemetry.TotalVisited(), index->members.size());
     }
   }
 }

@@ -100,7 +100,7 @@ TEST(CommunitySearcherTest, StatsPlumbing) {
   EXPECT_EQ(stats.answer_size, 7u);
   searcher.CstGlobal(0, 6, &stats);
   EXPECT_EQ(stats.visited_vertices, 12u);
-  searcher.Csm(0, {}, &stats);
+  searcher.Csm(0, &stats);
   EXPECT_EQ(stats.answer_size, 12u);
   searcher.CsmGlobal(0, &stats);
   EXPECT_EQ(stats.answer_size, 12u);

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,6 +137,50 @@ TEST(ServeSessionTest, KnownStructureQueriesAreExact) {
   EXPECT_TRUE(StartsWith(replies[5], "OK status=not-exists n=0"))
       << replies[5];
   EXPECT_EQ(replies[6], "OK bye");
+}
+
+/// The value of `key=` in a reply line, or "" when absent.
+std::string Field(const std::string& reply, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  const size_t pos = reply.find(needle);
+  if (pos == std::string::npos) return "";
+  const size_t start = pos + needle.size();
+  return reply.substr(start, reply.find(' ', start) - start);
+}
+
+TEST(ServeSessionTest, CsmIsAnsweredFromTheCoreIndex) {
+  // The CSM answer is v's component of its maxcore, reached by one BFS:
+  // it visits exactly the answer, runs only a connectivity phase, stops
+  // at a budget with a partial holding the query vertex, and ignores γ.
+  ServeFixture fix;
+  fix.Register("bb", gen::Barbell(6, 2));
+  const auto replies = fix.Run(
+      {
+          "CSM bb 0 trace=1",
+          "CSM bb 0 budget=1",
+          "CSM bb 0",
+          "CSM bb 0 gamma=-1.5",
+      },
+      "index_csm");
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_TRUE(StartsWith(replies[0], "OK status=found n=6 delta=5 visited=6 "))
+      << replies[0];
+  EXPECT_EQ(Field(replies[0], "fallback"), "0") << replies[0];
+  EXPECT_TRUE(StartsWith(Field(replies[0], "phases"), "connectivity:1:6:"))
+      << replies[0];
+  EXPECT_EQ(Field(replies[0], "phases").find(','), std::string::npos)
+      << replies[0];
+
+  EXPECT_TRUE(StartsWith(replies[1], "OK status=budget-exhausted "))
+      << replies[1];
+  std::istringstream members(Field(replies[1], "members"));
+  bool has_query_vertex = false;
+  for (std::string id; std::getline(members, id, ',');) {
+    has_query_vertex = has_query_vertex || id == "0";
+  }
+  EXPECT_TRUE(has_query_vertex) << replies[1];
+
+  EXPECT_EQ(replies[3], replies[2]);
 }
 
 TEST(ServeSessionTest, LoadEvictListLifecycle) {

@@ -365,7 +365,7 @@ int CmdCsm(const CommandLine& cli) {
   QueryGuard guard(GuardLimits(cli));
   const auto result = cli.GetBool("global", false)
                           ? searcher.CsmGlobal(v0, &stats, &guard)
-                          : searcher.Csm(v0, {}, &stats, &guard);
+                          : searcher.Csm(v0, &stats, &guard);
   const Community& community = result.Best();
   std::printf("%s community: %zu members, δ=%u (%.2fms, %lu visited)\n",
               result.Interrupted() ? "interrupted; best-so-far" : "best",
