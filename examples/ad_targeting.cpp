@@ -4,7 +4,7 @@
 // ad to their communities.
 //
 // This example demonstrates the batch/throughput side of the library:
-// a core-hierarchy index for instant community retrieval, a parallel batch
+// a core-number index for instant community retrieval, a parallel batch
 // of local CSM queries for comparison, and multi-vertex search to find the
 // community spanned by several seed users at once.
 //
@@ -14,6 +14,7 @@
 #include <set>
 
 #include "core/core_index.h"
+#include "core/kcore.h"
 #include "core/searcher.h"
 #include "exec/batch_runner.h"
 #include "gen/lfr.h"
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
   WallTimer query_timer;
   size_t total = 0;
   for (VertexId seed : seeds) {
-    total += index.Csm(seed).members.size();
+    total += MaxCoreComponentOf(g, index.core_numbers().span(), seed).size();
   }
   std::printf("\ncore index: built in %.1fms; %zu community retrievals in "
               "%.2fms (maximal communities, %zu users total)\n",

@@ -58,9 +58,6 @@ struct Community {
 /// Options controlling local CST search.
 struct CstOptions {
   Strategy strategy = Strategy::kLI;
-  /// Expand through a degree-descending OrderedAdjacency when one is
-  /// supplied (§4.3.2). Ignored if the caller passes no ordering.
-  bool use_ordered_adjacency = true;
 };
 
 /// Candidate-set rule for the third step of local CSM (§5.2).
@@ -76,7 +73,6 @@ struct CsmOptions {
   /// larger γ shrinks the budget exponentially.
   double gamma = 0.0;
   CsmCandidateRule candidate_rule = CsmCandidateRule::kFromNaive;
-  bool use_ordered_adjacency = true;
 };
 
 }  // namespace locs

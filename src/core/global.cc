@@ -148,7 +148,7 @@ SearchResult GlobalCsmImpl(const Graph& graph, VertexId v0,
   const CoreDecomposition cores = ComputeCores(graph, &core_ph);
   tracker.Enter(obs::Phase::kConnectivity);
   Community community;
-  community.members = MaxCoreComponentOf(graph, cores, v0);
+  community.members = MaxCoreComponentOf(graph, cores.core, v0);
   community.min_degree = cores.core[v0];
   telemetry.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));

@@ -45,12 +45,11 @@ std::vector<VertexId> KCoreMembers(const CoreDecomposition& cores,
   return members;
 }
 
-namespace {
-
-/// BFS from v0 restricted to vertices with core number >= k.
-std::vector<VertexId> CoreComponent(const Graph& graph,
-                                    const std::vector<uint32_t>& core,
-                                    VertexId v0, uint32_t k) {
+std::vector<VertexId> KCoreComponentOf(const Graph& graph,
+                                       std::span<const uint32_t> core,
+                                       VertexId v0, uint32_t k) {
+  LOCS_CHECK_LT(v0, graph.NumVertices());
+  LOCS_CHECK_EQ(core.size(), graph.NumVertices());
   if (core[v0] < k) return {};
   std::vector<uint8_t> seen(graph.NumVertices(), 0);
   std::vector<VertexId> component;
@@ -68,20 +67,11 @@ std::vector<VertexId> CoreComponent(const Graph& graph,
   return component;
 }
 
-}  // namespace
-
-std::vector<VertexId> KCoreComponentOf(const Graph& graph,
-                                       const CoreDecomposition& cores,
-                                       VertexId v0, uint32_t k) {
-  LOCS_CHECK_LT(v0, graph.NumVertices());
-  return CoreComponent(graph, cores.core, v0, k);
-}
-
 std::vector<VertexId> MaxCoreComponentOf(const Graph& graph,
-                                         const CoreDecomposition& cores,
+                                         std::span<const uint32_t> core,
                                          VertexId v0) {
   LOCS_CHECK_LT(v0, graph.NumVertices());
-  return CoreComponent(graph, cores.core, v0, cores.core[v0]);
+  return KCoreComponentOf(graph, core, v0, core[v0]);
 }
 
 }  // namespace locs

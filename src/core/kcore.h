@@ -9,6 +9,7 @@
 #define LOCS_CORE_KCORE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,16 +42,19 @@ CoreDecomposition ComputeCores(const Graph& graph,
 std::vector<VertexId> KCoreMembers(const CoreDecomposition& cores,
                                    uint32_t k);
 
-/// Connected component of `v0` within the k-core of `graph`. Empty when v0
-/// is not in the k-core. By Lemma 3 this is a (maximal) CST(k) solution.
+/// Connected component of `v0` within the k-core of `graph`, by one BFS
+/// over the vertices with `core[w] >= k`, in BFS order. Empty when v0 is
+/// not in the k-core. By Lemma 3 this is a (maximal) CST(k) solution.
+/// `core` holds one core number per vertex: a CoreDecomposition's
+/// `core` or a CoreIndex's `core_numbers().span()`.
 std::vector<VertexId> KCoreComponentOf(const Graph& graph,
-                                       const CoreDecomposition& cores,
+                                       std::span<const uint32_t> core,
                                        VertexId v0, uint32_t k);
 
 /// Connected component of `v0` inside maxcore(G, v0) — by Lemma 4 the
 /// (maximal) CSM solution. The achieved minimum degree equals core[v0].
 std::vector<VertexId> MaxCoreComponentOf(const Graph& graph,
-                                         const CoreDecomposition& cores,
+                                         std::span<const uint32_t> core,
                                          VertexId v0);
 
 }  // namespace locs

@@ -81,8 +81,7 @@ SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
     return SearchResult::MakeInterrupted(g.cause(), Community{{v0}, 0});
   }
 
-  const bool use_ordered =
-      ordered_ != nullptr && options.use_ordered_adjacency;
+  const bool use_ordered = ordered_ != nullptr;
 
   // Reset per-query state in O(1).
   c_deg_.NewEpoch();

@@ -439,10 +439,9 @@ std::string Session::MakeCacheKey(uint64_t epoch,
   key += VerbName(request.verb);
   char buffer[96];
   std::snprintf(buffer, sizeof(buffer),
-                "|%" PRIu32 "|%d|%.17g|%.17g|%" PRIu64 "|%" PRIu64 "|%d",
-                request.k, request.multi_max ? 1 : 0, request.gamma,
-                limits.deadline_ms, limits.work_budget, member_limit,
-                request.trace ? 1 : 0);
+                "|%" PRIu32 "|%d|%.17g|%" PRIu64 "|%" PRIu64 "|%d",
+                request.k, request.multi_max ? 1 : 0, limits.deadline_ms,
+                limits.work_budget, member_limit, request.trace ? 1 : 0);
   key += buffer;
   for (const VertexId v : request.vertices) {
     key += '|';

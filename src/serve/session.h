@@ -92,7 +92,7 @@ class Session {
   CommunitySearcher* Bind(const std::string& name, std::string* error_reply);
 
   /// Result-cache key for `request` against graph generation `epoch`:
-  /// epoch + verb + query vertices + k/max + γ + the *effective* limits
+  /// epoch + verb + query vertices + k/max + the *effective* limits
   /// and member limit + trace flag — every input the rendered reply is a
   /// deterministic function of. Lookup keys use the registry's current
   /// epoch; insert keys use the epoch of the entry that actually

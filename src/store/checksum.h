@@ -1,4 +1,5 @@
-// Whole-file checksum of graph images (format v2): XXH64 with seed 0.
+// Whole-file checksum of graph images (format v2 and later): XXH64 with
+// seed 0.
 //
 // Four independent 64-bit lanes each absorb one word of every 32-byte
 // stripe (multiply, rotate, multiply), so the loop keeps up with memory

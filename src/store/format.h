@@ -1,7 +1,7 @@
 // On-disk layout of a locs graph image (.limg) — the persistent,
 // mmap-ready artifact holding one graph's CSR arrays plus every serving
-// precomputation (degree-descending ordering, core numbers, the
-// CoreIndex merge tree, and the GraphFacts scalars).
+// precomputation (degree-descending ordering, core numbers, and the
+// GraphFacts scalars).
 //
 // Layout (all integers written in host byte order; the endianness tag
 // in the header detects a cross-endian file at load):
@@ -21,7 +21,9 @@
 // source graph with `locs_cli compile`).
 //
 // Versions: v1 used FNV-1a 64 as the checksum. v2 switched to XXH64;
-// the layout is unchanged.
+// the layout was unchanged. v3 dropped the five CoreIndex merge-tree
+// sections (ids 6-10), so an image has exactly five sections; the meta
+// slot that held the tree node count is reserved.
 
 #ifndef LOCS_STORE_FORMAT_H_
 #define LOCS_STORE_FORMAT_H_
@@ -36,7 +38,7 @@ inline constexpr char kImageMagic[8] = {'L', 'O', 'C', 'S',
                                         'I', 'M', 'G', '1'};
 
 /// The format version this build writes and the only one it reads.
-inline constexpr uint32_t kImageVersion = 2;
+inline constexpr uint32_t kImageVersion = 3;
 
 /// Written as a native uint32; reads back byte-reversed on a machine of
 /// the opposite endianness, which the reader rejects with a typed error.
@@ -54,13 +56,8 @@ enum class SectionId : uint32_t {
   kOrderedNeighbors = 4,  ///< VertexId[2|E|] degree-descending adjacency
                           ///< (shares the kOffsets array)
   kCoreNumbers = 5,       ///< uint32[n]
-  kNodeLevel = 6,         ///< uint32[tree_node_count]
-  kNodeParent = 7,        ///< uint32[tree_node_count]
-  kNodeFirstChild = 8,    ///< uint32[tree_node_count]
-  kNodeNextSibling = 9,   ///< uint32[tree_node_count]
-  kNodeVertex = 10,       ///< VertexId[tree_node_count]
 };
-inline constexpr uint32_t kNumSections = 10;
+inline constexpr uint32_t kNumSections = 5;
 
 /// Fixed file header. 8-byte aligned size so the section table that
 /// follows is aligned too.
@@ -90,12 +87,12 @@ static_assert(sizeof(SectionEntry) == 24,
 /// connectivity BFS).
 struct ImageMeta {
   uint64_t num_vertices;
-  uint64_t num_half_edges;   ///< 2|E| = neighbor-array length
-  uint64_t tree_node_count;  ///< CoreIndex merge-tree nodes (>= vertices)
+  uint64_t num_half_edges;  ///< 2|E| = neighbor-array length
+  uint64_t reserved0;       ///< zero (the merge-tree node count until v2)
   uint32_t degeneracy;
   uint32_t max_degree;
   uint32_t connected;  ///< GraphFacts::connected, 0 or 1
-  uint32_t reserved;
+  uint32_t reserved1;
 };
 static_assert(sizeof(ImageMeta) == 40, "meta layout is part of the ABI");
 

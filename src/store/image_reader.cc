@@ -4,10 +4,10 @@
 // endianness; the declared file size must match the mapping; the
 // whole-file checksum catches accidental corruption; and a final O(n+m)
 // structural pass proves the arrays are internally consistent (offsets
-// monotone and bounded, adjacency sorted and in-range, merge-tree links
-// forming a forest) before any solver sees them — so even an
-// adversarially crafted image with a valid checksum yields a typed
-// IoError, never out-of-range indexing or a non-terminating tree walk.
+// monotone and bounded, adjacency sorted and in-range, core numbers
+// bounded by the degree and topped by the stored degeneracy) before any
+// solver sees them — so even an adversarially crafted image with a valid
+// checksum yields a typed IoError, never out-of-range indexing.
 
 #include <algorithm>
 #include <cstddef>
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "store/checksum.h"
 #include "store/format.h"
@@ -32,8 +31,6 @@ void Fail(IoError* error, IoErrorKind kind, std::string message) {
   error->message = std::move(message);
   error->line = 0;
 }
-
-constexpr uint32_t kNil = CoreIndex::kNil;
 
 /// Section table resolved by id; length checked before use.
 struct Sections {
@@ -56,43 +53,6 @@ template <typename T>
 std::span<const T> SectionSpan(const Sections& s, SectionId id) {
   return {reinterpret_cast<const T*>(SectionData(s, id)),
           static_cast<size_t>(SectionLength(s, id) / sizeof(T))};
-}
-
-/// The merge-tree links must form a forest rooted by kNil parents:
-/// parents strictly above children (ids increase with creation time, so
-/// a valid tree always has parent > child), levels non-increasing toward
-/// the root (merges happen at or below their children's level — the
-/// invariant AncestorAtLevel's upward walk relies on to stop at the
-/// right node), leaves childless, and sibling chains duplicate-free and
-/// consistent with the parent array. This bounds every tree walk a
-/// query performs and pins the node each walk lands on.
-bool ValidateTree(std::span<const uint32_t> level,
-                  std::span<const uint32_t> parent,
-                  std::span<const uint32_t> first_child,
-                  std::span<const uint32_t> next_sibling,
-                  std::span<const VertexId> vertex, uint64_t num_vertices) {
-  const auto t = static_cast<uint32_t>(parent.size());
-  for (uint32_t i = 0; i < t; ++i) {
-    if (parent[i] != kNil && (parent[i] <= i || parent[i] >= t)) {
-      return false;
-    }
-    if (parent[i] != kNil && level[parent[i]] > level[i]) return false;
-    const bool is_leaf = i < num_vertices;
-    if (is_leaf && vertex[i] != i) return false;
-    if (is_leaf && first_child[i] != kNil) return false;
-    if (!is_leaf && vertex[i] != kNil) return false;
-  }
-  std::vector<bool> seen(t, false);
-  for (uint32_t p = 0; p < t; ++p) {
-    for (uint32_t child = first_child[p]; child != kNil;
-         child = next_sibling[child]) {
-      // seen[] rejects a node reached from two parents or a cyclic
-      // sibling chain (a cycle revisits within t steps).
-      if (child >= t || seen[child] || parent[child] != p) return false;
-      seen[child] = true;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -204,8 +164,7 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   std::memcpy(&meta, SectionData(sections, SectionId::kMeta), sizeof(meta));
   const uint64_t n = meta.num_vertices;
   const uint64_t half = meta.num_half_edges;
-  const uint64_t tree = meta.tree_node_count;
-  if (n >= kNil || tree >= kNil || tree < n || half % 2 != 0) {
+  if (n >= kInvalidVertex || half % 2 != 0) {
     Fail(error, IoErrorKind::kParse, path + ": implausible meta counts");
     return std::nullopt;
   }
@@ -218,11 +177,6 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
       {SectionId::kNeighbors, half, sizeof(VertexId)},
       {SectionId::kOrderedNeighbors, half, sizeof(VertexId)},
       {SectionId::kCoreNumbers, n, sizeof(uint32_t)},
-      {SectionId::kNodeLevel, tree, sizeof(uint32_t)},
-      {SectionId::kNodeParent, tree, sizeof(uint32_t)},
-      {SectionId::kNodeFirstChild, tree, sizeof(uint32_t)},
-      {SectionId::kNodeNextSibling, tree, sizeof(uint32_t)},
-      {SectionId::kNodeVertex, tree, sizeof(VertexId)},
   };
   for (const auto& want : expected_counts) {
     // Compare element counts via division, never `count * elem_bytes`: a
@@ -248,16 +202,6 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   const auto ordered_neighbors =
       SectionSpan<VertexId>(sections, SectionId::kOrderedNeighbors);
   const auto core = SectionSpan<uint32_t>(sections, SectionId::kCoreNumbers);
-  const auto node_level =
-      SectionSpan<uint32_t>(sections, SectionId::kNodeLevel);
-  const auto node_parent =
-      SectionSpan<uint32_t>(sections, SectionId::kNodeParent);
-  const auto node_first_child =
-      SectionSpan<uint32_t>(sections, SectionId::kNodeFirstChild);
-  const auto node_next_sibling =
-      SectionSpan<uint32_t>(sections, SectionId::kNodeNextSibling);
-  const auto node_vertex =
-      SectionSpan<VertexId>(sections, SectionId::kNodeVertex);
 
   // --- Structural validation (the checksum already rules out accidental
   // corruption; this pass rules out a *crafted* image indexing out of
@@ -293,19 +237,15 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   }
   for (uint64_t v = 0; bad_structure == nullptr && v < n; ++v) {
     max_core = std::max(max_core, core[v]);
-    if (node_level[v] != core[v]) {
-      bad_structure = "leaf levels disagree with core numbers";
+    // A vertex's core number never exceeds its degree.
+    if (core[v] > offsets[v + 1] - offsets[v]) {
+      bad_structure = "core number exceeds the vertex degree";
       break;
     }
   }
   if (bad_structure == nullptr && n > 0 &&
       (max_degree != meta.max_degree || max_core != meta.degeneracy)) {
     bad_structure = "meta scalars disagree with the arrays";
-  }
-  if (bad_structure == nullptr &&
-      !ValidateTree(node_level, node_parent, node_first_child,
-                    node_next_sibling, node_vertex, n)) {
-    bad_structure = "merge-tree links do not form a forest";
   }
   if (bad_structure != nullptr) {
     Fail(error, IoErrorKind::kParse,
@@ -321,13 +261,8 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
                        ConstArray<VertexId>(neighbors, region));
   OrderedAdjacency ordered = OrderedAdjacency::FromParts(
       graph.offsets(), ConstArray<VertexId>(ordered_neighbors, region));
-  CoreIndex index = CoreIndex::FromParts(
-      ConstArray<uint32_t>(core, region), meta.degeneracy,
-      ConstArray<uint32_t>(node_level, region),
-      ConstArray<uint32_t>(node_parent, region),
-      ConstArray<uint32_t>(node_first_child, region),
-      ConstArray<uint32_t>(node_next_sibling, region),
-      ConstArray<VertexId>(node_vertex, region));
+  CoreIndex index = CoreIndex::FromParts(ConstArray<uint32_t>(core, region),
+                                         meta.degeneracy);
   GraphFacts facts;
   facts.num_vertices = n;
   facts.num_edges = half / 2;

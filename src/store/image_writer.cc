@@ -62,17 +62,15 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
                      const std::string& path, IoError* error) {
   const uint64_t n = graph.NumVertices();
   const uint64_t half_edges = graph.neighbors().size();
-  const uint64_t tree_nodes = index.NumTreeNodes();
 
   ImageMeta meta = {};
   meta.num_vertices = n;
   meta.num_half_edges = half_edges;
-  meta.tree_node_count = tree_nodes;
   meta.degeneracy = index.Degeneracy();
   meta.max_degree = facts.max_degree;
   meta.connected = facts.connected ? 1u : 0u;
 
-  // The ten sections, in SectionId order. The payload pointer/length
+  // The five sections, in SectionId order. The payload pointer/length
   // pairs reference the live in-memory arrays; nothing is staged.
   struct Payload {
     SectionId id;
@@ -89,16 +87,6 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
        half_edges * sizeof(VertexId)},
       {SectionId::kCoreNumbers, index.core_numbers().data(),
        n * sizeof(uint32_t)},
-      {SectionId::kNodeLevel, index.node_level().data(),
-       tree_nodes * sizeof(uint32_t)},
-      {SectionId::kNodeParent, index.node_parent().data(),
-       tree_nodes * sizeof(uint32_t)},
-      {SectionId::kNodeFirstChild, index.node_first_child().data(),
-       tree_nodes * sizeof(uint32_t)},
-      {SectionId::kNodeNextSibling, index.node_next_sibling().data(),
-       tree_nodes * sizeof(uint32_t)},
-      {SectionId::kNodeVertex, index.node_vertex().data(),
-       tree_nodes * sizeof(VertexId)},
   };
 
   // Lay out the section table before writing anything.

@@ -1,13 +1,8 @@
-// Monotone bucket priority queues used by the peeling and selection
-// algorithms. Both structures give O(1) amortized operations because keys
-// change by ±1 at a time.
-//
-// MinBucketQueue  — used by k-core peeling (Batagelj–Zaversnik): pop the
-//                   vertex with the minimum key; keys only decrease.
-// MaxBucketList   — the paper's Figure-5 structure for the `li` heuristic:
-//                   an array of doubly-linked lists keyed by incidence count
-//                   with a pointer to the maximum non-empty bucket. Keys only
-//                   increase (by one per update).
+// Monotone bucket priority queue used by k-core peeling
+// (Batagelj–Zaversnik): pop the vertex with the minimum key; keys only
+// decrease, one unit at a time, so every operation is O(1) amortized.
+// The paper's Figure-5 max-bucket structure for the `li` heuristic is
+// EpochBucketList (core/bucket_list.h).
 
 #ifndef LOCS_UTIL_BUCKET_QUEUE_H_
 #define LOCS_UTIL_BUCKET_QUEUE_H_
@@ -101,107 +96,6 @@ class MinBucketQueue {
   std::vector<uint32_t> bucket_start_; // first position of each key's bucket
   uint32_t head_ = 0;
   uint32_t n_ = 0;
-};
-
-/// Max-oriented bucket structure with intrusive doubly-linked lists — the
-/// data structure of Figure 5 in the paper. Elements are dense uint32 ids;
-/// keys only grow, one unit at a time, so PopMax plus all updates over a
-/// whole query cost O(inserted + updates).
-class MaxBucketList {
- public:
-  /// `capacity` bounds element ids; `max_key` bounds keys.
-  MaxBucketList(uint32_t capacity, uint32_t max_key)
-      : head_(max_key + 1, kNil),
-        next_(capacity, kNil),
-        prev_(capacity, kNil),
-        key_(capacity, 0),
-        present_(capacity, 0) {}
-
-  bool Contains(uint32_t v) const { return present_[v] != 0; }
-  bool Empty() const { return size_ == 0; }
-  uint32_t Size() const { return size_; }
-  uint32_t Key(uint32_t v) const { return key_[v]; }
-
-  /// Inserts `v` with the given key. `v` must not be present.
-  void Insert(uint32_t v, uint32_t key) {
-    LOCS_DCHECK(!Contains(v));
-    LOCS_DCHECK(key < head_.size());
-    present_[v] = 1;
-    key_[v] = key;
-    Link(v, key);
-    if (key > max_bucket_) max_bucket_ = key;
-    ++size_;
-  }
-
-  /// Increments the key of a present element by one.
-  void Increment(uint32_t v) {
-    LOCS_DCHECK(Contains(v));
-    const uint32_t k = key_[v];
-    LOCS_DCHECK(k + 1 < head_.size());
-    Unlink(v, k);
-    key_[v] = k + 1;
-    Link(v, k + 1);
-    if (k + 1 > max_bucket_) max_bucket_ = k + 1;
-  }
-
-  /// Removes and returns an element with the maximal key.
-  uint32_t PopMax() {
-    LOCS_DCHECK(!Empty());
-    while (head_[max_bucket_] == kNil) {
-      LOCS_DCHECK(max_bucket_ > 0);
-      --max_bucket_;
-    }
-    const uint32_t v = head_[max_bucket_];
-    Unlink(v, max_bucket_);
-    present_[v] = 0;
-    --size_;
-    return v;
-  }
-
-  /// Key that PopMax would remove next.
-  uint32_t MaxKey() {
-    LOCS_DCHECK(!Empty());
-    while (head_[max_bucket_] == kNil) {
-      LOCS_DCHECK(max_bucket_ > 0);
-      --max_bucket_;
-    }
-    return max_bucket_;
-  }
-
-  /// Removes an arbitrary present element.
-  void Erase(uint32_t v) {
-    LOCS_DCHECK(Contains(v));
-    Unlink(v, key_[v]);
-    present_[v] = 0;
-    --size_;
-  }
-
- private:
-  static constexpr uint32_t kNil = ~uint32_t{0};
-
-  void Link(uint32_t v, uint32_t key) {
-    next_[v] = head_[key];
-    prev_[v] = kNil;
-    if (head_[key] != kNil) prev_[head_[key]] = v;
-    head_[key] = v;
-  }
-
-  void Unlink(uint32_t v, uint32_t key) {
-    if (prev_[v] != kNil) {
-      next_[prev_[v]] = next_[v];
-    } else {
-      head_[key] = next_[v];
-    }
-    if (next_[v] != kNil) prev_[next_[v]] = prev_[v];
-  }
-
-  std::vector<uint32_t> head_;
-  std::vector<uint32_t> next_;
-  std::vector<uint32_t> prev_;
-  std::vector<uint32_t> key_;
-  std::vector<uint8_t> present_;
-  uint32_t max_bucket_ = 0;
-  uint32_t size_ = 0;
 };
 
 }  // namespace locs

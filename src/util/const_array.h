@@ -1,5 +1,5 @@
 // ConstArray<T> — the storage layer behind every immutable graph-shaped
-// array (CSR offsets/neighbors, core numbers, merge-tree arrays).
+// array (CSR offsets/neighbors, ordered neighbors, core numbers).
 //
 // The solvers only ever *read* these arrays, so the substrate they sit
 // on is a policy choice, not a type choice: a freshly built graph owns a

@@ -1,4 +1,4 @@
-// Tests for the bucket priority structures (MinBucketQueue, MaxBucketList,
+// Tests for the bucket priority structures (MinBucketQueue,
 // EpochBucketList) and the EpochArray scratch machinery.
 
 #include <gtest/gtest.h>
@@ -72,38 +72,6 @@ TEST(MinBucketQueueTest, StressAgainstHeap) {
       }
     }
   }
-}
-
-TEST(MaxBucketListTest, BasicMaxOrder) {
-  MaxBucketList list(10, 20);
-  list.Insert(0, 3);
-  list.Insert(1, 7);
-  list.Insert(2, 5);
-  EXPECT_EQ(list.MaxKey(), 7u);
-  EXPECT_EQ(list.PopMax(), 1u);
-  EXPECT_EQ(list.PopMax(), 2u);
-  EXPECT_EQ(list.PopMax(), 0u);
-  EXPECT_TRUE(list.Empty());
-}
-
-TEST(MaxBucketListTest, IncrementRaisesPriority) {
-  MaxBucketList list(4, 10);
-  list.Insert(0, 1);
-  list.Insert(1, 2);
-  list.Increment(0);
-  list.Increment(0);
-  EXPECT_EQ(list.Key(0), 3u);
-  EXPECT_EQ(list.PopMax(), 0u);
-}
-
-TEST(MaxBucketListTest, EraseRemoves) {
-  MaxBucketList list(4, 10);
-  list.Insert(0, 5);
-  list.Insert(1, 5);
-  list.Erase(0);
-  EXPECT_FALSE(list.Contains(0));
-  EXPECT_EQ(list.Size(), 1u);
-  EXPECT_EQ(list.PopMax(), 1u);
 }
 
 TEST(EpochBucketListTest, FifoWithinBucket) {

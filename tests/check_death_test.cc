@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/core_index.h"
+#include <vector>
+
+#include "core/kcore.h"
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -39,20 +41,15 @@ TEST(CheckDeathTest, CycleRequiresThreeVertices) {
   EXPECT_DEATH(gen::Cycle(2), "LOCS_CHECK failed");
 }
 
-// Barbell(6, 2) has 14 vertices but 17 merge-tree nodes: ids in [14, 17)
-// name internal nodes, not vertices, and must be rejected as such.
-TEST(CheckDeathTest, CoreIndexCstMembersRejectsTreeNodeId) {
+// The one-shot component helpers trap an out-of-range vertex and a core
+// array that does not match the graph.
+TEST(CheckDeathTest, KCoreComponentOfRejectsMismatchedInput) {
   const Graph g = gen::Barbell(6, 2);
-  const CoreIndex index(g);
-  ASSERT_GT(index.NumTreeNodes(), g.NumVertices());
-  EXPECT_DEATH(index.CstMembers(14, 1), "LOCS_CHECK failed");
-}
-
-TEST(CheckDeathTest, CoreIndexCsmRejectsTreeNodeId) {
-  const Graph g = gen::Barbell(6, 2);
-  const CoreIndex index(g);
-  ASSERT_GT(index.NumTreeNodes(), g.NumVertices());
-  EXPECT_DEATH(index.Csm(14), "LOCS_CHECK failed");
+  const CoreDecomposition cores = ComputeCores(g);
+  EXPECT_DEATH(KCoreComponentOf(g, cores.core, 14, 1), "LOCS_CHECK failed");
+  EXPECT_DEATH(MaxCoreComponentOf(g, cores.core, 14), "LOCS_CHECK failed");
+  const std::vector<uint32_t> short_core(3, 0);
+  EXPECT_DEATH(KCoreComponentOf(g, short_core, 0, 0), "LOCS_CHECK failed");
 }
 
 }  // namespace

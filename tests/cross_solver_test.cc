@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 
 #include "core/bounds.h"
 #include "core/core_index.h"
 #include "core/global.h"
+#include "core/kcore.h"
 #include "core/local_csm.h"
 #include "core/local_cst.h"
 #include "core/multi.h"
@@ -129,7 +131,6 @@ TEST_P(CrossSolverTest, CsmOptimaAgreeEverywhere) {
     const uint32_t expect = index_->CoreNumber(v0);
     EXPECT_EQ(GlobalCsm(graph_, v0)->min_degree, expect) << "v0=" << v0;
     EXPECT_EQ(GreedyGlobalCsm(graph_, v0).min_degree, expect);
-    EXPECT_EQ(index_->Csm(v0).min_degree, expect);
     CsmOptions csm2;
     csm2.candidate_rule = CsmCandidateRule::kFromNaive;
     csm2.gamma = 5.0;
@@ -143,14 +144,30 @@ TEST_P(CrossSolverTest, CsmOptimaAgreeEverywhere) {
 }
 
 TEST_P(CrossSolverTest, MaximalAnswersContainLocalAnswers) {
-  // Lemma 3: every CST(k) answer is a subset of the k-core component.
+  // Lemmas 3 and 4: the maximal CST(k) answer is v0's component of the
+  // k-core, and the CSM answer is that component at k = core(v0), both
+  // read off the index's core numbers. Every local CST(k) answer is a
+  // subset of it.
   LocalCstSolver solver(graph_, &*ordered_, &facts_);
-  for (VertexId v0 = 0; v0 < graph_.NumVertices(); v0 += 17) {
+  const std::span<const uint32_t> core = index_->core_numbers().span();
+  for (VertexId v0 = 0; v0 < graph_.NumVertices(); ++v0) {
     const uint32_t m_star = index_->CoreNumber(v0);
-    for (uint32_t k = 1; k <= m_star; ++k) {
+    const Community csm = *GlobalCsm(graph_, v0);
+    ASSERT_EQ(csm.min_degree, m_star) << "v0=" << v0;
+    ASSERT_EQ(testing::ToSet(KCoreComponentOf(graph_, core, v0, m_star)),
+              testing::ToSet(csm.members))
+        << "v0=" << v0;
+    for (uint32_t k = 0; k <= m_star + 1; ++k) {
+      const auto maximal =
+          testing::ToSet(KCoreComponentOf(graph_, core, v0, k));
+      const auto global = GlobalCst(graph_, v0, k);
+      ASSERT_EQ(!maximal.empty(), global.has_value())
+          << "v0=" << v0 << " k=" << k;
+      if (!global.has_value()) continue;
+      ASSERT_EQ(maximal, testing::ToSet(global->members))
+          << "v0=" << v0 << " k=" << k;
       const auto local = solver.Solve(v0, k);
-      ASSERT_TRUE(local.has_value());
-      const auto maximal = testing::ToSet(index_->CstMembers(v0, k));
+      ASSERT_TRUE(local.has_value()) << "v0=" << v0 << " k=" << k;
       for (VertexId member : local->members) {
         EXPECT_TRUE(maximal.count(member) > 0)
             << "member " << member << " outside the k-core component";

@@ -95,7 +95,7 @@ TEST(KCoreTest, PaperFigure1Cores) {
   EXPECT_EQ(ToSet(KCoreMembers(cores, 4)),
             ToSet({v('g'), v('h'), v('i'), v('j'), v('k'), v('l')}));
   // maxcore(G, e) = {a,b,c,d,e} (Example 5).
-  EXPECT_EQ(ToSet(MaxCoreComponentOf(g, cores, v('e'))),
+  EXPECT_EQ(ToSet(MaxCoreComponentOf(g, cores.core, v('e'))),
             ToSet({v('a'), v('b'), v('c'), v('d'), v('e')}));
 }
 
@@ -115,7 +115,7 @@ TEST(KCoreTest, PeelOrderIsNonDecreasingInCore) {
 TEST(KCoreTest, KCoreComponentIsValidCst) {
   Graph g = gen::Barbell(5, 2);
   const CoreDecomposition cores = ComputeCores(g);
-  const std::vector<VertexId> comp = KCoreComponentOf(g, cores, 0, 4);
+  const std::vector<VertexId> comp = KCoreComponentOf(g, cores.core, 0, 4);
   ASSERT_FALSE(comp.empty());
   EXPECT_TRUE(IsValidCommunity(g, comp, 0, 4));
   EXPECT_EQ(comp.size(), 5u);  // the left K5 only
@@ -125,7 +125,7 @@ TEST(KCoreTest, KCoreComponentEmptyWhenOutside) {
   Graph g = gen::Barbell(5, 2);
   const CoreDecomposition cores = ComputeCores(g);
   // A bridge vertex has core 1: no 4-core component for it.
-  EXPECT_TRUE(KCoreComponentOf(g, cores, 5, 4).empty());
+  EXPECT_TRUE(KCoreComponentOf(g, cores.core, 5, 4).empty());
 }
 
 class KCoreRandomTest : public ::testing::TestWithParam<uint64_t> {};

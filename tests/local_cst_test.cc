@@ -42,7 +42,6 @@ class LocalCstStrategyTest : public ::testing::TestWithParam<Config> {
     LocalCstSolver solver(g, ordered ? &*ordered : nullptr, &facts);
     CstOptions options;
     options.strategy = GetParam().strategy;
-    options.use_ordered_adjacency = GetParam().ordered;
     return solver.Solve(v0, k, options, stats);
   }
 };
@@ -216,7 +215,6 @@ TEST_P(LocalCstStrategyTest, RepeatedQueriesAreIndependent) {
   LocalCstSolver solver(g, ordered ? &*ordered : nullptr, &facts);
   CstOptions options;
   options.strategy = GetParam().strategy;
-  options.use_ordered_adjacency = GetParam().ordered;
 
   std::vector<SearchResult> first;
   for (VertexId v0 = 0; v0 < 20; ++v0) {

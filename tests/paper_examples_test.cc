@@ -92,7 +92,7 @@ TEST_F(PaperExamplesTest, Example5CoresAndMaxcore) {
   EXPECT_EQ(ToSet(KCoreMembers(cores, 4)), ToSet(Set("ghijkl")));
   EXPECT_EQ(cores.degeneracy, 4u);
   // maxcore(G, e) = the subgraph induced by {a,b,c,d,e}.
-  EXPECT_EQ(ToSet(MaxCoreComponentOf(g_, cores, V('e'))),
+  EXPECT_EQ(ToSet(MaxCoreComponentOf(g_, cores.core, V('e'))),
             ToSet(Set("abcde")));
 }
 

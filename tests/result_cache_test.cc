@@ -142,15 +142,15 @@ struct CacheFixture {
 };
 
 /// The query mix the differential tests replay: every query verb, found
-/// and not-exists outcomes, and the reply-shaping options (limit, trace,
-/// gamma) that must all be part of the cache key.
+/// and not-exists outcomes, and the reply-shaping options (limit, trace)
+/// that must all be part of the cache key.
 const std::vector<std::string> kQueryMix = {
     "CST bb 0 5",
     "CST bb 0 7",            // exact negative (k above degeneracy)
     "CST bb 0 5 limit=2",    // same query, different rendering
     "CST bb 0 5 trace=1",    // same query, phase breakdown appended
     "CSM bb 0",
-    "CSM bb 0 gamma=-1.5",   // wider Eq.-8 budget: distinct key
+    "CSM bb 0 limit=2",      // same CSM, different rendering
     "MULTI bb 5 0 1",
     "MULTI bb max 0 1",
 };
@@ -198,7 +198,7 @@ TEST(ResultCacheServeTest, OptionVariantsNeverShareAnEntry) {
           "CST bb 0 5 limit=2",
           "CST bb 0 5 trace=1",
           "CSM bb 0",
-          "CSM bb 0 gamma=-1.5",
+          "CSM bb 0 limit=2",
       },
       "variants");
   ASSERT_EQ(replies.size(), 5u);
@@ -209,6 +209,7 @@ TEST(ResultCacheServeTest, OptionVariantsNeverShareAnEntry) {
   // And the renderings genuinely differ where they must.
   EXPECT_NE(replies[0], replies[1]);  // limit truncates members
   EXPECT_NE(replies[0], replies[2]);  // trace appends phases
+  EXPECT_NE(replies[3], replies[4]);
 }
 
 TEST(ResultCacheServeTest, EvictAndReloadDifferentGraphNeverServesStale) {

@@ -22,6 +22,7 @@
 #include "gen/classic.h"
 #include "graph/io.h"
 #include "serve/admission.h"
+#include "serve/result_cache.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "util/failpoint.h"
@@ -181,6 +182,23 @@ TEST(ServeSessionTest, CsmIsAnsweredFromTheCoreIndex) {
   EXPECT_TRUE(has_query_vertex) << replies[1];
 
   EXPECT_EQ(replies[3], replies[2]);
+}
+
+TEST(ServeSessionTest, IgnoredGammaSharesTheCacheEntry) {
+  // locsd ignores gamma=, so the reply is the same with or without it and
+  // both requests must share one result-cache entry.
+  ServeFixture fix;
+  fix.Register("g", gen::Barbell(6, 2));
+  ResultCache cache(16);
+  fix.options.cache = &cache;
+  const auto replies = fix.Run({"CSM g 7", "CSM g 7 gamma=0.5"}, "gamma");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(StartsWith(replies[0], "OK status=found ")) << replies[0];
+  EXPECT_EQ(replies[1], replies[0]);
+  const MetricsSnapshot snap = fix.metrics.Snapshot();
+  EXPECT_EQ(snap.cache_misses, 1u);
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ServeSessionTest, LoadEvictListLifecycle) {

@@ -3,15 +3,15 @@
 //
 // Three layers of guarantees under test:
 //   1. differential round-trip — every array (CSR, ordered adjacency,
-//      core numbers, merge tree) and every GraphFacts scalar survives
+//      core numbers) and every GraphFacts scalar survives
 //      write+load bit-for-bit, and CST/CSM/MULTI wire replies from an
 //      image-backed graph are byte-identical to the text-loaded graph;
 //   2. fuzz — truncations at every interesting boundary and a bit flip
 //      at *every byte position* yield a typed IoError, never a crash;
 //   3. crafted corruption — images with a *valid* checksum but hostile
 //      contents (wrong version, swapped endianness, out-of-range
-//      adjacency, broken tree links) are rejected by the structural
-//      pass.
+//      adjacency, tampered core numbers) are rejected by the header
+//      gates or the structural pass.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/core_index.h"
+#include "core/kcore.h"
 #include "core/local_cst.h"
 #include "gen/barabasi.h"
 #include "gen/classic.h"
@@ -70,10 +71,10 @@ void FixChecksum(std::string* bytes) {
               sizeof(checksum));
 }
 
-/// Rewrites a current image as format v1 wrote it: version 1 and an
+/// Gives a current image the header format v1 wrote: version 1 and an
 /// FNV-1a 64 checksum over the file with the checksum field read as zero.
-/// v1 and v2 share the layout, so this is byte for byte what a v1 writer
-/// produced for the same arrays.
+/// The body keeps the current layout; the reader must refuse the version
+/// before it looks past the header.
 void DowngradeToV1(std::string* bytes) {
   const uint32_t v1 = 1;
   std::memcpy(bytes->data() + offsetof(ImageHeader, version), &v1,
@@ -138,14 +139,7 @@ void ExpectSameSnapshot(const Snapshot& loaded, const Snapshot& built) {
   EXPECT_EQ(loaded.ordered.offsets(), built.ordered.offsets());
   EXPECT_EQ(loaded.ordered.neighbors(), built.ordered.neighbors());
   EXPECT_EQ(loaded.index.Degeneracy(), built.index.Degeneracy());
-  EXPECT_EQ(loaded.index.NumTreeNodes(), built.index.NumTreeNodes());
   EXPECT_EQ(loaded.index.core_numbers(), built.index.core_numbers());
-  EXPECT_EQ(loaded.index.node_level(), built.index.node_level());
-  EXPECT_EQ(loaded.index.node_parent(), built.index.node_parent());
-  EXPECT_EQ(loaded.index.node_first_child(), built.index.node_first_child());
-  EXPECT_EQ(loaded.index.node_next_sibling(),
-            built.index.node_next_sibling());
-  EXPECT_EQ(loaded.index.node_vertex(), built.index.node_vertex());
 }
 
 void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
@@ -157,6 +151,13 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   IoError error;
   ASSERT_TRUE(WriteGraphImage(graph, facts, ordered, index, path, &error))
       << error.message;
+  // Format v3: exactly the five sections of format.h, no merge tree.
+  const std::string bytes = ReadFileBytes(path);
+  ImageHeader header;
+  ASSERT_GE(bytes.size(), sizeof(header));
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  EXPECT_EQ(header.version, 3u);
+  EXPECT_EQ(header.section_count, 5u);
 
   const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error.message;
@@ -174,12 +175,10 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   // Query-level equivalence on top of the array-level identity.
   const VertexId n = graph.NumVertices();
   for (VertexId v = 0; v < n; v += (n / 7) + 1) {
-    const uint32_t k = index.CoreNumber(v);
-    EXPECT_EQ(loaded->index.CstMembers(v, k), index.CstMembers(v, k));
-    const Community a = loaded->index.Csm(v);
-    const Community b = index.Csm(v);
-    EXPECT_EQ(a.members, b.members);
-    EXPECT_EQ(a.min_degree, b.min_degree);
+    EXPECT_EQ(loaded->index.CoreNumber(v), index.CoreNumber(v));
+    EXPECT_EQ(MaxCoreComponentOf(loaded->graph,
+                                 loaded->index.core_numbers().span(), v),
+              MaxCoreComponentOf(graph, index.core_numbers().span(), v));
   }
 }
 
@@ -295,25 +294,37 @@ TEST(StoreCraftedTest, UnsupportedVersionIsRejectedWithDetail) {
 }
 
 TEST(StoreCraftedTest, VersionOneImageIsRejectedUntilRecompiled) {
+  // v1 (FNV-1a checksum) and v2 (XXH64, with the merge-tree sections)
+  // are both retired: each gets the same typed "recompile" error.
   const Graph graph = gen::Barbell(4, 0);
-  const std::string path = CompileToTemp(graph, "v1_src");
-  std::string bytes = ReadFileBytes(path);
-  DowngradeToV1(&bytes);
-  WriteFileBytes(path, bytes);
-  IoError error;
-  EXPECT_FALSE(LoadGraphImage(path, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kParse);
-  EXPECT_NE(error.message.find("unsupported image version 1"),
-            std::string::npos)
-      << error.message;
-  EXPECT_NE(error.message.find("recompile"), std::string::npos)
-      << error.message;
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    const std::string path = CompileToTemp(graph, "old_version_src");
+    std::string bytes = ReadFileBytes(path);
+    if (version == 1) {
+      DowngradeToV1(&bytes);
+    } else {
+      std::memcpy(bytes.data() + offsetof(ImageHeader, version), &version,
+                  sizeof(version));
+      FixChecksum(&bytes);
+    }
+    WriteFileBytes(path, bytes);
+    IoError error;
+    EXPECT_FALSE(LoadGraphImage(path, &error).has_value());
+    EXPECT_EQ(error.kind, IoErrorKind::kParse);
+    EXPECT_NE(error.message.find("unsupported image version " +
+                                 std::to_string(version)),
+              std::string::npos)
+        << error.message;
+    EXPECT_NE(error.message.find("recompile"), std::string::npos)
+        << error.message;
 
-  // Recompiling over the stale file brings it back.
-  ASSERT_TRUE(CompileGraphImage(graph, path, &error)) << error.message;
-  const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error.message;
-  EXPECT_EQ(loaded->graph.neighbors(), graph.neighbors());
+    // Recompiling over the stale file brings it back.
+    ASSERT_TRUE(CompileGraphImage(graph, path, &error)) << error.message;
+    const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
+    ASSERT_TRUE(loaded.has_value()) << error.message;
+    EXPECT_EQ(loaded->graph.neighbors(), graph.neighbors());
+  }
 }
 
 TEST(StoreChecksumTest, MatchesReferenceXxh64AndIgnoresSplits) {
@@ -380,24 +391,6 @@ TEST(StoreCraftedTest, OutOfRangeAdjacencyFailsStructuralPass) {
       << error.message;
 }
 
-TEST(StoreCraftedTest, BrokenTreeLinksFailStructuralPass) {
-  const std::string path = CompileToTemp(gen::Barbell(4, 0), "tree_src");
-  std::string bytes = ReadFileBytes(path);
-  // Point leaf 0's parent at itself: a cycle a naive tree walk would
-  // never exit. The forest validation must reject it.
-  const uint64_t off = SectionOffsetOf(bytes, SectionId::kNodeParent);
-  const uint32_t self = 0;
-  std::memcpy(bytes.data() + off, &self, sizeof(self));
-  FixChecksum(&bytes);
-  const std::string patched = TempPath("store_tree.limg");
-  WriteFileBytes(patched, bytes);
-  IoError error;
-  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kParse);
-  EXPECT_NE(error.message.find("structural validation"), std::string::npos)
-      << error.message;
-}
-
 TEST(StoreCraftedTest, OverflowingHalfEdgeCountIsRejected) {
   const std::string path = CompileToTemp(gen::Barbell(4, 0), "ovf_src");
   std::string bytes = ReadFileBytes(path);
@@ -438,59 +431,13 @@ TEST(StoreCraftedTest, OverflowingHalfEdgeCountIsRejected) {
       << error.message;
 }
 
-TEST(StoreCraftedTest, NonMonotoneTreeLevelsFailStructuralPass) {
-  const std::string path = CompileToTemp(gen::Barbell(4, 0), "lvl_src");
-  std::string bytes = ReadFileBytes(path);
-  // Raise the level of leaf 0's parent above the leaf's own level. Leaf
-  // levels still match the core numbers and every link still forms a
-  // forest, but AncestorAtLevel's upward walk would now stop at the
-  // wrong node — the monotone-level check must reject the image.
-  const uint64_t parent_off =
-      SectionOffsetOf(bytes, SectionId::kNodeParent);
-  uint32_t parent0 = 0;
-  std::memcpy(&parent0, bytes.data() + parent_off, sizeof(parent0));
-  ASSERT_NE(parent0, CoreIndex::kNil);
-  const uint64_t level_off = SectionOffsetOf(bytes, SectionId::kNodeLevel);
-  const uint32_t bogus = 1000;
-  std::memcpy(bytes.data() + level_off + parent0 * sizeof(uint32_t),
-              &bogus, sizeof(bogus));
-  FixChecksum(&bytes);
-  const std::string patched = TempPath("store_lvl.limg");
-  WriteFileBytes(patched, bytes);
-  IoError error;
-  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kParse);
-  EXPECT_NE(error.message.find("structural validation"), std::string::npos)
-      << error.message;
-}
-
-TEST(StoreCraftedTest, LeafWithChildrenFailsStructuralPass) {
-  const std::string path = CompileToTemp(gen::Barbell(4, 0), "leaf_src");
-  std::string bytes = ReadFileBytes(path);
-  // Give leaf 0 a "child": point first_child[0] at leaf 1. Leaves must
-  // be childless or SubtreeLeaves would return members the merge never
-  // produced.
-  const uint64_t fc_off =
-      SectionOffsetOf(bytes, SectionId::kNodeFirstChild);
-  const uint32_t child = 1;
-  std::memcpy(bytes.data() + fc_off, &child, sizeof(child));
-  FixChecksum(&bytes);
-  const std::string patched = TempPath("store_leaf.limg");
-  WriteFileBytes(patched, bytes);
-  IoError error;
-  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
-  EXPECT_EQ(error.kind, IoErrorKind::kParse);
-  EXPECT_NE(error.message.find("structural validation"), std::string::npos)
-      << error.message;
-}
-
 TEST(StoreCraftedTest, CoreNumberTamperingFailsStructuralPass) {
   const std::string path = CompileToTemp(gen::Barbell(4, 0), "core_src");
   std::string bytes = ReadFileBytes(path);
   const uint64_t off = SectionOffsetOf(bytes, SectionId::kCoreNumbers);
   uint32_t core0 = 0;
   std::memcpy(&core0, bytes.data() + off, sizeof(core0));
-  ++core0;  // now disagrees with the leaf's merge-tree level
+  ++core0;  // now above vertex 0's degree and the stored degeneracy
   std::memcpy(bytes.data() + off, &core0, sizeof(core0));
   FixChecksum(&bytes);
   const std::string patched = TempPath("store_core.limg");
