@@ -5,9 +5,13 @@
 // answers maximal CST/CSM with one BFS over `core >= k` (Lemmas 3 and
 // 4). This bench compares per-query cost of global search, local search
 // (ls-li), and the index across k, plus the index build cost
-// amortization point.
+// amortization point. A second table does the same for multi-vertex
+// queries on seed pairs: the global oracles, LocalMultiSolver, and the
+// served CommunitySearcher path (CstMulti: one BFS over `core >= k`;
+// CsmMulti: a max-bottleneck sweep, then that BFS).
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/datasets.h"
@@ -17,6 +21,9 @@
 #include "core/global.h"
 #include "core/kcore.h"
 #include "core/local_cst.h"
+#include "core/multi.h"
+#include "core/searcher.h"
+#include "core/snapshot.h"
 #include "graph/ordering.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -25,6 +32,9 @@
 
 namespace locs::bench {
 namespace {
+
+/// Seed pairs per k in the multi-vertex table.
+constexpr size_t kPairs = 10;
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
@@ -38,11 +48,12 @@ int Run(int argc, char** argv) {
       "global search, near or under ls-li; build cost comparable to a "
       "handful of global queries");
 
-  Dataset dataset = LoadStandIn(name);
-  const Graph& g = dataset.graph;
+  const auto snapshot = std::make_shared<const Snapshot>(
+      Snapshot::Build(LoadStandIn(name).graph));
+  const Graph& g = snapshot->graph;
   const CoreDecomposition cores = ComputeCores(g);
-  const GraphFacts facts = GraphFacts::Compute(g);
-  const OrderedAdjacency ordered(g);
+  const GraphFacts& facts = snapshot->facts;
+  const OrderedAdjacency& ordered = snapshot->ordered;
   LocalCstSolver solver(g, &ordered, &facts);
 
   WallTimer build_timer;
@@ -79,6 +90,52 @@ int Run(int argc, char** argv) {
         .Num(Summarize(sizes).mean, 1);
   }
   table.Print("ablation_index_" + name);
+
+  // Seed pairs from the k-core: both seeds pass the core-number check,
+  // so every MULTI query below traverses.
+  CommunitySearcher searcher(snapshot);
+  LocalMultiSolver multi(g, &ordered, &facts);
+  TableWriter multi_table({"k", "cst global ms", "cst local ms",
+                           "cst index ms", "answer size", "csm global ms",
+                           "csm local ms", "csm index ms", "csm delta"});
+  for (const uint32_t mult : {1u, 2u, 4u}) {
+    const uint32_t k = s * mult;
+    const auto sample = SampleFromKCore(cores, k, 2 * kPairs, 7300 + k);
+    if (sample.size() < 2) continue;
+    std::vector<double> t_cst_global;
+    std::vector<double> t_cst_local;
+    std::vector<double> t_cst_index;
+    std::vector<double> t_csm_global;
+    std::vector<double> t_csm_local;
+    std::vector<double> t_csm_index;
+    std::vector<double> sizes;
+    std::vector<double> deltas;
+    for (size_t i = 0; i + 1 < sample.size(); i += 2) {
+      const std::vector<VertexId> seeds = {sample[i], sample[i + 1]};
+      t_cst_global.push_back(TimeMs([&] { GlobalCstMulti(g, seeds, k); }));
+      t_cst_local.push_back(TimeMs([&] { multi.CstMulti(seeds, k); }));
+      SearchResult cst;
+      t_cst_index.push_back(
+          TimeMs([&] { cst = searcher.CstMulti(seeds, k); }));
+      sizes.push_back(static_cast<double>(cst.Best().members.size()));
+      t_csm_global.push_back(TimeMs([&] { GlobalCsmMulti(g, seeds); }));
+      t_csm_local.push_back(TimeMs([&] { multi.CsmMulti(seeds); }));
+      SearchResult csm;
+      t_csm_index.push_back(TimeMs([&] { csm = searcher.CsmMulti(seeds); }));
+      deltas.push_back(static_cast<double>(csm.Best().min_degree));
+    }
+    multi_table.Row()
+        .Num(uint64_t{k})
+        .Num(Summarize(t_cst_global).mean, 3)
+        .Num(Summarize(t_cst_local).mean, 3)
+        .Num(Summarize(t_cst_index).mean, 4)
+        .Num(Summarize(sizes).mean, 1)
+        .Num(Summarize(t_csm_global).mean, 3)
+        .Num(Summarize(t_csm_local).mean, 3)
+        .Num(Summarize(t_csm_index).mean, 4)
+        .Num(Summarize(deltas).mean, 1);
+  }
+  multi_table.Print("ablation_index_multi_" + name);
   std::printf(
       "\nNote: the index returns the *maximal* community (the k-core "
       "component, like global search); local search may return smaller "

@@ -1,5 +1,7 @@
 #include "core/common.h"
 
+#include "core/result.h"
+
 namespace locs {
 
 std::string_view StrategyName(Strategy strategy) {
@@ -21,6 +23,15 @@ QueryStats ToQueryStats(const obs::QueryTelemetry& telemetry) {
   stats.used_global_fallback = telemetry.used_global_fallback;
   stats.answer_size = telemetry.answer_size;
   return stats;
+}
+
+void FinishQuery(SearchResult& result, const obs::QueryTelemetry& telemetry,
+                 obs::PhaseTracker& tracker, QueryStats* stats,
+                 obs::Recorder& recorder) {
+  tracker.Finish();
+  result.telemetry = telemetry;
+  if (stats != nullptr) *stats = ToQueryStats(telemetry);
+  recorder.Record(telemetry);
 }
 
 }  // namespace locs

@@ -154,17 +154,6 @@ SearchResult GlobalCsmImpl(const Graph& graph, VertexId v0,
   return SearchResult::MakeFound(std::move(community));
 }
 
-/// Shared solve epilogue for the global free functions: close the spans,
-/// attach telemetry to the result, project the legacy stats, record.
-void FinishQuery(SearchResult& result, obs::QueryTelemetry& telemetry,
-                 obs::PhaseTracker& tracker, QueryStats* stats,
-                 obs::Recorder& recorder) {
-  tracker.Finish();
-  result.telemetry = telemetry;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry);
-  recorder.Record(telemetry);
-}
-
 }  // namespace
 
 SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,

@@ -65,10 +65,7 @@ SearchResult LocalCsmSolver::Solve(VertexId v0, const CsmOptions& options,
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = SolveImpl(v0, options, guard, tracker);
-  tracker.Finish();
-  result.telemetry = telemetry_;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry_);
-  recorder_->Record(telemetry_);
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
   // CSM has no minimum-degree threshold: pass k = 0.
   LOCS_VALIDATE_RESULT("LocalCsmSolver::Solve", graph_, result, v0, 0);
   return result;

@@ -45,10 +45,7 @@ SearchResult LocalCstSolver::Solve(VertexId v0, uint32_t k,
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = SolveImpl(v0, k, options, guard, tracker);
-  tracker.Finish();
-  result.telemetry = telemetry_;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry_);
-  recorder_->Record(telemetry_);
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
   LOCS_VALIDATE_RESULT("LocalCstSolver::Solve", graph_, result, v0, k);
   return result;
 }

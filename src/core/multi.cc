@@ -9,15 +9,15 @@ namespace locs {
 
 namespace {
 
-/// Validates a query set: non-empty, distinct, in range.
+/// Validates a query set: non-empty, distinct, in range. O(q log q).
 void CheckQuery(const Graph& graph, const std::vector<VertexId>& query) {
   LOCS_CHECK(!query.empty());
-  for (size_t i = 0; i < query.size(); ++i) {
-    LOCS_CHECK_LT(query[i], graph.NumVertices());
-    for (size_t j = i + 1; j < query.size(); ++j) {
-      LOCS_CHECK_MSG(query[i] != query[j], "duplicate query vertex");
-    }
-  }
+  std::vector<VertexId> sorted(query);
+  std::sort(sorted.begin(), sorted.end());
+  LOCS_CHECK_LT(sorted.back(), graph.NumVertices());
+  LOCS_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                     sorted.end(),
+                 "duplicate query vertex");
 }
 
 /// See GlobalCstMulti below (the public wrapper adds the LOCS_VALIDATE
@@ -127,35 +127,6 @@ SearchResult GlobalCsmMultiImpl(const Graph& graph,
   return best;
 }
 
-#if defined(LOCS_VALIDATE)
-/// A multi-vertex CSM answer needs the full query set as members except
-/// in the documented disconnected-queries fallback, where the solver
-/// degrades to the first query vertex's singleton: relax the membership
-/// requirement to query[0] exactly in that case.
-void ValidateCsmMulti(const char* solver, const Graph& graph,
-                      const SearchResult& result,
-                      const std::vector<VertexId>& query) {
-  const bool singleton_fallback = result.Found() && query.size() > 1 &&
-                                  result.community->members.size() == 1;
-  if (singleton_fallback) {
-    validate::DieOnViolation(solver, graph, result, query[0], 0);
-  } else {
-    validate::DieOnViolation(solver, graph, result, query, 0);
-  }
-}
-#endif  // LOCS_VALIDATE
-
-/// Shared solve epilogue: close spans, attach telemetry, project the
-/// legacy stats, record.
-void FinishQuery(SearchResult& result, obs::QueryTelemetry& telemetry,
-                 obs::PhaseTracker& tracker, QueryStats* stats,
-                 obs::Recorder& recorder) {
-  tracker.Finish();
-  result.telemetry = telemetry;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry);
-  recorder.Record(telemetry);
-}
-
 }  // namespace
 
 SearchResult GlobalCstMulti(const Graph& graph,
@@ -184,9 +155,8 @@ SearchResult GlobalCsmMulti(const Graph& graph,
   SearchResult result =
       GlobalCsmMultiImpl(graph, query, telemetry, tracker, guard);
   FinishQuery(result, telemetry, tracker, stats, rec);
-#if defined(LOCS_VALIDATE)
-  ValidateCsmMulti("GlobalCsmMulti", graph, result, query);
-#endif
+  LOCS_VALIDATE_RESULT("GlobalCsmMulti", graph, result,
+                       validate::CsmMultiQuery(result, query), 0);
   return result;
 }
 
@@ -277,10 +247,7 @@ SearchResult LocalMultiSolver::CstMulti(const std::vector<VertexId>& query,
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = CstMultiImpl(query, k, guard, tracker);
-  tracker.Finish();
-  result.telemetry = telemetry_;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry_);
-  recorder_->Record(telemetry_);
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
   LOCS_VALIDATE_RESULT("LocalMultiSolver::CstMulti", graph_, result, query, k);
   return result;
 }
@@ -503,13 +470,9 @@ SearchResult LocalMultiSolver::CsmMulti(const std::vector<VertexId>& query,
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = CsmMultiImpl(query, guard, tracker);
-  tracker.Finish();
-  result.telemetry = telemetry_;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry_);
-  recorder_->Record(telemetry_);
-#if defined(LOCS_VALIDATE)
-  ValidateCsmMulti("LocalMultiSolver::CsmMulti", graph_, result, query);
-#endif
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  LOCS_VALIDATE_RESULT("LocalMultiSolver::CsmMulti", graph_, result,
+                       validate::CsmMultiQuery(result, query), 0);
   return result;
 }
 

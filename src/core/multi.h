@@ -12,6 +12,14 @@
 // G[C] to connect the query vertices, tracked incrementally with an
 // epoch-stamped union-find. CSM reduces to CST by binary search on k
 // (Propositions 1-2 make feasibility monotone in k).
+//
+// Served MULTI queries do not run these solvers. CommunitySearcher answers
+// them from the CoreIndex: the maximal community, i.e. query[0]'s
+// component of `core >= k` (for CSM, at the δ a max-bottleneck sweep
+// finds), with the members in GlobalCstMulti's BFS order, `visited=` the
+// BFS/sweep count and `fallback=0`. The global solvers here are its test
+// oracles. LocalMultiSolver stays for the benchmark replay and the
+// local-vs-maximal ablations.
 
 #ifndef LOCS_CORE_MULTI_H_
 #define LOCS_CORE_MULTI_H_

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "core/common.h"
+#include "obs/recorder.h"
 #include "obs/telemetry.h"
 #include "util/guard.h"
 
@@ -79,6 +80,13 @@ struct SearchResult {
     return result;
   }
 };
+
+/// Shared solve epilogue of the solver entry points: closes the spans,
+/// attaches the telemetry to the result, projects the legacy stats (when
+/// `stats` is non-null) and records the query.
+void FinishQuery(SearchResult& result, const obs::QueryTelemetry& telemetry,
+                 obs::PhaseTracker& tracker, QueryStats* stats,
+                 obs::Recorder& recorder);
 
 }  // namespace locs
 

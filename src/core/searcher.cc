@@ -1,5 +1,7 @@
 #include "core/searcher.h"
 
+#include <algorithm>
+
 #include "core/global.h"
 #include "core/validate.h"
 #include "util/prefetch.h"
@@ -31,28 +33,21 @@ std::vector<uint64_t> ComputeTailCounts(const Graph& graph) {
 CommunitySearcher::CommunitySearcher(std::shared_ptr<const Snapshot> snapshot)
     : snapshot_(std::move(snapshot)),
       cst_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
-      multi_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
-      csm_seen_(snapshot_->graph.NumVertices()) {}
+      seen_(snapshot_->graph.NumVertices()) {}
 
 CommunitySearcher::CommunitySearcher(Graph graph)
     : CommunitySearcher(std::make_shared<const Snapshot>(
           Snapshot::Build(std::move(graph)))) {}
 
-bool CommunitySearcher::IndexRulesOut(std::span<const VertexId> seeds,
-                                      uint32_t k, QueryStats* stats) const {
-  bool outside = false;
-  for (const VertexId v : seeds) {
-    if (v >= graph().NumVertices()) return false;
-    outside = outside || !snapshot_->index.HasCst(v, k);
-  }
-  if (outside && stats != nullptr) *stats = QueryStats{};
-  return outside;
-}
-
 SearchResult CommunitySearcher::Cst(VertexId v0, uint32_t k,
                                     const CstOptions& options,
                                     QueryStats* stats, QueryGuard* guard) {
-  if (IndexRulesOut({&v0, 1}, k, stats)) return SearchResult::MakeNotExists();
+  // Outside the k-core no δ >= k community holds v0 (Lemma 3).
+  // Out-of-range ids are left to the solver, which rejects them.
+  if (v0 < graph().NumVertices() && !snapshot_->index.HasCst(v0, k)) {
+    if (stats != nullptr) *stats = QueryStats{};
+    return SearchResult::MakeNotExists();
+  }
   return cst_solver_.Solve(v0, k, options, stats, guard);
 }
 
@@ -65,7 +60,6 @@ SearchResult CommunitySearcher::CstGlobal(VertexId v0, uint32_t k,
 void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder != nullptr ? recorder : &obs::Recorder::Null();
   cst_solver_.set_recorder(recorder_);
-  multi_solver_.set_recorder(recorder_);
 }
 
 double CommunitySearcher::DegreeTailFraction(uint32_t k) const {
@@ -100,42 +94,124 @@ SearchResult CommunitySearcher::Csm(VertexId v0, QueryStats* stats,
   QueryGuard& g = guard != nullptr ? *guard : unlimited;
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
-  std::vector<VertexId> members;
-  SearchResult result;
-  if (!g.Stopped() &&
-      MaxcoreComponent(v0, g, tracker.Enter(obs::Phase::kConnectivity),
-                       &members)) {
-    telemetry.answer_size = members.size();
-    result = SearchResult::MakeFound(
-        Community{std::move(members), snapshot_->index.CoreNumber(v0)});
-  } else {
-    // Any connected community holding v0 is a valid partial; the
-    // singleton needs no degree recount.
-    result = SearchResult::MakeInterrupted(g.cause(), Community{{v0}, 0});
-  }
-  tracker.Finish();
-  result.telemetry = telemetry;
-  if (stats != nullptr) *stats = ToQueryStats(telemetry);
-  recorder_->Record(telemetry);
+  // v0's k*-core component (k* = core(v0)) is its maxcore component.
+  SearchResult result = ComponentAnswer(
+      {&v0, 1}, snapshot_->index.CoreNumber(v0), g, tracker, telemetry);
+  FinishQuery(result, telemetry, tracker, stats, *recorder_);
   // CSM has no minimum-degree threshold: pass k = 0.
   LOCS_VALIDATE_RESULT("CommunitySearcher::Csm", graph(), result, v0, 0);
   return result;
 }
 
-bool CommunitySearcher::MaxcoreComponent(VertexId v0, QueryGuard& guard,
-                                         obs::PhaseStats& ph,
-                                         std::vector<VertexId>* out) {
-  // v0's k*-core component (k* = core(v0)) is the maximal connected set
-  // holding v0 whose vertices all have core number >= k*: its induced
-  // minimum degree is >= k*, and it cannot exceed k* since v0 is not in
-  // the (k*+1)-core.
+SearchResult CommunitySearcher::CsmGlobal(VertexId v0, QueryStats* stats,
+                                          QueryGuard* guard) {
+  return GlobalCsm(graph(), v0, stats, guard, recorder_);
+}
+
+SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
+                                         uint32_t k, QueryStats* stats,
+                                         QueryGuard* guard) {
+  QueryGuard unlimited;
+  QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  CheckSeeds(query, g);
+  for (const VertexId v : query) {
+    if (!snapshot_->index.HasCst(v, k)) {
+      // Answered from the core numbers alone, as in Cst.
+      if (stats != nullptr) *stats = QueryStats{};
+      return SearchResult::MakeNotExists();
+    }
+  }
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
+  SearchResult result = ComponentAnswer(query, k, g, tracker, telemetry);
+  FinishQuery(result, telemetry, tracker, stats, *recorder_);
+  LOCS_VALIDATE_RESULT("CommunitySearcher::CstMulti", graph(), result, query,
+                       k);
+  return result;
+}
+
+SearchResult CommunitySearcher::CsmMulti(const std::vector<VertexId>& query,
+                                         QueryStats* stats,
+                                         QueryGuard* guard) {
+  QueryGuard unlimited;
+  QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  CheckSeeds(query, g);
+  if (sweep_reached_.capacity() == 0) {
+    sweep_reached_ = EpochFlags(graph().NumVertices());
+  }
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
+  const std::optional<uint32_t> delta =
+      g.Stopped() ? std::nullopt
+                  : BottleneckSweep(query, g,
+                                    tracker.Enter(obs::Phase::kExpansion));
+  SearchResult result;
+  if (delta.has_value()) {
+    result = ComponentAnswer(query, *delta, g, tracker, telemetry);
+  } else if (g.Stopped()) {
+    result = SearchResult::MakeInterrupted(g.cause(), Community{{query[0]}, 0});
+  } else {
+    // The seeds lie in different components, so no community spans
+    // them: GlobalCsmMulti's fallback, query[0]'s singleton.
+    telemetry.answer_size = 1;
+    result = SearchResult::MakeFound(Community{{query[0]}, 0});
+  }
+  FinishQuery(result, telemetry, tracker, stats, *recorder_);
+  LOCS_VALIDATE_RESULT("CommunitySearcher::CsmMulti", graph(), result,
+                       validate::CsmMultiQuery(result, query), 0);
+  return result;
+}
+
+void CommunitySearcher::CheckSeeds(std::span<const VertexId> seeds,
+                                   QueryGuard& guard) {
+  LOCS_CHECK(!seeds.empty());
+  seen_.NewEpoch();
+  for (const VertexId v : seeds) {
+    LOCS_CHECK_LT(v, graph().NumVertices());
+    LOCS_CHECK_MSG(seen_.TestAndSet(v), "duplicate query vertex");
+  }
+  // A trip here surfaces at the traversal's first guard check.
+  guard.Spend(seeds.size() - 1);
+}
+
+SearchResult CommunitySearcher::ComponentAnswer(
+    std::span<const VertexId> seeds, uint32_t k, QueryGuard& guard,
+    obs::PhaseTracker& tracker, obs::QueryTelemetry& telemetry) {
+  // A δ >= k community holding the seeds lies inside one component of
+  // the k-core, and that component is one (Lemma 3).
+  std::vector<VertexId> members;
+  const std::optional<uint32_t> min_core =
+      guard.Stopped()
+          ? std::nullopt
+          : CoreComponent(seeds[0], k, guard,
+                          tracker.Enter(obs::Phase::kConnectivity), &members);
+  if (!min_core.has_value()) {
+    // Any connected community holding seeds[0] is a valid partial; the
+    // singleton needs no degree recount.
+    return SearchResult::MakeInterrupted(guard.cause(),
+                                         Community{{seeds[0]}, 0});
+  }
+  for (const VertexId v : seeds) {
+    if (!seen_.Test(v)) return SearchResult::MakeNotExists();
+  }
+  telemetry.answer_size = members.size();
+  // The least core number m among the members is the component's δ: the
+  // component is also a component of the m-core, so δ >= m, and its
+  // least-core member lies in no (m+1)-core, so δ <= m.
+  return SearchResult::MakeFound(Community{std::move(members), *min_core});
+}
+
+std::optional<uint32_t> CommunitySearcher::CoreComponent(
+    VertexId root, uint32_t k, QueryGuard& guard, obs::PhaseStats& ph,
+    std::vector<VertexId>* out) {
   const uint32_t* const core = snapshot_->index.core_numbers().data();
   const uint64_t* const offsets = graph().offsets().data();
   const VertexId* const adjacency = graph().neighbors().data();
-  const uint32_t k_star = core[v0];
-  csm_seen_.NewEpoch();
-  csm_seen_.Set(v0);
-  out->push_back(v0);
+  LOCS_DCHECK(core[root] >= k);
+  uint32_t min_core = core[root];
+  seen_.NewEpoch();
+  seen_.Set(root);
+  out->push_back(root);
   for (size_t head = 0; head < out->size(); ++head) {
     // Two-stage prefetch down the queue: the offset of the vertex two
     // distances ahead, then the first two adjacency cache lines of the one
@@ -155,39 +231,71 @@ bool CommunitySearcher::MaxcoreComponent(VertexId v0, QueryGuard& guard,
       if (i + kPrefetchDistance < nbrs.size()) {
         const VertexId ahead = nbrs[i + kPrefetchDistance];
         LOCS_PREFETCH(core + ahead);
-        csm_seen_.Prefetch(ahead);
+        seen_.Prefetch(ahead);
       }
       const VertexId w = nbrs[i];
-      if (core[w] < k_star) {
+      if (core[w] < k) {
         ++ph.candidates_rejected;
-      } else if (csm_seen_.TestAndSet(w)) {
+      } else if (seen_.TestAndSet(w)) {
         ++ph.candidates_generated;
+        min_core = std::min(min_core, core[w]);
         out->push_back(w);
       }
     }
     ++ph.vertices_visited;
     ph.edges_scanned += nbrs.size();
-    if (guard.Spend(1 + nbrs.size())) return false;
+    if (guard.Spend(1 + nbrs.size())) return std::nullopt;
   }
-  return true;
+  return min_core;
 }
 
-SearchResult CommunitySearcher::CsmGlobal(VertexId v0, QueryStats* stats,
-                                          QueryGuard* guard) {
-  return GlobalCsm(graph(), v0, stats, guard, recorder_);
-}
-
-SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
-                                         uint32_t k, QueryStats* stats,
-                                         QueryGuard* guard) {
-  if (IndexRulesOut(query, k, stats)) return SearchResult::MakeNotExists();
-  return multi_solver_.CstMulti(query, k, stats, guard);
-}
-
-SearchResult CommunitySearcher::CsmMulti(const std::vector<VertexId>& query,
-                                         QueryStats* stats,
-                                         QueryGuard* guard) {
-  return multi_solver_.CsmMulti(query, stats, guard);
+std::optional<uint32_t> CommunitySearcher::BottleneckSweep(
+    std::span<const VertexId> seeds, QueryGuard& guard, obs::PhaseStats& ph) {
+  // A vertex's level is the largest k for which it shares a component of
+  // `core >= k` with seeds[0]: the least core number on its best path.
+  // Levels pop in non-increasing order, so a vertex's first push, from
+  // its first popped neighbor, is already at its final level and nothing
+  // is queued twice. The seeds share a component of `core >= k` iff k is
+  // at most every seed's level: the level of the last seed to pop is δ.
+  // δ is at most the least seed core number, so higher levels fold into
+  // its bucket.
+  const uint32_t* const core = snapshot_->index.core_numbers().data();
+  uint32_t top = core[seeds[0]];
+  for (const VertexId v : seeds) top = std::min(top, core[v]);
+  for (std::vector<VertexId>& bucket : sweep_buckets_) bucket.clear();
+  sweep_buckets_.resize(size_t{top} + 1);
+  sweep_reached_.NewEpoch();
+  sweep_reached_.Set(seeds[0]);
+  sweep_buckets_[top].push_back(seeds[0]);
+  size_t unpopped = seeds.size();
+  uint32_t level = top;
+  while (true) {
+    std::vector<VertexId>& bucket = sweep_buckets_[level];
+    if (bucket.empty()) {
+      if (level == 0) return std::nullopt;  // a seed is unreachable
+      --level;
+      continue;
+    }
+    const VertexId u = bucket.back();
+    bucket.pop_back();
+    ++ph.vertices_visited;
+    if (seen_.Test(u) && --unpopped == 0) return level;
+    const std::span<const VertexId> nbrs = graph().Neighbors(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (i + kPrefetchDistance < nbrs.size()) {
+        const VertexId ahead = nbrs[i + kPrefetchDistance];
+        LOCS_PREFETCH(core + ahead);
+        sweep_reached_.Prefetch(ahead);
+      }
+      const VertexId w = nbrs[i];
+      if (sweep_reached_.TestAndSet(w)) {
+        ++ph.candidates_generated;
+        sweep_buckets_[std::min(level, core[w])].push_back(w);
+      }
+    }
+    ph.edges_scanned += nbrs.size();
+    if (guard.Spend(1 + nbrs.size())) return std::nullopt;
+  }
 }
 
 }  // namespace locs

@@ -1,32 +1,35 @@
 // CommunitySearcher — the high-level public API of the library.
 //
-// Binds the paper's local CST and multi-vertex solvers to one immutable
-// Snapshot: the graph plus its whole-graph facts (Theorem-3/5 bounds), the
-// §4.3.2 degree-ordered adjacency and the CoreIndex, and answers CSM from
-// that index. It is the one type that does this binding; a locsd session
-// binds a registry entry the same way. Exposes the local and global
-// CST/CSM entry points.
+// Binds the paper's local CST solver to one immutable Snapshot: the graph
+// plus its whole-graph facts (Theorem-3/5 bounds), the §4.3.2
+// degree-ordered adjacency and the CoreIndex. CSM and both multi-vertex
+// queries are answered from the index's core numbers (Lemmas 3 and 4 lift
+// to seed sets): a δ >= k community holding every seed exists iff the
+// seeds share one connected component of `core >= k`, and that component
+// is the maximal answer. It is the one type that does this binding; a
+// locsd session binds a registry entry the same way. Exposes the local
+// and global CST/CSM entry points.
 //
 // Typical use:
 //   CommunitySearcher searcher(std::move(graph));   // builds the snapshot
 //   auto community = searcher.Cst(v, 5);            // CST(5), local search
 //   auto best = searcher.Csm(v);                    // best community
 //
-// The searcher is stateful scratch-wise (solvers and the CSM BFS reuse
-// epoch-stamped buffers) and therefore not thread-safe; create one per
-// thread over a shared snapshot.
+// The searcher is stateful scratch-wise (the CST solver, the component
+// BFS and the multi-vertex CSM sweep reuse epoch-stamped buffers) and
+// therefore not thread-safe; create one per thread over a shared snapshot.
 
 #ifndef LOCS_CORE_SEARCHER_H_
 #define LOCS_CORE_SEARCHER_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/common.h"
 #include "core/epoch.h"
 #include "core/local_cst.h"
-#include "core/multi.h"
 #include "core/result.h"
 #include "core/snapshot.h"
 #include "graph/graph.h"
@@ -86,35 +89,61 @@ class CommunitySearcher {
   SearchResult CsmGlobal(VertexId v0, QueryStats* stats = nullptr,
                          QueryGuard* guard = nullptr);
 
-  /// Multi-vertex CST(k) (extension; see core/multi.h): a connected
-  /// community containing every query vertex with δ >= k. Takes the same
-  /// CoreIndex shortcut as Cst when any seed lies outside the k-core.
+  /// Multi-vertex CST(k) (extension; see core/multi.h) from the CoreIndex:
+  /// the maximal connected community holding every query vertex with
+  /// δ >= k, i.e. query[0]'s component of `core >= k`, members in the BFS
+  /// order of GlobalCstMulti. kNotExists when a seed lies outside the
+  /// k-core (answered from the core numbers alone; `stats` then reads all
+  /// zeros) or outside that component. Seeds must be distinct and in
+  /// range (checked in O(|query|)). An interrupted query's partial is
+  /// {query[0]}, δ = 0.
   SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
                         QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr);
 
-  /// Multi-vertex CSM (extension): maximizes δ over communities spanning
-  /// the whole query set.
+  /// Multi-vertex CSM (extension) from the CoreIndex: the largest δ for
+  /// which the seeds share a component of `core >= δ`, found by a
+  /// max-bottleneck sweep from query[0], and that component (the answer
+  /// of CstMulti at k = δ). Seeds in different connected components get
+  /// GlobalCsmMulti's fallback: found, {query[0]}, δ = 0. Same seed
+  /// checks and interrupted partial as CstMulti.
   SearchResult CsmMulti(const std::vector<VertexId>& query,
                         QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr);
 
-  /// Telemetry sink shared by every solver behind this facade (local and
+  /// Telemetry sink shared by every query behind this facade (local and
   /// global, single- and multi-vertex). Defaults to the no-op null sink;
   /// pass nullptr to restore it. Not owned.
   void set_recorder(obs::Recorder* recorder);
 
  private:
-  /// True when the CoreIndex proves CST(k) has no answer for `seeds`: a
-  /// δ >= k community lies inside the k-core (Lemma 3/4). Zeroes `*stats`
-  /// (optional) when it does. Out-of-range ids are left to the solvers,
-  /// which reject them.
-  bool IndexRulesOut(std::span<const VertexId> seeds, uint32_t k,
-                     QueryStats* stats) const;
-  /// Appends to `out` the BFS from v0 over vertices whose core number is
-  /// at least v0's. Returns false when the guard trips mid-BFS.
-  bool MaxcoreComponent(VertexId v0, QueryGuard& guard, obs::PhaseStats& ph,
-                        std::vector<VertexId>* out);
+  /// Dies (LOCS_CHECK) unless `seeds` is non-empty, in range and
+  /// duplicate-free: O(|seeds|) through `seen_`, which then holds exactly
+  /// the seeds. Charges the guard one unit per seed past the first (the
+  /// traversal charges the first when it visits it).
+  void CheckSeeds(std::span<const VertexId> seeds, QueryGuard& guard);
+  /// The maximal answer for `seeds` at threshold k: the BFS from seeds[0]
+  /// over `core >= k`; kNotExists when it misses a seed; {seeds[0]},
+  /// δ = 0 interrupted when the guard trips.
+  SearchResult ComponentAnswer(std::span<const VertexId> seeds, uint32_t k,
+                               QueryGuard& guard, obs::PhaseTracker& tracker,
+                               obs::QueryTelemetry& telemetry);
+  /// Appends to `out` the BFS from `root` (core number >= k) over the
+  /// vertices whose core number is at least k, in graph().Neighbors order,
+  /// and returns the least core number among them; nullopt when the guard
+  /// trips mid-BFS.
+  std::optional<uint32_t> CoreComponent(VertexId root, uint32_t k,
+                                        QueryGuard& guard,
+                                        obs::PhaseStats& ph,
+                                        std::vector<VertexId>* out);
+  /// Max-bottleneck sweep from seeds[0] (seeds marked in `seen_` by
+  /// CheckSeeds): pops vertices in descending order of the least core
+  /// number on their best path from seeds[0], one bucket per core value.
+  /// Returns the level at which the last seed pops, or nullopt when a
+  /// seed is unreachable or the guard trips (guard.Stopped() tells which).
+  std::optional<uint32_t> BottleneckSweep(std::span<const VertexId> seeds,
+                                          QueryGuard& guard,
+                                          obs::PhaseStats& ph);
 
   std::shared_ptr<const Snapshot> snapshot_;
   /// tail_count_[k]: number of vertices with degree >= k; empty until the
@@ -122,9 +151,14 @@ class CommunitySearcher {
   mutable std::vector<uint64_t> tail_count_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   LocalCstSolver cst_solver_;
-  LocalMultiSolver multi_solver_;
-  /// Csm's BFS seen-set.
-  EpochFlags csm_seen_;
+  /// The component BFS's seen-set; also the seed set during validation
+  /// and the sweep.
+  EpochFlags seen_;
+  /// The sweep's reached set; allocated by the first CsmMulti, so a bind
+  /// that never runs one pays nothing for it.
+  EpochFlags sweep_reached_{0};
+  /// sweep_buckets_[c]: vertices queued at level c (one per core value).
+  std::vector<std::vector<VertexId>> sweep_buckets_;
 };
 
 }  // namespace locs

@@ -203,6 +203,14 @@ void DieOnViolation(const char* solver, const Graph& graph,
   DieOnViolation(solver, graph, result, std::vector<VertexId>{v0}, k);
 }
 
+std::vector<VertexId> CsmMultiQuery(const SearchResult& result,
+                                    const std::vector<VertexId>& query) {
+  const bool singleton_fallback = result.Found() && query.size() > 1 &&
+                                  result.community->members.size() == 1;
+  if (singleton_fallback) return {query.front()};
+  return query;
+}
+
 void ResetValidatedGraphCache() {
   MutexLock lock(cache_mutex);
   validated_count = 0;

@@ -64,6 +64,13 @@ void DieOnViolation(const char* solver, const Graph& graph,
 void DieOnViolation(const char* solver, const Graph& graph,
                     const SearchResult& result, VertexId v0, uint32_t k);
 
+/// The query a multi-vertex CSM answer must hold: all of `query`, except
+/// in the documented disconnected-seeds fallback (found, {query[0]},
+/// δ = 0; GlobalCsmMulti and CommunitySearcher::CsmMulti), which holds
+/// only query[0]. Pass it as LOCS_VALIDATE_RESULT's query with k = 0.
+std::vector<VertexId> CsmMultiQuery(const SearchResult& result,
+                                    const std::vector<VertexId>& query);
+
 /// Forgets the set of graphs whose CSR has already been validated (the
 /// per-graph cache behind CheckSearchResult). Tests use this to force
 /// revalidation; production code never needs it.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/kcore.h"
+#include "core/searcher.h"
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -50,6 +51,17 @@ TEST(CheckDeathTest, KCoreComponentOfRejectsMismatchedInput) {
   EXPECT_DEATH(MaxCoreComponentOf(g, cores.core, 14), "LOCS_CHECK failed");
   const std::vector<uint32_t> short_core(3, 0);
   EXPECT_DEATH(KCoreComponentOf(g, short_core, 0, 0), "LOCS_CHECK failed");
+}
+
+// The searcher's multi-vertex entry points trap a duplicate seed and an
+// out-of-range seed before any traversal.
+TEST(CheckDeathTest, SearcherMultiRejectsBadSeeds) {
+  CommunitySearcher searcher(gen::Barbell(6, 2));
+  EXPECT_DEATH(searcher.CstMulti({0, 3, 0}, 2), "duplicate query vertex");
+  EXPECT_DEATH(searcher.CsmMulti({1, 1}), "duplicate query vertex");
+  EXPECT_DEATH(searcher.CstMulti({0, 14}, 2), "LOCS_CHECK failed");
+  EXPECT_DEATH(searcher.CsmMulti({14, 0}), "LOCS_CHECK failed");
+  EXPECT_DEATH(searcher.CsmMulti({}), "LOCS_CHECK failed");
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "core/multi.h"
 #include "core/result.h"
 #include "core/searcher.h"
+#include "core/validate.h"
 #include "exec/batch_runner.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
@@ -388,6 +389,101 @@ TEST(GuardedMultiTest, CsmMultiSharesOneGuardAcrossProbes) {
   ASSERT_TRUE(result.Interrupted());
   EXPECT_EQ(result.status, Termination::kDeadline);
   ExpectValidPartial(g, result, query[0]);
+}
+
+// The searcher answers MULTI from the core numbers: a pre-tripped guard,
+// a trip mid-sweep and a trip mid-BFS all leave a connected partial
+// holding query[0] that the LOCS_VALIDATE oracle accepts.
+void ExpectValidMultiPartial(const Graph& g, const SearchResult& result,
+                             const std::vector<VertexId>& query) {
+  ExpectValidPartial(g, result, query[0]);
+  EXPECT_EQ(validate::CheckSearchResult(g, result, query, 0), "");
+}
+
+TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
+  const Graph g = gen::ErdosRenyiGnp(150, 0.08, 13);
+  CommunitySearcher searcher(g);
+  const std::vector<VertexId> query = {0, 149};
+  const SearchResult cst_exact = searcher.CstMulti(query, 2);
+  ASSERT_TRUE(cst_exact.has_value());
+  const SearchResult csm_exact = searcher.CsmMulti(query);
+  ASSERT_TRUE(csm_exact.has_value());
+  ASSERT_GT(csm_exact->members.size(), 1u);
+
+  {
+    QueryGuard guard = ExpiredGuard();
+    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    EXPECT_EQ(result.status, Termination::kDeadline);
+    ExpectValidMultiPartial(g, result, query);
+  }
+  {
+    QueryGuard guard = ExpiredGuard();
+    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    EXPECT_EQ(result.status, Termination::kDeadline);
+    ExpectValidMultiPartial(g, result, query);
+  }
+  {
+    // Budget 1: the BFS's first vertex trips it.
+    QueryGuard guard = BudgetGuard(1);
+    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].vertices_visited,
+              1u);
+    ExpectValidMultiPartial(g, result, query);
+  }
+  {
+    // Budget 1: the sweep's first pop trips it; no BFS starts.
+    QueryGuard guard = BudgetGuard(1);
+    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    EXPECT_EQ(result.telemetry[obs::Phase::kExpansion].vertices_visited, 1u);
+    EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].entered, 0u);
+    ExpectValidMultiPartial(g, result, query);
+  }
+  // A budget ladder: every trip, mid-sweep or mid-BFS, is a valid partial,
+  // and some budget lets the sweep finish but not the BFS.
+  bool tripped_mid_bfs = false;
+  for (uint64_t budget = 1; budget < 4 * csm_exact.telemetry.TotalWork();
+       budget += 7) {
+    QueryGuard guard = BudgetGuard(budget);
+    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    if (!result.Interrupted()) {
+      EXPECT_EQ(result->members, csm_exact->members);
+      continue;
+    }
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    ExpectValidMultiPartial(g, result, query);
+    tripped_mid_bfs =
+        tripped_mid_bfs ||
+        result.telemetry[obs::Phase::kConnectivity].vertices_visited > 0;
+  }
+  EXPECT_TRUE(tripped_mid_bfs);
+}
+
+TEST(GuardedSearcherTest, ManySeedMultiIsChargedToItsGuard) {
+  // A 64 KiB MULTI line carries about 12K distinct seeds. Their range and
+  // duplicate check is O(q) and charged to the guard: a budget below the
+  // seed count trips before the BFS, one covering seeds and BFS completes.
+  constexpr VertexId kSeeds = 12000;
+  const Graph g = gen::Cycle(kSeeds + 500);
+  CommunitySearcher searcher(g);
+  std::vector<VertexId> query(kSeeds);
+  for (VertexId i = 0; i < kSeeds; ++i) query[i] = (i * 7919) % kSeeds;
+  {
+    QueryGuard guard = BudgetGuard(kSeeds / 2);
+    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    EXPECT_EQ(result.telemetry.TotalWork(), 0u);
+    ExpectValidMultiPartial(g, result, query);
+  }
+  QueryLimits limits;
+  limits.work_budget = kSeeds + 4 * g.NumVertices();
+  limits.deadline_ms = 10000.0;
+  QueryGuard guard(limits);
+  const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->members.size(), g.NumVertices());
+  EXPECT_EQ(result->min_degree, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Property-based differential tests: seeded random graphs from src/gen/,
 // local solvers checked against the global baselines, the searcher's
-// CoreIndex shortcut checked against the bare solvers, and the telemetry
-// layer checked against the legacy counters and against itself (timing
-// on vs off).
+// CoreIndex answers checked against the bare solvers and the global
+// multi-vertex oracles, and the telemetry layer checked against the
+// legacy counters and against itself (timing on vs off).
 //
 // Three graph families (Erdős–Rényi, Barabási–Albert, planted partition)
 // × three seeds × several query vertices × several k give well over 50
@@ -28,6 +28,7 @@
 #include "gen/barabasi.h"
 #include "gen/erdos_renyi.h"
 #include "gen/planted.h"
+#include "graph/builder.h"
 #include "graph/ordering.h"
 #include "graph/subgraph.h"
 #include "gtest/gtest.h"
@@ -255,10 +256,20 @@ TEST(PropertyTelemetry, CountersProjectExactlyAndTimingIsInert) {
 }
 
 // ---------------------------------------------------------------------
-// CommunitySearcher's CoreIndex shortcut: Cst and CstMulti answer
-// kNotExists exactly when a seed lies outside the k-core, and otherwise
-// return what a bare local solver over the same snapshot returns.
+// CommunitySearcher's CoreIndex answers: Cst answers kNotExists exactly
+// when v lies outside the k-core and otherwise returns what a bare local
+// solver over the same snapshot returns. CstMulti returns the maximal
+// answer: status, δ and members vector equal GlobalCstMulti's, and a
+// local LocalMultiSolver answer lies inside it.
 // ---------------------------------------------------------------------
+/// Status, δ and the members vector (BFS order included) agree.
+void ExpectSameAnswer(const SearchResult& served, const SearchResult& oracle) {
+  ASSERT_EQ(served.status, oracle.status);
+  if (!oracle.has_value()) return;
+  EXPECT_EQ(served->members, oracle->members);
+  EXPECT_EQ(served->min_degree, oracle->min_degree);
+}
+
 TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
   for (const GraphCase& c : PropertyGraphs()) {
     const auto snapshot =
@@ -289,17 +300,93 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
         const SearchResult pair = searcher.CstMulti(seeds, k);
         if (!index.HasCst(v, k) || !index.HasCst(partner, k)) {
           EXPECT_EQ(pair.status, Termination::kNotExists);
-          continue;
+          EXPECT_EQ(pair.telemetry.TotalWork(), 0u);
         }
-        const SearchResult bare = multi.CstMulti(seeds, k);
-        ASSERT_EQ(pair.status, bare.status);
-        if (bare.has_value()) {
-          EXPECT_EQ(pair->members, bare->members);
-          EXPECT_EQ(pair->min_degree, bare->min_degree);
+        ExpectSameAnswer(pair, GlobalCstMulti(g, seeds, k));
+        if (pair.has_value()) {
+          EXPECT_EQ(pair.telemetry.TotalVisited(), pair->members.size());
+          EXPECT_FALSE(pair.telemetry.used_global_fallback);
+        }
+        const SearchResult local = multi.CstMulti(seeds, k);
+        ASSERT_EQ(local.has_value(), pair.has_value());
+        if (local.has_value()) {
+          const std::set<VertexId> answer(pair->members.begin(),
+                                          pair->members.end());
+          for (const VertexId w : local->members) {
+            EXPECT_EQ(answer.count(w), 1u) << "local member " << w;
+          }
         }
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// CommunitySearcher::CsmMulti (max-bottleneck sweep + component BFS) vs
+// GlobalCsmMulti's binary search: status, δ and members vector agree on
+// every seed pair, on three-seed sets, and on the disconnected-seed
+// singleton. CstMulti at the optimum and one above brackets it.
+// ---------------------------------------------------------------------
+TEST(PropertySearcher, CsmMultiMatchesGlobalCsmMulti) {
+  for (const GraphCase& c : PropertyGraphs()) {
+    const auto snapshot =
+        std::make_shared<const Snapshot>(Snapshot::Build(c.graph));
+    const Graph& g = snapshot->graph;
+    CommunitySearcher searcher(snapshot);
+    const VertexId n = g.NumVertices();
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        SCOPED_TRACE(c.label + " seeds=" + std::to_string(u) + "," +
+                     std::to_string(v));
+        const std::vector<VertexId> seeds = {u, v};
+        const SearchResult served = searcher.CsmMulti(seeds);
+        const SearchResult oracle = GlobalCsmMulti(g, seeds);
+        ExpectSameAnswer(served, oracle);
+        ASSERT_TRUE(served.has_value());
+        EXPECT_FALSE(served.telemetry.used_global_fallback);
+        if (served->members.size() == 1) continue;  // disconnected seeds
+        const uint32_t delta = served->min_degree;
+        ExpectSameAnswer(searcher.CstMulti(seeds, delta),
+                         GlobalCstMulti(g, seeds, delta));
+        EXPECT_EQ(searcher.CstMulti(seeds, delta + 1).status,
+                  Termination::kNotExists);
+      }
+    }
+    for (VertexId v = 0; v + 2 < n; v += 5) {
+      const std::vector<VertexId> seeds = {
+          v, static_cast<VertexId>((v * 13 + 7) % n),
+          static_cast<VertexId>((v * 29 + 11) % n)};
+      if (seeds[1] == v || seeds[2] == v || seeds[1] == seeds[2]) continue;
+      SCOPED_TRACE(c.label + " seeds=" + std::to_string(seeds[0]) + "," +
+                   std::to_string(seeds[1]) + "," +
+                   std::to_string(seeds[2]));
+      ExpectSameAnswer(searcher.CsmMulti(seeds), GlobalCsmMulti(g, seeds));
+    }
+  }
+  // Two components: a K4 and a triangle. Seeds across them get the
+  // singleton fallback; seeds within one get that component.
+  GraphBuilder builder(7);
+  for (VertexId a = 0; a < 4; ++a) {
+    for (VertexId b = a + 1; b < 4; ++b) builder.AddEdge(a, b);
+  }
+  builder.AddEdge(4, 5);
+  builder.AddEdge(5, 6);
+  builder.AddEdge(4, 6);
+  const Graph g = builder.Build();
+  CommunitySearcher searcher(g);
+  for (const std::vector<VertexId>& seeds :
+       {std::vector<VertexId>{1, 5}, std::vector<VertexId>{6, 0, 2},
+        std::vector<VertexId>{0, 3}, std::vector<VertexId>{4, 6}}) {
+    SCOPED_TRACE("two components seeds[0]=" + std::to_string(seeds[0]));
+    const SearchResult served = searcher.CsmMulti(seeds);
+    ExpectSameAnswer(served, GlobalCsmMulti(g, seeds));
+    EXPECT_TRUE(validate::CheckSearchResult(
+                    g, served, validate::CsmMultiQuery(served, seeds), 0)
+                    .empty());
+  }
+  EXPECT_EQ(searcher.CsmMulti({1, 5})->members, std::vector<VertexId>{1});
+  EXPECT_EQ(searcher.CsmMulti({1, 5})->min_degree, 0u);
+  EXPECT_EQ(searcher.CsmMulti({0, 3})->min_degree, 3u);
 }
 
 // ---------------------------------------------------------------------

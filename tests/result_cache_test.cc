@@ -184,8 +184,8 @@ TEST(ResultCacheServeTest, CachedRepliesAreByteIdenticalToFresh) {
   EXPECT_EQ(snap.cache_inserts, kQueryMix.size());
   EXPECT_EQ(snap.cache_evictions, 0u);
   // The second pass ran no solver: solver query count stays at one mix.
-  // (CST bb 0 7 short-circuits on the core index and MULTI max runs a
-  // binary search, so compare against the recorded total of pass one.)
+  // (CST bb 0 7 short-circuits on the core index, so compare against
+  // the recorded total of pass one.)
   EXPECT_EQ(snap.telemetry.cache_hits, kQueryMix.size());
 }
 

@@ -2,7 +2,8 @@
 # Serving-layer smoke test: drives locsd end to end in both deployment
 # modes and fails unless every query draws an OK reply.
 #
-#   1. scripted stdio session  — LOAD + CST + CSM + MULTI + STATS + QUIT
+#   1. scripted stdio session  — LOAD + CST + CSM + MULTI k + MULTI max
+#                                + STATS + QUIT
 #   2. image-backed session    — locs_cli compile + LOAD of the .limg
 #      (auto-detected by content), with every query reply required to
 #      match the text-loaded transcript byte for byte
@@ -35,12 +36,12 @@ trap cleanup EXIT
   --output="${work}/g.metis" >/dev/null
 
 echo "=== smoke: stdio session ==="
-stdio_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nSTATS\nQUIT\n' \
+stdio_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n' \
   "${work}/g.metis" | "${locsd}" --stdio 2>/dev/null)"
 echo "${stdio_out}"
 ok_lines="$(grep -c '^OK ' <<<"${stdio_out}")"
-if [[ "${ok_lines}" -ne 7 ]]; then
-  echo "FAIL: expected 7 OK replies over stdio, got ${ok_lines}" >&2
+if [[ "${ok_lines}" -ne 8 ]]; then
+  echo "FAIL: expected 8 OK replies over stdio, got ${ok_lines}" >&2
   exit 1
 fi
 grep -q '^OK status=found' <<<"${stdio_out}" || {
@@ -50,12 +51,12 @@ grep -q '^OK status=found' <<<"${stdio_out}" || {
 
 echo "=== smoke: image-backed session ==="
 "${cli}" compile "${work}/g.metis" "${work}/g.limg"
-img_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nSTATS\nQUIT\n' \
+img_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n' \
   "${work}/g.limg" | "${locsd}" --stdio 2>/dev/null)"
 echo "${img_out}"
 img_ok_lines="$(grep -c '^OK ' <<<"${img_out}")"
-if [[ "${img_ok_lines}" -ne 7 ]]; then
-  echo "FAIL: expected 7 OK replies from the image session," \
+if [[ "${img_ok_lines}" -ne 8 ]]; then
+  echo "FAIL: expected 8 OK replies from the image session," \
        "got ${img_ok_lines}" >&2
   exit 1
 fi
