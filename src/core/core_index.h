@@ -11,6 +11,12 @@
 // answers "does CST(k) have an answer for v?" in O(1), and one BFS over
 // `core >= k` (kcore.h's KCoreComponentOf over core_numbers()) lists the
 // answer in O(answer volume).
+//
+// The index also stores, per vertex, the size of the CSM answer: v's
+// component of `core >= core(v)`. One union-find pass over the vertices
+// in descending core order computes every size at build time, so a CSM
+// query knows its n (and δ = core(v)) in O(1) and lists only as many
+// members as the caller asks for.
 
 #ifndef LOCS_CORE_CORE_INDEX_H_
 #define LOCS_CORE_CORE_INDEX_H_
@@ -22,19 +28,22 @@
 
 namespace locs {
 
-/// Immutable per-vertex core numbers plus the degeneracy. Thread-safe for
-/// concurrent queries (read-only). Storage is ConstArray-backed so an
-/// index deserialized from a graph image (src/store/) points straight
-/// into the mmap'd file.
+/// Immutable per-vertex core numbers and CSM component sizes, plus the
+/// degeneracy. Thread-safe for concurrent queries (read-only). Storage is
+/// ConstArray-backed so an index deserialized from a graph image
+/// (src/store/) points straight into the mmap'd file.
 class CoreIndex {
  public:
-  /// Builds the index: one Batagelj–Zaversnik peel, O(|V| + |E|).
+  /// Builds the index: one Batagelj–Zaversnik peel, O(|V| + |E|), then
+  /// one union-find pass for the component sizes, O((|V| + |E|) α).
   explicit CoreIndex(const Graph& graph);
 
-  /// Adopts precomputed core numbers (the store/ image loader). The
-  /// caller guarantees one entry per vertex whose maximum is
-  /// `degeneracy`.
-  static CoreIndex FromParts(ConstArray<uint32_t> core, uint32_t degeneracy);
+  /// Adopts precomputed arrays (the store/ image loader). The caller
+  /// guarantees one core number and one component size per vertex, and
+  /// that the largest core number is `degeneracy`.
+  static CoreIndex FromParts(ConstArray<uint32_t> core,
+                             ConstArray<uint32_t> comp_size,
+                             uint32_t degeneracy);
 
   /// Core number of `v` — equals m*(G, v) (Lemma 4).
   uint32_t CoreNumber(VertexId v) const { return core_[v]; }
@@ -45,14 +54,20 @@ class CoreIndex {
   /// O(1): true iff CST(k) has an answer for v (v lies in the k-core).
   bool HasCst(VertexId v, uint32_t k) const { return core_[v] >= k; }
 
+  /// Size of v's component of `core >= core(v)`: the size of v's CSM
+  /// answer (Lemma 4), MaxCoreComponentOf(...).size().
+  uint32_t ComponentSize(VertexId v) const { return comp_size_[v]; }
+
   /// Raw array access for serialization (src/store/) and the one-shot
   /// component helpers of kcore.h.
   const ConstArray<uint32_t>& core_numbers() const { return core_; }
+  const ConstArray<uint32_t>& component_sizes() const { return comp_size_; }
 
  private:
   CoreIndex() = default;
 
   ConstArray<uint32_t> core_;
+  ConstArray<uint32_t> comp_size_;
   uint32_t degeneracy_ = 0;
 };
 

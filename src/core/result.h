@@ -38,6 +38,10 @@ struct SearchResult {
   Termination status = Termination::kNotExists;
   std::optional<Community> community;
   Community best_so_far;
+  /// Members of the answer left out of `community`: non-zero only for a
+  /// CSM listed under a member limit (CommunitySearcher::Csm), whose
+  /// members are then the first `limit` of its BFS order.
+  uint64_t unlisted = 0;
   /// Per-phase effort accounting for this query (see obs/telemetry.h).
   /// Always filled by the solver wrappers; durations are nonzero only
   /// when the attached obs::Recorder enables timing.
@@ -65,6 +69,10 @@ struct SearchResult {
   const Community& Best() const {
     return community.has_value() ? *community : best_so_far;
   }
+
+  /// Size of the full answer Best() lists: Best().members.size() plus the
+  /// members a member limit left out.
+  uint64_t AnswerSize() const { return Best().members.size() + unlisted; }
 
   static SearchResult MakeFound(Community answer) {
     SearchResult result;

@@ -1,6 +1,7 @@
 #include "core/searcher.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/global.h"
 #include "core/validate.h"
@@ -88,16 +89,45 @@ SearchResult CommunitySearcher::CstAdaptive(VertexId v0, uint32_t k,
 }
 
 SearchResult CommunitySearcher::Csm(VertexId v0, QueryStats* stats,
-                                    QueryGuard* guard) {
+                                    QueryGuard* guard,
+                                    uint64_t member_limit) {
   LOCS_CHECK_LT(v0, graph().NumVertices());
   QueryGuard unlimited;
   QueryGuard& g = guard != nullptr ? *guard : unlimited;
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
-  // v0's k*-core component (k* = core(v0)) is its maxcore component.
+  const CoreIndex& index = snapshot_->index;
+  // v0's k*-core component (k* = core(v0)) is its maxcore component. The
+  // index holds its size, so a member limit can cut the BFS short.
+  const size_t stop_at = member_limit == 0 ? SIZE_MAX : member_limit;
   SearchResult result = ComponentAnswer(
-      {&v0, 1}, snapshot_->index.CoreNumber(v0), g, tracker, telemetry);
+      {&v0, 1}, index.CoreNumber(v0), stop_at, g, tracker, telemetry);
+  if (member_limit != 0 && result.Found()) {
+    const uint64_t listed = result->members.size();
+    // Saturating, so a crafted image's wrong size cannot wrap.
+    result.unlisted =
+        std::max<uint64_t>(index.ComponentSize(v0), listed) - listed;
+    telemetry.answer_size = listed + result.unlisted;
+  }
   FinishQuery(result, telemetry, tracker, stats, *recorder_);
+#if defined(LOCS_VALIDATE)
+  if (member_limit != 0 && result.Found()) {
+    // A listed prefix is not a community of its own: rerun the full BFS
+    // and check the size, the prefix and the full answer.
+    QueryGuard full_guard;
+    obs::PhaseStats full_ph;
+    std::vector<VertexId> full;
+    CoreComponent(v0, index.CoreNumber(v0), SIZE_MAX, full_guard, full_ph,
+                  &full);
+    LOCS_CHECK_EQ(full.size(), result.AnswerSize());
+    LOCS_CHECK(std::equal(result->members.begin(), result->members.end(),
+                          full.begin()));
+    LOCS_VALIDATE_RESULT(
+        "CommunitySearcher::Csm", graph(),
+        SearchResult::MakeFound(Community{full, result->min_degree}), v0, 0);
+    return result;
+  }
+#endif
   // CSM has no minimum-degree threshold: pass k = 0.
   LOCS_VALIDATE_RESULT("CommunitySearcher::Csm", graph(), result, v0, 0);
   return result;
@@ -123,7 +153,8 @@ SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
   }
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
-  SearchResult result = ComponentAnswer(query, k, g, tracker, telemetry);
+  SearchResult result =
+      ComponentAnswer(query, k, SIZE_MAX, g, tracker, telemetry);
   FinishQuery(result, telemetry, tracker, stats, *recorder_);
   LOCS_VALIDATE_RESULT("CommunitySearcher::CstMulti", graph(), result, query,
                        k);
@@ -147,7 +178,7 @@ SearchResult CommunitySearcher::CsmMulti(const std::vector<VertexId>& query,
                                     tracker.Enter(obs::Phase::kExpansion));
   SearchResult result;
   if (delta.has_value()) {
-    result = ComponentAnswer(query, *delta, g, tracker, telemetry);
+    result = ComponentAnswer(query, *delta, SIZE_MAX, g, tracker, telemetry);
   } else if (g.Stopped()) {
     result = SearchResult::MakeInterrupted(g.cause(), Community{{query[0]}, 0});
   } else {
@@ -175,15 +206,16 @@ void CommunitySearcher::CheckSeeds(std::span<const VertexId> seeds,
 }
 
 SearchResult CommunitySearcher::ComponentAnswer(
-    std::span<const VertexId> seeds, uint32_t k, QueryGuard& guard,
-    obs::PhaseTracker& tracker, obs::QueryTelemetry& telemetry) {
+    std::span<const VertexId> seeds, uint32_t k, size_t stop_at,
+    QueryGuard& guard, obs::PhaseTracker& tracker,
+    obs::QueryTelemetry& telemetry) {
   // A δ >= k community holding the seeds lies inside one component of
   // the k-core, and that component is one (Lemma 3).
   std::vector<VertexId> members;
   const std::optional<uint32_t> min_core =
       guard.Stopped()
           ? std::nullopt
-          : CoreComponent(seeds[0], k, guard,
+          : CoreComponent(seeds[0], k, stop_at, guard,
                           tracker.Enter(obs::Phase::kConnectivity), &members);
   if (!min_core.has_value()) {
     // Any connected community holding seeds[0] is a valid partial; the
@@ -202,8 +234,8 @@ SearchResult CommunitySearcher::ComponentAnswer(
 }
 
 std::optional<uint32_t> CommunitySearcher::CoreComponent(
-    VertexId root, uint32_t k, QueryGuard& guard, obs::PhaseStats& ph,
-    std::vector<VertexId>* out) {
+    VertexId root, uint32_t k, size_t stop_at, QueryGuard& guard,
+    obs::PhaseStats& ph, std::vector<VertexId>* out) {
   const uint32_t* const core = snapshot_->index.core_numbers().data();
   const uint64_t* const offsets = graph().offsets().data();
   const VertexId* const adjacency = graph().neighbors().data();
@@ -245,6 +277,12 @@ std::optional<uint32_t> CommunitySearcher::CoreComponent(
     ++ph.vertices_visited;
     ph.edges_scanned += nbrs.size();
     if (guard.Spend(1 + nbrs.size())) return std::nullopt;
+    if (out->size() >= stop_at) {
+      // BFS order is deterministic, so these are the full answer's first
+      // stop_at members.
+      out->resize(stop_at);
+      break;
+    }
   }
   return min_core;
 }

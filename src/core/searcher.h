@@ -6,7 +6,9 @@
 // queries are answered from the index's core numbers (Lemmas 3 and 4 lift
 // to seed sets): a δ >= k community holding every seed exists iff the
 // seeds share one connected component of `core >= k`, and that component
-// is the maximal answer. It is the one type that does this binding; a
+// is the maximal answer. A CSM under a member limit reads its size and δ
+// off the index and stops its BFS once that many members are queued. It
+// is the one type that does this binding; a
 // locsd session binds a registry entry the same way. Exposes the local
 // and global CST/CSM entry points.
 //
@@ -79,10 +81,14 @@ class CommunitySearcher {
   /// Exact CSM from the CoreIndex: v0's connected component of its
   /// maxcore (Lemma 4), δ = CoreNumber(v0), members in BFS order. One BFS
   /// over the vertices whose core number is at least v0's, so the cost
-  /// follows the answer. An interrupted query's partial is {v0}, δ = 0.
-  /// The paper's local CSM (Algorithm 4) is LocalCsmSolver.
+  /// follows the answer. A non-zero `member_limit` lists only the first
+  /// `member_limit` members of that order: the BFS stops after the
+  /// vertex whose scan queues the limit-th member, and
+  /// `SearchResult::unlisted` counts the rest (AnswerSize() is
+  /// CoreIndex::ComponentSize(v0)). An interrupted query's partial is
+  /// {v0}, δ = 0. The paper's local CSM (Algorithm 4) is LocalCsmSolver.
   SearchResult Csm(VertexId v0, QueryStats* stats = nullptr,
-                   QueryGuard* guard = nullptr);
+                   QueryGuard* guard = nullptr, uint64_t member_limit = 0);
 
   /// Global CSM (§3.2): greedy minimum-degree deletion via core
   /// decomposition.
@@ -123,17 +129,21 @@ class CommunitySearcher {
   /// traversal charges the first when it visits it).
   void CheckSeeds(std::span<const VertexId> seeds, QueryGuard& guard);
   /// The maximal answer for `seeds` at threshold k: the BFS from seeds[0]
-  /// over `core >= k`; kNotExists when it misses a seed; {seeds[0]},
-  /// δ = 0 interrupted when the guard trips.
+  /// over `core >= k`, cut to its first `stop_at` members; kNotExists
+  /// when it misses a seed; {seeds[0]}, δ = 0 interrupted when the guard
+  /// trips. A cut BFS may miss seeds it would reach, so multi-seed
+  /// callers pass SIZE_MAX.
   SearchResult ComponentAnswer(std::span<const VertexId> seeds, uint32_t k,
-                               QueryGuard& guard, obs::PhaseTracker& tracker,
+                               size_t stop_at, QueryGuard& guard,
+                               obs::PhaseTracker& tracker,
                                obs::QueryTelemetry& telemetry);
   /// Appends to `out` the BFS from `root` (core number >= k) over the
   /// vertices whose core number is at least k, in graph().Neighbors order,
   /// and returns the least core number among them; nullopt when the guard
-  /// trips mid-BFS.
+  /// trips mid-BFS. Stops after the vertex whose scan queues the
+  /// `stop_at`-th member and keeps only the first `stop_at`.
   std::optional<uint32_t> CoreComponent(VertexId root, uint32_t k,
-                                        QueryGuard& guard,
+                                        size_t stop_at, QueryGuard& guard,
                                         obs::PhaseStats& ph,
                                         std::vector<VertexId>* out);
   /// Max-bottleneck sweep from seeds[0] (seeds marked in `seen_` by

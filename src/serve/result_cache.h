@@ -1,8 +1,9 @@
 // ResultCache — a bounded LRU over rendered query replies.
 //
 // locsd query replies are deterministic functions of (graph contents,
-// verb, query vertices, k/max, γ, effective limits, member limit, trace
-// flag): FormatQueryReply renders counters, never durations. That makes
+// verb, query vertices, k/max, effective limits, member limit, trace
+// flag): FormatQueryReply renders counters, never durations. γ is
+// ignored by every served verb, so it is not part of the key. That makes
 // the full reply line safely cacheable — a hit returns the exact bytes a
 // fresh solve would produce — provided the key pins the *graph contents*
 // and not just the graph's name. The key therefore leads with the

@@ -30,9 +30,12 @@ std::string FormatQueryReply(const SearchResult& result,
                              uint64_t member_limit, bool trace) {
   const obs::QueryTelemetry& telemetry = result.telemetry;
   const Community& community = result.Best();
+  // A CSM under a member limit lists only its first members; n and
+  // truncated= count the full answer either way.
+  const uint64_t answer_size = result.AnswerSize();
   std::string reply = "OK status=";
   reply += TerminationName(result.status);
-  AppendKv(&reply, "n", community.members.size());
+  AppendKv(&reply, "n", answer_size);
   AppendKv(&reply, "delta", community.min_degree);
   AppendKv(&reply, "visited", telemetry.TotalVisited());
   reply += " members=";
@@ -44,8 +47,8 @@ std::string FormatQueryReply(const SearchResult& result,
     if (i > 0) reply += ',';
     reply += std::to_string(community.members[i]);
   }
-  if (shown < community.members.size()) {
-    AppendKv(&reply, "truncated", community.members.size() - shown);
+  if (shown < answer_size) {
+    AppendKv(&reply, "truncated", answer_size - shown);
   }
   if (trace) {
     AppendKv(&reply, "scanned", telemetry.TotalScanned());
@@ -404,7 +407,8 @@ std::string Session::ExecQuery(const Request& request,
                              &guard);
       break;
     case Verb::kCsm:
-      result = searcher->Csm(request.vertices[0], nullptr, &guard);
+      result = searcher->Csm(request.vertices[0], nullptr, &guard,
+                             member_limit);
       break;
     case Verb::kMulti:
       result = request.multi_max

@@ -19,12 +19,15 @@
 //
 // Trailing `opt` tokens are lowercase key=value pairs mapped onto the
 // QueryGuard limits: `deadline_ms=<double>`, `budget=<uint64>`, plus
-// `limit=<n>` capping the member ids echoed in the reply (0 = all),
+// `limit=<n>` capping the member ids echoed in the reply (0 = all; on
+// CSM it also bounds the work: the BFS stops once n members are queued,
+// and n=/truncated= come from the index's component size),
 // `trace=<0|1>` appending a per-phase telemetry breakdown to the reply
 // (deterministic: counters only, no durations), and `gamma=<double>`
 // (signed, `-inf` allowed), the Equation-8 budget of the paper's local
 // CSM search. Every served verb ignores γ: CSM is answered exactly from
-// the core index. The option still parses and still keys the cache.
+// the core index. The option still parses, but it is not part of the
+// result-cache key, so requests differing only in γ share one entry.
 //
 // Every reply is also one line: `OK ...`, `ERR <kind> <detail>` or
 // `BUSY <detail>` (admission fast-reject). The parser is total: any byte

@@ -1,7 +1,7 @@
 // On-disk layout of a locs graph image (.limg) — the persistent,
 // mmap-ready artifact holding one graph's CSR arrays plus every serving
-// precomputation (degree-descending ordering, core numbers, and the
-// GraphFacts scalars).
+// precomputation (degree-descending ordering, core numbers, CSM
+// component sizes, and the GraphFacts scalars).
 //
 // Layout (all integers written in host byte order; the endianness tag
 // in the header detects a cross-endian file at load):
@@ -23,7 +23,9 @@
 // Versions: v1 used FNV-1a 64 as the checksum. v2 switched to XXH64;
 // the layout was unchanged. v3 dropped the five CoreIndex merge-tree
 // sections (ids 6-10), so an image has exactly five sections; the meta
-// slot that held the tree node count is reserved.
+// slot that held the tree node count is reserved. v4 added the sixth
+// section, the per-vertex CSM component sizes (id 6), so a served CSM
+// reads its answer size instead of listing the whole component.
 
 #ifndef LOCS_STORE_FORMAT_H_
 #define LOCS_STORE_FORMAT_H_
@@ -38,7 +40,7 @@ inline constexpr char kImageMagic[8] = {'L', 'O', 'C', 'S',
                                         'I', 'M', 'G', '1'};
 
 /// The format version this build writes and the only one it reads.
-inline constexpr uint32_t kImageVersion = 3;
+inline constexpr uint32_t kImageVersion = 4;
 
 /// Written as a native uint32; reads back byte-reversed on a machine of
 /// the opposite endianness, which the reader rejects with a typed error.
@@ -56,8 +58,9 @@ enum class SectionId : uint32_t {
   kOrderedNeighbors = 4,  ///< VertexId[2|E|] degree-descending adjacency
                           ///< (shares the kOffsets array)
   kCoreNumbers = 5,       ///< uint32[n]
+  kComponentSizes = 6,    ///< uint32[n]: |v's component of core >= core(v)|
 };
-inline constexpr uint32_t kNumSections = 5;
+inline constexpr uint32_t kNumSections = 6;
 
 /// Fixed file header. 8-byte aligned size so the section table that
 /// follows is aligned too.

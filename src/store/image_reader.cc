@@ -5,7 +5,8 @@
 // whole-file checksum catches accidental corruption; and a final O(n+m)
 // structural pass proves the arrays are internally consistent (offsets
 // monotone and bounded, adjacency sorted and in-range, core numbers
-// bounded by the degree and topped by the stored degeneracy) before any
+// bounded by the degree and topped by the stored degeneracy, component
+// sizes within the bounds the core numbers imply) before any
 // solver sees them — so even an adversarially crafted image with a valid
 // checksum yields a typed IoError, never out-of-range indexing.
 
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "store/checksum.h"
 #include "store/format.h"
@@ -177,6 +179,7 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
       {SectionId::kNeighbors, half, sizeof(VertexId)},
       {SectionId::kOrderedNeighbors, half, sizeof(VertexId)},
       {SectionId::kCoreNumbers, n, sizeof(uint32_t)},
+      {SectionId::kComponentSizes, n, sizeof(uint32_t)},
   };
   for (const auto& want : expected_counts) {
     // Compare element counts via division, never `count * elem_bytes`: a
@@ -202,6 +205,8 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   const auto ordered_neighbors =
       SectionSpan<VertexId>(sections, SectionId::kOrderedNeighbors);
   const auto core = SectionSpan<uint32_t>(sections, SectionId::kCoreNumbers);
+  const auto comp_size =
+      SectionSpan<uint32_t>(sections, SectionId::kComponentSizes);
 
   // --- Structural validation (the checksum already rules out accidental
   // corruption; this pass rules out a *crafted* image indexing out of
@@ -247,6 +252,22 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
       (max_degree != meta.max_degree || max_core != meta.degeneracy)) {
     bad_structure = "meta scalars disagree with the arrays";
   }
+  if (bad_structure == nullptr && n > 0) {
+    // v's component of `core >= core(v)` has min degree >= core(v), so at
+    // least core(v) + 1 members, and at most at_least[core(v)] =
+    // |{w : core(w) >= core(v)}|. A wrong size inside these bounds is
+    // left to the checksum.
+    std::vector<uint64_t> at_least(size_t{max_core} + 2, 0);
+    for (uint64_t v = 0; v < n; ++v) ++at_least[core[v]];
+    for (size_t c = max_core; c-- > 0;) at_least[c] += at_least[c + 1];
+    for (uint64_t v = 0; v < n; ++v) {
+      if (comp_size[v] < uint64_t{core[v]} + 1 ||
+          comp_size[v] > at_least[core[v]]) {
+        bad_structure = "component size outside the core-number bounds";
+        break;
+      }
+    }
+  }
   if (bad_structure != nullptr) {
     Fail(error, IoErrorKind::kParse,
          path + ": structural validation failed: " + bad_structure);
@@ -261,8 +282,9 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
                        ConstArray<VertexId>(neighbors, region));
   OrderedAdjacency ordered = OrderedAdjacency::FromParts(
       graph.offsets(), ConstArray<VertexId>(ordered_neighbors, region));
-  CoreIndex index = CoreIndex::FromParts(ConstArray<uint32_t>(core, region),
-                                         meta.degeneracy);
+  CoreIndex index = CoreIndex::FromParts(
+      ConstArray<uint32_t>(core, region),
+      ConstArray<uint32_t>(comp_size, region), meta.degeneracy);
   GraphFacts facts;
   facts.num_vertices = n;
   facts.num_edges = half / 2;

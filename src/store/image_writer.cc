@@ -70,7 +70,7 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
   meta.max_degree = facts.max_degree;
   meta.connected = facts.connected ? 1u : 0u;
 
-  // The five sections, in SectionId order. The payload pointer/length
+  // The six sections, in SectionId order. The payload pointer/length
   // pairs reference the live in-memory arrays; nothing is staged.
   struct Payload {
     SectionId id;
@@ -86,6 +86,8 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
       {SectionId::kOrderedNeighbors, ordered.neighbors().data(),
        half_edges * sizeof(VertexId)},
       {SectionId::kCoreNumbers, index.core_numbers().data(),
+       n * sizeof(uint32_t)},
+      {SectionId::kComponentSizes, index.component_sizes().data(),
        n * sizeof(uint32_t)},
   };
 

@@ -1,7 +1,8 @@
 // Tests for the core-number index (CoreIndex): the maximal CST / CSM
 // answers read off its core numbers (KCoreComponentOf over
 // core_numbers()) must match the global solvers exactly, for every vertex
-// and every k, across graph families.
+// and every k, across graph families; the stored component sizes must be
+// the CSM answer sizes.
 
 #include "core/core_index.h"
 
@@ -33,6 +34,8 @@ void ExpectMatchesGlobal(const Graph& g) {
     ASSERT_EQ(index.CoreNumber(v0), expect_csm.min_degree) << "v0=" << v0;
     ASSERT_EQ(ToSet(MaxCoreComponentOf(g, core, v0)),
               ToSet(expect_csm.members))
+        << "v0=" << v0;
+    ASSERT_EQ(index.ComponentSize(v0), expect_csm.members.size())
         << "v0=" << v0;
     for (uint32_t k = 0; k <= index.CoreNumber(v0) + 1; ++k) {
       const auto expect = GlobalCst(g, v0, k);
@@ -71,12 +74,22 @@ TEST(CoreIndexTest, DisconnectedGraph) {
     }
   }
   builder.AddEdge(8, 9);  // plus two isolated vertices 10, 11
-  ExpectMatchesGlobal(builder.Build());
+  const Graph g = builder.Build();
+  ExpectMatchesGlobal(g);
+  // Two 3-cores of 4 each, not one of 8; the K2 and the isolated
+  // vertices are their own components.
+  const CoreIndex index(g);
+  for (VertexId v = 0; v < 8; ++v) EXPECT_EQ(index.ComponentSize(v), 4u);
+  EXPECT_EQ(index.ComponentSize(8), 2u);
+  EXPECT_EQ(index.ComponentSize(9), 2u);
+  EXPECT_EQ(index.ComponentSize(10), 1u);
+  EXPECT_EQ(index.ComponentSize(11), 1u);
 }
 
 TEST(CoreIndexTest, EmptyAndSingleton) {
   const CoreIndex empty(Graph{});
   EXPECT_EQ(empty.Degeneracy(), 0u);
+  EXPECT_TRUE(empty.component_sizes().empty());
   Graph singleton = BuildGraph(1, {});
   const CoreIndex index(singleton);
   EXPECT_EQ(index.CoreNumber(0), 0u);
@@ -84,6 +97,35 @@ TEST(CoreIndexTest, EmptyAndSingleton) {
             std::vector<VertexId>{0});
   EXPECT_TRUE(index.HasCst(0, 0));
   EXPECT_FALSE(index.HasCst(0, 1));
+  EXPECT_EQ(index.ComponentSize(0), 1u);
+}
+
+/// Every vertex's stored component size is the size of its CSM answer,
+/// v's component of `core >= core(v)`.
+void ExpectComponentSizes(const Graph& g) {
+  const CoreIndex index(g);
+  ASSERT_EQ(index.component_sizes().size(), g.NumVertices());
+  const std::span<const uint32_t> core = index.core_numbers().span();
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_EQ(index.ComponentSize(v), MaxCoreComponentOf(g, core, v).size())
+        << "v=" << v;
+  }
+}
+
+TEST(CoreIndexTest, ComponentSizeIsTheCsmAnswerSize) {
+  for (const testing::GraphCase& c : testing::PropertyGraphs()) {
+    SCOPED_TRACE(c.label);
+    ExpectComponentSizes(c.graph);
+  }
+  gen::LfrParams params;
+  params.n = 600;
+  params.min_degree = 3;
+  params.max_degree = 25;
+  params.min_community = 12;
+  params.max_community = 60;
+  params.seed = 11;
+  SCOPED_TRACE("lfr_n600");
+  ExpectComponentSizes(gen::Lfr(params).graph);
 }
 
 class CoreIndexRandomTest : public ::testing::TestWithParam<uint64_t> {};

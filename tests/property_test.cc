@@ -25,39 +25,18 @@
 #include "core/searcher.h"
 #include "core/snapshot.h"
 #include "core/validate.h"
-#include "gen/barabasi.h"
-#include "gen/erdos_renyi.h"
-#include "gen/planted.h"
 #include "graph/builder.h"
 #include "graph/ordering.h"
 #include "graph/subgraph.h"
 #include "gtest/gtest.h"
 #include "obs/recorder.h"
+#include "test_util.h"
 
 namespace locs {
 namespace {
 
-struct GraphCase {
-  std::string label;
-  Graph graph;
-};
-
-/// The seeded graph zoo. Sizes are small enough that the whole suite
-/// stays sub-second but large enough that expansion, candidate
-/// generation, and the global fallback all genuinely run.
-std::vector<GraphCase> PropertyGraphs() {
-  std::vector<GraphCase> cases;
-  for (const uint64_t seed : {11u, 42u, 77u}) {
-    const std::string s = "_s" + std::to_string(seed);
-    cases.push_back(
-        {"gnp_n120_p0.06" + s, gen::ErdosRenyiGnp(120, 0.06, seed)});
-    cases.push_back(
-        {"ba_n150_m3" + s, gen::BarabasiAlbert(150, 3, seed)});
-    cases.push_back({"planted_4x30" + s,
-                     gen::PlantedPartition(4, 30, 0.30, 0.02, seed).graph});
-  }
-  return cases;
-}
+using testing::GraphCase;
+using testing::PropertyGraphs;
 
 /// A deterministic spread of query vertices across the id range.
 std::vector<VertexId> QueryVertices(const Graph& graph) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -109,6 +113,77 @@ TEST(CommunitySearcherTest, StatsPlumbing) {
   EXPECT_FALSE(searcher.Cst(0, 12, {}, &stats).has_value());
   EXPECT_EQ(stats.visited_vertices, 0u);
   EXPECT_EQ(stats.answer_size, 0u);
+}
+
+// A member limit cuts the CSM BFS short but not the answer: status, δ
+// and n are those of the unlimited query, and the listed members are its
+// first ones. The BFS pops at most `limit` vertices.
+TEST(CommunitySearcherTest, LimitedCsmListsThePrefixOfTheFullAnswer) {
+  std::vector<testing::GraphCase> cases = testing::PropertyGraphs();
+  GraphBuilder two_components(9);  // a K4, a triangle, two isolated
+  for (VertexId a = 0; a < 4; ++a) {
+    for (VertexId b = a + 1; b < 4; ++b) two_components.AddEdge(a, b);
+  }
+  two_components.AddEdge(4, 5);
+  two_components.AddEdge(5, 6);
+  two_components.AddEdge(4, 6);
+  cases.push_back({"two_components", two_components.Build()});
+  for (const testing::GraphCase& c : cases) {
+    CommunitySearcher searcher(c.graph);
+    for (VertexId v = 0; v < c.graph.NumVertices(); ++v) {
+      const SearchResult full = searcher.Csm(v);
+      ASSERT_TRUE(full.has_value());
+      EXPECT_EQ(full.unlisted, 0u);
+      const uint64_t n = full->members.size();
+      for (const uint64_t limit :
+           {uint64_t{1}, uint64_t{2}, n - 1, n, n + 1}) {
+        if (limit == 0) continue;
+        SCOPED_TRACE(c.label + " v=" + std::to_string(v) +
+                     " limit=" + std::to_string(limit));
+        QueryStats stats;
+        const SearchResult listed = searcher.Csm(v, &stats, nullptr, limit);
+        ASSERT_EQ(listed.status, full.status);
+        EXPECT_EQ(listed->min_degree, full->min_degree);
+        EXPECT_EQ(listed.AnswerSize(), n);
+        EXPECT_EQ(stats.answer_size, n);
+        const size_t shown = std::min<uint64_t>(limit, n);
+        EXPECT_EQ(listed->members,
+                  std::vector<VertexId>(full->members.begin(),
+                                        full->members.begin() + shown));
+        EXPECT_EQ(listed.unlisted, n - shown);
+        EXPECT_LE(stats.visited_vertices, limit);
+      }
+    }
+  }
+}
+
+TEST(CommunitySearcherTest, LimitedCsmDegradesToTheQueryVertex) {
+  CommunitySearcher searcher(gen::Clique(12));
+  QueryLimits limits;
+  limits.work_budget = 1;
+  {
+    // Pre-tripped: no BFS runs.
+    QueryGuard guard(limits);
+    guard.Spend(2);
+    ASSERT_TRUE(guard.Stopped());
+    QueryStats stats;
+    const SearchResult result = searcher.Csm(3, &stats, &guard, 1);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    EXPECT_EQ(result.best_so_far.members, std::vector<VertexId>{3});
+    EXPECT_EQ(result.best_so_far.min_degree, 0u);
+    EXPECT_EQ(result.AnswerSize(), 1u);
+    EXPECT_EQ(stats.visited_vertices, 0u);
+  }
+  for (const uint64_t limit : {1u, 5u}) {
+    // Budget 1: the query vertex's own scan trips it, whatever the limit.
+    SCOPED_TRACE(limit);
+    QueryGuard guard(limits);
+    const SearchResult result = searcher.Csm(3, nullptr, &guard, limit);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+    EXPECT_EQ(result.best_so_far.members, std::vector<VertexId>{3});
+    EXPECT_EQ(result.best_so_far.min_degree, 0u);
+    EXPECT_EQ(result.AnswerSize(), 1u);
+  }
 }
 
 }  // namespace

@@ -184,6 +184,30 @@ TEST(ServeSessionTest, CsmIsAnsweredFromTheCoreIndex) {
   EXPECT_EQ(replies[3], replies[2]);
 }
 
+TEST(ServeSessionTest, LimitedCsmReportsTheFullAnswerSize) {
+  // limit= cuts the CSM BFS short: n= and truncated= still count the
+  // whole answer (from the index's component size) and the listed ids
+  // are the unlimited reply's first ones; only visited= drops.
+  ServeFixture fix;
+  fix.Register("bb", gen::Barbell(6, 2));
+  const auto replies = fix.Run(
+      {"CSM bb 0", "CSM bb 0 limit=2 trace=1", "CSM bb 0 limit=6"},
+      "limited_csm");
+  ASSERT_EQ(replies.size(), 3u);
+  const std::string full_members = Field(replies[0], "members");
+  EXPECT_TRUE(StartsWith(replies[1], "OK status=found n=6 delta=5 visited=1 "))
+      << replies[1];
+  EXPECT_EQ(Field(replies[1], "truncated"), "4") << replies[1];
+  EXPECT_TRUE(StartsWith(full_members, Field(replies[1], "members") + ","))
+      << replies[1];
+  EXPECT_TRUE(StartsWith(Field(replies[1], "phases"), "connectivity:1:1:"))
+      << replies[1];
+  EXPECT_TRUE(StartsWith(replies[2], "OK status=found n=6 delta=5 "))
+      << replies[2];
+  EXPECT_EQ(Field(replies[2], "members"), full_members) << replies[2];
+  EXPECT_EQ(Field(replies[2], "truncated"), "") << replies[2];
+}
+
 TEST(ServeSessionTest, IgnoredGammaSharesTheCacheEntry) {
   // locsd ignores gamma=, so the reply is the same with or without it and
   // both requests must share one result-cache entry.
@@ -198,6 +222,7 @@ TEST(ServeSessionTest, IgnoredGammaSharesTheCacheEntry) {
   const MetricsSnapshot snap = fix.metrics.Snapshot();
   EXPECT_EQ(snap.cache_misses, 1u);
   EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.cache_inserts, 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
 

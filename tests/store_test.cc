@@ -3,15 +3,15 @@
 //
 // Three layers of guarantees under test:
 //   1. differential round-trip — every array (CSR, ordered adjacency,
-//      core numbers) and every GraphFacts scalar survives
+//      core numbers, component sizes) and every GraphFacts scalar survives
 //      write+load bit-for-bit, and CST/CSM/MULTI wire replies from an
 //      image-backed graph are byte-identical to the text-loaded graph;
 //   2. fuzz — truncations at every interesting boundary and a bit flip
 //      at *every byte position* yield a typed IoError, never a crash;
 //   3. crafted corruption — images with a *valid* checksum but hostile
 //      contents (wrong version, swapped endianness, out-of-range
-//      adjacency, tampered core numbers) are rejected by the header
-//      gates or the structural pass.
+//      adjacency, tampered core numbers or component sizes) are rejected
+//      by the header gates or the structural pass.
 
 #include <gtest/gtest.h>
 
@@ -140,6 +140,7 @@ void ExpectSameSnapshot(const Snapshot& loaded, const Snapshot& built) {
   EXPECT_EQ(loaded.ordered.neighbors(), built.ordered.neighbors());
   EXPECT_EQ(loaded.index.Degeneracy(), built.index.Degeneracy());
   EXPECT_EQ(loaded.index.core_numbers(), built.index.core_numbers());
+  EXPECT_EQ(loaded.index.component_sizes(), built.index.component_sizes());
 }
 
 void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
@@ -151,13 +152,17 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   IoError error;
   ASSERT_TRUE(WriteGraphImage(graph, facts, ordered, index, path, &error))
       << error.message;
-  // Format v3: exactly the five sections of format.h, no merge tree.
+  // Format v4: exactly the six sections of format.h, the component
+  // sizes last.
   const std::string bytes = ReadFileBytes(path);
   ImageHeader header;
   ASSERT_GE(bytes.size(), sizeof(header));
   std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_EQ(header.version, 3u);
-  EXPECT_EQ(header.section_count, 5u);
+  EXPECT_EQ(header.version, 4u);
+  EXPECT_EQ(header.section_count, 6u);
+  EXPECT_EQ(SectionOffsetOf(bytes, SectionId::kComponentSizes) +
+                graph.NumVertices() * sizeof(uint32_t),
+            bytes.size());
 
   const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error.message;
@@ -176,9 +181,12 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   const VertexId n = graph.NumVertices();
   for (VertexId v = 0; v < n; v += (n / 7) + 1) {
     EXPECT_EQ(loaded->index.CoreNumber(v), index.CoreNumber(v));
+    const std::vector<VertexId> component =
+        MaxCoreComponentOf(graph, index.core_numbers().span(), v);
     EXPECT_EQ(MaxCoreComponentOf(loaded->graph,
                                  loaded->index.core_numbers().span(), v),
-              MaxCoreComponentOf(graph, index.core_numbers().span(), v));
+              component);
+    EXPECT_EQ(loaded->index.ComponentSize(v), component.size());
   }
 }
 
@@ -294,10 +302,11 @@ TEST(StoreCraftedTest, UnsupportedVersionIsRejectedWithDetail) {
 }
 
 TEST(StoreCraftedTest, VersionOneImageIsRejectedUntilRecompiled) {
-  // v1 (FNV-1a checksum) and v2 (XXH64, with the merge-tree sections)
-  // are both retired: each gets the same typed "recompile" error.
+  // v1 (FNV-1a checksum), v2 (XXH64, with the merge-tree sections) and
+  // v3 (five sections, no component sizes) are all retired: each gets
+  // the same typed "recompile" error.
   const Graph graph = gen::Barbell(4, 0);
-  for (const uint32_t version : {1u, 2u}) {
+  for (const uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE(version);
     const std::string path = CompileToTemp(graph, "old_version_src");
     std::string bytes = ReadFileBytes(path);
@@ -447,6 +456,54 @@ TEST(StoreCraftedTest, CoreNumberTamperingFailsStructuralPass) {
   EXPECT_EQ(error.kind, IoErrorKind::kParse);
 }
 
+/// Overwrites vertex `v`'s component size in `bytes`.
+void SetComponentSize(std::string* bytes, VertexId v, uint32_t size) {
+  std::memcpy(bytes->data() +
+                  SectionOffsetOf(*bytes, SectionId::kComponentSizes) +
+                  v * sizeof(uint32_t),
+              &size, sizeof(size));
+}
+
+TEST(StoreCraftedTest, ComponentSizeTamperingIsRejected) {
+  // Barbell(4, 0): two K4 joined by an edge, one 3-core of 8 vertices.
+  // Every size must lie in [core + 1, |core >= core(v)|] = [4, 8].
+  const std::string path = CompileToTemp(gen::Barbell(4, 0), "comp_src");
+  const std::string bytes = ReadFileBytes(path);
+  const std::optional<Snapshot> clean = LoadGraphImage(path);
+  ASSERT_TRUE(clean.has_value());
+  ASSERT_EQ(clean->index.ComponentSize(0), 8u);
+  ASSERT_EQ(clean->index.CoreNumber(0), 3u);
+  const std::string patched_path = TempPath("store_comp.limg");
+  // Outside the bounds, behind a valid checksum: the structural pass.
+  for (const uint32_t bad : {0u, 3u, 9u, ~uint32_t{0}}) {
+    SCOPED_TRACE(bad);
+    std::string patched = bytes;
+    SetComponentSize(&patched, 0, bad);
+    FixChecksum(&patched);
+    WriteFileBytes(patched_path, patched);
+    IoError error;
+    EXPECT_FALSE(LoadGraphImage(patched_path, &error).has_value());
+    EXPECT_EQ(error.kind, IoErrorKind::kParse);
+    EXPECT_NE(error.message.find("structural validation failed: component "
+                                 "size"),
+              std::string::npos)
+        << error.message;
+  }
+  // Inside the bounds: only the checksum tells 4 or 7 from the true 8
+  // (DESIGN.md §6).
+  for (const uint32_t wrong : {4u, 7u}) {
+    SCOPED_TRACE(wrong);
+    std::string patched = bytes;
+    SetComponentSize(&patched, 0, wrong);
+    WriteFileBytes(patched_path, patched);
+    IoError error;
+    EXPECT_FALSE(LoadGraphImage(patched_path, &error).has_value());
+    EXPECT_EQ(error.kind, IoErrorKind::kParse);
+    EXPECT_NE(error.message.find("checksum mismatch"), std::string::npos)
+        << error.message;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Failpoints: the chaos hooks fire and map to typed open errors.
 
@@ -526,7 +583,8 @@ TEST(StoreWireTest, ImageAndTextBackedRepliesAreByteIdentical) {
   const std::vector<std::string> queries = {
       "CST g 0 3",         "CST g 17 2",  "CST g 5 100",
       "CSM g 0",           "CSM g 599",   "MULTI g 3 0 1 2",
-      "MULTI g max 10 20", "CST g 4 1 trace=1",
+      "MULTI g max 10 20", "CST g 4 1 trace=1", "CSM g 0 limit=3",
+      "CSM g 599 limit=1 trace=1",
   };
   std::vector<std::string> text_script = {"LOAD g " + text};
   std::vector<std::string> image_script = {"LOADIMG g " + image};

@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: brute-force reference solvers (only
-// feasible on tiny graphs) and set utilities.
+// feasible on tiny graphs), set utilities and the seeded property-graph
+// zoo.
 
 #ifndef LOCS_TESTS_TEST_UTIL_H_
 #define LOCS_TESTS_TEST_UTIL_H_
@@ -7,8 +8,12 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "gen/barabasi.h"
+#include "gen/erdos_renyi.h"
+#include "gen/planted.h"
 #include "graph/graph.h"
 #include "graph/subgraph.h"
 #include "graph/types.h"
@@ -24,6 +29,29 @@ inline std::vector<VertexId> Sorted(std::vector<VertexId> v) {
 /// Converts to std::set for readable gtest failures.
 inline std::set<VertexId> ToSet(const std::vector<VertexId>& v) {
   return {v.begin(), v.end()};
+}
+
+struct GraphCase {
+  std::string label;
+  Graph graph;
+};
+
+/// The seeded graph zoo: three families (Erdős–Rényi, Barabási–Albert,
+/// planted partition) × three seeds. Sizes are small enough that a suite
+/// over every vertex stays sub-second but large enough that expansion,
+/// candidate generation, and the global fallback all genuinely run.
+inline std::vector<GraphCase> PropertyGraphs() {
+  std::vector<GraphCase> cases;
+  for (const uint64_t seed : {11u, 42u, 77u}) {
+    const std::string s = "_s" + std::to_string(seed);
+    cases.push_back(
+        {"gnp_n120_p0.06" + s, gen::ErdosRenyiGnp(120, 0.06, seed)});
+    cases.push_back(
+        {"ba_n150_m3" + s, gen::BarabasiAlbert(150, 3, seed)});
+    cases.push_back({"planted_4x30" + s,
+                     gen::PlantedPartition(4, 30, 0.30, 0.02, seed).graph});
+  }
+  return cases;
 }
 
 /// Brute force m*(G, v0): the maximum over all connected subsets H

@@ -2,8 +2,11 @@
 # Serving-layer smoke test: drives locsd end to end in both deployment
 # modes and fails unless every query draws an OK reply.
 #
-#   1. scripted stdio session  — LOAD + CST + CSM + MULTI k + MULTI max
-#                                + STATS + QUIT
+#   1. scripted stdio session  — LOAD + CST + CSM (no limit and
+#                                limit=5) + MULTI k + MULTI max + STATS
+#                                + QUIT; the limited CSM must report the
+#                                unlimited one's n= and delta= and
+#                                truncated= n - 5
 #   2. image-backed session    — locs_cli compile + LOAD of the .limg
 #      (auto-detected by content), with every query reply required to
 #      match the text-loaded transcript byte for byte
@@ -35,15 +38,39 @@ trap cleanup EXIT
 "${cli}" generate --model=lfr --n=2000 --seed=5 \
   --output="${work}/g.metis" >/dev/null
 
+script='PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n'
+
+# field <reply> <key>: the value of key= in one reply line.
+field() { sed -n "s/.* $2=\([^ ]*\).*/\1/p" <<<"$1"; }
+
+# check_csm_limit <transcript>: a CSM under limit=5 lists 5 members of
+# the same answer the unlimited CSM lists in full.
+check_csm_limit() {
+  local full limited n
+  full="$(sed -n 4p <<<"$1")"
+  limited="$(sed -n 5p <<<"$1")"
+  n="$(field "${full}" n)"
+  if [[ -z "${n}" || "$(field "${limited}" n)" != "${n}" ||
+        "$(field "${limited}" delta)" != "$(field "${full}" delta)" ||
+        "$(field "${limited}" truncated)" != "$((n - 5))" ]]; then
+    echo "FAIL: CSM limit=5 disagrees with the unlimited CSM" >&2
+    echo "  full:    ${full:0:160}" >&2
+    echo "  limited: ${limited}" >&2
+    exit 1
+  fi
+}
+
 echo "=== smoke: stdio session ==="
-stdio_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n' \
-  "${work}/g.metis" | "${locsd}" --stdio 2>/dev/null)"
+# shellcheck disable=SC2059  # the script is the format string
+stdio_out="$(printf "${script}" "${work}/g.metis" \
+  | "${locsd}" --stdio 2>/dev/null)"
 echo "${stdio_out}"
 ok_lines="$(grep -c '^OK ' <<<"${stdio_out}")"
-if [[ "${ok_lines}" -ne 8 ]]; then
-  echo "FAIL: expected 8 OK replies over stdio, got ${ok_lines}" >&2
+if [[ "${ok_lines}" -ne 9 ]]; then
+  echo "FAIL: expected 9 OK replies over stdio, got ${ok_lines}" >&2
   exit 1
 fi
+check_csm_limit "${stdio_out}"
 grep -q '^OK status=found' <<<"${stdio_out}" || {
   echo "FAIL: no query answered over stdio" >&2
   exit 1
@@ -51,15 +78,17 @@ grep -q '^OK status=found' <<<"${stdio_out}" || {
 
 echo "=== smoke: image-backed session ==="
 "${cli}" compile "${work}/g.metis" "${work}/g.limg"
-img_out="$(printf 'PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n' \
-  "${work}/g.limg" | "${locsd}" --stdio 2>/dev/null)"
+# shellcheck disable=SC2059
+img_out="$(printf "${script}" "${work}/g.limg" \
+  | "${locsd}" --stdio 2>/dev/null)"
 echo "${img_out}"
 img_ok_lines="$(grep -c '^OK ' <<<"${img_out}")"
-if [[ "${img_ok_lines}" -ne 8 ]]; then
-  echo "FAIL: expected 8 OK replies from the image session," \
+if [[ "${img_ok_lines}" -ne 9 ]]; then
+  echo "FAIL: expected 9 OK replies from the image session," \
        "got ${img_ok_lines}" >&2
   exit 1
 fi
+check_csm_limit "${img_out}"
 grep -q 'source=image' <<<"${img_out}" || {
   echo "FAIL: LOAD of a .limg file was not detected as an image" >&2
   exit 1
