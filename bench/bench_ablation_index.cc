@@ -6,7 +6,8 @@
 // 4). This bench compares per-query cost of global search, local search
 // (ls-li), and the index across k, plus the index build cost
 // amortization point. A second table does the same for multi-vertex
-// queries on seed pairs: the global oracles, LocalMultiSolver, and the
+// queries on seed pairs: the global oracles, the local solver's
+// CstMulti/CsmMulti (LocalCstSolver over a query set), and the
 // served CommunitySearcher path (CstMulti: one BFS over `core >= k`;
 // CsmMulti: a max-bottleneck sweep, then that BFS).
 
@@ -94,7 +95,6 @@ int Run(int argc, char** argv) {
   // Seed pairs from the k-core: both seeds pass the core-number check,
   // so every MULTI query below traverses.
   CommunitySearcher searcher(snapshot);
-  LocalMultiSolver multi(g, &ordered, &facts);
   TableWriter multi_table({"k", "cst global ms", "cst local ms",
                            "cst index ms", "answer size", "csm global ms",
                            "csm local ms", "csm index ms", "csm delta"});
@@ -113,13 +113,13 @@ int Run(int argc, char** argv) {
     for (size_t i = 0; i + 1 < sample.size(); i += 2) {
       const std::vector<VertexId> seeds = {sample[i], sample[i + 1]};
       t_cst_global.push_back(TimeMs([&] { GlobalCstMulti(g, seeds, k); }));
-      t_cst_local.push_back(TimeMs([&] { multi.CstMulti(seeds, k); }));
+      t_cst_local.push_back(TimeMs([&] { solver.CstMulti(seeds, k); }));
       SearchResult cst;
       t_cst_index.push_back(
           TimeMs([&] { cst = searcher.CstMulti(seeds, k); }));
       sizes.push_back(static_cast<double>(cst.Best().members.size()));
       t_csm_global.push_back(TimeMs([&] { GlobalCsmMulti(g, seeds); }));
-      t_csm_local.push_back(TimeMs([&] { multi.CsmMulti(seeds); }));
+      t_csm_local.push_back(TimeMs([&] { solver.CsmMulti(seeds); }));
       SearchResult csm;
       t_csm_index.push_back(TimeMs([&] { csm = searcher.CsmMulti(seeds); }));
       deltas.push_back(static_cast<double>(csm.Best().min_degree));

@@ -17,51 +17,10 @@
 
 namespace locs {
 
-/// Fixed-capacity array of T whose entries reset to T{} whenever the shared
-/// epoch advances past their stamp.
-template <typename T>
-class EpochArray {
- public:
-  explicit EpochArray(size_t capacity)
-      : value_(capacity), stamp_(capacity, 0) {}
-
-  /// Invalidates all entries in O(1).
-  void NewEpoch() { ++epoch_; }
-
-  /// Read: returns T{} for entries not written this epoch.
-  T Get(uint32_t i) const {
-    LOCS_DCHECK(i < value_.size());
-    return stamp_[i] == epoch_ ? value_[i] : T{};
-  }
-
-  /// Write access: freshens the entry (resetting it to T{} first if stale).
-  T& Ref(uint32_t i) {
-    LOCS_DCHECK(i < value_.size());
-    if (stamp_[i] != epoch_) {
-      stamp_[i] = epoch_;
-      value_[i] = T{};
-    }
-    return value_[i];
-  }
-
-  /// True if the entry was written during the current epoch.
-  bool Fresh(uint32_t i) const {
-    LOCS_DCHECK(i < value_.size());
-    return stamp_[i] == epoch_;
-  }
-
-  size_t capacity() const { return value_.size(); }
-
- private:
-  std::vector<T> value_;
-  std::vector<uint64_t> stamp_;
-  uint64_t epoch_ = 1;
-};
-
 /// Stamp-only membership set: an index is "set" iff its stamp equals the
 /// current epoch, so there is no separate value byte to touch. One aligned
-/// 4-byte load per test and one store per set — half the footprint of
-/// EpochArray<uint8_t> and a single cache line per 16 vertices.
+/// 4-byte load per test and one store per set, a single cache line per 16
+/// vertices.
 class EpochFlags {
  public:
   explicit EpochFlags(size_t capacity) : stamp_(capacity, 0) {}
@@ -105,7 +64,7 @@ class EpochFlags {
 
 /// Epoch-validated uint32 array with the stamp and the value packed into a
 /// single aligned 8-byte cell, so validity and value cost one cache-line
-/// touch (EpochArray<uint32_t> needs two: stamp vector + value vector).
+/// touch (separate stamp and value vectors would need two).
 /// Freshness doubles as a membership bit for the solvers: a vertex is in
 /// the tracked set iff its cell was written this epoch.
 class EpochU32Array {

@@ -26,6 +26,16 @@ GraphFacts GraphFacts::Compute(const Graph& graph) {
   return facts;
 }
 
+void CheckQuerySet(const Graph& graph, std::span<const VertexId> query) {
+  LOCS_CHECK(!query.empty());
+  std::vector<VertexId> sorted(query.begin(), query.end());
+  std::sort(sorted.begin(), sorted.end());
+  LOCS_CHECK_LT(sorted.back(), graph.NumVertices());
+  LOCS_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) ==
+                     sorted.end(),
+                 "duplicate query vertex");
+}
+
 LocalCstSolver::LocalCstSolver(const Graph& graph,
                                const OrderedAdjacency* ordered,
                                const GraphFacts* facts)
@@ -42,31 +52,60 @@ LocalCstSolver::LocalCstSolver(const Graph& graph,
 SearchResult LocalCstSolver::Solve(VertexId v0, uint32_t k,
                                    const CstOptions& options,
                                    QueryStats* stats, QueryGuard* guard) {
+  LOCS_CHECK_LT(v0, graph_.NumVertices());
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
-  SearchResult result = SolveImpl(v0, k, options, guard, tracker);
+  SearchResult result = SolveImpl({&v0, 1}, k, options, guard, tracker);
   FinishQuery(result, telemetry_, tracker, stats, *recorder_);
   LOCS_VALIDATE_RESULT("LocalCstSolver::Solve", graph_, result, v0, k);
   return result;
 }
 
-SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
-                                       const CstOptions& options,
+SearchResult LocalCstSolver::CstMulti(const std::vector<VertexId>& query,
+                                      uint32_t k, QueryStats* stats,
+                                      QueryGuard* guard) {
+  CheckQuerySet(graph_, query);
+  telemetry_.Reset();
+  obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
+  SearchResult result = SolveImpl(query, k, {}, guard, tracker);
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  LOCS_VALIDATE_RESULT("LocalCstSolver::CstMulti", graph_, result, query, k);
+  return result;
+}
+
+SearchResult LocalCstSolver::CsmMulti(const std::vector<VertexId>& query,
+                                      QueryStats* stats, QueryGuard* guard) {
+  CheckQuerySet(graph_, query);
+  telemetry_.Reset();
+  obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
+  SearchResult result = CsmMultiImpl(query, guard, tracker);
+  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  LOCS_VALIDATE_RESULT("LocalCstSolver::CsmMulti", graph_, result,
+                       validate::CsmMultiQuery(result, query), 0);
+  return result;
+}
+
+SearchResult LocalCstSolver::SolveImpl(std::span<const VertexId> seeds,
+                                       uint32_t k, const CstOptions& options,
                                        QueryGuard* guard,
                                        obs::PhaseTracker& tracker) {
-  LOCS_CHECK_LT(v0, graph_.NumVertices());
   QueryGuard unlimited;
   QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  const VertexId v0 = seeds[0];
+  const bool multi = seeds.size() > 1;
 
   obs::PhaseStats& admission = tracker.Enter(obs::Phase::kAdmission);
-  // Trivial threshold: the singleton community qualifies.
-  if (k == 0) {
+  // Trivial threshold: the singleton community qualifies (a query set
+  // still has to be connected).
+  if (k == 0 && !multi) {
     admission.vertices_visited = 1;
     telemetry_.answer_size = 1;
     return SearchResult::MakeFound(Community{{v0}, 0});
   }
-  // Proposition 3: v0 itself must have degree >= k.
-  if (graph_.Degree(v0) < k) return SearchResult::MakeNotExists();
+  // Proposition 3: every query vertex must have degree >= k.
+  for (VertexId s : seeds) {
+    if (graph_.Degree(s) < k) return SearchResult::MakeNotExists();
+  }
   // Theorem 3 admission test (valid on connected graphs only).
   if (facts_ != nullptr && facts_->connected &&
       k > MStarUpperBound(facts_->num_edges, facts_->num_vertices)) {
@@ -90,12 +129,19 @@ SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
   fifo_head_ = 0;
   c_members_.clear();
   deficient_ = 0;
+  fragments_ = 1;
+  if (multi) {
+    if (!fragment_parent_) fragment_parent_.emplace(graph_.NumVertices());
+    fragment_parent_->NewEpoch();
+    fragments_ = 0;  // JoinFragments counts each seed in
+  }
 
   // Guard accounting: charge the work delta after every expansion step.
   // The guard amortizes the expensive checks internally, so the per-step
-  // cost here is a few adds and one compare. TotalWork sums the same
-  // increments the pre-obs counters held, so trip points are unchanged.
-  uint64_t charged = 0;
+  // cost here is a few adds and one compare. The baseline is the work
+  // already charged: a CsmMulti binary search runs its probes on one
+  // QueryTelemetry (a fresh query starts from zero).
+  uint64_t charged = telemetry_.TotalWork();
   auto spend = [&]() {
     const uint64_t total = telemetry_.TotalWork();
     const bool stop = g.Spend(total - charged);
@@ -104,50 +150,140 @@ SearchResult LocalCstSolver::SolveImpl(VertexId v0, uint32_t k,
   };
 
   obs::PhaseStats& expansion = tracker.Enter(obs::Phase::kExpansion);
-  enqueued_.Set(v0);
-  AddToC(v0, k, options.strategy, use_ordered, expansion);
-  if (spend()) {
-    return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion());
+  for (VertexId s : seeds) {
+    enqueued_.Set(s);
+    if (multi) {
+      // A seed not yet in C must never enter the li queue: a same-epoch
+      // tombstone makes IncrementOrInsert skip it, as enqueued_ does for
+      // the naive and lg frontiers.
+      li_queue_.Insert(s, 0);
+      li_queue_.Erase(s);
+    }
   }
-  while (deficient_ > 0) {
+  for (VertexId s : seeds) {
+    AddToC(s, k, options.strategy, use_ordered, expansion);
+    if (multi) JoinFragments(s, k);
+  }
+  if (spend()) {
+    return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion(v0));
+  }
+  while (deficient_ > 0 || fragments_ > 1) {
     const VertexId next = SelectNext(options.strategy, k, use_ordered);
     if (next == kInvalidVertex) {
       // Candidates exhausted: global peel on G[C] (Proposition 4). Because
       // the candidate generation never skips a vertex of degree >= k that
       // is reachable through such vertices, C contains the whole k-core
-      // component of v0 and the fallback answer is exact.
-      return GlobalFallback(v0, k, tracker, g, charged);
+      // component of every seed and the fallback answer is exact.
+      return GlobalFallback(seeds, k, tracker, g, charged);
     }
     AddToC(next, k, options.strategy, use_ordered, expansion);
+    // Once C is one fragment it stays one: every later vertex joins as a
+    // neighbor of C.
+    if (fragments_ > 1) JoinFragments(next, k);
     if (spend()) {
-      return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion());
+      return SearchResult::MakeInterrupted(g.cause(), HarvestExpansion(v0));
     }
   }
 
-  // Early success: δ(G[C]) >= k. Report the exact minimum degree.
-  Community community;
-  community.members = c_members_;
-  uint32_t min_degree = ~uint32_t{0};
-  for (VertexId v : c_members_) {
-    min_degree = std::min(min_degree, c_deg_.Get(v));
-  }
-  community.min_degree = min_degree;
+  // Early success: δ(G[C]) >= k and C connects the seeds. Report the exact
+  // minimum degree.
+  Community community = HarvestExpansion(v0);
   telemetry_.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));
 }
 
-Community LocalCstSolver::HarvestExpansion() const {
-  // During expansion the candidate set C is always connected (vertices are
-  // only ever discovered as neighbors of C) and contains v0, and c_deg_
-  // holds the exact induced degrees — so C itself is the best connected
-  // community so far.
+SearchResult LocalCstSolver::CsmMultiImpl(const std::vector<VertexId>& query,
+                                          QueryGuard* guard,
+                                          obs::PhaseTracker& tracker) {
+  uint32_t hi = graph_.Degree(query[0]);
+  for (VertexId q : query) hi = std::min(hi, graph_.Degree(q));
+  if (facts_ != nullptr && facts_->connected) {
+    hi = std::min(hi,
+                  MStarUpperBound(facts_->num_edges, facts_->num_vertices));
+  }
+  // One shared guard spans every CST probe of the binary search, exactly
+  // like wall-clock time would; the probes also share this query's
+  // telemetry, so effort accumulates across the whole search.
+  SearchResult best = SolveImpl(query, 0, {}, guard, tracker);
+  LOCS_VALIDATE_RESULT("LocalCstSolver::CsmMulti[probe]", graph_, best,
+                       query, 0u);
+  if (best.Interrupted()) return best;
+  if (!best.Found()) {
+    telemetry_.answer_size = 1;
+    return SearchResult::MakeFound(Community{{query[0]}, 0});
+  }
+  uint32_t lo = 0;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo + 1) / 2;
+    SearchResult attempt = SolveImpl(query, mid, {}, guard, tracker);
+    LOCS_VALIDATE_RESULT("LocalCstSolver::CsmMulti[probe]", graph_,
+                         attempt, query, mid);
+    if (attempt.Interrupted()) {
+      // The best answer proven before the interruption is still valid.
+      return SearchResult::MakeInterrupted(attempt.status, std::move(*best));
+    }
+    if (attempt.Found()) {
+      best = std::move(attempt);
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return best;
+}
+
+void LocalCstSolver::JoinFragments(VertexId v, uint32_t k) {
+  // v enters G[C] as a fragment of its own, rooted at v, and absorbs the
+  // fragment of every in-C neighbor. A separate pass keeps AddToC's scan
+  // untouched; AddToC already charged these edges. Every C member has
+  // degree >= k, so a degree-sorted list can stop where AddToC's did.
+  ++fragments_;
+  const bool use_ordered = ordered_ != nullptr;
+  const std::span<const VertexId> nbrs =
+      use_ordered ? ordered_->Neighbors(v) : graph_.Neighbors(v);
+  for (VertexId w : nbrs) {
+    if (use_ordered && graph_.Degree(w) < k) break;
+    if (!c_deg_.Fresh(w)) continue;
+    const VertexId root_w = FindFragment(w);
+    if (root_w != v) {
+      fragment_parent_->Set(root_w, v + 1);
+      --fragments_;
+    }
+  }
+}
+
+VertexId LocalCstSolver::FindFragment(VertexId v) {
+  EpochU32Array& parent = *fragment_parent_;
+  VertexId root = v;
+  while (parent.Get(root) != 0) root = parent.Get(root) - 1;
+  while (v != root) {  // path compression
+    const VertexId next = parent.Get(v) - 1;
+    parent.Set(v, root + 1);
+    v = next;
+  }
+  return root;
+}
+
+Community LocalCstSolver::HarvestExpansion(VertexId anchor) {
+  // During expansion every fragment of G[C] is connected (vertices are only
+  // ever discovered as neighbors of C) and holds a seed, and c_deg_ holds
+  // exact induced degrees (an in-C neighbor shares the fragment). One
+  // fragment is all of C — always so for a single seed — and is the best
+  // connected community so far; with several, harvest the anchor's.
   Community partial;
-  partial.members = c_members_;
+  if (fragments_ == 1) {
+    partial.members = c_members_;
+  } else {
+    const VertexId root = FindFragment(anchor);
+    for (VertexId v : c_members_) {
+      if (FindFragment(v) == root) partial.members.push_back(v);
+    }
+  }
   uint32_t min_degree = ~uint32_t{0};
-  for (VertexId v : c_members_) {
+  for (VertexId v : partial.members) {
     min_degree = std::min(min_degree, c_deg_.Get(v));
   }
-  partial.min_degree = c_members_.empty() ? 0 : min_degree;
+  partial.min_degree = min_degree;
   return partial;
 }
 
@@ -303,7 +439,8 @@ VertexId LocalCstSolver::SelectLg(uint32_t k, bool use_ordered) {
   return kInvalidVertex;
 }
 
-SearchResult LocalCstSolver::GlobalFallback(VertexId v0, uint32_t k,
+SearchResult LocalCstSolver::GlobalFallback(std::span<const VertexId> seeds,
+                                            uint32_t k,
                                             obs::PhaseTracker& tracker,
                                             QueryGuard& guard,
                                             uint64_t& charged) {
@@ -319,6 +456,11 @@ SearchResult LocalCstSolver::GlobalFallback(VertexId v0, uint32_t k,
     charged = total;
     return stop;
   };
+  auto any_seed_peeled = [&]() {
+    return std::any_of(seeds.begin(), seeds.end(),
+                       [&](VertexId s) { return peeled_.Get(s) != 0; });
+  };
+  const VertexId v0 = seeds[0];
   peeled_.NewEpoch();
   peel_worklist_.clear();
   for (VertexId v : c_members_) {
@@ -349,18 +491,18 @@ SearchResult LocalCstSolver::GlobalFallback(VertexId v0, uint32_t k,
     if (spend()) {
       // Peel removals are sound even mid-peel: a peeled vertex provably
       // belongs to no k-core of G[C], and C contains the whole k-core
-      // component of v0 — so a peeled v0 is an exact negative despite the
-      // interruption. Otherwise degrade to the component of v0 among the
-      // still-unpeeled candidates.
-      if (peeled_.Get(v0) == 1) return SearchResult::MakeNotExists();
+      // component of every seed — so a peeled seed is an exact negative
+      // despite the interruption. Otherwise degrade to the component of
+      // seeds[0] among the still-unpeeled candidates.
+      if (any_seed_peeled()) return SearchResult::MakeNotExists();
       return SearchResult::MakeInterrupted(guard.cause(),
                                            HarvestUnpeeled(v0));
     }
   }
-  if (peeled_.Get(v0) != 0) return SearchResult::MakeNotExists();
+  if (any_seed_peeled()) return SearchResult::MakeNotExists();
 
-  // BFS from v0 over the surviving candidates. Reuse peeled_ as the
-  // visited mark (2 = reached).
+  // BFS from seeds[0] over the surviving candidates; every other seed must
+  // be reached. Reuse peeled_ as the visited mark (2 = reached).
   obs::PhaseStats& bfs_ph = tracker.Enter(obs::Phase::kConnectivity);
   Community community;
   community.members.push_back(v0);
@@ -377,26 +519,29 @@ SearchResult LocalCstSolver::GlobalFallback(VertexId v0, uint32_t k,
       }
     }
     if (spend()) {
-      // The partially-collected BFS set is connected and contains v0; its
-      // induced degrees must be recounted against the reached marks.
+      // The partially-collected BFS set is connected and contains seeds[0];
+      // its induced degrees must be recounted against the reached marks.
       community.min_degree = InducedMinDegree(community.members, 2);
       return SearchResult::MakeInterrupted(guard.cause(),
                                            std::move(community));
     }
+  }
+  for (VertexId s : seeds) {
+    if (peeled_.Get(s) != 2) return SearchResult::MakeNotExists();
   }
   community.min_degree = min_degree;
   telemetry_.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));
 }
 
-Community LocalCstSolver::HarvestUnpeeled(VertexId v0) {
-  // Connected component of v0 over candidates the (interrupted) peel has
-  // not yet removed; marks reached vertices with 2 so the induced degrees
-  // can be recounted exactly. c_deg_ is NOT usable here — mid-peel it
-  // still counts edges to peeled-but-unprocessed vertices.
+Community LocalCstSolver::HarvestUnpeeled(VertexId anchor) {
+  // Connected component of `anchor` over candidates the (interrupted) peel
+  // has not yet removed; marks reached vertices with 2 so the induced
+  // degrees can be recounted exactly. c_deg_ is NOT usable here — mid-peel
+  // it still counts edges to peeled-but-unprocessed vertices.
   Community partial;
-  partial.members.push_back(v0);
-  peeled_.Set(v0, 2);
+  partial.members.push_back(anchor);
+  peeled_.Set(anchor, 2);
   for (size_t head = 0; head < partial.members.size(); ++head) {
     for (VertexId w : graph_.Neighbors(partial.members[head])) {
       if (c_deg_.Fresh(w) && peeled_.Get(w) == 0) {

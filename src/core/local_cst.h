@@ -13,9 +13,23 @@
 //
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state.
+//
+// One engine serves every local CST entry point. `Solve(v0, k)` is the
+// paper's single-vertex query; `CstMulti(Q, k)` runs the same li expansion,
+// G[C] peel and BFS over a seed set, the Sozio–Gionis query-set problem the
+// paper cites in §7 (|Q| = 1 is exactly `Solve`). With several seeds, early
+// success also needs G[C] to connect them, which a union-find over C tracks
+// in O(1) per check; it is allocated on the first multi-seed query, so a
+// solver that only ever answers `Solve` never pays for it. `CsmMulti(Q)`
+// maximizes δ by binary search over `CstMulti` (Propositions 1-2 make
+// feasibility monotone in k).
 
 #ifndef LOCS_CORE_LOCAL_CST_H_
 #define LOCS_CORE_LOCAL_CST_H_
+
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "core/bucket_list.h"
 #include "core/common.h"
@@ -40,6 +54,10 @@ struct GraphFacts {
   static GraphFacts Compute(const Graph& graph);
 };
 
+/// Checks a query set (LOCS_CHECK): non-empty, distinct, in range.
+/// O(q log q).
+void CheckQuerySet(const Graph& graph, std::span<const VertexId> query);
+
 /// Reusable local-CST solver bound to one graph. Not thread-safe; create
 /// one instance per thread.
 class LocalCstSolver {
@@ -58,6 +76,23 @@ class LocalCstSolver {
   SearchResult Solve(VertexId v0, uint32_t k, const CstOptions& options = {},
                      QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
 
+  /// CST(k) for a query set under the li strategy: a connected community
+  /// containing every query vertex with minimum induced degree >= k. Exact:
+  /// kNotExists iff no solution exists. Query vertices must be distinct. A
+  /// guard trip reports the connected fragment of C holding query[0] (C
+  /// may not connect the query yet). `CstMulti({v}, k)` is `Solve(v, k)`.
+  SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
+                        QueryStats* stats = nullptr,
+                        QueryGuard* guard = nullptr);
+
+  /// CSM for a query set: binary search over CstMulti. All probes charge
+  /// one shared guard and accumulate into one QueryTelemetry (recorded
+  /// once); an interrupted search reports the best community proven so
+  /// far.
+  SearchResult CsmMulti(const std::vector<VertexId>& query,
+                        QueryStats* stats = nullptr,
+                        QueryGuard* guard = nullptr);
+
   /// Telemetry sink for completed queries; defaults to the no-op null
   /// sink (no clock reads, counters discarded). Not owned.
   void set_recorder(obs::Recorder* recorder) {
@@ -65,17 +100,22 @@ class LocalCstSolver {
   }
 
  private:
-  SearchResult SolveImpl(VertexId v0, uint32_t k, const CstOptions& options,
-                         QueryGuard* guard, obs::PhaseTracker& tracker);
+  SearchResult SolveImpl(std::span<const VertexId> seeds, uint32_t k,
+                         const CstOptions& options, QueryGuard* guard,
+                         obs::PhaseTracker& tracker);
+  SearchResult CsmMultiImpl(const std::vector<VertexId>& query,
+                            QueryGuard* guard, obs::PhaseTracker& tracker);
   VertexId SelectNext(Strategy strategy, uint32_t k, bool use_ordered);
   VertexId SelectLg(uint32_t k, bool use_ordered);
   void AddToC(VertexId v, uint32_t k, Strategy strategy, bool use_ordered,
               obs::PhaseStats& ph);
-  SearchResult GlobalFallback(VertexId v0, uint32_t k,
+  void JoinFragments(VertexId v, uint32_t k);
+  VertexId FindFragment(VertexId v);
+  SearchResult GlobalFallback(std::span<const VertexId> seeds, uint32_t k,
                               obs::PhaseTracker& tracker, QueryGuard& guard,
                               uint64_t& charged);
-  Community HarvestExpansion() const;
-  Community HarvestUnpeeled(VertexId v0);
+  Community HarvestExpansion(VertexId anchor);
+  Community HarvestUnpeeled(VertexId anchor);
   uint32_t InducedMinDegree(const std::vector<VertexId>& members,
                             uint32_t mark) const;
 
@@ -99,6 +139,13 @@ class LocalCstSolver {
   size_t fifo_head_ = 0;
   std::vector<VertexId> c_members_;
   uint64_t deficient_ = 0;          // |{v in C : deg_in_c < k}|
+
+  // Multi-seed queries only: union-find over the fragments of G[C] (cell =
+  // parent + 1; 0 = root), allocated on the first such query. C grows from
+  // the seeds through neighbors of C, so every fragment holds a seed and C
+  // connects the seeds iff fragments_ == 1 (always 1 for a single seed).
+  std::optional<EpochU32Array> fragment_parent_;
+  uint64_t fragments_ = 1;
 };
 
 }  // namespace locs

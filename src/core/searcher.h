@@ -65,19 +65,6 @@ class CommunitySearcher {
                          QueryStats* stats = nullptr,
                          QueryGuard* guard = nullptr);
 
-  /// Adaptive CST(k) (extension): local search when the degree
-  /// distribution predicts a small candidate universe |V≥k|, global
-  /// search otherwise. Always exact; typically within a few percent of
-  /// the better of the two fixed strategies at every k.
-  SearchResult CstAdaptive(VertexId v0, uint32_t k,
-                           const CstOptions& options = {},
-                           QueryStats* stats = nullptr,
-                           QueryGuard* guard = nullptr);
-
-  /// Fraction of vertices with degree >= k (exact, from the degree
-  /// histogram built on first use) — the dispatch signal of CstAdaptive.
-  double DegreeTailFraction(uint32_t k) const;
-
   /// Exact CSM from the CoreIndex: v0's connected component of its
   /// maxcore (Lemma 4), δ = CoreNumber(v0), members in BFS order. One BFS
   /// over the vertices whose core number is at least v0's, so the cost
@@ -156,9 +143,6 @@ class CommunitySearcher {
                                           obs::PhaseStats& ph);
 
   std::shared_ptr<const Snapshot> snapshot_;
-  /// tail_count_[k]: number of vertices with degree >= k; empty until the
-  /// first DegreeTailFraction call, so binding costs no O(|V|) pass.
-  mutable std::vector<uint64_t> tail_count_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   LocalCstSolver cst_solver_;
   /// The component BFS's seen-set; also the seed set during validation

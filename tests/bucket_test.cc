@@ -1,12 +1,11 @@
 // Tests for the bucket priority structures (MinBucketQueue,
-// EpochBucketList) and the EpochArray scratch machinery.
+// EpochBucketList).
 
 #include <gtest/gtest.h>
 
 #include <queue>
 
 #include "core/bucket_list.h"
-#include "core/epoch.h"
 #include "util/bucket_queue.h"
 #include "util/rng.h"
 
@@ -167,37 +166,6 @@ TEST(EpochBucketListTest, StressAgainstMultiset) {
     for (int k : key) present += k >= 0;
     ASSERT_EQ(list.Size(), present);
   }
-}
-
-TEST(EpochArrayTest, DefaultsUntilWritten) {
-  EpochArray<uint32_t> arr(4);
-  EXPECT_EQ(arr.Get(0), 0u);
-  EXPECT_FALSE(arr.Fresh(0));
-  arr.Ref(0) = 7;
-  EXPECT_EQ(arr.Get(0), 7u);
-  EXPECT_TRUE(arr.Fresh(0));
-}
-
-TEST(EpochArrayTest, NewEpochInvalidates) {
-  EpochArray<uint8_t> arr(4);
-  arr.Ref(1) = 1;
-  arr.Ref(2) = 1;
-  arr.NewEpoch();
-  EXPECT_EQ(arr.Get(1), 0);
-  EXPECT_EQ(arr.Get(2), 0);
-  EXPECT_FALSE(arr.Fresh(1));
-  arr.Ref(1) = 5;
-  EXPECT_EQ(arr.Get(1), 5);
-}
-
-TEST(EpochArrayTest, RefResetsStaleValue) {
-  EpochArray<uint32_t> arr(2);
-  arr.Ref(0) = 9;
-  arr.NewEpoch();
-  uint32_t& ref = arr.Ref(0);
-  EXPECT_EQ(ref, 0u);  // stale value must not leak through
-  ref = 3;
-  EXPECT_EQ(arr.Get(0), 3u);
 }
 
 }  // namespace

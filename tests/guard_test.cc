@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/global.h"
@@ -22,6 +23,7 @@
 #include "exec/batch_runner.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
+#include "graph/builder.h"
 #include "graph/ordering.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
@@ -354,7 +356,7 @@ TEST(GuardedMultiTest, BudgetLadderKeepsAnchorFragmentValid) {
   Graph g = gen::Barbell(8, 4);
   const GraphFacts facts = GraphFacts::Compute(g);
   const OrderedAdjacency ordered(g);
-  LocalMultiSolver solver(g, &ordered, &facts);
+  LocalCstSolver solver(g, &ordered, &facts);
   const std::vector<VertexId> query = {
       0, static_cast<VertexId>(g.NumVertices() - 1)};
   const SearchResult exact = solver.CstMulti(query, 2);
@@ -377,7 +379,7 @@ TEST(GuardedMultiTest, CsmMultiSharesOneGuardAcrossProbes) {
   Graph g = gen::Barbell(6, 3);
   const GraphFacts facts = GraphFacts::Compute(g);
   const OrderedAdjacency ordered(g);
-  LocalMultiSolver solver(g, &ordered, &facts);
+  LocalCstSolver solver(g, &ordered, &facts);
   const std::vector<VertexId> query = {
       0, static_cast<VertexId>(g.NumVertices() - 1)};
   // Unlimited: exact δ = 2 (the whole barbell body).
@@ -389,6 +391,91 @@ TEST(GuardedMultiTest, CsmMultiSharesOneGuardAcrossProbes) {
   ASSERT_TRUE(result.Interrupted());
   EXPECT_EQ(result.status, Termination::kDeadline);
   ExpectValidPartial(g, result, query[0]);
+}
+
+/// Two K5s joined through a K4 (edges 0-10 and 5-11), so {0, 5} has a
+/// δ = 3 community. Decoy 14 (neighbors 0, 5 and leaf 15) is the first
+/// vertex li admits for that pair, but it never reaches degree 3 inside
+/// C, so the expansion runs dry and falls back to the G[C] peel and BFS.
+/// Decoy 16 (neighbors 2 and leaves 17, 18) has degree 3 but one neighbor
+/// in C: as a seed, the peel removes it.
+Graph TwoCliquesWithDecoys() {
+  GraphBuilder builder(19);
+  auto clique = [&](VertexId first, VertexId size) {
+    for (VertexId u = first; u < first + size; ++u) {
+      for (VertexId v = u + 1; v < first + size; ++v) builder.AddEdge(u, v);
+    }
+  };
+  clique(0, 5);
+  clique(5, 5);
+  clique(10, 4);
+  builder.AddEdge(0, 10);
+  builder.AddEdge(5, 11);
+  for (const VertexId w : {0u, 5u, 15u}) builder.AddEdge(14, w);
+  for (const VertexId w : {2u, 17u, 18u}) builder.AddEdge(16, w);
+  return builder.Build();
+}
+
+TEST(GuardedMultiTest, BudgetLadderAcrossTheFallback) {
+  const Graph g = TwoCliquesWithDecoys();
+  const GraphFacts facts = GraphFacts::Compute(g);
+  const OrderedAdjacency ordered(g);
+  LocalCstSolver solver(g, &ordered, &facts);
+  const std::vector<VertexId> query = {0, 5};
+  const SearchResult exact = solver.CstMulti(query, 3);
+  ASSERT_TRUE(exact.has_value());
+  ASSERT_TRUE(exact.telemetry.used_global_fallback);
+  // One rung per unit of work: every guard check of the expansion, the
+  // peel and the connectivity BFS trips on some rung.
+  bool tripped[obs::kNumPhases] = {};
+  for (uint64_t budget = 0; budget <= exact.telemetry.TotalWork(); ++budget) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    QueryGuard guard = BudgetGuard(budget);
+    const SearchResult result = solver.CstMulti(query, 3, nullptr, &guard);
+    if (result.Interrupted()) {
+      EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+      ExpectValidPartial(g, result, query[0]);
+      size_t last = 0;
+      for (size_t p = 0; p < obs::kNumPhases; ++p) {
+        if (result.telemetry.phases[p].entered != 0) last = p;
+      }
+      tripped[last] = true;
+    } else {
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->members, exact->members);
+      EXPECT_EQ(result->min_degree, exact->min_degree);
+    }
+  }
+  for (const obs::Phase phase :
+       {obs::Phase::kExpansion, obs::Phase::kCoreDecomposition,
+        obs::Phase::kConnectivity}) {
+    EXPECT_TRUE(tripped[static_cast<size_t>(phase)])
+        << "no rung tripped in phase " << static_cast<int>(phase);
+  }
+}
+
+TEST(GuardedMultiTest, PeeledSecondSeedStaysAnExactNegative) {
+  // Seed 16 has degree 3 but only one neighbor inside C, so the peel
+  // removes it first: once the fallback starts, every budget answers an
+  // exact kNotExists, and an earlier trip still reports a valid partial.
+  const Graph g = TwoCliquesWithDecoys();
+  const GraphFacts facts = GraphFacts::Compute(g);
+  const OrderedAdjacency ordered(g);
+  LocalCstSolver solver(g, &ordered, &facts);
+  const std::vector<VertexId> query = {0, 16};
+  const SearchResult exact = solver.CstMulti(query, 3);
+  ASSERT_EQ(exact.status, Termination::kNotExists);
+  ASSERT_TRUE(exact.telemetry.used_global_fallback);
+  for (uint64_t budget = 0; budget <= exact.telemetry.TotalWork(); ++budget) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    QueryGuard guard = BudgetGuard(budget);
+    const SearchResult result = solver.CstMulti(query, 3, nullptr, &guard);
+    if (result.telemetry[obs::Phase::kCoreDecomposition].entered != 0) {
+      EXPECT_EQ(result.status, Termination::kNotExists);
+    } else {
+      ExpectValidPartial(g, result, query[0]);
+    }
+  }
 }
 
 // The searcher answers MULTI from the core numbers: a pre-tripped guard,

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/global.h"
+#include "core/kcore.h"
 #include "gen/classic.h"
 #include "graph/builder.h"
 #include "gen/erdos_renyi.h"
@@ -285,6 +289,46 @@ TEST(LocalCstStatsTest, FallbackFlagFalseOnDirectHit) {
   ASSERT_TRUE(solver.Solve(0, 4, {}, &stats).has_value());
   EXPECT_FALSE(stats.used_global_fallback);
   EXPECT_EQ(stats.answer_size, 5u);  // li stops as soon as δ(C) reaches 4
+}
+
+// One engine serves both entry points: a one-seed CstMulti is Solve, down
+// to the member order, the fallback flag and every per-phase counter.
+TEST(LocalCstMultiTest, SingleSeedCstMultiIsSolve) {
+  for (const testing::GraphCase& c : testing::PropertyGraphs()) {
+    const GraphFacts facts = GraphFacts::Compute(c.graph);
+    const OrderedAdjacency ordered(c.graph);
+    const CoreDecomposition cores = ComputeCores(c.graph);
+    for (const OrderedAdjacency* order :
+         {&ordered, static_cast<const OrderedAdjacency*>(nullptr)}) {
+      LocalCstSolver solver(c.graph, order, &facts);
+      for (VertexId v = 0; v < c.graph.NumVertices(); ++v) {
+        const uint32_t core = cores.core[v];
+        for (const uint32_t k : {0u, 1u, 2u, 3u, core, core + 1}) {
+          SCOPED_TRACE(c.label + (order != nullptr ? " ordered" : " plain") +
+                       " v=" + std::to_string(v) + " k=" + std::to_string(k));
+          const SearchResult solo = solver.Solve(v, k);
+          const SearchResult multi = solver.CstMulti({v}, k);
+          ASSERT_EQ(multi.status, solo.status);
+          if (solo.has_value()) {
+            EXPECT_EQ(multi->members, solo->members);
+            EXPECT_EQ(multi->min_degree, solo->min_degree);
+          }
+          EXPECT_EQ(multi.telemetry.used_global_fallback,
+                    solo.telemetry.used_global_fallback);
+          for (size_t p = 0; p < obs::kNumPhases; ++p) {
+            const obs::PhaseStats& a = multi.telemetry.phases[p];
+            const obs::PhaseStats& b = solo.telemetry.phases[p];
+            EXPECT_EQ(a.vertices_visited, b.vertices_visited) << "phase " << p;
+            EXPECT_EQ(a.edges_scanned, b.edges_scanned) << "phase " << p;
+            EXPECT_EQ(a.candidates_generated, b.candidates_generated)
+                << "phase " << p;
+            EXPECT_EQ(a.candidates_rejected, b.candidates_rejected)
+                << "phase " << p;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/global.h"
+#include "core/local_cst.h"
 #include "core/searcher.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
@@ -58,14 +59,14 @@ class MultiSolverTest : public ::testing::Test {
                         const std::vector<VertexId>& query, uint32_t k) {
     const GraphFacts facts = GraphFacts::Compute(g);
     const OrderedAdjacency ordered(g);
-    LocalMultiSolver solver(g, &ordered, &facts);
+    LocalCstSolver solver(g, &ordered, &facts);
     return solver.CstMulti(query, k);
   }
 
   Community LocalCsm(const Graph& g, const std::vector<VertexId>& query) {
     const GraphFacts facts = GraphFacts::Compute(g);
     const OrderedAdjacency ordered(g);
-    LocalMultiSolver solver(g, &ordered, &facts);
+    LocalCstSolver solver(g, &ordered, &facts);
     return *solver.CsmMulti(query);
   }
 };

@@ -238,8 +238,8 @@ TEST(PropertyTelemetry, CountersProjectExactlyAndTimingIsInert) {
 // CommunitySearcher's CoreIndex answers: Cst answers kNotExists exactly
 // when v lies outside the k-core and otherwise returns what a bare local
 // solver over the same snapshot returns. CstMulti returns the maximal
-// answer: status, δ and members vector equal GlobalCstMulti's, and a
-// local LocalMultiSolver answer lies inside it.
+// answer: status, δ and members vector equal GlobalCstMulti's, and the
+// bare solver's local CstMulti answer lies inside it.
 // ---------------------------------------------------------------------
 /// Status, δ and the members vector (BFS order included) agree.
 void ExpectSameAnswer(const SearchResult& served, const SearchResult& oracle) {
@@ -257,7 +257,6 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
     const CoreIndex& index = snapshot->index;
     CommunitySearcher searcher(snapshot);
     LocalCstSolver cst(g, &snapshot->ordered, &snapshot->facts);
-    LocalMultiSolver multi(g, &snapshot->ordered, &snapshot->facts);
     const VertexId n = g.NumVertices();
     for (VertexId v = 0; v < n; ++v) {
       const VertexId partner = (v * 7 + 3) % n;
@@ -286,7 +285,7 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
           EXPECT_EQ(pair.telemetry.TotalVisited(), pair->members.size());
           EXPECT_FALSE(pair.telemetry.used_global_fallback);
         }
-        const SearchResult local = multi.CstMulti(seeds, k);
+        const SearchResult local = cst.CstMulti(seeds, k);
         ASSERT_EQ(local.has_value(), pair.has_value());
         if (local.has_value()) {
           const std::set<VertexId> answer(pair->members.begin(),

@@ -11,7 +11,6 @@
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
-#include "graph/subgraph.h"
 #include "test_util.h"
 
 namespace locs {
@@ -46,54 +45,6 @@ TEST(CommunitySearcherTest, LocalAgreesWithGlobalEndToEnd) {
                 searcher.CstGlobal(v0, k).has_value());
     }
   }
-}
-
-TEST(CommunitySearcherTest, DegreeTailFraction) {
-  CommunitySearcher searcher(gen::Star(10));  // center deg 9, leaves deg 1
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(0), 1.0);
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(1), 1.0);
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(2), 0.1);
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(9), 0.1);
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(10), 0.0);
-  EXPECT_DOUBLE_EQ(searcher.DegreeTailFraction(1000), 0.0);
-}
-
-TEST(CommunitySearcherTest, AdaptiveAlwaysExact) {
-  CommunitySearcher searcher(gen::ErdosRenyiGnp(120, 0.07, 21));
-  for (VertexId v0 = 0; v0 < 120; v0 += 7) {
-    for (uint32_t k = 0; k <= 10; ++k) {
-      const auto adaptive = searcher.CstAdaptive(v0, k);
-      const auto global = searcher.CstGlobal(v0, k);
-      ASSERT_EQ(adaptive.has_value(), global.has_value())
-          << "v0=" << v0 << " k=" << k;
-      if (adaptive.has_value()) {
-        EXPECT_TRUE(IsValidCommunity(searcher.graph(), adaptive->members,
-                                     v0, k));
-      }
-    }
-  }
-}
-
-TEST(CommunitySearcherTest, AdaptiveDispatchBoundary) {
-  // CstAdaptive goes global when |V>=k| / |V| exceeds 0.35 (for k > 2).
-  // A clique with a long tail keeps the fraction at k=3 below it (8/28):
-  // local search, which stops before visiting the whole clique.
-  GraphBuilder lollipop(28);
-  for (VertexId u = 0; u < 8; ++u) {
-    for (VertexId v = u + 1; v < 8; ++v) lollipop.AddEdge(u, v);
-  }
-  for (VertexId v = 8; v < 28; ++v) lollipop.AddEdge(v - 1, v);
-  CommunitySearcher a(lollipop.Build());
-  EXPECT_LT(a.DegreeTailFraction(3), 0.35);
-  QueryStats stats;
-  a.CstAdaptive(0, 3, {}, &stats);
-  EXPECT_LT(stats.visited_vertices, 8u);  // local path (stops early)
-
-  // A bare clique keeps every vertex (fraction 1): the global peel.
-  CommunitySearcher b(gen::Clique(8));
-  EXPECT_GT(b.DegreeTailFraction(3), 0.35);
-  b.CstAdaptive(0, 3, {}, &stats);
-  EXPECT_EQ(stats.visited_vertices, 8u);  // global path (whole graph)
 }
 
 TEST(CommunitySearcherTest, StatsPlumbing) {
