@@ -11,6 +11,10 @@
 // throughput should scale until the machine runs out of cores). Results
 // go to stdout as a table and to BENCH_serve.json via the standard
 // reporting schema.
+//
+// A bind row comes first: what a session pays to bind a graph, i.e. the
+// wall time and resident-set growth of constructing one
+// CommunitySearcher over the livejournal-sim stand-in.
 
 #include <unistd.h>
 
@@ -18,12 +22,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/datasets.h"
 #include "common/reporting.h"
+#include "core/searcher.h"
+#include "core/snapshot.h"
 #include "exec/executor.h"
 #include "graph/io.h"
 #include "serve/admission.h"
@@ -34,6 +42,7 @@
 #include "serve/session.h"
 #include "serve/transport.h"
 #include "util/cli.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -67,6 +76,47 @@ size_t QueriesPerSession() {
     }
   }
   return queries;
+}
+
+constexpr int kBinds = 20;
+
+/// Resident set of this process in MB (/proc/self/statm).
+double ResidentMb() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t total_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return static_cast<double>(resident_pages) *
+         static_cast<double>(::sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+struct BindPoint {
+  uint32_t vertices = 0;
+  double wall_ms = 0.0;  // median construction time
+  double rss_mb = 0.0;   // median RSS while bound, over the pre-bind RSS
+};
+
+/// Binds kBinds searchers one after another over one snapshot. Each lives
+/// until its RSS sample and is destroyed before the next bind. The RSS
+/// baseline is taken once, before the first bind, so scratch an allocator
+/// keeps after a searcher is gone still counts against the next one.
+BindPoint MeasureBind() {
+  const auto snapshot = std::make_shared<const Snapshot>(
+      Snapshot::Build(LoadStandIn("livejournal-sim").graph));
+  BindPoint point;
+  point.vertices = snapshot->graph.NumVertices();
+  std::vector<double> wall_ms;
+  std::vector<double> rss_mb;
+  const double baseline_mb = ResidentMb();
+  for (int i = 0; i < kBinds; ++i) {
+    WallTimer timer;
+    auto searcher = std::make_unique<CommunitySearcher>(snapshot);
+    wall_ms.push_back(timer.Millis());
+    rss_mb.push_back(ResidentMb() - baseline_mb);
+  }
+  point.wall_ms = Summarize(wall_ms).median;
+  point.rss_mb = Summarize(rss_mb).median;
+  return point;
 }
 
 struct SweepPoint {
@@ -307,6 +357,25 @@ int Main() {
       "not in the paper — service-layer economics of PR 4 (locsd)",
       "qps grows with sessions until cores saturate; p95 stays bounded");
 
+  JsonReport report("serve_stdio_closed_loop");
+  const BindPoint bind = MeasureBind();
+  std::printf("bind: CommunitySearcher over livejournal-sim (%u vertices), "
+              "median of %d\n",
+              bind.vertices, kBinds);
+  TableWriter bind_table({"vertices", "bind ms", "rss MB"});
+  bind_table.Row()
+      .Num(uint64_t{bind.vertices})
+      .Num(bind.wall_ms, 3)
+      .Num(bind.rss_mb, 2);
+  bind_table.Print();
+  std::printf("\n");
+  report.AddRow()
+      .Str("row", "bind")
+      .Num("vertices", bind.vertices)
+      .Num("binds", kBinds)
+      .Num("bind_ms", bind.wall_ms)
+      .Num("rss_mb", bind.rss_mb);
+
   const uint32_t n = MicroServeGraph().NumVertices();
   const std::string path = CachePath(kCacheTag);
 
@@ -325,7 +394,6 @@ int Main() {
       *std::max_element(session_counts.begin(), session_counts.end());
   Executor executor(max_sessions + 1);
 
-  JsonReport report("serve_stdio_closed_loop");
   report.Meta("graph", "lfr_micro_serve_20k");
   report.Meta("vertices", std::to_string(n));
   report.Meta("k", std::to_string(kQueryK));

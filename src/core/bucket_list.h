@@ -15,18 +15,26 @@
 // as the solvers' "discovered at least once this query" bit — the
 // single-probe IncrementOrInsert / IncrementIfPresent ops below are the
 // specialized inner loops of the `li` and `lg` strategies.
+//
+// Every array sits on a ZeroPageArray (util/zero_page_array.h), so the
+// structure is built in O(1) with no fill: a zero entry or head cell
+// carries epoch 0, which is stale because live epochs start at 1, and
+// the links and `tail_` are written by Link before anything reads them.
+// Pages become resident only as queries write them. The epoch wrap
+// re-zeroes the stamped cells by handing their pages back to the kernel.
 
 #ifndef LOCS_CORE_BUCKET_LIST_H_
 #define LOCS_CORE_BUCKET_LIST_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "util/check.h"
 #include "util/prefetch.h"
+#include "util/zero_page_array.h"
 
 namespace locs {
+
+class EpochTestPeer;
 
 /// Keyed doubly-linked bucket lists with epoch-based O(1) reset.
 class EpochBucketList {
@@ -39,18 +47,18 @@ class EpochBucketList {
   /// `capacity` bounds element ids, `max_key` bounds key values (so kNil
   /// is never a valid key and can serve as the erasure tombstone).
   EpochBucketList(uint32_t capacity, uint32_t max_key)
-      : head_(static_cast<size_t>(max_key) + 1, 0),
-        tail_(static_cast<size_t>(max_key) + 1, kNil),
-        next_(capacity, kNil),
-        prev_(capacity, kNil),
-        entry_(capacity, 0) {}
+      : head_(static_cast<size_t>(max_key) + 1),
+        tail_(static_cast<size_t>(max_key) + 1),
+        links_(capacity),
+        entry_(capacity) {}
 
   /// Invalidates the whole structure in O(1) (amortized: the 32-bit epoch
-  /// wraps once per ~4G queries, paying one O(n + max_key) clear).
+  /// wraps once per ~4G queries and then re-zeroes the stamped cells'
+  /// pages).
   void NewEpoch() {
     if (++epoch_ == 0) {
-      std::fill(entry_.begin(), entry_.end(), uint64_t{0});
-      std::fill(head_.begin(), head_.end(), uint64_t{0});
+      entry_.Zero();
+      head_.Zero();
       epoch_ = 1;
     }
     size_ = 0;
@@ -180,13 +188,20 @@ class EpochBucketList {
   /// Successor of `v` within its bucket, or kNil.
   uint32_t Next(uint32_t v) const {
     LOCS_DCHECK(Contains(v));
-    return next_[v];
+    return links_[v].next;
   }
 
   /// Hints an upcoming probe of `v`'s cell to the hardware prefetcher.
   void Prefetch(uint32_t v) const { LOCS_PREFETCH(entry_.data() + v); }
 
  private:
+  /// An element's neighbours within its bucket; one 8-byte cell, so
+  /// linking and unlinking touch one cache line per element.
+  struct Links {
+    uint32_t next;
+    uint32_t prev;
+  };
+
   uint64_t Pack(uint32_t low) const { return (uint64_t{epoch_} << 32) | low; }
 
   /// Moves a present element from bucket `key` to bucket `key + 1`.
@@ -202,37 +217,40 @@ class EpochBucketList {
   // within a bucket resolve in FIFO (discovery) order — this reproduces
   // the paper's Figure 4(b) selection trace exactly.
   void Link(uint32_t v, uint32_t key) {
-    next_[v] = kNil;
+    Links& links = links_[v];
+    links.next = kNil;
     const uint64_t h = head_[key];
     if ((h >> 32) != epoch_ || static_cast<uint32_t>(h) == kNil) {
       head_[key] = Pack(v);
       tail_[key] = v;
-      prev_[v] = kNil;
+      links.prev = kNil;
       return;
     }
-    prev_[v] = tail_[key];
-    next_[tail_[key]] = v;
+    links.prev = tail_[key];
+    links_[tail_[key]].next = v;
     tail_[key] = v;
   }
 
   void Unlink(uint32_t v, uint32_t key) {
-    if (prev_[v] != kNil) {
-      next_[prev_[v]] = next_[v];
+    const Links links = links_[v];
+    if (links.prev != kNil) {
+      links_[links.prev].next = links.next;
     } else {
-      head_[key] = Pack(next_[v]);
+      head_[key] = Pack(links.next);
     }
-    if (next_[v] != kNil) {
-      prev_[next_[v]] = prev_[v];
+    if (links.next != kNil) {
+      links_[links.next].prev = links.prev;
     } else {
-      tail_[key] = prev_[v];
+      tail_[key] = links.prev;
     }
   }
 
-  std::vector<uint64_t> head_;   // per key: (stamp << 32) | first element
-  std::vector<uint32_t> tail_;
-  std::vector<uint32_t> next_;
-  std::vector<uint32_t> prev_;
-  std::vector<uint64_t> entry_;  // per element: (stamp << 32) | key
+  friend class EpochTestPeer;
+
+  ZeroPageArray<uint64_t> head_;   // per key: (stamp << 32) | first element
+  ZeroPageArray<uint32_t> tail_;   // per key: last element (head fresh)
+  ZeroPageArray<Links> links_;     // per element, written by Link
+  ZeroPageArray<uint64_t> entry_;  // per element: (stamp << 32) | key
   uint32_t epoch_ = 1;
   uint32_t max_bucket_ = 0;
   uint32_t min_bucket_ = 0;

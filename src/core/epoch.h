@@ -4,18 +4,26 @@
 // advantage over global search), so per-vertex scratch state is validated
 // by an epoch stamp instead of being cleared: bumping the epoch invalidates
 // every entry in O(1).
+//
+// It must not pay O(|V|) per bind either. The cells live on a
+// ZeroPageArray (util/zero_page_array.h), so they start as zero bytes
+// without a fill, and since live epochs start at 1 a zero cell is already
+// stale. Construction is O(1), and only the pages a query writes become
+// resident. The rare epoch wrap re-zeroes the cells by handing the pages
+// back to the kernel, which again touches none of them.
 
 #ifndef LOCS_CORE_EPOCH_H_
 #define LOCS_CORE_EPOCH_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "util/check.h"
 #include "util/prefetch.h"
+#include "util/zero_page_array.h"
 
 namespace locs {
+
+class EpochTestPeer;
 
 /// Stamp-only membership set: an index is "set" iff its stamp equals the
 /// current epoch, so there is no separate value byte to touch. One aligned
@@ -23,30 +31,23 @@ namespace locs {
 /// vertices.
 class EpochFlags {
  public:
-  explicit EpochFlags(size_t capacity) : stamp_(capacity, 0) {}
+  explicit EpochFlags(size_t capacity) : stamp_(capacity) {}
 
   /// Invalidates all entries in O(1) (amortized: the 32-bit epoch wraps
-  /// once per ~4G queries, paying one O(n) clear).
+  /// once per ~4G queries and then re-zeroes the stamps' pages).
   void NewEpoch() {
     if (++epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      stamp_.Zero();
       epoch_ = 1;
     }
   }
 
-  bool Test(uint32_t i) const {
-    LOCS_DCHECK(i < stamp_.size());
-    return stamp_[i] == epoch_;
-  }
+  bool Test(uint32_t i) const { return stamp_[i] == epoch_; }
 
-  void Set(uint32_t i) {
-    LOCS_DCHECK(i < stamp_.size());
-    stamp_[i] = epoch_;
-  }
+  void Set(uint32_t i) { stamp_[i] = epoch_; }
 
   /// Sets the flag; returns true iff it was previously unset.
   bool TestAndSet(uint32_t i) {
-    LOCS_DCHECK(i < stamp_.size());
     if (stamp_[i] == epoch_) return false;
     stamp_[i] = epoch_;
     return true;
@@ -58,7 +59,9 @@ class EpochFlags {
   size_t capacity() const { return stamp_.size(); }
 
  private:
-  std::vector<uint32_t> stamp_;
+  friend class EpochTestPeer;
+
+  ZeroPageArray<uint32_t> stamp_;
   uint32_t epoch_ = 1;
 };
 
@@ -69,34 +72,29 @@ class EpochFlags {
 /// the tracked set iff its cell was written this epoch.
 class EpochU32Array {
  public:
-  explicit EpochU32Array(size_t capacity) : cell_(capacity, 0) {}
+  explicit EpochU32Array(size_t capacity) : cell_(capacity) {}
 
   /// Invalidates all entries in O(1) (amortized across epoch wraps).
   void NewEpoch() {
     if (++epoch_ == 0) {
-      std::fill(cell_.begin(), cell_.end(), uint64_t{0});
+      cell_.Zero();
       epoch_ = 1;
     }
   }
 
   /// Read: 0 for entries not written this epoch.
   uint32_t Get(uint32_t i) const {
-    LOCS_DCHECK(i < cell_.size());
     const uint64_t c = cell_[i];
     return (c >> 32) == epoch_ ? static_cast<uint32_t>(c) : 0u;
   }
 
   /// Writes `value` and freshens the entry.
   void Set(uint32_t i, uint32_t value) {
-    LOCS_DCHECK(i < cell_.size());
     cell_[i] = (uint64_t{epoch_} << 32) | value;
   }
 
   /// True if the entry was written during the current epoch.
-  bool Fresh(uint32_t i) const {
-    LOCS_DCHECK(i < cell_.size());
-    return (cell_[i] >> 32) == epoch_;
-  }
+  bool Fresh(uint32_t i) const { return (cell_[i] >> 32) == epoch_; }
 
   /// Hints an upcoming Get/Set of entry `i` to the hardware prefetcher.
   void Prefetch(uint32_t i) const { LOCS_PREFETCH(cell_.data() + i); }
@@ -104,7 +102,9 @@ class EpochU32Array {
   size_t capacity() const { return cell_.size(); }
 
  private:
-  std::vector<uint64_t> cell_;
+  friend class EpochTestPeer;
+
+  ZeroPageArray<uint64_t> cell_;
   uint32_t epoch_ = 1;
 };
 

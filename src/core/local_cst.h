@@ -12,7 +12,10 @@
 //      the candidate set always contains the k-core component of v0).
 //
 // Per-query cost is proportional to the neighborhood actually explored —
-// not to |V| — thanks to epoch-stamped scratch state.
+// not to |V| — thanks to epoch-stamped scratch state. Construction is O(1)
+// as well: the scratch arrays are zero-page mappings (core/epoch.h,
+// core/bucket_list.h), so memory becomes resident only where queries
+// write, and the destructor hands it back to the OS.
 //
 // One engine serves every local CST entry point. `Solve(v0, k)` is the
 // paper's single-vertex query; `CstMulti(Q, k)` runs the same li expansion,

@@ -20,6 +20,9 @@
 // The searcher is stateful scratch-wise (the CST solver, the component
 // BFS and the multi-vertex CSM sweep reuse epoch-stamped buffers) and
 // therefore not thread-safe; create one per thread over a shared snapshot.
+// Creating one is cheap: the buffers are zero-page mappings, not filled
+// vectors, so binding costs O(1) whatever |V|, resident scratch grows
+// only with the pages queries write, and destruction unmaps it.
 
 #ifndef LOCS_CORE_SEARCHER_H_
 #define LOCS_CORE_SEARCHER_H_

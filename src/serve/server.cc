@@ -226,24 +226,32 @@ void TcpServer::EraseSessionFd(int fd) {
 }
 
 void TcpServer::HandleConnection(int fd) {
-  {
-    FdTransport transport(fd, fd, /*owns_fds=*/false,
-                          shared_.MakeTransportOptions());
-    Session session(transport, shared_.registry(), shared_.admission(),
-                    shared_.metrics(), shared_.MakeSessionOptions());
-    session.Run();
-  }
-  {
-    MutexLock lock(mutex_);
-    EraseSessionFd(fd);
-    --active_sessions_;
-    // Notify while still holding the lock: once the drain loop in Run()
-    // can observe active_sessions_ == 0 the server (and this condvar) may
-    // be destroyed, so the notify must complete before the unlock makes
-    // that observation possible.
-    drained_cv_.NotifyAll();
-  }
-  ::close(fd);
+  // Releases the slot and the fd however the session ends: an exception
+  // out of the session (which the Executor swallows) must not leak them,
+  // or the drain in Run() would wait forever. Declared first, so it runs
+  // after the session and its transport are gone.
+  struct Release {
+    TcpServer* server;
+    int fd;
+    ~Release() {
+      {
+        MutexLock lock(server->mutex_);
+        server->EraseSessionFd(fd);
+        --server->active_sessions_;
+        // Notify while still holding the lock: once the drain loop in
+        // Run() can observe active_sessions_ == 0 the server (and this
+        // condvar) may be destroyed, so the notify must complete before
+        // the unlock makes that observation possible.
+        server->drained_cv_.NotifyAll();
+      }
+      ::close(fd);
+    }
+  } release{this, fd};
+  FdTransport transport(fd, fd, /*owns_fds=*/false,
+                        shared_.MakeTransportOptions());
+  Session session(transport, shared_.registry(), shared_.admission(),
+                  shared_.metrics(), shared_.MakeSessionOptions());
+  session.Run();
 }
 
 }  // namespace locs::serve

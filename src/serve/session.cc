@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <new>
 #include <thread>
 #include <unordered_set>
 
@@ -335,7 +336,20 @@ CommunitySearcher* Session::Bind(const std::string& name,
   }
   if (bound_ != entry) {
     searcher_.reset();  // free the old scratch before allocating the new
-    searcher_ = std::make_unique<CommunitySearcher>(entry);
+    bound_.reset();
+    try {
+      // Fault-injection site: "serve.bind.alloc" simulates the scratch
+      // mapping being refused.
+      if (LOCS_FAILPOINT("serve.bind.alloc")) throw std::bad_alloc();
+      searcher_ = std::make_unique<CommunitySearcher>(entry);
+    } catch (const std::bad_alloc&) {
+      // This request fails typed; the session stays unbound and the next
+      // query retries the bind.
+      metrics_.CountError(WireError::kInternal);
+      *error_reply = FormatError(WireError::kInternal,
+                                 "out of memory binding graph '" + name + "'");
+      return nullptr;
+    }
     searcher_->set_recorder(&metrics_.recorder());
     bound_ = std::move(entry);
   }

@@ -293,6 +293,20 @@ TEST(ServeSessionTest, ExecutionErrorsAreTypedAndNonFatal) {
       << replies[4];
 }
 
+TEST(ServeSessionTest, FailedBindIsATypedErrorAndTheNextQueryRebinds) {
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(5));
+  // Fires on the first bind only: the scratch mapping is refused once.
+  failpoint::ScopedFailpoint refuse("serve.bind.alloc", /*skip=*/0,
+                                    /*every=*/1000);
+  const auto replies = fix.Run({"CST g 0 4", "CST g 0 4"}, "bind");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(StartsWith(replies[0], "ERR internal")) << replies[0];
+  EXPECT_TRUE(StartsWith(replies[1], "OK status=found n=5 delta=4"))
+      << replies[1];
+  EXPECT_EQ(failpoint::HitCount("serve.bind.alloc"), 2u);
+}
+
 TEST(ServeSessionTest, RegistryCapacityIsEnforced) {
   ServeFixture fix(/*max_graphs=*/1);
   const std::string path_a = TempPath("serve_cap_a.metis");
@@ -533,6 +547,43 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
   const MetricsSnapshot snap = shared.metrics().Snapshot();
   EXPECT_EQ(snap.sessions_opened, static_cast<uint64_t>(kClients));
   EXPECT_EQ(snap.sessions_closed, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(server.active_sessions(), 0u);
+}
+
+TEST(TcpServerTest, FailedBindReleasesTheSessionSlot) {
+  ServerOptions options;
+  options.max_sessions = 1;
+  CommunityServer shared(options);
+  const std::string path = TempPath("serve_bind.metis");
+  ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), path));
+  IoError io_error;
+  bool full = false;
+  ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);
+
+  Executor executor(3);
+  TcpServer server(shared, executor, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  std::vector<std::string> refused;
+  {
+    failpoint::ScopedFailpoint refuse("serve.bind.alloc");
+    refused = TcpScript(server.port(), {"CST g 0 5 limit=6", "QUIT"});
+  }
+  ASSERT_EQ(refused.size(), 2u);
+  EXPECT_TRUE(StartsWith(refused[0], "ERR internal")) << refused[0];
+  EXPECT_EQ(refused[1], "OK bye");
+  // The server closes the fd only after giving the slot back.
+  EXPECT_EQ(server.active_sessions(), 0u);
+
+  // The only slot is free again: the next connection is served.
+  const auto served = TcpScript(server.port(), {"CST g 0 5 limit=6", "QUIT"});
+  ASSERT_EQ(served.size(), 2u);
+  EXPECT_TRUE(StartsWith(served[0], "OK status=found n=6 delta=5"))
+      << served[0];
+  server.Stop();
+  accept_thread.join();
   EXPECT_EQ(server.active_sessions(), 0u);
 }
 
