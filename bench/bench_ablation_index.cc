@@ -10,9 +10,19 @@
 // CstMulti/CsmMulti (LocalCstSolver over a query set), and the
 // served CommunitySearcher path (CstMulti: one BFS over `core >= k`;
 // CsmMulti: a max-bottleneck sweep, then that BFS).
+//
+// A third table, cst_fallback, runs perfbench's CST k-sets (cst_local:
+// k in {3s..8s}; csm_mix: k in {s, 2s}; s = max(1, δ*/10)) over k-core
+// vertices through the paper's LocalCstSolver (no core numbers) and
+// through CommunitySearcher::Cst, whose solver skips every vertex of
+// core number < k. It counts the queries that end in the G[C] peel, the
+// work, and the p50/p99 latency. Run with --dataset=livejournal-sim for
+// perfbench's graph.
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/datasets.h"
@@ -36,6 +46,38 @@ namespace {
 
 /// Seed pairs per k in the multi-vertex table.
 constexpr size_t kPairs = 10;
+/// Queries per k-set in the cst_fallback table.
+constexpr size_t kFallbackQueries = 600;
+
+/// One cst_fallback row: `solve` answers CST(k) for v0 and returns its
+/// telemetry-carrying result.
+template <typename Solve>
+void FallbackRow(TableWriter& table, const std::string& kset,
+                 const std::string& solver,
+                 const std::vector<std::pair<VertexId, uint32_t>>& queries,
+                 Solve&& solve) {
+  uint64_t fallbacks = 0;
+  uint64_t visited = 0;
+  uint64_t scanned = 0;
+  std::vector<double> ms;
+  for (const auto& [v0, k] : queries) {
+    SearchResult result;
+    ms.push_back(TimeMs([&] { result = solve(v0, k); }));
+    fallbacks += result.telemetry.used_global_fallback ? 1 : 0;
+    visited += result.telemetry.TotalVisited();
+    scanned += result.telemetry.TotalScanned();
+  }
+  const Summary latency = Summarize(ms);
+  table.Row()
+      .Cell(kset)
+      .Cell(solver)
+      .Num(uint64_t{queries.size()})
+      .Num(fallbacks)
+      .Num(visited)
+      .Num(scanned)
+      .Num(latency.median, 3)
+      .Num(latency.p99, 3);
+}
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
@@ -136,6 +178,29 @@ int Run(int argc, char** argv) {
         .Num(Summarize(deltas).mean, 1);
   }
   multi_table.Print("ablation_index_multi_" + name);
+
+  // The CST fallback class: k-core queries on which the paper's solver
+  // admits a vertex of core number < k, exhausts the candidates and peels
+  // G[C]. The served solver never admits one, so it never falls back.
+  TableWriter fallback_table({"k-set", "solver", "queries", "fallbacks",
+                              "visited", "scanned", "p50 ms", "p99 ms"});
+  const std::vector<std::pair<std::string, std::vector<uint32_t>>> ksets = {
+      {"cst_local", {3, 4, 5, 6, 7, 8}}, {"csm_mix", {1, 2}}};
+  for (const auto& [kset, multiples] : ksets) {
+    std::vector<std::pair<VertexId, uint32_t>> workload;
+    for (const uint32_t mult : multiples) {
+      const uint32_t k = s * mult;
+      for (const VertexId v0 : SampleFromKCore(
+               cores, k, kFallbackQueries / multiples.size(), 8100 + k)) {
+        workload.emplace_back(v0, k);
+      }
+    }
+    FallbackRow(fallback_table, kset, "paper LocalCstSolver", workload,
+                [&](VertexId v0, uint32_t k) { return solver.Solve(v0, k); });
+    FallbackRow(fallback_table, kset, "CommunitySearcher::Cst", workload,
+                [&](VertexId v0, uint32_t k) { return searcher.Cst(v0, k); });
+  }
+  fallback_table.Print("ablation_index_cst_fallback_" + name);
   std::printf(
       "\nNote: the index returns the *maximal* community (the k-core "
       "component, like global search); local search may return smaller "

@@ -38,16 +38,20 @@ void CheckQuerySet(const Graph& graph, std::span<const VertexId> query) {
 
 LocalCstSolver::LocalCstSolver(const Graph& graph,
                                const OrderedAdjacency* ordered,
-                               const GraphFacts* facts)
+                               const GraphFacts* facts,
+                               std::span<const uint32_t> core)
     : graph_(graph),
       ordered_(ordered),
       facts_(facts),
+      core_(core),
       c_deg_(graph.NumVertices()),
       enqueued_(graph.NumVertices()),
       peeled_(graph.NumVertices()),
       cursor_(graph.NumVertices()),
       li_queue_(graph.NumVertices(), graph.MaxDegree() + 1),
-      lg_sources_(graph.NumVertices(), graph.MaxDegree() + 1) {}
+      lg_sources_(graph.NumVertices(), graph.MaxDegree() + 1) {
+  LOCS_CHECK(core.empty() || core.size() == graph.NumVertices());
+}
 
 SearchResult LocalCstSolver::Solve(VertexId v0, uint32_t k,
                                    const CstOptions& options,
@@ -102,9 +106,12 @@ SearchResult LocalCstSolver::SolveImpl(std::span<const VertexId> seeds,
     telemetry_.answer_size = 1;
     return SearchResult::MakeFound(Community{{v0}, 0});
   }
-  // Proposition 3: every query vertex must have degree >= k.
+  // Proposition 3: every query vertex must have degree >= k (and, given
+  // core numbers, lie in the k-core: Lemma 3).
   for (VertexId s : seeds) {
-    if (graph_.Degree(s) < k) return SearchResult::MakeNotExists();
+    if (graph_.Degree(s) < k || OutsideCore(s, k)) {
+      return SearchResult::MakeNotExists();
+    }
   }
   // Theorem 3 admission test (valid on connected graphs only).
   if (facts_ != nullptr && facts_->connected &&
@@ -170,6 +177,15 @@ SearchResult LocalCstSolver::SolveImpl(std::span<const VertexId> seeds,
   while (deficient_ > 0 || fragments_ > 1) {
     const VertexId next = SelectNext(options.strategy, k, use_ordered);
     if (next == kInvalidVertex) {
+      if (!core_.empty()) {
+        // Core-pruned: C is closed under k-core neighbors, so it is the
+        // union of the seeds' k-core components and every member already
+        // has induced degree >= k. Only disconnected seeds get here, and
+        // no community spans them.
+        LOCS_DCHECK(deficient_ == 0);
+        LOCS_DCHECK(fragments_ > 1);
+        return SearchResult::MakeNotExists();
+      }
       // Candidates exhausted: global peel on G[C] (Proposition 4). Because
       // the candidate generation never skips a vertex of degree >= k that
       // is reachable through such vertices, C contains the whole k-core
@@ -243,7 +259,7 @@ void LocalCstSolver::JoinFragments(VertexId v, uint32_t k) {
       use_ordered ? ordered_->Neighbors(v) : graph_.Neighbors(v);
   for (VertexId w : nbrs) {
     if (use_ordered && graph_.Degree(w) < k) break;
-    if (!c_deg_.Fresh(w)) continue;
+    if (OutsideCore(w, k) || !c_deg_.Fresh(w)) continue;
     const VertexId root_w = FindFragment(w);
     if (root_w != v) {
       fragment_parent_->Set(root_w, v + 1);
@@ -323,13 +339,14 @@ void LocalCstSolver::AddToC(VertexId v, uint32_t k, Strategy strategy,
     }
   };
 
-  // Three independent random-access streams per neighbor: the CSR
-  // offsets (degree probe), the packed c_deg_ cells, and — under li —
-  // the frontier's bucket cells. Each gets its own prefetch ahead of
-  // the sequential neighbor scan.
+  // Up to four independent random-access streams per neighbor: the CSR
+  // offsets (degree probe), the core numbers when bound, the packed c_deg_
+  // cells, and — under li — the frontier's bucket cells. Each gets its own
+  // prefetch ahead of the sequential neighbor scan.
   const uint64_t* const offsets = graph_.offsets().data();
   auto prefetch_ahead = [&](VertexId ahead, Strategy s) {
     LOCS_PREFETCH(offsets + ahead);
+    if (!core_.empty()) LOCS_PREFETCH(core_.data() + ahead);
     c_deg_.Prefetch(ahead);
     if (s == Strategy::kLI) li_queue_.Prefetch(ahead);
   };
@@ -346,6 +363,12 @@ void LocalCstSolver::AddToC(VertexId v, uint32_t k, Strategy strategy,
         ++ph.candidates_rejected;
         break;
       }
+      if (OutsideCore(w, k)) {
+        // Core numbers are not sorted with degree: skip, do not stop.
+        ++ph.edges_scanned;
+        ++ph.candidates_rejected;
+        continue;
+      }
       visit_neighbor(w);
     }
   } else {
@@ -355,7 +378,7 @@ void LocalCstSolver::AddToC(VertexId v, uint32_t k, Strategy strategy,
         prefetch_ahead(nbrs[i + kPrefetchDistance], strategy);
       }
       const VertexId w = nbrs[i];
-      if (graph_.Degree(w) < k) {
+      if (graph_.Degree(w) < k || OutsideCore(w, k)) {
         ++ph.edges_scanned;
         ++ph.candidates_rejected;
         continue;
@@ -412,7 +435,7 @@ VertexId LocalCstSolver::SelectLg(uint32_t k, bool use_ordered) {
         ++cur;
         continue;
       }
-      if (c_deg_.Fresh(w)) {
+      if (OutsideCore(w, k) || c_deg_.Fresh(w)) {
         ++cur;
         continue;
       }

@@ -10,6 +10,14 @@
 //   3. if generation exhausts the candidates without qualifying, a global
 //      peel restricted to G[C] (sound by Proposition 4, and exact because
 //      the candidate set always contains the k-core component of v0).
+//      This step runs only for the paper's solver, built without core
+//      numbers. Given them, the candidate tests also skip every vertex
+//      with core number < k (Lemma 3: it lies in no δ >= k community), so
+//      C stays inside the seeds' k-core components. Were C all of one,
+//      every member would have induced degree >= k: a single seed always
+//      ends in early success, and a seed set that exhausts the candidates
+//      spans several components and is an exact negative. The peel never
+//      starts.
 //
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state. Construction is O(1)
@@ -66,9 +74,15 @@ void CheckQuerySet(const Graph& graph, std::span<const VertexId> query);
 class LocalCstSolver {
  public:
   /// `ordered` (optional) enables the §4.3.2 sorted-adjacency expansion;
-  /// `facts` (optional) enables the Theorem-3 admission test.
+  /// `facts` (optional) enables the Theorem-3 admission test; `core`
+  /// (optional, one core number per vertex, e.g.
+  /// CoreIndex::core_numbers()) prunes every candidate outside the k-core,
+  /// so the G[C] peel never runs. The answer then differs from the paper
+  /// solver's only where the latter falls back, and is a valid subset of
+  /// it there.
   LocalCstSolver(const Graph& graph, const OrderedAdjacency* ordered,
-                 const GraphFacts* facts);
+                 const GraphFacts* facts,
+                 std::span<const uint32_t> core = {});
 
   /// Solves CST(k) for `v0`. `status == kFound` iff a solution exists and
   /// the query ran to completion: the returned community is connected,
@@ -114,6 +128,10 @@ class LocalCstSolver {
               obs::PhaseStats& ph);
   void JoinFragments(VertexId v, uint32_t k);
   VertexId FindFragment(VertexId v);
+  /// True iff cores are bound and w lies outside the k-core (Lemma 3).
+  bool OutsideCore(VertexId w, uint32_t k) const {
+    return !core_.empty() && core_[w] < k;
+  }
   SearchResult GlobalFallback(std::span<const VertexId> seeds, uint32_t k,
                               obs::PhaseTracker& tracker, QueryGuard& guard,
                               uint64_t& charged);
@@ -125,6 +143,7 @@ class LocalCstSolver {
   const Graph& graph_;
   const OrderedAdjacency* ordered_;
   const GraphFacts* facts_;
+  std::span<const uint32_t> core_;  // empty: the paper's degree-only pruning
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   obs::QueryTelemetry telemetry_;  // reset at the top of every Solve
 

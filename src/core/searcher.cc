@@ -11,7 +11,8 @@ namespace locs {
 
 CommunitySearcher::CommunitySearcher(std::shared_ptr<const Snapshot> snapshot)
     : snapshot_(std::move(snapshot)),
-      cst_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts),
+      cst_solver_(snapshot_->graph, &snapshot_->ordered, &snapshot_->facts,
+                  snapshot_->index.core_numbers().span()),
       seen_(snapshot_->graph.NumVertices()) {}
 
 CommunitySearcher::CommunitySearcher(Graph graph)

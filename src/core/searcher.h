@@ -2,7 +2,10 @@
 //
 // Binds the paper's local CST solver to one immutable Snapshot: the graph
 // plus its whole-graph facts (Theorem-3/5 bounds), the §4.3.2
-// degree-ordered adjacency and the CoreIndex. CSM and both multi-vertex
+// degree-ordered adjacency and the CoreIndex, whose core numbers the
+// solver also gets. Its expansion then skips every vertex outside the
+// k-core (Lemma 3) and so always ends in early success: a CST answered
+// here never runs the G[C] peel. CSM and both multi-vertex
 // queries are answered from the index's core numbers (Lemmas 3 and 4 lift
 // to seed sets): a δ >= k community holding every seed exists iff the
 // seeds share one connected component of `core >= k`, and that component
@@ -56,10 +59,13 @@ class CommunitySearcher {
   const Graph& graph() const { return snapshot_->graph; }
   const GraphFacts& facts() const { return snapshot_->facts; }
 
-  /// Local CST(k) (§4). kNotExists iff no solution exists; a vertex
-  /// outside the k-core is answered from the CoreIndex without a search
-  /// (`stats` then reads all zeros). An optional `guard` can interrupt the
-  /// query with a graceful partial answer (see core/result.h).
+  /// Local CST(k) (§4), expanding through the k-core only. kNotExists iff
+  /// no solution exists; a vertex outside the k-core is answered from the
+  /// CoreIndex without a search (`stats` then reads all zeros). The answer
+  /// equals the core-less paper solver's wherever that one ends in early
+  /// success, and is a subset of its answer where it falls back. An
+  /// optional `guard` can interrupt the query with a graceful partial
+  /// answer (see core/result.h).
   SearchResult Cst(VertexId v0, uint32_t k, const CstOptions& options = {},
                    QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
 

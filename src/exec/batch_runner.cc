@@ -70,10 +70,12 @@ void BatchRunner::WorkerTotals::Add(const QueryStats& stats,
 }
 
 BatchRunner::BatchRunner(const Graph& graph, const OrderedAdjacency* ordered,
-                         const GraphFacts* facts, Executor* executor)
+                         const GraphFacts* facts, Executor* executor,
+                         std::span<const uint32_t> core)
     : graph_(graph),
       ordered_(ordered),
       facts_(facts),
+      core_(core),
       executor_(executor != nullptr ? executor : &Executor::Shared()),
       cst_solvers_(executor_->num_workers()),
       csm_solvers_(executor_->num_workers()) {}
@@ -81,7 +83,7 @@ BatchRunner::BatchRunner(const Graph& graph, const OrderedAdjacency* ordered,
 LocalCstSolver& BatchRunner::CstSolver(unsigned worker) {
   auto& slot = cst_solvers_[worker];
   if (slot == nullptr) {
-    slot = std::make_unique<LocalCstSolver>(graph_, ordered_, facts_);
+    slot = std::make_unique<LocalCstSolver>(graph_, ordered_, facts_, core_);
     slot->set_recorder(recorder_);
   }
   return *slot;

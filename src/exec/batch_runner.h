@@ -1,11 +1,12 @@
 // Batch query engine on top of the persistent Executor.
 //
-// BatchRunner binds one graph (plus optional ordering/facts, same contract
-// as the local solvers) to an Executor and keeps one LocalCstSolver /
-// LocalCsmSolver per worker slot alive across batches. The solvers'
-// epoch-stamped scratch therefore resets in O(1) between queries *and*
-// between batches — a batch pays neither the per-call thread spawn nor the
-// per-call O(|V|) solver construction of the old core/parallel.cc layer.
+// BatchRunner binds one graph (plus optional ordering/facts/core numbers,
+// same contract as the local solvers) to an Executor and keeps one
+// LocalCstSolver / LocalCsmSolver per worker slot alive across batches.
+// The solvers' epoch-stamped scratch therefore resets in O(1) between
+// queries *and* between batches — a batch pays neither the per-call thread
+// spawn nor the per-call O(|V|) solver construction of the old
+// core/parallel.cc layer.
 //
 // Results are deterministic and thread-count invariant: result i depends
 // only on (graph, queries[i], options), never on scheduling.
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/common.h"
@@ -100,11 +102,14 @@ struct CsmBatchResult {
 class BatchRunner {
  public:
   /// `ordered`/`facts` may be null (same contract as the solvers);
-  /// `executor` null means Executor::Shared().
+  /// `executor` null means Executor::Shared(). `core` (optional) is passed
+  /// to every LocalCstSolver: with a snapshot's core numbers, RunCst
+  /// answers exactly as CommunitySearcher::Cst does.
   explicit BatchRunner(const Graph& graph,
                        const OrderedAdjacency* ordered = nullptr,
                        const GraphFacts* facts = nullptr,
-                       Executor* executor = nullptr);
+                       Executor* executor = nullptr,
+                       std::span<const uint32_t> core = {});
 
   /// Solves CST(k) for every query vertex.
   CstBatchResult RunCst(const std::vector<VertexId>& queries, uint32_t k,
@@ -146,6 +151,7 @@ class BatchRunner {
   const Graph& graph_;
   const OrderedAdjacency* ordered_;
   const GraphFacts* facts_;
+  std::span<const uint32_t> core_;
   Executor* executor_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   // One solver per worker slot, created on first use; a slot that never

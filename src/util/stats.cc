@@ -29,6 +29,7 @@ Summary Summarize(const std::vector<double>& samples) {
   s.max = sorted.back();
   s.median = Percentile(sorted, 0.5);
   s.p95 = Percentile(sorted, 0.95);
+  s.p99 = Percentile(sorted, 0.99);
   double sum = 0.0;
   for (double x : sorted) sum += x;
   s.sum = sum;

@@ -18,6 +18,7 @@ struct Summary {
   double max = 0.0;
   double median = 0.0;
   double p95 = 0.0;
+  double p99 = 0.0;
   double sum = 0.0;
 };
 

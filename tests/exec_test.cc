@@ -9,11 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/searcher.h"
+#include "core/snapshot.h"
 #include "exec/executor.h"
 #include "gen/erdos_renyi.h"
 #include "util/thread_annotations.h"
@@ -326,6 +330,35 @@ TEST_F(BatchRunnerTest, CstResultsAreByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(batch.results[i]->min_degree, expected[i]->min_degree);
     }
   }
+}
+
+// Given the snapshot's core numbers (as `locs_cli batch` passes them),
+// batch CST answers exactly as CommunitySearcher::Cst, also on the
+// queries where the paper solver falls back and the two answers part.
+TEST_F(BatchRunnerTest, CstWithCoreNumbersMatchesTheSearcherOnFallbacks) {
+  const auto snapshot =
+      std::make_shared<const Snapshot>(Snapshot::Build(graph_));
+  CommunitySearcher searcher(snapshot);
+  LocalCstSolver paper(graph_, &ordered_, &facts_);
+  BatchRunner runner(snapshot->graph, &snapshot->ordered, &snapshot->facts,
+                     /*executor=*/nullptr,
+                     snapshot->index.core_numbers().span());
+  uint64_t fallbacks = 0;
+  for (uint32_t k = 3; k <= snapshot->index.Degeneracy(); ++k) {
+    const auto batch = runner.RunCst(queries_, k);
+    EXPECT_EQ(batch.stats.global_fallbacks, 0u) << "k=" << k;
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " v=" + std::to_string(queries_[i]));
+      fallbacks += paper.Solve(queries_[i], k).telemetry.used_global_fallback;
+      const SearchResult served = searcher.Cst(queries_[i], k);
+      ASSERT_EQ(batch.results[i].status, served.status);
+      if (!served.has_value()) continue;
+      EXPECT_EQ(batch.results[i]->members, served->members);
+      EXPECT_EQ(batch.results[i]->min_degree, served->min_degree);
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
 }
 
 TEST_F(BatchRunnerTest, CsmResultsAreByteIdenticalAcrossThreadCounts) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,11 +40,12 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
 class LocalCstStrategyTest : public ::testing::TestWithParam<Config> {
  protected:
   SearchResult Solve(const Graph& g, VertexId v0, uint32_t k,
-                     QueryStats* stats = nullptr) {
+                     QueryStats* stats = nullptr,
+                     std::span<const uint32_t> core = {}) {
     const GraphFacts facts = GraphFacts::Compute(g);
     std::optional<OrderedAdjacency> ordered;
     if (GetParam().ordered) ordered.emplace(g);
-    LocalCstSolver solver(g, ordered ? &*ordered : nullptr, &facts);
+    LocalCstSolver solver(g, ordered ? &*ordered : nullptr, &facts, core);
     CstOptions options;
     options.strategy = GetParam().strategy;
     return solver.Solve(v0, k, options, stats);
@@ -209,6 +211,44 @@ TEST_P(LocalCstStrategyTest, VisitedNeverExceedsEligibleVertices) {
   }
 }
 
+TEST_P(LocalCstStrategyTest, CoreNumbersPruneTheForcedFallback) {
+  // K4 {0,2,3,4} holds the seed 0; vertex 1 hangs off 0 with four leaves.
+  // Degree 5 passes Proposition 3 and makes 1 the first candidate under
+  // every strategy and ordering, but its core number is 1: once in C it
+  // can never reach induced degree 3, so the paper solver exhausts the
+  // candidates and peels G[C]. With core numbers 1 is never a candidate.
+  GraphBuilder builder(9);
+  for (VertexId u : {0, 2, 3, 4}) {
+    for (VertexId v : {0, 2, 3, 4}) {
+      if (u < v) builder.AddEdge(u, v);
+    }
+  }
+  for (VertexId v : {0, 5, 6, 7, 8}) builder.AddEdge(1, v);
+  Graph g = builder.Build();
+  const CoreDecomposition cores = ComputeCores(g);
+  ASSERT_EQ(cores.core[1], 1u);
+
+  QueryStats paper_stats;
+  const auto paper = Solve(g, 0, 3, &paper_stats);
+  ASSERT_TRUE(paper.has_value());
+  EXPECT_TRUE(paper_stats.used_global_fallback);
+  EXPECT_EQ(paper_stats.visited_vertices, 5u);  // C = {0..4}, then the peel
+
+  QueryStats pruned_stats;
+  const auto pruned = Solve(g, 0, 3, &pruned_stats, cores.core);
+  ASSERT_TRUE(pruned.has_value());
+  EXPECT_FALSE(pruned_stats.used_global_fallback);
+  EXPECT_EQ(pruned_stats.visited_vertices, 4u);
+  EXPECT_EQ(ToSet(pruned->members), ToSet({0, 2, 3, 4}));
+  EXPECT_EQ(ToSet(pruned->members), ToSet(paper->members));
+  EXPECT_EQ(pruned->min_degree, 3u);
+  // Lemma 3 also answers a seed outside the k-core before any expansion.
+  QueryStats outside_stats;
+  EXPECT_EQ(Solve(g, 1, 3, &outside_stats, cores.core).status,
+            Termination::kNotExists);
+  EXPECT_EQ(outside_stats.visited_vertices, 0u);
+}
+
 TEST_P(LocalCstStrategyTest, RepeatedQueriesAreIndependent) {
   // The epoch-reset machinery must give identical answers across repeats
   // and across interleaved different queries.
@@ -289,6 +329,46 @@ TEST(LocalCstStatsTest, FallbackFlagFalseOnDirectHit) {
   ASSERT_TRUE(solver.Solve(0, 4, {}, &stats).has_value());
   EXPECT_FALSE(stats.used_global_fallback);
   EXPECT_EQ(stats.answer_size, 5u);  // li stops as soon as δ(C) reaches 4
+}
+
+// Two K4s joined through vertex 8 (degree 3, core number 2): CstMulti
+// over one seed in each can only fail. The paper solver walks through 8,
+// connects the seeds and needs the G[C] peel to see the failure; the
+// core-pruned solver never admits 8, exhausts with two fragments and
+// answers kNotExists without entering the core-decomposition phase.
+TEST(LocalCstMultiTest, CorePrunedSeedsInTwoCoreComponentsSkipThePeel) {
+  GraphBuilder builder(10);
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = u + 1; v < 4; ++v) {
+      builder.AddEdge(u, v);
+      builder.AddEdge(u + 4, v + 4);
+    }
+  }
+  for (VertexId v : {3, 4, 9}) builder.AddEdge(8, v);
+  Graph g = builder.Build();
+  const GraphFacts facts = GraphFacts::Compute(g);
+  const OrderedAdjacency ordered(g);
+  const CoreDecomposition cores = ComputeCores(g);
+  ASSERT_EQ(cores.core[8], 2u);
+  const auto peel = static_cast<size_t>(obs::Phase::kCoreDecomposition);
+  const std::vector<VertexId> seeds = {0, 5};
+
+  LocalCstSolver paper(g, &ordered, &facts);
+  const SearchResult paper_answer = paper.CstMulti(seeds, 3);
+  EXPECT_EQ(paper_answer.status, Termination::kNotExists);
+  EXPECT_TRUE(paper_answer.telemetry.used_global_fallback);
+  EXPECT_EQ(paper_answer.telemetry.phases[peel].entered, 1u);
+
+  LocalCstSolver pruned(g, &ordered, &facts, cores.core);
+  const SearchResult pruned_answer = pruned.CstMulti(seeds, 3);
+  EXPECT_EQ(pruned_answer.status, Termination::kNotExists);
+  EXPECT_FALSE(pruned_answer.telemetry.used_global_fallback);
+  EXPECT_EQ(pruned_answer.telemetry.phases[peel].entered, 0u);
+  EXPECT_EQ(pruned_answer.telemetry.TotalVisited(), 8u);  // both K4s
+  // Seeds in one component still early-succeed.
+  const SearchResult together = pruned.CstMulti({0, 2}, 3);
+  ASSERT_TRUE(together.Found());
+  EXPECT_EQ(ToSet(together->members), ToSet({0, 1, 2, 3}));
 }
 
 // One engine serves both entry points: a one-seed CstMulti is Solve, down

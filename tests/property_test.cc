@@ -237,7 +237,10 @@ TEST(PropertyTelemetry, CountersProjectExactlyAndTimingIsInert) {
 // ---------------------------------------------------------------------
 // CommunitySearcher's CoreIndex answers: Cst answers kNotExists exactly
 // when v lies outside the k-core and otherwise returns what a bare local
-// solver over the same snapshot returns. CstMulti returns the maximal
+// solver over the same snapshot (core numbers included) returns. The
+// core-pruned answer equals the paper solver's wherever the latter ends
+// in early success, and is a valid subset of it where the latter falls
+// back to the G[C] peel. CstMulti returns the maximal
 // answer: status, δ and members vector equal GlobalCstMulti's, and the
 // bare solver's local CstMulti answer lies inside it.
 // ---------------------------------------------------------------------
@@ -256,7 +259,8 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
     const Graph& g = snapshot->graph;
     const CoreIndex& index = snapshot->index;
     CommunitySearcher searcher(snapshot);
-    LocalCstSolver cst(g, &snapshot->ordered, &snapshot->facts);
+    LocalCstSolver cst(g, &snapshot->ordered, &snapshot->facts,
+                       index.core_numbers().span());
     const VertexId n = g.NumVertices();
     for (VertexId v = 0; v < n; ++v) {
       const VertexId partner = (v * 7 + 3) % n;
@@ -297,6 +301,43 @@ TEST(PropertySearcher, IndexNegativesMatchBareSolvers) {
       }
     }
   }
+}
+
+TEST(PropertySearcher, CorePrunedCstMatchesPaperSolverOutsideFallback) {
+  uint64_t fallbacks = 0;
+  for (const GraphCase& c : PropertyGraphs()) {
+    const auto snapshot =
+        std::make_shared<const Snapshot>(Snapshot::Build(c.graph));
+    const Graph& g = snapshot->graph;
+    const CoreIndex& index = snapshot->index;
+    CommunitySearcher searcher(snapshot);
+    LocalCstSolver paper(g, &snapshot->ordered, &snapshot->facts);
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (uint32_t k = 0; k <= index.CoreNumber(v); ++k) {
+        SCOPED_TRACE(c.label + " v=" + std::to_string(v) +
+                     " k=" + std::to_string(k));
+        const SearchResult pruned = searcher.Cst(v, k);
+        const SearchResult oracle = paper.Solve(v, k);
+        ASSERT_TRUE(oracle.Found());
+        ASSERT_TRUE(pruned.Found());
+        EXPECT_FALSE(pruned.telemetry.used_global_fallback);
+        if (!oracle.telemetry.used_global_fallback) {
+          EXPECT_EQ(pruned->members, oracle->members);
+          EXPECT_EQ(pruned->min_degree, oracle->min_degree);
+          continue;
+        }
+        ++fallbacks;
+        ExpectSoundCst(g, pruned, v, k);
+        const std::set<VertexId> answer(oracle->members.begin(),
+                                        oracle->members.end());
+        for (const VertexId w : pruned->members) {
+          EXPECT_EQ(answer.count(w), 1u) << "pruned member " << w;
+        }
+      }
+    }
+  }
+  // The paper solver's fallback class must actually be exercised.
+  EXPECT_GT(fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -135,6 +135,8 @@ TEST(StatsTest, KnownValues) {
   EXPECT_DOUBLE_EQ(s.min, 2.0);
   EXPECT_DOUBLE_EQ(s.max, 9.0);
   EXPECT_DOUBLE_EQ(s.median, 4.5);
+  // Linear interpolation between the 7th and 8th order statistics.
+  EXPECT_NEAR(s.p99, 7.0 + 2.0 * 0.93, 1e-12);
 }
 
 TEST(StatsTest, OnlineMatchesBatch) {

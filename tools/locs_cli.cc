@@ -428,7 +428,10 @@ int CmdBatch(const CommandLine& cli) {
   const auto queries = BatchQueries(cli, snapshot->graph);
   if (!queries.has_value()) return 1;
 
-  BatchRunner runner(snapshot->graph, &snapshot->ordered, &snapshot->facts);
+  // The snapshot's core numbers make batch CST answer like `cst` and locsd.
+  BatchRunner runner(snapshot->graph, &snapshot->ordered, &snapshot->facts,
+                     /*executor=*/nullptr,
+                     snapshot->index.core_numbers().span());
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "batch", &trace); rc != 0) return rc;
   if (trace != nullptr) runner.set_recorder(trace.get());

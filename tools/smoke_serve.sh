@@ -10,8 +10,11 @@
 #   2. image-backed session    — locs_cli compile + LOAD of the .limg
 #      (auto-detected by content), with every query reply required to
 #      match the text-loaded transcript byte for byte
-#   3. malformed-input session — typed ERR replies, clean exit (no crash)
-#   4. TCP loopback session    — locsd --port=0 + locs_cli client, with
+#   3. core-pruned CST         — a traced CST on which the paper solver
+#      (no core numbers) falls back to the G[C] peel must be answered by
+#      early success: status=found, fallback=0 and no core: phase
+#   4. malformed-input session — typed ERR replies, clean exit (no crash)
+#   5. TCP loopback session    — locsd --port=0 + locs_cli client, with
 #      the CST reply required to match the stdio transcript byte for
 #      byte (replies are deterministic by design), then SIGTERM drain.
 #
@@ -100,6 +103,22 @@ if [[ "$(grep '^OK status=' <<<"${img_out}")" \
   echo "FAIL: image-backed replies diverge from text-loaded replies" >&2
   diff <(grep '^OK status=' <<<"${stdio_out}") \
        <(grep '^OK status=' <<<"${img_out}") >&2 || true
+  exit 1
+fi
+
+echo "=== smoke: served CST expands only through the k-core ==="
+# On this graph the paper solver reaches vertex 7's 5-core through
+# vertices of core number < 5 and then peels G[C] (n=1871 visited=1910
+# fallback=1); the searcher passes the core numbers, so the expansion
+# never admits them and ends in early success.
+pruned_out="$(printf 'LOAD g %s\nCST g 7 5 trace=1 limit=5\nQUIT\n' \
+  "${work}/g.metis" | "${locsd}" --stdio 2>/dev/null | sed -n 2p)"
+echo "${pruned_out}"
+if [[ "${pruned_out}" != "OK status=found "* ||
+      "$(field "${pruned_out}" fallback)" != "0" ||
+      "${pruned_out}" == *"core:"* ]]; then
+  echo "FAIL: served CST fell back to the G[C] peel;" \
+       "the searcher must bind its solver to the core numbers" >&2
   exit 1
 fi
 
