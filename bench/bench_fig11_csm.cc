@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/datasets.h"
@@ -15,8 +17,8 @@
 #include "common/workload.h"
 #include "core/global.h"
 #include "core/local_csm.h"
+#include "core/snapshot.h"
 #include "exec/batch_runner.h"
-#include "graph/ordering.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -39,15 +41,14 @@ int Run(int argc, char** argv) {
       "per query (see EXPERIMENTS.md)");
 
   TableWriter table({"network", "global(peel) ms", "global(greedy) ms",
-                     "CSM1 ms", "CSM2 ms", "CSM2 batch ms/q",
+                     "CSM1 ms", "CSM2 ms", "batch served CSM ms/q",
                      "quality CSM1", "quality CSM2"});
   for (const std::string& name : StandInNames()) {
-    Dataset dataset = LoadStandIn(name);
-    const Graph& g = dataset.graph;
-    const GraphFacts facts = GraphFacts::Compute(g);
-    const OrderedAdjacency ordered(g);
-    LocalCsmSolver solver(g, &ordered, &facts);
-    BatchRunner runner(g, &ordered, &facts);
+    const auto snapshot = std::make_shared<const Snapshot>(
+        Snapshot::Build(std::move(LoadStandIn(name).graph)));
+    const Graph& g = snapshot->graph;
+    LocalCsmSolver solver(g, &snapshot->ordered, &snapshot->facts);
+    BatchRunner runner(snapshot);
 
     // Query vertices with a degree floor: degree-2 queries make Theorem 5
     // vacuous (δ(H) <= 1 ⇒ unbounded budget) and degenerate every local
@@ -78,10 +79,6 @@ int Run(int argc, char** argv) {
       t_csm2.push_back(TimeMs([&] { local = *solver.Solve(v0, options); }));
       sum_csm2 += local.min_degree;
     }
-    CsmOptions batch_options;
-    batch_options.candidate_rule = CsmCandidateRule::kFromNaive;
-    batch_options.gamma = 8.0;
-    const BatchTiming batch = TimeCsmBatch(runner, sample, batch_options);
     const double denom = sum_opt > 0 ? sum_opt : 1.0;
     table.Row()
         .Cell(name)
@@ -89,7 +86,7 @@ int Run(int argc, char** argv) {
         .Cell(MeanStd(Summarize(t_greedy)))
         .Cell(MeanStd(Summarize(t_csm1)))
         .Cell(MeanStd(Summarize(t_csm2)))
-        .Num(batch.per_query_ms, 3)
+        .Num(MsPerQuery(runner.RunCsm(sample)), 3)
         .Num(sum_csm1 / denom, 3)
         .Num(sum_csm2 / denom, 3);
   }

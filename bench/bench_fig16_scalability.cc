@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/datasets.h"
@@ -21,8 +22,8 @@
 #include "core/kcore.h"
 #include "core/local_csm.h"
 #include "core/local_cst.h"
+#include "core/snapshot.h"
 #include "exec/batch_runner.h"
-#include "graph/ordering.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -43,9 +44,9 @@ int Run(int argc, char** argv) {
       "local columns growing more slowly than the global column");
 
   TableWriter cst_table(
-      {"|V|", "global CST ms", "ls-li CST ms", "batch CST ms/q"});
+      {"|V|", "global CST ms", "ls-li CST ms", "batch served CST ms/q"});
   TableWriter csm_table({"|V|", "global CSM ms", "CSM1 ms", "CSM2 ms",
-                         "batch CSM1 ms/q", "CSM1 quality"});
+                         "batch served CSM ms/q", "CSM1 quality"});
   const VertexId base_sizes[] = {100000, 200000, 300000, 400000, 500000};
   for (VertexId base : base_sizes) {
     gen::LfrParams params;
@@ -60,13 +61,13 @@ int Run(int argc, char** argv) {
     params.seed = 1600 + base / 1000;
     char tag[64];
     std::snprintf(tag, sizeof(tag), "lfr_scal_%u", params.n);
-    Graph g = CachedLfrComponent(params, tag);
+    const auto snapshot = std::make_shared<const Snapshot>(
+        Snapshot::Build(CachedLfrComponent(params, tag)));
+    const Graph& g = snapshot->graph;
     const CoreDecomposition cores = ComputeCores(g);
-    const GraphFacts facts = GraphFacts::Compute(g);
-    const OrderedAdjacency ordered(g);
-    LocalCstSolver cst_solver(g, &ordered, &facts);
-    LocalCsmSolver csm_solver(g, &ordered, &facts);
-    BatchRunner runner(g, &ordered, &facts);
+    LocalCstSolver cst_solver(g, &snapshot->ordered, &snapshot->facts);
+    LocalCsmSolver csm_solver(g, &snapshot->ordered, &snapshot->facts);
+    BatchRunner runner(snapshot);
 
     // CST sweep.
     const auto cst_sample = SampleFromKCore(cores, k, queries, 1717);
@@ -78,12 +79,11 @@ int Run(int argc, char** argv) {
     }
     const auto n_cst = static_cast<double>(
         cst_sample.empty() ? 1 : cst_sample.size());
-    const BatchTiming cst_batch = TimeCstBatch(runner, cst_sample, k);
     cst_table.Row()
         .Cell(FormatCount(g.NumVertices()))
         .Num(g_cst / n_cst, 2)
         .Num(l_cst / n_cst, 2)
-        .Num(cst_batch.per_query_ms, 2);
+        .Num(MsPerQuery(runner.RunCst(cst_sample, k)), 2);
 
     // CSM sweep.
     const auto csm_sample = SampleWithDegreeAtLeast(g, 10, queries, 1818);
@@ -107,17 +107,12 @@ int Run(int argc, char** argv) {
       c2 += TimeMs([&] { csm_solver.Solve(v0, options); });
     }
     const auto n_csm = static_cast<double>(csm_sample.size());
-    CsmOptions batch_options;
-    batch_options.candidate_rule = CsmCandidateRule::kFromVisited;
-    batch_options.gamma = 4.0;
-    const BatchTiming csm_batch =
-        TimeCsmBatch(runner, csm_sample, batch_options);
     csm_table.Row()
         .Cell(FormatCount(g.NumVertices()))
         .Num(g_csm / n_csm, 2)
         .Num(c1 / n_csm, 2)
         .Num(c2 / n_csm, 2)
-        .Num(csm_batch.per_query_ms, 2)
+        .Num(MsPerQuery(runner.RunCsm(csm_sample)), 2)
         .Num(csm1_sum / (opt_sum > 0 ? opt_sum : 1.0), 4);
   }
   std::printf("(a) CST\n");

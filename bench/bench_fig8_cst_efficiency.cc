@@ -8,6 +8,8 @@
 // local strategy and its runtime decreases with k; global is flat in k.
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/datasets.h"
@@ -16,8 +18,8 @@
 #include "core/global.h"
 #include "core/kcore.h"
 #include "core/local_cst.h"
+#include "core/snapshot.h"
 #include "exec/batch_runner.h"
-#include "graph/ordering.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -38,21 +40,20 @@ int Run(int argc, char** argv) {
       "dataset; ls-naive between the two; global flat in k");
 
   for (const std::string& name : StandInNames()) {
-    Dataset dataset = LoadStandIn(name);
-    const Graph& g = dataset.graph;
+    const auto snapshot = std::make_shared<const Snapshot>(
+        Snapshot::Build(std::move(LoadStandIn(name).graph)));
+    const Graph& g = snapshot->graph;
     const CoreDecomposition cores = ComputeCores(g);
-    const GraphFacts facts = GraphFacts::Compute(g);
-    const OrderedAdjacency ordered(g);
-    LocalCstSolver solver(g, &ordered, &facts);
+    LocalCstSolver solver(g, &snapshot->ordered, &snapshot->facts);
     // One persistent runner per dataset: the whole k-sweep goes through
-    // the same pool + per-worker solvers the serving path uses.
-    BatchRunner runner(g, &ordered, &facts);
+    // the same pool and per-worker searchers the serving path uses.
+    BatchRunner runner(snapshot);
 
     const uint32_t s = std::max(1u, cores.degeneracy / 10);
     std::printf("dataset %s: delta*=%u, s=%u\n", name.c_str(),
                 cores.degeneracy, s);
     TableWriter table({"k", "global ms", "ls-naive ms", "ls-li ms",
-                       "ls-lg ms", "batch ls-li ms/q", "queries"});
+                       "ls-lg ms", "batch served CST ms/q", "queries"});
     for (uint32_t mult = 1; mult <= 8; ++mult) {
       const uint32_t k = s * mult;
       const auto sample = SampleFromKCore(cores, k, queries, 7000 + k);
@@ -71,17 +72,13 @@ int Run(int argc, char** argv) {
         options.strategy = Strategy::kLG;
         t_lg.push_back(TimeMs([&] { solver.Solve(v0, k, options); }));
       }
-      CstOptions batch_options;
-      batch_options.strategy = Strategy::kLI;
-      const BatchTiming batch = TimeCstBatch(runner, sample, k,
-                                             batch_options);
       table.Row()
           .Num(uint64_t{k})
           .Cell(MeanStd(Summarize(t_global)))
           .Cell(MeanStd(Summarize(t_naive)))
           .Cell(MeanStd(Summarize(t_li)))
           .Cell(MeanStd(Summarize(t_lg)))
-          .Num(batch.per_query_ms, 3)
+          .Num(MsPerQuery(runner.RunCst(sample, k)), 3)
           .Num(uint64_t{sample.size()});
     }
     table.Print("fig8_" + name);

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the batch execution engine.
 // The headline comparison is per-batch thread management: the seed
-// spawned and joined a fresh std::thread set for every SolveCstBatch
-// call, so a service answering many small batches paid the spawn cost
-// on each one. BM_SpawnJoinThreads reproduces that baseline;
+// spawned and joined a fresh std::thread set for every batch call, so a
+// service answering many small batches paid the spawn cost on each one.
+// BM_SpawnJoinThreads reproduces that baseline;
 // BM_ExecutorDispatch runs the same trivial job through the persistent
 // pool. The BatchRunner benches then measure the end-to-end paths the
 // figure drivers and the CLI use.
@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/local_cst.h"
 #include "core/result.h"
+#include "core/snapshot.h"
 #include "exec/batch_runner.h"
 #include "exec/executor.h"
 #include "gen/erdos_renyi.h"
@@ -42,6 +44,12 @@ const Graph& TestGraph() {
     return ExtractLargestComponent(gen::Lfr(params).graph).graph;
   }();
   return graph;
+}
+
+const std::shared_ptr<const Snapshot>& TestSnapshot() {
+  static const auto snapshot =
+      std::make_shared<const Snapshot>(Snapshot::Build(TestGraph()));
+  return snapshot;
 }
 
 // Seed behavior: one std::thread spawn + join set per batch.
@@ -93,17 +101,16 @@ void BM_ExecutorDispatch(benchmark::State& state) {
 BENCHMARK(BM_ExecutorDispatch)->Unit(benchmark::kMicrosecond);
 
 // Many small CST batches on one persistent BatchRunner — the serving
-// pattern where per-batch spawn overhead dominated in the seed. Solver
+// pattern where per-batch spawn overhead dominated in the seed. Searcher
 // scratch (epoch arrays, bucket lists) is reused across batches too.
 void BM_SmallCstBatchesPersistent(benchmark::State& state) {
-  const Graph& g = TestGraph();
-  static const GraphFacts facts = GraphFacts::Compute(g);
-  static const OrderedAdjacency ordered(g);
+  const auto& snapshot = TestSnapshot();
+  const Graph& g = snapshot->graph;
   Executor executor(kThreads);
-  BatchRunner runner(g, &ordered, &facts, &executor);
+  BatchRunner runner(snapshot, &executor);
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < 8; ++v) queries.push_back(v * 97 % g.NumVertices());
-  runner.RunCst(queries, 6);  // warm up pool + per-worker solvers
+  runner.RunCst(queries, 6);  // warm up pool + per-worker searchers
   for (auto _ : state) {
     benchmark::DoNotOptimize(runner.RunCst(queries, 6));
   }
@@ -112,20 +119,17 @@ void BM_SmallCstBatchesPersistent(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallCstBatchesPersistent)->Unit(benchmark::kMicrosecond);
 
-// The same small batches through the compatibility entry point, which
-// builds a fresh BatchRunner (fresh solvers) per call on the shared
-// pool — isolates the cost of solver reuse.
+// The same small batches through a fresh BatchRunner (fresh searchers)
+// per call on the shared pool — isolates the cost of searcher reuse.
 void BM_SmallCstBatchesFreshRunner(benchmark::State& state) {
-  const Graph& g = TestGraph();
-  static const GraphFacts facts = GraphFacts::Compute(g);
-  static const OrderedAdjacency ordered(g);
+  const auto& snapshot = TestSnapshot();
+  const Graph& g = snapshot->graph;
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < 8; ++v) queries.push_back(v * 97 % g.NumVertices());
-  BatchOptions options;
-  options.num_threads = kThreads;
+  BatchLimits limits;
+  limits.num_threads = kThreads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SolveCstBatch(g, &ordered, &facts, queries, 6, options));
+    benchmark::DoNotOptimize(BatchRunner(snapshot).RunCst(queries, 6, limits));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));
@@ -135,11 +139,10 @@ BENCHMARK(BM_SmallCstBatchesFreshRunner)->Unit(benchmark::kMicrosecond);
 // One large batch (the Fig. 8/16 shape): spawn overhead is amortized
 // here, so the persistent pool must simply not regress.
 void BM_LargeCstBatch(benchmark::State& state) {
-  const Graph& g = TestGraph();
-  static const GraphFacts facts = GraphFacts::Compute(g);
-  static const OrderedAdjacency ordered(g);
+  const auto& snapshot = TestSnapshot();
+  const Graph& g = snapshot->graph;
   Executor executor(kThreads);
-  BatchRunner runner(g, &ordered, &facts, &executor);
+  BatchRunner runner(snapshot, &executor);
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < g.NumVertices(); v += 2) queries.push_back(v);
   runner.RunCst({0}, 6);
@@ -250,13 +253,13 @@ void BM_CstDeadline10msWorstQuery(benchmark::State& state) {
 BENCHMARK(BM_CstDeadline10msWorstQuery)->Unit(benchmark::kMillisecond);
 
 // End-to-end batch variant: per-query 10 ms deadlines through BatchRunner,
-// the exact configuration `locs_cli batch-cst --query-deadline-ms=10` runs.
+// the exact configuration `locs_cli batch --query-deadline-ms=10` runs.
 void BM_DeadlinedCstBatch(benchmark::State& state) {
-  const Graph& g = AdversarialGraph();
-  static const GraphFacts facts = GraphFacts::Compute(g);
-  static const OrderedAdjacency ordered(g);
+  static const auto snapshot = std::make_shared<const Snapshot>(
+      Snapshot::Build(AdversarialGraph()));
+  const Graph& g = snapshot->graph;
   Executor executor(kThreads);
-  BatchRunner runner(g, &ordered, &facts, &executor);
+  BatchRunner runner(snapshot, &executor);
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < 32; ++v) queries.push_back(v * 211 % g.NumVertices());
   BatchLimits limits;
@@ -264,7 +267,7 @@ void BM_DeadlinedCstBatch(benchmark::State& state) {
   runner.RunCst({0}, 6);
   uint64_t interrupted = 0, batches = 0;
   for (auto _ : state) {
-    const auto batch = runner.RunCst(queries, 7, {}, limits);
+    const auto batch = runner.RunCst(queries, 7, limits);
     interrupted += batch.stats.CountOf(Termination::kDeadline);
     ++batches;
     benchmark::DoNotOptimize(batch);

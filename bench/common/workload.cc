@@ -42,35 +42,10 @@ std::vector<VertexId> SampleUniform(const Graph& graph, size_t count,
   return SampleFromPool(std::move(pool), count, seed);
 }
 
-namespace {
-
-BatchTiming ToTiming(BatchStats stats, size_t queries) {
-  BatchTiming timing;
-  timing.total_ms = stats.wall_ms;
-  timing.per_query_ms =
-      queries == 0 ? 0.0 : stats.wall_ms / static_cast<double>(queries);
-  timing.stats = stats;
-  return timing;
-}
-
-}  // namespace
-
-BatchTiming TimeCstBatch(BatchRunner& runner,
-                         const std::vector<VertexId>& queries, uint32_t k,
-                         const CstOptions& options, unsigned num_threads) {
-  BatchLimits limits;
-  limits.num_threads = num_threads;
-  return ToTiming(runner.RunCst(queries, k, options, limits).stats,
-                  queries.size());
-}
-
-BatchTiming TimeCsmBatch(BatchRunner& runner,
-                         const std::vector<VertexId>& queries,
-                         const CsmOptions& options, unsigned num_threads) {
-  BatchLimits limits;
-  limits.num_threads = num_threads;
-  return ToTiming(runner.RunCsm(queries, options, limits).stats,
-                  queries.size());
+double MsPerQuery(const BatchResult& batch) {
+  return batch.results.empty()
+             ? 0.0
+             : batch.stats.wall_ms / static_cast<double>(batch.results.size());
 }
 
 }  // namespace locs::bench

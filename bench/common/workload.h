@@ -1,9 +1,9 @@
 // Query-workload sampling, mirroring the paper's methodology (§6.1.3):
 // query vertices drawn from the k-core (guaranteeing a solution exists),
 // from the set of vertices with degree >= k ("arbitrary vertices",
-// Figure 10), or uniformly — plus helpers that push a sampled workload
-// through the persistent batch engine (src/exec/), so the figure drivers
-// report the same serving path the production deployment would use.
+// Figure 10), or uniformly — plus the per-query time of a sampled
+// workload pushed through the batch engine (src/exec/), which answers as
+// the production deployment does.
 
 #ifndef LOCS_BENCH_COMMON_WORKLOAD_H_
 #define LOCS_BENCH_COMMON_WORKLOAD_H_
@@ -31,25 +31,9 @@ std::vector<VertexId> SampleWithDegreeAtLeast(const Graph& graph, uint32_t k,
 std::vector<VertexId> SampleUniform(const Graph& graph, size_t count,
                                     uint64_t seed);
 
-/// Batch-engine timing of a workload.
-struct BatchTiming {
-  double total_ms = 0.0;
-  double per_query_ms = 0.0;
-  BatchStats stats;
-};
-
-/// Runs `queries` as one CST(k) batch on `runner` with `num_threads`
-/// workers (0 = full pool) and reports wall time.
-BatchTiming TimeCstBatch(BatchRunner& runner,
-                         const std::vector<VertexId>& queries, uint32_t k,
-                         const CstOptions& options = {},
-                         unsigned num_threads = 0);
-
-/// Runs `queries` as one CSM batch on `runner`.
-BatchTiming TimeCsmBatch(BatchRunner& runner,
-                         const std::vector<VertexId>& queries,
-                         const CsmOptions& options = {},
-                         unsigned num_threads = 0);
+/// Mean batch wall time per query in milliseconds (0 for an empty
+/// batch): the figures' "batch served" columns.
+double MsPerQuery(const BatchResult& batch);
 
 }  // namespace locs::bench
 

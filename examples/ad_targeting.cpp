@@ -4,21 +4,21 @@
 // ad to their communities.
 //
 // This example demonstrates the batch/throughput side of the library:
-// a core-number index for instant community retrieval, a parallel batch
-// of local CSM queries for comparison, and multi-vertex search to find the
-// community spanned by several seed users at once.
+// a parallel batch of CSM queries, each answered from the core-number
+// index, and multi-vertex search to find the community spanned by
+// several seed users at once. Both bind one shared snapshot.
 //
 //   ./build/examples/ad_targeting [--n=30000] [--seeds=8] [--threads=4]
 
 #include <cstdio>
+#include <memory>
 #include <set>
 
-#include "core/core_index.h"
-#include "core/kcore.h"
 #include "core/searcher.h"
+#include "core/snapshot.h"
 #include "exec/batch_runner.h"
 #include "gen/lfr.h"
-#include "graph/traversal.h"
+#include "graph/subgraph.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
   params.min_community = 15;
   params.max_community = 120;
   params.seed = 99;
-  const MappedSubgraph net = ExtractLargestComponent(gen::Lfr(params).graph);
-  const Graph& g = net.graph;
+  const auto snapshot = std::make_shared<const Snapshot>(Snapshot::Build(
+      ExtractLargestComponent(gen::Lfr(params).graph).graph));
+  const Graph& g = snapshot->graph;
   std::printf("social network: %u users, %lu edges\n", g.NumVertices(),
               static_cast<unsigned long>(g.NumEdges()));
 
@@ -53,45 +54,28 @@ int main(int argc, char** argv) {
   }
 
   // --- Option A: per-seed communities via a parallel batch -------------
-  const GraphFacts facts = GraphFacts::Compute(g);
-  const OrderedAdjacency ordered(g);
-  WallTimer batch_timer;
-  const auto communities =
-      SolveCsmBatch(g, &ordered, &facts, seeds, {}, threads);
+  BatchRunner runner(snapshot);
+  BatchLimits limits;
+  limits.num_threads = threads;
+  const BatchResult batch = runner.RunCsm(seeds, limits);
   std::printf("\nper-seed communities (%u threads, %.1fms total):\n",
-              threads, batch_timer.Millis());
+              threads, batch.stats.wall_ms);
   std::set<VertexId> audience;
   for (size_t i = 0; i < seeds.size(); ++i) {
+    const Community& community = *batch.results[i];
     std::printf("  seed %-6u -> community of %5zu users (δ=%u)\n",
-                seeds[i], communities[i].members.size(),
-                communities[i].min_degree);
-    audience.insert(communities[i].members.begin(),
-                    communities[i].members.end());
+                seeds[i], community.members.size(), community.min_degree);
+    audience.insert(community.members.begin(), community.members.end());
   }
   std::printf("combined audience: %zu users\n", audience.size());
 
   // --- Option B: one shared community spanning all seeds ----------------
-  CommunitySearcher searcher{Graph(g)};
+  CommunitySearcher searcher(snapshot);
   WallTimer multi_timer;
   const Community shared = *searcher.CsmMulti(seeds);
   std::printf("\ncommunity spanning all %zu seeds: %zu users, δ=%u "
               "(%.1fms)\n",
               seeds.size(), shared.members.size(), shared.min_degree,
               multi_timer.Millis());
-
-  // --- Option C: index for campaign-scale retrieval ---------------------
-  WallTimer index_timer;
-  const CoreIndex index(g);
-  const double build_ms = index_timer.Millis();
-  WallTimer query_timer;
-  size_t total = 0;
-  for (VertexId seed : seeds) {
-    total += MaxCoreComponentOf(g, index.core_numbers().span(), seed).size();
-  }
-  std::printf("\ncore index: built in %.1fms; %zu community retrievals in "
-              "%.2fms (maximal communities, %zu users total)\n",
-              build_ms, seeds.size(), query_timer.Millis(), total);
-  std::printf("\nRule of thumb: batch local search for few seeds, the "
-              "index when the campaign issues thousands of retrievals.\n");
   return 0;
 }

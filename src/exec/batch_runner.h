@@ -1,21 +1,20 @@
 // Batch query engine on top of the persistent Executor.
 //
-// BatchRunner binds one graph (plus optional ordering/facts/core numbers,
-// same contract as the local solvers) to an Executor and keeps one
-// LocalCstSolver / LocalCsmSolver per worker slot alive across batches.
-// The solvers' epoch-stamped scratch therefore resets in O(1) between
-// queries *and* between batches — a batch pays neither the per-call thread
-// spawn nor the per-call O(|V|) solver construction of the old
-// core/parallel.cc layer.
+// BatchRunner binds one Snapshot to an Executor and keeps one
+// CommunitySearcher per worker slot alive across batches, so a batch
+// answers every question exactly as `locs_cli cst`/`csm` and a locsd
+// session do. The searchers' epoch-stamped scratch resets in O(1)
+// between queries and between batches, and a batch pays no per-call
+// thread spawn.
 //
 // Results are deterministic and thread-count invariant: result i depends
-// only on (graph, queries[i], options), never on scheduling.
+// only on (snapshot, queries[i], k), never on scheduling.
 //
 // A BatchRunner is not thread-safe; run one batch at a time per instance.
 //
 // Synchronization design: BatchRunner itself holds no mutex — and so
 // carries no LOCS_GUARDED_BY annotations (util/thread_annotations.h).
-// Workers touch strictly disjoint state: slot s owns solver_slots_[s]
+// Workers touch strictly disjoint state: slot s owns searchers_[s]
 // exclusively, result i is written by the one worker that claimed query
 // i, and cross-thread coordination (chunk claiming, deadline flags)
 // happens through the std::atomic fields below plus the Executor's own
@@ -29,17 +28,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/common.h"
-#include "core/local_csm.h"
-#include "core/local_cst.h"
 #include "core/result.h"
+#include "core/searcher.h"
+#include "core/snapshot.h"
 #include "exec/executor.h"
-#include "graph/graph.h"
-#include "graph/ordering.h"
 #include "util/guard.h"
 
 namespace locs {
@@ -64,13 +59,12 @@ struct BatchLimits {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Per-query QueryStats aggregated over one batch.
+/// Per-query telemetry aggregated over one batch.
 struct BatchStats {
   uint64_t completed = 0;  ///< queries executed (always a batch prefix)
   uint64_t answered = 0;   ///< queries that produced a non-empty community
   uint64_t visited_vertices = 0;
   uint64_t scanned_edges = 0;
-  uint64_t global_fallbacks = 0;
   uint64_t total_answer_size = 0;
   /// Per-termination-status query counts, indexed by Termination. Counts
   /// every result slot, including never-started queries (reported under
@@ -85,15 +79,9 @@ struct BatchStats {
   }
 };
 
-struct CstBatchResult {
+struct BatchResult {
   /// results[i] answers queries[i]; slots past stats.completed were never
   /// started and carry the batch stop cause with a singleton best_so_far.
-  std::vector<SearchResult> results;
-  BatchStats stats;
-};
-
-struct CsmBatchResult {
-  /// results[i] answers queries[i]; same never-started contract as CST.
   std::vector<SearchResult> results;
   BatchStats stats;
 };
@@ -101,34 +89,24 @@ struct CsmBatchResult {
 /// Persistent batch runner; see the file comment.
 class BatchRunner {
  public:
-  /// `ordered`/`facts` may be null (same contract as the solvers);
-  /// `executor` null means Executor::Shared(). `core` (optional) is passed
-  /// to every LocalCstSolver: with a snapshot's core numbers, RunCst
-  /// answers exactly as CommunitySearcher::Cst does.
-  explicit BatchRunner(const Graph& graph,
-                       const OrderedAdjacency* ordered = nullptr,
-                       const GraphFacts* facts = nullptr,
-                       Executor* executor = nullptr,
-                       std::span<const uint32_t> core = {});
+  /// `executor` null means Executor::Shared().
+  explicit BatchRunner(std::shared_ptr<const Snapshot> snapshot,
+                       Executor* executor = nullptr);
 
-  /// Solves CST(k) for every query vertex.
-  CstBatchResult RunCst(const std::vector<VertexId>& queries, uint32_t k,
-                        const CstOptions& options = {},
-                        const BatchLimits& limits = {});
+  /// CommunitySearcher::Cst(v, k) for every query vertex.
+  BatchResult RunCst(const std::vector<VertexId>& queries, uint32_t k,
+                     const BatchLimits& limits = {});
 
-  /// Solves CSM for every query vertex.
-  CsmBatchResult RunCsm(const std::vector<VertexId>& queries,
-                        const CsmOptions& options = {},
-                        const BatchLimits& limits = {});
+  /// CommunitySearcher::Csm(v) for every query vertex.
+  BatchResult RunCsm(const std::vector<VertexId>& queries,
+                     const BatchLimits& limits = {});
 
-  /// Telemetry sink shared by every per-worker solver (existing slots and
-  /// slots created later). The recorder must be safe for concurrent
+  /// Telemetry sink shared by every per-worker searcher (existing slots
+  /// and slots created later). The recorder must be safe for concurrent
   /// Record() calls (obs::AggregateRecorder and obs::TraceSink are);
   /// nullptr restores the no-op null sink. Not owned. Call between
   /// batches only — BatchRunner is not thread-safe.
   void set_recorder(obs::Recorder* recorder);
-
-  Executor& executor() const { return *executor_; }
 
  private:
   /// Per-worker stat accumulator, cache-line padded against false sharing.
@@ -136,52 +114,26 @@ class BatchRunner {
     uint64_t answered = 0;
     uint64_t visited_vertices = 0;
     uint64_t scanned_edges = 0;
-    uint64_t global_fallbacks = 0;
     uint64_t total_answer_size = 0;
     uint64_t status_counts[kNumTerminations] = {};
 
-    void Add(const QueryStats& stats, Termination status);
+    void Add(const SearchResult& result);
   };
 
-  LocalCstSolver& CstSolver(unsigned worker);
-  LocalCsmSolver& CsmSolver(unsigned worker);
-  static BatchStats Merge(const std::vector<WorkerTotals>& totals,
-                          const Executor::RunResult& run, double wall_ms);
+  /// The shared worker loop: result i = solve(searcher, queries[i], guard)
+  /// on the claiming worker's searcher.
+  template <typename Solve>
+  BatchResult Run(const std::vector<VertexId>& queries,
+                  const BatchLimits& limits, Solve solve);
+  CommunitySearcher& Searcher(unsigned worker);
 
-  const Graph& graph_;
-  const OrderedAdjacency* ordered_;
-  const GraphFacts* facts_;
-  std::span<const uint32_t> core_;
+  std::shared_ptr<const Snapshot> snapshot_;
   Executor* executor_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
-  // One solver per worker slot, created on first use; a slot that never
-  // participates never pays the O(|V|) construction.
-  std::vector<std::unique_ptr<LocalCstSolver>> cst_solvers_;
-  std::vector<std::unique_ptr<LocalCsmSolver>> csm_solvers_;
+  // One searcher per worker slot, created on first use; a slot that
+  // never participates never binds.
+  std::vector<std::unique_ptr<CommunitySearcher>> searchers_;
 };
-
-/// Options for the free-function batch entry points below.
-struct BatchOptions {
-  /// Worker threads; 0 means the shared executor's full pool.
-  unsigned num_threads = 0;
-  CstOptions cst;
-};
-
-/// Solves CST(k) for every query vertex in parallel on the shared
-/// executor. Result i corresponds to queries[i]. Prefer a long-lived
-/// BatchRunner when issuing many batches against the same graph.
-std::vector<std::optional<Community>> SolveCstBatch(
-    const Graph& graph, const OrderedAdjacency* ordered,
-    const GraphFacts* facts, const std::vector<VertexId>& queries,
-    uint32_t k, const BatchOptions& options = {});
-
-/// Solves CSM for every query vertex in parallel on the shared executor.
-std::vector<Community> SolveCsmBatch(const Graph& graph,
-                                     const OrderedAdjacency* ordered,
-                                     const GraphFacts* facts,
-                                     const std::vector<VertexId>& queries,
-                                     const CsmOptions& csm_options = {},
-                                     unsigned num_threads = 0);
 
 }  // namespace locs
 

@@ -25,16 +25,11 @@ void AggregateRecorder::Record(const QueryTelemetry& telemetry) {
   if (telemetry.used_global_fallback) fallbacks_.fetch_add(1, relaxed);
 }
 
-void AggregateRecorder::RecordCacheHit() {
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-}
-
 AggregateRecorder::Totals AggregateRecorder::Snapshot() const {
   constexpr auto relaxed = std::memory_order_relaxed;
   Totals totals;
   totals.queries = queries_.load(relaxed);
   totals.fallbacks = fallbacks_.load(relaxed);
-  totals.cache_hits = cache_hits_.load(relaxed);
   totals.sum.answer_size = answer_sizes_.load(relaxed);
   // used_global_fallback has no meaningful sum; Totals::fallbacks is the
   // count. Leave the flag at its default.

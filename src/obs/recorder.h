@@ -36,12 +36,6 @@ class Recorder {
     (void)telemetry;
   }
 
-  /// Called when a serving-layer result cache answers a query without
-  /// running a solver. No QueryTelemetry exists for such a query (no
-  /// phase ran), so this is a separate, counter-only event; the null
-  /// sink discards it.
-  virtual void RecordCacheHit() {}
-
   /// The process-wide no-op sink solvers default to.
   static Recorder& Null();
 };
@@ -54,12 +48,10 @@ class AggregateRecorder : public Recorder {
  public:
   bool timing_enabled() const override { return true; }
   void Record(const QueryTelemetry& telemetry) override;
-  void RecordCacheHit() override;
 
   struct Totals {
     uint64_t queries = 0;
     uint64_t fallbacks = 0;
-    uint64_t cache_hits = 0;  ///< queries answered without a solver run
     QueryTelemetry sum;
   };
 
@@ -82,7 +74,6 @@ class AggregateRecorder : public Recorder {
   std::atomic<uint64_t> answer_sizes_{0};
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> fallbacks_{0};
-  std::atomic<uint64_t> cache_hits_{0};
 };
 
 }  // namespace locs::obs

@@ -187,7 +187,6 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
           if (options_.cache->Lookup(MakeCacheKey(entry->epoch, request),
                                      &reply)) {
             metrics_.CountCacheHit();
-            metrics_.recorder().RecordCacheHit();
             metrics_.RecordLatencyUs(static_cast<uint64_t>(timer.Micros()));
             metrics_.CountQueryCompleted();
             return reply;

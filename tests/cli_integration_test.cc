@@ -258,6 +258,25 @@ TEST(CliIntegrationTest, BatchCommandRunsBothModes) {
                   .first,
               0);
   }
+  // A query id is one whole decimal token: neither a word nor a number
+  // with trailing junk reads as some other vertex.
+  for (const std::string token : {"abc", "12x"}) {
+    const std::string bad_path = TempPath("cli_batch_bad_token.txt");
+    {
+      std::ofstream out(bad_path);
+      out << token << "\n";
+    }
+    EXPECT_EQ(RunCli("batch --input=" + graph_path +
+                     " --queries-file=" + bad_path)
+                  .first,
+              1)
+        << token;
+  }
+  // An id past 32 bits is out of range, not truncated to vertex 0.
+  EXPECT_EQ(
+      RunCli("cst --input=" + graph_path + " --vertex=4294967296 --k=3")
+          .first,
+      1);
 }
 
 TEST(CliIntegrationTest, UnknownCommandHasDistinctExitAndStderr) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "core/multi.h"
 #include "core/result.h"
 #include "core/searcher.h"
+#include "core/snapshot.h"
 #include "core/validate.h"
 #include "exec/batch_runner.h"
 #include "gen/classic.h"
@@ -651,17 +653,18 @@ TEST(GuardedSearcherTest, ForceDeadlineFailpointInterruptsEverySolver) {
 // Batch layer: per-query budgets are thread-count invariant.
 
 TEST(GuardedBatchTest, BudgetInterruptionsAreByteIdenticalAcrossThreads) {
-  Graph g = gen::ErdosRenyiGnp(400, 0.04, 99);
-  const GraphFacts facts = GraphFacts::Compute(g);
-  const OrderedAdjacency ordered(g);
+  const auto snapshot = std::make_shared<const Snapshot>(
+      Snapshot::Build(gen::ErdosRenyiGnp(400, 0.04, 99)));
   std::vector<VertexId> queries;
-  for (VertexId v = 0; v < g.NumVertices(); v += 3) queries.push_back(v);
+  for (VertexId v = 0; v < snapshot->graph.NumVertices(); v += 3) {
+    queries.push_back(v);
+  }
 
-  BatchRunner runner(g, &ordered, &facts);
+  BatchRunner runner(snapshot);
   BatchLimits reference_limits;
   reference_limits.num_threads = 1;
   reference_limits.query_work_budget = 300;
-  const auto reference = runner.RunCst(queries, 4, {}, reference_limits);
+  const auto reference = runner.RunCst(queries, 4, reference_limits);
   // The tiny budget must actually interrupt something, or this test
   // degenerates.
   ASSERT_GT(reference.stats.CountOf(Termination::kBudgetExhausted), 0u);
@@ -670,7 +673,7 @@ TEST(GuardedBatchTest, BudgetInterruptionsAreByteIdenticalAcrossThreads) {
     BatchLimits limits;
     limits.num_threads = threads;
     limits.query_work_budget = 300;
-    const auto batch = runner.RunCst(queries, 4, {}, limits);
+    const auto batch = runner.RunCst(queries, 4, limits);
     ASSERT_EQ(batch.results.size(), reference.results.size());
     for (size_t i = 0; i < batch.results.size(); ++i) {
       EXPECT_EQ(batch.results[i].status, reference.results[i].status)
@@ -692,24 +695,28 @@ TEST(GuardedBatchTest, BudgetInterruptionsAreByteIdenticalAcrossThreads) {
 }
 
 TEST(GuardedBatchTest, EveryInterruptedResultSatisfiesTheContract) {
-  Graph g = gen::ErdosRenyiGnp(300, 0.05, 55);
-  const GraphFacts facts = GraphFacts::Compute(g);
-  const OrderedAdjacency ordered(g);
+  const auto snapshot = std::make_shared<const Snapshot>(
+      Snapshot::Build(gen::ErdosRenyiGnp(300, 0.05, 55)));
+  const Graph& g = snapshot->graph;
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < g.NumVertices(); v += 5) queries.push_back(v);
 
-  BatchRunner runner(g, &ordered, &facts);
+  BatchRunner runner(snapshot);
   BatchLimits limits;
   limits.query_work_budget = 200;
-  const auto batch = runner.RunCsm(queries, {}, limits);
+  const auto batch = runner.RunCsm(queries, limits);
   uint64_t interrupted = 0;
   for (size_t i = 0; i < batch.results.size(); ++i) {
     const SearchResult& result = batch.results[i];
     if (result.Interrupted()) {
       ++interrupted;
       ExpectValidPartial(g, result, queries[i]);
+      // The searcher's CSM partial is the query vertex alone.
+      EXPECT_EQ(result.best_so_far.members, std::vector<VertexId>{queries[i]});
+      EXPECT_EQ(result.best_so_far.min_degree, 0u);
     }
   }
+  EXPECT_GT(interrupted, 0u);
   EXPECT_EQ(interrupted,
             batch.stats.CountOf(Termination::kBudgetExhausted));
   // status_counts cover every slot exactly once.

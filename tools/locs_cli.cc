@@ -18,11 +18,14 @@
 // writer of graph images.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/kcore.h"
@@ -301,13 +304,27 @@ int CmdStats(const CommandLine& cli) {
   return 0;
 }
 
+/// `token` as one whole decimal vertex id below `num_vertices`; nullopt
+/// for anything else (a sign, a stray character, an id >= |V|).
+std::optional<VertexId> ParseVertexId(std::string_view token,
+                                      VertexId num_vertices) {
+  uint64_t v = 0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || v >= num_vertices) {
+    return std::nullopt;
+  }
+  return static_cast<VertexId>(v);
+}
+
 int CmdCst(const CommandLine& cli) {
   int load_rc = 1;
   const auto snapshot = RequireSnapshot(cli, &load_rc);
   if (snapshot == nullptr) return load_rc;
-  const auto v0 = static_cast<VertexId>(cli.GetInt("vertex", 0));
+  const auto v0 = ParseVertexId(cli.GetString("vertex", "0"),
+                                 snapshot->graph.NumVertices());
   const auto k = static_cast<uint32_t>(cli.GetInt("k", 1));
-  if (v0 >= snapshot->graph.NumVertices()) {
+  if (!v0.has_value()) {
     std::fprintf(stderr, "error: vertex out of range\n");
     return 1;
   }
@@ -316,33 +333,31 @@ int CmdCst(const CommandLine& cli) {
   if (const int rc = AttachTrace(cli, "cst", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
   WallTimer timer;
-  QueryStats stats;
   QueryGuard guard(GuardLimits(cli));
   const auto result = cli.GetBool("global", false)
-                          ? searcher.CstGlobal(v0, k, &stats, &guard)
-                          : searcher.Cst(v0, k, {}, &stats, &guard);
+                          ? searcher.CstGlobal(*v0, k, nullptr, &guard)
+                          : searcher.Cst(*v0, k, {}, nullptr, &guard);
   const double ms = timer.Millis();
+  const auto visited =
+      static_cast<unsigned long>(result.telemetry.TotalVisited());
   if (result.Interrupted()) {
     std::printf("interrupted (%s): best so far %zu members, δ=%u "
                 "(%.2fms, %lu visited)\n",
                 std::string(TerminationName(result.status)).c_str(),
                 result.best_so_far.members.size(),
-                result.best_so_far.min_degree, ms,
-                static_cast<unsigned long>(stats.visited_vertices));
+                result.best_so_far.min_degree, ms, visited);
     PrintMembers(result.best_so_far.members, cli);
     return StatusExitCode(result.status);
   }
   if (!result.has_value()) {
     std::printf("no community with min degree >= %u contains vertex %u "
                 "(%.2fms, %lu vertices visited)\n",
-                k, v0, ms,
-                static_cast<unsigned long>(stats.visited_vertices));
+                k, *v0, ms, visited);
     return 0;
   }
   std::printf("community: %zu members, δ=%u (%.2fms, %lu visited%s)\n",
-              result->members.size(), result->min_degree, ms,
-              static_cast<unsigned long>(stats.visited_vertices),
-              stats.used_global_fallback ? ", fallback" : "");
+              result->members.size(), result->min_degree, ms, visited,
+              result.telemetry.used_global_fallback ? ", fallback" : "");
   PrintMembers(result->members, cli);
   return 0;
 }
@@ -351,8 +366,9 @@ int CmdCsm(const CommandLine& cli) {
   int load_rc = 1;
   const auto snapshot = RequireSnapshot(cli, &load_rc);
   if (snapshot == nullptr) return load_rc;
-  const auto v0 = static_cast<VertexId>(cli.GetInt("vertex", 0));
-  if (v0 >= snapshot->graph.NumVertices()) {
+  const auto v0 = ParseVertexId(cli.GetString("vertex", "0"),
+                                 snapshot->graph.NumVertices());
+  if (!v0.has_value()) {
     std::fprintf(stderr, "error: vertex out of range\n");
     return 1;
   }
@@ -361,17 +377,16 @@ int CmdCsm(const CommandLine& cli) {
   if (const int rc = AttachTrace(cli, "csm", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
   WallTimer timer;
-  QueryStats stats;
   QueryGuard guard(GuardLimits(cli));
   const auto result = cli.GetBool("global", false)
-                          ? searcher.CsmGlobal(v0, &stats, &guard)
-                          : searcher.Csm(v0, &stats, &guard);
+                          ? searcher.CsmGlobal(*v0, nullptr, &guard)
+                          : searcher.Csm(*v0, nullptr, &guard);
   const Community& community = result.Best();
   std::printf("%s community: %zu members, δ=%u (%.2fms, %lu visited)\n",
               result.Interrupted() ? "interrupted; best-so-far" : "best",
               community.members.size(), community.min_degree,
               timer.Millis(),
-              static_cast<unsigned long>(stats.visited_vertices));
+              static_cast<unsigned long>(result.telemetry.TotalVisited()));
   PrintMembers(community.members, cli);
   return StatusExitCode(result.status);
 }
@@ -394,14 +409,13 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
         std::getline(in, token);
         continue;
       }
-      const auto v = static_cast<uint64_t>(std::strtoull(
-          token.c_str(), nullptr, 10));
-      if (v >= graph.NumVertices()) {
-        std::fprintf(stderr, "error: query vertex %llu out of range\n",
-                     static_cast<unsigned long long>(v));
+      const auto v = ParseVertexId(token, graph.NumVertices());
+      if (!v.has_value()) {
+        std::fprintf(stderr, "error: query vertex %s out of range\n",
+                     token.c_str());
         return std::nullopt;
       }
-      queries.push_back(static_cast<VertexId>(v));
+      queries.push_back(*v);
     }
     return queries;
   }
@@ -428,10 +442,7 @@ int CmdBatch(const CommandLine& cli) {
   const auto queries = BatchQueries(cli, snapshot->graph);
   if (!queries.has_value()) return 1;
 
-  // The snapshot's core numbers make batch CST answer like `cst` and locsd.
-  BatchRunner runner(snapshot->graph, &snapshot->ordered, &snapshot->facts,
-                     /*executor=*/nullptr,
-                     snapshot->index.core_numbers().span());
+  BatchRunner runner(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "batch", &trace); rc != 0) return rc;
   if (trace != nullptr) runner.set_recorder(trace.get());
@@ -443,22 +454,12 @@ int CmdBatch(const CommandLine& cli) {
   limits.query_deadline_ms = per_query.deadline_ms;
   limits.query_work_budget = per_query.work_budget;
 
-  BatchStats stats;
-  std::vector<uint32_t> goodness(queries->size(), 0);
-  if (mode == "cst") {
-    const auto k = static_cast<uint32_t>(cli.GetInt("k", 3));
-    auto result = runner.RunCst(*queries, k, {}, limits);
-    stats = result.stats;
-    for (size_t i = 0; i < result.results.size(); ++i) {
-      goodness[i] = result.results[i].Best().min_degree;
-    }
-  } else {
-    auto result = runner.RunCsm(*queries, {}, limits);
-    stats = result.stats;
-    for (size_t i = 0; i < result.results.size(); ++i) {
-      goodness[i] = result.results[i].Best().min_degree;
-    }
-  }
+  const BatchResult batch =
+      mode == "cst"
+          ? runner.RunCst(*queries,
+                          static_cast<uint32_t>(cli.GetInt("k", 3)), limits)
+          : runner.RunCsm(*queries, limits);
+  const BatchStats& stats = batch.stats;
 
   TableWriter table({"metric", "value"});
   table.Row().Cell("queries").Num(uint64_t{queries->size()});
@@ -466,7 +467,6 @@ int CmdBatch(const CommandLine& cli) {
   table.Row().Cell("answered").Num(stats.answered);
   table.Row().Cell("visited vertices").Num(stats.visited_vertices);
   table.Row().Cell("scanned edges").Num(stats.scanned_edges);
-  table.Row().Cell("global fallbacks").Num(stats.global_fallbacks);
   table.Row().Cell("batch wall ms").Num(stats.wall_ms, 2);
   if (stats.completed > 0 && stats.wall_ms > 0.0) {
     table.Row()
@@ -491,7 +491,8 @@ int CmdBatch(const CommandLine& cli) {
 
   if (cli.GetBool("show-results", false)) {
     for (size_t i = 0; i < stats.completed; ++i) {
-      std::printf("%u %u\n", (*queries)[i], goodness[i]);
+      std::printf("%u %u\n", (*queries)[i],
+                  batch.results[i].Best().min_degree);
     }
   }
   // Per-status exit reporting: interrupted queries surface the dominant

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer sweep for the test suite:
 #   - ThreadSanitizer over the concurrency-labelled tests (executor,
-#     batch runner, parallel batch entry points, guard interruption) —
+#     batch runner, guard interruption) —
 #     the dynamic complement of the Clang thread-safety annotations
 #     (src/util/thread_annotations.h), which prove lock discipline
 #     statically but cannot see lock-free protocols.
