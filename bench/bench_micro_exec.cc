@@ -83,16 +83,11 @@ void BM_ExecutorDispatch(benchmark::State& state) {
   std::atomic<uint64_t> sink{0};
   // Warm-up spawns the pool outside the timed region, mirroring a
   // long-lived service.
-  executor.ParallelFor(1, [](unsigned, size_t, size_t) {});
+  executor.ParallelFor(1, [](unsigned, size_t) {});
   for (auto _ : state) {
-    executor.ParallelFor(
-        kItems,
-        [&](unsigned, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            sink.fetch_add(i, std::memory_order_relaxed);
-          }
-        },
-        {.chunk_size = 1});
+    executor.ParallelFor(kItems, [&](unsigned, size_t i) {
+      sink.fetch_add(i, std::memory_order_relaxed);
+    });
   }
   benchmark::DoNotOptimize(sink.load());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

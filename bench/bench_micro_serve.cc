@@ -32,7 +32,6 @@
 #include "common/reporting.h"
 #include "core/searcher.h"
 #include "core/snapshot.h"
-#include "exec/executor.h"
 #include "graph/io.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -166,8 +165,8 @@ std::vector<double> RunClient(serve::Transport& transport, uint32_t n,
   return latencies;
 }
 
-SweepPoint RunSweepPoint(serve::GraphRegistry& registry, Executor& executor,
-                         unsigned sessions, uint32_t n, size_t queries,
+SweepPoint RunSweepPoint(serve::GraphRegistry& registry, unsigned sessions,
+                         uint32_t n, size_t queries,
                          serve::ResultCache* cache = nullptr,
                          uint32_t pool = 0) {
   serve::AdmissionController::Options admit;
@@ -188,21 +187,17 @@ SweepPoint RunSweepPoint(serve::GraphRegistry& registry, Executor& executor,
       std::exit(1);
     }
   }
-  // Server half: one detached session task per pipe pair, the locsd
-  // shape. The transports own their fds and close them on session end.
+  // Server half: one session thread per pipe pair, the locsd shape.
+  std::vector<std::thread> servers;
+  servers.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s) {
-    const int read_fd = wires[s].to_server[0];
-    const int write_fd = wires[s].to_client[1];
-    const bool submitted = executor.Submit([&, read_fd, write_fd] {
-      serve::FdTransport transport(read_fd, write_fd, /*owns_fds=*/true);
+    servers.emplace_back([&, s] {
+      serve::FdTransport transport(wires[s].to_server[0],
+                                   wires[s].to_client[1]);
       serve::Session session(transport, registry, admission, metrics,
                              options);
       session.Run();
     });
-    if (!submitted) {
-      std::fprintf(stderr, "executor rejected session task\n");
-      std::exit(1);
-    }
   }
 
   // Client half: closed loops, one thread per session.
@@ -213,15 +208,18 @@ SweepPoint RunSweepPoint(serve::GraphRegistry& registry, Executor& executor,
   for (unsigned s = 0; s < sessions; ++s) {
     clients.emplace_back([&, s] {
       serve::FdTransport transport(wires[s].to_client[0],
-                                   wires[s].to_server[1],
-                                   /*owns_fds=*/true);
+                                   wires[s].to_server[1]);
       latencies[s] = RunClient(transport, n, queries, s + 1, pool);
     });
   }
   for (std::thread& t : clients) t.join();
   const double wall_ms = wall.Millis();
-  while (executor.active_tasks() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::thread& t : servers) t.join();
+  for (const Wiring& w : wires) {
+    for (const int fd : {w.to_server[0], w.to_server[1], w.to_client[0],
+                         w.to_client[1]}) {
+      ::close(fd);
+    }
   }
 
   std::vector<double> all;
@@ -390,9 +388,6 @@ int Main() {
 
   const size_t queries = QueriesPerSession();
   const std::vector<unsigned> session_counts = {1, 2, 4};
-  const unsigned max_sessions =
-      *std::max_element(session_counts.begin(), session_counts.end());
-  Executor executor(max_sessions + 1);
 
   report.Meta("graph", "lfr_micro_serve_20k");
   report.Meta("vertices", std::to_string(n));
@@ -403,7 +398,7 @@ int Main() {
                      "p50 us", "p95 us"});
   for (const unsigned sessions : session_counts) {
     const SweepPoint p =
-        RunSweepPoint(registry, executor, sessions, n, queries);
+        RunSweepPoint(registry, sessions, n, queries);
     table.Row()
         .Num(uint64_t{p.sessions})
         .Num(uint64_t{p.queries})
@@ -437,8 +432,8 @@ int Main() {
                             "p50 us", "hit rate", "server p50 us"});
   for (const unsigned sessions : session_counts) {
     serve::ResultCache cache(1024);
-    const SweepPoint p = RunSweepPoint(registry, executor, sessions, n,
-                                       queries, &cache, kHotPool);
+    const SweepPoint p =
+        RunSweepPoint(registry, sessions, n, queries, &cache, kHotPool);
     const double hit_rate =
         static_cast<double>(p.cache_hits) /
         static_cast<double>(std::max<uint64_t>(

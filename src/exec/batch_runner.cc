@@ -15,11 +15,6 @@ namespace {
 Executor::RunOptions ToRunOptions(const BatchLimits& limits) {
   Executor::RunOptions options;
   options.max_workers = limits.num_threads;
-  // Queries are coarse units (µs to ms each): chunking by single queries
-  // keeps the dynamic distribution balanced under power-law query costs
-  // and makes deadline checks per-query precise, at one relaxed
-  // fetch_add per query.
-  options.chunk_size = 1;
   options.deadline_ms = limits.deadline_ms;
   options.cancel = limits.cancel;
   return options;
@@ -103,15 +98,11 @@ BatchResult BatchRunner::Run(const std::vector<VertexId>& queries,
   std::vector<WorkerTotals> totals(executor_->num_workers());
   const Executor::RunResult run = executor_->ParallelFor(
       queries.size(),
-      [&](unsigned worker, size_t begin, size_t end) {
-        CommunitySearcher& searcher = Searcher(worker);
-        WorkerTotals& mine = totals[worker];
-        for (size_t i = begin; i < end; ++i) {
-          QueryGuard guard =
-              MakeQueryGuard(limits, has_batch_deadline, batch_deadline);
-          out.results[i] = solve(searcher, queries[i], guard);
-          mine.Add(out.results[i]);
-        }
+      [&](unsigned worker, size_t i) {
+        QueryGuard guard =
+            MakeQueryGuard(limits, has_batch_deadline, batch_deadline);
+        out.results[i] = solve(Searcher(worker), queries[i], guard);
+        totals[worker].Add(out.results[i]);
       },
       ToRunOptions(limits));
 

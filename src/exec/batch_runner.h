@@ -16,7 +16,7 @@
 // carries no LOCS_GUARDED_BY annotations (util/thread_annotations.h).
 // Workers touch strictly disjoint state: slot s owns searchers_[s]
 // exclusively, result i is written by the one worker that claimed query
-// i, and cross-thread coordination (chunk claiming, deadline flags)
+// i, and cross-thread coordination (item claiming, deadline flags)
 // happens through the std::atomic fields below plus the Executor's own
 // annotated mutex. The Clang thread-safety analysis therefore has
 // nothing to prove here; the TSan lane (tools/run_sanitizers.sh) is the

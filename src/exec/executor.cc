@@ -12,7 +12,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Executor whose RunChunks is live on this thread. Lets a nested
+// Executor whose RunItems is live on this thread. Lets a nested
 // ParallelFor on the same executor degrade to inline execution instead of
 // deadlocking on run_mutex_.
 thread_local const Executor* tls_running_on = nullptr;
@@ -26,7 +26,6 @@ thread_local const Executor* tls_running_on = nullptr;
 struct Executor::Job {
   const Body* body = nullptr;
   size_t num_items = 0;
-  size_t chunk = 1;
   unsigned max_workers = 1;  // participants cap, caller included
   bool has_deadline = false;
   Clock::time_point deadline{};
@@ -39,7 +38,7 @@ struct Executor::Job {
   std::atomic<bool> hit_cancel{false};
   Mutex error_mutex;
   std::exception_ptr error LOCS_GUARDED_BY(error_mutex);
-  unsigned active = 0;  // pool workers inside RunChunks; guarded by the
+  unsigned active = 0;  // pool workers inside RunItems; guarded by the
                         // executor's mutex_ (not expressible as an
                         // annotation: Job holds no Executor reference)
 };
@@ -80,7 +79,7 @@ void Executor::EnsureStarted() {
   }
 }
 
-void Executor::RunChunks(Job& job, unsigned worker) {
+void Executor::RunItems(Job& job, unsigned worker) {
   try {
     while (!job.stop.load(std::memory_order_relaxed)) {
       if (job.cancel != nullptr &&
@@ -92,12 +91,10 @@ void Executor::RunChunks(Job& job, unsigned worker) {
         job.hit_deadline.store(true, std::memory_order_relaxed);
         break;
       }
-      const size_t begin =
-          job.cursor.fetch_add(job.chunk, std::memory_order_relaxed);
-      if (begin >= job.num_items) break;
-      const size_t end = std::min(begin + job.chunk, job.num_items);
-      (*job.body)(worker, begin, end);
-      job.items_run.fetch_add(end - begin, std::memory_order_relaxed);
+      const size_t item = job.cursor.fetch_add(1, std::memory_order_relaxed);
+      if (item >= job.num_items) break;
+      (*job.body)(worker, item);
+      job.items_run.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (...) {
     {
@@ -115,56 +112,19 @@ void Executor::WorkerLoop(unsigned pool_index) {
   while (true) {
     // Manual wait loop: the analysis sees the guarded reads with mutex_
     // held directly (a predicate lambda would need its own annotations).
-    while (!shutdown_ && generation_ == seen && tasks_.empty()) {
-      job_cv_.Wait(lock);
-    }
+    while (!shutdown_ && generation_ == seen) job_cv_.Wait(lock);
     if (shutdown_) return;
-    if (generation_ != seen) {
-      seen = generation_;
-      Job* job = job_;
-      if (job != nullptr && worker < job->max_workers) {
-        ++job->active;
-        lock.Unlock();
-        tls_running_on = this;
-        RunChunks(*job, worker);
-        tls_running_on = nullptr;
-        lock.Lock();
-        if (--job->active == 0) done_cv_.NotifyAll();
-        continue;
-      }
-    }
-    if (tasks_.empty()) continue;
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop_front();
-    ++active_tasks_;
+    seen = generation_;
+    Job* job = job_;
+    if (job == nullptr || worker >= job->max_workers) continue;
+    ++job->active;
     lock.Unlock();
-    // Detached execution: no caller waits, so a throw has nowhere to
-    // surface — swallow it and keep the worker alive.
-    try {
-      task();
-    } catch (...) {
-    }
-    task = nullptr;  // release captures before reacquiring the lock
+    tls_running_on = this;
+    RunItems(*job, worker);
+    tls_running_on = nullptr;
     lock.Lock();
-    --active_tasks_;
+    if (--job->active == 0) done_cv_.NotifyAll();
   }
-}
-
-bool Executor::Submit(std::function<void()> task) {
-  if (num_workers_ <= 1) return false;
-  EnsureStarted();
-  {
-    MutexLock lock(mutex_);
-    if (shutdown_) return false;
-    tasks_.push_back(std::move(task));
-  }
-  job_cv_.NotifyAll();
-  return true;
-}
-
-unsigned Executor::active_tasks() const {
-  MutexLock lock(mutex_);
-  return active_tasks_;
 }
 
 Executor::RunResult Executor::ParallelFor(size_t num_items, const Body& body,
@@ -185,23 +145,18 @@ Executor::RunResult Executor::ParallelFor(size_t num_items, const Body& body,
   if (options.max_workers != 0) {
     workers = std::min(workers, options.max_workers);
   }
-  job.chunk = options.chunk_size != 0
-                  ? options.chunk_size
-                  : std::max<size_t>(
-                        1, num_items / (size_t{workers} * 8));
-  // No point waking workers that could never claim a chunk.
-  const size_t claims = (num_items + job.chunk - 1) / job.chunk;
-  if (size_t{workers} > claims) workers = static_cast<unsigned>(claims);
+  // No point waking workers that could never claim an item.
+  if (size_t{workers} > num_items) workers = static_cast<unsigned>(num_items);
   job.max_workers = std::max(1u, workers);
 
-  // A nested call from inside a task runs inline: the outer call holds
+  // A nested call from inside a body runs inline: the outer call holds
   // run_mutex_ and the pool is already saturated.
   const bool parallel = job.max_workers > 1 && tls_running_on != this;
 
   if (!parallel) {
     const Executor* outer = tls_running_on;
     tls_running_on = this;
-    RunChunks(job, 0);
+    RunItems(job, 0);
     tls_running_on = outer;
   } else {
     MutexLock run_lock(run_mutex_);
@@ -213,7 +168,7 @@ Executor::RunResult Executor::ParallelFor(size_t num_items, const Body& body,
     }
     job_cv_.NotifyAll();
     tls_running_on = this;
-    RunChunks(job, 0);
+    RunItems(job, 0);
     tls_running_on = nullptr;
     {
       MutexLock lock(mutex_);

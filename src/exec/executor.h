@@ -1,20 +1,19 @@
-// Persistent thread-pool executor for batch query serving.
+// Persistent fork-join thread pool for batch query serving.
 //
-// The original batch layer (src/core/parallel.cc) spawned and joined fresh
-// std::threads on every batch call, and a throw from a worker (or from the
-// spawn loop itself) left joinable threads behind and ended in
-// std::terminate. This executor fixes both: a lazily-started pool of
-// workers stays alive across batches, work is distributed by dynamic
-// chunking over an atomic cursor, the first exception a task throws is
-// captured and rethrown on the calling thread after every worker has
-// drained (the pool stays usable), and each call can carry a wall-clock
-// deadline or an external cancellation flag.
+// A lazily-started pool of workers stays alive across batches, items are
+// claimed one at a time off an atomic cursor, the first exception a body
+// throws is captured and rethrown on the calling thread after every
+// worker has drained (the pool stays usable), and each call can carry a
+// wall-clock deadline or an external cancellation flag. Items are
+// queries, µs to ms each: one-item claims keep the load balanced under
+// power-law query costs and make deadline checks per-query precise, at
+// one relaxed fetch_add per item.
 //
 // The calling thread participates as worker 0, so an Executor with
 // num_workers() == N owns N-1 pool threads; Executor(1) never spawns a
 // thread and runs everything inline. The library itself is exception-free
 // (see docs/ARCHITECTURE.md); the executor is the one boundary that must
-// tolerate throwing tasks (std::bad_alloc, test stubs) without
+// tolerate throwing bodies (std::bad_alloc, test stubs) without
 // terminating.
 
 #ifndef LOCS_EXEC_EXECUTOR_H_
@@ -23,7 +22,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -34,28 +32,24 @@ namespace locs {
 
 /// A reusable pool of worker threads executing index-range jobs.
 /// ParallelFor calls from different threads are serialized internally;
-/// a nested ParallelFor issued from inside a task runs inline on the
+/// a nested ParallelFor issued from inside a body runs inline on the
 /// worker that issued it (no deadlock, no extra parallelism).
 class Executor {
  public:
-  /// A task: process items [begin, end) as `worker` (a stable id in
+  /// The body: process item `item` as `worker` (a stable id in
   /// [0, num_workers()); the same worker id is never active twice
   /// concurrently, so per-worker state needs no locking).
-  using Body =
-      std::function<void(unsigned worker, size_t begin, size_t end)>;
+  using Body = std::function<void(unsigned worker, size_t item)>;
 
   /// Per-call execution controls.
   struct RunOptions {
     /// Cap on participating workers for this call; 0 = the whole pool.
     unsigned max_workers = 0;
-    /// Items claimed per cursor grab; 0 picks a size that balances claim
-    /// overhead against load balance.
-    size_t chunk_size = 0;
     /// Wall-clock budget in milliseconds; 0 = none. Checked before each
-    /// chunk claim, so a claimed chunk always completes — the items that
-    /// ran always form the prefix [0, items_run).
+    /// claim, so a claimed item always completes — the items that ran
+    /// always form the prefix [0, items_run).
     double deadline_ms = 0.0;
-    /// External cancellation flag, polled before each chunk claim.
+    /// External cancellation flag, polled before each claim.
     const std::atomic<bool>* cancel = nullptr;
   };
 
@@ -64,7 +58,7 @@ class Executor {
 
   struct RunResult {
     /// Items processed; exactly the prefix [0, items_run) of the index
-    /// space (claims are monotone and claimed chunks always finish).
+    /// space (claims are monotone and claimed items always finish).
     size_t items_run = 0;
     StopCause cause = StopCause::kCompleted;
   };
@@ -83,36 +77,16 @@ class Executor {
   /// True once the pool threads have been spawned.
   bool started() const LOCS_EXCLUDES(mutex_);
 
-  /// Runs `body` over [0, num_items) with dynamic chunking and blocks
-  /// until every claimed chunk has finished. The first exception thrown
-  /// by `body` is rethrown here after all workers have drained; the pool
-  /// remains usable afterwards.
+  /// Runs `body` over [0, num_items), one claimed item at a time, and
+  /// blocks until every claimed item has finished. The first exception
+  /// thrown by `body` is rethrown here after all workers have drained;
+  /// the pool remains usable afterwards.
   RunResult ParallelFor(size_t num_items, const Body& body,
                         const RunOptions& options)
       LOCS_EXCLUDES(run_mutex_, mutex_);
   RunResult ParallelFor(size_t num_items, const Body& body) {
     return ParallelFor(num_items, body, RunOptions());
   }
-
-  /// Schedules `task` to run detached on a pool thread — the serving
-  /// layer runs one client session per submitted task. Interaction with
-  /// ParallelFor: a worker running a task cannot adopt batch chunks, but
-  /// ParallelFor stays correct and non-blocking regardless (the calling
-  /// thread always participates, so a batch completes even with every
-  /// pool thread parked in long-lived tasks — it just loses parallelism).
-  ///
-  /// Returns false (task not scheduled) when the executor owns no pool
-  /// threads (num_workers() == 1) or is shutting down. A throwing task is
-  /// swallowed after the fact (nowhere to rethrow a detached error); the
-  /// worker survives. The destructor discards queued-but-unstarted tasks
-  /// and joins running ones, so a task that blocks indefinitely must be
-  /// unblocked by its owner (e.g. the server shutting down its sockets)
-  /// before the Executor dies.
-  bool Submit(std::function<void()> task) LOCS_EXCLUDES(mutex_);
-
-  /// Pool threads currently parked inside submitted tasks. An admission
-  /// signal for callers that must not queue behind long-lived tasks.
-  unsigned active_tasks() const LOCS_EXCLUDES(mutex_);
 
   /// Process-wide executor shared by the batch entry points. Sized
   /// max(hardware_concurrency, 8) so thread-count invariance is exercised
@@ -124,7 +98,7 @@ class Executor {
 
   void WorkerLoop(unsigned pool_index) LOCS_EXCLUDES(mutex_);
   void EnsureStarted() LOCS_EXCLUDES(mutex_);
-  static void RunChunks(Job& job, unsigned worker);
+  static void RunItems(Job& job, unsigned worker);
 
   const unsigned num_workers_;
   Mutex run_mutex_;  // serializes concurrent ParallelFor calls
@@ -138,10 +112,6 @@ class Executor {
   std::vector<std::thread> threads_ LOCS_GUARDED_BY(mutex_);
   Job* job_ LOCS_GUARDED_BY(mutex_) = nullptr;  // null = none adoptable
   uint64_t generation_ LOCS_GUARDED_BY(mutex_) = 0;  // bumped per job
-  // Detached tasks (Submit); drained FIFO by idle workers. Batch jobs
-  // take priority: a woken worker adopts an adoptable job first.
-  std::deque<std::function<void()>> tasks_ LOCS_GUARDED_BY(mutex_);
-  unsigned active_tasks_ LOCS_GUARDED_BY(mutex_) = 0;
   bool started_ LOCS_GUARDED_BY(mutex_) = false;
   bool shutdown_ LOCS_GUARDED_BY(mutex_) = false;
 };

@@ -134,7 +134,7 @@ bool RetryClient::Exchange(std::string_view request, std::string* reply) {
   FdTransportOptions transport_options;
   transport_options.io_timeout_ms = options_.request_deadline_ms;
   transport_options.idle_timeout_ms = options_.request_deadline_ms;
-  FdTransport transport(fd_, fd_, /*owns_fds=*/false, transport_options);
+  FdTransport transport(fd_, fd_, transport_options);
   if (!transport.WriteLine(request) ||
       transport.ReadLine(reply) != Transport::ReadStatus::kLine) {
     Disconnect();

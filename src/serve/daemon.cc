@@ -157,11 +157,7 @@ int DaemonMain(const DaemonOptions& options) {
     return 0;
   }
 
-  // One detached executor task per session plus the accept thread's
-  // worker slot; sessions execute queries inline, so this is the whole
-  // thread budget of the daemon.
-  Executor executor(options.server.max_sessions + 1);
-  TcpServer tcp(shared, executor, options.server);
+  TcpServer tcp(shared, options.server);
   if (!tcp.Start(&error)) {
     std::fprintf(stderr, "locsd: %s\n", error.c_str());
     return 1;

@@ -11,8 +11,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <thread>
 
 #include "serve/transport.h"
+#include "util/failpoint.h"
 
 namespace locs::serve {
 
@@ -72,8 +75,7 @@ int CommunityServer::RunStdioSession() {
   IgnoreSigpipe();
   // The stop-observing transport makes SIGTERM prompt even while the
   // session is parked in a blocked read on a silent peer.
-  FdTransport transport(STDIN_FILENO, STDOUT_FILENO, /*owns_fds=*/false,
-                        MakeTransportOptions());
+  FdTransport transport(STDIN_FILENO, STDOUT_FILENO, MakeTransportOptions());
   Session session(transport, registry_, admission_, metrics_,
                   MakeSessionOptions());
   session.Run();
@@ -87,9 +89,8 @@ std::string CommunityServer::FinalStatsLine() {
                                              registry_.size());
 }
 
-TcpServer::TcpServer(CommunityServer& shared, Executor& executor,
-                     const ServerOptions& options)
-    : shared_(shared), executor_(executor), options_(options) {}
+TcpServer::TcpServer(CommunityServer& shared, const ServerOptions& options)
+    : shared_(shared), options_(options) {}
 
 TcpServer::~TcpServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -174,11 +175,21 @@ void TcpServer::Run() {
     // request-level BUSY (AdmissionController) assumes a session exists
     // to reply on; past the session cap we answer once and hang up.
     if (admitted) {
-      admitted = executor_.Submit([this, fd] { HandleConnection(fd); });
-      if (!admitted) {
+      try {
+        // Detached: nothing waits for the thread itself, so whatever
+        // the session throws ends here; HandleConnection has given the
+        // slot and the fd back by then.
+        std::thread([this, fd] {
+          try {
+            HandleConnection(fd);
+          } catch (...) {
+          }
+        }).detach();
+      } catch (...) {  // no thread to serve it: answer BUSY below
         MutexLock lock(mutex_);
         EraseSessionFd(fd);
         --active_sessions_;
+        admitted = false;
       }
     }
     if (!admitted) {
@@ -227,9 +238,9 @@ void TcpServer::EraseSessionFd(int fd) {
 
 void TcpServer::HandleConnection(int fd) {
   // Releases the slot and the fd however the session ends: an exception
-  // out of the session (which the Executor swallows) must not leak them,
-  // or the drain in Run() would wait forever. Declared first, so it runs
-  // after the session and its transport are gone.
+  // out of the session must not leak them, or the drain in Run() would
+  // wait forever. Declared first, so it runs after the session and its
+  // transport are gone.
   struct Release {
     TcpServer* server;
     int fd;
@@ -247,8 +258,10 @@ void TcpServer::HandleConnection(int fd) {
       ::close(fd);
     }
   } release{this, fd};
-  FdTransport transport(fd, fd, /*owns_fds=*/false,
-                        shared_.MakeTransportOptions());
+  if (LOCS_FAILPOINT("serve.session_thread.throw")) {
+    throw std::runtime_error("injected session-thread fault");
+  }
+  FdTransport transport(fd, fd, shared_.MakeTransportOptions());
   Session session(transport, shared_.registry(), shared_.admission(),
                   shared_.metrics(), shared_.MakeSessionOptions());
   session.Run();

@@ -4,13 +4,13 @@
 // AdmissionController, ServerMetrics, drain flag) and runs the stdio
 // deployment mode: one session over fds 0/1, the mode tests and piped
 // scripts use. TcpServer adds the loopback socket front end: an accept
-// loop on the caller's thread, one Session per connection dispatched as
-// a detached task on an exec::Executor, a session-count cap with
-// immediate `BUSY` + close beyond it, and graceful drain — Stop() (or
-// the async-signal-safe StopFromSignal) wakes the accept loop through a
-// self-pipe, new work is refused, blocked session reads are unblocked
-// via shutdown(2), and Run() returns once the last session has finished
-// its current request.
+// loop on the caller's thread, one Session per connection on its own
+// detached thread, a session-count cap (which bounds the session threads
+// too) with immediate `BUSY` + close beyond it, and graceful drain —
+// Stop() (or the async-signal-safe StopFromSignal) wakes the accept loop
+// through a self-pipe, new work is refused, blocked session reads are
+// unblocked via shutdown(2), and Run() returns once the last session has
+// finished its current request.
 //
 // The TCP listener binds 127.0.0.1 only: locsd is a backend component;
 // exposure beyond the host belongs to a fronting proxy, not this layer.
@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/executor.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
 #include "serve/registry.h"
@@ -111,10 +110,7 @@ class CommunityServer {
 /// TCP loopback front end; see the file comment.
 class TcpServer {
  public:
-  /// Sessions are dispatched onto `executor` (one detached task each);
-  /// size it >= max_sessions + the parallelism queries should keep.
-  TcpServer(CommunityServer& shared, Executor& executor,
-            const ServerOptions& options);
+  TcpServer(CommunityServer& shared, const ServerOptions& options);
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
@@ -146,11 +142,12 @@ class TcpServer {
     uint32_t peer;
   };
 
+  /// Session thread body: serves `fd` until the session ends, then
+  /// releases its slot and closes the fd, whatever the session threw.
   void HandleConnection(int fd);
   void EraseSessionFd(int fd) LOCS_REQUIRES(mutex_);
 
   CommunityServer& shared_;
-  Executor& executor_;
   const ServerOptions options_;
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};

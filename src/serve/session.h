@@ -5,9 +5,7 @@
 // and writes one reply line per request. Solver state is per-session: a
 // CommunitySearcher bound to the most recently queried registry entry
 // persists across requests, so a session issuing many queries against
-// one graph pays the O(|V|) solver construction once, and scratch resets
-// in O(1) per query (the BatchRunner economics, applied to interactive
-// traffic).
+// one graph binds once, and scratch resets in O(1) per query.
 //
 // The session never terminates on malformed input — every parse or
 // execution failure is a typed `ERR` reply and the loop continues. It

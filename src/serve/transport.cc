@@ -45,12 +45,6 @@ void SleepMs(uint64_t ms) {
 
 }  // namespace
 
-FdTransport::~FdTransport() {
-  if (!owns_fds_) return;
-  ::close(read_fd_);
-  if (write_fd_ != read_fd_) ::close(write_fd_);
-}
-
 FdTransport::WaitResult FdTransport::Wait(int fd, short events,
                                           uint64_t deadline_ms) const {
   while (true) {

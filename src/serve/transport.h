@@ -72,18 +72,12 @@ struct FdTransportOptions {
   const std::atomic<bool>* stop = nullptr;  ///< drain flag observed in waits
 };
 
-/// Transport over a POSIX read/write fd pair. Does not own the fds
-/// unless `owns_fds` is set (then both are closed on destruction; pass
-/// the same fd twice for a socket and it is closed once).
+/// Transport over a POSIX read/write fd pair. Does not own the fds: the
+/// caller closes them after the transport is gone.
 class FdTransport final : public Transport {
  public:
-  FdTransport(int read_fd, int write_fd, bool owns_fds = false,
-              FdTransportOptions options = {})
-      : read_fd_(read_fd),
-        write_fd_(write_fd),
-        owns_fds_(owns_fds),
-        options_(options) {}
-  ~FdTransport() override;
+  FdTransport(int read_fd, int write_fd, FdTransportOptions options = {})
+      : read_fd_(read_fd), write_fd_(write_fd), options_(options) {}
 
   FdTransport(const FdTransport&) = delete;
   FdTransport& operator=(const FdTransport&) = delete;
@@ -110,7 +104,6 @@ class FdTransport final : public Transport {
 
   const int read_fd_;
   const int write_fd_;
-  const bool owns_fds_;
   const FdTransportOptions options_;
   std::string buffer_;     ///< bytes read but not yet consumed
   size_t buffer_pos_ = 0;  ///< consumption cursor into buffer_

@@ -35,10 +35,8 @@ TEST(ExecutorTest, RunsEveryItemExactlyOnce) {
   Executor exec(4);
   std::vector<std::atomic<int>> hits(1000);
   const auto run = exec.ParallelFor(
-      hits.size(), [&](unsigned, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
+      hits.size(), [&](unsigned, size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
       });
   EXPECT_EQ(run.items_run, hits.size());
   EXPECT_EQ(run.cause, Executor::StopCause::kCompleted);
@@ -49,9 +47,9 @@ TEST(ExecutorTest, LazyStartAndSerialExecutorNeverSpawns) {
   Executor serial(1);
   EXPECT_FALSE(serial.started());
   int sum = 0;
-  serial.ParallelFor(10, [&](unsigned worker, size_t begin, size_t end) {
+  serial.ParallelFor(10, [&](unsigned worker, size_t i) {
     EXPECT_EQ(worker, 0u);
-    for (size_t i = begin; i < end; ++i) sum += static_cast<int>(i);
+    sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum, 45);
   EXPECT_FALSE(serial.started());
@@ -59,9 +57,9 @@ TEST(ExecutorTest, LazyStartAndSerialExecutorNeverSpawns) {
   Executor pool(4);
   EXPECT_FALSE(pool.started());
   // A single item never needs the pool either.
-  pool.ParallelFor(1, [](unsigned, size_t, size_t) {});
+  pool.ParallelFor(1, [](unsigned, size_t) {});
   EXPECT_FALSE(pool.started());
-  pool.ParallelFor(100, [](unsigned, size_t, size_t) {});
+  pool.ParallelFor(100, [](unsigned, size_t) {});
   EXPECT_TRUE(pool.started());
 }
 
@@ -75,8 +73,8 @@ TEST(ExecutorTest, ThrowingTaskPropagatesAndPoolSurvives) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_THROW(
         exec.ParallelFor(256,
-                         [&](unsigned, size_t begin, size_t end) {
-                           if (begin <= 17 && 17 < end) {
+                         [&](unsigned, size_t i) {
+                           if (i == 17) {
                              throw std::runtime_error("solver stub blew up");
                            }
                          }),
@@ -84,8 +82,8 @@ TEST(ExecutorTest, ThrowingTaskPropagatesAndPoolSurvives) {
     // The pool is intact and processes a full batch right after.
     std::atomic<size_t> done{0};
     const auto run = exec.ParallelFor(
-        128, [&](unsigned, size_t begin, size_t end) {
-          done.fetch_add(end - begin, std::memory_order_relaxed);
+        128, [&](unsigned, size_t) {
+          done.fetch_add(1, std::memory_order_relaxed);
         });
     EXPECT_EQ(run.items_run, 128u);
     EXPECT_EQ(done.load(), 128u);
@@ -95,7 +93,7 @@ TEST(ExecutorTest, ThrowingTaskPropagatesAndPoolSurvives) {
 TEST(ExecutorTest, ThrowOnEveryItemStillRethrowsOnce) {
   Executor exec(2);
   EXPECT_THROW(exec.ParallelFor(64,
-                                [](unsigned, size_t, size_t) {
+                                [](unsigned, size_t) {
                                   throw std::logic_error("always");
                                 }),
                std::logic_error);
@@ -105,20 +103,17 @@ TEST(ExecutorTest, DeadlineStopsEarlyWithPrefixSemantics) {
   Executor exec(4);
   std::vector<std::atomic<int>> hits(200);
   Executor::RunOptions options;
-  options.chunk_size = 1;
   options.deadline_ms = 10.0;
   const auto run = exec.ParallelFor(
       hits.size(),
-      [&](unsigned, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(3));
-        }
+      [&](unsigned, size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
       },
       options);
   EXPECT_EQ(run.cause, Executor::StopCause::kDeadline);
   EXPECT_LT(run.items_run, hits.size());
-  // Claimed chunks always complete: the executed items are exactly the
+  // Claimed items always complete: the executed items are exactly the
   // prefix [0, items_run).
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), i < run.items_run ? 1 : 0) << "i=" << i;
@@ -133,9 +128,7 @@ TEST(ExecutorTest, PreSetCancelRunsNothing) {
   std::atomic<size_t> ran{0};
   const auto run = exec.ParallelFor(
       1000,
-      [&](unsigned, size_t begin, size_t end) {
-        ran.fetch_add(end - begin, std::memory_order_relaxed);
-      },
+      [&](unsigned, size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
       options);
   EXPECT_EQ(run.items_run, 0u);
   EXPECT_EQ(run.cause, Executor::StopCause::kCancelled);
@@ -146,12 +139,11 @@ TEST(ExecutorTest, CancelMidFlightStops) {
   Executor exec(4);
   std::atomic<bool> cancel{false};
   Executor::RunOptions options;
-  options.chunk_size = 1;
   options.cancel = &cancel;
   const auto run = exec.ParallelFor(
       10000,
-      [&](unsigned, size_t begin, size_t) {
-        if (begin >= 8) cancel.store(true, std::memory_order_relaxed);
+      [&](unsigned, size_t i) {
+        if (i >= 8) cancel.store(true, std::memory_order_relaxed);
       },
       options);
   EXPECT_EQ(run.cause, Executor::StopCause::kCancelled);
@@ -162,12 +154,11 @@ TEST(ExecutorTest, MaxWorkersCapsWorkerIds) {
   Executor exec(8);
   Executor::RunOptions options;
   options.max_workers = 2;
-  options.chunk_size = 1;
   locs::Mutex mutex;
   std::set<unsigned> seen;
   exec.ParallelFor(
       500,
-      [&](unsigned worker, size_t, size_t) {
+      [&](unsigned worker, size_t) {
         locs::MutexLock lock(mutex);
         seen.insert(worker);
       },
@@ -179,11 +170,11 @@ TEST(ExecutorTest, MaxWorkersCapsWorkerIds) {
 TEST(ExecutorTest, NestedParallelForRunsInline) {
   Executor exec(4);
   std::atomic<size_t> inner_total{0};
-  const auto run = exec.ParallelFor(16, [&](unsigned, size_t, size_t) {
-    // A task that re-enters the same executor must not deadlock.
-    exec.ParallelFor(8, [&](unsigned worker, size_t begin, size_t end) {
+  const auto run = exec.ParallelFor(16, [&](unsigned, size_t) {
+    // A body that re-enters the same executor must not deadlock.
+    exec.ParallelFor(8, [&](unsigned worker, size_t) {
       EXPECT_EQ(worker, 0u);
-      inner_total.fetch_add(end - begin, std::memory_order_relaxed);
+      inner_total.fetch_add(1, std::memory_order_relaxed);
     });
   });
   EXPECT_EQ(run.items_run, 16u);
@@ -195,95 +186,18 @@ TEST(ExecutorTest, ManySmallBatchesReuseThePool) {
   for (int batch = 0; batch < 200; ++batch) {
     std::atomic<size_t> ran{0};
     const auto run = exec.ParallelFor(
-        8, [&](unsigned, size_t begin, size_t end) {
-          ran.fetch_add(end - begin, std::memory_order_relaxed);
+        8, [&](unsigned, size_t) {
+          ran.fetch_add(1, std::memory_order_relaxed);
         });
     ASSERT_EQ(run.items_run, 8u);
     ASSERT_EQ(ran.load(), 8u);
   }
 }
 
-TEST(ExecutorTest, SubmitRunsDetachedTasks) {
-  Executor exec(4);
-  std::atomic<int> done{0};
-  constexpr int kTasks = 32;
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(exec.Submit([&] {
-      done.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (done.load() < kTasks &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ExecutorTest, SerialExecutorRejectsSubmit) {
-  // A 1-wide executor has no pool thread to detach onto; Submit must
-  // refuse rather than run inline (the caller would block on itself).
-  Executor serial(1);
-  EXPECT_FALSE(serial.Submit([] {}));
-  EXPECT_FALSE(serial.started());
-}
-
-TEST(ExecutorTest, ParallelForCompletesWithWorkersParkedInTasks) {
-  // Park every pool thread in a long-lived task, then run a batch: the
-  // calling thread alone must still complete it (the serving layer's
-  // sessions-plus-queries coexistence guarantee).
-  Executor exec(3);
-  std::atomic<bool> release{false};
-  std::atomic<int> parked{0};
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(exec.Submit([&] {
-      parked.fetch_add(1);
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }));
-  }
-  while (parked.load() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(exec.active_tasks(), 2u);
-  std::atomic<size_t> items{0};
-  const auto run = exec.ParallelFor(
-      100, [&](unsigned, size_t begin, size_t end) {
-        items.fetch_add(end - begin, std::memory_order_relaxed);
-      });
-  EXPECT_EQ(run.items_run, 100u);
-  EXPECT_EQ(items.load(), 100u);
-  release.store(true);
-  while (exec.active_tasks() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-TEST(ExecutorTest, ThrowingSubmittedTaskIsSwallowed) {
-  Executor exec(2);
-  std::atomic<bool> threw{false};
-  ASSERT_TRUE(exec.Submit([&] {
-    threw.store(true);
-    throw std::runtime_error("detached");
-  }));
-  while (!threw.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // The worker survives the escaped exception and serves new work.
-  std::atomic<int> after{0};
-  ASSERT_TRUE(exec.Submit([&] { after.store(1); }));
-  while (after.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(after.load(), 1);
-}
-
 TEST(ExecutorTest, ZeroItemsIsANoOp) {
   Executor exec(4);
   const auto run =
-      exec.ParallelFor(0, [](unsigned, size_t, size_t) { FAIL(); });
+      exec.ParallelFor(0, [](unsigned, size_t) { FAIL(); });
   EXPECT_EQ(run.items_run, 0u);
   EXPECT_EQ(run.cause, Executor::StopCause::kCompleted);
 }

@@ -110,7 +110,7 @@ struct ChaosFixture {
     EXPECT_GE(in_fd, 0);
     EXPECT_GE(out_fd, 0);
     {
-      FdTransport transport(in_fd, out_fd, false, transport_options);
+      FdTransport transport(in_fd, out_fd, transport_options);
       Session session(transport, registry, admission, metrics, options);
       session.Run();
     }
@@ -147,7 +147,7 @@ struct ChaosFixture {
     LiveResult result;
     std::thread session_thread([&] {
       const auto start = std::chrono::steady_clock::now();
-      FdTransport transport(pipe_fds[0], out_fd, false, transport_options);
+      FdTransport transport(pipe_fds[0], out_fd, transport_options);
       Session session(transport, registry, admission, metrics, options);
       session.Run();
       result.session_ms = static_cast<uint64_t>(
@@ -505,8 +505,7 @@ TEST(ServeChaosTest, RetryClientOpensBreakerOnDeadPort) {
 TEST(ServeChaosTest, RetryClientServesThenReportsFailureAfterServerStop) {
   ServerOptions options;
   CommunityServer shared(options);
-  Executor executor(3);
-  TcpServer server(shared, executor, options);
+  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });

@@ -477,20 +477,29 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
 
 // --- TCP front end -------------------------------------------------------
 
-/// Connects to 127.0.0.1:port, sends `script`, reads replies until the
-/// server closes the connection.
-std::vector<std::string> TcpScript(uint16_t port,
-                                   const std::vector<std::string>& script) {
+/// Opens a loopback connection to `port`; -1 on failure.
+int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  FdTransport transport(fd, fd, /*owns_fds=*/true);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Connects to 127.0.0.1:port, sends `script`, reads replies until the
+/// server closes the connection.
+std::vector<std::string> TcpScript(uint16_t port,
+                                   const std::vector<std::string>& script) {
+  const int fd = ConnectLoopback(port);
+  EXPECT_GE(fd, 0);
+  FdTransport transport(fd, fd);
   for (const std::string& line : script) {
     EXPECT_TRUE(transport.WriteLine(line));
   }
@@ -499,6 +508,7 @@ std::vector<std::string> TcpScript(uint16_t port,
   while (transport.ReadLine(&line) == Transport::ReadStatus::kLine) {
     replies.push_back(line);
   }
+  ::close(fd);
   return replies;
 }
 
@@ -512,8 +522,7 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
   bool full = false;
   ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);
 
-  Executor executor(6);
-  TcpServer server(shared, executor, options);
+  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   ASSERT_NE(server.port(), 0);
@@ -560,8 +569,7 @@ TEST(TcpServerTest, FailedBindReleasesTheSessionSlot) {
   bool full = false;
   ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);
 
-  Executor executor(3);
-  TcpServer server(shared, executor, options);
+  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -591,8 +599,7 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   ServerOptions options;
   options.max_sessions = 1;
   CommunityServer shared(options);
-  Executor executor(3);
-  TcpServer server(shared, executor, options);
+  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -608,7 +615,7 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   ASSERT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
-  FdTransport held(fd, fd, /*owns_fds=*/true);
+  FdTransport held(fd, fd);
   ASSERT_TRUE(held.WriteLine("PING"));
   std::string line;
   ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
@@ -624,6 +631,7 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   server.Stop();
   accept_thread.join();
   EXPECT_GE(shared.metrics().Snapshot().rejected, 1u);
+  ::close(fd);
 }
 
 TEST(TcpServerTest, StopUnblocksIdleSessions) {
@@ -631,8 +639,7 @@ TEST(TcpServerTest, StopUnblocksIdleSessions) {
   // shuts the socket down and Run() returns.
   ServerOptions options;
   CommunityServer shared(options);
-  Executor executor(3);
-  TcpServer server(shared, executor, options);
+  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -646,7 +653,7 @@ TEST(TcpServerTest, StopUnblocksIdleSessions) {
   ASSERT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
-  FdTransport idle(fd, fd, /*owns_fds=*/true);
+  FdTransport idle(fd, fd);
   ASSERT_TRUE(idle.WriteLine("PING"));
   std::string line;
   ASSERT_EQ(idle.ReadLine(&line), Transport::ReadStatus::kLine);
@@ -654,6 +661,77 @@ TEST(TcpServerTest, StopUnblocksIdleSessions) {
   server.Stop();        // session is idle in ReadLine at this point
   accept_thread.join();  // must not hang
   EXPECT_EQ(server.active_sessions(), 0u);
+  ::close(fd);
+}
+
+TEST(TcpServerTest, EveryAdmittedSessionIsServed) {
+  // The session cap is the one bound: each admitted connection runs on a
+  // thread of its own, so a third session is served while the first two
+  // stay open and idle, and only a fourth connection is refused.
+  ServerOptions options;
+  options.max_sessions = 3;
+  CommunityServer shared(options);
+  TcpServer server(shared, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  FdTransportOptions within_one_second;
+  within_one_second.io_timeout_ms = 1000;
+  within_one_second.idle_timeout_ms = 1000;
+  std::vector<int> held;
+  for (int c = 0; c < 3; ++c) {
+    const int fd = ConnectLoopback(server.port());
+    EXPECT_GE(fd, 0);
+    if (fd < 0) break;
+    held.push_back(fd);
+    FdTransport transport(fd, fd, within_one_second);
+    std::string reply;
+    EXPECT_TRUE(transport.WriteLine("PING"));
+    EXPECT_EQ(transport.ReadLine(&reply), Transport::ReadStatus::kLine)
+        << "connection " << c << " got no reply within 1 s";
+    EXPECT_EQ(reply, "OK pong");
+  }
+  const auto refused = TcpScript(server.port(), {"PING"});
+  EXPECT_EQ(refused, std::vector<std::string>{"BUSY sessions=3"});
+
+  server.Stop();
+  accept_thread.join();
+  EXPECT_EQ(server.active_sessions(), 0u);
+  for (const int fd : held) ::close(fd);
+}
+
+TEST(TcpServerTest, ThrowingSessionThreadFreesItsSlot) {
+  // A throw out of a session thread must not take the server down: the
+  // connection closes, its slot comes back, and the next one is served.
+  ServerOptions options;
+  options.max_sessions = 1;
+  CommunityServer shared(options);
+  TcpServer server(shared, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  std::vector<std::string> dropped;
+  {
+    failpoint::ScopedFailpoint boom("serve.session_thread.throw");
+    // Send nothing: unread request bytes would turn the close into a
+    // reset that the client's write could trip over.
+    dropped = TcpScript(server.port(), {});
+    EXPECT_EQ(failpoint::HitCount("serve.session_thread.throw"), 1u);
+  }
+  EXPECT_TRUE(dropped.empty());
+  // The server closes the fd only after giving the slot back.
+  EXPECT_EQ(server.active_sessions(), 0u);
+
+  const auto served = TcpScript(server.port(), {"PING", "QUIT"});
+  EXPECT_EQ(served, (std::vector<std::string>{"OK pong", "OK bye"}));
+  server.Stop();
+  accept_thread.join();
+  EXPECT_EQ(server.active_sessions(), 0u);
+  // The throw came before any Session existed: only the served
+  // connection opened one.
+  EXPECT_EQ(shared.metrics().Snapshot().sessions_opened, 1u);
 }
 
 }  // namespace

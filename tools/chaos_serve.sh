@@ -7,7 +7,7 @@
 #   1. Failpoint soak — locsd on TCP loopback with periodic faults armed
 #      via LOCS_FAILPOINT (solver errors, refused scratch binds, dropped
 #      cache inserts, read delays, torn/failed reply writes, failed
-#      reads) plus io/idle
+#      reads, session threads that throw before serving) plus io/idle
 #      timeouts, soaked by >= CHAOS_SESSIONS concurrent self-healing
 #      clients for >= CHAOS_SOAK_SECONDS. A silent connection opened at
 #      soak start must be idle-reaped along the way. Afterwards the
@@ -81,10 +81,11 @@ stat_field() {
 echo "=== chaos: failpoint soak (${sessions} sessions, ${soak}s) ==="
 # Periodic (%every) faults recur throughout the soak without killing
 # every request. A periodic failpoint fires on its FIRST hit past the
-# skip, so the transport faults carry skips: without them the very
-# first read in the daemon's lifetime — the silent connection this
-# script parks for the idle reaper — would die to read_error instead
-# of idling out. Clients must ride everything out via retries.
+# skip, so the transport and session-thread faults carry skips: without
+# them the daemon's first connection — the silent one this script parks
+# for the idle reaper — would die to read_error or a thrown session
+# thread instead of idling out. Clients must ride everything out via
+# retries.
 #
 # Failpoints deliberately NOT armed here — tools/lint_failpoints.sh
 # cross-checks these annotations against the tree, so adding a new
@@ -93,7 +94,7 @@ echo "=== chaos: failpoint soak (${sessions} sessions, ${soak}s) ==="
 # chaos-unarmed: io.text.alloc — load-time fault; the soak preloads its text graph exactly once, and the IO tests cover it.
 # chaos-unarmed: serve.registry.load_error — would kill this script's own --preload before any client connects.
 # chaos-unarmed: serve.slow_query — a 200 ms stall per fire collapses soak throughput; the serve tests exercise it against the query deadline.
-LOCS_FAILPOINT="serve.solver.error%17,serve.bind.alloc%11,serve.cache.insert_drop%7,serve.transport.read_delay=50%101,serve.transport.partial_write=50%503,serve.transport.write_error=50%709,serve.transport.read_error=200%613,serve.store.image_open_error=1%5,serve.store.image_mmap_error=1%7" \
+LOCS_FAILPOINT="serve.solver.error%17,serve.bind.alloc%11,serve.cache.insert_drop%7,serve.transport.read_delay=50%101,serve.transport.partial_write=50%503,serve.transport.write_error=50%709,serve.transport.read_error=200%613,serve.store.image_open_error=1%5,serve.store.image_mmap_error=1%7,serve.session_thread.throw=1%13" \
   "${locsd}" --port=0 --port-file="${work}/port" \
   --preload=g="${work}/g.metis" \
   --io-timeout-ms=2000 --idle-timeout-ms=3000 \

@@ -16,7 +16,9 @@
 #   4. malformed-input session — typed ERR replies, clean exit (no crash)
 #   5. TCP loopback session    — locsd --port=0 + locs_cli client, with
 #      the CST reply required to match the stdio transcript byte for
-#      byte (replies are deterministic by design), then SIGTERM drain.
+#      byte (replies are deterministic by design), then SIGTERM drain
+#      with a silent connection still open: locsd must exit 0 and its
+#      final STATS line must report sessions_open=0.
 #
 # Usage: tools/smoke_serve.sh [build-dir]   (default: build)
 # The build tree must exist; the script builds the two binaries it needs.
@@ -32,7 +34,9 @@ locsd="${build}/tools/locsd"
 cli="${build}/tools/locs_cli"
 work="$(mktemp -d)"
 daemon_pid=""
+silent_fd=""
 cleanup() {
+  [[ -n "${silent_fd}" ]] && exec {silent_fd}>&- 2>/dev/null || true
   [[ -n "${daemon_pid}" ]] && kill -9 "${daemon_pid}" 2>/dev/null || true
   rm -rf "${work}"
 }
@@ -149,6 +153,10 @@ if [[ -z "${port}" ]]; then
   cat "${work}/daemon.log" >&2
   exit 1
 fi
+# A connection that never sends a byte, held open across the SIGTERM
+# below. Opened before the client's, so it is accepted first: by the
+# time the client has its reply, the silent session is running.
+exec {silent_fd}<>"/dev/tcp/127.0.0.1/${port}"
 tcp_out="$(printf 'CST g 7 3 limit=5\nQUIT\n' \
   | "${cli}" client --port="${port}" 2>/dev/null)"
 echo "${tcp_out}"
@@ -168,9 +176,16 @@ if ! wait "${daemon_pid}"; then
   exit 1
 fi
 daemon_pid=""
-grep -q 'drained' "${work}/daemon.log" || {
+exec {silent_fd}>&-
+silent_fd=""
+final="$(grep 'drained; final OK ' "${work}/daemon.log" || true)"
+if [[ -z "${final}" ]]; then
   echo "FAIL: drain message missing from daemon log" >&2
   exit 1
-}
+fi
+if [[ "$(field "${final}" sessions_open)" != "0" ]]; then
+  echo "FAIL: drain left a session open: ${final}" >&2
+  exit 1
+fi
 
 echo "Serving-layer smoke passed."
