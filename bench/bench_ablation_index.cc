@@ -8,8 +8,9 @@
 // amortization point. A second table does the same for multi-vertex
 // queries on seed pairs: the global oracles, the local solver's
 // CstMulti/CsmMulti (LocalCstSolver over a query set), and the
-// served CommunitySearcher path (CstMulti: one BFS over `core >= k`;
-// CsmMulti: a max-bottleneck sweep, then that BFS).
+// served CommunitySearcher path (n and δ from the core forest, then one
+// BFS over `core >= δ`), listing every member and, as a served
+// `limit=1` reply does, only the first.
 //
 // A third table, cst_fallback, runs perfbench's CST k-sets (cst_local:
 // k in {3s..8s}; csm_mix: k in {s, 2s}; s = max(1, δ*/10)) over k-core
@@ -19,6 +20,7 @@
 // work, and the p50/p99 latency. Run with --dataset=livejournal-sim for
 // perfbench's graph.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -102,8 +104,22 @@ int Run(int argc, char** argv) {
   WallTimer build_timer;
   const CoreIndex index(g);
   const double build_ms = build_timer.Millis();
-  std::printf("dataset %s: delta*=%u; index build %.1fms\n", name.c_str(),
-              cores.degeneracy, build_ms);
+  // Depth of the core forest: the most nodes on a walk from a node to its
+  // root, which bounds ComponentNode's and CommonNode's walks.
+  const ConstArray<CoreForestNode>& forest = index.forest();
+  std::vector<uint32_t> depth(forest.size(), 1);
+  uint32_t max_depth = 0;
+  for (size_t node = forest.size(); node-- > 0;) {
+    // Parents follow their children, so a parent's depth is final first.
+    if (forest[node].parent != CoreIndex::kNoNode) {
+      depth[node] = depth[forest[node].parent] + 1;
+    }
+    max_depth = std::max(max_depth, depth[node]);
+  }
+  std::printf(
+      "dataset %s: delta*=%u; index build %.1fms; core forest %zu nodes, "
+      "max depth %u\n",
+      name.c_str(), cores.degeneracy, build_ms, forest.size(), max_depth);
 
   const uint32_t s = std::max(1u, cores.degeneracy / 10);
   TableWriter table({"k", "global ms", "ls-li ms", "index ms",
@@ -137,9 +153,10 @@ int Run(int argc, char** argv) {
   // Seed pairs from the k-core: both seeds pass the core-number check,
   // so every MULTI query below traverses.
   CommunitySearcher searcher(snapshot);
-  TableWriter multi_table({"k", "cst global ms", "cst local ms",
-                           "cst index ms", "answer size", "csm global ms",
-                           "csm local ms", "csm index ms", "csm delta"});
+  TableWriter multi_table(
+      {"k", "cst global ms", "cst local ms", "cst index ms",
+       "cst index limit=1 ms", "answer size", "csm global ms", "csm local ms",
+       "csm index ms", "csm index limit=1 ms", "csm delta"});
   for (const uint32_t mult : {1u, 2u, 4u}) {
     const uint32_t k = s * mult;
     const auto sample = SampleFromKCore(cores, k, 2 * kPairs, 7300 + k);
@@ -147,9 +164,11 @@ int Run(int argc, char** argv) {
     std::vector<double> t_cst_global;
     std::vector<double> t_cst_local;
     std::vector<double> t_cst_index;
+    std::vector<double> t_cst_limit1;
     std::vector<double> t_csm_global;
     std::vector<double> t_csm_local;
     std::vector<double> t_csm_index;
+    std::vector<double> t_csm_limit1;
     std::vector<double> sizes;
     std::vector<double> deltas;
     for (size_t i = 0; i + 1 < sample.size(); i += 2) {
@@ -159,11 +178,15 @@ int Run(int argc, char** argv) {
       SearchResult cst;
       t_cst_index.push_back(
           TimeMs([&] { cst = searcher.CstMulti(seeds, k); }));
-      sizes.push_back(static_cast<double>(cst.Best().members.size()));
+      t_cst_limit1.push_back(TimeMs(
+          [&] { searcher.CstMulti(seeds, k, nullptr, nullptr, 1); }));
+      sizes.push_back(static_cast<double>(cst.AnswerSize()));
       t_csm_global.push_back(TimeMs([&] { GlobalCsmMulti(g, seeds); }));
       t_csm_local.push_back(TimeMs([&] { solver.CsmMulti(seeds); }));
       SearchResult csm;
       t_csm_index.push_back(TimeMs([&] { csm = searcher.CsmMulti(seeds); }));
+      t_csm_limit1.push_back(TimeMs(
+          [&] { searcher.CsmMulti(seeds, nullptr, nullptr, 1); }));
       deltas.push_back(static_cast<double>(csm.Best().min_degree));
     }
     multi_table.Row()
@@ -171,10 +194,12 @@ int Run(int argc, char** argv) {
         .Num(Summarize(t_cst_global).mean, 3)
         .Num(Summarize(t_cst_local).mean, 3)
         .Num(Summarize(t_cst_index).mean, 4)
+        .Num(Summarize(t_cst_limit1).mean, 4)
         .Num(Summarize(sizes).mean, 1)
         .Num(Summarize(t_csm_global).mean, 3)
         .Num(Summarize(t_csm_local).mean, 3)
         .Num(Summarize(t_csm_index).mean, 4)
+        .Num(Summarize(t_csm_limit1).mean, 4)
         .Num(Summarize(deltas).mean, 1);
   }
   multi_table.Print("ablation_index_multi_" + name);

@@ -12,15 +12,22 @@ namespace locs {
 
 namespace {
 
-/// comp_size[v] for every v: one union-find pass adding the vertices in
+struct CoreForest {
+  std::vector<uint32_t> node_of;
+  std::vector<CoreForestNode> nodes;
+};
+
+/// The core forest: one union-find pass adding the vertices in
 /// descending core order. After the vertices of core number c are added
 /// and joined to their neighbors of core >= c, each set is a component of
-/// `core >= c`, so its size is read off for those vertices. Each edge is
-/// unioned once: from its endpoint of lower core number, or of higher id
-/// when both share a core number.
-std::vector<uint32_t> ComponentSizes(const Graph& graph,
-                                     std::span<const uint32_t> core,
-                                     uint32_t degeneracy) {
+/// `core >= c`. Every set that gained a vertex of core c gets a new node
+/// at level c, and becomes the parent of the nodes of the sets it
+/// absorbed. Each edge is unioned once: from its endpoint of lower core
+/// number, or of higher id when both share a core number.
+CoreForest BuildCoreForest(const Graph& graph,
+                           std::span<const uint32_t> core,
+                           uint32_t degeneracy) {
+  constexpr uint32_t kNoNode = CoreIndex::kNoNode;
   const VertexId n = graph.NumVertices();
   // A counting sort by core number, descending, ids ascending within a
   // level, so each level reads its adjacency runs in address order.
@@ -44,9 +51,17 @@ std::vector<uint32_t> ComponentSizes(const Graph& graph,
     }
     return v;
   };
+  // top[r]: the newest node of root r's set; kNoNode for a set that
+  // gained a vertex at the current level, which gets a new node.
+  std::vector<uint32_t> top(n, kNoNode);
+  // absorbed: nodes whose sets joined at the current level; node_vertex:
+  // one member of each node, to find its set again.
+  std::vector<uint32_t> absorbed;
+  std::vector<VertexId> node_vertex;
   const uint64_t* const offsets = graph.offsets().data();
   const VertexId* const adjacency = graph.neighbors().data();
-  std::vector<uint32_t> comp_size(n);
+  CoreForest forest;
+  forest.node_of.resize(n);
   for (uint32_t level = 0; level <= degeneracy; ++level) {
     const uint32_t c = degeneracy - level;
     const size_t begin = level_begin[level];
@@ -67,16 +82,31 @@ std::vector<uint32_t> ComponentSizes(const Graph& graph,
         if (core[w] < c || (core[w] == c && w > v)) continue;
         VertexId other = find(w);
         if (other == root) continue;
+        for (const VertexId r : {root, other}) {
+          if (top[r] != kNoNode) absorbed.push_back(top[r]);
+          top[r] = kNoNode;
+        }
         if (set_size[root] < set_size[other]) std::swap(root, other);
         parent[other] = root;
         set_size[root] += set_size[other];
       }
     }
     for (size_t i = begin; i < end; ++i) {
-      comp_size[order[i]] = set_size[find(order[i])];
+      const VertexId v = order[i];
+      const VertexId root = find(v);
+      if (top[root] == kNoNode) {
+        top[root] = static_cast<uint32_t>(forest.nodes.size());
+        forest.nodes.push_back({kNoNode, c, set_size[root]});
+        node_vertex.push_back(v);
+      }
+      forest.node_of[v] = top[root];
     }
+    for (const uint32_t child : absorbed) {
+      forest.nodes[child].parent = top[find(node_vertex[child])];
+    }
+    absorbed.clear();
   }
-  return comp_size;
+  return forest;
 }
 
 }  // namespace
@@ -84,19 +114,48 @@ std::vector<uint32_t> ComponentSizes(const Graph& graph,
 CoreIndex::CoreIndex(const Graph& graph) {
   CoreDecomposition cores = ComputeCores(graph);
   degeneracy_ = cores.degeneracy;
-  comp_size_ = ConstArray<uint32_t>(
-      ComponentSizes(graph, cores.core, cores.degeneracy));
+  CoreForest forest = BuildCoreForest(graph, cores.core, cores.degeneracy);
+  node_of_ = ConstArray<uint32_t>(std::move(forest.node_of));
+  forest_ = ConstArray<CoreForestNode>(std::move(forest.nodes));
   core_ = ConstArray<uint32_t>(std::move(cores.core));
 }
 
 CoreIndex CoreIndex::FromParts(ConstArray<uint32_t> core,
-                               ConstArray<uint32_t> comp_size,
+                               ConstArray<uint32_t> node_of,
+                               ConstArray<CoreForestNode> forest,
                                uint32_t degeneracy) {
   CoreIndex index;
   index.core_ = std::move(core);
-  index.comp_size_ = std::move(comp_size);
+  index.node_of_ = std::move(node_of);
+  index.forest_ = std::move(forest);
   index.degeneracy_ = degeneracy;
   return index;
+}
+
+uint32_t CoreIndex::ComponentNode(VertexId v, uint32_t k) const {
+  uint32_t node = node_of_[v];
+  for (uint32_t up = forest_[node].parent;
+       up != kNoNode && forest_[up].level >= k; up = forest_[up].parent) {
+    node = up;
+  }
+  return node;
+}
+
+uint32_t CoreIndex::CommonNode(std::span<const VertexId> vertices) const {
+  uint32_t common = node_of_[vertices[0]];
+  for (const VertexId v : vertices.subspan(1)) {
+    // Lift the deeper of the two nodes (both on a tie) until they meet:
+    // a node of higher level is never an ancestor of the other.
+    uint32_t node = node_of_[v];
+    while (node != common) {
+      const uint32_t common_level = forest_[common].level;
+      const uint32_t node_level = forest_[node].level;
+      if (common_level >= node_level) common = forest_[common].parent;
+      if (node_level >= common_level) node = forest_[node].parent;
+      if (common == kNoNode || node == kNoNode) return kNoNode;
+    }
+  }
+  return common;
 }
 
 }  // namespace locs

@@ -13,9 +13,10 @@
 //
 // Served MULTI queries run neither. CommunitySearcher answers them from
 // the CoreIndex: the maximal community, i.e. query[0]'s component of
-// `core >= k` (for CSM, at the δ a max-bottleneck sweep finds), with the
-// members in GlobalCstMulti's BFS order, `visited=` the BFS/sweep count
-// and `fallback=0`. The global solvers here are its test oracles.
+// `core >= k` (for CSM, at the δ of the seeds' deepest common core-forest
+// node), with `n=` and δ read off the forest, the members in
+// GlobalCstMulti's BFS order, `visited=` the listing BFS's pops and
+// `fallback=0`. The global solvers here are its test oracles.
 
 #ifndef LOCS_CORE_MULTI_H_
 #define LOCS_CORE_MULTI_H_

@@ -39,8 +39,9 @@ struct SearchResult {
   std::optional<Community> community;
   Community best_so_far;
   /// Members of the answer left out of `community`: non-zero only for a
-  /// CSM listed under a member limit (CommunitySearcher::Csm), whose
-  /// members are then the first `limit` of its BFS order.
+  /// CSM or MULTI listed under a member limit (CommunitySearcher's Csm,
+  /// CstMulti and CsmMulti), whose members are then the first `limit` of
+  /// its BFS order.
   uint64_t unlisted = 0;
   /// Per-phase effort accounting for this query (see obs/telemetry.h).
   /// Always filled by the solver wrappers; durations are nonzero only

@@ -6,12 +6,13 @@
 // solver also gets. Its expansion then skips every vertex outside the
 // k-core (Lemma 3) and so always ends in early success: a CST answered
 // here never runs the G[C] peel. CSM and both multi-vertex
-// queries are answered from the index's core numbers (Lemmas 3 and 4 lift
-// to seed sets): a δ >= k community holding every seed exists iff the
-// seeds share one connected component of `core >= k`, and that component
-// is the maximal answer. A CSM under a member limit reads its size and δ
-// off the index and stops its BFS once that many members are queued. It
-// is the one type that does this binding; a
+// queries are answered from the index (Lemmas 3 and 4 lift to seed
+// sets): a δ >= k community holding every seed exists iff the seeds
+// share one connected component of `core >= k`, and that component is
+// the maximal answer. The index's core forest names that component, its
+// size and its δ without a traversal; one BFS from the first seed then
+// lists its members, and stops once a member limit's worth are queued.
+// It is the one type that does this binding; a
 // locsd session binds a registry entry the same way. Exposes the local
 // and global CST/CSM entry points.
 //
@@ -20,8 +21,8 @@
 //   auto community = searcher.Cst(v, 5);            // CST(5), local search
 //   auto best = searcher.Csm(v);                    // best community
 //
-// The searcher is stateful scratch-wise (the CST solver, the component
-// BFS and the multi-vertex CSM sweep reuse epoch-stamped buffers) and
+// The searcher is stateful scratch-wise (the CST solver and the
+// component BFS reuse epoch-stamped buffers) and
 // therefore not thread-safe; create one per thread over a shared snapshot.
 // Creating one is cheap: the buffers are zero-page mappings, not filled
 // vectors, so binding costs O(1) whatever |V|, resident scratch grows
@@ -31,7 +32,6 @@
 #define LOCS_CORE_SEARCHER_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,23 +95,26 @@ class CommunitySearcher {
   /// the maximal connected community holding every query vertex with
   /// δ >= k, i.e. query[0]'s component of `core >= k`, members in the BFS
   /// order of GlobalCstMulti. kNotExists when a seed lies outside the
-  /// k-core (answered from the core numbers alone; `stats` then reads all
-  /// zeros) or outside that component. Seeds must be distinct and in
-  /// range (checked in O(|query|)). An interrupted query's partial is
-  /// {query[0]}, δ = 0.
+  /// k-core or the seeds' forest nodes at k differ (answered from the
+  /// index alone; `stats` then reads all zeros). Seeds must be distinct
+  /// and in range (checked in O(|query|)). `member_limit` cuts the listing
+  /// as in Csm; AnswerSize() and δ come from the forest node. An
+  /// interrupted query's partial is {query[0]}, δ = 0.
   SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
                         QueryStats* stats = nullptr,
-                        QueryGuard* guard = nullptr);
+                        QueryGuard* guard = nullptr,
+                        uint64_t member_limit = 0);
 
-  /// Multi-vertex CSM (extension) from the CoreIndex: the largest δ for
-  /// which the seeds share a component of `core >= δ`, found by a
-  /// max-bottleneck sweep from query[0], and that component (the answer
-  /// of CstMulti at k = δ). Seeds in different connected components get
+  /// Multi-vertex CSM (extension) from the CoreIndex: the seeds' deepest
+  /// common forest node, whose level δ is the largest k for which they
+  /// share a component of `core >= k`, and that component (the answer of
+  /// CstMulti at k = δ). Seeds in different connected components get
   /// GlobalCsmMulti's fallback: found, {query[0]}, δ = 0. Same seed
-  /// checks and interrupted partial as CstMulti.
+  /// checks, member limit and interrupted partial as CstMulti.
   SearchResult CsmMulti(const std::vector<VertexId>& query,
                         QueryStats* stats = nullptr,
-                        QueryGuard* guard = nullptr);
+                        QueryGuard* guard = nullptr,
+                        uint64_t member_limit = 0);
 
   /// Telemetry sink shared by every query behind this facade (local and
   /// global, single- and multi-vertex). Defaults to the no-op null sink;
@@ -124,44 +127,32 @@ class CommunitySearcher {
   /// the seeds. Charges the guard one unit per seed past the first (the
   /// traversal charges the first when it visits it).
   void CheckSeeds(std::span<const VertexId> seeds, QueryGuard& guard);
-  /// The maximal answer for `seeds` at threshold k: the BFS from seeds[0]
-  /// over `core >= k`, cut to its first `stop_at` members; kNotExists
-  /// when it misses a seed; {seeds[0]}, δ = 0 interrupted when the guard
-  /// trips. A cut BFS may miss seeds it would reach, so multi-seed
-  /// callers pass SIZE_MAX.
-  SearchResult ComponentAnswer(std::span<const VertexId> seeds, uint32_t k,
-                               size_t stop_at, QueryGuard& guard,
-                               obs::PhaseTracker& tracker,
-                               obs::QueryTelemetry& telemetry);
+  /// The one listing step of Csm, CstMulti and CsmMulti: the answer
+  /// whose component is forest node `node` (which holds every seed), its
+  /// members listed by the BFS from seeds[0] over `core >= level`, cut to
+  /// the first `member_limit` (0: all). δ is the node's level and
+  /// `unlisted` counts the members past the cut. {seeds[0]}, δ = 0
+  /// interrupted when the guard trips. Under LOCS_VALIDATE it reruns the
+  /// full BFS and checks the node's size and level, the seeds and the
+  /// listed prefix against it.
+  SearchResult ListComponent(std::span<const VertexId> seeds, uint32_t node,
+                             uint64_t member_limit, QueryGuard& guard,
+                             obs::PhaseTracker& tracker,
+                             obs::QueryTelemetry& telemetry);
   /// Appends to `out` the BFS from `root` (core number >= k) over the
-  /// vertices whose core number is at least k, in graph().Neighbors order,
-  /// and returns the least core number among them; nullopt when the guard
-  /// trips mid-BFS. Stops after the vertex whose scan queues the
-  /// `stop_at`-th member and keeps only the first `stop_at`.
-  std::optional<uint32_t> CoreComponent(VertexId root, uint32_t k,
-                                        size_t stop_at, QueryGuard& guard,
-                                        obs::PhaseStats& ph,
-                                        std::vector<VertexId>* out);
-  /// Max-bottleneck sweep from seeds[0] (seeds marked in `seen_` by
-  /// CheckSeeds): pops vertices in descending order of the least core
-  /// number on their best path from seeds[0], one bucket per core value.
-  /// Returns the level at which the last seed pops, or nullopt when a
-  /// seed is unreachable or the guard trips (guard.Stopped() tells which).
-  std::optional<uint32_t> BottleneckSweep(std::span<const VertexId> seeds,
-                                          QueryGuard& guard,
-                                          obs::PhaseStats& ph);
+  /// vertices whose core number is at least k, in graph().Neighbors order;
+  /// false when the guard trips mid-BFS. Stops after the vertex whose
+  /// scan queues the `stop_at`-th member and keeps only the first
+  /// `stop_at`.
+  bool CoreComponent(VertexId root, uint32_t k, size_t stop_at,
+                     QueryGuard& guard, obs::PhaseStats& ph,
+                     std::vector<VertexId>* out);
 
   std::shared_ptr<const Snapshot> snapshot_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   LocalCstSolver cst_solver_;
-  /// The component BFS's seen-set; also the seed set during validation
-  /// and the sweep.
+  /// The component BFS's seen-set; also the seed set during validation.
   EpochFlags seen_;
-  /// The sweep's reached set; allocated by the first CsmMulti, so a bind
-  /// that never runs one pays nothing for it.
-  EpochFlags sweep_reached_{0};
-  /// sweep_buckets_[c]: vertices queued at level c (one per core value).
-  std::vector<std::vector<VertexId>> sweep_buckets_;
 };
 
 }  // namespace locs

@@ -31,8 +31,8 @@ std::string FormatQueryReply(const SearchResult& result,
                              uint64_t member_limit, bool trace) {
   const obs::QueryTelemetry& telemetry = result.telemetry;
   const Community& community = result.Best();
-  // A CSM under a member limit lists only its first members; n and
-  // truncated= count the full answer either way.
+  // A CSM or MULTI under a member limit lists only its first members; n
+  // and truncated= count the full answer either way.
   const uint64_t answer_size = result.AnswerSize();
   std::string reply = "OK status=";
   reply += TerminationName(result.status);
@@ -425,9 +425,10 @@ std::string Session::ExecQuery(const Request& request,
       break;
     case Verb::kMulti:
       result = request.multi_max
-                   ? searcher->CsmMulti(request.vertices, nullptr, &guard)
+                   ? searcher->CsmMulti(request.vertices, nullptr, &guard,
+                                        member_limit)
                    : searcher->CstMulti(request.vertices, request.k,
-                                        nullptr, &guard);
+                                        nullptr, &guard, member_limit);
       break;
     default:
       return FormatError(WireError::kUnknownVerb, "not a query verb");

@@ -20,8 +20,8 @@
 // Trailing `opt` tokens are lowercase key=value pairs mapped onto the
 // QueryGuard limits: `deadline_ms=<double>`, `budget=<uint64>`, plus
 // `limit=<n>` capping the member ids echoed in the reply (0 = all; on
-// CSM it also bounds the work: the BFS stops once n members are queued,
-// and n=/truncated= come from the index's component size),
+// CSM and MULTI it also bounds the work: the BFS stops once n members
+// are queued, and n=/truncated= come from the index's core forest),
 // `trace=<0|1>` appending a per-phase telemetry breakdown to the reply
 // (deterministic: counters only, no durations), and `gamma=<double>`
 // (signed, `-inf` allowed), the Equation-8 budget of the paper's local

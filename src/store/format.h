@@ -1,7 +1,7 @@
 // On-disk layout of a locs graph image (.limg) — the persistent,
 // mmap-ready artifact holding one graph's CSR arrays plus every serving
-// precomputation (degree-descending ordering, core numbers, CSM
-// component sizes, and the GraphFacts scalars).
+// precomputation (degree-descending ordering, core numbers, the core
+// forest, and the GraphFacts scalars).
 //
 // Layout (all integers written in host byte order; the endianness tag
 // in the header detects a cross-endian file at load):
@@ -25,7 +25,12 @@
 // sections (ids 6-10), so an image has exactly five sections; the meta
 // slot that held the tree node count is reserved. v4 added the sixth
 // section, the per-vertex CSM component sizes (id 6), so a served CSM
-// reads its answer size instead of listing the whole component.
+// reads its answer size instead of listing the whole component. v5
+// replaced them with the core forest (core/core_index.h): section 6 holds
+// each vertex's forest node id, the new section 7 the node table, and the
+// meta slot reserved since v3 its node count. A served MULTI reads its
+// answer size and δ from the forest, and a CSM reads its size through
+// the vertex's node.
 
 #ifndef LOCS_STORE_FORMAT_H_
 #define LOCS_STORE_FORMAT_H_
@@ -40,7 +45,7 @@ inline constexpr char kImageMagic[8] = {'L', 'O', 'C', 'S',
                                         'I', 'M', 'G', '1'};
 
 /// The format version this build writes and the only one it reads.
-inline constexpr uint32_t kImageVersion = 4;
+inline constexpr uint32_t kImageVersion = 5;
 
 /// Written as a native uint32; reads back byte-reversed on a machine of
 /// the opposite endianness, which the reader rejects with a typed error.
@@ -58,9 +63,12 @@ enum class SectionId : uint32_t {
   kOrderedNeighbors = 4,  ///< VertexId[2|E|] degree-descending adjacency
                           ///< (shares the kOffsets array)
   kCoreNumbers = 5,       ///< uint32[n]
-  kComponentSizes = 6,    ///< uint32[n]: |v's component of core >= core(v)|
+  kForestNodeOf = 6,      ///< uint32[n]: v's core-forest node id
+  kForestNodes = 7,       ///< {parent, level, size} uint32 triples, one
+                          ///< per node (CoreForestNode); a root's parent
+                          ///< is 0xFFFFFFFF
 };
-inline constexpr uint32_t kNumSections = 6;
+inline constexpr uint32_t kNumSections = 7;
 
 /// Fixed file header. 8-byte aligned size so the section table that
 /// follows is aligned too.
@@ -91,7 +99,8 @@ static_assert(sizeof(SectionEntry) == 24,
 struct ImageMeta {
   uint64_t num_vertices;
   uint64_t num_half_edges;  ///< 2|E| = neighbor-array length
-  uint64_t reserved0;       ///< zero (the merge-tree node count until v2)
+  uint64_t num_forest_nodes;  ///< kForestNodes rows (the merge-tree node
+                              ///< count until v2, zero in v3 and v4)
   uint32_t degeneracy;
   uint32_t max_degree;
   uint32_t connected;  ///< GraphFacts::connected, 0 or 1

@@ -4,8 +4,8 @@
 //
 // Compile once, load in milliseconds: `locs_cli compile` (or
 // WriteGraphImage) serializes a Snapshot: the CSR arrays, the §4.3.2
-// degree-ordered adjacency, the CoreIndex core numbers and component
-// sizes, and the GraphFacts scalars. LoadGraphImage maps the file
+// degree-ordered adjacency, the CoreIndex core numbers and core forest,
+// and the GraphFacts scalars. LoadGraphImage maps the file
 // read-only and returns the same Snapshot, its ConstArray storage
 // pointing straight into the mapping. No parse, no Batagelj–Zaversnik
 // recompute, no connectivity BFS — the cold-start cost the serving layer

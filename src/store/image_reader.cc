@@ -5,8 +5,9 @@
 // whole-file checksum catches accidental corruption; and a final O(n+m)
 // structural pass proves the arrays are internally consistent (offsets
 // monotone and bounded, adjacency sorted and in-range, core numbers
-// bounded by the degree and topped by the stored degeneracy, component
-// sizes within the bounds the core numbers imply) before any
+// bounded by the degree and topped by the stored degeneracy, a core
+// forest whose walks up always end at in-range nodes of the right level
+// and plausible size) before any
 // solver sees them — so even an adversarially crafted image with a valid
 // checksum yields a typed IoError, never out-of-range indexing.
 
@@ -179,7 +180,9 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
       {SectionId::kNeighbors, half, sizeof(VertexId)},
       {SectionId::kOrderedNeighbors, half, sizeof(VertexId)},
       {SectionId::kCoreNumbers, n, sizeof(uint32_t)},
-      {SectionId::kComponentSizes, n, sizeof(uint32_t)},
+      {SectionId::kForestNodeOf, n, sizeof(uint32_t)},
+      {SectionId::kForestNodes, meta.num_forest_nodes,
+       sizeof(CoreForestNode)},
   };
   for (const auto& want : expected_counts) {
     // Compare element counts via division, never `count * elem_bytes`: a
@@ -205,8 +208,10 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   const auto ordered_neighbors =
       SectionSpan<VertexId>(sections, SectionId::kOrderedNeighbors);
   const auto core = SectionSpan<uint32_t>(sections, SectionId::kCoreNumbers);
-  const auto comp_size =
-      SectionSpan<uint32_t>(sections, SectionId::kComponentSizes);
+  const auto node_of =
+      SectionSpan<uint32_t>(sections, SectionId::kForestNodeOf);
+  const auto forest =
+      SectionSpan<CoreForestNode>(sections, SectionId::kForestNodes);
 
   // --- Structural validation (the checksum already rules out accidental
   // corruption; this pass rules out a *crafted* image indexing out of
@@ -252,19 +257,42 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
       (max_degree != meta.max_degree || max_core != meta.degeneracy)) {
     bad_structure = "meta scalars disagree with the arrays";
   }
+  // Every vertex of core number c owns a node of level c, so there are
+  // at most n nodes.
+  if (bad_structure == nullptr && forest.size() > n) {
+    bad_structure = "more core-forest nodes than vertices";
+  }
   if (bad_structure == nullptr && n > 0) {
-    // v's component of `core >= core(v)` has min degree >= core(v), so at
-    // least core(v) + 1 members, and at most at_least[core(v)] =
-    // |{w : core(w) >= core(v)}|. A wrong size inside these bounds is
-    // left to the checksum.
+    // A node of level c is a component of the c-core, so it has min
+    // degree >= c, hence at least c + 1 members, and at most at_least[c]
+    // = |{w : core(w) >= c}|. A wrong size inside these bounds is left to
+    // the checksum. A parent's strictly lower level is what ends every
+    // walk up the forest.
     std::vector<uint64_t> at_least(size_t{max_core} + 2, 0);
     for (uint64_t v = 0; v < n; ++v) ++at_least[core[v]];
     for (size_t c = max_core; c-- > 0;) at_least[c] += at_least[c + 1];
-    for (uint64_t v = 0; v < n; ++v) {
-      if (comp_size[v] < uint64_t{core[v]} + 1 ||
-          comp_size[v] > at_least[core[v]]) {
-        bad_structure = "component size outside the core-number bounds";
+    for (const CoreForestNode& node : forest) {
+      if (node.level > max_core || node.size < uint64_t{node.level} + 1 ||
+          node.size > at_least[node.level]) {
+        bad_structure = "core-forest node outside the core-number bounds";
         break;
+      }
+      if (node.parent == CoreIndex::kNoNode) continue;
+      if (node.parent >= forest.size()) {
+        bad_structure = "core-forest parent id out of range";
+        break;
+      }
+      if (forest[node.parent].level >= node.level ||
+          forest[node.parent].size <= node.size) {
+        bad_structure = "core-forest parent is not below and larger";
+        break;
+      }
+    }
+    for (uint64_t v = 0; bad_structure == nullptr && v < n; ++v) {
+      if (node_of[v] >= forest.size()) {
+        bad_structure = "core-forest node id out of range";
+      } else if (forest[node_of[v]].level != core[v]) {
+        bad_structure = "core-forest node level disagrees with the core number";
       }
     }
   }
@@ -283,8 +311,8 @@ std::optional<Snapshot> LoadGraphImage(const std::string& path,
   OrderedAdjacency ordered = OrderedAdjacency::FromParts(
       graph.offsets(), ConstArray<VertexId>(ordered_neighbors, region));
   CoreIndex index = CoreIndex::FromParts(
-      ConstArray<uint32_t>(core, region),
-      ConstArray<uint32_t>(comp_size, region), meta.degeneracy);
+      ConstArray<uint32_t>(core, region), ConstArray<uint32_t>(node_of, region),
+      ConstArray<CoreForestNode>(forest, region), meta.degeneracy);
   GraphFacts facts;
   facts.num_vertices = n;
   facts.num_edges = half / 2;

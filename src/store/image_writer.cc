@@ -66,11 +66,12 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
   ImageMeta meta = {};
   meta.num_vertices = n;
   meta.num_half_edges = half_edges;
+  meta.num_forest_nodes = index.forest().size();
   meta.degeneracy = index.Degeneracy();
   meta.max_degree = facts.max_degree;
   meta.connected = facts.connected ? 1u : 0u;
 
-  // The six sections, in SectionId order. The payload pointer/length
+  // The seven sections, in SectionId order. The payload pointer/length
   // pairs reference the live in-memory arrays; nothing is staged.
   struct Payload {
     SectionId id;
@@ -87,8 +88,10 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
        half_edges * sizeof(VertexId)},
       {SectionId::kCoreNumbers, index.core_numbers().data(),
        n * sizeof(uint32_t)},
-      {SectionId::kComponentSizes, index.component_sizes().data(),
+      {SectionId::kForestNodeOf, index.node_of().data(),
        n * sizeof(uint32_t)},
+      {SectionId::kForestNodes, index.forest().data(),
+       index.forest().size() * sizeof(CoreForestNode)},
   };
 
   // Lay out the section table before writing anything.

@@ -480,8 +480,8 @@ TEST(GuardedMultiTest, PeeledSecondSeedStaysAnExactNegative) {
   }
 }
 
-// The searcher answers MULTI from the core numbers: a pre-tripped guard,
-// a trip mid-sweep and a trip mid-BFS all leave a connected partial
+// The searcher answers MULTI from the core index: a pre-tripped guard
+// and a trip anywhere in the listing BFS leave a connected partial
 // holding query[0] that the LOCS_VALIDATE oracle accepts.
 void ExpectValidMultiPartial(const Graph& g, const SearchResult& result,
                              const std::vector<VertexId>& query) {
@@ -521,16 +521,18 @@ TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
     ExpectValidMultiPartial(g, result, query);
   }
   {
-    // Budget 1: the sweep's first pop trips it; no BFS starts.
+    // Budget 1: the BFS's first vertex trips it; δ came from the core
+    // forest, so no other phase runs.
     QueryGuard guard = BudgetGuard(1);
     const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
-    EXPECT_EQ(result.telemetry[obs::Phase::kExpansion].vertices_visited, 1u);
-    EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].entered, 0u);
+    EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].vertices_visited,
+              1u);
+    EXPECT_EQ(result.telemetry[obs::Phase::kExpansion].entered, 0u);
     ExpectValidMultiPartial(g, result, query);
   }
-  // A budget ladder: every trip, mid-sweep or mid-BFS, is a valid partial,
-  // and some budget lets the sweep finish but not the BFS.
+  // A budget ladder: every trip is a valid partial, and some budget trips
+  // the BFS after its first vertex.
   bool tripped_mid_bfs = false;
   for (uint64_t budget = 1; budget < 4 * csm_exact.telemetry.TotalWork();
        budget += 7) {
@@ -544,7 +546,7 @@ TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
     ExpectValidMultiPartial(g, result, query);
     tripped_mid_bfs =
         tripped_mid_bfs ||
-        result.telemetry[obs::Phase::kConnectivity].vertices_visited > 0;
+        result.telemetry[obs::Phase::kConnectivity].vertices_visited > 1;
   }
   EXPECT_TRUE(tripped_mid_bfs);
 }

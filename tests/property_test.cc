@@ -341,7 +341,7 @@ TEST(PropertySearcher, CorePrunedCstMatchesPaperSolverOutsideFallback) {
 }
 
 // ---------------------------------------------------------------------
-// CommunitySearcher::CsmMulti (max-bottleneck sweep + component BFS) vs
+// CommunitySearcher::CsmMulti (core-forest common node + component BFS) vs
 // GlobalCsmMulti's binary search: status, δ and members vector agree on
 // every seed pair, on three-seed sets, and on the disconnected-seed
 // singleton. CstMulti at the optimum and one above brackets it.

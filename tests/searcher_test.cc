@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/kcore.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
+#include "gen/lfr.h"
 #include "graph/builder.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace locs {
 namespace {
@@ -135,6 +140,100 @@ TEST(CommunitySearcherTest, LimitedCsmDegradesToTheQueryVertex) {
     EXPECT_EQ(result.best_so_far.min_degree, 0u);
     EXPECT_EQ(result.AnswerSize(), 1u);
   }
+}
+
+// A member limit cuts the MULTI listing short but not the answer, as for
+// CSM: CstMulti and CsmMulti under limits 1 and 5 report the unlimited
+// call's status, n and δ (read off the core forest) and list a prefix of
+// its members. Seeds in different components of the k-core are an index
+// negative that visits nothing.
+TEST(CommunitySearcherTest, LimitedMultiListsThePrefixOfTheFullAnswer) {
+  std::vector<testing::GraphCase> cases = testing::PropertyGraphs();
+  cases.push_back({"paper_figure1", gen::PaperFigure1()});
+  for (const uint64_t seed : {5u, 9u}) {
+    gen::LfrParams params;
+    params.n = 2000;
+    params.seed = seed;
+    cases.push_back({"lfr_n2000_s" + std::to_string(seed),
+                     gen::Lfr(params).graph});
+  }
+  uint64_t negatives = 0;
+  uint64_t cut = 0;
+  for (const testing::GraphCase& c : cases) {
+    CommunitySearcher searcher(c.graph);
+    const CoreIndex index(c.graph);
+    const std::span<const uint32_t> core = index.core_numbers().span();
+    Rng rng(c.graph.NumVertices());
+    for (uint32_t k = 1; k <= index.Degeneracy(); ++k) {
+      std::vector<VertexId> pool;
+      for (VertexId v = 0; v < c.graph.NumVertices(); ++v) {
+        if (core[v] >= k) pool.push_back(v);
+      }
+      if (pool.size() < 3) continue;
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<VertexId> seeds;
+        while (seeds.size() < 2 + static_cast<size_t>(trial % 2)) {
+          const VertexId v = pool[rng.Below(pool.size())];
+          if (std::find(seeds.begin(), seeds.end(), v) == seeds.end()) {
+            seeds.push_back(v);
+          }
+        }
+        SCOPED_TRACE(c.label + " k=" + std::to_string(k) +
+                     " seeds=" + std::to_string(seeds[0]) + "," +
+                     std::to_string(seeds[1]));
+        QueryStats stats;
+        const SearchResult cst = searcher.CstMulti(seeds, k, &stats);
+        const std::vector<VertexId> component =
+            KCoreComponentOf(c.graph, core, seeds[0], k);
+        const bool shared = std::all_of(
+            seeds.begin(), seeds.end(), [&](VertexId v) {
+              return std::find(component.begin(), component.end(), v) !=
+                     component.end();
+            });
+        if (!shared) {
+          ++negatives;
+          EXPECT_EQ(cst.status, Termination::kNotExists);
+          EXPECT_EQ(stats.visited_vertices, 0u);
+          EXPECT_EQ(stats.scanned_edges, 0u);
+        } else {
+          ASSERT_TRUE(cst.Found());
+          EXPECT_EQ(cst.unlisted, 0u);
+          EXPECT_EQ(cst->members.size(), component.size());
+        }
+        const SearchResult csm = searcher.CsmMulti(seeds);
+        ASSERT_TRUE(csm.Found());
+        EXPECT_EQ(csm.unlisted, 0u);
+        for (const uint64_t limit : {uint64_t{1}, uint64_t{5}}) {
+          SCOPED_TRACE("limit=" + std::to_string(limit));
+          const auto expect_prefix = [&](const SearchResult& full,
+                                         const SearchResult& listed,
+                                         const QueryStats& listed_stats) {
+            ASSERT_EQ(listed.status, full.status);
+            EXPECT_EQ(listed.AnswerSize(), full.AnswerSize());
+            EXPECT_LE(listed_stats.visited_vertices, limit);
+            if (!listed.Found()) return;
+            EXPECT_EQ(listed->min_degree, full->min_degree);
+            const size_t shown =
+                std::min<uint64_t>(limit, full->members.size());
+            EXPECT_EQ(listed->members,
+                      std::vector<VertexId>(full->members.begin(),
+                                            full->members.begin() + shown));
+            cut += listed.unlisted > 0 ? 1 : 0;
+          };
+          QueryStats listed_stats;
+          expect_prefix(
+              cst, searcher.CstMulti(seeds, k, &listed_stats, nullptr, limit),
+              listed_stats);
+          expect_prefix(
+              csm, searcher.CsmMulti(seeds, &listed_stats, nullptr, limit),
+              listed_stats);
+        }
+      }
+    }
+  }
+  // Both the negative and the cut listing must actually be exercised.
+  EXPECT_GT(negatives, 0u);
+  EXPECT_GT(cut, 0u);
 }
 
 }  // namespace

@@ -3,15 +3,15 @@
 //
 // Three layers of guarantees under test:
 //   1. differential round-trip — every array (CSR, ordered adjacency,
-//      core numbers, component sizes) and every GraphFacts scalar survives
+//      core numbers, core forest) and every GraphFacts scalar survives
 //      write+load bit-for-bit, and CST/CSM/MULTI wire replies from an
 //      image-backed graph are byte-identical to the text-loaded graph;
 //   2. fuzz — truncations at every interesting boundary and a bit flip
 //      at *every byte position* yield a typed IoError, never a crash;
 //   3. crafted corruption — images with a *valid* checksum but hostile
 //      contents (wrong version, swapped endianness, out-of-range
-//      adjacency, tampered core numbers or component sizes) are rejected
-//      by the header gates or the structural pass.
+//      adjacency, tampered core numbers or core-forest nodes) are
+//      rejected by the header gates or the structural pass.
 
 #include <gtest/gtest.h>
 
@@ -140,7 +140,8 @@ void ExpectSameSnapshot(const Snapshot& loaded, const Snapshot& built) {
   EXPECT_EQ(loaded.ordered.neighbors(), built.ordered.neighbors());
   EXPECT_EQ(loaded.index.Degeneracy(), built.index.Degeneracy());
   EXPECT_EQ(loaded.index.core_numbers(), built.index.core_numbers());
-  EXPECT_EQ(loaded.index.component_sizes(), built.index.component_sizes());
+  EXPECT_EQ(loaded.index.node_of(), built.index.node_of());
+  EXPECT_EQ(loaded.index.forest(), built.index.forest());
 }
 
 void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
@@ -152,16 +153,24 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
   IoError error;
   ASSERT_TRUE(WriteGraphImage(graph, facts, ordered, index, path, &error))
       << error.message;
-  // Format v4: exactly the six sections of format.h, the component
-  // sizes last.
+  // Format v5: exactly the seven sections of format.h, the per-vertex
+  // node ids before the node table, which comes last and is sized by the
+  // meta node count.
   const std::string bytes = ReadFileBytes(path);
   ImageHeader header;
   ASSERT_GE(bytes.size(), sizeof(header));
   std::memcpy(&header, bytes.data(), sizeof(header));
-  EXPECT_EQ(header.version, 4u);
-  EXPECT_EQ(header.section_count, 6u);
-  EXPECT_EQ(SectionOffsetOf(bytes, SectionId::kComponentSizes) +
-                graph.NumVertices() * sizeof(uint32_t),
+  EXPECT_EQ(header.version, 5u);
+  EXPECT_EQ(header.section_count, 7u);
+  ImageMeta meta;
+  std::memcpy(&meta, bytes.data() + SectionOffsetOf(bytes, SectionId::kMeta),
+              sizeof(meta));
+  EXPECT_EQ(meta.num_forest_nodes, index.forest().size());
+  EXPECT_EQ(AlignUp(SectionOffsetOf(bytes, SectionId::kForestNodeOf) +
+                    graph.NumVertices() * sizeof(uint32_t)),
+            SectionOffsetOf(bytes, SectionId::kForestNodes));
+  EXPECT_EQ(SectionOffsetOf(bytes, SectionId::kForestNodes) +
+                index.forest().size() * sizeof(CoreForestNode),
             bytes.size());
 
   const std::optional<Snapshot> loaded = LoadGraphImage(path, &error);
@@ -187,6 +196,9 @@ void ExpectLosslessRoundTrip(const Graph& graph, const std::string& tag) {
                                  loaded->index.core_numbers().span(), v),
               component);
     EXPECT_EQ(loaded->index.ComponentSize(v), component.size());
+    for (uint32_t k = 0; k <= index.CoreNumber(v); ++k) {
+      EXPECT_EQ(loaded->index.ComponentNode(v, k), index.ComponentNode(v, k));
+    }
   }
 }
 
@@ -236,6 +248,8 @@ TEST(StoreFuzzTest, TruncationAtEveryBoundaryIsTyped) {
                          sizeof(ImageHeader) +
                              kNumSections * sizeof(SectionEntry),
                          bytes.size() / 2,
+                         SectionOffsetOf(bytes, SectionId::kForestNodeOf),
+                         SectionOffsetOf(bytes, SectionId::kForestNodes),
                          bytes.size() - 1};
   for (const size_t cut : cuts) {
     SCOPED_TRACE(cut);
@@ -302,11 +316,11 @@ TEST(StoreCraftedTest, UnsupportedVersionIsRejectedWithDetail) {
 }
 
 TEST(StoreCraftedTest, VersionOneImageIsRejectedUntilRecompiled) {
-  // v1 (FNV-1a checksum), v2 (XXH64, with the merge-tree sections) and
-  // v3 (five sections, no component sizes) are all retired: each gets
-  // the same typed "recompile" error.
+  // v1 (FNV-1a checksum), v2 (XXH64, with the merge-tree sections), v3
+  // (five sections, no component sizes) and v4 (component sizes, no core
+  // forest) are all retired: each gets the same typed "recompile" error.
   const Graph graph = gen::Barbell(4, 0);
-  for (const uint32_t version : {1u, 2u, 3u}) {
+  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(version);
     const std::string path = CompileToTemp(graph, "old_version_src");
     std::string bytes = ReadFileBytes(path);
@@ -456,51 +470,171 @@ TEST(StoreCraftedTest, CoreNumberTamperingFailsStructuralPass) {
   EXPECT_EQ(error.kind, IoErrorKind::kParse);
 }
 
-/// Overwrites vertex `v`'s component size in `bytes`.
-void SetComponentSize(std::string* bytes, VertexId v, uint32_t size) {
+/// Absolute offset of core-forest node `node`'s row in `bytes`.
+uint64_t ForestNodePos(const std::string& bytes, uint32_t node) {
+  return SectionOffsetOf(bytes, SectionId::kForestNodes) +
+         uint64_t{node} * sizeof(CoreForestNode);
+}
+
+/// Overwrites core-forest node `node`'s row in `bytes`.
+void SetForestNode(std::string* bytes, uint32_t node,
+                   const CoreForestNode& row) {
+  std::memcpy(bytes->data() + ForestNodePos(*bytes, node), &row,
+              sizeof(row));
+}
+
+/// Overwrites vertex `v`'s core-forest node id in `bytes`.
+void SetNodeOf(std::string* bytes, VertexId v, uint32_t node) {
   std::memcpy(bytes->data() +
-                  SectionOffsetOf(*bytes, SectionId::kComponentSizes) +
+                  SectionOffsetOf(*bytes, SectionId::kForestNodeOf) +
                   v * sizeof(uint32_t),
-              &size, sizeof(size));
+              &node, sizeof(node));
+}
+
+/// Loads `bytes` with a fixed-up checksum and expects the structural pass
+/// to reject it with `detail` in the message.
+void ExpectStructuralRejection(std::string bytes, const std::string& detail) {
+  FixChecksum(&bytes);
+  const std::string path = TempPath("store_forest.limg");
+  WriteFileBytes(path, bytes);
+  IoError error;
+  EXPECT_FALSE(LoadGraphImage(path, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find("structural validation failed: " + detail),
+            std::string::npos)
+      << error.message;
 }
 
 TEST(StoreCraftedTest, ComponentSizeTamperingIsRejected) {
-  // Barbell(4, 0): two K4 joined by an edge, one 3-core of 8 vertices.
-  // Every size must lie in [core + 1, |core >= core(v)|] = [4, 8].
+  // Barbell(4, 0): two K4 joined by an edge, one 3-core of 8 vertices,
+  // so the forest is one node. Its size must lie in [level + 1,
+  // |core >= level|] = [4, 8].
   const std::string path = CompileToTemp(gen::Barbell(4, 0), "comp_src");
   const std::string bytes = ReadFileBytes(path);
   const std::optional<Snapshot> clean = LoadGraphImage(path);
   ASSERT_TRUE(clean.has_value());
   ASSERT_EQ(clean->index.ComponentSize(0), 8u);
   ASSERT_EQ(clean->index.CoreNumber(0), 3u);
+  ASSERT_EQ(clean->index.forest().size(), 1u);
   const std::string patched_path = TempPath("store_comp.limg");
   // Outside the bounds, behind a valid checksum: the structural pass.
   for (const uint32_t bad : {0u, 3u, 9u, ~uint32_t{0}}) {
     SCOPED_TRACE(bad);
     std::string patched = bytes;
-    SetComponentSize(&patched, 0, bad);
-    FixChecksum(&patched);
-    WriteFileBytes(patched_path, patched);
-    IoError error;
-    EXPECT_FALSE(LoadGraphImage(patched_path, &error).has_value());
-    EXPECT_EQ(error.kind, IoErrorKind::kParse);
-    EXPECT_NE(error.message.find("structural validation failed: component "
-                                 "size"),
-              std::string::npos)
-        << error.message;
+    SetForestNode(&patched, 0, {CoreIndex::kNoNode, 3, bad});
+    ExpectStructuralRejection(patched, "core-forest node outside");
   }
   // Inside the bounds: only the checksum tells 4 or 7 from the true 8
   // (DESIGN.md §6).
   for (const uint32_t wrong : {4u, 7u}) {
     SCOPED_TRACE(wrong);
     std::string patched = bytes;
-    SetComponentSize(&patched, 0, wrong);
+    SetForestNode(&patched, 0, {CoreIndex::kNoNode, 3, wrong});
     WriteFileBytes(patched_path, patched);
     IoError error;
     EXPECT_FALSE(LoadGraphImage(patched_path, &error).has_value());
     EXPECT_EQ(error.kind, IoErrorKind::kParse);
     EXPECT_NE(error.message.find("checksum mismatch"), std::string::npos)
         << error.message;
+  }
+}
+
+TEST(StoreCraftedTest, CoreForestTamperingIsRejected) {
+  // Barbell(4, 1): two K4 (3-cores of 4) joined through one vertex of
+  // core 2, so the forest is two level-3 leaves under one level-2 root
+  // of all 9 vertices.
+  const Graph graph = gen::Barbell(4, 1);
+  const std::string path = CompileToTemp(graph, "forest_src");
+  const std::string bytes = ReadFileBytes(path);
+  const std::optional<Snapshot> clean = LoadGraphImage(path);
+  ASSERT_TRUE(clean.has_value());
+  const CoreIndex& index = clean->index;
+  ASSERT_EQ(index.forest().size(), 3u);
+  ASSERT_EQ(index.CoreNumber(0), 3u);
+  const uint32_t leaf = index.node_of()[0];
+  const uint32_t root = index.forest()[leaf].parent;
+  ASSERT_NE(root, CoreIndex::kNoNode);
+  const CoreForestNode leaf_row = index.forest()[leaf];
+  const CoreForestNode root_row = index.forest()[root];
+  ASSERT_EQ(leaf_row.level, 3u);
+  ASSERT_EQ(leaf_row.size, 4u);
+  ASSERT_EQ(root_row.level, 2u);
+  ASSERT_EQ(root_row.size, 9u);
+  ASSERT_EQ(root_row.parent, CoreIndex::kNoNode);
+  {
+    SCOPED_TRACE("node id >= node count");
+    std::string patched = bytes;
+    SetNodeOf(&patched, 0, 3);
+    ExpectStructuralRejection(patched, "core-forest node id out of range");
+  }
+  {
+    SCOPED_TRACE("node level != core number");
+    std::string patched = bytes;
+    SetNodeOf(&patched, 0, root);
+    ExpectStructuralRejection(patched, "core-forest node level disagrees");
+  }
+  {
+    SCOPED_TRACE("parent id out of range");
+    std::string patched = bytes;
+    SetForestNode(&patched, leaf, {7, 3, 4});
+    ExpectStructuralRejection(patched, "core-forest parent id out of range");
+  }
+  {
+    SCOPED_TRACE("cycle: parent level >= child level");
+    std::string patched = bytes;
+    SetForestNode(&patched, root, {leaf, 2, 9});
+    ExpectStructuralRejection(patched, "core-forest parent is not below");
+  }
+  {
+    // Larger and within the bounds, but not below: only the level
+    // check names it.
+    SCOPED_TRACE("parent level == child level");
+    std::string patched = bytes;
+    SetForestNode(&patched, root, {CoreIndex::kNoNode, 3, 8});
+    ExpectStructuralRejection(patched, "core-forest parent is not below");
+  }
+  {
+    SCOPED_TRACE("parent size <= child size");
+    std::string patched = bytes;
+    SetForestNode(&patched, root, {CoreIndex::kNoNode, 2, 4});
+    ExpectStructuralRejection(patched, "core-forest parent is not below");
+  }
+  {
+    SCOPED_TRACE("size outside the core-number bounds");
+    std::string patched = bytes;
+    SetForestNode(&patched, root, {CoreIndex::kNoNode, 2, 10});
+    ExpectStructuralRejection(patched, "core-forest node outside");
+  }
+  {
+    // Level above the degeneracy: rejected before it indexes the bounds.
+    SCOPED_TRACE("level above the degeneracy");
+    std::string patched = bytes;
+    SetForestNode(&patched, leaf, {root, 4, 4});
+    ExpectStructuralRejection(patched, "core-forest node outside");
+  }
+  {
+    // n + 1 rows, consistent with the meta count, the section table and
+    // the file size: only the node-count check can refuse them.
+    SCOPED_TRACE("more nodes than vertices");
+    std::string patched = bytes;
+    const uint64_t nodes = graph.NumVertices() + 1;
+    const uint64_t extra = (nodes - 3) * sizeof(CoreForestNode);
+    patched.append(extra, '\0');
+    for (uint32_t node = 3; node < nodes; ++node) {
+      SetForestNode(&patched, node, root_row);
+    }
+    const uint64_t length = nodes * sizeof(CoreForestNode);
+    std::memcpy(patched.data() +
+                    SectionEntryPos(patched, SectionId::kForestNodes) +
+                    offsetof(SectionEntry, length),
+                &length, sizeof(length));
+    std::memcpy(patched.data() + SectionOffsetOf(patched, SectionId::kMeta) +
+                    offsetof(ImageMeta, num_forest_nodes),
+                &nodes, sizeof(nodes));
+    const uint64_t file_bytes = patched.size();
+    std::memcpy(patched.data() + offsetof(ImageHeader, file_bytes),
+                &file_bytes, sizeof(file_bytes));
+    ExpectStructuralRejection(patched, "more core-forest nodes than vertices");
   }
 }
 

@@ -2,11 +2,13 @@
 # Serving-layer smoke test: drives locsd end to end in both deployment
 # modes and fails unless every query draws an OK reply.
 #
-#   1. scripted stdio session  — LOAD + CST + CSM (no limit and
-#                                limit=5) + MULTI k + MULTI max + STATS
-#                                + QUIT; the limited CSM must report the
-#                                unlimited one's n= and delta= and
-#                                truncated= n - 5
+#   1. scripted stdio session  — LOAD + CST + CSM, MULTI k and MULTI
+#                                max (each with no limit and limit=5) +
+#                                STATS + QUIT; each limited reply must
+#                                report the unlimited one's n= and
+#                                delta= and truncated= n - 5, and a
+#                                limited MULTI must list the unlimited
+#                                one's first 5 members with visited= < n
 #   2. image-backed session    — locs_cli compile + LOAD of the .limg
 #      (auto-detected by content), with every query reply required to
 #      match the text-loaded transcript byte for byte
@@ -45,7 +47,7 @@ trap cleanup EXIT
 "${cli}" generate --model=lfr --n=2000 --seed=5 \
   --output="${work}/g.metis" >/dev/null
 
-script='PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7\nCSM g 7 limit=5\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n'
+script='PING\nLOAD g %s\nCST g 7 3 limit=5\nCSM g 7\nCSM g 7 limit=5\nMULTI g 2 7 8\nMULTI g 2 7 8 limit=5\nMULTI g max 7 8\nMULTI g max 7 8 limit=5\nSTATS\nQUIT\n'
 
 # field <reply> <key>: the value of key= in one reply line.
 field() { sed -n "s/.* $2=\([^ ]*\).*/\1/p" <<<"$1"; }
@@ -67,17 +69,43 @@ check_csm_limit() {
   fi
 }
 
+# check_multi_limit <transcript>: each MULTI under limit=5 reports the
+# unlimited reply's n=, delta= and truncated= n - 5, lists its first 5
+# members, and visits fewer than n vertices: n and delta come from the
+# core forest, so only the listing BFS runs, and it stops at the limit.
+check_multi_limit() {
+  local line full limited n first5
+  for line in 6 8; do
+    full="$(sed -n "${line}p" <<<"$1")"
+    limited="$(sed -n "$((line + 1))p" <<<"$1")"
+    n="$(field "${full}" n)"
+    first5="$(field "${full}" members | cut -d, -f1-5)"
+    if [[ -z "${n}" || "$(field "${limited}" n)" != "${n}" ||
+          "$(field "${limited}" delta)" != "$(field "${full}" delta)" ||
+          "$(field "${limited}" truncated)" != "$((n - 5))" ||
+          "$(field "${limited}" members)" != "${first5}" ||
+          "$(field "${limited}" visited)" -ge "${n}" ]]; then
+      echo "FAIL: MULTI limit=5 disagrees with the unlimited MULTI" \
+           "or visits the whole answer" >&2
+      echo "  full:    ${full:0:160}" >&2
+      echo "  limited: ${limited}" >&2
+      exit 1
+    fi
+  done
+}
+
 echo "=== smoke: stdio session ==="
 # shellcheck disable=SC2059  # the script is the format string
 stdio_out="$(printf "${script}" "${work}/g.metis" \
   | "${locsd}" --stdio 2>/dev/null)"
 echo "${stdio_out}"
 ok_lines="$(grep -c '^OK ' <<<"${stdio_out}")"
-if [[ "${ok_lines}" -ne 9 ]]; then
-  echo "FAIL: expected 9 OK replies over stdio, got ${ok_lines}" >&2
+if [[ "${ok_lines}" -ne 11 ]]; then
+  echo "FAIL: expected 11 OK replies over stdio, got ${ok_lines}" >&2
   exit 1
 fi
 check_csm_limit "${stdio_out}"
+check_multi_limit "${stdio_out}"
 grep -q '^OK status=found' <<<"${stdio_out}" || {
   echo "FAIL: no query answered over stdio" >&2
   exit 1
@@ -90,12 +118,13 @@ img_out="$(printf "${script}" "${work}/g.limg" \
   | "${locsd}" --stdio 2>/dev/null)"
 echo "${img_out}"
 img_ok_lines="$(grep -c '^OK ' <<<"${img_out}")"
-if [[ "${img_ok_lines}" -ne 9 ]]; then
-  echo "FAIL: expected 9 OK replies from the image session," \
+if [[ "${img_ok_lines}" -ne 11 ]]; then
+  echo "FAIL: expected 11 OK replies from the image session," \
        "got ${img_ok_lines}" >&2
   exit 1
 fi
 check_csm_limit "${img_out}"
+check_multi_limit "${img_out}"
 grep -q 'source=image' <<<"${img_out}" || {
   echo "FAIL: LOAD of a .limg file was not detected as an image" >&2
   exit 1
