@@ -169,9 +169,8 @@ SweepPoint RunSweepPoint(serve::GraphRegistry& registry, unsigned sessions,
                          uint32_t n, size_t queries,
                          serve::ResultCache* cache = nullptr,
                          uint32_t pool = 0) {
-  serve::AdmissionController::Options admit;
-  admit.max_inflight = sessions;  // admission off the critical path
-  serve::AdmissionController admission(admit);
+  // One slot per session keeps admission off the critical path.
+  serve::AdmissionController admission(sessions);
   serve::ServerMetrics metrics;
   serve::SessionOptions options;
   options.cache = cache;

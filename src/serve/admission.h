@@ -1,46 +1,17 @@
-// AdmissionController — bounded concurrency with fast rejection and
-// tiered load shedding.
+// AdmissionController — caps how many queries execute at once.
 //
-// The serving layer promises every accepted query a bounded share of the
-// machine; beyond that it must say BUSY *immediately* rather than build
-// an unbounded convoy (the classic overload failure mode). The policy:
+// Up to `max_inflight` requests hold a slot; the rest wait (on the
+// condvar) for one to free. The wait needs no bound of its own: each
+// locsd session runs one request at a time, so inflight + queued never
+// exceeds the session count, and the session cap (--max-sessions) is
+// where excess load is turned away. Each query is bounded on its own by
+// its QueryGuard deadline and budget.
 //
-//   - up to `max_inflight` requests execute concurrently;
-//   - up to `max_queued` more wait (FIFO via the condvar) for a slot;
-//   - anything beyond is rejected without blocking;
-//   - Close() flips the controller into drain mode: waiters wake up and
-//     are rejected, new arrivals are rejected, in-flight work finishes.
-//
-// Under sustained overload the controller sheds lower-value work before
-// the queue fills, keeping headroom for the requests that matter most.
-// Callers classify each request (WorkClass) and the queue thresholds
-// ladder accordingly:
-//
-//   kBulk      (LOAD)                sheds once the queue is half full —
-//                                    registry loads are heavyweight and
-//                                    never latency-critical;
-//   kRetryable (cache-eligible query) sheds at 3/4 — a retry is likely a
-//                                    cheap cache hit, so dropping it now
-//                                    costs the client little;
-//   kCritical  (everything else)     only rejected when the queue is
-//                                    truly full.
-//
-// Shedding engages only when queueing is enabled (max_queued > 0): a
-// controller configured for pure admit-or-reject keeps its historical
-// two-outcome behavior.
-//
-// Every non-admission carries a retry_after_ms hint proportional to the
-// queue depth, which the wire layer folds into BUSY replies so clients
-// back off instead of stampeding.
-//
-// A Ticket is the RAII admission token: destroying it releases the slot
-// and wakes one waiter.
+// An AdmissionTicket is the RAII slot: destroying it frees the slot and
+// wakes one waiter.
 
 #ifndef LOCS_SERVE_ADMISSION_H_
 #define LOCS_SERVE_ADMISSION_H_
-
-#include <algorithm>
-#include <cstdint>
 
 #include "util/thread_annotations.h"
 
@@ -49,85 +20,28 @@ namespace locs::serve {
 /// See the file comment. Thread-safe.
 class AdmissionController {
  public:
-  struct Options {
-    /// Concurrently executing requests; 0 behaves as 1.
-    unsigned max_inflight = 4;
-    /// Requests allowed to wait for a slot; 0 = reject when saturated.
-    unsigned max_queued = 16;
-  };
-
-  enum class Decision : uint8_t {
-    kAdmitted,  ///< slot held; call Leave() (or let the Ticket do it)
-    kRejected,  ///< saturated beyond the queue bound, or draining
-    kShed,      ///< dropped early by the overload ladder (see WorkClass)
-  };
-
-  /// Caller-declared value class of a request; see the file comment.
-  enum class WorkClass : uint8_t {
-    kBulk,       ///< heavyweight, never latency-critical (LOAD)
-    kRetryable,  ///< a retry would likely be a cache hit
-    kCritical,   ///< shed only at hard saturation
-  };
-
   struct Counts {
     unsigned inflight = 0;
     unsigned queued = 0;
-    uint64_t admitted_total = 0;
-    uint64_t rejected_total = 0;
-    uint64_t shed_total = 0;
   };
 
-  explicit AdmissionController(const Options& options)
-      : max_inflight_(options.max_inflight == 0 ? 1 : options.max_inflight),
-        max_queued_(options.max_queued) {}
-  AdmissionController() : AdmissionController(Options()) {}
+  /// `max_inflight` concurrently executing requests; 0 behaves as 1.
+  explicit AdmissionController(unsigned max_inflight = 4)
+      : max_inflight_(max_inflight == 0 ? 1 : max_inflight) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// Requests admission; blocks only while a queue slot is held. On a
-  /// non-admitted outcome `*retry_after_ms` (when non-null) receives the
-  /// load-derived backoff hint for the BUSY reply.
-  Decision Enter(WorkClass work = WorkClass::kCritical,
-                 uint64_t* retry_after_ms = nullptr)
-      LOCS_EXCLUDES(mutex_) {
+  /// Blocks until a slot is free, then takes it.
+  void Enter() LOCS_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    if (closed_ || queued_ >= max_queued_) {
-      if (!closed_ && inflight_ < max_inflight_) {
-        // Saturation is checked on the queue, so an idle controller with
-        // max_queued == 0 must still admit directly.
-        ++inflight_;
-        ++admitted_total_;
-        return Decision::kAdmitted;
-      }
-      ++rejected_total_;
-      if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMsLocked();
-      return Decision::kRejected;
-    }
-    // Tiered shedding: lower-value classes give up their queue slot
-    // before the queue fills. Only reachable when max_queued_ > 0 and
-    // the per-class bound keeps at least one slot of pressure, so an
-    // idle controller never sheds.
-    if (work != WorkClass::kCritical && queued_ >= ShedBound(work)) {
-      ++shed_total_;
-      if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMsLocked();
-      return Decision::kShed;
-    }
     ++queued_;
-    while (!closed_ && inflight_ >= max_inflight_) cv_.Wait(lock);
+    while (inflight_ >= max_inflight_) cv_.Wait(lock);
     --queued_;
-    if (closed_) {
-      ++rejected_total_;
-      if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMsLocked();
-      cv_.NotifyAll();  // propagate the drain wake-up to other waiters
-      return Decision::kRejected;
-    }
     ++inflight_;
-    ++admitted_total_;
-    return Decision::kAdmitted;
   }
 
-  /// Releases an admitted slot.
+  /// Frees a slot taken by Enter().
   void Leave() LOCS_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
@@ -136,100 +50,35 @@ class AdmissionController {
     cv_.NotifyOne();
   }
 
-  /// Drain mode: reject all current waiters and future arrivals.
-  void Close() LOCS_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(mutex_);
-      closed_ = true;
-    }
-    cv_.NotifyAll();
-  }
-
-  /// Current backoff hint (what a BUSY reply issued now would carry).
-  uint64_t RetryAfterMs() const LOCS_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return RetryAfterMsLocked();
-  }
-
   Counts Snapshot() const LOCS_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    Counts counts;
-    counts.inflight = inflight_;
-    counts.queued = queued_;
-    counts.admitted_total = admitted_total_;
-    counts.rejected_total = rejected_total_;
-    counts.shed_total = shed_total_;
-    return counts;
+    return Counts{inflight_, queued_};
   }
 
   unsigned max_inflight() const { return max_inflight_; }
-  unsigned max_queued() const { return max_queued_; }
 
  private:
-  /// Queue occupancy at which `work` is shed; >= 1 so the ladder never
-  /// fires on an idle queue, and kCritical's bound is the hard cap.
-  unsigned ShedBound(WorkClass work) const LOCS_REQUIRES(mutex_) {
-    switch (work) {
-      case WorkClass::kBulk:
-        return std::max(1u, max_queued_ / 2);
-      case WorkClass::kRetryable:
-        return std::max(1u, (max_queued_ * 3) / 4);
-      case WorkClass::kCritical:
-        break;
-    }
-    return max_queued_;
-  }
-
-  /// Backoff hint scaled by queue depth: an empty queue asks for one
-  /// base interval, a deep queue for proportionally longer, capped so a
-  /// hint can never park a client for more than two seconds.
-  uint64_t RetryAfterMsLocked() const LOCS_REQUIRES(mutex_) {
-    constexpr uint64_t kBaseMs = 25;
-    constexpr uint64_t kCapMs = 2000;
-    return std::min(kCapMs, kBaseMs * (1 + uint64_t{queued_}));
-  }
-
   const unsigned max_inflight_;
-  const unsigned max_queued_;
   mutable Mutex mutex_;
   CondVar cv_;
   unsigned inflight_ LOCS_GUARDED_BY(mutex_) = 0;
   unsigned queued_ LOCS_GUARDED_BY(mutex_) = 0;
-  bool closed_ LOCS_GUARDED_BY(mutex_) = false;
-  uint64_t admitted_total_ LOCS_GUARDED_BY(mutex_) = 0;
-  uint64_t rejected_total_ LOCS_GUARDED_BY(mutex_) = 0;
-  uint64_t shed_total_ LOCS_GUARDED_BY(mutex_) = 0;
 };
 
-/// RAII admission token.
+/// RAII admission slot.
 class AdmissionTicket {
  public:
-  explicit AdmissionTicket(
-      AdmissionController& controller,
-      AdmissionController::WorkClass work =
-          AdmissionController::WorkClass::kCritical)
-      : controller_(controller),
-        decision_(controller.Enter(work, &retry_after_ms_)) {}
-  ~AdmissionTicket() {
-    if (admitted()) controller_.Leave();
+  explicit AdmissionTicket(AdmissionController& controller)
+      : controller_(controller) {
+    controller_.Enter();
   }
+  ~AdmissionTicket() { controller_.Leave(); }
 
   AdmissionTicket(const AdmissionTicket&) = delete;
   AdmissionTicket& operator=(const AdmissionTicket&) = delete;
 
-  bool admitted() const {
-    return decision_ == AdmissionController::Decision::kAdmitted;
-  }
-  bool shed() const {
-    return decision_ == AdmissionController::Decision::kShed;
-  }
-  /// Backoff hint for the BUSY reply; 0 when admitted.
-  uint64_t retry_after_ms() const { return retry_after_ms_; }
-
  private:
   AdmissionController& controller_;
-  uint64_t retry_after_ms_ = 0;
-  const AdmissionController::Decision decision_;
 };
 
 }  // namespace locs::serve

@@ -174,20 +174,21 @@ bool RetryClient::Request(std::string_view request, std::string* reply) {
       NoteTransportFailure();
       last_error = "connection lost mid-request";
     } else {
-      uint64_t retry_after_ms = 0;
-      if (!ParseBusyReply(*reply, &retry_after_ms)) {
+      if (!IsBusyReply(*reply)) {
         // A real reply (OK or typed ERR): the server is healthy.
         consecutive_failures_ = 0;
         prev_backoff_ms_ = 0;
         return true;
       }
-      // BUSY is deliberate shedding, not a failure: never opens the
-      // breaker, and the retry honors the server's pacing hint. On the
-      // final attempt the BUSY line itself is the answer.
+      // BUSY is the session cap turning the connection away, not a
+      // failure: it never opens the breaker. The server hangs up after
+      // it, so the retry re-dials after a backoff. On the final attempt
+      // the BUSY line itself is the answer.
+      Disconnect();
       consecutive_failures_ = 0;
       if (attempt == max_attempts) return true;
       ++stats_.busy_honored;
-      sleep_bounded(std::max(retry_after_ms, NextBackoffMs()));
+      sleep_bounded(NextBackoffMs());
       last_error = "server busy";
       continue;
     }

@@ -10,10 +10,10 @@
 //     (sleep ~ uniform(base, 3 * previous), capped), so a fleet of
 //     clients re-dialing a restarting daemon spreads out instead of
 //     stampeding in lockstep;
-//   - BUSY discipline: a BUSY reply is the server shedding load on
-//     purpose; the client honors its retry_after_ms hint (never
-//     retrying sooner) and burns an attempt, keeping overload recovery
-//     server-paced;
+//   - BUSY discipline: a BUSY reply is the server's session cap
+//     turning the connection away on purpose; the client hangs up,
+//     backs off and burns an attempt, without counting it toward the
+//     circuit breaker;
 //   - per-request deadline: one Request() call never exceeds
 //     request_deadline_ms wall time across all its attempts, and the
 //     same bound caps each blocked read (a hung-but-connected server
@@ -24,10 +24,10 @@
 //     lets real traffic flow. A crashed daemon costs each client one
 //     cheap probe per cooldown, not a connect storm.
 //
-// Sessions are stateful on the server (bound solvers, loaded graphs are
-// shared; admission is per-request), but the wire protocol itself is
-// request/response — a reconnected session serves any request — so
-// retrying across connections is safe for every verb. Not thread-safe:
+// Sessions are stateful on the server (bound solvers; loaded graphs are
+// shared), but the wire protocol itself is request/response — a
+// reconnected session serves any request — so retrying across
+// connections is safe for every verb. Not thread-safe:
 // one RetryClient per client thread, like one Transport per session.
 
 #ifndef LOCS_SERVE_CLIENT_H_

@@ -5,12 +5,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <iterator>
+#include <limits>
+#include <string_view>
 
 #include "serve/transport.h"
 
@@ -59,59 +65,94 @@ bool ParsePreload(const std::string& spec, ServerOptions* options,
   return true;
 }
 
+/// Reads --name, when given, as one whole decimal number that fits T.
+template <typename T>
+bool ReadWhole(const CommandLine& cli, const char* name, T* out,
+               std::string* error) {
+  if (!cli.Has(name)) return true;
+  const std::string text = cli.GetString(name, "");
+  const char* const end = text.data() + text.size();
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    *error = "--" + std::string(name) + " must be a whole number in [0, " +
+             std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+             text + "'";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Reads --name, when given, as a finite non-negative millisecond count.
+bool ReadMs(const CommandLine& cli, const char* name, double* out,
+            std::string* error) {
+  if (!cli.Has(name)) return true;
+  const std::string text = cli.GetString(name, "");
+  const char* const end = text.data() + text.size();
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    *error = "--" + std::string(name) +
+             " must be a non-negative number of milliseconds, got '" +
+             text + "'";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
                         std::string* error) {
-  options->stdio = cli.GetBool("stdio", false);
-  const int64_t port = cli.GetInt("port", -1);
-  if (!options->stdio && port < 0) {
-    *error = "pass --stdio or --port=P (0 = ephemeral)";
+  static constexpr std::string_view kFlags[] = {
+      "stdio", "port", "port-file", "preload", "max-graphs",
+      "max-sessions", "max-inflight", "default-deadline-ms",
+      "max-deadline-ms", "default-budget", "max-budget", "member-limit",
+      "max-reply-bytes", "cache-entries", "io-timeout-ms",
+      "idle-timeout-ms"};
+  for (const std::string& name : cli.Names()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
+        std::end(kFlags)) {
+      *error = "unknown flag --" + name;
+      return false;
+    }
+  }
+  if (cli.Has("stdio") && cli.GetString("stdio", "") != "true") {
+    *error = "--stdio takes no value";
     return false;
   }
-  if (options->stdio && port >= 0) {
-    *error = "--stdio and --port are mutually exclusive";
-    return false;
-  }
-  if (port > 65535) {
-    *error = "--port must be in [0, 65535]";
+  options->stdio = cli.Has("stdio");
+  if (options->stdio == cli.Has("port")) {
+    *error = options->stdio ? "--stdio and --port are mutually exclusive"
+                            : "pass --stdio or --port=P (0 = ephemeral)";
     return false;
   }
   ServerOptions& server = options->server;
-  if (port >= 0) server.port = static_cast<uint16_t>(port);
+  SessionOptions& session = server.session;
   server.port_file = cli.GetString("port-file", "");
-  server.max_graphs =
-      static_cast<size_t>(cli.GetInt("max-graphs", 16));
-  server.max_sessions =
-      static_cast<unsigned>(cli.GetInt("max-sessions", 8));
-  server.admission.max_inflight =
-      static_cast<unsigned>(cli.GetInt("max-inflight", 4));
-  server.admission.max_queued =
-      static_cast<unsigned>(cli.GetInt("max-queue", 16));
-  server.session.default_deadline_ms =
-      cli.GetDouble("default-deadline-ms", 0.0);
-  server.session.max_deadline_ms = cli.GetDouble("max-deadline-ms", 0.0);
-  server.session.default_work_budget =
-      static_cast<uint64_t>(cli.GetInt("default-budget", 0));
-  server.session.max_work_budget =
-      static_cast<uint64_t>(cli.GetInt("max-budget", 0));
-  server.session.default_member_limit =
-      static_cast<uint64_t>(cli.GetInt("member-limit", 0));
-  server.session.max_reply_bytes =
-      static_cast<uint64_t>(cli.GetInt("max-reply-bytes", 0));
-  server.cache_entries =
-      static_cast<size_t>(cli.GetInt("cache-entries", 1024));
-  server.io_timeout_ms =
-      static_cast<uint64_t>(cli.GetInt("io-timeout-ms", 0));
-  server.idle_timeout_ms =
-      static_cast<uint64_t>(cli.GetInt("idle-timeout-ms", 0));
-  server.max_sessions_per_peer = static_cast<unsigned>(
-      cli.GetInt("max-sessions-per-peer", 0));
   const std::string preload = cli.GetString("preload", "");
-  if (!preload.empty() && !ParsePreload(preload, &server, error)) {
-    return false;
-  }
-  return true;
+  return ReadWhole(cli, "port", &server.port, error) &&
+         ReadWhole(cli, "max-graphs", &server.max_graphs, error) &&
+         ReadWhole(cli, "max-sessions", &server.max_sessions, error) &&
+         ReadWhole(cli, "max-inflight", &server.max_inflight, error) &&
+         ReadMs(cli, "default-deadline-ms", &session.default_deadline_ms,
+                error) &&
+         ReadMs(cli, "max-deadline-ms", &session.max_deadline_ms, error) &&
+         ReadWhole(cli, "default-budget", &session.default_work_budget,
+                   error) &&
+         ReadWhole(cli, "max-budget", &session.max_work_budget, error) &&
+         ReadWhole(cli, "member-limit", &session.default_member_limit,
+                   error) &&
+         ReadWhole(cli, "max-reply-bytes", &session.max_reply_bytes,
+                   error) &&
+         ReadWhole(cli, "cache-entries", &server.cache_entries, error) &&
+         ReadWhole(cli, "io-timeout-ms", &server.io_timeout_ms, error) &&
+         ReadWhole(cli, "idle-timeout-ms", &server.idle_timeout_ms,
+                   error) &&
+         (preload.empty() || ParsePreload(preload, &server, error));
 }
 
 const char* DaemonFlagHelp() {
@@ -121,9 +162,10 @@ const char* DaemonFlagHelp() {
       "  --port-file=F             write the bound port to F\n"
       "  --preload=name=path,...   register graphs before serving\n"
       "  --max-graphs=N            registry capacity (default 16)\n"
-      "  --max-sessions=N          concurrent TCP sessions (default 8)\n"
-      "  --max-inflight=N          concurrent queries (default 4)\n"
-      "  --max-queue=N             waiting queries before BUSY (default 16)\n"
+      "  --max-sessions=N          concurrent TCP sessions; one more gets\n"
+      "                            BUSY and is closed (default 8)\n"
+      "  --max-inflight=N          concurrent queries; more wait for a\n"
+      "                            slot (default 4)\n"
       "  --default-deadline-ms=D --max-deadline-ms=D\n"
       "  --default-budget=W --max-budget=W\n"
       "                            per-query guard policy (0 = none)\n"
@@ -136,7 +178,8 @@ const char* DaemonFlagHelp() {
       "                            mid-request/mid-reply (0 = never)\n"
       "  --idle-timeout-ms=D       reap a session idle between requests\n"
       "                            (0 = never)\n"
-      "  --max-sessions-per-peer=N per-address session cap (0 = none)\n";
+      "numbers are whole and non-negative (deadlines may be fractional);\n"
+      "an unknown flag or a bad value exits 2\n";
 }
 
 int DaemonMain(const DaemonOptions& options) {
@@ -180,7 +223,7 @@ int ClientMain(const RetryClientOptions& options) {
   bool quit_sent = false;
   // Lockstep: every request line gets exactly one reply line (blank
   // input lines get none and are skipped), so a pipe never deadlocks.
-  // Recovery (reconnect/backoff/BUSY pacing) happens inside Request();
+  // Recovery (reconnect/backoff/BUSY) happens inside Request();
   // with max_attempts == 1 a failure here is the historical hard exit.
   while (std::getline(std::cin, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();

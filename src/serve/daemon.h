@@ -1,7 +1,7 @@
-// Daemon entry points shared by the locsd binary and the locs_cli
-// serve/client subcommands: flag parsing into ServerOptions, the
-// blocking serve main (stdio or TCP with signal-driven graceful drain),
-// and the line-lockstep client used for scripted TCP sessions.
+// Daemon entry points: flag parsing into ServerOptions and the blocking
+// serve main (stdio or TCP with signal-driven graceful drain) for the
+// locsd binary, and the line-lockstep client behind `locs_cli client`
+// for scripted TCP sessions.
 
 #ifndef LOCS_SERVE_DAEMON_H_
 #define LOCS_SERVE_DAEMON_H_
@@ -21,7 +21,8 @@ struct DaemonOptions {
 };
 
 /// Parses the daemon flag set (see locsd --help) from `cli`. False with
-/// `*error` set on an invalid combination or malformed value.
+/// `*error` naming the flag on an unknown flag, a malformed or
+/// out-of-range value, or an invalid combination.
 bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
                         std::string* error);
 
@@ -38,8 +39,8 @@ int DaemonMain(const DaemonOptions& options);
 /// when stdin ends without one. With max_attempts == 1 (the default) a
 /// transport failure is fatal, the historical behavior; larger values
 /// engage the RetryClient recovery discipline (reconnect, backoff,
-/// BUSY pacing, circuit breaker). Returns nonzero when a request
-/// ultimately failed.
+/// riding out the session cap's BUSY, circuit breaker). Returns nonzero
+/// when a request ultimately failed.
 int ClientMain(const RetryClientOptions& options);
 
 }  // namespace locs::serve

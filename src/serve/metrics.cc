@@ -55,11 +55,9 @@ MetricsSnapshot ServerMetrics::Snapshot() const {
   snap.interrupted = interrupted_.load(std::memory_order_relaxed);
   snap.io_timeouts = io_timeouts_.load(std::memory_order_relaxed);
   snap.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
-  snap.retry_hints = retry_hints_.load(std::memory_order_relaxed);
   snap.q_attempted = q_attempted_.load(std::memory_order_relaxed);
   snap.q_completed = q_completed_.load(std::memory_order_relaxed);
   snap.q_failed = q_failed_.load(std::memory_order_relaxed);
-  snap.q_shed = q_shed_.load(std::memory_order_relaxed);
   snap.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   snap.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
@@ -150,11 +148,13 @@ std::string MetricsSnapshot::RenderStatsLine(unsigned inflight,
   Append(&line, "interrupted", interrupted);
   Append(&line, "io_timeouts", io_timeouts);
   Append(&line, "idle_reaped", idle_reaped);
-  Append(&line, "retry_hints", retry_hints);
+  // Nothing sheds or hints a retry; both keys stay, always 0, because
+  // perfbench and tools/chaos_serve.sh parse q_shed.
+  Append(&line, "retry_hints", 0);
   Append(&line, "q_attempted", q_attempted);
   Append(&line, "q_completed", q_completed);
   Append(&line, "q_failed", q_failed);
-  Append(&line, "q_shed", q_shed);
+  Append(&line, "q_shed", 0);
   Append(&line, "cache_hits", cache_hits);
   Append(&line, "cache_misses", cache_misses);
   Append(&line, "cache_inserts", cache_inserts);

@@ -32,20 +32,18 @@ struct MetricsSnapshot {
 
   uint64_t requests_by_verb[kNumVerbs] = {};
   uint64_t errors_by_kind[kNumWireErrors] = {};
-  uint64_t rejected = 0;     ///< BUSY fast-rejects (admission)
+  uint64_t rejected = 0;     ///< BUSY replies past the session cap
   uint64_t interrupted = 0;  ///< queries tripped by their guard
   uint64_t io_timeouts = 0;  ///< transport deadline expiries (read/write)
   uint64_t idle_reaped = 0;  ///< sessions ended by the idle timeout
-  uint64_t retry_hints = 0;  ///< BUSY replies sent with retry_after_ms
   /// Query conservation ledger (CST/CSM/MULTI only). Every attempted
-  /// query reaches exactly one terminal: attempted = completed + failed
-  /// + shed. Counted entirely inside the session dispatch path so the
-  /// identity is exact, not eventually-consistent — the chaos soak
-  /// asserts it after every run.
+  /// query reaches exactly one terminal: attempted = completed + failed.
+  /// Counted entirely inside the session dispatch path so the identity
+  /// is exact, not eventually-consistent — the chaos soak asserts it
+  /// after every run.
   uint64_t q_attempted = 0;
   uint64_t q_completed = 0;  ///< OK reply delivered (incl. cache hits)
   uint64_t q_failed = 0;     ///< ERR reply (or reply write failed)
-  uint64_t q_shed = 0;       ///< BUSY: admission rejected or shed
   uint64_t sessions_opened = 0;
   uint64_t sessions_closed = 0;
   uint64_t cache_hits = 0;       ///< result-cache hits (no solver run)
@@ -104,9 +102,6 @@ class ServerMetrics {
   void CountIdleReaped() {
     idle_reaped_.fetch_add(1, std::memory_order_relaxed);
   }
-  void CountRetryHint() {
-    retry_hints_.fetch_add(1, std::memory_order_relaxed);
-  }
   void CountQueryAttempted() {
     q_attempted_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -115,9 +110,6 @@ class ServerMetrics {
   }
   void CountQueryFailed() {
     q_failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountQueryShed() {
-    q_shed_.fetch_add(1, std::memory_order_relaxed);
   }
   void CountSessionOpened() {
     sessions_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -161,11 +153,9 @@ class ServerMetrics {
   std::atomic<uint64_t> interrupted_{0};
   std::atomic<uint64_t> io_timeouts_{0};
   std::atomic<uint64_t> idle_reaped_{0};
-  std::atomic<uint64_t> retry_hints_{0};
   std::atomic<uint64_t> q_attempted_{0};
   std::atomic<uint64_t> q_completed_{0};
   std::atomic<uint64_t> q_failed_{0};
-  std::atomic<uint64_t> q_shed_{0};
   std::atomic<uint64_t> sessions_opened_{0};
   std::atomic<uint64_t> sessions_closed_{0};
   std::atomic<uint64_t> cache_hits_{0};

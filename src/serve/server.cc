@@ -37,7 +37,7 @@ bool WritePortFile(const std::string& path, uint16_t port) {
 CommunityServer::CommunityServer(const ServerOptions& options)
     : options_(options),
       registry_(options.max_graphs),
-      admission_(options.admission),
+      admission_(options.max_inflight),
       cache_(options.cache_entries) {}
 
 bool CommunityServer::Preload(std::string* error) {
@@ -147,33 +147,21 @@ void TcpServer::Run() {
     }
     if ((fds[1].revents & POLLIN) != 0) break;  // Stop() requested
     if ((fds[0].revents & POLLIN) == 0) continue;
-    sockaddr_in peer_addr{};
-    socklen_t peer_len = sizeof(peer_addr);
-    const int fd = ::accept(
-        listen_fd_, reinterpret_cast<sockaddr*>(&peer_addr), &peer_len);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;  // transient (EINTR, peer reset in backlog)
-    const uint32_t peer = peer_addr.sin_addr.s_addr;
 
     bool admitted = false;
-    bool peer_capped = false;
     {
       MutexLock lock(mutex_);
-      if (options_.max_sessions_per_peer != 0) {
-        unsigned from_peer = 0;
-        for (const SessionFd& s : session_fds_) {
-          if (s.peer == peer) ++from_peer;
-        }
-        peer_capped = from_peer >= options_.max_sessions_per_peer;
-      }
-      if (!peer_capped && active_sessions_ < options_.max_sessions) {
+      if (active_sessions_ < options_.max_sessions) {
         ++active_sessions_;
-        session_fds_.push_back(SessionFd{fd, peer});
+        session_fds_.push_back(fd);
         admitted = true;
       }
     }
-    // Session-level fast-reject, the outer ring of admission control:
-    // request-level BUSY (AdmissionController) assumes a session exists
-    // to reply on; past the session cap we answer once and hang up.
+    // The session cap is the only place locsd turns load away: each
+    // session runs one request at a time, so it also bounds the queue
+    // for an admission slot. Past it we answer once and hang up.
     if (admitted) {
       try {
         // Detached: nothing waits for the thread itself, so whatever
@@ -195,11 +183,8 @@ void TcpServer::Run() {
     if (!admitted) {
       shared_.metrics().CountRejected();
       FdTransport transport(fd, fd);
-      transport.WriteLine(
-          peer_capped
-              ? "BUSY peer_sessions=" +
-                    std::to_string(options_.max_sessions_per_peer)
-              : "BUSY sessions=" + std::to_string(options_.max_sessions));
+      transport.WriteLine("BUSY sessions=" +
+                          std::to_string(options_.max_sessions));
       ::close(fd);
     }
   }
@@ -209,7 +194,7 @@ void TcpServer::Run() {
   shared_.RequestStop();
   {
     MutexLock lock(mutex_);
-    for (const SessionFd& s : session_fds_) ::shutdown(s.fd, SHUT_RD);
+    for (const int fd : session_fds_) ::shutdown(fd, SHUT_RD);
     while (active_sessions_ != 0) drained_cv_.Wait(lock);
   }
   ::close(listen_fd_);
@@ -232,8 +217,7 @@ unsigned TcpServer::active_sessions() const {
 
 void TcpServer::EraseSessionFd(int fd) {
   session_fds_.erase(
-      std::find_if(session_fds_.begin(), session_fds_.end(),
-                   [fd](const SessionFd& s) { return s.fd == fd; }));
+      std::find(session_fds_.begin(), session_fds_.end(), fd));
 }
 
 void TcpServer::HandleConnection(int fd) {

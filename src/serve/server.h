@@ -6,11 +6,11 @@
 // scripts use. TcpServer adds the loopback socket front end: an accept
 // loop on the caller's thread, one Session per connection on its own
 // detached thread, a session-count cap (which bounds the session threads
-// too) with immediate `BUSY` + close beyond it, and graceful drain —
-// Stop() (or the async-signal-safe StopFromSignal) wakes the accept loop
-// through a self-pipe, new work is refused, blocked session reads are
-// unblocked via shutdown(2), and Run() returns once the last session has
-// finished its current request.
+// and the admission queue too) with immediate `BUSY` + close beyond it,
+// and graceful drain — Stop() (or the async-signal-safe StopFromSignal)
+// wakes the accept loop through a self-pipe, new work is refused,
+// blocked session reads are unblocked via shutdown(2), and Run() returns
+// once the last session has finished its current request.
 //
 // The TCP listener binds 127.0.0.1 only: locsd is a backend component;
 // exposure beyond the host belongs to a fronting proxy, not this layer.
@@ -36,18 +36,16 @@ namespace locs::serve {
 /// Everything configurable about a server instance.
 struct ServerOptions {
   SessionOptions session;
-  AdmissionController::Options admission;
+  /// Concurrently executing queries and LOADs; more wait for a slot.
+  unsigned max_inflight = 4;
   size_t max_graphs = 16;
   /// Result-cache capacity in replies (see serve/result_cache.h);
   /// 0 disables caching entirely (sessions get a null cache pointer).
   size_t cache_entries = 1024;
   /// Concurrent TCP sessions; connections beyond get `BUSY` and close.
+  /// A session runs one request at a time, so this also bounds the
+  /// requests waiting for an admission slot.
   unsigned max_sessions = 8;
-  /// Concurrent TCP sessions per peer address (0 = unlimited). On the
-  /// loopback-only listener every peer shares 127.0.0.1, so this is a
-  /// second, tighter global ring; on a future non-loopback front end it
-  /// becomes true per-client isolation.
-  unsigned max_sessions_per_peer = 0;
   /// Transport deadlines applied to every session (stdio and TCP);
   /// 0 = unbounded, the historical blocking behavior. See
   /// FdTransportOptions for exact semantics.
@@ -135,13 +133,6 @@ class TcpServer {
   unsigned active_sessions() const LOCS_EXCLUDES(mutex_);
 
  private:
-  /// One live TCP session's fd plus its peer IPv4 address (network
-  /// order) for the per-peer session cap.
-  struct SessionFd {
-    int fd;
-    uint32_t peer;
-  };
-
   /// Session thread body: serves `fd` until the session ends, then
   /// releases its slot and closes the fd, whatever the session threw.
   void HandleConnection(int fd);
@@ -155,7 +146,7 @@ class TcpServer {
 
   mutable Mutex mutex_;
   CondVar drained_cv_;
-  std::vector<SessionFd> session_fds_ LOCS_GUARDED_BY(mutex_);
+  std::vector<int> session_fds_ LOCS_GUARDED_BY(mutex_);
   unsigned active_sessions_ LOCS_GUARDED_BY(mutex_) = 0;
 };
 

@@ -165,7 +165,7 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
     case Verb::kCsm:
     case Verb::kMulti: {
       // Conservation ledger: every attempted query reaches exactly one
-      // of {completed, failed, shed}. All ledger updates live in this
+      // of {completed, failed}. All ledger updates live in this
       // single-threaded dispatch path, so the identity is exact.
       const bool is_query =
           request.verb != Verb::kLoad && request.verb != Verb::kLoadImg;
@@ -196,26 +196,10 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
       }
       // Admission gates the expensive verbs: graph loads and queries.
       // Cheap control verbs above bypass it so STATS stays responsive
-      // under overload — exactly when it is most needed. The work class
-      // drives the overload ladder: LOADs shed first, cache-eligible
-      // queries next (their retry is likely a cheap hit), everything
-      // else only at hard saturation.
-      const AdmissionController::WorkClass work =
-          !is_query ? AdmissionController::WorkClass::kBulk
-          : options_.cache != nullptr
-              ? AdmissionController::WorkClass::kRetryable
-              : AdmissionController::WorkClass::kCritical;
-      AdmissionTicket ticket(admission_, work);
-      if (!ticket.admitted()) {
-        metrics_.CountRejected();
-        if (is_query) metrics_.CountQueryShed();
-        metrics_.CountRetryHint();
-        const AdmissionController::Counts counts = admission_.Snapshot();
-        return FormatBusy(counts.inflight, counts.queued,
-                          ticket.retry_after_ms());
-      }
-      // Test hook: makes "the server is saturated" a deterministic state
-      // (see serve_session_test's BUSY coverage).
+      // under load — exactly when it is most needed.
+      AdmissionTicket ticket(admission_);
+      // Test hook: holds the slot long enough that other queries must
+      // wait for it (see serve_session_test's saturation coverage).
       if (LOCS_FAILPOINT("serve.slow_query")) {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
       }

@@ -324,43 +324,9 @@ std::string FormatError(WireError error, std::string_view detail) {
   return reply;
 }
 
-std::string FormatBusy(unsigned inflight, unsigned queued,
-                       uint64_t retry_after_ms) {
-  std::string reply = "BUSY inflight=" + std::to_string(inflight) +
-                      " queued=" + std::to_string(queued);
-  // The hint rides last so pre-existing prefix matchers keep working.
-  reply += " retry_after_ms=" + std::to_string(retry_after_ms);
-  return reply;
-}
-
-bool ParseBusyReply(std::string_view reply, uint64_t* retry_after_ms) {
-  if (retry_after_ms != nullptr) *retry_after_ms = 0;
-  if (reply.substr(0, 4) != "BUSY") return false;
-  if (reply.size() > 4 && reply[4] != ' ') return false;
-  if (retry_after_ms == nullptr) return true;
-  constexpr std::string_view kField = "retry_after_ms=";
-  size_t pos = reply.find(kField);
-  // Require a token boundary so a graph named "xretry_after_ms=…" in
-  // some future detail field cannot masquerade as the hint.
-  while (pos != std::string_view::npos && pos > 0 &&
-         reply[pos - 1] != ' ') {
-    pos = reply.find(kField, pos + 1);
-  }
-  if (pos == std::string_view::npos) return true;
-  uint64_t value = 0;
-  bool any = false;
-  for (size_t i = pos + kField.size(); i < reply.size(); ++i) {
-    const char c = reply[i];
-    if (c == ' ') break;
-    if (c < '0' || c > '9') return true;  // malformed: keep hint at 0
-    if (value > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) {
-      return true;
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    any = true;
-  }
-  if (any) *retry_after_ms = value;
-  return true;
+bool IsBusyReply(std::string_view reply) {
+  return reply.substr(0, 4) == "BUSY" &&
+         (reply.size() == 4 || reply[4] == ' ');
 }
 
 }  // namespace locs::serve

@@ -30,7 +30,8 @@
 // result-cache key, so requests differing only in γ share one entry.
 //
 // Every reply is also one line: `OK ...`, `ERR <kind> <detail>` or
-// `BUSY <detail>` (admission fast-reject). The parser is total: any byte
+// `BUSY sessions=<N>` (a TCP connection past the session cap, answered
+// once before the server hangs up). The parser is total: any byte
 // sequence — overlong lines, embedded NUL, non-numeric ids, missing or
 // surplus arguments — yields a typed WireError, never undefined behavior
 // and never an abort. Blank lines are ignored (no reply), so piped
@@ -130,18 +131,9 @@ ParseResult ParseRequest(std::string_view line);
 /// Formats an `ERR <kind> <detail>` reply line (no newline).
 std::string FormatError(WireError error, std::string_view detail);
 
-/// Formats the admission fast-reject reply. `retry_after_ms` is the
-/// server's load-derived backoff hint; clients honoring it (see
-/// serve/client.h) retry no sooner, which converts an overload spike
-/// into a spread-out retry wave instead of a stampede.
-std::string FormatBusy(unsigned inflight, unsigned queued,
-                       uint64_t retry_after_ms);
-
-/// True when `reply` is a BUSY line. `*retry_after_ms` receives the
-/// parsed hint (0 when the field is absent or malformed — old servers
-/// and the session-cap reject both omit context a client could misread,
-/// so absence degrades to "retry at your own pace").
-bool ParseBusyReply(std::string_view reply, uint64_t* retry_after_ms);
+/// True when `reply` is a BUSY line: the session-cap reject, after
+/// which the server closes the connection.
+bool IsBusyReply(std::string_view reply);
 
 }  // namespace locs::serve
 

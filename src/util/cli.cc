@@ -50,6 +50,13 @@ bool CommandLine::GetBool(const std::string& name, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
+std::vector<std::string> CommandLine::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 double BenchScaleFromEnv() {
   const char* env = std::getenv("LOCS_BENCH_SCALE");
   if (env == nullptr) return 1.0;

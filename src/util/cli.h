@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for benches and examples.
 //
-// Flags use the form --name=value or --name (boolean true). Unrecognized
-// flags abort with the available flag list, so typos surface immediately.
+// Flags use the form --name=value or --name (boolean true). An argument
+// that does not start with -- aborts. Flag names are not checked here:
+// lookups of absent flags return their fallback, and a caller that must
+// reject unknown flags compares Names() against the set it knows.
 
 #ifndef LOCS_UTIL_CLI_H_
 #define LOCS_UTIL_CLI_H_
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace locs {
 
@@ -23,6 +26,8 @@ class CommandLine {
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
+  /// Every flag name given, sorted.
+  std::vector<std::string> Names() const;
 
  private:
   std::map<std::string, std::string> values_;

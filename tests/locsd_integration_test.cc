@@ -260,6 +260,19 @@ TEST(LocsdIntegrationTest, UsageAndBadFlagsFailCleanly) {
   EXPECT_NE(
       RunShell(std::string(LOCSD_PATH) + " --frobnicate 2>/dev/null").first,
       0);
+  // With a valid mode, each bad flag alone must still fail: exit 2 with
+  // the flag named on stderr, and no session served.
+  for (const std::string flag :
+       {"--frobnicate", "--max-queue=8", "--max-sessions-per-peer=2",
+        "--max-sessions=-1", "--max-inflight=abc"}) {
+    const auto [code, out] =
+        RunShell("printf 'PING\\n' | " + std::string(LOCSD_PATH) +
+                 " --stdio " + flag + " 2>&1");
+    EXPECT_EQ(code, 2) << flag << ": " << out;
+    EXPECT_NE(out.find(flag.substr(0, flag.find('='))), std::string::npos)
+        << flag << ": " << out;
+    EXPECT_EQ(out.find("OK pong"), std::string::npos) << flag << ": " << out;
+  }
 }
 
 /// Forks locsd on an ephemeral TCP port; waits for the port file.

@@ -453,9 +453,7 @@ TEST(ServeChaosTest, QueryLedgerConservesAcrossMixedOutcomes) {
   EXPECT_EQ(snap.q_attempted, 4u);
   EXPECT_EQ(snap.q_completed, 3u);
   EXPECT_EQ(snap.q_failed, 1u);
-  EXPECT_EQ(snap.q_shed, 0u);
-  EXPECT_EQ(snap.q_attempted,
-            snap.q_completed + snap.q_failed + snap.q_shed);
+  EXPECT_EQ(snap.q_attempted, snap.q_completed + snap.q_failed);
   // The STATS line carries the ledger so chaos_serve.sh can assert the
   // same identity from outside the process.
   EXPECT_NE(replies[6].find("q_attempted=4"), std::string::npos)
@@ -531,6 +529,67 @@ TEST(ServeChaosTest, RetryClientServesThenReportsFailureAfterServerStop) {
   EXPECT_FALSE(client.Request("PING", &reply));
   EXPECT_FALSE(reply.empty());
   EXPECT_GE(client.stats().retries, 1u);
+}
+
+TEST(ServeChaosTest, RetryClientRidesOutTheSessionCap) {
+  ServerOptions options;
+  options.max_sessions = 1;
+  CommunityServer shared(options);
+  TcpServer server(shared, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  // The holder takes the only session; its PING round trip proves the
+  // session runs before the client dials.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  FdTransport held(fd, fd);
+  std::string line;
+  ASSERT_TRUE(held.WriteLine("PING"));
+  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(line, "OK pong");
+
+  RetryClientOptions client_options;
+  client_options.port = server.port();
+  client_options.max_attempts = 1000;
+  client_options.backoff_base_ms = 1;
+  client_options.backoff_cap_ms = 20;
+  client_options.breaker_threshold = 100;  // keep the breaker out of this
+  client_options.request_deadline_ms = 20000;
+  RetryClient client(client_options);
+  bool served = false;
+  std::string reply;
+  std::thread client_thread(
+      [&] { served = client.Request("PING", &reply); });
+
+  // Release the session only once the cap has turned the client away.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shared.metrics().Snapshot().rejected == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(shared.metrics().Snapshot().rejected, 1u);
+  ASSERT_TRUE(held.WriteLine("QUIT"));
+  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(line, "OK bye");
+  client_thread.join();
+  ::close(fd);
+
+  EXPECT_TRUE(served) << reply;
+  EXPECT_EQ(reply, "OK pong");
+  EXPECT_GE(client.stats().busy_honored, 1u);
+  EXPECT_EQ(client.stats().breaker_opens, 0u);
+  client.Disconnect();
+  server.Stop();
+  accept_thread.join();
 }
 
 }  // namespace

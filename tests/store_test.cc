@@ -672,7 +672,7 @@ TEST(StoreFailpointTest, InjectedMmapFaultIsTyped) {
 std::vector<std::string> RunScript(const std::vector<std::string>& script,
                                    const std::string& tag) {
   serve::GraphRegistry registry(4);
-  serve::AdmissionController admission{serve::AdmissionController::Options{}};
+  serve::AdmissionController admission;
   serve::ServerMetrics metrics;
   const serve::SessionOptions options;
 

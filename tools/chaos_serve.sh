@@ -98,8 +98,8 @@ LOCS_FAILPOINT="serve.solver.error%17,serve.bind.alloc%11,serve.cache.insert_dro
   "${locsd}" --port=0 --port-file="${work}/port" \
   --preload=g="${work}/g.metis" \
   --io-timeout-ms=2000 --idle-timeout-ms=3000 \
-  --max-sessions=$((sessions + 4)) --max-sessions-per-peer=$((sessions + 4)) \
-  --max-inflight=4 --max-queue=8 --max-reply-bytes=8192 \
+  --max-sessions=$((sessions + 4)) \
+  --max-inflight=4 --max-reply-bytes=8192 \
   2>"${work}/daemon.log" &
 daemon_pid="$!"
 port="$(wait_port "${work}/port")" || { cat "${work}/daemon.log" >&2; exit 1; }

@@ -169,25 +169,14 @@ int Usage() {
       "  generate  --model=lfr|ba|gnp --n=N --output=F [--seed=S]\n"
       "            [--mu=0.1 --min-degree --max-degree --min-community\n"
       "             --max-community] [--m=3] [--p=0.01]\n"
-      "  serve     (--stdio | --port=P) [flags]   resident query daemon\n"
       "  client    --port=P [--retries=N]         scripted TCP session\n"
-      "            [--request-deadline-ms=D]      (N>0: self-healing\n"
-      "                                            reconnect + backoff)\n"
+      "            [--request-deadline-ms=D]      with locsd (N>0:\n"
+      "                                            self-healing reconnect\n"
+      "                                            + backoff)\n"
       "exit codes: 0 ok, 3 open, 4 parse, 5 truncated, 6 alloc,\n"
       "            10 deadline, 11 work-budget, 12 cancelled,\n"
       "            64 unknown command\n");
   return 2;
-}
-
-int CmdServe(const CommandLine& cli) {
-  serve::DaemonOptions options;
-  std::string error;
-  if (!serve::ParseDaemonOptions(cli, &options, &error)) {
-    std::fprintf(stderr, "error: %s\nserve flags:\n%s", error.c_str(),
-                 serve::DaemonFlagHelp());
-    return 2;
-  }
-  return serve::DaemonMain(options);
 }
 
 int CmdClient(const CommandLine& cli) {
@@ -199,8 +188,8 @@ int CmdClient(const CommandLine& cli) {
   serve::RetryClientOptions options;
   options.port = static_cast<uint16_t>(port);
   // --retries=N grants N extra attempts per request (reconnect, backoff,
-  // BUSY pacing); the default 0 keeps the historical die-on-first-error
-  // lockstep semantics scripted tests rely on.
+  // waiting out BUSY); the default 0 keeps the historical
+  // die-on-first-error lockstep semantics scripted tests rely on.
   options.max_attempts =
       1 + static_cast<unsigned>(cli.GetInt("retries", 0));
   options.request_deadline_ms =
@@ -681,7 +670,6 @@ int Run(int argc, char** argv) {
   if (command == "decompose") return CmdDecompose(cli);
   if (command == "convert") return CmdConvert(cli);
   if (command == "generate") return CmdGenerate(cli);
-  if (command == "serve") return CmdServe(cli);
   if (command == "client") return CmdClient(cli);
   // A typo must not exit like a usage request: distinct code, explicit
   // message, and the usage text for orientation.

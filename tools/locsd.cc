@@ -3,8 +3,10 @@
 // Serves the wire protocol (src/serve/wire.h) over stdin/stdout
 // (--stdio: piped scripts, tests, inetd-style supervision) or a TCP
 // loopback socket (--port). Graphs live in a shared registry; sessions
-// are concurrent; per-query deadlines/budgets and max-inflight
-// admission control bound every request. SIGTERM/SIGINT drain
+// are concurrent, up to --max-sessions (one more connection gets BUSY
+// and is closed). Per-query deadlines/budgets bound each request, and
+// at most --max-inflight run at once while the rest wait for a slot.
+// An unknown flag or a malformed value exits 2. SIGTERM/SIGINT drain
 // gracefully: in-flight requests finish, a final STATS line goes to
 // stderr.
 //
