@@ -45,8 +45,8 @@ int Run(int argc, char** argv) {
     const Graph& g = snapshot->graph;
     const CoreDecomposition cores = ComputeCores(g);
     LocalCstSolver solver(g, &snapshot->ordered, &snapshot->facts);
-    // One persistent runner per dataset: the whole k-sweep goes through
-    // the same pool and per-worker searchers the serving path uses.
+    // One runner per dataset: the whole k-sweep goes through the same
+    // per-worker searchers the serving path uses.
     BatchRunner runner(snapshot);
 
     const uint32_t s = std::max(1u, cores.degeneracy / 10);

@@ -1,26 +1,20 @@
-// Microbenchmarks (google-benchmark) for the batch execution engine.
-// The headline comparison is per-batch thread management: the seed
-// spawned and joined a fresh std::thread set for every batch call, so a
-// service answering many small batches paid the spawn cost on each one.
-// BM_SpawnJoinThreads reproduces that baseline;
-// BM_ExecutorDispatch runs the same trivial job through the persistent
-// pool. The BatchRunner benches then measure the end-to-end paths the
-// figure drivers and the CLI use.
+// Microbenchmarks (google-benchmark) for the batch execution engine:
+// the BatchRunner paths the figure drivers and the CLI use, then the
+// QueryGuard's cost and latency bound. Every batch starts and joins its
+// own worker threads, so BM_SmallCstBatchesPersistent (8 queries a
+// batch) is where that per-batch cost shows most.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/local_cst.h"
 #include "core/result.h"
 #include "core/snapshot.h"
 #include "exec/batch_runner.h"
-#include "exec/executor.h"
 #include "gen/erdos_renyi.h"
 #include "gen/lfr.h"
 #include "graph/subgraph.h"
@@ -29,7 +23,6 @@ namespace locs {
 namespace {
 
 constexpr unsigned kThreads = 4;
-constexpr size_t kItems = 64;
 
 const Graph& TestGraph() {
   static const Graph graph = [] {
@@ -52,62 +45,20 @@ const std::shared_ptr<const Snapshot>& TestSnapshot() {
   return snapshot;
 }
 
-// Seed behavior: one std::thread spawn + join set per batch.
-void BM_SpawnJoinThreads(benchmark::State& state) {
-  std::atomic<uint64_t> sink{0};
-  for (auto _ : state) {
-    std::atomic<size_t> cursor{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        size_t i = 0;
-        while ((i = cursor.fetch_add(1, std::memory_order_relaxed)) <
-               kItems) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kItems));
-}
-BENCHMARK(BM_SpawnJoinThreads)->Unit(benchmark::kMicrosecond);
-
-// Same job on the persistent pool: dispatch is a mutex hand-off, not a
-// clone() per worker per batch.
-void BM_ExecutorDispatch(benchmark::State& state) {
-  Executor executor(kThreads);
-  std::atomic<uint64_t> sink{0};
-  // Warm-up spawns the pool outside the timed region, mirroring a
-  // long-lived service.
-  executor.ParallelFor(1, [](unsigned, size_t) {});
-  for (auto _ : state) {
-    executor.ParallelFor(kItems, [&](unsigned, size_t i) {
-      sink.fetch_add(i, std::memory_order_relaxed);
-    });
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kItems));
-}
-BENCHMARK(BM_ExecutorDispatch)->Unit(benchmark::kMicrosecond);
-
-// Many small CST batches on one persistent BatchRunner — the serving
-// pattern where per-batch spawn overhead dominated in the seed. Searcher
-// scratch (epoch arrays, bucket lists) is reused across batches too.
+// Many small CST batches on one persistent BatchRunner: searcher
+// scratch (epoch arrays, bucket lists) is reused across batches, and
+// each batch pays its own thread starts.
 void BM_SmallCstBatchesPersistent(benchmark::State& state) {
   const auto& snapshot = TestSnapshot();
   const Graph& g = snapshot->graph;
-  Executor executor(kThreads);
-  BatchRunner runner(snapshot, &executor);
+  BatchRunner runner(snapshot);
+  BatchLimits limits;
+  limits.num_threads = kThreads;
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < 8; ++v) queries.push_back(v * 97 % g.NumVertices());
-  runner.RunCst(queries, 6);  // warm up pool + per-worker searchers
+  runner.RunCst(queries, 6, limits);  // warm up the per-worker searchers
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.RunCst(queries, 6));
+    benchmark::DoNotOptimize(runner.RunCst(queries, 6, limits));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));
@@ -115,7 +66,7 @@ void BM_SmallCstBatchesPersistent(benchmark::State& state) {
 BENCHMARK(BM_SmallCstBatchesPersistent)->Unit(benchmark::kMicrosecond);
 
 // The same small batches through a fresh BatchRunner (fresh searchers)
-// per call on the shared pool — isolates the cost of searcher reuse.
+// per call — isolates the cost of searcher reuse.
 void BM_SmallCstBatchesFreshRunner(benchmark::State& state) {
   const auto& snapshot = TestSnapshot();
   const Graph& g = snapshot->graph;
@@ -131,18 +82,19 @@ void BM_SmallCstBatchesFreshRunner(benchmark::State& state) {
 }
 BENCHMARK(BM_SmallCstBatchesFreshRunner)->Unit(benchmark::kMicrosecond);
 
-// One large batch (the Fig. 8/16 shape): spawn overhead is amortized
-// here, so the persistent pool must simply not regress.
+// One large batch (the Fig. 8/16 shape): the thread starts are
+// amortized over thousands of queries here.
 void BM_LargeCstBatch(benchmark::State& state) {
   const auto& snapshot = TestSnapshot();
   const Graph& g = snapshot->graph;
-  Executor executor(kThreads);
-  BatchRunner runner(snapshot, &executor);
+  BatchRunner runner(snapshot);
+  BatchLimits limits;
+  limits.num_threads = kThreads;
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < g.NumVertices(); v += 2) queries.push_back(v);
-  runner.RunCst({0}, 6);
+  runner.RunCst({0}, 6, limits);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.RunCst(queries, 6));
+    benchmark::DoNotOptimize(runner.RunCst(queries, 6, limits));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));
@@ -253,11 +205,11 @@ void BM_DeadlinedCstBatch(benchmark::State& state) {
   static const auto snapshot = std::make_shared<const Snapshot>(
       Snapshot::Build(AdversarialGraph()));
   const Graph& g = snapshot->graph;
-  Executor executor(kThreads);
-  BatchRunner runner(snapshot, &executor);
+  BatchRunner runner(snapshot);
   std::vector<VertexId> queries;
   for (VertexId v = 0; v < 32; ++v) queries.push_back(v * 211 % g.NumVertices());
   BatchLimits limits;
+  limits.num_threads = kThreads;
   limits.query_deadline_ms = 10.0;
   runner.RunCst({0}, 6);
   uint64_t interrupted = 0, batches = 0;

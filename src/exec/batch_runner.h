@@ -1,26 +1,38 @@
-// Batch query engine on top of the persistent Executor.
+// Batch query engine: one batch of CST or CSM queries over one Snapshot.
 //
-// BatchRunner binds one Snapshot to an Executor and keeps one
-// CommunitySearcher per worker slot alive across batches, so a batch
-// answers every question exactly as `locs_cli cst`/`csm` and a locsd
-// session do. The searchers' epoch-stamped scratch resets in O(1)
-// between queries and between batches, and a batch pays no per-call
-// thread spawn.
+// BatchRunner keeps one CommunitySearcher per worker slot alive across
+// batches, so a batch answers every question exactly as `locs_cli
+// cst`/`csm` and a locsd session do. The searchers' epoch-stamped
+// scratch resets in O(1) between queries and between batches; that
+// reuse is what pays for many small batches.
+//
+// Each batch runs on its own threads: RunCst/RunCsm start
+// min(workers, queries) - 1 std::threads, the calling thread works as
+// worker 0, and all are joined before the call returns. Workers claim one query at a time off an
+// atomic cursor, so the load stays balanced under power-law query costs
+// and the batch deadline is checked before every claim. A thread start
+// costs tens of microseconds; a local query costs what its answer costs
+// (milliseconds on the paper's figure batches), so a persistent pool
+// would save under 1% there. The library is exception-free (see
+// docs/ARCHITECTURE.md), but a solve may still throw (std::bad_alloc, a
+// user recorder): a worker catches it, the others stop claiming, and
+// after every worker has joined the lowest-numbered worker's exception
+// is rethrown on the caller.
 //
 // Results are deterministic and thread-count invariant: result i depends
 // only on (snapshot, queries[i], k), never on scheduling.
 //
 // A BatchRunner is not thread-safe; run one batch at a time per instance.
 //
-// Synchronization design: BatchRunner itself holds no mutex — and so
-// carries no LOCS_GUARDED_BY annotations (util/thread_annotations.h).
-// Workers touch strictly disjoint state: slot s owns searchers_[s]
-// exclusively, result i is written by the one worker that claimed query
-// i, and cross-thread coordination (item claiming, deadline flags)
-// happens through the std::atomic fields below plus the Executor's own
-// annotated mutex. The Clang thread-safety analysis therefore has
-// nothing to prove here; the TSan lane (tools/run_sanitizers.sh) is the
-// check that this lock-free partitioning claim actually holds.
+// Synchronization design: BatchRunner holds no mutex — and so carries no
+// LOCS_GUARDED_BY annotations (util/thread_annotations.h). Workers touch
+// strictly disjoint state: worker w owns searchers_[w], its totals and
+// its exception slot, result i is written by the one worker that
+// claimed query i, and the rest (the cursor, the stop flags) are
+// std::atomic. Joining the workers publishes their writes to the caller.
+// The Clang thread-safety analysis therefore has nothing to prove here;
+// the TSan lane (tools/run_sanitizers.sh) is the check that this
+// partitioning claim actually holds.
 
 #ifndef LOCS_EXEC_BATCH_RUNNER_H_
 #define LOCS_EXEC_BATCH_RUNNER_H_
@@ -34,14 +46,14 @@
 #include "core/result.h"
 #include "core/searcher.h"
 #include "core/snapshot.h"
-#include "exec/executor.h"
 #include "util/guard.h"
 
 namespace locs {
 
 /// Per-batch execution limits.
 struct BatchLimits {
-  /// Cap on worker threads for this batch; 0 = the whole executor pool.
+  /// Worker threads for this batch, the calling thread included (never
+  /// more than there are queries); 0 = std::thread::hardware_concurrency().
   unsigned num_threads = 0;
   /// Batch-wide wall-clock budget in milliseconds; 0 = none. The deadline
   /// is converted into every query's guard, so on expiry in-flight queries
@@ -86,12 +98,10 @@ struct BatchResult {
   BatchStats stats;
 };
 
-/// Persistent batch runner; see the file comment.
+/// Batch runner with per-worker searchers; see the file comment.
 class BatchRunner {
  public:
-  /// `executor` null means Executor::Shared().
-  explicit BatchRunner(std::shared_ptr<const Snapshot> snapshot,
-                       Executor* executor = nullptr);
+  explicit BatchRunner(std::shared_ptr<const Snapshot> snapshot);
 
   /// CommunitySearcher::Cst(v, k) for every query vertex.
   BatchResult RunCst(const std::vector<VertexId>& queries, uint32_t k,
@@ -120,7 +130,7 @@ class BatchRunner {
     void Add(const SearchResult& result);
   };
 
-  /// The shared worker loop: result i = solve(searcher, queries[i], guard)
+  /// The shared batch body: result i = solve(searcher, queries[i], guard)
   /// on the claiming worker's searcher.
   template <typename Solve>
   BatchResult Run(const std::vector<VertexId>& queries,
@@ -128,10 +138,9 @@ class BatchRunner {
   CommunitySearcher& Searcher(unsigned worker);
 
   std::shared_ptr<const Snapshot> snapshot_;
-  Executor* executor_;
   obs::Recorder* recorder_ = &obs::Recorder::Null();
   // One searcher per worker slot, created on first use; a slot that
-  // never participates never binds.
+  // never participates never binds. Grows to the widest batch run.
   std::vector<std::unique_ptr<CommunitySearcher>> searchers_;
 };
 

@@ -5,17 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <iterator>
-#include <limits>
 #include <string_view>
 
 #include "serve/transport.h"
@@ -65,44 +60,6 @@ bool ParsePreload(const std::string& spec, ServerOptions* options,
   return true;
 }
 
-/// Reads --name, when given, as one whole decimal number that fits T.
-template <typename T>
-bool ReadWhole(const CommandLine& cli, const char* name, T* out,
-               std::string* error) {
-  if (!cli.Has(name)) return true;
-  const std::string text = cli.GetString(name, "");
-  const char* const end = text.data() + text.size();
-  T value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    *error = "--" + std::string(name) + " must be a whole number in [0, " +
-             std::to_string(std::numeric_limits<T>::max()) + "], got '" +
-             text + "'";
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-/// Reads --name, when given, as a finite non-negative millisecond count.
-bool ReadMs(const CommandLine& cli, const char* name, double* out,
-            std::string* error) {
-  if (!cli.Has(name)) return true;
-  const std::string text = cli.GetString(name, "");
-  const char* const end = text.data() + text.size();
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-      value < 0.0) {
-    *error = "--" + std::string(name) +
-             " must be a non-negative number of milliseconds, got '" +
-             text + "'";
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
@@ -113,13 +70,7 @@ bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
       "max-deadline-ms", "default-budget", "max-budget", "member-limit",
       "max-reply-bytes", "cache-entries", "io-timeout-ms",
       "idle-timeout-ms"};
-  for (const std::string& name : cli.Names()) {
-    if (std::find(std::begin(kFlags), std::end(kFlags), name) ==
-        std::end(kFlags)) {
-      *error = "unknown flag --" + name;
-      return false;
-    }
-  }
+  if (!OnlyKnownFlags(cli, kFlags, error)) return false;
   if (cli.Has("stdio") && cli.GetString("stdio", "") != "true") {
     *error = "--stdio takes no value";
     return false;

@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -55,6 +57,36 @@ std::vector<std::string> CommandLine::Names() const {
   names.reserve(values_.size());
   for (const auto& [name, value] : values_) names.push_back(name);
   return names;
+}
+
+bool OnlyKnownFlags(const CommandLine& cli,
+                    std::span<const std::string_view> known,
+                    std::string* error) {
+  for (const std::string& name : cli.Names()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      *error = "unknown flag --" + name;
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ReadMs(const CommandLine& cli, const char* name, double* out,
+            std::string* error) {
+  if (!cli.Has(name)) return true;
+  const std::string text = cli.GetString(name, "");
+  const char* const end = text.data() + text.size();
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    *error = "--" + std::string(name) +
+             " must be a non-negative number of milliseconds, got '" +
+             text + "'";
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 double BenchScaleFromEnv() {

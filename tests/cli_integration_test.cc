@@ -9,6 +9,7 @@
 #include <fstream>
 #include <regex>
 #include <string>
+#include <utility>
 
 #include "util/failpoint.h"
 
@@ -277,6 +278,45 @@ TEST(CliIntegrationTest, BatchCommandRunsBothModes) {
       RunCli("cst --input=" + graph_path + " --vertex=4294967296 --k=3")
           .first,
       1);
+}
+
+TEST(CliIntegrationTest, BatchRejectsBadFlagsNamingThem) {
+  // `batch` reads its flags strictly and before loading the graph: an
+  // unknown flag or a malformed or out-of-range number exits 2 and names
+  // the flag, instead of running with a default or a wrapped value.
+  const std::string graph_path = TempPath("cli_batch_flags.metis");
+  ASSERT_EQ(RunCli("generate --model=lfr --n=500 --seed=3 --output=" +
+                   graph_path)
+                .first,
+            0);
+  const std::pair<std::string, std::string> cases[] = {
+      {"--sample=-1", "--sample"},
+      {"--sample=12x", "--sample"},
+      {"--k=-3", "--k"},
+      {"--k=4294967296", "--k"},
+      {"--threads=-1", "--threads"},
+      {"--threads=abc", "--threads"},
+      {"--threads=100000", "--threads"},
+      {"--seed=1.5", "--seed"},
+      {"--work-budget=-7", "--work-budget"},
+      {"--deadline-ms=-1", "--deadline-ms"},
+      {"--query-deadline-ms=inf", "--query-deadline-ms"},
+      {"--frobnicate", "--frobnicate"},
+  };
+  for (const auto& [flag, name] : cases) {
+    const auto [code, out] = RunCliMergedStderr(
+        "batch --input=" + graph_path + " --sample=5 " + flag);
+    EXPECT_EQ(code, 2) << flag << ": " << out;
+    EXPECT_NE(out.find(name), std::string::npos) << flag << ": " << out;
+    EXPECT_EQ(out.find("loaded"), std::string::npos) << flag << ": " << out;
+  }
+  // The same flags with good values run the batch.
+  const auto [code, out] = RunCli(
+      "batch --input=" + graph_path +
+      " --sample=5 --k=3 --threads=2 --seed=4 --work-budget=0"
+      " --deadline-ms=0 --query-deadline-ms=0");
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("completed"), std::string::npos) << out;
 }
 
 TEST(CliIntegrationTest, UnknownCommandHasDistinctExitAndStderr) {

@@ -1,8 +1,10 @@
-// Tests for the exec subsystem: the persistent Executor (exception
-// capture, deadlines, cancellation, lazy start, reuse) and the
-// BatchRunner (answers equal to CommunitySearcher's, thread-count
-// invariance, stat aggregation, per-worker searcher reuse across
-// batches).
+// Tests for the exec subsystem, BatchRunner: answers equal to
+// CommunitySearcher's, thread-count invariance, stat aggregation,
+// per-worker searcher reuse across batches, and how a batch executes
+// (every query claimed once, exceptions rethrown after the join,
+// deadline and cancel stops with prefix semantics, the worker-thread
+// cap), driven through test recorders, whose Record() runs inside the
+// worker loop.
 
 #include "exec/batch_runner.h"
 
@@ -10,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -22,7 +25,6 @@
 #include "core/local_cst.h"
 #include "core/searcher.h"
 #include "core/snapshot.h"
-#include "exec/executor.h"
 #include "gen/erdos_renyi.h"
 #include "util/thread_annotations.h"
 #include "gen/lfr.h"
@@ -30,177 +32,6 @@
 
 namespace locs {
 namespace {
-
-TEST(ExecutorTest, RunsEveryItemExactlyOnce) {
-  Executor exec(4);
-  std::vector<std::atomic<int>> hits(1000);
-  const auto run = exec.ParallelFor(
-      hits.size(), [&](unsigned, size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-  EXPECT_EQ(run.items_run, hits.size());
-  EXPECT_EQ(run.cause, Executor::StopCause::kCompleted);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ExecutorTest, LazyStartAndSerialExecutorNeverSpawns) {
-  Executor serial(1);
-  EXPECT_FALSE(serial.started());
-  int sum = 0;
-  serial.ParallelFor(10, [&](unsigned worker, size_t i) {
-    EXPECT_EQ(worker, 0u);
-    sum += static_cast<int>(i);
-  });
-  EXPECT_EQ(sum, 45);
-  EXPECT_FALSE(serial.started());
-
-  Executor pool(4);
-  EXPECT_FALSE(pool.started());
-  // A single item never needs the pool either.
-  pool.ParallelFor(1, [](unsigned, size_t) {});
-  EXPECT_FALSE(pool.started());
-  pool.ParallelFor(100, [](unsigned, size_t) {});
-  EXPECT_TRUE(pool.started());
-}
-
-// Regression for the old core/parallel.cc RunWorkers: a throwing task
-// (here a stand-in for a throwing solver stub) used to leave joinable
-// std::threads behind and end in std::terminate. The executor must join
-// on all paths, rethrow the first exception on the caller, and stay
-// usable afterwards.
-TEST(ExecutorTest, ThrowingTaskPropagatesAndPoolSurvives) {
-  Executor exec(4);
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(
-        exec.ParallelFor(256,
-                         [&](unsigned, size_t i) {
-                           if (i == 17) {
-                             throw std::runtime_error("solver stub blew up");
-                           }
-                         }),
-        std::runtime_error);
-    // The pool is intact and processes a full batch right after.
-    std::atomic<size_t> done{0};
-    const auto run = exec.ParallelFor(
-        128, [&](unsigned, size_t) {
-          done.fetch_add(1, std::memory_order_relaxed);
-        });
-    EXPECT_EQ(run.items_run, 128u);
-    EXPECT_EQ(done.load(), 128u);
-  }
-}
-
-TEST(ExecutorTest, ThrowOnEveryItemStillRethrowsOnce) {
-  Executor exec(2);
-  EXPECT_THROW(exec.ParallelFor(64,
-                                [](unsigned, size_t) {
-                                  throw std::logic_error("always");
-                                }),
-               std::logic_error);
-}
-
-TEST(ExecutorTest, DeadlineStopsEarlyWithPrefixSemantics) {
-  Executor exec(4);
-  std::vector<std::atomic<int>> hits(200);
-  Executor::RunOptions options;
-  options.deadline_ms = 10.0;
-  const auto run = exec.ParallelFor(
-      hits.size(),
-      [&](unsigned, size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(3));
-      },
-      options);
-  EXPECT_EQ(run.cause, Executor::StopCause::kDeadline);
-  EXPECT_LT(run.items_run, hits.size());
-  // Claimed items always complete: the executed items are exactly the
-  // prefix [0, items_run).
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), i < run.items_run ? 1 : 0) << "i=" << i;
-  }
-}
-
-TEST(ExecutorTest, PreSetCancelRunsNothing) {
-  Executor exec(4);
-  std::atomic<bool> cancel{true};
-  Executor::RunOptions options;
-  options.cancel = &cancel;
-  std::atomic<size_t> ran{0};
-  const auto run = exec.ParallelFor(
-      1000,
-      [&](unsigned, size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
-      options);
-  EXPECT_EQ(run.items_run, 0u);
-  EXPECT_EQ(run.cause, Executor::StopCause::kCancelled);
-  EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(ExecutorTest, CancelMidFlightStops) {
-  Executor exec(4);
-  std::atomic<bool> cancel{false};
-  Executor::RunOptions options;
-  options.cancel = &cancel;
-  const auto run = exec.ParallelFor(
-      10000,
-      [&](unsigned, size_t i) {
-        if (i >= 8) cancel.store(true, std::memory_order_relaxed);
-      },
-      options);
-  EXPECT_EQ(run.cause, Executor::StopCause::kCancelled);
-  EXPECT_LT(run.items_run, 10000u);
-}
-
-TEST(ExecutorTest, MaxWorkersCapsWorkerIds) {
-  Executor exec(8);
-  Executor::RunOptions options;
-  options.max_workers = 2;
-  locs::Mutex mutex;
-  std::set<unsigned> seen;
-  exec.ParallelFor(
-      500,
-      [&](unsigned worker, size_t) {
-        locs::MutexLock lock(mutex);
-        seen.insert(worker);
-      },
-      options);
-  EXPECT_LE(seen.size(), 2u);
-  for (unsigned w : seen) EXPECT_LT(w, 2u);
-}
-
-TEST(ExecutorTest, NestedParallelForRunsInline) {
-  Executor exec(4);
-  std::atomic<size_t> inner_total{0};
-  const auto run = exec.ParallelFor(16, [&](unsigned, size_t) {
-    // A body that re-enters the same executor must not deadlock.
-    exec.ParallelFor(8, [&](unsigned worker, size_t) {
-      EXPECT_EQ(worker, 0u);
-      inner_total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(run.items_run, 16u);
-  EXPECT_EQ(inner_total.load(), 16u * 8u);
-}
-
-TEST(ExecutorTest, ManySmallBatchesReuseThePool) {
-  Executor exec(4);
-  for (int batch = 0; batch < 200; ++batch) {
-    std::atomic<size_t> ran{0};
-    const auto run = exec.ParallelFor(
-        8, [&](unsigned, size_t) {
-          ran.fetch_add(1, std::memory_order_relaxed);
-        });
-    ASSERT_EQ(run.items_run, 8u);
-    ASSERT_EQ(ran.load(), 8u);
-  }
-}
-
-TEST(ExecutorTest, ZeroItemsIsANoOp) {
-  Executor exec(4);
-  const auto run =
-      exec.ParallelFor(0, [](unsigned, size_t) { FAIL(); });
-  EXPECT_EQ(run.items_run, 0u);
-  EXPECT_EQ(run.cause, Executor::StopCause::kCompleted);
-}
 
 /// Byte-identical: same status, same members in the same order, same δ.
 void ExpectSameAnswer(const SearchResult& got, const SearchResult& want) {
@@ -212,7 +43,7 @@ void ExpectSameAnswer(const SearchResult& got, const SearchResult& want) {
 }
 
 /// Runs `queries` as one batch on `runner` with `threads` workers (0 = the
-/// whole pool) and checks every answer against a serial loop of one
+/// hardware's) and checks every answer against a serial loop of one
 /// CommunitySearcher over the same snapshot: CST(k) when `k` is set, CSM
 /// otherwise.
 void ExpectBatchMatchesSearcher(BatchRunner& runner,
@@ -338,7 +169,7 @@ TEST_F(BatchRunnerTest, CsmMatchesTheSearcherMemberForMember) {
 
 TEST_F(BatchRunnerTest, UnrepresentableDeadlineCompletesEveryQuery) {
   // A batch deadline past the clock's range saturates to "never" in
-  // both the executor and every query guard; it must not expire at once.
+  // both the claim loop and every query guard; it must not expire at once.
   BatchRunner runner(snapshot_);
   BatchLimits limits;
   limits.deadline_ms = 1e300;
@@ -488,6 +319,194 @@ TEST_F(BatchRunnerTest, EmptyBatchIsANoOp) {
   EXPECT_TRUE(csm.results.empty());
 }
 
+/// A recorder that hands each Record() call, numbered from 1, to a test
+/// callback. Record() runs on the worker that solved the query, so the
+/// callback sees the worker loop from inside.
+class CallbackRecorder : public obs::Recorder {
+ public:
+  explicit CallbackRecorder(std::function<void(uint64_t)> on_record)
+      : on_record_(std::move(on_record)) {}
+
+  void Record(const obs::QueryTelemetry&) override {
+    on_record_(calls_.fetch_add(1, std::memory_order_relaxed) + 1);
+  }
+
+  uint64_t calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  std::function<void(uint64_t)> on_record_;
+  std::atomic<uint64_t> calls_{0};
+};
+
+/// How a batch executes: claiming, exceptions, stop causes, threads.
+/// Every CSM query reaches the recorder, so the tests run CSM batches.
+class ExecutorTest : public BatchRunnerTest {
+ protected:
+  static BatchLimits Threads(unsigned threads) {
+    BatchLimits limits;
+    limits.num_threads = threads;
+    return limits;
+  }
+
+  /// Results [0, completed) either match the serial searcher or were
+  /// interrupted with `cause`; the never-started tail carries `cause`
+  /// and the singleton query vertex.
+  void ExpectPrefix(const BatchResult& batch, Termination cause) {
+    CommunitySearcher searcher(snapshot_);
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      SCOPED_TRACE("i=" + std::to_string(i));
+      const SearchResult& result = batch.results[i];
+      if (i < batch.stats.completed && result.Found()) {
+        ExpectSameAnswer(result, searcher.Csm(queries_[i]));
+        continue;
+      }
+      EXPECT_EQ(result.status, cause);
+      if (i >= batch.stats.completed) {
+        ASSERT_EQ(result.best_so_far.members.size(), 1u);
+        EXPECT_EQ(result.best_so_far.members[0], queries_[i]);
+      }
+    }
+  }
+};
+
+TEST_F(ExecutorTest, RunsEveryItemExactlyOnce) {
+  CallbackRecorder recorder([](uint64_t) {});
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  const auto batch = runner.RunCsm(queries_, Threads(4));
+  EXPECT_EQ(batch.stats.completed, queries_.size());
+  EXPECT_FALSE(batch.stats.deadline_hit);
+  EXPECT_FALSE(batch.stats.cancelled);
+  EXPECT_EQ(recorder.calls(), queries_.size());
+}
+
+// A throwing solve (here a recorder; in production std::bad_alloc) must
+// not leave joinable threads behind or end in std::terminate: the first
+// exception is rethrown on the caller once every worker has joined, and
+// the runner stays usable.
+TEST_F(ExecutorTest, ThrowingTaskPropagatesAndPoolSurvives) {
+  std::atomic<uint64_t> throw_at{17};
+  CallbackRecorder recorder([&](uint64_t call) {
+    if (call == throw_at.load()) {
+      throw std::runtime_error("recorder blew up");
+    }
+  });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    throw_at.store(recorder.calls() + 17);
+    EXPECT_THROW(runner.RunCsm(queries_, Threads(4)), std::runtime_error);
+    // Joined: no worker records anything after the rethrow.
+    const uint64_t calls = recorder.calls();
+    EXPECT_LT(calls, throw_at.load() + queries_.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(recorder.calls(), calls);
+    // The same runner answers the next batch in full, identically.
+    ExpectBatchMatchesSearcher(runner, snapshot_, queries_, std::nullopt,
+                               4);
+  }
+}
+
+TEST_F(ExecutorTest, ThrowOnEveryItemStillRethrowsOnce) {
+  CallbackRecorder recorder(
+      [](uint64_t) { throw std::logic_error("always"); });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  EXPECT_THROW(runner.RunCsm(queries_, Threads(2)), std::logic_error);
+  // Each worker stops at its first throw.
+  EXPECT_LE(recorder.calls(), 2u);
+}
+
+TEST_F(ExecutorTest, DeadlineStopsEarlyWithPrefixSemantics) {
+  CallbackRecorder recorder([](uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  BatchLimits limits = Threads(4);
+  limits.deadline_ms = 10.0;
+  const auto batch = runner.RunCsm(queries_, limits);
+  EXPECT_TRUE(batch.stats.deadline_hit);
+  EXPECT_FALSE(batch.stats.cancelled);
+  ASSERT_LT(batch.stats.completed, queries_.size());
+  // A claimed query always finishes: exactly the prefix was recorded.
+  EXPECT_EQ(recorder.calls(), batch.stats.completed);
+  ExpectPrefix(batch, Termination::kDeadline);
+}
+
+TEST_F(ExecutorTest, PreSetCancelRunsNothing) {
+  CallbackRecorder recorder([](uint64_t) {});
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  std::atomic<bool> cancel{true};
+  BatchLimits limits = Threads(4);
+  limits.cancel = &cancel;
+  const auto batch = runner.RunCsm(queries_, limits);
+  EXPECT_TRUE(batch.stats.cancelled);
+  EXPECT_EQ(batch.stats.completed, 0u);
+  EXPECT_EQ(recorder.calls(), 0u);
+}
+
+TEST_F(ExecutorTest, CancelMidFlightStops) {
+  std::atomic<bool> cancel{false};
+  CallbackRecorder recorder([&](uint64_t call) {
+    if (call >= 8) cancel.store(true);
+  });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  BatchLimits limits = Threads(4);
+  limits.cancel = &cancel;
+  const auto batch = runner.RunCsm(queries_, limits);
+  EXPECT_TRUE(batch.stats.cancelled);
+  EXPECT_FALSE(batch.stats.deadline_hit);
+  EXPECT_GE(batch.stats.completed, 8u);
+  ASSERT_LT(batch.stats.completed, queries_.size());
+  EXPECT_EQ(recorder.calls(), batch.stats.completed);
+  ExpectPrefix(batch, Termination::kCancelled);
+}
+
+TEST_F(ExecutorTest, MaxWorkersCapsWorkerIds) {
+  Mutex mutex;
+  std::set<std::thread::id> seen;
+  CallbackRecorder recorder([&](uint64_t) {
+    MutexLock lock(mutex);
+    seen.insert(std::this_thread::get_id());
+  });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  const std::vector<VertexId> two = {queries_[0], queries_[1]};
+  for (const auto& [threads, batch] :
+       std::vector<std::pair<unsigned, std::vector<VertexId>>>{
+           {1, queries_}, {2, queries_}, {3, queries_}, {16, two}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    {
+      MutexLock lock(mutex);
+      seen.clear();
+    }
+    EXPECT_EQ(runner.RunCsm(batch, Threads(threads)).stats.completed,
+              batch.size());
+    MutexLock lock(mutex);
+    EXPECT_GE(seen.size(), 1u);
+    EXPECT_LE(seen.size(), std::min<size_t>(threads, batch.size()));
+    // The calling thread runs as worker 0.
+    if (threads == 1) {
+      EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
+    }
+  }
+}
+
+TEST_F(ExecutorTest, ZeroItemsIsANoOp) {
+  CallbackRecorder recorder([](uint64_t) { FAIL(); });
+  BatchRunner runner(snapshot_);
+  runner.set_recorder(&recorder);
+  const auto batch = runner.RunCsm({}, Threads(4));
+  EXPECT_TRUE(batch.results.empty());
+  EXPECT_EQ(batch.stats.completed, 0u);
+  EXPECT_FALSE(batch.stats.deadline_hit);
+  EXPECT_FALSE(batch.stats.cancelled);
+}
+
 TEST(BatchRunnerDeadlineTest, DeadlineYieldsCompletedPrefix) {
   // A graph big enough that thousands of CSM queries cannot finish in a
   // fraction of a millisecond, so the deadline reliably truncates.
@@ -538,7 +557,7 @@ TEST(BatchRunnerDeadlineTest, DeadlineYieldsCompletedPrefix) {
 }
 
 // Batch answers equal the serial searcher's for any thread count; 0 is
-// the whole pool.
+// the hardware's.
 class ParallelBatchTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelBatchTest, CstBatchMatchesSequential) {

@@ -366,6 +366,59 @@ TEST(ServeSessionTest, UnrepresentableDeadlineMeansNoDeadline) {
   }
 }
 
+TEST(ServeSessionTest, ServerBudgetPolicyDefaultsAndClamps) {
+  // locsd's --default-budget applies to a query without budget=, and
+  // --max-budget clamps any larger one. Budget trips are deterministic,
+  // so each reply must equal a policy-free session's reply to the
+  // budget the policy should have chosen. CST(39) on a 40-clique needs
+  // 1600 work units; the three budgets trip at three different sizes.
+  const std::vector<std::string> explicit_budgets = {
+      "CST g 0 39 budget=100", "CST g 0 39 budget=400",
+      "CST g 0 39 budget=200"};
+  ServeFixture reference;
+  reference.Register("g", gen::Clique(40));
+  const auto want = reference.Run(explicit_budgets, "reference");
+  ASSERT_EQ(want.size(), 3u);
+  for (const std::string& reply : want) {
+    EXPECT_TRUE(StartsWith(reply, "OK status=budget-exhausted ")) << reply;
+  }
+  EXPECT_NE(want[0], want[1]);
+  EXPECT_NE(want[0], want[2]);
+  EXPECT_NE(want[1], want[2]);
+
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(40));
+  fix.Register("small", gen::Clique(6));  // CST(5): 36 work units
+  ResultCache cache(16);
+  fix.options.cache = &cache;
+  fix.options.default_work_budget = 100;
+  fix.options.max_work_budget = 400;
+  const auto replies = fix.Run(
+      {
+          "CST g 0 39",                // no budget=: the default, 100
+          "CST g 0 39 budget=100000",  // clamped to the cap, 400
+          "CST g 0 39 budget=200",     // below the cap: its own value
+          "CST g 0 39 budget=200",     // tripped replies are not cached
+          "CST small 0 5",             // settles under the default
+          "CST small 0 5",             // ... and is cached
+      },
+      "policy");
+  ASSERT_EQ(replies.size(), 6u);
+  EXPECT_EQ(replies[0], want[0]);
+  EXPECT_EQ(replies[1], want[1]);
+  EXPECT_EQ(replies[2], want[2]);
+  EXPECT_EQ(replies[3], want[2]);
+  EXPECT_TRUE(StartsWith(replies[4], "OK status=found n=6 delta=5"))
+      << replies[4];
+  EXPECT_EQ(replies[5], replies[4]);
+  const MetricsSnapshot snap = fix.metrics.Snapshot();
+  EXPECT_EQ(snap.interrupted, 4u);
+  EXPECT_EQ(snap.cache_misses, 5u);
+  EXPECT_EQ(snap.cache_hits, 1u);
+  EXPECT_EQ(snap.cache_inserts, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(ServeSessionTest, DrainFlagRejectsQueriesAndEndsSession) {
   ServeFixture fix;
   fix.Register("g", gen::Clique(4));

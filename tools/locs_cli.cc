@@ -4,8 +4,8 @@
 //   stats    --input=G                        graph statistics
 //   cst      --input=G --vertex=V --k=K       community with δ >= K
 //   csm      --input=G --vertex=V             best community
-//   batch    --input=G --mode=cst|csm         batch queries on the
-//            [--queries-file=F|--sample=N]    persistent executor
+//   batch    --input=G --mode=cst|csm         a batch of queries on
+//            [--queries-file=F|--sample=N]    --threads=T workers
 //   decompose --input=G [--top=N]             core decomposition summary
 //   convert  --input=G --output=F             between edgelist and metis
 //   compile  <input> <image>                  build a mmap-ready graph
@@ -99,7 +99,7 @@ int StatusExitCode(Termination status) {
   return 0;
 }
 
-/// Per-query guard limits shared by cst/csm/batch.
+/// Per-query guard limits for cst/csm.
 QueryLimits GuardLimits(const CommandLine& cli) {
   QueryLimits limits;
   limits.deadline_ms = cli.GetDouble("query-deadline-ms", 0.0);
@@ -173,9 +173,9 @@ int Usage() {
       "            [--request-deadline-ms=D]      with locsd (N>0:\n"
       "                                            self-healing reconnect\n"
       "                                            + backoff)\n"
-      "exit codes: 0 ok, 3 open, 4 parse, 5 truncated, 6 alloc,\n"
-      "            10 deadline, 11 work-budget, 12 cancelled,\n"
-      "            64 unknown command\n");
+      "exit codes: 0 ok, 2 bad command line, 3 open, 4 parse,\n"
+      "            5 truncated, 6 alloc, 10 deadline, 11 work-budget,\n"
+      "            12 cancelled, 64 unknown command\n");
   return 2;
 }
 
@@ -380,9 +380,41 @@ int CmdCsm(const CommandLine& cli) {
   return StatusExitCode(result.status);
 }
 
+/// `batch`'s flags, read strictly: see ReadBatchFlags.
+struct BatchFlags {
+  uint32_t k = 3;
+  uint32_t sample = 1000;
+  uint64_t seed = 1;
+  BatchLimits limits;
+};
+
+/// More workers than this is a typo, not a machine.
+constexpr unsigned kMaxBatchThreads = 1024;
+
+/// Reads `batch`'s flags into *flags. False, with *error naming the
+/// flag, for an unknown flag or a malformed or out-of-range number.
+bool ReadBatchFlags(const CommandLine& cli, BatchFlags* flags,
+                    std::string* error) {
+  static constexpr std::string_view kFlags[] = {
+      "input", "mode", "k", "queries-file", "sample", "seed", "threads",
+      "deadline-ms", "query-deadline-ms", "work-budget", "show-results",
+      "trace"};
+  BatchLimits& limits = flags->limits;
+  return OnlyKnownFlags(cli, kFlags, error) &&
+         ReadWhole(cli, "k", &flags->k, error) &&
+         ReadWhole(cli, "sample", &flags->sample, error) &&
+         ReadWhole(cli, "seed", &flags->seed, error) &&
+         ReadWhole(cli, "threads", &limits.num_threads, error,
+                   kMaxBatchThreads) &&
+         ReadWhole(cli, "work-budget", &limits.query_work_budget, error) &&
+         ReadMs(cli, "deadline-ms", &limits.deadline_ms, error) &&
+         ReadMs(cli, "query-deadline-ms", &limits.query_deadline_ms, error);
+}
+
 /// Query vertices for `batch`: an explicit --queries-file (one vertex id
 /// per line, '#' comments) or a seeded uniform --sample.
 std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
+                                                  const BatchFlags& flags,
                                                   const Graph& graph) {
   std::vector<VertexId> queries;
   const std::string file = cli.GetString("queries-file", "");
@@ -408,11 +440,10 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
     }
     return queries;
   }
-  const auto count = static_cast<size_t>(cli.GetInt("sample", 1000));
-  if (graph.NumVertices() == 0 || count == 0) return queries;
-  Rng rng(static_cast<uint64_t>(cli.GetInt("seed", 1)));
-  queries.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  if (graph.NumVertices() == 0 || flags.sample == 0) return queries;
+  Rng rng(flags.seed);
+  queries.reserve(flags.sample);
+  for (uint32_t i = 0; i < flags.sample; ++i) {
     queries.push_back(
         static_cast<VertexId>(rng.Below(graph.NumVertices())));
   }
@@ -420,6 +451,12 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
 }
 
 int CmdBatch(const CommandLine& cli) {
+  BatchFlags flags;
+  std::string error;
+  if (!ReadBatchFlags(cli, &flags, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   int load_rc = 1;
   const auto snapshot = RequireSnapshot(cli, &load_rc);
   if (snapshot == nullptr) return load_rc;
@@ -428,26 +465,16 @@ int CmdBatch(const CommandLine& cli) {
     std::fprintf(stderr, "error: --mode must be cst or csm\n");
     return 1;
   }
-  const auto queries = BatchQueries(cli, snapshot->graph);
+  const auto queries = BatchQueries(cli, flags, snapshot->graph);
   if (!queries.has_value()) return 1;
 
   BatchRunner runner(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "batch", &trace); rc != 0) return rc;
   if (trace != nullptr) runner.set_recorder(trace.get());
-  BatchLimits limits;
-  limits.num_threads =
-      static_cast<unsigned>(cli.GetInt("threads", 0));
-  limits.deadline_ms = cli.GetDouble("deadline-ms", 0.0);
-  const QueryLimits per_query = GuardLimits(cli);
-  limits.query_deadline_ms = per_query.deadline_ms;
-  limits.query_work_budget = per_query.work_budget;
-
   const BatchResult batch =
-      mode == "cst"
-          ? runner.RunCst(*queries,
-                          static_cast<uint32_t>(cli.GetInt("k", 3)), limits)
-          : runner.RunCsm(*queries, limits);
+      mode == "cst" ? runner.RunCst(*queries, flags.k, flags.limits)
+                    : runner.RunCsm(*queries, flags.limits);
   const BatchStats& stats = batch.stats;
 
   TableWriter table({"metric", "value"});

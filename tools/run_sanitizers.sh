@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer sweep for the test suite:
-#   - ThreadSanitizer over the concurrency-labelled tests (executor,
-#     batch runner, guard interruption) —
+#   - ThreadSanitizer over the concurrency-labelled tests (batch
+#     runner worker threads, guard interruption) —
 #     the dynamic complement of the Clang thread-safety annotations
 #     (src/util/thread_annotations.h), which prove lock discipline
 #     statically but cannot see lock-free protocols.
@@ -47,7 +47,7 @@ run_pass() {
 
 # TSan halts on the first data race so errors can't scroll past unseen.
 # The concurrency label includes guard_test (deadline/budget/cancel
-# interruption) and the executor/batch-runner suites; the serve label
+# interruption) and the batch-runner suites; the serve label
 # adds the serving layer's concurrent sessions (shared registry,
 # admission controller, metrics, TCP drain); the obs label adds the
 # telemetry sinks (AggregateRecorder/TraceSink are shared by concurrent
