@@ -22,7 +22,13 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto per_degree = static_cast<size_t>(cli.GetInt("per-degree", 10));
+  static constexpr std::string_view kFlags[] = {"per-degree", "dataset"};
+  size_t per_degree = 10;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "per-degree", &per_degree, &error)) {
+    return FlagError(error);
+  }
   const std::string name = cli.GetString("dataset", "dblp-sim");
 
   PrintBanner(

@@ -25,7 +25,13 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 30));
+  static constexpr std::string_view kFlags[] = {"queries"};
+  size_t queries = 30;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error)) {
+    return FlagError(error);
+  }
 
   PrintBanner(
       "Figure 14 — γ's effect on CSM1 (quality ratio r_a, time ratio r_t)",

@@ -33,8 +33,15 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 25));
-  const uint32_t k = static_cast<uint32_t>(cli.GetInt("k", 25));
+  static constexpr std::string_view kFlags[] = {"queries", "k"};
+  size_t queries = 25;
+  uint32_t k = 25;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error) ||
+      !ReadWhole(cli, "k", &k, &error)) {
+    return FlagError(error);
+  }
   const double scale = BenchScaleFromEnv();
 
   PrintBanner(

@@ -26,10 +26,19 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 25));
-  const uint32_t k = static_cast<uint32_t>(cli.GetInt("k", 25));
-  const auto n = static_cast<VertexId>(
-      cli.GetInt("n", 100000) * BenchScaleFromEnv());
+  static constexpr std::string_view kFlags[] = {"queries", "k", "n"};
+  size_t queries = 25;
+  uint32_t k = 25;
+  uint64_t unscaled_n = 100000;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error) ||
+      !ReadWhole(cli, "k", &k, &error) ||
+      !ReadWhole(cli, "n", &unscaled_n, &error)) {
+    return FlagError(error);
+  }
+  const auto n = static_cast<VertexId>(static_cast<double>(unscaled_n) *
+                                      BenchScaleFromEnv());
 
   PrintBanner(
       "Figure 17 — sensitivity to community clearness (μ = 0.1 .. 0.5)",

@@ -85,7 +85,13 @@ void RunForK(uint32_t k, size_t queries) {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 10));
+  static constexpr std::string_view kFlags[] = {"queries"};
+  size_t queries = 10;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error)) {
+    return FlagError(error);
+  }
   PrintBanner(
       "Figure 3 — upper bounds on the candidate set size |C|",
       "|C| and the realized community size hug |V≥k| and sit far below "

@@ -30,7 +30,13 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 40));
+  static constexpr std::string_view kFlags[] = {"queries"};
+  size_t queries = 40;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error)) {
+    return FlagError(error);
+  }
 
   PrintBanner(
       "Figure 8 — CST efficiency: global vs ls-naive vs ls-li vs ls-lg",

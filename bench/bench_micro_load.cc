@@ -21,6 +21,8 @@
 //   --max-text-ms=X    exit 1 unless text_ms <= X (CI gate: keeps a
 //                      super-linear parse or index build from returning)
 //   --out=PATH         JSON artifact path (default BENCH_load.json)
+// An unknown or malformed flag exits 2 before anything runs, so a
+// misspelt gate cannot switch itself off.
 
 #include <algorithm>
 #include <cinttypes>
@@ -68,14 +70,25 @@ uint32_t ImageColdLoad(const std::string& path) {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
+  static constexpr std::string_view kFlags[] = {
+      "edges", "repeats", "min-speedup", "max-image-ms", "max-text-ms", "out"};
+  uint64_t edges_flag = 2'100'000;
+  size_t repeats = 5;
+  double min_speedup = 0.0;
+  double max_image_ms = 0.0;
+  double max_text_ms = 0.0;
+  std::string flag_error;
+  if (!cli.OnlyKnownFlags(kFlags, &flag_error) ||
+      !ReadWhole(cli, "edges", &edges_flag, &flag_error) ||
+      !ReadWhole(cli, "repeats", &repeats, &flag_error) ||
+      !ReadFinite(cli, "min-speedup", &min_speedup, &flag_error) ||
+      !ReadMs(cli, "max-image-ms", &max_image_ms, &flag_error) ||
+      !ReadMs(cli, "max-text-ms", &max_text_ms, &flag_error)) {
+    return FlagError(flag_error);
+  }
+  repeats = std::max<size_t>(1, repeats);
   const auto half_edges_target = static_cast<uint64_t>(
-      static_cast<double>(cli.GetInt("edges", 2'100'000)) *
-      BenchScaleFromEnv());
-  const auto repeats =
-      static_cast<size_t>(std::max<int64_t>(1, cli.GetInt("repeats", 5)));
-  const double min_speedup = cli.GetDouble("min-speedup", 0.0);
-  const double max_image_ms = cli.GetDouble("max-image-ms", 0.0);
-  const double max_text_ms = cli.GetDouble("max-text-ms", 0.0);
+      static_cast<double>(edges_flag) * BenchScaleFromEnv());
   const std::string out = cli.GetString("out", "BENCH_load.json");
 
   // BA with attachment degree 8: |E| ~= 8n, so n = target/16 gives the

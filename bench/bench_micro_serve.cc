@@ -67,14 +67,7 @@ Graph MicroServeGraph() {
 
 /// Queries per session; LOCS_BENCH_SCALE multiplies it.
 size_t QueriesPerSession() {
-  size_t queries = 2000;
-  if (const char* scale = std::getenv("LOCS_BENCH_SCALE")) {
-    const double factor = std::atof(scale);
-    if (factor > 0) {
-      queries = static_cast<size_t>(static_cast<double>(queries) * factor);
-    }
-  }
-  return queries;
+  return static_cast<size_t>(2000.0 * BenchScaleFromEnv());
 }
 
 constexpr int kBinds = 20;
@@ -475,14 +468,21 @@ int Main() {
 
 int main(int argc, char** argv) {
   const locs::CommandLine cli(argc, argv);
-  const int64_t port = cli.GetInt("port", -1);
-  if (port > 0 && port <= 65535) {
+  static constexpr std::string_view kFlags[] = {"port", "sessions", "queries"};
+  uint16_t port = 0;
+  unsigned sessions = 4;
+  size_t queries = 2000;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !locs::ReadWhole(cli, "port", &port, &error) ||
+      !locs::ReadWhole(cli, "sessions", &sessions, &error) ||
+      !locs::ReadWhole(cli, "queries", &queries, &error)) {
+    return locs::FlagError(error);
+  }
+  if (port > 0) {
     // External-daemon mode: closed loops over TCP via the RetryClient,
     // built to ride through a daemon kill+restart mid-run.
-    return locs::bench::TcpMain(
-        static_cast<uint16_t>(port),
-        static_cast<unsigned>(cli.GetInt("sessions", 4)),
-        static_cast<size_t>(cli.GetInt("queries", 2000)));
+    return locs::bench::TcpMain(port, sessions, queries);
   }
   return locs::bench::Main();
 }

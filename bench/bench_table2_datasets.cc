@@ -25,11 +25,19 @@ namespace {
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
-  const auto queries = static_cast<size_t>(cli.GetInt("queries", 20));
-  const auto budget = static_cast<uint64_t>(cli.GetInt("budget", 100000));
+  static constexpr std::string_view kFlags[] = {"queries", "budget", "millis"};
+  size_t queries = 20;
+  uint64_t budget = 100000;
   // The paper allowed 1 minute per baseline query; scaled-down datasets
   // get a proportionally scaled-down wall budget.
-  const double millis = cli.GetDouble("millis", 50.0);
+  double millis = 50.0;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "queries", &queries, &error) ||
+      !ReadWhole(cli, "budget", &budget, &error) ||
+      !ReadMs(cli, "millis", &millis, &error)) {
+    return FlagError(error);
+  }
 
   PrintBanner(
       "Table 2 — dataset statistics and baseline feasibility",

@@ -26,9 +26,18 @@
 int main(int argc, char** argv) {
   using namespace locs;
   const CommandLine cli(argc, argv);
-  const auto n = static_cast<VertexId>(cli.GetInt("n", 30000));
-  const auto num_seeds = static_cast<size_t>(cli.GetInt("seeds", 8));
-  const auto threads = static_cast<unsigned>(cli.GetInt("threads", 4));
+  static constexpr std::string_view kFlags[] = {"n", "seeds", "threads"};
+  VertexId n = 30000;
+  size_t num_seeds = 8;
+  unsigned threads = 4;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "n", &n, &error) ||
+      !ReadWhole(cli, "seeds", &num_seeds, &error) ||
+      !ReadWhole(cli, "threads", &threads, &error)) {
+    return FlagError(error);
+  }
+  if (n == 0) return FlagError("--n must be at least 1");
 
   gen::LfrParams params;
   params.n = n;

@@ -17,7 +17,16 @@
 int main(int argc, char** argv) {
   using namespace locs;
   const CommandLine cli(argc, argv);
-  const auto n = static_cast<VertexId>(cli.GetInt("n", 15000));
+  static constexpr std::string_view kFlags[] = {"n", "patient"};
+  VertexId n = 15000;
+  uint64_t patient_flag = 4242;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "n", &n, &error) ||
+      !ReadWhole(cli, "patient", &patient_flag, &error)) {
+    return FlagError(error);
+  }
+  if (n == 0) return FlagError("--n must be at least 1");
 
   // Contact network: households/workplaces appear as dense pockets.
   gen::LfrParams params;
@@ -36,7 +45,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long>(searcher.graph().NumEdges()));
 
   auto patient = static_cast<VertexId>(
-      cli.GetInt("patient", 4242) % searcher.graph().NumVertices());
+      patient_flag % searcher.graph().NumVertices());
   // Make sure the patient has some contacts to reason about.
   while (searcher.graph().Degree(patient) < 3) {
     patient = (patient + 1) % searcher.graph().NumVertices();

@@ -20,7 +20,16 @@
 int main(int argc, char** argv) {
   using namespace locs;
   const CommandLine cli(argc, argv);
-  const auto n = static_cast<VertexId>(cli.GetInt("n", 20000));
+  static constexpr std::string_view kFlags[] = {"n", "user"};
+  VertexId n = 20000;
+  uint64_t user_flag = 0;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "n", &n, &error) ||
+      !ReadWhole(cli, "user", &user_flag, &error)) {
+    return FlagError(error);
+  }
+  if (n == 0) return FlagError("--n must be at least 1");
 
   // A synthetic social network with planted friend circles.
   gen::LfrParams params;
@@ -46,7 +55,7 @@ int main(int argc, char** argv) {
   // observation), which makes for poor recommendations.
   VertexId user;
   if (cli.Has("user")) {
-    user = static_cast<VertexId>(cli.GetInt("user", 0) %
+    user = static_cast<VertexId>(user_flag %
                                  searcher.graph().NumVertices());
   } else {
     user = 0;

@@ -80,8 +80,14 @@ class SenseNetwork {
 int main(int argc, char** argv) {
   using namespace locs;
   const CommandLine cli(argc, argv);
+  static constexpr std::string_view kFlags[] = {"word", "k"};
+  uint32_t k = 3;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "k", &k, &error)) {
+    return FlagError(error);
+  }
   const std::string word = cli.GetString("word", "image");
-  const auto k = static_cast<uint32_t>(cli.GetInt("k", 3));
 
   SenseNetwork net;
   if (!net.Has(word)) {

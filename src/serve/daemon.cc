@@ -65,16 +65,12 @@ bool ParsePreload(const std::string& spec, ServerOptions* options,
 bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
                         std::string* error) {
   static constexpr std::string_view kFlags[] = {
-      "stdio", "port", "port-file", "preload", "max-graphs",
-      "max-sessions", "max-inflight", "default-deadline-ms",
-      "max-deadline-ms", "default-budget", "max-budget", "member-limit",
-      "max-reply-bytes", "cache-entries", "io-timeout-ms",
-      "idle-timeout-ms"};
-  if (!OnlyKnownFlags(cli, kFlags, error)) return false;
-  if (cli.Has("stdio") && cli.GetString("stdio", "") != "true") {
-    *error = "--stdio takes no value";
-    return false;
-  }
+      "port", "port-file", "preload", "max-graphs", "max-sessions",
+      "max-inflight", "default-deadline-ms", "max-deadline-ms",
+      "default-budget", "max-budget", "member-limit", "max-reply-bytes",
+      "cache-entries", "io-timeout-ms", "idle-timeout-ms"};
+  static constexpr std::string_view kSwitches[] = {"stdio"};
+  if (!cli.OnlyKnownFlags(kFlags, error, kSwitches)) return false;
   options->stdio = cli.Has("stdio");
   if (options->stdio == cli.Has("port")) {
     *error = options->stdio ? "--stdio and --port are mutually exclusive"
@@ -130,7 +126,7 @@ const char* DaemonFlagHelp() {
       "  --idle-timeout-ms=D       reap a session idle between requests\n"
       "                            (0 = never)\n"
       "numbers are whole and non-negative (deadlines may be fractional);\n"
-      "an unknown flag or a bad value exits 2\n";
+      "a bad, unknown or repeated flag or any argument exits 2\n";
 }
 
 int DaemonMain(const DaemonOptions& options) {

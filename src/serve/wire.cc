@@ -1,7 +1,10 @@
 #include "serve/wire.h"
 
-#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <optional>
+
+#include "util/cli.h"
 
 namespace locs::serve {
 
@@ -22,41 +25,15 @@ std::vector<std::string_view> Tokenize(std::string_view line) {
   return tokens;
 }
 
-/// Strict unsigned parse: the whole token must be decimal digits and fit
-/// in T. Rejects empty tokens, signs, hex, trailing bytes, NULs.
+/// Strict numeric parse (ParseWhole): the whole token must be one T that
+/// `valid` accepts. Rejects empty tokens, '+', hex, trailing bytes, NULs,
+/// and a sign on an unsigned T.
 template <typename T>
-bool ParseUnsigned(std::string_view token, T* out) {
-  if (token.empty()) return false;
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseDouble(std::string_view token, double* out) {
-  if (token.empty()) return false;
-  double value{};
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) return false;
-  if (!(value >= 0.0)) return false;  // rejects negatives and NaN
-  *out = value;
-  return true;
-}
-
-/// Like ParseDouble but signed: gamma is meaningfully negative (γ → −∞
-/// disables the Eq.-8 budget). Still rejects NaN — a NaN γ would poison
-/// every budget comparison downstream.
-bool ParseSignedDouble(std::string_view token, double* out) {
-  if (token.empty()) return false;
-  double value{};
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) return false;
-  if (value != value) return false;  // NaN
-  *out = value;
+bool ParseNumber(std::string_view token, T* out,
+                 bool (*valid)(T) = [](T) { return true; }) {
+  const std::optional<T> value = ParseWhole<T>(token);
+  if (!value.has_value() || !valid(*value)) return false;
+  *out = *value;
   return true;
 }
 
@@ -84,17 +61,22 @@ bool ConsumeOptions(const std::vector<std::string_view>& tokens, size_t i,
     const std::string_view value = token.substr(eq + 1);
     bool ok = false;
     if (key == "deadline_ms") {
-      ok = ParseDouble(value, &request->limits.deadline_ms);
+      // `>=` rejects NaN as well as negatives.
+      ok = ParseNumber(value, &request->limits.deadline_ms,
+                       +[](double ms) { return ms >= 0.0; });
     } else if (key == "budget") {
-      ok = ParseUnsigned(value, &request->limits.work_budget);
+      ok = ParseNumber(value, &request->limits.work_budget);
     } else if (key == "limit") {
-      ok = ParseUnsigned(value, &request->member_limit);
+      ok = ParseNumber(value, &request->member_limit);
     } else if (key == "trace") {
       uint64_t flag = 0;
-      ok = ParseUnsigned(value, &flag) && flag <= 1;
+      ok = ParseNumber(value, &flag) && flag <= 1;
       request->trace = flag != 0;
     } else if (key == "gamma") {
-      ok = ParseSignedDouble(value, &request->gamma);
+      // γ is meaningfully negative (γ → −∞ disables the Eq.-8 budget),
+      // but a NaN γ would poison every budget comparison downstream.
+      ok = ParseNumber(value, &request->gamma,
+                       +[](double gamma) { return !std::isnan(gamma); });
     } else {
       *error = Fail(WireError::kBadOption,
                     "unknown option '" + std::string(key) + "'");
@@ -112,7 +94,7 @@ bool ConsumeOptions(const std::vector<std::string_view>& tokens, size_t i,
 /// Positional vertex-id parse with a per-token error message.
 bool ParseVertex(std::string_view token, VertexId* out,
                  ParseResult* error) {
-  if (!ParseUnsigned(token, out)) {
+  if (!ParseNumber(token, out)) {
     *error = Fail(WireError::kBadNumber,
                   "bad vertex id '" + std::string(token) + "'");
     return false;
@@ -248,7 +230,7 @@ ParseResult ParseRequest(std::string_view line) {
     VertexId v = 0;
     if (!ParseVertex(tokens[2], &v, &result)) return result;
     request.vertices.push_back(v);
-    if (!ParseUnsigned(tokens[3], &request.k)) {
+    if (!ParseNumber(tokens[3], &request.k)) {
       return Fail(WireError::kBadNumber,
                   "bad k '" + std::string(tokens[3]) + "'");
     }
@@ -271,7 +253,7 @@ ParseResult ParseRequest(std::string_view line) {
     request.graph = tokens[1];
     if (tokens[2] == "max") {
       request.multi_max = true;
-    } else if (!ParseUnsigned(tokens[2], &request.k)) {
+    } else if (!ParseNumber(tokens[2], &request.k)) {
       return Fail(WireError::kBadNumber,
                   "bad k '" + std::string(tokens[2]) +
                       "' (number or 'max')");

@@ -2,24 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "util/check.h"
 
 namespace locs {
 
 CommandLine::CommandLine(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    LOCS_CHECK_MSG(std::strncmp(arg, "--", 2) == 0,
-                   "flags must start with --");
-    std::string body(arg + 2);
-    const size_t eq = body.find('=');
-    if (eq == std::string::npos) {
-      values_[body] = "true";
-    } else {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
+  for (int i = 1; i < argc && error_.empty(); ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      error_ = "unexpected argument '" + arg + "'";
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == arg.npos ? eq : eq - 2);
+    if (name.empty()) {
+      error_ = "empty flag name in '" + arg + "'";
+    } else if (!values_.emplace(name, std::nullopt).second) {
+      error_ = "--" + name + " given more than once";
+    } else if (eq != arg.npos) {
+      values_[name] = arg.substr(eq + 1);
     }
   }
 }
@@ -31,69 +33,62 @@ bool CommandLine::Has(const std::string& name) const {
 std::string CommandLine::GetString(const std::string& name,
                                    const std::string& fallback) const {
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? fallback : it->second.value_or("");
 }
 
-int64_t CommandLine::GetInt(const std::string& name, int64_t fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                       nullptr, 10);
-}
-
-double CommandLine::GetDouble(const std::string& name, double fallback) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
-}
-
-bool CommandLine::GetBool(const std::string& name, bool fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
-std::vector<std::string> CommandLine::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, value] : values_) names.push_back(name);
-  return names;
-}
-
-bool OnlyKnownFlags(const CommandLine& cli,
-                    std::span<const std::string_view> known,
-                    std::string* error) {
-  for (const std::string& name : cli.Names()) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
+bool CommandLine::OnlyKnownFlags(
+    std::span<const std::string_view> flags, std::string* error,
+    std::span<const std::string_view> switches) const {
+  *error = error_;
+  for (const auto& [name, value] : values_) {
+    if (!error->empty()) return false;
+    const auto listed = [&name](std::span<const std::string_view> names) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    if (listed(switches)) {
+      if (value.has_value()) *error = "--" + name + " takes no value";
+    } else if (!listed(flags)) {
       *error = "unknown flag --" + name;
-      return false;
+    } else if (!value.has_value()) {
+      *error = "--" + name + " needs a value";
     }
   }
-  return true;
+  return error->empty();
 }
 
-bool ReadMs(const CommandLine& cli, const char* name, double* out,
-            std::string* error) {
+bool ReadFinite(const CommandLine& cli, const char* name, double* out,
+                std::string* error, bool allow_negative) {
   if (!cli.Has(name)) return true;
   const std::string text = cli.GetString(name, "");
-  const char* const end = text.data() + text.size();
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
-      value < 0.0) {
-    *error = "--" + std::string(name) +
-             " must be a non-negative number of milliseconds, got '" +
+  const std::optional<double> value = ParseWhole<double>(text);
+  if (!value.has_value() || !std::isfinite(*value) ||
+      (*value < 0.0 && !allow_negative)) {
+    *error = "--" + std::string(name) + " must be a finite" +
+             (allow_negative ? "" : " non-negative") + " number, got '" +
              text + "'";
     return false;
   }
-  *out = value;
+  *out = *value;
   return true;
+}
+
+int FlagError(const std::string& error) {
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  return 2;
 }
 
 double BenchScaleFromEnv() {
   const char* env = std::getenv("LOCS_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  const double v = std::strtod(env, nullptr);
-  return v > 0.0 ? v : 1.0;
+  const std::optional<double> scale = ParseWhole<double>(env);
+  if (scale.has_value() && std::isfinite(*scale) && *scale > 0.0) {
+    return *scale;
+  }
+  std::fprintf(stderr,
+               "error: LOCS_BENCH_SCALE must be a positive number, got "
+               "'%s'\n",
+               env);
+  std::exit(2);
 }
 
 }  // namespace locs

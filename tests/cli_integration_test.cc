@@ -319,6 +319,86 @@ TEST(CliIntegrationTest, BatchRejectsBadFlagsNamingThem) {
   EXPECT_NE(out.find("completed"), std::string::npos) << out;
 }
 
+TEST(CliIntegrationTest, EveryCommandRejectsBadFlagsBeforeLoading) {
+  // Every subcommand but compile lists its flags: an unknown flag, a
+  // malformed or negative number, a positional argument and a missing
+  // required flag each exit 2 and name the flag or argument, before any
+  // graph is loaded or generated.
+  const std::string graph_path = TempPath("cli_strict_flags.metis");
+  ASSERT_EQ(RunCli("generate --model=gnp --n=60 --p=0.2 --seed=4 "
+                   "--output=" +
+                   graph_path)
+                .first,
+            0);
+  const std::string in = " --input=" + graph_path;
+  const std::string out_path = TempPath("cli_strict_flags_out.metis");
+  const std::string out = " --output=" + out_path;
+  const std::pair<std::string, std::string> cases[] = {
+      {"cst" + in + " --vertx=12 --k=2", "--vertx"},
+      {"cst" + in + " --vertex=7 --k=abc", "--k"},
+      {"cst" + in + " --vertex=7 --k=-3", "--k"},
+      {"cst" + in + " --vertex=7 --k=2 extra", "'extra'"},
+      {"cst" + in + " --k=2", "--vertex"},
+      {"cst" + in + " --vertex=7", "--k"},
+      {"cst" + in + " --vertex=7 --k=2 --k=3", "--k"},
+      {"cst" + in + " --vertex=7 --k=2 --global=1", "--global"},
+      {"csm" + in + " --vertex=7 --frobnicate", "--frobnicate"},
+      {"csm" + in + " --vertex=7 --work-budget=-1", "--work-budget"},
+      {"csm" + in + " --vertex=seven", "--vertex"},
+      {"csm" + in + " --vertex=7 --limit=5x", "--limit"},
+      {"csm" + in + " --vertex=7 --query-deadline-ms=-1",
+       "--query-deadline-ms"},
+      {"csm" + in + " --vertex=7 extra", "'extra'"},
+      {"csm" + in, "--vertex"},
+      {"stats" + in + " --top=3", "--top"},
+      {"stats --input=g extra", "'extra'"},
+      {"stats --input", "--input"},
+      {"stats", "--input"},
+      {"decompose" + in + " --frobnicate", "--frobnicate"},
+      {"decompose" + in + " --top=x", "--top"},
+      {"decompose" + in + " --top=-1", "--top"},
+      {"decompose" + in + " extra", "'extra'"},
+      {"decompose --top=3", "--input"},
+      {"convert" + in + out + " --frobnicate", "--frobnicate"},
+      {"convert" + in + out + " extra", "'extra'"},
+      {"convert" + out, "--input"},
+      {"generate" + out + " --frobnicate", "--frobnicate"},
+      {"generate" + out + " --n=-1", "--n"},
+      {"generate" + out + " --seed=1.5", "--seed"},
+      {"generate" + out + " --mu=abc", "--mu"},
+      {"generate" + out + " extra", "'extra'"},
+      // Out of range for the generator, which would abort on them.
+      {"generate" + out + " --min-degree=50 --max-degree=10",
+       "--min-degree"},
+      {"generate" + out + " --mu=1.5", "--mu"},
+      {"generate" + out + " --model=gnp --p=-1", "--p"},
+      {"generate" + out + " --model=ba --n=10 --m=20", "--n"},
+      {"client --port=1 --frobnicate", "--frobnicate"},
+      {"client --port=1 --retries=x", "--retries"},
+      {"client --port=-1", "--port"},
+      {"client --port=1 extra", "'extra'"},
+      {"client --retries=1", "--port"},
+  };
+  for (const auto& [args, named] : cases) {
+    std::remove(out_path.c_str());
+    const auto [code, output] = RunCliMergedStderr(args + " </dev/null");
+    EXPECT_EQ(code, 2) << args << ": " << output;
+    EXPECT_NE(output.find(named), std::string::npos) << args << ": "
+                                                     << output;
+    EXPECT_EQ(output.find("loaded"), std::string::npos) << args << ": "
+                                                        << output;
+    EXPECT_FALSE(std::ifstream(out_path).good()) << args;
+  }
+  // A missing --output keeps its exit 1, and still loads nothing.
+  for (const std::string& args :
+       {std::string("generate --n=100"), "convert" + in}) {
+    const auto [code, output] = RunCliMergedStderr(args);
+    EXPECT_EQ(code, 1) << args << ": " << output;
+    EXPECT_NE(output.find("--output"), std::string::npos) << output;
+    EXPECT_EQ(output.find("loaded"), std::string::npos) << output;
+  }
+}
+
 TEST(CliIntegrationTest, UnknownCommandHasDistinctExitAndStderr) {
   // Unknown subcommands are a user error distinct from the generic
   // usage failure: named on stderr, exit code 64.

@@ -261,10 +261,12 @@ TEST(LocsdIntegrationTest, UsageAndBadFlagsFailCleanly) {
       RunShell(std::string(LOCSD_PATH) + " --frobnicate 2>/dev/null").first,
       0);
   // With a valid mode, each bad flag alone must still fail: exit 2 with
-  // the flag named on stderr, and no session served.
+  // the flag named on stderr, and no session served. So must a
+  // positional argument and a repeated flag.
   for (const std::string flag :
        {"--frobnicate", "--max-queue=8", "--max-sessions-per-peer=2",
-        "--max-sessions=-1", "--max-inflight=abc"}) {
+        "--max-sessions=-1", "--max-inflight=abc", "extra",
+        "--max-inflight=2 --max-inflight=3"}) {
     const auto [code, out] =
         RunShell("printf 'PING\\n' | " + std::string(LOCSD_PATH) +
                  " --stdio " + flag + " 2>&1");

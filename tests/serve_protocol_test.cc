@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -140,6 +141,25 @@ TEST(WireParseTest, BadOptionsAreTyped) {
        {"CST g 7 3 deadline_ms=", "CST g 7 3 deadline_ms=soon",
         "CST g 7 3 budget=big", "CST g 7 3 budget=-5",
         "CST g 7 3 frobnicate=1", "CSM g 7 limit=ten", "CSM g 7 =5"}) {
+    EXPECT_EQ(Parse(line).error, WireError::kBadOption) << line;
+  }
+}
+
+TEST(WireParseTest, NumericOptionEdgesArePinned) {
+  // The exact set of edge tokens each option takes: an unbounded
+  // deadline and γ → −∞ parse; a negative, NaN or overflowing deadline,
+  // a NaN γ and a signed budget do not.
+  const ParseResult deadline = Parse("CST g 7 3 deadline_ms=inf");
+  ASSERT_TRUE(deadline.ok());
+  EXPECT_TRUE(std::isinf(deadline.request.limits.deadline_ms));
+  const ParseResult gamma = Parse("CSM g 7 gamma=-inf");
+  ASSERT_TRUE(gamma.ok());
+  EXPECT_TRUE(std::isinf(gamma.request.gamma));
+  EXPECT_LT(gamma.request.gamma, 0.0);
+  for (const char* line :
+       {"CST g 7 3 deadline_ms=-inf", "CST g 7 3 deadline_ms=nan",
+        "CST g 7 3 deadline_ms=1e400", "CSM g 7 gamma=nan",
+        "CST g 7 3 budget=-1", "CST g 7 3 budget=+5"}) {
     EXPECT_EQ(Parse(line).error, WireError::kBadOption) << line;
   }
 }

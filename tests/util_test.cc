@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -182,17 +186,108 @@ TEST(FormatTest, FormatCount) {
   EXPECT_EQ(FormatCount(1234567), "1,234,567");
 }
 
+/// OnlyKnownFlags' verdict on `args` (argv[0] prepended), "" when it
+/// accepts them, for the flags --count, --name and the switch --flag.
+std::string FlagsError(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  const CommandLine cli(static_cast<int>(argv.size()), argv.data());
+  static constexpr std::string_view kFlags[] = {"count", "name"};
+  static constexpr std::string_view kSwitches[] = {"flag"};
+  std::string error;
+  return cli.OnlyKnownFlags(kFlags, &error, kSwitches) ? "" : error;
+}
+
 TEST(CliTest, ParsesFlags) {
   const char* argv[] = {"prog", "--alpha=2.5", "--name=foo", "--flag",
                         "--count=42"};
   CommandLine cli(5, const_cast<char**>(argv));
+  static constexpr std::string_view kFlags[] = {"alpha", "name", "count",
+                                                "missing"};
+  static constexpr std::string_view kSwitches[] = {"flag"};
+  std::string error;
+  ASSERT_TRUE(cli.OnlyKnownFlags(kFlags, &error, kSwitches)) << error;
   EXPECT_TRUE(cli.Has("alpha"));
   EXPECT_FALSE(cli.Has("beta"));
-  EXPECT_DOUBLE_EQ(cli.GetDouble("alpha", 0.0), 2.5);
+  EXPECT_TRUE(cli.Has("flag"));
   EXPECT_EQ(cli.GetString("name", ""), "foo");
-  EXPECT_TRUE(cli.GetBool("flag", false));
-  EXPECT_EQ(cli.GetInt("count", 0), 42);
-  EXPECT_EQ(cli.GetInt("missing", 7), 7);
+  EXPECT_EQ(cli.GetString("missing", "fallback"), "fallback");
+  double alpha = 0.0;
+  ASSERT_TRUE(ReadFinite(cli, "alpha", &alpha, &error)) << error;
+  EXPECT_DOUBLE_EQ(alpha, 2.5);
+  uint32_t count = 0;
+  ASSERT_TRUE(ReadWhole(cli, "count", &count, &error)) << error;
+  EXPECT_EQ(count, 42u);
+  uint32_t missing = 7;
+  ASSERT_TRUE(ReadWhole(cli, "missing", &missing, &error)) << error;
+  EXPECT_EQ(missing, 7u);
+  // A value past the caller's bound names the flag.
+  EXPECT_FALSE(ReadWhole(cli, "count", &count, &error, uint32_t{41}));
+  EXPECT_NE(error.find("--count"), std::string::npos) << error;
+  EXPECT_EQ(count, 42u);
+}
+
+TEST(CliTest, RejectsMalformedArgumentsNamingThem) {
+  EXPECT_EQ(FlagsError({"--count=1", "--name=x", "--flag"}), "");
+  EXPECT_EQ(FlagsError({"--name="}), "");  // an empty value is a value
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"--count=1", "extra"}, "'extra'"},
+      {{"-count=1"}, "'-count=1'"},
+      {{"--"}, "'--'"},
+      {{"--=5"}, "'--=5'"},
+      {{"--count=1", "--count=2"}, "--count given more than once"},
+      {{"--flag", "--flag"}, "--flag given more than once"},
+      {{"--frobnicate=1"}, "unknown flag --frobnicate"},
+      {{"--flag=true"}, "--flag takes no value"},
+      {{"--flag="}, "--flag takes no value"},
+      {{"--count"}, "--count needs a value"},
+  };
+  for (const auto& [args, expected] : cases) {
+    const std::string error = FlagsError(args);
+    EXPECT_NE(error.find(expected), std::string::npos)
+        << args.front() << ": '" << error << "'";
+  }
+}
+
+TEST(CliTest, ParseWholeTakesOnlyWholeTokens) {
+  EXPECT_EQ(ParseWhole<uint32_t>("42"), 42u);
+  EXPECT_EQ(ParseWhole<uint32_t>("4294967295"), 4294967295u);
+  for (const char* bad : {"", " 1", "1 ", "+5", "-1", "12x", "0x10", "1.5",
+                          "4294967296"}) {
+    EXPECT_FALSE(ParseWhole<uint32_t>(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(ParseWhole<double>("-2.5"), -2.5);
+  EXPECT_EQ(ParseWhole<double>("inf"),
+            std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(*ParseWhole<double>("nan")));
+  for (const char* bad : {"", "+1", "1e400", "2.5ms", " 1"}) {
+    EXPECT_FALSE(ParseWhole<double>(bad).has_value()) << bad;
+  }
+}
+
+TEST(CliTest, NumberReadersCheckTheirRange) {
+  // Whether --x=`text` reads as a finite number (non-negative unless
+  // `allow_negative`); a rejection names the flag.
+  const auto reads = [](std::string text, bool allow_negative) {
+    std::string arg = "--x=" + text;
+    char* argv[] = {arg.data(), arg.data()};
+    const CommandLine cli(2, argv);
+    double value = 0.0;
+    std::string error;
+    const bool ok = ReadFinite(cli, "x", &value, &error, allow_negative);
+    EXPECT_TRUE(ok || error.find("--x") != std::string::npos) << error;
+    return ok;
+  };
+  EXPECT_TRUE(reads("0", false));
+  EXPECT_TRUE(reads("12.5", false));
+  EXPECT_FALSE(reads("-1", false));
+  EXPECT_FALSE(reads("inf", false));
+  EXPECT_FALSE(reads("nan", false));
+  EXPECT_TRUE(reads("-1", true));
+  EXPECT_FALSE(reads("-inf", true));
+  EXPECT_FALSE(reads("nan", true));
+  EXPECT_FALSE(reads("abc", true));
 }
 
 TEST(CliTest, BenchScaleDefault) {
@@ -200,8 +295,14 @@ TEST(CliTest, BenchScaleDefault) {
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);
   setenv("LOCS_BENCH_SCALE", "2.5", 1);
   EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 2.5);
-  setenv("LOCS_BENCH_SCALE", "-1", 1);
-  EXPECT_DOUBLE_EQ(BenchScaleFromEnv(), 1.0);
+  // A malformed or non-positive scale exits 2 naming the variable; it
+  // never falls back to full scale.
+  for (const char* bad : {"-1", "0", "abc", "0.5x", "", "inf"}) {
+    setenv("LOCS_BENCH_SCALE", bad, 1);
+    EXPECT_EXIT(BenchScaleFromEnv(), ::testing::ExitedWithCode(2),
+                "LOCS_BENCH_SCALE")
+        << bad;
+  }
   unsetenv("LOCS_BENCH_SCALE");
 }
 

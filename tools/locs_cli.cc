@@ -12,18 +12,25 @@
 //                                             image (src/store/)
 //   generate --model=lfr|ba|gnp --output=F    synthetic graphs
 //
+// Every subcommand but compile lists its flags (util/cli.h): an unknown,
+// repeated or malformed flag, a value on a switch (--global,
+// --show-results), a positional argument or a missing required flag
+// (--input; --vertex for cst and csm; --k for cst; --port for client)
+// exits 2, naming it, before any graph is loaded or generated.
+//
 // Graph files are auto-detected: a graph image by its magic bytes (any
 // extension), then by extension — .metis / .graph (METIS), anything
 // else is treated as a whitespace edge list. `compile` is the only
 // writer of graph images.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,12 +106,12 @@ int StatusExitCode(Termination status) {
   return 0;
 }
 
-/// Per-query guard limits for cst/csm.
-QueryLimits GuardLimits(const CommandLine& cli) {
-  QueryLimits limits;
-  limits.deadline_ms = cli.GetDouble("query-deadline-ms", 0.0);
-  limits.work_budget = static_cast<uint64_t>(cli.GetInt("work-budget", 0));
-  return limits;
+/// False, with *error naming it, when --name is absent.
+bool Required(const CommandLine& cli, const char* name,
+              std::string* error) {
+  if (cli.Has(name)) return true;
+  *error = "--" + std::string(name) + " is required";
+  return false;
 }
 
 /// Opens --trace=<file> as a JSONL telemetry sink labelled with the
@@ -134,10 +141,8 @@ bool SaveAuto(const Graph& graph, const std::string& path) {
   return SaveEdgeList(graph, path);
 }
 
-/// Prints up to --limit member ids (default 50; 0 = all).
-void PrintMembers(const std::vector<VertexId>& members,
-                  const CommandLine& cli) {
-  const auto limit = static_cast<size_t>(cli.GetInt("limit", 50));
+/// Prints up to `limit` member ids (0 = all).
+void PrintMembers(const std::vector<VertexId>& members, size_t limit) {
   const size_t shown =
       limit == 0 ? members.size() : std::min(limit, members.size());
   for (size_t i = 0; i < shown; ++i) std::printf("%u ", members[i]);
@@ -153,12 +158,12 @@ int Usage() {
       stderr,
       "usage: locs_cli <command> [--flags]\n"
       "  stats     --input=G\n"
-      "  cst       --input=G --vertex=V --k=K [--global]\n"
+      "  cst       --input=G --vertex=V --k=K [--global] [--limit=50]\n"
       "            [--query-deadline-ms=D] [--work-budget=W]\n"
       "            [--trace=F]   per-query JSONL telemetry\n"
-      "  csm       --input=G --vertex=V [--global]\n"
+      "  csm       --input=G --vertex=V [--global] [--limit=50]\n"
       "            [--query-deadline-ms=D] [--work-budget=W] [--trace=F]\n"
-      "  batch     --input=G --mode=cst|csm [--k=K]\n"
+      "  batch     --input=G [--mode=cst|csm] [--k=K]\n"
       "            [--queries-file=F | --sample=N --seed=S]\n"
       "            [--threads=T] [--deadline-ms=D] [--show-results]\n"
       "            [--query-deadline-ms=D] [--work-budget=W] [--trace=F]\n"
@@ -166,34 +171,45 @@ int Usage() {
       "  convert   --input=G --output=F\n"
       "  compile   <input> <image>   precompute + serialize a graph\n"
       "            image for mmap cold loads (also --input= --output=)\n"
-      "  generate  --model=lfr|ba|gnp --n=N --output=F [--seed=S]\n"
-      "            [--mu=0.1 --min-degree --max-degree --min-community\n"
-      "             --max-community] [--m=3] [--p=0.01]\n"
+      "  generate  --output=F [--model=lfr|ba|gnp] [--n=10000] [--seed=S]\n"
+      "            [--mu=0.1 --min-degree=5 --max-degree=100\n"
+      "             --min-community=20 --max-community=200] [--m=3]\n"
+      "            [--p=0.001]\n"
       "  client    --port=P [--retries=N]         scripted TCP session\n"
       "            [--request-deadline-ms=D]      with locsd (N>0:\n"
       "                                            self-healing reconnect\n"
       "                                            + backoff)\n"
-      "exit codes: 0 ok, 2 bad command line, 3 open, 4 parse,\n"
+      "flags in [] are optional; the rest are required\n"
+      "exit codes: 0 ok, 2 bad command line (unknown, repeated or\n"
+      "            malformed flag, missing required flag, positional\n"
+      "            argument), 3 open, 4 parse,\n"
       "            5 truncated, 6 alloc, 10 deadline, 11 work-budget,\n"
       "            12 cancelled, 64 unknown command\n");
   return 2;
 }
 
 int CmdClient(const CommandLine& cli) {
-  const int64_t port = cli.GetInt("port", -1);
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "error: client requires --port=P (1..65535)\n");
-    return 2;
-  }
+  static constexpr std::string_view kFlags[] = {
+      "port", "retries", "request-deadline-ms"};
   serve::RetryClientOptions options;
-  options.port = static_cast<uint16_t>(port);
   // --retries=N grants N extra attempts per request (reconnect, backoff,
   // waiting out BUSY); the default 0 keeps the historical
   // die-on-first-error lockstep semantics scripted tests rely on.
-  options.max_attempts =
-      1 + static_cast<unsigned>(cli.GetInt("retries", 0));
-  options.request_deadline_ms =
-      static_cast<uint64_t>(cli.GetInt("request-deadline-ms", 0));
+  unsigned retries = 0;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "port", &options.port, &error) ||
+      !ReadWhole(cli, "retries", &retries, &error,
+                 std::numeric_limits<unsigned>::max() - 1) ||
+      !ReadWhole(cli, "request-deadline-ms", &options.request_deadline_ms,
+                 &error)) {
+    return FlagError(error);
+  }
+  if (options.port == 0) {
+    std::fprintf(stderr, "error: client requires --port=P (1..65535)\n");
+    return 2;
+  }
+  options.max_attempts = 1 + retries;
   return serve::ClientMain(options);
 }
 
@@ -259,6 +275,10 @@ std::shared_ptr<const Snapshot> RequireSnapshot(const CommandLine& cli,
 }
 
 int CmdStats(const CommandLine& cli) {
+  static constexpr std::string_view kFlags[] = {"input"};
+  if (std::string error; !cli.OnlyKnownFlags(kFlags, &error)) {
+    return FlagError(error);
+  }
   int load_rc = 1;
   const auto graph = RequireGraph(cli, &load_rc);
   if (!graph.has_value()) return load_rc;
@@ -293,39 +313,74 @@ int CmdStats(const CommandLine& cli) {
   return 0;
 }
 
-/// `token` as one whole decimal vertex id below `num_vertices`; nullopt
-/// for anything else (a sign, a stray character, an id >= |V|).
-std::optional<VertexId> ParseVertexId(std::string_view token,
-                                      VertexId num_vertices) {
-  uint64_t v = 0;
-  const char* const end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
-  if (ec != std::errc() || ptr != end || v >= num_vertices) {
-    return std::nullopt;
+/// `cst`'s and `csm`'s flags, read strictly before the graph loads.
+struct QueryFlags {
+  uint64_t vertex = 0;  ///< checked against |V| once the graph is loaded
+  uint32_t k = 0;
+  QueryLimits limits;
+  size_t limit = 50;  ///< member ids printed; 0 = all
+  bool global = false;
+};
+
+/// Reads `cst`'s flags (with_k) or `csm`'s into *flags. False, with
+/// *error naming the flag, for an unknown, malformed or missing one.
+bool ReadQueryFlags(const CommandLine& cli, bool with_k, QueryFlags* flags,
+                    std::string* error) {
+  static constexpr std::string_view kCsmFlags[] = {
+      "input", "vertex", "query-deadline-ms", "work-budget", "limit",
+      "trace"};
+  static constexpr std::string_view kCstFlags[] = {
+      "input", "vertex", "k", "query-deadline-ms", "work-budget", "limit",
+      "trace"};
+  static constexpr std::string_view kSwitches[] = {"global"};
+  const std::span<const std::string_view> known =
+      with_k ? std::span<const std::string_view>(kCstFlags) : kCsmFlags;
+  flags->global = cli.Has("global");
+  return cli.OnlyKnownFlags(known, error, kSwitches) &&
+         Required(cli, "vertex", error) &&
+         (!with_k || Required(cli, "k", error)) &&
+         ReadWhole(cli, "vertex", &flags->vertex, error) &&
+         ReadWhole(cli, "k", &flags->k, error) &&
+         ReadMs(cli, "query-deadline-ms", &flags->limits.deadline_ms,
+                error) &&
+         ReadWhole(cli, "work-budget", &flags->limits.work_budget, error) &&
+         ReadWhole(cli, "limit", &flags->limit, error);
+}
+
+/// Loads --input for cst/csm after checking *flags' vertex against it;
+/// null, with *exit_code set, on failure.
+std::shared_ptr<const Snapshot> RequireQuerySnapshot(const CommandLine& cli,
+                                                     const QueryFlags& flags,
+                                                     int* exit_code) {
+  auto snapshot = RequireSnapshot(cli, exit_code);
+  if (snapshot != nullptr && flags.vertex >= snapshot->graph.NumVertices()) {
+    std::fprintf(stderr, "error: vertex out of range\n");
+    *exit_code = 1;
+    return nullptr;
   }
-  return static_cast<VertexId>(v);
+  return snapshot;
 }
 
 int CmdCst(const CommandLine& cli) {
-  int load_rc = 1;
-  const auto snapshot = RequireSnapshot(cli, &load_rc);
-  if (snapshot == nullptr) return load_rc;
-  const auto v0 = ParseVertexId(cli.GetString("vertex", "0"),
-                                 snapshot->graph.NumVertices());
-  const auto k = static_cast<uint32_t>(cli.GetInt("k", 1));
-  if (!v0.has_value()) {
-    std::fprintf(stderr, "error: vertex out of range\n");
-    return 1;
+  QueryFlags flags;
+  std::string error;
+  if (!ReadQueryFlags(cli, /*with_k=*/true, &flags, &error)) {
+    return FlagError(error);
   }
+  int load_rc = 1;
+  const auto snapshot = RequireQuerySnapshot(cli, flags, &load_rc);
+  if (snapshot == nullptr) return load_rc;
+  const auto v0 = static_cast<VertexId>(flags.vertex);
+  const uint32_t k = flags.k;
   CommunitySearcher searcher(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "cst", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
   WallTimer timer;
-  QueryGuard guard(GuardLimits(cli));
-  const auto result = cli.GetBool("global", false)
-                          ? searcher.CstGlobal(*v0, k, nullptr, &guard)
-                          : searcher.Cst(*v0, k, {}, nullptr, &guard);
+  QueryGuard guard(flags.limits);
+  const auto result = flags.global
+                          ? searcher.CstGlobal(v0, k, nullptr, &guard)
+                          : searcher.Cst(v0, k, {}, nullptr, &guard);
   const double ms = timer.Millis();
   const auto visited =
       static_cast<unsigned long>(result.telemetry.TotalVisited());
@@ -335,48 +390,48 @@ int CmdCst(const CommandLine& cli) {
                 std::string(TerminationName(result.status)).c_str(),
                 result.best_so_far.members.size(),
                 result.best_so_far.min_degree, ms, visited);
-    PrintMembers(result.best_so_far.members, cli);
+    PrintMembers(result.best_so_far.members, flags.limit);
     return StatusExitCode(result.status);
   }
   if (!result.has_value()) {
     std::printf("no community with min degree >= %u contains vertex %u "
                 "(%.2fms, %lu vertices visited)\n",
-                k, *v0, ms, visited);
+                k, v0, ms, visited);
     return 0;
   }
   std::printf("community: %zu members, δ=%u (%.2fms, %lu visited%s)\n",
               result->members.size(), result->min_degree, ms, visited,
               result.telemetry.used_global_fallback ? ", fallback" : "");
-  PrintMembers(result->members, cli);
+  PrintMembers(result->members, flags.limit);
   return 0;
 }
 
 int CmdCsm(const CommandLine& cli) {
-  int load_rc = 1;
-  const auto snapshot = RequireSnapshot(cli, &load_rc);
-  if (snapshot == nullptr) return load_rc;
-  const auto v0 = ParseVertexId(cli.GetString("vertex", "0"),
-                                 snapshot->graph.NumVertices());
-  if (!v0.has_value()) {
-    std::fprintf(stderr, "error: vertex out of range\n");
-    return 1;
+  QueryFlags flags;
+  std::string error;
+  if (!ReadQueryFlags(cli, /*with_k=*/false, &flags, &error)) {
+    return FlagError(error);
   }
+  int load_rc = 1;
+  const auto snapshot = RequireQuerySnapshot(cli, flags, &load_rc);
+  if (snapshot == nullptr) return load_rc;
+  const auto v0 = static_cast<VertexId>(flags.vertex);
   CommunitySearcher searcher(snapshot);
   std::unique_ptr<obs::TraceSink> trace;
   if (const int rc = AttachTrace(cli, "csm", &trace); rc != 0) return rc;
   if (trace != nullptr) searcher.set_recorder(trace.get());
   WallTimer timer;
-  QueryGuard guard(GuardLimits(cli));
-  const auto result = cli.GetBool("global", false)
-                          ? searcher.CsmGlobal(*v0, nullptr, &guard)
-                          : searcher.Csm(*v0, nullptr, &guard);
+  QueryGuard guard(flags.limits);
+  const auto result = flags.global
+                          ? searcher.CsmGlobal(v0, nullptr, &guard)
+                          : searcher.Csm(v0, nullptr, &guard);
   const Community& community = result.Best();
   std::printf("%s community: %zu members, δ=%u (%.2fms, %lu visited)\n",
               result.Interrupted() ? "interrupted; best-so-far" : "best",
               community.members.size(), community.min_degree,
               timer.Millis(),
               static_cast<unsigned long>(result.telemetry.TotalVisited()));
-  PrintMembers(community.members, cli);
+  PrintMembers(community.members, flags.limit);
   return StatusExitCode(result.status);
 }
 
@@ -397,10 +452,10 @@ bool ReadBatchFlags(const CommandLine& cli, BatchFlags* flags,
                     std::string* error) {
   static constexpr std::string_view kFlags[] = {
       "input", "mode", "k", "queries-file", "sample", "seed", "threads",
-      "deadline-ms", "query-deadline-ms", "work-budget", "show-results",
-      "trace"};
+      "deadline-ms", "query-deadline-ms", "work-budget", "trace"};
+  static constexpr std::string_view kSwitches[] = {"show-results"};
   BatchLimits& limits = flags->limits;
-  return OnlyKnownFlags(cli, kFlags, error) &&
+  return cli.OnlyKnownFlags(kFlags, error, kSwitches) &&
          ReadWhole(cli, "k", &flags->k, error) &&
          ReadWhole(cli, "sample", &flags->sample, error) &&
          ReadWhole(cli, "seed", &flags->seed, error) &&
@@ -430,13 +485,13 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
         std::getline(in, token);
         continue;
       }
-      const auto v = ParseVertexId(token, graph.NumVertices());
-      if (!v.has_value()) {
+      const auto v = ParseWhole<uint64_t>(token);
+      if (!v.has_value() || *v >= graph.NumVertices()) {
         std::fprintf(stderr, "error: query vertex %s out of range\n",
                      token.c_str());
         return std::nullopt;
       }
-      queries.push_back(*v);
+      queries.push_back(static_cast<VertexId>(*v));
     }
     return queries;
   }
@@ -453,10 +508,7 @@ std::optional<std::vector<VertexId>> BatchQueries(const CommandLine& cli,
 int CmdBatch(const CommandLine& cli) {
   BatchFlags flags;
   std::string error;
-  if (!ReadBatchFlags(cli, &flags, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  if (!ReadBatchFlags(cli, &flags, &error)) return FlagError(error);
   int load_rc = 1;
   const auto snapshot = RequireSnapshot(cli, &load_rc);
   if (snapshot == nullptr) return load_rc;
@@ -505,7 +557,7 @@ int CmdBatch(const CommandLine& cli) {
   if (stats.deadline_hit) table.Row().Cell("deadline").Cell("hit");
   table.Print();
 
-  if (cli.GetBool("show-results", false)) {
+  if (cli.Has("show-results")) {
     for (size_t i = 0; i < stats.completed; ++i) {
       std::printf("%u %u\n", (*queries)[i],
                   batch.results[i].Best().min_degree);
@@ -520,10 +572,16 @@ int CmdBatch(const CommandLine& cli) {
 }
 
 int CmdDecompose(const CommandLine& cli) {
+  static constexpr std::string_view kFlags[] = {"input", "top"};
+  size_t top = 10;
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "top", &top, &error)) {
+    return FlagError(error);
+  }
   int load_rc = 1;
   const auto graph = RequireGraph(cli, &load_rc);
   if (!graph.has_value()) return load_rc;
-  const auto top = static_cast<size_t>(cli.GetInt("top", 10));
   WallTimer timer;
   const CoreDecomposition cores = ComputeCores(*graph);
   std::printf("core decomposition in %.0fms; degeneracy %u\n",
@@ -543,14 +601,20 @@ int CmdDecompose(const CommandLine& cli) {
 }
 
 int CmdConvert(const CommandLine& cli) {
-  int load_rc = 1;
-  const auto graph = RequireGraph(cli, &load_rc);
-  if (!graph.has_value()) return load_rc;
+  static constexpr std::string_view kFlags[] = {"input", "output"};
+  if (std::string error; !cli.OnlyKnownFlags(kFlags, &error)) {
+    return FlagError(error);
+  }
+  // Checked before the load. A missing --output exits 1, unlike a
+  // missing --input (RequireGraph's exit 2), so --input goes first.
   const std::string output = cli.GetString("output", "");
-  if (output.empty()) {
+  if (output.empty() && !cli.GetString("input", "").empty()) {
     std::fprintf(stderr, "error: --output is required\n");
     return 1;
   }
+  int load_rc = 1;
+  const auto graph = RequireGraph(cli, &load_rc);
+  if (!graph.has_value()) return load_rc;
   if (!SaveAuto(*graph, output)) {
     std::fprintf(stderr, "error: could not write '%s'\n", output.c_str());
     return 1;
@@ -637,35 +701,70 @@ int CmdCompile(int argc, char** argv) {
   return 0;
 }
 
+/// The first of `generate`'s flags out of range for `model`, as an error
+/// naming it; empty when all fit. The generators abort on these.
+std::string GenerateRangeError(const std::string& model, VertexId n,
+                               const gen::LfrParams& lfr, uint32_t m,
+                               double p) {
+  if (model == "lfr") {
+    if (n == 0) return "--n must be at least 1";
+    if (lfr.mu < 0.0 || lfr.mu > 1.0) return "--mu must be in [0, 1]";
+    if (lfr.min_degree == 0) return "--min-degree must be at least 1";
+    if (lfr.min_degree > lfr.max_degree) {
+      return "--min-degree must not exceed --max-degree";
+    }
+    if (lfr.min_community == 0) return "--min-community must be at least 1";
+    if (lfr.min_community > lfr.max_community) {
+      return "--min-community must not exceed --max-community";
+    }
+  } else if (model == "ba") {
+    if (m == 0) return "--m must be at least 1";
+    if (n <= m) return "--n must exceed --m";
+  } else if (model == "gnp") {
+    if (p < 0.0 || p > 1.0) return "--p must be in [0, 1]";
+  }
+  return "";
+}
+
 int CmdGenerate(const CommandLine& cli) {
+  static constexpr std::string_view kFlags[] = {
+      "model", "output", "n", "seed", "mu", "min-degree", "max-degree",
+      "min-community", "max-community", "m", "p"};
+  VertexId n = 10000;
+  uint64_t seed = 1;
+  gen::LfrParams lfr;  // its defaults are the flags' defaults
+  uint32_t m = 3;
+  double p = 0.001;
   const std::string model = cli.GetString("model", "lfr");
+  std::string error;
+  if (!cli.OnlyKnownFlags(kFlags, &error) ||
+      !ReadWhole(cli, "n", &n, &error) ||
+      !ReadWhole(cli, "seed", &seed, &error) ||
+      !ReadFinite(cli, "mu", &lfr.mu, &error) ||
+      !ReadWhole(cli, "min-degree", &lfr.min_degree, &error) ||
+      !ReadWhole(cli, "max-degree", &lfr.max_degree, &error) ||
+      !ReadWhole(cli, "min-community", &lfr.min_community, &error) ||
+      !ReadWhole(cli, "max-community", &lfr.max_community, &error) ||
+      !ReadWhole(cli, "m", &m, &error) || !ReadFinite(cli, "p", &p, &error)) {
+    return FlagError(error);
+  }
+  if (error = GenerateRangeError(model, n, lfr, m, p); !error.empty()) {
+    return FlagError(error);
+  }
   const std::string output = cli.GetString("output", "");
   if (output.empty()) {
     std::fprintf(stderr, "error: --output is required\n");
     return 1;
   }
-  const auto n = static_cast<VertexId>(cli.GetInt("n", 10000));
-  const auto seed = static_cast<uint64_t>(cli.GetInt("seed", 1));
   Graph graph;
   if (model == "lfr") {
-    gen::LfrParams params;
-    params.n = n;
-    params.seed = seed;
-    params.mu = cli.GetDouble("mu", 0.1);
-    params.min_degree =
-        static_cast<uint32_t>(cli.GetInt("min-degree", 5));
-    params.max_degree =
-        static_cast<uint32_t>(cli.GetInt("max-degree", 100));
-    params.min_community =
-        static_cast<uint32_t>(cli.GetInt("min-community", 20));
-    params.max_community =
-        static_cast<uint32_t>(cli.GetInt("max-community", 200));
-    graph = gen::Lfr(params).graph;
+    lfr.n = n;
+    lfr.seed = seed;
+    graph = gen::Lfr(lfr).graph;
   } else if (model == "ba") {
-    graph = gen::BarabasiAlbert(
-        n, static_cast<uint32_t>(cli.GetInt("m", 3)), seed);
+    graph = gen::BarabasiAlbert(n, m, seed);
   } else if (model == "gnp") {
-    graph = gen::ErdosRenyiGnp(n, cli.GetDouble("p", 0.001), seed);
+    graph = gen::ErdosRenyiGnp(n, p, seed);
   } else {
     std::fprintf(stderr, "error: unknown model '%s'\n", model.c_str());
     return 1;

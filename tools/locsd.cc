@@ -6,7 +6,8 @@
 // are concurrent, up to --max-sessions (one more connection gets BUSY
 // and is closed). Per-query deadlines/budgets bound each request, and
 // at most --max-inflight run at once while the rest wait for a slot.
-// An unknown flag or a malformed value exits 2. SIGTERM/SIGINT drain
+// An unknown, repeated or malformed flag, a value on --stdio or any
+// positional argument exits 2, naming it. SIGTERM/SIGINT drain
 // gracefully: in-flight requests finish, a final STATS line goes to
 // stderr.
 //
