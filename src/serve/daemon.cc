@@ -1,3 +1,7 @@
+// locsd's serve main, flag parsing and scripted client. Both serving
+// modes drain through one signal hook: SIGTERM/SIGINT call
+// CommunityServer::Stop() on the server that is running.
+
 #include "serve/daemon.h"
 
 #include <arpa/inet.h>
@@ -19,20 +23,15 @@ namespace locs::serve {
 
 namespace {
 
-// Signal-handler rendezvous. std::atomic pointer stores/loads are
-// lock-free for pointers on every supported platform, and the handler
-// body is one load plus either a self-pipe write (TCP) or a relaxed
-// flag store (stdio) — all async-signal-safe.
-std::atomic<TcpServer*> g_signal_tcp{nullptr};
-std::atomic<CommunityServer*> g_signal_stdio{nullptr};
+// The one signal hook: the server that is serving, in either mode. The
+// handler is a lock-free atomic load plus CommunityServer::Stop(), which
+// is async-signal-safe.
+std::atomic<CommunityServer*> g_signal_server{nullptr};
 
 void OnTerminate(int) {
-  if (TcpServer* tcp = g_signal_tcp.load(std::memory_order_relaxed)) {
-    tcp->StopFromSignal();
-  }
   if (CommunityServer* server =
-          g_signal_stdio.load(std::memory_order_relaxed)) {
-    server->RequestStop();
+          g_signal_server.load(std::memory_order_relaxed)) {
+    server->Stop();
   }
 }
 
@@ -130,36 +129,29 @@ const char* DaemonFlagHelp() {
 }
 
 int DaemonMain(const DaemonOptions& options) {
-  CommunityServer shared(options.server);
+  CommunityServer server(options.server);
   std::string error;
-  if (!shared.Preload(&error)) {
+  if (!server.Preload(&error)) {
     std::fprintf(stderr, "locsd: %s\n", error.c_str());
     return 1;
   }
-
-  if (options.stdio) {
-    g_signal_stdio.store(&shared, std::memory_order_relaxed);
-    InstallDrainHandlers();
-    shared.RunStdioSession();
-    g_signal_stdio.store(nullptr, std::memory_order_relaxed);
-    std::fprintf(stderr, "locsd: session ended; final %s\n",
-                 shared.FinalStatsLine().c_str());
-    return 0;
-  }
-
-  TcpServer tcp(shared, options.server);
-  if (!tcp.Start(&error)) {
+  if (!options.stdio && !server.Start(&error)) {
     std::fprintf(stderr, "locsd: %s\n", error.c_str());
     return 1;
   }
-  g_signal_tcp.store(&tcp, std::memory_order_relaxed);
+  g_signal_server.store(&server, std::memory_order_relaxed);
   InstallDrainHandlers();
-  std::fprintf(stderr, "locsd: listening on 127.0.0.1:%u\n",
-               unsigned{tcp.port()});
-  tcp.Run();
-  g_signal_tcp.store(nullptr, std::memory_order_relaxed);
-  std::fprintf(stderr, "locsd: drained; final %s\n",
-               shared.FinalStatsLine().c_str());
+  if (options.stdio) {
+    server.RunStdioSession();
+  } else {
+    std::fprintf(stderr, "locsd: listening on 127.0.0.1:%u\n",
+                 unsigned{server.port()});
+    server.Run();
+  }
+  g_signal_server.store(nullptr, std::memory_order_relaxed);
+  std::fprintf(stderr, "locsd: %s; final %s\n",
+               options.stdio ? "session ended" : "drained",
+               server.FinalStatsLine().c_str());
   return 0;
 }
 

@@ -1,7 +1,8 @@
 // Daemon entry points: flag parsing into ServerOptions and the blocking
-// serve main (stdio or TCP with signal-driven graceful drain) for the
-// locsd binary, and the line-lockstep client behind `locs_cli client`
-// for scripted TCP sessions.
+// serve main (stdio or TCP; SIGTERM/SIGINT drain through one signal hook
+// that calls CommunityServer::Stop()) for the locsd binary, and the
+// line-lockstep client behind `locs_cli client` for scripted TCP
+// sessions.
 
 #ifndef LOCS_SERVE_DAEMON_H_
 #define LOCS_SERVE_DAEMON_H_
@@ -29,9 +30,10 @@ bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
 /// One line per flag, for usage text.
 const char* DaemonFlagHelp();
 
-/// Runs the server until EOF/QUIT (stdio) or SIGTERM/SIGINT (TCP).
-/// Blocks; returns a process exit code. Installs signal handlers for the
-/// graceful drain and flushes a final STATS line to stderr on exit.
+/// Runs the server until EOF/QUIT (stdio) or SIGTERM/SIGINT (either
+/// mode). Blocks; returns a process exit code. Installs one signal
+/// handler that starts the graceful drain, and flushes a final STATS line
+/// to stderr on exit.
 int DaemonMain(const DaemonOptions& options);
 
 /// Scripted TCP client: forwards stdin lines to the daemon in lockstep

@@ -38,9 +38,9 @@ struct MetricsSnapshot {
   uint64_t idle_reaped = 0;  ///< sessions ended by the idle timeout
   /// Query conservation ledger (CST/CSM/MULTI only). Every attempted
   /// query reaches exactly one terminal: attempted = completed + failed.
-  /// Counted entirely inside the session dispatch path so the identity
-  /// is exact, not eventually-consistent — the chaos soak asserts it
-  /// after every run.
+  /// Counted entirely inside the session's request loop, once the reply
+  /// is written or lost, so the identity is exact, not
+  /// eventually-consistent — the chaos soak asserts it after every run.
   uint64_t q_attempted = 0;
   uint64_t q_completed = 0;  ///< OK reply delivered (incl. cache hits)
   uint64_t q_failed = 0;     ///< ERR reply (or reply write failed)

@@ -6,12 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "serve/transport.h"
@@ -38,7 +38,17 @@ CommunityServer::CommunityServer(const ServerOptions& options)
     : options_(options),
       registry_(options.max_graphs),
       admission_(options.max_inflight),
-      cache_(options.cache_entries) {}
+      cache_(options.cache_entries) {
+  if (::pipe(wake_pipe_) != 0) {
+    throw std::system_error(errno, std::generic_category(), "wake pipe");
+  }
+}
+
+CommunityServer::~CommunityServer() {
+  for (const int fd : {listen_fd_, wake_pipe_[0], wake_pipe_[1]}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
 
 bool CommunityServer::Preload(std::string* error) {
   for (const auto& [name, path] : options_.preload) {
@@ -56,29 +66,23 @@ bool CommunityServer::Preload(std::string* error) {
   return true;
 }
 
-SessionOptions CommunityServer::MakeSessionOptions() {
-  SessionOptions session = options_.session;
-  session.stop = &stop_;
-  session.cache = options_.cache_entries != 0 ? &cache_ : nullptr;
-  return session;
-}
-
-FdTransportOptions CommunityServer::MakeTransportOptions() {
-  FdTransportOptions transport;
-  transport.io_timeout_ms = options_.io_timeout_ms;
-  transport.idle_timeout_ms = options_.idle_timeout_ms;
-  transport.stop = &stop_;
-  return transport;
+void CommunityServer::RunSession(int read_fd, int write_fd) {
+  FdTransportOptions transport_options;
+  transport_options.io_timeout_ms = options_.io_timeout_ms;
+  transport_options.idle_timeout_ms = options_.idle_timeout_ms;
+  transport_options.wake_fd = wake_pipe_[0];
+  FdTransport transport(read_fd, write_fd, transport_options);
+  SessionOptions session_options = options_.session;
+  session_options.stop = &stop_;
+  session_options.cache = options_.cache_entries != 0 ? &cache_ : nullptr;
+  Session session(transport, registry_, admission_, metrics_,
+                  session_options);
+  session.Run();
 }
 
 int CommunityServer::RunStdioSession() {
   IgnoreSigpipe();
-  // The stop-observing transport makes SIGTERM prompt even while the
-  // session is parked in a blocked read on a silent peer.
-  FdTransport transport(STDIN_FILENO, STDOUT_FILENO, MakeTransportOptions());
-  Session session(transport, registry_, admission_, metrics_,
-                  MakeSessionOptions());
-  session.Run();
+  RunSession(STDIN_FILENO, STDOUT_FILENO);
   return 0;
 }
 
@@ -89,17 +93,7 @@ std::string CommunityServer::FinalStatsLine() {
                                              registry_.size());
 }
 
-TcpServer::TcpServer(CommunityServer& shared, const ServerOptions& options)
-    : shared_(shared), options_(options) {}
-
-TcpServer::~TcpServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (const int fd : stop_pipe_) {
-    if (fd >= 0) ::close(fd);
-  }
-}
-
-bool TcpServer::Start(std::string* error) {
+bool CommunityServer::Start(std::string* error) {
   IgnoreSigpipe();
   const auto fail = [&](const char* what) {
     if (error != nullptr) {
@@ -107,7 +101,6 @@ bool TcpServer::Start(std::string* error) {
     }
     return false;
   };
-  if (::pipe(stop_pipe_) != 0) return fail("pipe");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
@@ -135,11 +128,11 @@ bool TcpServer::Start(std::string* error) {
   return true;
 }
 
-void TcpServer::Run() {
+void CommunityServer::Run() {
   while (true) {
     pollfd fds[2];
     fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
+    fds[1] = {wake_pipe_[0], POLLIN, 0};
     const int ready = ::poll(fds, 2, -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -147,7 +140,10 @@ void TcpServer::Run() {
     }
     if ((fds[1].revents & POLLIN) != 0) break;  // Stop() requested
     if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // Non-blocking, so a reply write the peer does not take parks in
+    // the transport's poll, where the drain reaches it, and never
+    // inside write(2).
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) continue;  // transient (EINTR, peer reset in backlog)
 
     bool admitted = false;
@@ -155,7 +151,6 @@ void TcpServer::Run() {
       MutexLock lock(mutex_);
       if (active_sessions_ < options_.max_sessions) {
         ++active_sessions_;
-        session_fds_.push_back(fd);
         admitted = true;
       }
     }
@@ -175,13 +170,12 @@ void TcpServer::Run() {
         }).detach();
       } catch (...) {  // no thread to serve it: answer BUSY below
         MutexLock lock(mutex_);
-        EraseSessionFd(fd);
         --active_sessions_;
         admitted = false;
       }
     }
     if (!admitted) {
-      shared_.metrics().CountRejected();
+      metrics_.CountRejected();
       FdTransport transport(fd, fd);
       transport.WriteLine("BUSY sessions=" +
                           std::to_string(options_.max_sessions));
@@ -189,49 +183,43 @@ void TcpServer::Run() {
     }
   }
 
-  // Drain: refuse new queries, unblock parked session reads, and wait
-  // for every session to finish the request it is executing.
-  shared_.RequestStop();
+  // Drain (Stop() again covers a loop that ended on a poll error): the
+  // wake fd has ended every session wait on a silent peer, so wait for
+  // the sessions still finishing a request.
+  Stop();
   {
     MutexLock lock(mutex_);
-    for (const int fd : session_fds_) ::shutdown(fd, SHUT_RD);
     while (active_sessions_ != 0) drained_cv_.Wait(lock);
   }
   ::close(listen_fd_);
   listen_fd_ = -1;
 }
 
-void TcpServer::Stop() { StopFromSignal(); }
-
-void TcpServer::StopFromSignal() {
-  // One byte on the self-pipe; write(2) is async-signal-safe and the
-  // accept loop treats any readable byte as the stop order.
+void CommunityServer::Stop() {
+  // A lock-free exchange and one write(2), both async-signal-safe. Only
+  // the first call writes, and nothing reads the byte, so the pipe never
+  // fills and its read end stays readable for every later poll.
+  if (stop_.exchange(true)) return;
   const char byte = 's';
-  [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
+  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
-unsigned TcpServer::active_sessions() const {
+unsigned CommunityServer::active_sessions() const {
   MutexLock lock(mutex_);
   return active_sessions_;
 }
 
-void TcpServer::EraseSessionFd(int fd) {
-  session_fds_.erase(
-      std::find(session_fds_.begin(), session_fds_.end(), fd));
-}
-
-void TcpServer::HandleConnection(int fd) {
+void CommunityServer::HandleConnection(int fd) {
   // Releases the slot and the fd however the session ends: an exception
   // out of the session must not leak them, or the drain in Run() would
   // wait forever. Declared first, so it runs after the session and its
   // transport are gone.
   struct Release {
-    TcpServer* server;
+    CommunityServer* server;
     int fd;
     ~Release() {
       {
         MutexLock lock(server->mutex_);
-        server->EraseSessionFd(fd);
         --server->active_sessions_;
         // Notify while still holding the lock: once the drain loop in
         // Run() can observe active_sessions_ == 0 the server (and this
@@ -245,10 +233,7 @@ void TcpServer::HandleConnection(int fd) {
   if (LOCS_FAILPOINT("serve.session_thread.throw")) {
     throw std::runtime_error("injected session-thread fault");
   }
-  FdTransport transport(fd, fd, shared_.MakeTransportOptions());
-  Session session(transport, shared_.registry(), shared_.admission(),
-                  shared_.metrics(), shared_.MakeSessionOptions());
-  session.Run();
+  RunSession(fd, fd);
 }
 
 }  // namespace locs::serve

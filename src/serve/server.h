@@ -1,16 +1,22 @@
-// locsd server core — shared state, stdio mode, and the TCP front end.
+// locsd server core — shared state and both deployment modes.
 //
-// CommunityServer bundles the state every session shares (GraphRegistry,
-// AdmissionController, ServerMetrics, drain flag) and runs the stdio
-// deployment mode: one session over fds 0/1, the mode tests and piped
-// scripts use. TcpServer adds the loopback socket front end: an accept
-// loop on the caller's thread, one Session per connection on its own
-// detached thread, a session-count cap (which bounds the session threads
-// and the admission queue too) with immediate `BUSY` + close beyond it,
-// and graceful drain — Stop() (or the async-signal-safe StopFromSignal)
-// wakes the accept loop through a self-pipe, new work is refused,
-// blocked session reads are unblocked via shutdown(2), and Run() returns
-// once the last session has finished its current request.
+// CommunityServer owns the state every session shares (GraphRegistry,
+// AdmissionController, ServerMetrics, ResultCache), the drain flag and
+// its wake fd, and runs either deployment mode. RunStdioSession() serves
+// one session over fds 0/1, the mode tests and piped scripts use.
+// Start() + Run() is the loopback socket front end: an accept loop on
+// the caller's thread, one Session per connection on its own detached
+// thread, and a session-count cap (which bounds the session threads and
+// the admission queue too) with immediate `BUSY` + close beyond it.
+//
+// Drain has one signal. Stop(), safe from any thread and from a signal
+// handler, raises the drain flag and, on its first call only, writes one
+// byte to a self-pipe that nothing ever reads. The accept loop and every
+// session transport poll the pipe's read end beside their own fd (see
+// FdTransportOptions::wake_fd), so a session parked on a silent peer
+// ends at once, while a reply the peer can take is still written. A
+// session between requests answers `ERR shutting-down` to a new query
+// and exits; Run() returns once the last session has ended.
 //
 // The TCP listener binds 127.0.0.1 only: locsd is a backend component;
 // exposure beyond the host belongs to a fronting proxy, not this layer.
@@ -28,7 +34,6 @@
 #include "serve/metrics.h"
 #include "serve/registry.h"
 #include "serve/session.h"
-#include "serve/transport.h"
 #include "util/thread_annotations.h"
 
 namespace locs::serve {
@@ -51,7 +56,7 @@ struct ServerOptions {
   /// FdTransportOptions for exact semantics.
   uint64_t io_timeout_ms = 0;
   uint64_t idle_timeout_ms = 0;
-  /// TCP port; 0 picks an ephemeral port (see TcpServer::port()).
+  /// TCP port; 0 picks an ephemeral port (see CommunityServer::port()).
   uint16_t port = 0;
   /// When set, the chosen port is written here after listen() — the
   /// rendezvous used by scripted TCP smoke tests.
@@ -60,10 +65,13 @@ struct ServerOptions {
   std::vector<std::pair<std::string, std::string>> preload;
 };
 
-/// Shared server state plus the stdio deployment mode.
+/// Shared server state, the stdio mode and the TCP front end; see the
+/// file comment.
 class CommunityServer {
  public:
+  /// Throws std::system_error when the wake pipe cannot be created.
   explicit CommunityServer(const ServerOptions& options);
+  ~CommunityServer();
 
   CommunityServer(const CommunityServer&) = delete;
   CommunityServer& operator=(const CommunityServer&) = delete;
@@ -77,42 +85,9 @@ class CommunityServer {
   /// first failure.
   bool Preload(std::string* error);
 
-  /// Runs one session over stdin/stdout until EOF or QUIT. Returns 0.
+  /// Runs one session over stdin/stdout until EOF, QUIT or drain.
+  /// Returns 0.
   int RunStdioSession();
-
-  /// Raises the drain flag: sessions exit after their current request
-  /// and new queries get `ERR shutting-down`.
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
-  bool stopping() const { return stop_.load(std::memory_order_relaxed); }
-
-  /// Session policy with the drain flag and result cache threaded in.
-  SessionOptions MakeSessionOptions();
-
-  /// Transport deadlines with the drain flag threaded in: every blocked
-  /// read/write observes the stop flag, so drain reclaims sessions
-  /// parked on silent peers promptly.
-  FdTransportOptions MakeTransportOptions();
-
-  /// The final STATS line for the shutdown flush.
-  std::string FinalStatsLine();
-
- private:
-  const ServerOptions options_;
-  GraphRegistry registry_;
-  AdmissionController admission_;
-  ServerMetrics metrics_;
-  ResultCache cache_;
-  std::atomic<bool> stop_{false};
-};
-
-/// TCP loopback front end; see the file comment.
-class TcpServer {
- public:
-  TcpServer(CommunityServer& shared, const ServerOptions& options);
-  ~TcpServer();
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
 
   /// Binds and listens on 127.0.0.1. False with `*error` set on failure.
   bool Start(std::string* error);
@@ -120,33 +95,40 @@ class TcpServer {
   /// The bound port (after Start; resolves port 0 to the kernel choice).
   uint16_t port() const { return port_; }
 
-  /// Accept loop; returns after Stop() once every session has drained.
+  /// Accept loop; returns after Stop() once every session has ended.
   void Run();
 
-  /// Graceful shutdown from any thread.
+  /// Starts the drain: sessions parked on silent peers end, the others
+  /// end after their current request, and new queries get
+  /// `ERR shutting-down`. Async-signal-safe; later calls do nothing.
   void Stop();
-
-  /// Async-signal-safe shutdown trigger (one write(2) on the self-pipe);
-  /// safe to call from a SIGTERM/SIGINT handler.
-  void StopFromSignal();
 
   unsigned active_sessions() const LOCS_EXCLUDES(mutex_);
 
+  /// The final STATS line for the shutdown flush.
+  std::string FinalStatsLine();
+
  private:
+  /// Runs one session over the fd pair with the server's transport
+  /// deadlines, wake fd, drain flag and result cache.
+  void RunSession(int read_fd, int write_fd);
+
   /// Session thread body: serves `fd` until the session ends, then
   /// releases its slot and closes the fd, whatever the session threw.
   void HandleConnection(int fd);
-  void EraseSessionFd(int fd) LOCS_REQUIRES(mutex_);
 
-  CommunityServer& shared_;
   const ServerOptions options_;
+  GraphRegistry registry_;
+  AdmissionController admission_;
+  ServerMetrics metrics_;
+  ResultCache cache_;
+  std::atomic<bool> stop_{false};
+  int wake_pipe_[2] = {-1, -1};  ///< [0] polled by every wait; [1] Stop()
   int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
   uint16_t port_ = 0;
 
   mutable Mutex mutex_;
   CondVar drained_cv_;
-  std::vector<int> session_fds_ LOCS_GUARDED_BY(mutex_);
   unsigned active_sessions_ LOCS_GUARDED_BY(mutex_) = 0;
 };
 

@@ -17,6 +17,11 @@ namespace locs::serve {
 
 namespace {
 
+/// The verbs the query ledger counts.
+bool IsQuery(Verb verb) {
+  return verb == Verb::kCst || verb == Verb::kCsm || verb == Verb::kMulti;
+}
+
 void AppendKv(std::string* out, const char* key, uint64_t value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), " %s=%" PRIu64, key, value);
@@ -135,10 +140,25 @@ void Session::Run() {
       }
       continue;
     }
-    metrics_.CountRequest(parsed.request.verb);
+    const Verb verb = parsed.request.verb;
+    metrics_.CountRequest(verb);
+    // Conservation ledger: every attempted query reaches exactly one of
+    // {completed, failed}, counted once its reply is written or lost.
+    // All ledger updates live in this single-threaded loop, so the
+    // identity is exact.
+    const bool is_query = IsQuery(verb);
+    if (is_query) metrics_.CountQueryAttempted();
     bool quit = false;
     const std::string reply = Dispatch(parsed.request, &quit);
-    if (!transport_.WriteLine(reply)) {
+    const bool written = transport_.WriteLine(reply);
+    if (is_query) {
+      if (written && reply.compare(0, 2, "OK") == 0) {
+        metrics_.CountQueryCompleted();
+      } else {
+        metrics_.CountQueryFailed();
+      }
+    }
+    if (!written) {
       if (transport_.WriteTimedOut()) metrics_.CountIoTimeout();
       return;
     }
@@ -164,14 +184,8 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
     case Verb::kCst:
     case Verb::kCsm:
     case Verb::kMulti: {
-      // Conservation ledger: every attempted query reaches exactly one
-      // of {completed, failed}. All ledger updates live in this
-      // single-threaded dispatch path, so the identity is exact.
-      const bool is_query =
-          request.verb != Verb::kLoad && request.verb != Verb::kLoadImg;
-      if (is_query) metrics_.CountQueryAttempted();
+      const bool is_query = IsQuery(request.verb);
       if (Stopping()) {
-        if (is_query) metrics_.CountQueryFailed();
         metrics_.CountError(WireError::kShuttingDown);
         return FormatError(WireError::kShuttingDown, "server draining");
       }
@@ -188,7 +202,6 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
                                      &reply)) {
             metrics_.CountCacheHit();
             metrics_.RecordLatencyUs(static_cast<uint64_t>(timer.Micros()));
-            metrics_.CountQueryCompleted();
             return reply;
           }
           metrics_.CountCacheMiss();
@@ -221,13 +234,6 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
         const size_t evicted = options_.cache->Insert(cache_key, reply);
         metrics_.CountCacheInsert();
         metrics_.CountCacheEvictions(evicted);
-      }
-      if (is_query) {
-        if (reply.compare(0, 2, "OK") == 0) {
-          metrics_.CountQueryCompleted();
-        } else {
-          metrics_.CountQueryFailed();
-        }
       }
       return reply;
     }

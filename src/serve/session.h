@@ -9,8 +9,9 @@
 //
 // The session never terminates on malformed input — every parse or
 // execution failure is a typed `ERR` reply and the loop continues. It
-// ends on EOF, QUIT, an unrecoverable transport error, or when the
-// server's stop flag is raised between requests (graceful drain).
+// ends on EOF, QUIT, an unrecoverable transport error, or at drain: a
+// wait on a silent peer ends through the transport's wake fd, and a
+// request answered after the server's stop flag is raised is the last.
 
 #ifndef LOCS_SERVE_SESSION_H_
 #define LOCS_SERVE_SESSION_H_

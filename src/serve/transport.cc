@@ -17,12 +17,6 @@ namespace {
 
 constexpr size_t kReadChunk = 4096;
 
-/// Upper bound on one poll() when a stop flag is set: a signal landing
-/// between the stop check and the poll syscall is only delayed by one
-/// tick, not forever (poll is also EINTR-exempt from SA_RESTART, so in
-/// practice the wakeup is immediate and the tick is just the backstop).
-constexpr int kStopTickMs = 200;
-
 /// Injected read-side stall length for serve.transport.read_delay —
 /// long enough to straddle the small io-timeouts chaos runs configure,
 /// short enough not to dominate a soak.
@@ -48,10 +42,6 @@ void SleepMs(uint64_t ms) {
 FdTransport::WaitResult FdTransport::Wait(int fd, short events,
                                           uint64_t deadline_ms) const {
   while (true) {
-    if (options_.stop != nullptr &&
-        options_.stop->load(std::memory_order_relaxed)) {
-      return WaitResult::kStop;
-    }
     int timeout = -1;
     if (deadline_ms != 0) {
       const uint64_t now = NowMs();
@@ -59,19 +49,20 @@ FdTransport::WaitResult FdTransport::Wait(int fd, short events,
       timeout = static_cast<int>(
           std::min<uint64_t>(deadline_ms - now, INT_MAX));
     }
-    if (options_.stop != nullptr) {
-      timeout = timeout < 0 ? kStopTickMs : std::min(timeout, kStopTickMs);
-    }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, timeout);
-    // Readiness includes POLLHUP/POLLERR: the subsequent read()/write()
-    // surfaces the actual EOF or errno, which the caller already handles.
-    if (rc > 0) return WaitResult::kReady;
+    // poll() skips a negative fd, so without a wake fd this is a
+    // one-fd wait.
+    struct pollfd pfds[2];
+    pfds[0] = {fd, events, 0};
+    pfds[1] = {options_.wake_fd, POLLIN, 0};
+    const int rc = ::poll(pfds, 2, timeout);
     if (rc < 0 && errno != EINTR) return WaitResult::kError;
-    // rc == 0 (tick expired) or EINTR: loop re-checks stop and deadline.
+    // The session's fd first: a reply the peer can take is written and
+    // a request it sent is read, drain or not. Readiness includes
+    // POLLHUP/POLLERR: the read()/write() that follows surfaces the EOF
+    // or errno, which the caller already handles.
+    if (rc > 0 && pfds[0].revents != 0) return WaitResult::kReady;
+    if (rc > 0 && pfds[1].revents != 0) return WaitResult::kStop;
+    // rc == 0 (deadline reached) or EINTR: loop re-checks the deadline.
   }
 }
 
@@ -224,7 +215,8 @@ bool FdTransport::WriteLine(std::string_view reply) {
     const ssize_t n =
         ::write(write_fd_, framed.data() + written, framed.size() - written);
     if (n < 0) {
-      if (errno == EINTR) continue;
+      // EAGAIN: a non-blocking socket filled up; wait for room again.
+      if (errno == EINTR || (guarded && errno == EAGAIN)) continue;
       return false;
     }
     written += static_cast<size_t>(n);

@@ -3,7 +3,9 @@
 // The session layer speaks lines; the transport turns POSIX file
 // descriptors into lines. One implementation covers both deployment
 // modes: FdTransport(0, 1) is the stdio transport (tests, pipes, inetd-
-// style supervision), FdTransport(fd, fd) wraps an accepted TCP socket.
+// style supervision), FdTransport(fd, fd) wraps an accepted TCP socket,
+// which the server makes non-blocking so that a guarded write waits for
+// room in poll, never inside write(2).
 //
 // Overlong lines are a protocol error, not a buffering hazard: once a
 // line passes kMaxLineBytes the reader discards bytes until the next
@@ -23,15 +25,20 @@
 //     resets.
 //   - idle_timeout_ms bounds the quiet gap between requests, so an
 //     abandoned-but-open connection cannot pin a session slot forever.
-//   - stop, when non-null, is observed during every wait (poll wakes on
-//     EINTR and ticks at a bounded interval as a signal-race backstop),
-//     so a daemon draining on SIGTERM reclaims sessions blocked on
-//     silent peers promptly instead of waiting for them to speak.
+//   - wake_fd, when set, is polled beside the session's fd in every
+//     wait. The server makes it readable once, when it starts to drain,
+//     and never drains it, so no wait can miss it. The session's own fd
+//     wins: while the peer can take a reply or has sent bytes, the wait
+//     reports ready, so an admitted query's reply is still written and
+//     a request already sent is still read. Only a wait the peer leaves
+//     unready ends at drain, so a daemon draining on SIGTERM reclaims
+//     sessions parked on silent peers, on the read side or the write
+//     side, without waiting for them. (A peer that never stops sending
+//     is bounded by io_timeout_ms, not by the drain.)
 
 #ifndef LOCS_SERVE_TRANSPORT_H_
 #define LOCS_SERVE_TRANSPORT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -44,7 +51,7 @@ class Transport {
  public:
   enum class ReadStatus : uint8_t {
     kLine,         ///< *line holds the next request (newline stripped)
-    kEof,          ///< orderly end of stream (or stop observed mid-wait)
+    kEof,          ///< orderly end of stream (or drain on a silent peer)
     kTooLong,      ///< line exceeded kMaxLineBytes; discarded to newline
     kError,        ///< unrecoverable read failure (errno-level)
     kTimeout,      ///< peer stalled mid-request past io_timeout_ms
@@ -65,11 +72,11 @@ class Transport {
   virtual bool WriteTimedOut() const { return false; }
 };
 
-/// Deadline policy for FdTransport. Zeros + null stop = fully blocking.
+/// Deadline policy for FdTransport. Zeros + no wake fd = fully blocking.
 struct FdTransportOptions {
   uint64_t io_timeout_ms = 0;    ///< mid-request / write stall cap; 0 = none
   uint64_t idle_timeout_ms = 0;  ///< between-requests cap; 0 = none
-  const std::atomic<bool>* stop = nullptr;  ///< drain flag observed in waits
+  int wake_fd = -1;  ///< readable once the server drains; -1 = none
 };
 
 /// Transport over a POSIX read/write fd pair. Does not own the fds: the
@@ -90,13 +97,14 @@ class FdTransport final : public Transport {
   enum class WaitResult : uint8_t { kReady, kTimeout, kStop, kError };
 
   /// Polls `fd` for `events` until ready, `deadline_ms` (absolute
-  /// monotonic; 0 = unbounded) expires, stop is raised, or a hard error.
+  /// monotonic; 0 = unbounded) expires, the wake fd turns readable while
+  /// `fd` is not ready, or a hard error.
   WaitResult Wait(int fd, short events, uint64_t deadline_ms) const;
 
   /// True when any guard is configured and waits must go through poll.
   bool Guarded() const {
     return options_.io_timeout_ms != 0 || options_.idle_timeout_ms != 0 ||
-           options_.stop != nullptr;
+           options_.wake_fd >= 0;
   }
 
   /// Refills buffer_; returns bytes read (0 = EOF, -1 = error).

@@ -384,10 +384,9 @@ TEST(LocsdIntegrationTest, TcpSessionCapSaysBusy) {
 TEST(LocsdIntegrationTest, StdioSigtermDuringBlockedReadExitsPromptly) {
   // Regression: locsd --stdio parked in a blocking read on a silent,
   // still-open stdin used to sit in read(2) until the peer spoke, so
-  // SIGTERM never finished the drain. The stop flag is now observed
-  // inside the transport's poll loop (EINTR wake + bounded tick), so
-  // termination must complete promptly with exit 0 while stdin is still
-  // open and silent.
+  // SIGTERM never finished the drain. The transport now polls the
+  // server's wake fd beside stdin, so termination must complete
+  // promptly with exit 0 while stdin is still open and silent.
   int stdin_pipe[2];
   ASSERT_EQ(::pipe(stdin_pipe), 0);
   const pid_t pid = ::fork();
@@ -409,8 +408,8 @@ TEST(LocsdIntegrationTest, StdioSigtermDuringBlockedReadExitsPromptly) {
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   int status = 0;
   pid_t reaped = 0;
-  // 3s budget: one transport stop tick is 200ms, so a healthy daemon
-  // exits orders of magnitude inside this.
+  // 3s budget: the wake is immediate, so a healthy daemon exits orders
+  // of magnitude inside this.
   for (int i = 0; i < 150; ++i) {
     reaped = ::waitpid(pid, &status, WNOHANG);
     if (reaped != 0) break;
@@ -424,6 +423,83 @@ TEST(LocsdIntegrationTest, StdioSigtermDuringBlockedReadExitsPromptly) {
   }
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/// Reads `fd` until EOF.
+std::string ReadAll(int fd) {
+  std::string text;
+  char buffer[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
+    text.append(buffer, static_cast<size_t>(n));
+  }
+  return text;
+}
+
+/// Reads `fd` up to and including the first newline.
+std::string ReadLine(int fd) {
+  std::string line;
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    line += c;
+    if (c == '\n') break;
+  }
+  return line;
+}
+
+TEST(LocsdIntegrationTest, StdioSigtermDeliversInFlightReply) {
+  // SIGTERM lands while an admitted query sleeps in serve.slow_query
+  // (200 ms): the drain must still write its reply, and the final STATS
+  // line must count it completed. stdin stays open throughout.
+  int stdin_pipe[2];
+  int stdout_pipe[2];
+  int stderr_pipe[2];
+  ASSERT_EQ(::pipe(stdin_pipe), 0);
+  ASSERT_EQ(::pipe(stdout_pipe), 0);
+  ASSERT_EQ(::pipe(stderr_pipe), 0);
+  const std::string preload = "--preload=g=" + GraphPath();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(stdin_pipe[0], STDIN_FILENO);
+    ::dup2(stdout_pipe[1], STDOUT_FILENO);
+    ::dup2(stderr_pipe[1], STDERR_FILENO);
+    for (const int fd : {stdin_pipe[0], stdin_pipe[1], stdout_pipe[0],
+                         stdout_pipe[1], stderr_pipe[0], stderr_pipe[1]}) {
+      ::close(fd);
+    }
+    ::setenv("LOCS_FAILPOINT", "serve.slow_query", 1);
+    ::execl(LOCSD_PATH, LOCSD_PATH, "--stdio", preload.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(stdin_pipe[0]);
+  ::close(stdout_pipe[1]);
+  ::close(stderr_pipe[1]);
+  // A PING round trip proves the session runs before the query is sent.
+  const std::string ping = "PING\n";
+  ASSERT_EQ(::write(stdin_pipe[1], ping.data(), ping.size()),
+            static_cast<ssize_t>(ping.size()));
+  EXPECT_EQ(ReadLine(stdout_pipe[0]), "OK pong\n");
+  const std::string query = "CST g 7 3 limit=5\n";
+  ASSERT_EQ(::write(stdin_pipe[1], query.data(), query.size()),
+            static_cast<ssize_t>(query.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(70));
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  const std::string out = ReadAll(stdout_pipe[0]);
+  const std::string err = ReadAll(stderr_pipe[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ::close(stdin_pipe[1]);
+  ::close(stdout_pipe[0]);
+  ::close(stderr_pipe[0]);
+  EXPECT_TRUE(StartsWith(out, "OK status=found")) << out;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  const std::vector<std::string> err_lines = SplitLines(err);
+  ASSERT_FALSE(err_lines.empty());
+  EXPECT_EQ(Field(err_lines.back(), "q_completed"), "1") << err;
+  EXPECT_EQ(Field(err_lines.back(), "q_failed"), "0") << err;
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Fault-injection coverage of the hardened serving path: every
 // LOCS_FAILPOINT site on the request/reply path (transport read/write,
 // registry load, cache insert, solver dispatch), the transport lifecycle
-// guards (io-timeout on a stalled request, idle reaper, stop-flag wakeup
-// from a silent peer), the reply-size cap, the query conservation
-// ledger, and the RetryClient failure discipline. Each test asserts the
-// session terminates cleanly AND that metrics record the right terminal
-// cause — a fault must degrade to a typed ERR or a counted close, never
-// a hang or a crash.
+// guards (io-timeout on a stalled request, idle reaper, wake-fd drain of
+// a session parked on a silent peer), the reply-size cap, the query
+// conservation ledger, and the RetryClient failure discipline. Each test
+// asserts the session terminates cleanly AND that metrics record the
+// right terminal cause — a fault must degrade to a typed ERR or a counted
+// close, never a hang or a crash.
 
 #include <gtest/gtest.h>
 
@@ -198,6 +198,23 @@ TEST(ServeChaosTest, WriteErrorEndsSessionWithoutReply) {
   EXPECT_EQ(fix.metrics.Snapshot().sessions_closed, 1u);
 }
 
+TEST(ServeChaosTest, WriteErrorOnQueryCountsFailed) {
+  // The ledger counts a query once its reply is written: a reply the
+  // peer never got is a failed query, not a completed one.
+  ChaosFixture fix;
+  fix.Register("bb", gen::Barbell(6, 2));
+  std::vector<std::string> replies;
+  {
+    ScopedFailpoint drop("serve.transport.write_error");
+    replies = fix.Run({"CST bb 0 5"}, "write_error_query");
+  }
+  EXPECT_TRUE(replies.empty());
+  const MetricsSnapshot snap = fix.metrics.Snapshot();
+  EXPECT_EQ(snap.q_attempted, 1u);
+  EXPECT_EQ(snap.q_failed, 1u);
+  EXPECT_EQ(snap.q_completed, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Transport failpoints: read-side faults.
 
@@ -248,7 +265,7 @@ TEST(ServeChaosTest, DelayedReadStraddlingIoTimeoutClosesWithTypedError) {
 }
 
 // ---------------------------------------------------------------------
-// Lifecycle guards without failpoints: idle reaper and stop flag.
+// Lifecycle guards without failpoints: idle reaper and drain wake fd.
 
 TEST(ServeChaosTest, IdleReaperClosesQuietSession) {
   ChaosFixture fix;
@@ -269,20 +286,25 @@ TEST(ServeChaosTest, IdleReaperClosesQuietSession) {
 
 TEST(ServeChaosTest, StopFlagUnblocksSessionParkedOnSilentPeer) {
   // The SIGTERM-drain scenario at unit scale: a session blocked reading
-  // a peer that never speaks must notice the stop flag promptly (poll
-  // tick), not wait for input. No timeout is configured, so without the
-  // stop observation this read would block forever.
+  // a peer that never speaks must end as soon as the drain makes the
+  // wake fd readable, not wait for input. No timeout is configured, so
+  // without the wake fd this read would block forever.
   ChaosFixture fix;
   std::atomic<bool> stop{false};
+  int wake[2];
+  ASSERT_EQ(::pipe(wake), 0);
   FdTransportOptions guards;
-  guards.stop = &stop;
+  guards.wake_fd = wake[0];
   fix.options.stop = &stop;
   const auto result = fix.RunLive("stop", guards, [&](int) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     stop.store(true, std::memory_order_relaxed);
+    EXPECT_EQ(::write(wake[1], "s", 1), 1);
   });
+  ::close(wake[0]);
+  ::close(wake[1]);
   EXPECT_TRUE(ReadReplies(result.out_path).empty());
-  // One stop tick (200ms) is the worst case; 3s means the fix is broken.
+  // The wake is immediate; 3s means the fix is broken.
   EXPECT_LT(result.session_ms, 3000u);
   const MetricsSnapshot snap = fix.metrics.Snapshot();
   EXPECT_EQ(snap.sessions_closed, 1u);
@@ -502,8 +524,7 @@ TEST(ServeChaosTest, RetryClientOpensBreakerOnDeadPort) {
 
 TEST(ServeChaosTest, RetryClientServesThenReportsFailureAfterServerStop) {
   ServerOptions options;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -534,8 +555,7 @@ TEST(ServeChaosTest, RetryClientServesThenReportsFailureAfterServerStop) {
 TEST(ServeChaosTest, RetryClientRidesOutTheSessionCap) {
   ServerOptions options;
   options.max_sessions = 1;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -572,11 +592,11 @@ TEST(ServeChaosTest, RetryClientRidesOutTheSessionCap) {
   // Release the session only once the cap has turned the client away.
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (shared.metrics().Snapshot().rejected == 0 &&
+  while (server.metrics().Snapshot().rejected == 0 &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(shared.metrics().Snapshot().rejected, 1u);
+  EXPECT_GE(server.metrics().Snapshot().rejected, 1u);
   ASSERT_TRUE(held.WriteLine("QUIT"));
   ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
   EXPECT_EQ(line, "OK bye");

@@ -2,17 +2,19 @@
 // fd transports, the graph registry, admission control (a deterministic
 // wait for a slot via the serve.slow_query failpoint), graceful drain,
 // metrics consistency, and concurrent sessions through the real
-// TcpServer.
+// CommunityServer TCP front end.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -563,7 +565,7 @@ struct TcpClient {
 
   explicit TcpClient(uint16_t port)
       : fd(ConnectLoopback(port)),
-        transport(fd, fd, FdTransportOptions{10000, 10000, nullptr}) {}
+        transport(fd, fd, FdTransportOptions{10000, 10000}) {}
   ~TcpClient() {
     if (fd >= 0) ::close(fd);
   }
@@ -579,20 +581,18 @@ struct TcpClient {
 /// Serves one Clique(4) named "g" over TCP for the saturation tests.
 struct SaturationServer {
   ServerOptions options;
-  std::unique_ptr<CommunityServer> shared;
-  std::unique_ptr<TcpServer> server;
+  std::unique_ptr<CommunityServer> server;
   std::thread accept_thread;
 
   SaturationServer(unsigned max_sessions, unsigned max_inflight) {
     options.max_sessions = max_sessions;
     options.max_inflight = max_inflight;
-    shared = std::make_unique<CommunityServer>(options);
+    server = std::make_unique<CommunityServer>(options);
     const std::string path = TempPath("serve_saturation.metis");
     EXPECT_TRUE(SaveMetis(gen::Clique(4), path));
     IoError io_error;
     bool full = false;
-    EXPECT_NE(shared->registry().Load("g", path, &io_error, &full), nullptr);
-    server = std::make_unique<TcpServer>(*shared, options);
+    EXPECT_NE(server->registry().Load("g", path, &io_error, &full), nullptr);
     std::string error;
     EXPECT_TRUE(server->Start(&error)) << error;
     accept_thread = std::thread([this] { server->Run(); });
@@ -633,7 +633,7 @@ TEST(ServeSessionTest, SaturationYieldsBusyNotBlocking) {
   EXPECT_TRUE(StartsWith(holder.Reply(), "OK status=found"));
   EXPECT_TRUE(holder.transport.WriteLine("QUIT"));
   EXPECT_EQ(holder.Reply(), "OK bye");
-  const MetricsSnapshot snap = fix.shared->metrics().Snapshot();
+  const MetricsSnapshot snap = fix.server->metrics().Snapshot();
   EXPECT_EQ(snap.rejected, 1u);
   EXPECT_EQ(snap.q_attempted, 1u);
   EXPECT_EQ(snap.q_completed, 1u);
@@ -646,7 +646,7 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
   // away with BUSY.
   SaturationServer fix(/*max_sessions=*/2, /*max_inflight=*/1);
   failpoint::ScopedFailpoint slow("serve.slow_query");
-  AdmissionController& admission = fix.shared->admission();
+  AdmissionController& admission = fix.server->admission();
 
   TcpClient holder(fix.server->port());
   ASSERT_GE(holder.fd, 0);
@@ -668,7 +668,7 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
     EXPECT_TRUE(client->transport.WriteLine("QUIT"));
     EXPECT_EQ(client->Reply(), "OK bye");
   }
-  const MetricsSnapshot snap = fix.shared->metrics().Snapshot();
+  const MetricsSnapshot snap = fix.server->metrics().Snapshot();
   EXPECT_EQ(snap.rejected, 1u);
   EXPECT_EQ(snap.q_completed, 2u);
   EXPECT_EQ(snap.q_attempted, snap.q_completed + snap.q_failed);
@@ -677,14 +677,13 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
 TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
   ServerOptions options;
   options.max_sessions = 4;
-  CommunityServer shared(options);
+  CommunityServer server(options);
   const std::string path = TempPath("serve_tcp.metis");
   ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), path));
   IoError io_error;
   bool full = false;
-  ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);
+  ASSERT_NE(server.registry().Load("g", path, &io_error, &full), nullptr);
 
-  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   ASSERT_NE(server.port(), 0);
@@ -715,7 +714,7 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
     EXPECT_EQ(session_replies[3], "OK bye");
   }
   // Every session is accounted for and fully closed after drain.
-  const MetricsSnapshot snap = shared.metrics().Snapshot();
+  const MetricsSnapshot snap = server.metrics().Snapshot();
   EXPECT_EQ(snap.sessions_opened, static_cast<uint64_t>(kClients));
   EXPECT_EQ(snap.sessions_closed, static_cast<uint64_t>(kClients));
   EXPECT_EQ(server.active_sessions(), 0u);
@@ -724,14 +723,13 @@ TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {
 TEST(TcpServerTest, FailedBindReleasesTheSessionSlot) {
   ServerOptions options;
   options.max_sessions = 1;
-  CommunityServer shared(options);
+  CommunityServer server(options);
   const std::string path = TempPath("serve_bind.metis");
   ASSERT_TRUE(SaveMetis(gen::Barbell(6, 2), path));
   IoError io_error;
   bool full = false;
-  ASSERT_NE(shared.registry().Load("g", path, &io_error, &full), nullptr);
+  ASSERT_NE(server.registry().Load("g", path, &io_error, &full), nullptr);
 
-  TcpServer server(shared, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -760,8 +758,7 @@ TEST(TcpServerTest, FailedBindReleasesTheSessionSlot) {
 TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   ServerOptions options;
   options.max_sessions = 1;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -792,16 +789,15 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   EXPECT_EQ(line, "OK bye");
   server.Stop();
   accept_thread.join();
-  EXPECT_GE(shared.metrics().Snapshot().rejected, 1u);
+  EXPECT_GE(server.metrics().Snapshot().rejected, 1u);
   ::close(fd);
 }
 
 TEST(TcpServerTest, StopUnblocksIdleSessions) {
   // A session parked in a blocking read must not hang the drain: Stop()
-  // shuts the socket down and Run() returns.
+  // wakes its wait and Run() returns.
   ServerOptions options;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -832,8 +828,7 @@ TEST(TcpServerTest, EveryAdmittedSessionIsServed) {
   // stay open and idle, and only a fourth connection is refused.
   ServerOptions options;
   options.max_sessions = 3;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -868,8 +863,7 @@ TEST(TcpServerTest, ThrowingSessionThreadFreesItsSlot) {
   // connection closes, its slot comes back, and the next one is served.
   ServerOptions options;
   options.max_sessions = 1;
-  CommunityServer shared(options);
-  TcpServer server(shared, options);
+  CommunityServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   std::thread accept_thread([&] { server.Run(); });
@@ -893,7 +887,94 @@ TEST(TcpServerTest, ThrowingSessionThreadFreesItsSlot) {
   EXPECT_EQ(server.active_sessions(), 0u);
   // The throw came before any Session existed: only the served
   // connection opened one.
-  EXPECT_EQ(shared.metrics().Snapshot().sessions_opened, 1u);
+  EXPECT_EQ(server.metrics().Snapshot().sessions_opened, 1u);
+}
+
+TEST(TcpServerTest, InFlightReplySurvivesDrain) {
+  // A drain must deliver the reply of a query it has already admitted:
+  // the peer is there to take it, and the ledger counts it completed.
+  SaturationServer fix(/*max_sessions=*/1, /*max_inflight=*/1);
+  failpoint::ScopedFailpoint slow("serve.slow_query");
+
+  TcpClient client(fix.server->port());
+  ASSERT_GE(client.fd, 0);
+  ASSERT_TRUE(client.transport.WriteLine("CST g 0 2"));
+  ASSERT_TRUE(WaitFor(
+      [&] { return fix.server->admission().Snapshot().inflight == 1; }));
+  fix.server->Stop();
+
+  const std::string reply = client.Reply();
+  EXPECT_TRUE(StartsWith(reply, "OK status=found")) << reply;
+  std::string line;
+  EXPECT_EQ(client.transport.ReadLine(&line), Transport::ReadStatus::kEof);
+  // The server closes the fd only after the session has ended.
+  const MetricsSnapshot snap = fix.server->metrics().Snapshot();
+  EXPECT_EQ(snap.q_attempted, 1u);
+  EXPECT_EQ(snap.q_completed, 1u);
+  EXPECT_EQ(snap.q_failed, 0u);
+}
+
+/// Serves `graph` as "g" to a peer that pipelines `CSM g 0 limit=0` and
+/// never reads, until its session is parked in a reply write behind
+/// full socket buffers. No io timeout is set, so only the drain can end
+/// that write, and it must: Stop() + Run() within 3 s, no session left.
+void ExpectStopEndsSessionBlockedOnUnreadReplies(const Graph& graph) {
+  ServerOptions options;
+  CommunityServer server(options);
+  const std::string path = TempPath("serve_unread.metis");
+  ASSERT_TRUE(SaveMetis(graph, path));
+  IoError io_error;
+  bool full = false;
+  ASSERT_NE(server.registry().Load("g", path, &io_error, &full), nullptr);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::thread accept_thread([&] { server.Run(); });
+
+  const int fd = ConnectLoopback(server.port());
+  EXPECT_GE(fd, 0);
+  EXPECT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  std::string requests;
+  for (int i = 0; i < 1024; ++i) requests += "CSM g 0 limit=0\n";
+  // Write until the connection stays jammed for 500 ms: the server has
+  // stopped reading because its reply write cannot proceed.
+  size_t sent = 0;
+  bool jammed = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (fd >= 0 && !jammed && std::chrono::steady_clock::now() < give_up) {
+    const ssize_t n = ::write(fd, requests.data(), requests.size());
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (errno != EAGAIN) break;
+    pollfd pfd{fd, POLLOUT, 0};
+    jammed = ::poll(&pfd, 1, 500) == 0;
+  }
+  EXPECT_TRUE(jammed) << "sent " << sent << " bytes without filling";
+  EXPECT_EQ(server.active_sessions(), 1u);
+
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  accept_thread.join();
+  const auto stop_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_LT(stop_ms, 3000);
+  EXPECT_EQ(server.active_sessions(), 0u);
+  if (fd >= 0) ::close(fd);
+}
+
+TEST(TcpServerTest, StopEndsSessionBlockedOnUnreadReplies) {
+  // Replies of a few hundred bytes: the session waits for room in poll.
+  ExpectStopEndsSessionBlockedOnUnreadReplies(gen::Clique(64));
+}
+
+TEST(TcpServerTest, StopEndsSessionBlockedMidReply) {
+  // Replies of about 2.6 MB (CSM on a 400k-cycle lists every vertex):
+  // more than the socket buffer has room for, so on a blocking socket
+  // the write would park inside write(2), out of the drain's reach.
+  ExpectStopEndsSessionBlockedOnUnreadReplies(gen::Cycle(400000));
 }
 
 }  // namespace
