@@ -12,18 +12,19 @@
 // go to stdout as a table and to BENCH_serve.json via the standard
 // reporting schema.
 //
-// A bind row comes first: what a session pays to bind a graph, i.e. the
-// wall time and resident-set growth of constructing one
-// CommunitySearcher over the livejournal-sim stand-in.
+// A first-query row comes first: what a new session's first CST costs on
+// the livejournal-sim stand-in, on a CommunitySearcher built for it (what
+// every session paid while each bound its own) against one leased idle
+// from the GraphRegistry (what a session pays once an earlier query has
+// warmed the entry), in wall time and minor page faults.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "common/datasets.h"
 #include "common/reporting.h"
 #include "core/searcher.h"
-#include "core/snapshot.h"
 #include "graph/io.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -70,44 +70,78 @@ size_t QueriesPerSession() {
   return static_cast<size_t>(2000.0 * BenchScaleFromEnv());
 }
 
-constexpr int kBinds = 20;
+constexpr int kFirstQueries = 20;
 
-/// Resident set of this process in MB (/proc/self/statm).
-double ResidentMb() {
-  std::ifstream statm("/proc/self/statm");
-  uint64_t total_pages = 0;
-  uint64_t resident_pages = 0;
-  statm >> total_pages >> resident_pages;
-  return static_cast<double>(resident_pages) *
-         static_cast<double>(::sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+/// Minor page faults of this process so far.
+uint64_t MinorFaults() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
 }
 
-struct BindPoint {
+struct FirstQueryPoint {
   uint32_t vertices = 0;
-  double wall_ms = 0.0;  // median construction time
-  double rss_mb = 0.0;   // median RSS while bound, over the pre-bind RSS
+  uint32_t k = 0;
+  double fresh_ms = 0.0;      // median: build a searcher, run the CST
+  double leased_ms = 0.0;     // median: lease an idle one, run the CST
+  double fresh_faults = 0.0;  // mean minor faults over the same spans
+  double leased_faults = 0.0;
 };
 
-/// Binds kBinds searchers one after another over one snapshot. Each lives
-/// until its RSS sample and is destroyed before the next bind. The RSS
-/// baseline is taken once, before the first bind, so scratch an allocator
-/// keeps after a searcher is gone still counts against the next one.
-BindPoint MeasureBind() {
-  const auto snapshot = std::make_shared<const Snapshot>(
-      Snapshot::Build(LoadStandIn("livejournal-sim").graph));
-  BindPoint point;
-  point.vertices = snapshot->graph.NumVertices();
-  std::vector<double> wall_ms;
-  std::vector<double> rss_mb;
-  const double baseline_mb = ResidentMb();
-  for (int i = 0; i < kBinds; ++i) {
-    WallTimer timer;
-    auto searcher = std::make_unique<CommunitySearcher>(snapshot);
-    wall_ms.push_back(timer.Millis());
-    rss_mb.push_back(ResidentMb() - baseline_mb);
+/// Runs kFirstQueries CSTs at k = max(1, δ*/10) from k-core vertices,
+/// each twice: once on a searcher built for it (destroyed untimed after,
+/// as a session's was at close) and once on a searcher leased idle from
+/// the registry entry, which one warm-up query parked there.
+FirstQueryPoint MeasureFirstQuery() {
+  const std::string name = "livejournal-sim";
+  LoadStandIn(name);  // writes the cached image when it is missing
+  serve::GraphRegistry registry(1);
+  IoError io_error;
+  bool full = false;
+  const auto entry =
+      registry.Load(name, StandInCachePath(name), &io_error, &full);
+  if (entry == nullptr) {
+    std::fprintf(stderr, "registry load failed: %s\n",
+                 io_error.message.c_str());
+    std::exit(1);
   }
-  point.wall_ms = Summarize(wall_ms).median;
-  point.rss_mb = Summarize(rss_mb).median;
+  FirstQueryPoint point;
+  point.vertices = entry->graph.NumVertices();
+  point.k = std::max<uint32_t>(1, entry->index.Degeneracy() / 10);
+  std::vector<VertexId> sources;
+  uint64_t state = 0x5eed;
+  while (sources.size() < static_cast<size_t>(kFirstQueries)) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto v = static_cast<VertexId>((state >> 33) % point.vertices);
+    if (entry->index.CoreNumber(v) >= point.k) sources.push_back(v);
+  }
+  bool refused = false;
+  registry.LeaseSearcher(name, &refused).searcher().Cst(sources[0], point.k);
+
+  std::vector<double> fresh_ms;
+  std::vector<double> leased_ms;
+  uint64_t fresh_faults = 0;
+  uint64_t leased_faults = 0;
+  for (const VertexId v : sources) {
+    {
+      const uint64_t faults = MinorFaults();
+      WallTimer timer;
+      CommunitySearcher searcher(entry);
+      searcher.Cst(v, point.k);
+      fresh_ms.push_back(timer.Millis());
+      fresh_faults += MinorFaults() - faults;
+    }
+    const uint64_t faults = MinorFaults();
+    WallTimer timer;
+    serve::GraphRegistry::Lease lease = registry.LeaseSearcher(name, &refused);
+    lease.searcher().Cst(v, point.k);
+    leased_ms.push_back(timer.Millis());
+    leased_faults += MinorFaults() - faults;
+  }
+  point.fresh_ms = Summarize(fresh_ms).median;
+  point.leased_ms = Summarize(leased_ms).median;
+  point.fresh_faults = static_cast<double>(fresh_faults) / kFirstQueries;
+  point.leased_faults = static_cast<double>(leased_faults) / kFirstQueries;
   return point;
 }
 
@@ -348,23 +382,26 @@ int Main() {
       "qps grows with sessions until cores saturate; p95 stays bounded");
 
   JsonReport report("serve_stdio_closed_loop");
-  const BindPoint bind = MeasureBind();
-  std::printf("bind: CommunitySearcher over livejournal-sim (%u vertices), "
-              "median of %d\n",
-              bind.vertices, kBinds);
-  TableWriter bind_table({"vertices", "bind ms", "rss MB"});
-  bind_table.Row()
-      .Num(uint64_t{bind.vertices})
-      .Num(bind.wall_ms, 3)
-      .Num(bind.rss_mb, 2);
-  bind_table.Print();
+  const FirstQueryPoint first = MeasureFirstQuery();
+  std::printf("first query of a session: CST(%u) over livejournal-sim "
+              "(%u vertices), %d queries\n",
+              first.k, first.vertices, kFirstQueries);
+  TableWriter first_table({"searcher", "median ms", "minor faults"});
+  first_table.Row().Cell("fresh").Num(first.fresh_ms, 3).Num(
+      first.fresh_faults, 1);
+  first_table.Row().Cell("leased").Num(first.leased_ms, 3).Num(
+      first.leased_faults, 1);
+  first_table.Print();
   std::printf("\n");
   report.AddRow()
-      .Str("row", "bind")
-      .Num("vertices", bind.vertices)
-      .Num("binds", kBinds)
-      .Num("bind_ms", bind.wall_ms)
-      .Num("rss_mb", bind.rss_mb);
+      .Str("row", "first_query")
+      .Num("vertices", first.vertices)
+      .Num("k", first.k)
+      .Num("queries", kFirstQueries)
+      .Num("fresh_ms", first.fresh_ms)
+      .Num("leased_ms", first.leased_ms)
+      .Num("fresh_minor_faults", first.fresh_faults)
+      .Num("leased_minor_faults", first.leased_faults);
 
   const uint32_t n = MicroServeGraph().NumVertices();
   const std::string path = CachePath(kCacheTag);

@@ -110,6 +110,10 @@ const std::vector<std::string>& StandInNames() {
   return names;
 }
 
+std::string StandInCachePath(const std::string& name) {
+  return CachePath(name + ScaleTag());
+}
+
 Dataset LoadStandIn(const std::string& name) {
   const Recipe& recipe = FindRecipe(name);
   const double scale = BenchScaleFromEnv();
@@ -127,7 +131,7 @@ Dataset LoadStandIn(const std::string& name) {
 
   Dataset dataset;
   dataset.name = name;
-  dataset.graph = LoadOrGenerate(CachePath(name + ScaleTag()), params);
+  dataset.graph = LoadOrGenerate(StandInCachePath(name), params);
   return dataset;
 }
 

@@ -34,6 +34,10 @@ const std::vector<std::string>& StandInNames();
 /// Loads (from the on-disk cache) or generates the named stand-in.
 Dataset LoadStandIn(const std::string& name);
 
+/// The cache's graph image of the named stand-in at the current scale,
+/// which LoadStandIn writes.
+std::string StandInCachePath(const std::string& name);
+
 /// All four stand-ins.
 std::vector<Dataset> LoadAllStandIns();
 

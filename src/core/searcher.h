@@ -12,9 +12,10 @@
 // the maximal answer. The index's core forest names that component, its
 // size and its δ without a traversal; one BFS from the first seed then
 // lists its members, and stops once a member limit's worth are queued.
-// It is the one type that does this binding; a
-// locsd session binds a registry entry the same way. Exposes the local
-// and global CST/CSM entry points.
+// It is the one type that does this binding; locsd's
+// GraphRegistry keeps idle searchers over each entry and leases one to
+// each query (serve/registry.h). Exposes the local and global CST/CSM
+// entry points.
 //
 // Typical use:
 //   CommunitySearcher searcher(std::move(graph));   // builds the snapshot
@@ -26,7 +27,9 @@
 // therefore not thread-safe; create one per thread over a shared snapshot.
 // Creating one is cheap: the buffers are zero-page mappings, not filled
 // vectors, so binding costs O(1) whatever |V|, resident scratch grows
-// only with the pages queries write, and destruction unmaps it.
+// only with the pages queries write, and destruction unmaps it. The
+// first queries on a new searcher still pay those pages' first-touch
+// faults, which is why locsd reuses searchers across sessions.
 
 #ifndef LOCS_CORE_SEARCHER_H_
 #define LOCS_CORE_SEARCHER_H_

@@ -1,5 +1,6 @@
 #include "serve/registry.h"
 
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -64,36 +65,87 @@ std::shared_ptr<const ServedGraph> GraphRegistry::Load(
   entry->build_ms = build_ms;
   entry->from_image = from_image;
   entry->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  // As in Evict: the replaced entry is destroyed (its arrays freed or
-  // unmapped) after the lock is released, never while lookups wait.
-  std::shared_ptr<const ServedGraph> replaced;
+  // As in Evict: the replaced entry and its idle searchers are destroyed
+  // (their arrays freed or unmapped) after the lock is released, never
+  // while lookups wait.
+  Resident replaced;
   MutexLock lock(mutex_);
-  auto [it, inserted] = graphs_.try_emplace(name, entry);
+  auto [it, inserted] = graphs_.try_emplace(name);
   if (!inserted) {
-    replaced = std::exchange(it->second, entry);  // last writer wins
+    // Last writer wins; the old entry's idle searchers go with it.
+    replaced = std::exchange(it->second, Resident{entry, {}});
   } else if (graphs_.size() > max_graphs_) {
     graphs_.erase(it);  // lost the race for the final slot
     if (full != nullptr) *full = true;
     return nullptr;
+  } else {
+    it->second.graph = entry;
   }
   return entry;
+}
+
+GraphRegistry::Lease GraphRegistry::LeaseSearcher(const std::string& name,
+                                                  bool* refused) {
+  *refused = false;
+  Lease lease;
+  {
+    MutexLock lock(mutex_);
+    const auto it = graphs_.find(name);
+    if (it == graphs_.end()) return lease;
+    lease.registry_ = this;
+    lease.entry_ = it->second.graph;
+    std::forward_list<CommunitySearcher>& idle = it->second.idle;
+    if (!idle.empty()) {  // its scratch is already faulted in
+      lease.held_.splice_after(lease.held_.before_begin(), idle,
+                               idle.before_begin());
+      return lease;
+    }
+  }
+  // Every searcher of the entry is leased: build one, outside the lock.
+  try {
+    // Fault-injection site: "serve.bind.alloc" simulates the scratch
+    // mapping being refused.
+    if (LOCS_FAILPOINT("serve.bind.alloc")) throw std::bad_alloc();
+    lease.held_.emplace_front(lease.entry_);
+  } catch (const std::bad_alloc&) {
+    *refused = true;
+  }
+  return lease;
+}
+
+void GraphRegistry::HandBack(Lease& lease) {
+  MutexLock lock(mutex_);
+  const auto it = graphs_.find(lease.entry_->name);
+  if (it != graphs_.end() && it->second.graph == lease.entry_) {
+    it->second.idle.splice_after(it->second.idle.before_begin(),
+                                 lease.held_);
+  }
+}
+
+GraphRegistry::Lease::Lease(Lease&& other) noexcept
+    : registry_(other.registry_), entry_(std::move(other.entry_)) {
+  held_.splice_after(held_.before_begin(), other.held_);
+}
+
+GraphRegistry::Lease::~Lease() {
+  if (!held_.empty()) registry_->HandBack(*this);
 }
 
 std::shared_ptr<const ServedGraph> GraphRegistry::Get(
     const std::string& name) const {
   MutexLock lock(mutex_);
   const auto it = graphs_.find(name);
-  return it == graphs_.end() ? nullptr : it->second;
+  return it == graphs_.end() ? nullptr : it->second.graph;
 }
 
 bool GraphRegistry::Evict(const std::string& name) {
-  std::shared_ptr<const ServedGraph> doomed;
+  Resident doomed;
   MutexLock lock(mutex_);
   const auto it = graphs_.find(name);
   if (it == graphs_.end()) return false;
-  // Move the reference out so the (potentially large) graph destruction
-  // runs after the map update; if sessions still hold the entry it simply
-  // outlives the registry reference.
+  // Move the entry and its idle searchers out so the (potentially large)
+  // destruction runs after the map update; if queries still hold the
+  // entry it simply outlives the registry reference.
   doomed = std::move(it->second);
   graphs_.erase(it);
   return true;
@@ -103,11 +155,11 @@ std::vector<GraphRegistry::GraphInfo> GraphRegistry::List() const {
   std::vector<GraphInfo> infos;
   MutexLock lock(mutex_);
   infos.reserve(graphs_.size());
-  for (const auto& [name, entry] : graphs_) {
+  for (const auto& [name, resident] : graphs_) {
     GraphInfo info;
     info.name = name;
-    info.vertices = entry->graph.NumVertices();
-    info.edges = entry->graph.NumEdges();
+    info.vertices = resident.graph->graph.NumVertices();
+    info.edges = resident.graph->graph.NumEdges();
     infos.push_back(std::move(info));
   }
   return infos;

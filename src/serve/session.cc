@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <new>
 #include <thread>
 #include <unordered_set>
 
@@ -211,11 +210,6 @@ std::string Session::Dispatch(const Request& request, bool* quit) {
       // Cheap control verbs above bypass it so STATS stays responsive
       // under load — exactly when it is most needed.
       AdmissionTicket ticket(admission_);
-      // Test hook: holds the slot long enough that other queries must
-      // wait for it (see serve_session_test's saturation coverage).
-      if (LOCS_FAILPOINT("serve.slow_query")) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      }
       std::string cache_key;
       std::string reply =
           is_query ? ExecQuery(request, &cache_key) : ExecLoad(request);
@@ -285,10 +279,6 @@ std::string Session::ExecEvict(const Request& request) {
     return FormatError(WireError::kUnknownGraph,
                        "no graph named '" + request.graph + "'");
   }
-  if (bound_ != nullptr && bound_->name == request.graph) {
-    searcher_.reset();  // do not serve stale data under an evicted name
-    bound_.reset();
-  }
   return "OK evicted=" + request.graph;
 }
 
@@ -314,37 +304,6 @@ std::string Session::ExecStats() {
                                              registry_.size());
 }
 
-CommunitySearcher* Session::Bind(const std::string& name,
-                                 std::string* error_reply) {
-  auto entry = registry_.Get(name);
-  if (entry == nullptr) {
-    metrics_.CountError(WireError::kUnknownGraph);
-    *error_reply = FormatError(WireError::kUnknownGraph,
-                               "no graph named '" + name + "'");
-    return nullptr;
-  }
-  if (bound_ != entry) {
-    searcher_.reset();  // free the old scratch before allocating the new
-    bound_.reset();
-    try {
-      // Fault-injection site: "serve.bind.alloc" simulates the scratch
-      // mapping being refused.
-      if (LOCS_FAILPOINT("serve.bind.alloc")) throw std::bad_alloc();
-      searcher_ = std::make_unique<CommunitySearcher>(entry);
-    } catch (const std::bad_alloc&) {
-      // This request fails typed; the session stays unbound and the next
-      // query retries the bind.
-      metrics_.CountError(WireError::kInternal);
-      *error_reply = FormatError(WireError::kInternal,
-                                 "out of memory binding graph '" + name + "'");
-      return nullptr;
-    }
-    searcher_->set_recorder(&metrics_.recorder());
-    bound_ = std::move(entry);
-  }
-  return searcher_.get();
-}
-
 QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
   QueryLimits limits = requested;
   if (limits.deadline_ms <= 0.0) {
@@ -368,10 +327,32 @@ QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
 
 std::string Session::ExecQuery(const Request& request,
                                std::string* cache_key) {
-  std::string error_reply;
-  CommunitySearcher* searcher = Bind(request.graph, &error_reply);
-  if (searcher == nullptr) return error_reply;
-  const Graph& graph = searcher->graph();
+  // The lease ends with this query, inside Dispatch's admission ticket:
+  // an entry never has more searchers out than there are slots.
+  bool refused = false;
+  GraphRegistry::Lease lease =
+      registry_.LeaseSearcher(request.graph, &refused);
+  if (!lease) {
+    if (refused) {
+      metrics_.CountError(WireError::kInternal);
+      return FormatError(
+          WireError::kInternal,
+          "out of memory binding graph '" + request.graph + "'");
+    }
+    metrics_.CountError(WireError::kUnknownGraph);
+    return FormatError(WireError::kUnknownGraph,
+                       "no graph named '" + request.graph + "'");
+  }
+  // Test hook: holds the slot and the lease long enough that other
+  // queries must wait for the slot, or a LOAD can replace the entry
+  // (see serve_session_test's saturation and pool coverage).
+  if (LOCS_FAILPOINT("serve.slow_query")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+  CommunitySearcher& searcher = lease.searcher();
+  // The server-wide aggregate feeds the STATS line's per-phase totals.
+  searcher.set_recorder(&metrics_.recorder());
+  const Graph& graph = searcher.graph();
   for (const VertexId v : request.vertices) {
     if (v >= graph.NumVertices()) {
       metrics_.CountError(WireError::kVertexRange);
@@ -406,19 +387,19 @@ std::string Session::ExecQuery(const Request& request,
   SearchResult result;
   switch (request.verb) {
     case Verb::kCst:
-      result = searcher->Cst(request.vertices[0], request.k, {}, nullptr,
-                             &guard);
+      result = searcher.Cst(request.vertices[0], request.k, {}, nullptr,
+                            &guard);
       break;
     case Verb::kCsm:
-      result = searcher->Csm(request.vertices[0], nullptr, &guard,
-                             member_limit);
+      result = searcher.Csm(request.vertices[0], nullptr, &guard,
+                            member_limit);
       break;
     case Verb::kMulti:
       result = request.multi_max
-                   ? searcher->CsmMulti(request.vertices, nullptr, &guard,
-                                        member_limit)
-                   : searcher->CstMulti(request.vertices, request.k,
-                                        nullptr, &guard, member_limit);
+                   ? searcher.CsmMulti(request.vertices, nullptr, &guard,
+                                       member_limit)
+                   : searcher.CstMulti(request.vertices, request.k,
+                                       nullptr, &guard, member_limit);
       break;
     default:
       return FormatError(WireError::kUnknownVerb, "not a query verb");
@@ -431,7 +412,7 @@ std::string Session::ExecQuery(const Request& request,
   // registry's current one), keeping key and value consistent even if a
   // re-LOAD raced this query.
   if (options_.cache != nullptr && !result.Interrupted()) {
-    *cache_key = MakeCacheKey(bound_->epoch, request);
+    *cache_key = MakeCacheKey(lease.entry().epoch, request);
   }
   return FormatQueryReply(result, member_limit, request.trace);
 }

@@ -2,10 +2,12 @@
 //
 // A session reads wire-protocol lines from its transport, executes them
 // against the shared GraphRegistry under the shared AdmissionController,
-// and writes one reply line per request. Solver state is per-session: a
-// CommunitySearcher bound to the most recently queried registry entry
-// persists across requests, so a session issuing many queries against
-// one graph binds once, and scratch resets in O(1) per query.
+// and writes one reply line per request. A session holds no solver
+// state: each query leases a CommunitySearcher from the registry entry
+// it names, under its admission slot, and hands it back when it ends
+// (serve/registry.h). A new session's first query so runs on scratch an
+// earlier query already faulted in, and scratch resets in O(1) per
+// query.
 //
 // The session never terminates on malformed input — every parse or
 // execution failure is a typed `ERR` reply and the loop continues. It
@@ -18,10 +20,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "core/searcher.h"
 #include "serve/admission.h"
 #include "serve/metrics.h"
 #include "serve/registry.h"
@@ -80,15 +80,11 @@ class Session {
   std::string ExecLoad(const Request& request);
   std::string ExecEvict(const Request& request);
   std::string ExecList();
-  /// Runs a query verb. Sets `*cache_key` when the reply may be cached;
-  /// Dispatch inserts it only after the reply-size cap let it through.
+  /// Runs a query verb on a searcher leased for it. Sets `*cache_key`
+  /// when the reply may be cached; Dispatch inserts it only after the
+  /// reply-size cap let it through.
   std::string ExecQuery(const Request& request, std::string* cache_key);
   std::string ExecStats();
-
-  /// Binds the searcher to the named graph's current entry (rebinding
-  /// only when the entry changed); null + ERR reply in `*error_reply`
-  /// when the graph is unknown.
-  CommunitySearcher* Bind(const std::string& name, std::string* error_reply);
 
   /// Result-cache key for `request` against graph generation `epoch`:
   /// epoch + verb + query vertices + k/max + the *effective* limits
@@ -112,13 +108,6 @@ class Session {
   AdmissionController& admission_;
   ServerMetrics& metrics_;
   const SessionOptions options_;
-  /// The bound registry entry: holding it keeps the snapshot alive even
-  /// if it is evicted or replaced mid-session, and supplies the name
-  /// (EVICT) and epoch (cache keys). `searcher_` binds the same entry;
-  /// its recorder is the server-wide aggregate in ServerMetrics, which
-  /// feeds the per-phase totals of the STATS line.
-  std::shared_ptr<const ServedGraph> bound_;
-  std::unique_ptr<CommunitySearcher> searcher_;
   uint64_t requests_handled_ = 0;
 };
 

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "serve/result_cache.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "store/image.h"
 #include "util/failpoint.h"
 
 namespace locs::serve {
@@ -109,6 +111,15 @@ struct ServeFixture {
 bool StartsWith(const std::string& text, const std::string& prefix) {
   return text.rfind(prefix, 0) == 0;
 }
+
+/// Counts the searchers registries build: arms serve.bind.alloc, the
+/// build site, with a skip no test reaches, so it never fires and its
+/// hit count is the number of builds since construction.
+struct BuildCounter {
+  failpoint::ScopedFailpoint armed{"serve.bind.alloc",
+                                  /*skip=*/UINT64_MAX};
+  uint64_t builds() const { return failpoint::HitCount("serve.bind.alloc"); }
+};
 
 TEST(ServeSessionTest, KnownStructureQueriesAreExact) {
   // Barbell(6, 2): two K6 joined through a 2-vertex path. The CST(5)
@@ -307,6 +318,75 @@ TEST(ServeSessionTest, FailedBindIsATypedErrorAndTheNextQueryRebinds) {
   EXPECT_TRUE(StartsWith(replies[1], "OK status=found n=5 delta=4"))
       << replies[1];
   EXPECT_EQ(failpoint::HitCount("serve.bind.alloc"), 2u);
+}
+
+TEST(ServeSessionTest, SequentialSessionsShareOneSearcher) {
+  // The first session's query builds the entry's searcher and hands it
+  // back; the second session leases it idle.
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(5));
+  BuildCounter counter;
+  const auto first = fix.Run({"CST g 0 4", "CSM g 1"}, "first");
+  const auto second = fix.Run({"CST g 2 4"}, "second");
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_TRUE(StartsWith(first[0], "OK status=found n=5 delta=4"))
+      << first[0];
+  EXPECT_TRUE(StartsWith(first[1], "OK status=found n=5 delta=4"))
+      << first[1];
+  EXPECT_TRUE(StartsWith(second[0], "OK status=found n=5 delta=4"))
+      << second[0];
+  EXPECT_EQ(counter.builds(), 1u);
+}
+
+TEST(ServeSessionTest, ReplacingLoadAndEvictEachBuildAFreshSearcher) {
+  // A new entry starts with no idle searcher: the first query after a
+  // replacing LOADIMG, and after an EVICT and LOAD, builds one over it.
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(5));
+  const std::string image = TempPath("pool_k6.limg");
+  const std::string metis = TempPath("pool_k5.metis");
+  ASSERT_TRUE(store::CompileGraphImage(gen::Clique(6), image));
+  ASSERT_TRUE(SaveMetis(gen::Clique(5), metis));
+  BuildCounter counter;
+  const auto warm = fix.Run({"CST g 0 4", "CST g 1 4"}, "warm");
+  ASSERT_EQ(warm.size(), 2u);
+  EXPECT_TRUE(StartsWith(warm[1], "OK status=found n=5 delta=4"));
+  EXPECT_EQ(counter.builds(), 1u);
+
+  const auto replaced = fix.Run({"LOADIMG g " + image, "CST g 0 5"}, "img");
+  ASSERT_EQ(replaced.size(), 2u);
+  EXPECT_TRUE(StartsWith(replaced[0], "OK graph=g vertices=6"))
+      << replaced[0];
+  EXPECT_TRUE(StartsWith(replaced[1], "OK status=found n=6 delta=5"))
+      << replaced[1];
+  EXPECT_EQ(counter.builds(), 2u);
+
+  const auto reloaded =
+      fix.Run({"EVICT g", "CST g 0 5", "LOAD g " + metis, "CST g 0 4"},
+              "evict");
+  ASSERT_EQ(reloaded.size(), 4u);
+  EXPECT_EQ(reloaded[0], "OK evicted=g");
+  EXPECT_TRUE(StartsWith(reloaded[1], "ERR unknown-graph")) << reloaded[1];
+  EXPECT_TRUE(StartsWith(reloaded[3], "OK status=found n=5 delta=4"))
+      << reloaded[3];
+  EXPECT_EQ(counter.builds(), 3u);
+}
+
+TEST(ServeSessionTest, IdleSearcherServesWhenBuildsAreRefused) {
+  // Once a query has parked a searcher, a later session's query leases
+  // it without reaching the build site, refused or not.
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(5));
+  ASSERT_EQ(fix.Run({"CST g 0 4"}, "warm").size(), 1u);
+  failpoint::ScopedFailpoint refuse("serve.bind.alloc");
+  const auto replies = fix.Run({"CST g 1 4", "CSM g 2"}, "idle");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(StartsWith(replies[0], "OK status=found n=5 delta=4"))
+      << replies[0];
+  EXPECT_TRUE(StartsWith(replies[1], "OK status=found n=5 delta=4"))
+      << replies[1];
+  EXPECT_EQ(failpoint::HitCount("serve.bind.alloc"), 0u);
 }
 
 TEST(ServeSessionTest, RegistryCapacityIsEnforced) {
@@ -672,6 +752,66 @@ TEST(ServeSessionTest, BoundedQueueAdmitsThenRejects) {
   EXPECT_EQ(snap.rejected, 1u);
   EXPECT_EQ(snap.q_completed, 2u);
   EXPECT_EQ(snap.q_attempted, snap.q_completed + snap.q_failed);
+}
+
+TEST(ServeSessionTest, LeaseHeldAcrossAReplacingLoadIsDropped) {
+  // A query holds its lease (parked in serve.slow_query) while a LOAD
+  // replaces its entry. It answers from the entry it leased, and its
+  // searcher is dropped on hand-back, not parked: the next query builds
+  // one over the new entry.
+  ServeFixture fix;
+  fix.Register("g", gen::Clique(5));
+  BuildCounter counter;
+  std::vector<std::string> held;
+  {
+    failpoint::ScopedFailpoint slow("serve.slow_query");
+    std::thread holder([&] { held = fix.Run({"CST g 0 4"}, "holder"); });
+    ASSERT_TRUE(
+        WaitFor([] { return failpoint::HitCount("serve.slow_query"); }));
+    fix.Register("g", gen::Clique(6));
+    // Still admitted, so the lease is still out: it is handed back to a
+    // replaced entry.
+    EXPECT_EQ(fix.admission.Snapshot().inflight, 1u);
+    holder.join();
+  }
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_TRUE(StartsWith(held[0], "OK status=found n=5 delta=4")) << held[0];
+  EXPECT_EQ(counter.builds(), 1u);
+
+  const auto after = fix.Run({"CST g 0 5"}, "after");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_TRUE(StartsWith(after[0], "OK status=found n=6 delta=5"))
+      << after[0];
+  EXPECT_EQ(counter.builds(), 2u);
+}
+
+TEST(TcpServerTest, ConcurrentSessionsBuildAtMostMaxInflightSearchers) {
+  // Six sessions, two query slots, each query parked in serve.slow_query
+  // so leases overlap: a searcher is built only while every one the
+  // entry has is leased, so the entry never holds more than two.
+  constexpr int kClients = 6;
+  SaturationServer fix(/*max_sessions=*/kClients, /*max_inflight=*/2);
+  BuildCounter counter;
+  failpoint::ScopedFailpoint slow("serve.slow_query");
+  std::vector<std::vector<std::string>> replies(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      replies[c] = TcpScript(fix.server->port(),
+                             {"CST g " + std::to_string(c % 4) + " 3",
+                              "CSM g 0", "QUIT"});
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const auto& session_replies : replies) {
+    ASSERT_EQ(session_replies.size(), 3u);
+    EXPECT_TRUE(StartsWith(session_replies[0], "OK status=found n=4"))
+        << session_replies[0];
+    EXPECT_TRUE(StartsWith(session_replies[1], "OK status=found n=4"))
+        << session_replies[1];
+  }
+  EXPECT_GE(counter.builds(), 1u);
+  EXPECT_LE(counter.builds(), 2u);
 }
 
 TEST(TcpServerTest, ConcurrentSessionsServeAndDrain) {

@@ -5,12 +5,14 @@
 # sessions, never a hang, a crash, or a leaked ledger entry.
 #
 #   1. Failpoint soak — locsd on TCP loopback with periodic faults armed
-#      via LOCS_FAILPOINT (solver errors, refused scratch binds, dropped
-#      cache inserts, read delays, torn/failed reply writes, failed
-#      reads, session threads that throw before serving) plus io/idle
-#      timeouts, soaked by >= CHAOS_SESSIONS concurrent self-healing
-#      clients for >= CHAOS_SOAK_SECONDS. A silent connection opened at
-#      soak start must be idle-reaped along the way. Afterwards the
+#      via LOCS_FAILPOINT (solver errors, refused searcher builds,
+#      dropped cache inserts, read delays, torn/failed reply writes,
+#      failed reads, session threads that throw before serving) plus
+#      io/idle timeouts, soaked by >= CHAOS_SESSIONS concurrent
+#      self-healing clients for >= CHAOS_SOAK_SECONDS. A build is
+#      refused only where a graph's searcher pool builds one, which
+#      image_churn_client's reloads keep doing. A silent connection
+#      opened at soak start must be idle-reaped along the way. Afterwards the
 #      daemon must still answer PING and its STATS ledger must conserve
 #      q_attempted = q_completed + q_failed + q_shed.
 #   2. Kill + restart recovery — bench_micro_serve --port runs its

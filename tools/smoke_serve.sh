@@ -18,7 +18,9 @@
 #   4. malformed-input session — typed ERR replies, clean exit (no crash)
 #   5. TCP loopback session    — locsd --port=0 + locs_cli client, with
 #      the CST reply required to match the stdio transcript byte for
-#      byte (replies are deterministic by design), then SIGTERM drain
+#      byte (replies are deterministic by design), on the first
+#      connection and again on a second one, whose query runs on the
+#      searcher the first handed back to the graph, then SIGTERM drain
 #      with a silent connection still open: locsd must exit 0 and its
 #      final STATS line must report sessions_open=0.
 #
@@ -169,7 +171,9 @@ if [[ "${err_lines}" -ne 3 ]] || ! grep -q '^OK pong' <<<"${bad_out}"; then
 fi
 
 echo "=== smoke: TCP loopback session ==="
-"${locsd}" --port=0 --port-file="${work}/port" \
+# No result cache, so the second connection's CST is solved, not looked
+# up.
+"${locsd}" --port=0 --port-file="${work}/port" --cache-entries=0 \
   --preload=g="${work}/g.metis" 2>"${work}/daemon.log" &
 daemon_pid="$!"
 port=""
@@ -195,6 +199,17 @@ if [[ -z "${tcp_cst}" || "${tcp_cst}" != "${stdio_cst}" ]]; then
   echo "FAIL: TCP reply diverges from stdio reply" >&2
   echo "  stdio: ${stdio_cst}" >&2
   echo "  tcp:   ${tcp_cst}" >&2
+  exit 1
+fi
+# The same CST on a second connection leases the searcher the first
+# connection's query handed back.
+leased_out="$(printf 'CST g 7 3 limit=5\nQUIT\n' \
+  | "${cli}" client --port="${port}" 2>/dev/null)"
+leased_cst="$(grep '^OK status=' <<<"${leased_out}" | head -1)"
+if [[ -z "${leased_cst}" || "${leased_cst}" != "${stdio_cst}" ]]; then
+  echo "FAIL: second TCP connection's reply diverges from stdio reply" >&2
+  echo "  stdio:  ${stdio_cst}" >&2
+  echo "  leased: ${leased_cst}" >&2
   exit 1
 fi
 
