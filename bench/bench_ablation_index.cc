@@ -185,14 +185,14 @@ int Run(int argc, char** argv) {
       t_cst_index.push_back(
           TimeMs([&] { cst = searcher.CstMulti(seeds, k); }));
       t_cst_limit1.push_back(TimeMs(
-          [&] { searcher.CstMulti(seeds, k, nullptr, nullptr, 1); }));
+          [&] { searcher.CstMulti(seeds, k, nullptr, 1); }));
       sizes.push_back(static_cast<double>(cst.AnswerSize()));
       t_csm_global.push_back(TimeMs([&] { GlobalCsmMulti(g, seeds); }));
       t_csm_local.push_back(TimeMs([&] { solver.CsmMulti(seeds); }));
       SearchResult csm;
       t_csm_index.push_back(TimeMs([&] { csm = searcher.CsmMulti(seeds); }));
       t_csm_limit1.push_back(TimeMs(
-          [&] { searcher.CsmMulti(seeds, nullptr, nullptr, 1); }));
+          [&] { searcher.CsmMulti(seeds, nullptr, 1); }));
       deltas.push_back(static_cast<double>(csm.Best().min_degree));
     }
     multi_table.Row()

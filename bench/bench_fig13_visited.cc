@@ -5,14 +5,11 @@
 // magnitude smaller than global search (which returns the maximal k-core
 // component) and visits up to two orders of magnitude fewer vertices.
 //
-// The visited columns are read from the per-phase obs::QueryTelemetry
-// counters carried by SearchResult (TotalVisited over the phase
-// breakdown), and every query cross-checks that total against the legacy
-// QueryStats projection — a mismatch is a telemetry-accounting bug and
-// fails the bench.
+// The answer-size and visited columns are read from the per-phase
+// obs::QueryTelemetry counters carried by SearchResult (TotalVisited over
+// the phase breakdown).
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,25 +30,6 @@
 
 namespace locs::bench {
 namespace {
-
-/// Dies unless the telemetry totals reproduce the legacy QueryStats
-/// counters exactly (the two are one accounting, not two).
-void CheckConsistent(const obs::QueryTelemetry& telemetry,
-                     const QueryStats& stats, const char* solver) {
-  if (telemetry.TotalVisited() == stats.visited_vertices &&
-      telemetry.TotalScanned() == stats.scanned_edges) {
-    return;
-  }
-  std::fprintf(stderr,
-               "fig13: telemetry/stats divergence in %s: "
-               "visited %llu vs %llu, scanned %llu vs %llu\n",
-               solver,
-               static_cast<unsigned long long>(telemetry.TotalVisited()),
-               static_cast<unsigned long long>(stats.visited_vertices),
-               static_cast<unsigned long long>(telemetry.TotalScanned()),
-               static_cast<unsigned long long>(stats.scanned_edges));
-  std::exit(1);
-}
 
 int Run(int argc, char** argv) {
   const CommandLine cli(argc, argv);
@@ -129,10 +107,8 @@ int Run(int argc, char** argv) {
     std::vector<double> fallback_us;
     uint64_t fallbacks = 0;
     for (VertexId v0 : sample) {
-      QueryStats stats;
-      SearchResult result = GlobalCst(g, v0, k, &stats);
-      CheckConsistent(result.telemetry, stats, "global");
-      sizes[0].push_back(static_cast<double>(stats.answer_size));
+      SearchResult result = GlobalCst(g, v0, k);
+      sizes[0].push_back(static_cast<double>(result.telemetry.answer_size));
       visits[0].push_back(
           static_cast<double>(result.telemetry.TotalVisited()));
       const Strategy strategies[3] = {Strategy::kNaive, Strategy::kLI,
@@ -144,9 +120,9 @@ int Run(int argc, char** argv) {
           trace->Annotate(std::string(StrategyName(strategies[i])) +
                           " k=" + std::to_string(k));
         }
-        result = solver.Solve(v0, k, options, &stats);
-        CheckConsistent(result.telemetry, stats, "local");
-        sizes[i + 1].push_back(static_cast<double>(stats.answer_size));
+        result = solver.Solve(v0, k, options);
+        sizes[i + 1].push_back(
+            static_cast<double>(result.telemetry.answer_size));
         visits[i + 1].push_back(
             static_cast<double>(result.telemetry.TotalVisited()));
         if (strategies[i] == Strategy::kLI) {

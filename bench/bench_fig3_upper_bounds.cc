@@ -57,14 +57,13 @@ void RunForK(uint32_t k, size_t queries) {
     std::vector<double> candidate_sizes;
     std::vector<double> answer_sizes;
     for (VertexId v0 : sample) {
-      QueryStats stats;
       CstOptions options;
       options.strategy = Strategy::kNaive;
-      naive_solver.Solve(v0, k, options, &stats);
+      const SearchResult candidates = naive_solver.Solve(v0, k, options);
       candidate_sizes.push_back(
-          static_cast<double>(stats.visited_vertices));
+          static_cast<double>(candidates.telemetry.TotalVisited()));
       options.strategy = Strategy::kLI;
-      const auto answer = li_solver.Solve(v0, k, options, &stats);
+      const auto answer = li_solver.Solve(v0, k, options);
       answer_sizes.push_back(
           answer.has_value() ? static_cast<double>(answer->members.size())
                              : 0.0);

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   }
 
   WallTimer query_timer;
-  QueryStats stats;
-  const Community circle = *searcher.Csm(user, &stats);
+  const SearchResult result = searcher.Csm(user);
+  const Community& circle = *result;
   const double ms = query_timer.Millis();
 
   const auto friends = searcher.graph().Neighbors(user);
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
               "(min degree %u), found in %.2fms visiting %lu vertices\n",
               user, friend_set.size(), circle.members.size(),
               circle.min_degree, ms,
-              static_cast<unsigned long>(stats.visited_vertices));
+              static_cast<unsigned long>(result.telemetry.TotalVisited()));
 
   std::printf("recommendations (community members who are not friends "
               "yet):");

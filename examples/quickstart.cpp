@@ -52,13 +52,12 @@ int main() {
   }
 
   // --- Query statistics ---------------------------------------------------
-  QueryStats stats;
-  searcher.Cst(a, 3, {}, &stats);
+  const obs::QueryTelemetry telemetry = searcher.Cst(a, 3).telemetry;
   std::printf("\nCST(3) visited %lu vertices and scanned %lu adjacency "
               "entries (graph has %lu); fallback used: %s\n",
-              static_cast<unsigned long>(stats.visited_vertices),
-              static_cast<unsigned long>(stats.scanned_edges),
+              static_cast<unsigned long>(telemetry.TotalVisited()),
+              static_cast<unsigned long>(telemetry.TotalScanned()),
               static_cast<unsigned long>(2 * searcher.graph().NumEdges()),
-              stats.used_global_fallback ? "yes" : "no");
+              telemetry.used_global_fallback ? "yes" : "no");
   return 0;
 }

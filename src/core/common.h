@@ -1,5 +1,5 @@
-// Shared types of the community-search solvers: results, per-query
-// statistics, and strategy/option enums.
+// Shared types of the community-search solvers: answers and
+// strategy/option enums. Per-query effort lives in obs/telemetry.h.
 
 #ifndef LOCS_CORE_COMMON_H_
 #define LOCS_CORE_COMMON_H_
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "obs/telemetry.h"
 
 namespace locs {
 
@@ -23,30 +22,14 @@ enum class Strategy {
 /// Human-readable strategy name ("naive", "lg", "li").
 std::string_view StrategyName(Strategy strategy);
 
-/// Per-query instrumentation, reported by every solver. These counters feed
-/// Figure 13 (answer size and visited vertices) and the efficiency
-/// discussions of §6.1.3.
-///
-/// Since the obs layer landed, this is a *derived view*: solvers account
-/// into an obs::QueryTelemetry (per-phase counters + spans, carried by
-/// SearchResult) and the totals are projected back here via ToQueryStats
-/// for callers that only want the four classic numbers.
-struct QueryStats {
-  /// Vertices moved into the candidate/visited set.
-  uint64_t visited_vertices = 0;
-  /// Adjacency entries touched during expansion.
-  uint64_t scanned_edges = 0;
-  /// True when candidate generation failed to find the answer directly and
-  /// the global fallback on G[C] ran (line 6 of Algorithm 2).
-  bool used_global_fallback = false;
-  /// Size of the returned community (0 when there is none).
-  uint64_t answer_size = 0;
-};
-
-/// Projects per-phase telemetry onto the legacy QueryStats totals. The
-/// projection is exact: every counter increment in the solvers lands in
-/// exactly one phase, so the sums equal what the pre-obs counters held.
-QueryStats ToQueryStats(const obs::QueryTelemetry& telemetry);
+/// The type of an ignored parameter slot in three solver entry points
+/// (LocalCstSolver::Solve and CstMulti, LocalCsmSolver::Solve), kept
+/// because the benchmark replay passes `nullptr` there positionally.
+/// Declared and never defined, so `nullptr` is the only value a caller
+/// can pass. A query's effort is read from the obs::QueryTelemetry that
+/// every SearchResult carries. The change that next edits the benchmark
+/// deletes the slots and this declaration.
+struct QueryStats;
 
 /// A community-search answer: the member set (parent-graph vertex ids) and
 /// its goodness δ(G[H]).

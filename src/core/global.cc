@@ -157,26 +157,25 @@ SearchResult GlobalCsmImpl(const Graph& graph, VertexId v0,
 }  // namespace
 
 SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,
-                       QueryStats* stats, QueryGuard* guard,
-                       obs::Recorder* recorder) {
-  obs::Recorder& rec =
-      recorder != nullptr ? *recorder : obs::Recorder::Null();
-  obs::QueryTelemetry telemetry;
-  obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
-  SearchResult result = GlobalCstImpl(graph, v0, k, telemetry, tracker, guard);
-  FinishQuery(result, telemetry, tracker, stats, rec);
-  LOCS_VALIDATE_RESULT("GlobalCst", graph, result, v0, k);
-  return result;
-}
-
-SearchResult GlobalCsm(const Graph& graph, VertexId v0, QueryStats* stats,
                        QueryGuard* guard, obs::Recorder* recorder) {
   obs::Recorder& rec =
       recorder != nullptr ? *recorder : obs::Recorder::Null();
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
+  SearchResult result = GlobalCstImpl(graph, v0, k, telemetry, tracker, guard);
+  FinishQuery(result, telemetry, tracker, rec);
+  LOCS_VALIDATE_RESULT("GlobalCst", graph, result, v0, k);
+  return result;
+}
+
+SearchResult GlobalCsm(const Graph& graph, VertexId v0, QueryGuard* guard,
+                       obs::Recorder* recorder) {
+  obs::Recorder& rec =
+      recorder != nullptr ? *recorder : obs::Recorder::Null();
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
   SearchResult result = GlobalCsmImpl(graph, v0, telemetry, tracker, guard);
-  FinishQuery(result, telemetry, tracker, stats, rec);
+  FinishQuery(result, telemetry, tracker, rec);
   LOCS_VALIDATE_RESULT("GlobalCsm", graph, result, v0, 0);
   return result;
 }

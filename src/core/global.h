@@ -23,7 +23,6 @@ namespace locs {
 /// `guard` trip mid-peel degrades to v0's component among the not-yet-
 /// removed vertices (or an exact kNotExists when v0 was already peeled).
 SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,
-                       QueryStats* stats = nullptr,
                        QueryGuard* guard = nullptr,
                        obs::Recorder* recorder = nullptr);
 
@@ -33,7 +32,6 @@ SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,
 /// indivisible pass: the guard is consulted on entry and charged the whole
 /// |V| + 2|E| cost, but cannot interrupt the pass itself.
 SearchResult GlobalCsm(const Graph& graph, VertexId v0,
-                       QueryStats* stats = nullptr,
                        QueryGuard* guard = nullptr,
                        obs::Recorder* recorder = nullptr);
 

@@ -61,11 +61,11 @@ void LocalCsmSolver::AddToA(VertexId v, obs::PhaseStats& ph) {
 }
 
 SearchResult LocalCsmSolver::Solve(VertexId v0, const CsmOptions& options,
-                                   QueryStats* stats, QueryGuard* guard) {
+                                   QueryStats*, QueryGuard* guard) {
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = SolveImpl(v0, options, guard, tracker);
-  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry_, tracker, *recorder_);
   // CSM has no minimum-degree threshold: pass k = 0.
   LOCS_VALIDATE_RESULT("LocalCsmSolver::Solve", graph_, result, v0, 0);
   return result;

@@ -39,8 +39,13 @@ class LocalCsmSolver {
   /// uninterrupted query reports kFound. On a `guard` trip the best prefix
   /// H found so far — connected, containing v0, with exact δ(G[H]) — comes
   /// back in `best_so_far`.
+  /// The unnamed third parameter is an ignored slot (always nullptr; see
+  /// core/common.h), kept only for the benchmark replay
+  /// (perfbench/tool.cc), which passes it positionally; the change that
+  /// next edits the benchmark deletes it. Read the query's effort from
+  /// `SearchResult::telemetry`.
   SearchResult Solve(VertexId v0, const CsmOptions& options = {},
-                     QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
+                     QueryStats* = nullptr, QueryGuard* guard = nullptr);
 
   /// Telemetry sink for completed queries; defaults to the no-op null
   /// sink. Not owned.

@@ -54,36 +54,36 @@ LocalCstSolver::LocalCstSolver(const Graph& graph,
 }
 
 SearchResult LocalCstSolver::Solve(VertexId v0, uint32_t k,
-                                   const CstOptions& options,
-                                   QueryStats* stats, QueryGuard* guard) {
+                                   const CstOptions& options, QueryStats*,
+                                   QueryGuard* guard) {
   LOCS_CHECK_LT(v0, graph_.NumVertices());
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = SolveImpl({&v0, 1}, k, options, guard, tracker);
-  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry_, tracker, *recorder_);
   LOCS_VALIDATE_RESULT("LocalCstSolver::Solve", graph_, result, v0, k);
   return result;
 }
 
 SearchResult LocalCstSolver::CstMulti(const std::vector<VertexId>& query,
-                                      uint32_t k, QueryStats* stats,
+                                      uint32_t k, QueryStats*,
                                       QueryGuard* guard) {
   CheckQuerySet(graph_, query);
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = SolveImpl(query, k, {}, guard, tracker);
-  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry_, tracker, *recorder_);
   LOCS_VALIDATE_RESULT("LocalCstSolver::CstMulti", graph_, result, query, k);
   return result;
 }
 
 SearchResult LocalCstSolver::CsmMulti(const std::vector<VertexId>& query,
-                                      QueryStats* stats, QueryGuard* guard) {
+                                      QueryGuard* guard) {
   CheckQuerySet(graph_, query);
   telemetry_.Reset();
   obs::PhaseTracker tracker(&telemetry_, recorder_->timing_enabled());
   SearchResult result = CsmMultiImpl(query, guard, tracker);
-  FinishQuery(result, telemetry_, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry_, tracker, *recorder_);
   LOCS_VALIDATE_RESULT("LocalCstSolver::CsmMulti", graph_, result,
                        validate::CsmMultiQuery(result, query), 0);
   return result;

@@ -90,24 +90,28 @@ class LocalCstSolver {
   /// exact negative. A `guard` trip (deadline / budget / cancel) yields an
   /// interrupted status with the best connected community so far in
   /// `best_so_far`.
+  /// The unnamed fourth parameter is an ignored slot (always nullptr; see
+  /// core/common.h), kept only for the benchmark replay
+  /// (perfbench/tool.cc), which passes it positionally; the change that
+  /// next edits the benchmark deletes it. Read the query's effort from
+  /// `SearchResult::telemetry`.
   SearchResult Solve(VertexId v0, uint32_t k, const CstOptions& options = {},
-                     QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
+                     QueryStats* = nullptr, QueryGuard* guard = nullptr);
 
   /// CST(k) for a query set under the li strategy: a connected community
   /// containing every query vertex with minimum induced degree >= k. Exact:
   /// kNotExists iff no solution exists. Query vertices must be distinct. A
   /// guard trip reports the connected fragment of C holding query[0] (C
   /// may not connect the query yet). `CstMulti({v}, k)` is `Solve(v, k)`.
+  /// The unnamed third parameter is the same ignored slot as Solve's.
   SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
-                        QueryStats* stats = nullptr,
-                        QueryGuard* guard = nullptr);
+                        QueryStats* = nullptr, QueryGuard* guard = nullptr);
 
   /// CSM for a query set: binary search over CstMulti. All probes charge
   /// one shared guard and accumulate into one QueryTelemetry (recorded
   /// once); an interrupted search reports the best community proven so
   /// far.
   SearchResult CsmMulti(const std::vector<VertexId>& query,
-                        QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr);
 
   /// Telemetry sink for completed queries; defaults to the no-op null

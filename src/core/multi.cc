@@ -119,30 +119,28 @@ SearchResult GlobalCsmMultiImpl(const Graph& graph,
 
 SearchResult GlobalCstMulti(const Graph& graph,
                             const std::vector<VertexId>& query, uint32_t k,
-                            QueryStats* stats, QueryGuard* guard,
-                            obs::Recorder* recorder) {
+                            QueryGuard* guard, obs::Recorder* recorder) {
   obs::Recorder& rec =
       recorder != nullptr ? *recorder : obs::Recorder::Null();
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
   SearchResult result =
       GlobalCstMultiImpl(graph, query, k, telemetry, tracker, guard);
-  FinishQuery(result, telemetry, tracker, stats, rec);
+  FinishQuery(result, telemetry, tracker, rec);
   LOCS_VALIDATE_RESULT("GlobalCstMulti", graph, result, query, k);
   return result;
 }
 
 SearchResult GlobalCsmMulti(const Graph& graph,
                             const std::vector<VertexId>& query,
-                            QueryStats* stats, QueryGuard* guard,
-                            obs::Recorder* recorder) {
+                            QueryGuard* guard, obs::Recorder* recorder) {
   obs::Recorder& rec =
       recorder != nullptr ? *recorder : obs::Recorder::Null();
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
   SearchResult result =
       GlobalCsmMultiImpl(graph, query, telemetry, tracker, guard);
-  FinishQuery(result, telemetry, tracker, stats, rec);
+  FinishQuery(result, telemetry, tracker, rec);
   LOCS_VALIDATE_RESULT("GlobalCsmMulti", graph, result,
                        validate::CsmMultiQuery(result, query), 0);
   return result;

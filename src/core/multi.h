@@ -37,7 +37,6 @@ namespace locs {
 /// charged the whole cost but cannot interrupt the pass itself.
 SearchResult GlobalCstMulti(const Graph& graph,
                             const std::vector<VertexId>& query, uint32_t k,
-                            QueryStats* stats = nullptr,
                             QueryGuard* guard = nullptr,
                             obs::Recorder* recorder = nullptr);
 
@@ -47,7 +46,6 @@ SearchResult GlobalCstMulti(const Graph& graph,
 /// community proven so far.
 SearchResult GlobalCsmMulti(const Graph& graph,
                             const std::vector<VertexId>& query,
-                            QueryStats* stats = nullptr,
                             QueryGuard* guard = nullptr,
                             obs::Recorder* recorder = nullptr);
 

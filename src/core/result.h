@@ -91,11 +91,9 @@ struct SearchResult {
 };
 
 /// Shared solve epilogue of the solver entry points: closes the spans,
-/// attaches the telemetry to the result, projects the legacy stats (when
-/// `stats` is non-null) and records the query.
+/// attaches the telemetry to the result and records the query.
 void FinishQuery(SearchResult& result, const obs::QueryTelemetry& telemetry,
-                 obs::PhaseTracker& tracker, QueryStats* stats,
-                 obs::Recorder& recorder);
+                 obs::PhaseTracker& tracker, obs::Recorder& recorder);
 
 }  // namespace locs
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "core/global.h"
 #include "core/validate.h"
 #include "util/prefetch.h"
 
@@ -21,20 +20,13 @@ CommunitySearcher::CommunitySearcher(Graph graph)
 
 SearchResult CommunitySearcher::Cst(VertexId v0, uint32_t k,
                                     const CstOptions& options,
-                                    QueryStats* stats, QueryGuard* guard) {
+                                    QueryGuard* guard) {
   // Outside the k-core no δ >= k community holds v0 (Lemma 3).
   // Out-of-range ids are left to the solver, which rejects them.
   if (v0 < graph().NumVertices() && !snapshot_->index.HasCst(v0, k)) {
-    if (stats != nullptr) *stats = QueryStats{};
     return SearchResult::MakeNotExists();
   }
-  return cst_solver_.Solve(v0, k, options, stats, guard);
-}
-
-SearchResult CommunitySearcher::CstGlobal(VertexId v0, uint32_t k,
-                                          QueryStats* stats,
-                                          QueryGuard* guard) {
-  return GlobalCst(graph(), v0, k, stats, guard, recorder_);
+  return cst_solver_.Solve(v0, k, options, nullptr, guard);
 }
 
 void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
@@ -42,8 +34,7 @@ void CommunitySearcher::set_recorder(obs::Recorder* recorder) {
   cst_solver_.set_recorder(recorder_);
 }
 
-SearchResult CommunitySearcher::Csm(VertexId v0, QueryStats* stats,
-                                    QueryGuard* guard,
+SearchResult CommunitySearcher::Csm(VertexId v0, QueryGuard* guard,
                                     uint64_t member_limit) {
   LOCS_CHECK_LT(v0, graph().NumVertices());
   QueryGuard unlimited;
@@ -56,18 +47,12 @@ SearchResult CommunitySearcher::Csm(VertexId v0, QueryStats* stats,
   SearchResult result =
       ListComponent({&v0, 1}, index.ComponentNode(v0, index.CoreNumber(v0)),
                     member_limit, g, tracker, telemetry);
-  FinishQuery(result, telemetry, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry, tracker, *recorder_);
   return result;
 }
 
-SearchResult CommunitySearcher::CsmGlobal(VertexId v0, QueryStats* stats,
-                                          QueryGuard* guard) {
-  return GlobalCsm(graph(), v0, stats, guard, recorder_);
-}
-
 SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
-                                         uint32_t k, QueryStats* stats,
-                                         QueryGuard* guard,
+                                         uint32_t k, QueryGuard* guard,
                                          uint64_t member_limit) {
   QueryGuard unlimited;
   QueryGuard& g = guard != nullptr ? *guard : unlimited;
@@ -82,7 +67,6 @@ SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
         index.HasCst(v, k) ? index.ComponentNode(v, k) : CoreIndex::kNoNode;
     if (own == CoreIndex::kNoNode || (v != query[0] && own != node)) {
       // Answered from the index alone, as in Cst.
-      if (stats != nullptr) *stats = QueryStats{};
       return SearchResult::MakeNotExists();
     }
     node = own;
@@ -91,12 +75,11 @@ SearchResult CommunitySearcher::CstMulti(const std::vector<VertexId>& query,
   obs::PhaseTracker tracker(&telemetry, recorder_->timing_enabled());
   SearchResult result =
       ListComponent(query, node, member_limit, g, tracker, telemetry);
-  FinishQuery(result, telemetry, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry, tracker, *recorder_);
   return result;
 }
 
 SearchResult CommunitySearcher::CsmMulti(const std::vector<VertexId>& query,
-                                         QueryStats* stats,
                                          QueryGuard* guard,
                                          uint64_t member_limit) {
   QueryGuard unlimited;
@@ -116,7 +99,7 @@ SearchResult CommunitySearcher::CsmMulti(const std::vector<VertexId>& query,
     LOCS_VALIDATE_RESULT("CommunitySearcher::CsmMulti", graph(), result,
                          validate::CsmMultiQuery(result, query), 0);
   }
-  FinishQuery(result, telemetry, tracker, stats, *recorder_);
+  FinishQuery(result, telemetry, tracker, *recorder_);
   return result;
 }
 

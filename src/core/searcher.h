@@ -14,8 +14,9 @@
 // lists its members, and stops once a member limit's worth are queued.
 // It is the one type that does this binding; locsd's
 // GraphRegistry keeps idle searchers over each entry and leases one to
-// each query (serve/registry.h). Exposes the local and global CST/CSM
-// entry points.
+// each query (serve/registry.h). Exposes the local CST and the index-backed
+// CSM and multi-vertex entry points; the global baselines are the free
+// functions of core/global.h.
 //
 // Typical use:
 //   CommunitySearcher searcher(std::move(graph));   // builds the snapshot
@@ -64,18 +65,13 @@ class CommunitySearcher {
 
   /// Local CST(k) (§4), expanding through the k-core only. kNotExists iff
   /// no solution exists; a vertex outside the k-core is answered from the
-  /// CoreIndex without a search (`stats` then reads all zeros). The answer
-  /// equals the core-less paper solver's wherever that one ends in early
-  /// success, and is a subset of its answer where it falls back. An
+  /// CoreIndex without a search (its telemetry then reads all zeros). The
+  /// answer equals the core-less paper solver's wherever that one ends in
+  /// early success, and is a subset of its answer where it falls back. An
   /// optional `guard` can interrupt the query with a graceful partial
   /// answer (see core/result.h).
   SearchResult Cst(VertexId v0, uint32_t k, const CstOptions& options = {},
-                   QueryStats* stats = nullptr, QueryGuard* guard = nullptr);
-
-  /// Global CST(k) (§3) — the baseline every figure compares against.
-  SearchResult CstGlobal(VertexId v0, uint32_t k,
-                         QueryStats* stats = nullptr,
-                         QueryGuard* guard = nullptr);
+                   QueryGuard* guard = nullptr);
 
   /// Exact CSM from the CoreIndex: v0's connected component of its
   /// maxcore (Lemma 4), δ = CoreNumber(v0), members in BFS order. One BFS
@@ -86,25 +82,19 @@ class CommunitySearcher {
   /// `SearchResult::unlisted` counts the rest (AnswerSize() is
   /// CoreIndex::ComponentSize(v0)). An interrupted query's partial is
   /// {v0}, δ = 0. The paper's local CSM (Algorithm 4) is LocalCsmSolver.
-  SearchResult Csm(VertexId v0, QueryStats* stats = nullptr,
-                   QueryGuard* guard = nullptr, uint64_t member_limit = 0);
-
-  /// Global CSM (§3.2): greedy minimum-degree deletion via core
-  /// decomposition.
-  SearchResult CsmGlobal(VertexId v0, QueryStats* stats = nullptr,
-                         QueryGuard* guard = nullptr);
+  SearchResult Csm(VertexId v0, QueryGuard* guard = nullptr,
+                   uint64_t member_limit = 0);
 
   /// Multi-vertex CST(k) (extension; see core/multi.h) from the CoreIndex:
   /// the maximal connected community holding every query vertex with
   /// δ >= k, i.e. query[0]'s component of `core >= k`, members in the BFS
   /// order of GlobalCstMulti. kNotExists when a seed lies outside the
   /// k-core or the seeds' forest nodes at k differ (answered from the
-  /// index alone; `stats` then reads all zeros). Seeds must be distinct
-  /// and in range (checked in O(|query|)). `member_limit` cuts the listing
-  /// as in Csm; AnswerSize() and δ come from the forest node. An
-  /// interrupted query's partial is {query[0]}, δ = 0.
+  /// index alone; its telemetry then reads all zeros). Seeds must be
+  /// distinct and in range (checked in O(|query|)). `member_limit` cuts
+  /// the listing as in Csm; AnswerSize() and δ come from the forest node.
+  /// An interrupted query's partial is {query[0]}, δ = 0.
   SearchResult CstMulti(const std::vector<VertexId>& query, uint32_t k,
-                        QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr,
                         uint64_t member_limit = 0);
 
@@ -115,13 +105,12 @@ class CommunitySearcher {
   /// GlobalCsmMulti's fallback: found, {query[0]}, δ = 0. Same seed
   /// checks, member limit and interrupted partial as CstMulti.
   SearchResult CsmMulti(const std::vector<VertexId>& query,
-                        QueryStats* stats = nullptr,
                         QueryGuard* guard = nullptr,
                         uint64_t member_limit = 0);
 
-  /// Telemetry sink shared by every query behind this facade (local and
-  /// global, single- and multi-vertex). Defaults to the no-op null sink;
-  /// pass nullptr to restore it. Not owned.
+  /// Telemetry sink shared by every query behind this facade (single- and
+  /// multi-vertex). Defaults to the no-op null sink; pass nullptr to
+  /// restore it. Not owned.
   void set_recorder(obs::Recorder* recorder);
 
  private:

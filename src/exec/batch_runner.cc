@@ -171,7 +171,7 @@ BatchResult BatchRunner::RunCst(const std::vector<VertexId>& queries,
                                 uint32_t k, const BatchLimits& limits) {
   return Run(queries, limits,
              [k](CommunitySearcher& searcher, VertexId v, QueryGuard& guard) {
-               return searcher.Cst(v, k, {}, nullptr, &guard);
+               return searcher.Cst(v, k, {}, &guard);
              });
 }
 
@@ -179,7 +179,7 @@ BatchResult BatchRunner::RunCsm(const std::vector<VertexId>& queries,
                                 const BatchLimits& limits) {
   return Run(queries, limits,
              [](CommunitySearcher& searcher, VertexId v, QueryGuard& guard) {
-               return searcher.Csm(v, nullptr, &guard);
+               return searcher.Csm(v, &guard);
              });
 }
 

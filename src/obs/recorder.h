@@ -4,8 +4,8 @@
 // PhaseTracker never reads a clock) and `Record` discards. Solvers hold
 // a `Recorder*` defaulting to `Recorder::Null()`, which makes the
 // telemetry layer zero-overhead-when-disabled by construction — the
-// only residual cost is the plain counter increments the old QueryStats
-// already paid.
+// only residual cost is the plain counter increments into the query's
+// QueryTelemetry, which SearchResult carries back to the caller.
 //
 // AggregateRecorder is the server-side sink: relaxed-atomic per-phase
 // totals, safe to share across sessions/workers, snapshotted by locsd's

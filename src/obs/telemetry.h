@@ -6,15 +6,17 @@
 // solver: a fixed set of phases (admission, expansion, candidate
 // generation, core decomposition, connectivity) each with monotonic
 // -clock span durations and work counters. Every solver fills one
-// QueryTelemetry per query and hands it back inside SearchResult; the
-// legacy QueryStats counters are now a derived view of these totals.
+// QueryTelemetry per query and hands it back inside SearchResult. It is
+// the one stats path: a caller reads a query's effort from
+// `result.telemetry` (TotalVisited, TotalScanned, used_global_fallback,
+// answer_size), and locsd's STATS and trace=1 replies, the JSONL traces
+// and the benches all read these same counters.
 //
 // Cost model: with the default null Recorder (see obs/recorder.h) no
 // clock is ever read — PhaseTracker::Enter is a couple of plain stores —
-// and the per-vertex/per-edge counter increments are the same plain
-// `++field` on a local struct that QueryStats always did. Timing is
-// read only when a sink that wants it (TraceSink, AggregateRecorder) is
-// attached.
+// and the per-vertex/per-edge counter increments are plain `++field`
+// stores into the phase's PhaseStats block. Timing is read only when a
+// sink that wants it (TraceSink, AggregateRecorder) is attached.
 //
 // This layer depends only on locs_util so that graph/core/exec/serve and
 // the benches can all share it.

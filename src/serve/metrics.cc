@@ -58,8 +58,12 @@ MetricsSnapshot ServerMetrics::Snapshot() const {
   snap.q_attempted = q_attempted_.load(std::memory_order_relaxed);
   snap.q_completed = q_completed_.load(std::memory_order_relaxed);
   snap.q_failed = q_failed_.load(std::memory_order_relaxed);
+  // Closed before opened: both only grow and closed <= opened at every
+  // instant, so the later load of opened is at least the closed count
+  // and sessions_open (opened - closed) cannot wrap. The other order
+  // could miss an open whose close the second load saw.
+  snap.sessions_closed = sessions_closed_.load(std::memory_order_acquire);
   snap.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  snap.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   snap.cache_inserts = cache_inserts_.load(std::memory_order_relaxed);

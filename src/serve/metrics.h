@@ -114,8 +114,10 @@ class ServerMetrics {
   void CountSessionOpened() {
     sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Release, paired with Snapshot's acquire load: a snapshot that sees
+  /// a close also sees the open before it.
   void CountSessionClosed() {
-    sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+    sessions_closed_.fetch_add(1, std::memory_order_release);
   }
   void CountCacheHit() {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);

@@ -387,19 +387,16 @@ std::string Session::ExecQuery(const Request& request,
   SearchResult result;
   switch (request.verb) {
     case Verb::kCst:
-      result = searcher.Cst(request.vertices[0], request.k, {}, nullptr,
-                            &guard);
+      result = searcher.Cst(request.vertices[0], request.k, {}, &guard);
       break;
     case Verb::kCsm:
-      result = searcher.Csm(request.vertices[0], nullptr, &guard,
-                            member_limit);
+      result = searcher.Csm(request.vertices[0], &guard, member_limit);
       break;
     case Verb::kMulti:
       result = request.multi_max
-                   ? searcher.CsmMulti(request.vertices, nullptr, &guard,
-                                       member_limit)
-                   : searcher.CstMulti(request.vertices, request.k,
-                                       nullptr, &guard, member_limit);
+                   ? searcher.CsmMulti(request.vertices, &guard, member_limit)
+                   : searcher.CstMulti(request.vertices, request.k, &guard,
+                                       member_limit);
       break;
     default:
       return FormatError(WireError::kUnknownVerb, "not a query verb");

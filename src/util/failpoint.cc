@@ -1,7 +1,5 @@
 #include "util/failpoint.h"
 
-#if LOCS_FAILPOINTS
-
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -141,5 +139,3 @@ uint64_t HitCount(const char* name) {
 }
 
 }  // namespace locs::failpoint
-
-#endif  // LOCS_FAILPOINTS

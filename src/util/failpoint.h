@@ -1,4 +1,4 @@
-// LOCS_FAILPOINT — compile-time-gated fault injection.
+// LOCS_FAILPOINT — named fault-injection sites.
 //
 // A failpoint is a named site in library code that a test (or the
 // LOCS_FAILPOINT environment variable) can arm to force a rare failure
@@ -7,12 +7,10 @@
 //
 //   if (LOCS_FAILPOINT("serve.registry.load_error")) return ...error...;
 //
-// and cost nothing when the facility is compiled out
-// (-DLOCS_FAILPOINTS=0): the macro folds to `false` and the branch is
-// dead code. When compiled in (the default for development and CI
-// builds), an unarmed site costs one relaxed atomic load and a
-// predictable branch; sites live on coarse paths (per file-read, per
-// guard poll, per query), never in per-edge loops.
+// and are compiled into every build, Release included. An unarmed site
+// costs one relaxed atomic load and a predictable branch; sites live on
+// coarse paths (per file-read, per guard poll, per query), never in
+// per-edge loops.
 //
 // Arming:
 //   - in-process: locs::failpoint::Arm("name"), optionally with a number
@@ -38,12 +36,6 @@
 
 #ifndef LOCS_UTIL_FAILPOINT_H_
 #define LOCS_UTIL_FAILPOINT_H_
-
-#ifndef LOCS_FAILPOINTS
-#define LOCS_FAILPOINTS 1
-#endif
-
-#if LOCS_FAILPOINTS
 
 #include <atomic>
 #include <cstdint>
@@ -98,11 +90,5 @@ class ScopedFailpoint {
 }  // namespace locs::failpoint
 
 #define LOCS_FAILPOINT(name) (::locs::failpoint::Fire(name))
-
-#else  // !LOCS_FAILPOINTS
-
-#define LOCS_FAILPOINT(name) (false)
-
-#endif  // LOCS_FAILPOINTS
 
 #endif  // LOCS_UTIL_FAILPOINT_H_

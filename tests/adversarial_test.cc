@@ -200,8 +200,7 @@ TEST(AdversarialCsmTest, LongPathBudgetTermination) {
   CsmOptions options;
   options.gamma = 0.0;
   options.candidate_rule = CsmCandidateRule::kFromNaive;
-  QueryStats stats;
-  const Community best = *solver.Solve(2500, options, &stats);
+  const Community best = *solver.Solve(2500, options);
   EXPECT_EQ(best.min_degree, 1u);
   EXPECT_TRUE(IsValidCommunity(g, best.members, 2500, 1));
 }

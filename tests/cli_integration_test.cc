@@ -428,14 +428,12 @@ TEST(CliIntegrationTest, LoadFailuresMapToTypedExitCodes) {
     out << "4294967297 1\n2\n";
   }
   EXPECT_EQ(RunCli("stats --input=" + huge_path).first, 4);  // parse
-#if LOCS_FAILPOINTS
   // Running out of memory in a text loader (forced before the parse) is
   // the alloc exit code.
   ::setenv("LOCS_FAILPOINT", "io.text.alloc", 1);
   const int code = RunCli("stats --input=" + huge_path).first;
   ::unsetenv("LOCS_FAILPOINT");
   EXPECT_EQ(code, 6);  // alloc
-#endif
 }
 
 TEST(CliIntegrationTest, ErrorsAreClean) {

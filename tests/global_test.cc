@@ -64,10 +64,9 @@ TEST(GlobalCstTest, PaperExample6AdmissibleSet) {
 
 TEST(GlobalCstTest, StatsCountWholeGraph) {
   Graph g = gen::Cycle(20);
-  QueryStats stats;
-  GlobalCst(g, 0, 2, &stats);
-  EXPECT_EQ(stats.visited_vertices, 20u);
-  EXPECT_EQ(stats.scanned_edges, 40u);
+  const obs::QueryTelemetry stats = GlobalCst(g, 0, 2).telemetry;
+  EXPECT_EQ(stats.TotalVisited(), 20u);
+  EXPECT_EQ(stats.TotalScanned(), 40u);
   EXPECT_EQ(stats.answer_size, 20u);
 }
 

@@ -152,7 +152,6 @@ TEST(QueryGuardTest, CancelFlagTrips) {
   EXPECT_EQ(guard.cause(), Termination::kCancelled);
 }
 
-#if LOCS_FAILPOINTS
 TEST(QueryGuardTest, ForceDeadlineFailpointTripsAnyLimitedGuard) {
   failpoint::ScopedFailpoint fp("guard.force_deadline");
   QueryGuard guard = BudgetGuard(uint64_t{1} << 40);
@@ -160,7 +159,6 @@ TEST(QueryGuardTest, ForceDeadlineFailpointTripsAnyLimitedGuard) {
   EXPECT_EQ(guard.cause(), Termination::kDeadline);
   EXPECT_GE(failpoint::HitCount("guard.force_deadline"), 1u);
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Local CST under guards.
@@ -279,7 +277,7 @@ TEST(GuardedGlobalCstTest, BudgetLadderMidPeel) {
   const SearchResult exact = GlobalCst(g, v0, 3);
   for (uint64_t budget : {10u, 600u, 2000u, 10000u, 10000000u}) {
     QueryGuard guard = BudgetGuard(budget);
-    const SearchResult result = GlobalCst(g, v0, 3, nullptr, &guard);
+    const SearchResult result = GlobalCst(g, v0, 3, &guard);
     if (result.Interrupted()) {
       EXPECT_EQ(result.status, Termination::kBudgetExhausted);
       ExpectValidPartial(g, result, v0);
@@ -299,7 +297,7 @@ TEST(GuardedGlobalCstTest, PeeledQueryVertexIsExactNotExistsMidPeel) {
   Graph g = gen::Star(4000);
   for (uint64_t budget : {4100u, 6000u, 12000u}) {
     QueryGuard guard = BudgetGuard(budget);
-    const SearchResult result = GlobalCst(g, 1, 2, nullptr, &guard);
+    const SearchResult result = GlobalCst(g, 1, 2, &guard);
     if (!result.Interrupted()) {
       EXPECT_EQ(result.status, Termination::kNotExists);
     }
@@ -346,7 +344,7 @@ TEST(GuardedCsmTest, BudgetLadderAlwaysYieldsValidResults) {
 TEST(GuardedCsmTest, GlobalCsmChecksGuardBeforeItsIndivisiblePass) {
   Graph g = gen::Clique(20);
   QueryGuard guard = ExpiredGuard();
-  const SearchResult result = GlobalCsm(g, 5, nullptr, &guard);
+  const SearchResult result = GlobalCsm(g, 5, &guard);
   ASSERT_EQ(result.status, Termination::kDeadline);
   ExpectValidPartial(g, result, 5);
 }
@@ -389,7 +387,7 @@ TEST(GuardedMultiTest, CsmMultiSharesOneGuardAcrossProbes) {
   // Expired deadline: interrupted; the binary search still surfaces its
   // best proven answer (at worst the trivial singleton fragment).
   QueryGuard guard = ExpiredGuard();
-  const SearchResult result = solver.CsmMulti(query, nullptr, &guard);
+  const SearchResult result = solver.CsmMulti(query, &guard);
   ASSERT_TRUE(result.Interrupted());
   EXPECT_EQ(result.status, Termination::kDeadline);
   ExpectValidPartial(g, result, query[0]);
@@ -501,20 +499,20 @@ TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
 
   {
     QueryGuard guard = ExpiredGuard();
-    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    const SearchResult result = searcher.CstMulti(query, 2, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
     ExpectValidMultiPartial(g, result, query);
   }
   {
     QueryGuard guard = ExpiredGuard();
-    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    const SearchResult result = searcher.CsmMulti(query, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
     ExpectValidMultiPartial(g, result, query);
   }
   {
     // Budget 1: the BFS's first vertex trips it.
     QueryGuard guard = BudgetGuard(1);
-    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    const SearchResult result = searcher.CstMulti(query, 2, &guard);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
     EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].vertices_visited,
               1u);
@@ -524,7 +522,7 @@ TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
     // Budget 1: the BFS's first vertex trips it; δ came from the core
     // forest, so no other phase runs.
     QueryGuard guard = BudgetGuard(1);
-    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    const SearchResult result = searcher.CsmMulti(query, &guard);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
     EXPECT_EQ(result.telemetry[obs::Phase::kConnectivity].vertices_visited,
               1u);
@@ -537,7 +535,7 @@ TEST(GuardedSearcherTest, MultiQueriesDegradeToValidPartials) {
   for (uint64_t budget = 1; budget < 4 * csm_exact.telemetry.TotalWork();
        budget += 7) {
     QueryGuard guard = BudgetGuard(budget);
-    const SearchResult result = searcher.CsmMulti(query, nullptr, &guard);
+    const SearchResult result = searcher.CsmMulti(query, &guard);
     if (!result.Interrupted()) {
       EXPECT_EQ(result->members, csm_exact->members);
       continue;
@@ -562,7 +560,7 @@ TEST(GuardedSearcherTest, ManySeedMultiIsChargedToItsGuard) {
   for (VertexId i = 0; i < kSeeds; ++i) query[i] = (i * 7919) % kSeeds;
   {
     QueryGuard guard = BudgetGuard(kSeeds / 2);
-    const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+    const SearchResult result = searcher.CstMulti(query, 2, &guard);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
     EXPECT_EQ(result.telemetry.TotalWork(), 0u);
     ExpectValidMultiPartial(g, result, query);
@@ -571,7 +569,7 @@ TEST(GuardedSearcherTest, ManySeedMultiIsChargedToItsGuard) {
   limits.work_budget = kSeeds + 4 * g.NumVertices();
   limits.deadline_ms = 10000.0;
   QueryGuard guard(limits);
-  const SearchResult result = searcher.CstMulti(query, 2, nullptr, &guard);
+  const SearchResult result = searcher.CstMulti(query, 2, &guard);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->members.size(), g.NumVertices());
   EXPECT_EQ(result->min_degree, 2u);
@@ -625,7 +623,6 @@ TEST(GuardedMcstTest, GreedyMcstGuardTripStillReturnsValidCommunity) {
 // ---------------------------------------------------------------------------
 // Facade + failpoint end-to-end.
 
-#if LOCS_FAILPOINTS
 TEST(GuardedSearcherTest, ForceDeadlineFailpointInterruptsEverySolver) {
   CommunitySearcher searcher(gen::ErdosRenyiGnp(150, 0.08, 13));
   failpoint::ScopedFailpoint fp("guard.force_deadline");
@@ -634,22 +631,21 @@ TEST(GuardedSearcherTest, ForceDeadlineFailpointInterruptsEverySolver) {
 
   {
     QueryGuard guard(limits);
-    const SearchResult result = searcher.Cst(0, 3, {}, nullptr, &guard);
+    const SearchResult result = searcher.Cst(0, 3, {}, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
   }
   {
     QueryGuard guard(limits);
-    const SearchResult result = searcher.Csm(0, nullptr, &guard);
+    const SearchResult result = searcher.Csm(0, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
   }
   {
     QueryGuard guard(limits);
-    const SearchResult result = searcher.CstGlobal(0, 3, nullptr, &guard);
+    const SearchResult result = GlobalCst(searcher.graph(), 0, 3, &guard);
     EXPECT_EQ(result.status, Termination::kDeadline);
   }
   EXPECT_GE(failpoint::HitCount("guard.force_deadline"), 3u);
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Batch layer: per-query budgets are thread-count invariant.

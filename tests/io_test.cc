@@ -663,8 +663,6 @@ TEST(IoErrorTest, BinaryTruncationIsReported) {
   EXPECT_EQ(error.kind, IoErrorKind::kTruncated);
 }
 
-#if LOCS_FAILPOINTS
-
 TEST(IoFailpointTest, AllocFailpointForcesAllocError) {
   Graph g = gen::Clique(5);
   const std::string edge_path = TempPath("fp_alloc.txt");
@@ -699,8 +697,6 @@ TEST(IoFailpointTest, SkipCountDelaysTheFailure) {
   EXPECT_FALSE(LoadEdgeList(path).has_value());  // hit 3: fires
   EXPECT_EQ(failpoint::HitCount("io.text.alloc"), 3u);
 }
-
-#endif  // LOCS_FAILPOINTS
 
 }  // namespace
 }  // namespace locs

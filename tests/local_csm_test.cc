@@ -54,8 +54,7 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
 
 class LocalCsmExactTest : public ::testing::TestWithParam<Config> {
  protected:
-  Community Solve(const Graph& g, VertexId v0, QueryStats* stats = nullptr,
-                  bool ordered = true) {
+  Community Solve(const Graph& g, VertexId v0, bool ordered = true) {
     const GraphFacts facts = GraphFacts::Compute(g);
     std::optional<OrderedAdjacency> oa;
     if (ordered) oa.emplace(g);
@@ -63,7 +62,7 @@ class LocalCsmExactTest : public ::testing::TestWithParam<Config> {
     CsmOptions options;
     options.candidate_rule = GetParam().rule;
     options.gamma = GetParam().gamma;
-    return *solver.Solve(v0, options, stats);
+    return *solver.Solve(v0, options);
   }
 };
 
@@ -153,8 +152,8 @@ TEST_P(LocalCsmExactTest, MatchesGlobalOnLfr) {
 TEST_P(LocalCsmExactTest, WorksWithoutOrderedAdjacency) {
   Graph g = gen::ErdosRenyiGnp(60, 0.12, 77);
   for (VertexId v0 = 0; v0 < g.NumVertices(); v0 += 11) {
-    const Community with = Solve(g, v0, nullptr, /*ordered=*/true);
-    const Community without = Solve(g, v0, nullptr, /*ordered=*/false);
+    const Community with = Solve(g, v0, /*ordered=*/true);
+    const Community without = Solve(g, v0, /*ordered=*/false);
     EXPECT_EQ(with.min_degree, without.min_degree);
   }
 }
@@ -231,10 +230,9 @@ TEST(LocalCsmStatsTest, Eq7EarlyExitSkipsMaxcore) {
   Graph g = gen::Clique(12);
   const GraphFacts facts = GraphFacts::Compute(g);
   LocalCsmSolver solver(g, nullptr, &facts);
-  QueryStats stats;
-  const Community best = *solver.Solve(0, {}, &stats);
-  EXPECT_EQ(best.min_degree, 11u);
-  EXPECT_FALSE(stats.used_global_fallback);
+  const SearchResult result = solver.Solve(0);
+  EXPECT_EQ(result->min_degree, 11u);
+  EXPECT_FALSE(result.telemetry.used_global_fallback);
 }
 
 TEST(LocalCsmStatsTest, VisitedStaysLocalOnBarbell) {
@@ -243,11 +241,10 @@ TEST(LocalCsmStatsTest, VisitedStaysLocalOnBarbell) {
   Graph g = gen::Barbell(8, 30);
   const GraphFacts facts = GraphFacts::Compute(g);
   LocalCsmSolver solver(g, nullptr, &facts);
-  QueryStats stats;
-  const Community best = *solver.Solve(0, {}, &stats);
-  EXPECT_EQ(best.min_degree, 7u);
-  EXPECT_EQ(best.members.size(), 8u);
-  EXPECT_LT(stats.visited_vertices, 12u);
+  const SearchResult result = solver.Solve(0);
+  EXPECT_EQ(result->min_degree, 7u);
+  EXPECT_EQ(result->members.size(), 8u);
+  EXPECT_LT(result.telemetry.TotalVisited(), 12u);
 }
 
 }  // namespace

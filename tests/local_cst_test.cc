@@ -40,7 +40,6 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
 class LocalCstStrategyTest : public ::testing::TestWithParam<Config> {
  protected:
   SearchResult Solve(const Graph& g, VertexId v0, uint32_t k,
-                     QueryStats* stats = nullptr,
                      std::span<const uint32_t> core = {}) {
     const GraphFacts facts = GraphFacts::Compute(g);
     std::optional<OrderedAdjacency> ordered;
@@ -48,7 +47,7 @@ class LocalCstStrategyTest : public ::testing::TestWithParam<Config> {
     LocalCstSolver solver(g, ordered ? &*ordered : nullptr, &facts, core);
     CstOptions options;
     options.strategy = GetParam().strategy;
-    return solver.Solve(v0, k, options, stats);
+    return solver.Solve(v0, k, options);
   }
 };
 
@@ -71,9 +70,9 @@ TEST_P(LocalCstStrategyTest, ThresholdZeroIsSingleton) {
 
 TEST_P(LocalCstStrategyTest, LowDegreeQueryRejectedImmediately) {
   Graph g = gen::Star(10);
-  QueryStats stats;
-  EXPECT_FALSE(Solve(g, 1, 2, &stats).has_value());
-  EXPECT_EQ(stats.visited_vertices, 0u);  // Proposition 3 pruning
+  const auto result = Solve(g, 1, 2);
+  EXPECT_FALSE(result.has_value());
+  EXPECT_EQ(result.telemetry.TotalVisited(), 0u);  // Proposition 3 pruning
 }
 
 TEST_P(LocalCstStrategyTest, PaperFigure1QueryA) {
@@ -94,8 +93,7 @@ TEST_P(LocalCstStrategyTest, PaperFigure1QueryE) {
   // Example 7's setting: query e with k = 3.
   Graph g = gen::PaperFigure1();
   auto v = [](char c) { return gen::Figure1Vertex(c); };
-  QueryStats stats;
-  const auto result = Solve(g, v('e'), 3, &stats);
+  const auto result = Solve(g, v('e'), 3);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(IsValidCommunity(g, result->members, v('e'), 3));
   EXPECT_GE(result->min_degree, 3u);
@@ -147,8 +145,7 @@ TEST_P(LocalCstStrategyTest, BridgeVertexNeedsFallback) {
 TEST_P(LocalCstStrategyTest, InfeasibleQueryReturnsNullAfterExhaustion) {
   // Star center has high degree but no 2-connected neighborhood.
   Graph g = gen::Star(30);
-  QueryStats stats;
-  EXPECT_FALSE(Solve(g, 0, 2, &stats).has_value());
+  EXPECT_FALSE(Solve(g, 0, 2).has_value());
 }
 
 TEST_P(LocalCstStrategyTest, AgreesWithGlobalOnRandomGraphs) {
@@ -205,9 +202,7 @@ TEST_P(LocalCstStrategyTest, VisitedNeverExceedsEligibleVertices) {
   }
   for (VertexId v0 = 0; v0 < g.NumVertices(); v0 += 61) {
     if (g.Degree(v0) < k) continue;
-    QueryStats stats;
-    Solve(g, v0, k, &stats);
-    EXPECT_LE(stats.visited_vertices, eligible);
+    EXPECT_LE(Solve(g, v0, k).telemetry.TotalVisited(), eligible);
   }
 }
 
@@ -228,25 +223,22 @@ TEST_P(LocalCstStrategyTest, CoreNumbersPruneTheForcedFallback) {
   const CoreDecomposition cores = ComputeCores(g);
   ASSERT_EQ(cores.core[1], 1u);
 
-  QueryStats paper_stats;
-  const auto paper = Solve(g, 0, 3, &paper_stats);
+  const auto paper = Solve(g, 0, 3);
   ASSERT_TRUE(paper.has_value());
-  EXPECT_TRUE(paper_stats.used_global_fallback);
-  EXPECT_EQ(paper_stats.visited_vertices, 5u);  // C = {0..4}, then the peel
+  EXPECT_TRUE(paper.telemetry.used_global_fallback);
+  EXPECT_EQ(paper.telemetry.TotalVisited(), 5u);  // C = {0..4}, then the peel
 
-  QueryStats pruned_stats;
-  const auto pruned = Solve(g, 0, 3, &pruned_stats, cores.core);
+  const auto pruned = Solve(g, 0, 3, cores.core);
   ASSERT_TRUE(pruned.has_value());
-  EXPECT_FALSE(pruned_stats.used_global_fallback);
-  EXPECT_EQ(pruned_stats.visited_vertices, 4u);
+  EXPECT_FALSE(pruned.telemetry.used_global_fallback);
+  EXPECT_EQ(pruned.telemetry.TotalVisited(), 4u);
   EXPECT_EQ(ToSet(pruned->members), ToSet({0, 2, 3, 4}));
   EXPECT_EQ(ToSet(pruned->members), ToSet(paper->members));
   EXPECT_EQ(pruned->min_degree, 3u);
   // Lemma 3 also answers a seed outside the k-core before any expansion.
-  QueryStats outside_stats;
-  EXPECT_EQ(Solve(g, 1, 3, &outside_stats, cores.core).status,
-            Termination::kNotExists);
-  EXPECT_EQ(outside_stats.visited_vertices, 0u);
+  const auto outside = Solve(g, 1, 3, cores.core);
+  EXPECT_EQ(outside.status, Termination::kNotExists);
+  EXPECT_EQ(outside.telemetry.TotalVisited(), 0u);
 }
 
 TEST_P(LocalCstStrategyTest, RepeatedQueriesAreIndependent) {
@@ -294,13 +286,12 @@ TEST(LocalCstLiTest, PaperExample7IntelligentSelection) {
   LocalCstSolver solver(g, nullptr, &facts);
   CstOptions options;
   options.strategy = Strategy::kLI;
-  QueryStats stats;
-  const auto result = solver.Solve(v('e'), 3, options, &stats);
+  const auto result = solver.Solve(v('e'), 3, options);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(ToSet(result->members),
             ToSet({v('a'), v('b'), v('c'), v('d'), v('e')}));
-  EXPECT_EQ(stats.visited_vertices, 5u);
-  EXPECT_FALSE(stats.used_global_fallback);
+  EXPECT_EQ(result.telemetry.TotalVisited(), 5u);
+  EXPECT_FALSE(result.telemetry.used_global_fallback);
 }
 
 TEST(LocalCstNaiveTest, PaperExample7NaiveExhaustsCandidates) {
@@ -312,23 +303,23 @@ TEST(LocalCstNaiveTest, PaperExample7NaiveExhaustsCandidates) {
   LocalCstSolver solver(g, nullptr, &facts);
   CstOptions options;
   options.strategy = Strategy::kNaive;
-  QueryStats stats;
-  const auto result = solver.Solve(v('e'), 3, options, &stats);
+  const auto result = solver.Solve(v('e'), 3, options);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(ToSet(result->members),
             ToSet({v('a'), v('b'), v('c'), v('d'), v('e')}));
-  EXPECT_EQ(stats.visited_vertices, 12u);
-  EXPECT_TRUE(stats.used_global_fallback);
+  EXPECT_EQ(result.telemetry.TotalVisited(), 12u);
+  EXPECT_TRUE(result.telemetry.used_global_fallback);
 }
 
 TEST(LocalCstStatsTest, FallbackFlagFalseOnDirectHit) {
   Graph g = gen::Clique(10);
   const GraphFacts facts = GraphFacts::Compute(g);
   LocalCstSolver solver(g, nullptr, &facts);
-  QueryStats stats;
-  ASSERT_TRUE(solver.Solve(0, 4, {}, &stats).has_value());
-  EXPECT_FALSE(stats.used_global_fallback);
-  EXPECT_EQ(stats.answer_size, 5u);  // li stops as soon as δ(C) reaches 4
+  const auto result = solver.Solve(0, 4);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result.telemetry.used_global_fallback);
+  // li stops as soon as δ(C) reaches 4
+  EXPECT_EQ(result.telemetry.answer_size, 5u);
 }
 
 // Two K4s joined through vertex 8 (degree 3, core number 2): CstMulti

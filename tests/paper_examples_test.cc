@@ -116,18 +116,17 @@ TEST_F(PaperExamplesTest, Example7NaiveVsIntelligentSelection) {
   // exhausts all 12 eligible vertices before the fallback answers.
   CstOptions naive;
   naive.strategy = Strategy::kNaive;
-  QueryStats stats;
-  auto result = solver.Solve(V('e'), 3, naive, &stats);
+  auto result = solver.Solve(V('e'), 3, naive);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(stats.visited_vertices, 12u);
-  EXPECT_TRUE(stats.used_global_fallback);
+  EXPECT_EQ(result.telemetry.TotalVisited(), 12u);
+  EXPECT_TRUE(result.telemetry.used_global_fallback);
   // Intelligent (li): 5 steps, exactly the Figure 4(b) trace.
   CstOptions li;
   li.strategy = Strategy::kLI;
-  result = solver.Solve(V('e'), 3, li, &stats);
+  result = solver.Solve(V('e'), 3, li);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(stats.visited_vertices, 5u);
-  EXPECT_FALSE(stats.used_global_fallback);
+  EXPECT_EQ(result.telemetry.TotalVisited(), 5u);
+  EXPECT_FALSE(result.telemetry.used_global_fallback);
   EXPECT_EQ(ToSet(result->members), ToSet(Set("abcde")));
 }
 

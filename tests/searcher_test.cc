@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/global.h"
 #include "core/kcore.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
@@ -43,32 +44,29 @@ TEST(CommunitySearcherTest, LocalAgreesWithGlobalEndToEnd) {
   CommunitySearcher searcher(gen::ErdosRenyiGnp(100, 0.08, 8));
   for (VertexId v0 = 0; v0 < 100; v0 += 9) {
     const Community local = *searcher.Csm(v0);
-    const Community global = *searcher.CsmGlobal(v0);
+    const Community global = *GlobalCsm(searcher.graph(), v0);
     EXPECT_EQ(local.min_degree, global.min_degree);
     for (uint32_t k = 1; k <= global.min_degree + 1; ++k) {
       EXPECT_EQ(searcher.Cst(v0, k).has_value(),
-                searcher.CstGlobal(v0, k).has_value());
+                GlobalCst(searcher.graph(), v0, k).has_value());
     }
   }
 }
 
 TEST(CommunitySearcherTest, StatsPlumbing) {
   CommunitySearcher searcher(gen::Clique(12));
-  QueryStats stats;
-  searcher.Cst(0, 6, {}, &stats);
-  EXPECT_GT(stats.visited_vertices, 0u);
-  EXPECT_EQ(stats.answer_size, 7u);
-  searcher.CstGlobal(0, 6, &stats);
-  EXPECT_EQ(stats.visited_vertices, 12u);
-  searcher.Csm(0, &stats);
-  EXPECT_EQ(stats.answer_size, 12u);
-  searcher.CsmGlobal(0, &stats);
-  EXPECT_EQ(stats.answer_size, 12u);
+  const SearchResult cst = searcher.Cst(0, 6);
+  EXPECT_GT(cst.telemetry.TotalVisited(), 0u);
+  EXPECT_EQ(cst.telemetry.answer_size, 7u);
+  EXPECT_EQ(GlobalCst(searcher.graph(), 0, 6).telemetry.TotalVisited(), 12u);
+  EXPECT_EQ(searcher.Csm(0).telemetry.answer_size, 12u);
+  EXPECT_EQ(GlobalCsm(searcher.graph(), 0).telemetry.answer_size, 12u);
   // Vertex 0 lies outside the (empty) 12-core: the CoreIndex answers and
-  // the caller's stats read all zeros.
-  EXPECT_FALSE(searcher.Cst(0, 12, {}, &stats).has_value());
-  EXPECT_EQ(stats.visited_vertices, 0u);
-  EXPECT_EQ(stats.answer_size, 0u);
+  // the result's telemetry reads all zeros.
+  const SearchResult outside = searcher.Cst(0, 12);
+  EXPECT_FALSE(outside.has_value());
+  EXPECT_EQ(outside.telemetry.TotalVisited(), 0u);
+  EXPECT_EQ(outside.telemetry.answer_size, 0u);
 }
 
 // A member limit cuts the CSM BFS short but not the answer: status, δ
@@ -96,18 +94,17 @@ TEST(CommunitySearcherTest, LimitedCsmListsThePrefixOfTheFullAnswer) {
         if (limit == 0) continue;
         SCOPED_TRACE(c.label + " v=" + std::to_string(v) +
                      " limit=" + std::to_string(limit));
-        QueryStats stats;
-        const SearchResult listed = searcher.Csm(v, &stats, nullptr, limit);
+        const SearchResult listed = searcher.Csm(v, nullptr, limit);
         ASSERT_EQ(listed.status, full.status);
         EXPECT_EQ(listed->min_degree, full->min_degree);
         EXPECT_EQ(listed.AnswerSize(), n);
-        EXPECT_EQ(stats.answer_size, n);
+        EXPECT_EQ(listed.telemetry.answer_size, n);
         const size_t shown = std::min<uint64_t>(limit, n);
         EXPECT_EQ(listed->members,
                   std::vector<VertexId>(full->members.begin(),
                                         full->members.begin() + shown));
         EXPECT_EQ(listed.unlisted, n - shown);
-        EXPECT_LE(stats.visited_vertices, limit);
+        EXPECT_LE(listed.telemetry.TotalVisited(), limit);
       }
     }
   }
@@ -122,19 +119,18 @@ TEST(CommunitySearcherTest, LimitedCsmDegradesToTheQueryVertex) {
     QueryGuard guard(limits);
     guard.Spend(2);
     ASSERT_TRUE(guard.Stopped());
-    QueryStats stats;
-    const SearchResult result = searcher.Csm(3, &stats, &guard, 1);
+    const SearchResult result = searcher.Csm(3, &guard, 1);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
     EXPECT_EQ(result.best_so_far.members, std::vector<VertexId>{3});
     EXPECT_EQ(result.best_so_far.min_degree, 0u);
     EXPECT_EQ(result.AnswerSize(), 1u);
-    EXPECT_EQ(stats.visited_vertices, 0u);
+    EXPECT_EQ(result.telemetry.TotalVisited(), 0u);
   }
   for (const uint64_t limit : {1u, 5u}) {
     // Budget 1: the query vertex's own scan trips it, whatever the limit.
     SCOPED_TRACE(limit);
     QueryGuard guard(limits);
-    const SearchResult result = searcher.Csm(3, nullptr, &guard, limit);
+    const SearchResult result = searcher.Csm(3, &guard, limit);
     EXPECT_EQ(result.status, Termination::kBudgetExhausted);
     EXPECT_EQ(result.best_so_far.members, std::vector<VertexId>{3});
     EXPECT_EQ(result.best_so_far.min_degree, 0u);
@@ -181,8 +177,7 @@ TEST(CommunitySearcherTest, LimitedMultiListsThePrefixOfTheFullAnswer) {
         SCOPED_TRACE(c.label + " k=" + std::to_string(k) +
                      " seeds=" + std::to_string(seeds[0]) + "," +
                      std::to_string(seeds[1]));
-        QueryStats stats;
-        const SearchResult cst = searcher.CstMulti(seeds, k, &stats);
+        const SearchResult cst = searcher.CstMulti(seeds, k);
         const std::vector<VertexId> component =
             KCoreComponentOf(c.graph, core, seeds[0], k);
         const bool shared = std::all_of(
@@ -193,8 +188,8 @@ TEST(CommunitySearcherTest, LimitedMultiListsThePrefixOfTheFullAnswer) {
         if (!shared) {
           ++negatives;
           EXPECT_EQ(cst.status, Termination::kNotExists);
-          EXPECT_EQ(stats.visited_vertices, 0u);
-          EXPECT_EQ(stats.scanned_edges, 0u);
+          EXPECT_EQ(cst.telemetry.TotalVisited(), 0u);
+          EXPECT_EQ(cst.telemetry.TotalScanned(), 0u);
         } else {
           ASSERT_TRUE(cst.Found());
           EXPECT_EQ(cst.unlisted, 0u);
@@ -206,11 +201,10 @@ TEST(CommunitySearcherTest, LimitedMultiListsThePrefixOfTheFullAnswer) {
         for (const uint64_t limit : {uint64_t{1}, uint64_t{5}}) {
           SCOPED_TRACE("limit=" + std::to_string(limit));
           const auto expect_prefix = [&](const SearchResult& full,
-                                         const SearchResult& listed,
-                                         const QueryStats& listed_stats) {
+                                         const SearchResult& listed) {
             ASSERT_EQ(listed.status, full.status);
             EXPECT_EQ(listed.AnswerSize(), full.AnswerSize());
-            EXPECT_LE(listed_stats.visited_vertices, limit);
+            EXPECT_LE(listed.telemetry.TotalVisited(), limit);
             if (!listed.Found()) return;
             EXPECT_EQ(listed->min_degree, full->min_degree);
             const size_t shown =
@@ -220,13 +214,8 @@ TEST(CommunitySearcherTest, LimitedMultiListsThePrefixOfTheFullAnswer) {
                                             full->members.begin() + shown));
             cut += listed.unlisted > 0 ? 1 : 0;
           };
-          QueryStats listed_stats;
-          expect_prefix(
-              cst, searcher.CstMulti(seeds, k, &listed_stats, nullptr, limit),
-              listed_stats);
-          expect_prefix(
-              csm, searcher.CsmMulti(seeds, &listed_stats, nullptr, limit),
-              listed_stats);
+          expect_prefix(cst, searcher.CstMulti(seeds, k, nullptr, limit));
+          expect_prefix(csm, searcher.CsmMulti(seeds, nullptr, limit));
         }
       }
     }

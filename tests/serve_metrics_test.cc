@@ -4,11 +4,15 @@
 // upper bound of the nearest-rank bucket — these tests pin the edge
 // cases that an off-by-one in the rank or bound arithmetic flips:
 // p = 1.0, a single sample, the empty histogram, and exact boundaries.
+// The session counters are checked under a concurrent open/close churn.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/metrics.h"
@@ -89,6 +93,33 @@ TEST(MetricsPercentileTest, OpenEndedLastBucketReportsItsBound) {
   metrics.RecordLatencyUs(uint64_t{1} << 40);  // beyond the last bucket
   const MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.LatencyPercentileUs(0.5), (uint64_t{1} << 31) - 1);
+}
+
+// One thread opens and closes sessions in a tight loop while this one
+// snapshots: no snapshot may count more closes than opens, or STATS'
+// sessions_open (opened - closed) wraps to about 1.8e19.
+TEST(MetricsSessionTest, SnapshotNeverCountsMoreClosesThanOpens) {
+  ServerMetrics metrics;
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      metrics.CountSessionOpened();
+      metrics.CountSessionClosed();
+    }
+  });
+  while (metrics.Snapshot().sessions_closed == 0) std::this_thread::yield();
+  uint64_t snapshots = 0;
+  uint64_t wrapped = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (std::chrono::steady_clock::now() < until) {
+    const MetricsSnapshot snap = metrics.Snapshot();
+    ++snapshots;
+    wrapped += snap.sessions_opened < snap.sessions_closed ? 1 : 0;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  churn.join();
+  EXPECT_EQ(wrapped, 0u) << "in " << snapshots << " snapshots";
 }
 
 }  // namespace

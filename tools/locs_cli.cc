@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/global.h"
 #include "core/kcore.h"
 #include "core/searcher.h"
 #include "exec/batch_runner.h"
@@ -379,8 +380,9 @@ int CmdCst(const CommandLine& cli) {
   WallTimer timer;
   QueryGuard guard(flags.limits);
   const auto result = flags.global
-                          ? searcher.CstGlobal(v0, k, nullptr, &guard)
-                          : searcher.Cst(v0, k, {}, nullptr, &guard);
+                          ? GlobalCst(snapshot->graph, v0, k, &guard,
+                                      trace.get())
+                          : searcher.Cst(v0, k, {}, &guard);
   const double ms = timer.Millis();
   const auto visited =
       static_cast<unsigned long>(result.telemetry.TotalVisited());
@@ -423,8 +425,8 @@ int CmdCsm(const CommandLine& cli) {
   WallTimer timer;
   QueryGuard guard(flags.limits);
   const auto result = flags.global
-                          ? searcher.CsmGlobal(v0, nullptr, &guard)
-                          : searcher.Csm(v0, nullptr, &guard);
+                          ? GlobalCsm(snapshot->graph, v0, &guard, trace.get())
+                          : searcher.Csm(v0, &guard);
   const Community& community = result.Best();
   std::printf("%s community: %zu members, δ=%u (%.2fms, %lu visited)\n",
               result.Interrupted() ? "interrupted; best-so-far" : "best",
