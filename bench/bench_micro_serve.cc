@@ -1,6 +1,6 @@
 // Closed-loop micro-benchmark of the serving layer's stdio transport:
 // in-process sessions over pipe pairs, exactly the locsd --stdio data
-// path (FdTransport -> wire parse -> registry -> bound solvers), minus
+// path (FdTransport -> wire parse -> registry -> leased searcher), minus
 // process startup. Each client thread issues CST queries in lockstep
 // (write one request, block for the reply) against a cached LFR dataset,
 // so the measured quantity is serving throughput and round-trip latency,

@@ -24,10 +24,10 @@
 //     lets real traffic flow. A crashed daemon costs each client one
 //     cheap probe per cooldown, not a connect storm.
 //
-// Sessions are stateful on the server (bound solvers; loaded graphs are
-// shared), but the wire protocol itself is request/response — a
-// reconnected session serves any request — so retrying across
-// connections is safe for every verb. Not thread-safe:
+// Sessions hold no solver state on the server (each query leases a
+// searcher from the shared GraphRegistry), and the wire protocol is
+// request/response — a reconnected session serves any request — so
+// retrying across connections is safe for every verb. Not thread-safe:
 // one RetryClient per client thread, like one Transport per session.
 
 #ifndef LOCS_SERVE_CLIENT_H_

@@ -1,7 +1,7 @@
 // Fixture: locs-blocking-under-lock — syscall-shaped calls must not
 // run while a locs::MutexLock is live: a blocked thread must never
 // hold a serving-path mutex.
-#include "locs_stubs.h"
+// Lexed by locs_lint, never compiled: the fixture needs no includes.
 
 namespace fixture {
 
@@ -43,6 +43,33 @@ class Sink {
     // Serialized line-at-a-time writes must stay under the lock (see
     // docs/ARCHITECTURE.md, "Static analysis").
     fflush(file_);  // NOLINT(locs-blocking-under-lock)
+  }
+
+  // Line reads, multiplexed waits and member-call IO block the same way.
+  void BadReadLine(char** line, unsigned long* capacity) {
+    locs::MutexLock lock(mutex_);
+    getdelim(line, capacity, '\n', file_);
+  }
+
+  void BadEpollWait() {
+    locs::MutexLock lock(mutex_);
+    epoll_pwait(0, nullptr, 1, -1, nullptr);
+  }
+
+  void BadSelect() {
+    locs::MutexLock lock(mutex_);
+    pselect(0, nullptr, nullptr, nullptr, nullptr, nullptr);
+  }
+
+  void BadStreamWrite(std::ostream& out, const char* data) {
+    locs::MutexLock lock(mutex_);
+    out.write(data, 1);
+  }
+
+  // A brace-initialized lock is held like a parenthesized one.
+  void BadBraced() {
+    locs::MutexLock lock{mutex_};
+    fsync(0);
   }
 
  private:

@@ -1,6 +1,6 @@
 // Fixture: locs-lock-order — the lock-acquisition graph must stay
 // acyclic, and locs::Mutex is non-reentrant.
-#include "locs_stubs.h"
+// Lexed by locs_lint, never compiled: the fixture needs no includes.
 
 namespace fixture {
 
@@ -41,5 +41,26 @@ class Queue {
  private:
   locs::Mutex mutex_;
 };
+
+// Out-of-line definitions hold what their contract says: one declared
+// on the class, or one written on the definition, which names the
+// class's own mutex either way. Each re-acquisition self-deadlocks.
+class Vault {
+ public:
+  void Seal() LOCS_REQUIRES(key_);
+  void Reseal();
+
+ private:
+  locs::Mutex key_;
+  locs::Mutex lid_;
+};
+
+void Vault::Seal() {
+  locs::MutexLock again(key_);
+}
+
+void Vault::Reseal() LOCS_REQUIRES(lid_) {
+  locs::MutexLock again(lid_);
+}
 
 }  // namespace fixture

@@ -1,7 +1,7 @@
 // Fixture: locs-raw-sync — raw std:: synchronization primitives are
 // invisible to Clang thread-safety analysis and must go through the
 // locs:: wrappers from util/thread_annotations.h.
-#include "locs_stubs.h"
+// Lexed by locs_lint, never compiled: the fixture needs no includes.
 
 namespace fixture {
 
@@ -26,5 +26,11 @@ void GoodScoped() {
 
 // Audited exception: justified interop with a third-party API.
 std::mutex audited_mutex;  // NOLINT(locs-raw-sync)
+
+// Under a using-directive the bare names are the same raw types.
+namespace bare {
+using namespace std;
+mutex bare_mutex;
+}  // namespace bare
 
 }  // namespace fixture

@@ -1,7 +1,7 @@
 // Fixture: locs-solver-contract — every solver entry point must open
 // an obs::PhaseTracker span and reach a LOCS_VALIDATE hook, or
 // delegate to an entry point that does.
-#include "locs_stubs.h"
+// Lexed by locs_lint, never compiled: the fixture needs no includes.
 
 namespace fixture {
 
@@ -53,6 +53,26 @@ SearchResult Narrow(obs::PhaseTracker& tracker, int seed) {
   SearchResult result;
   result.vertices = seed + 1;
   (void)tracker;
+  return result;
+}
+
+// A pointer to a tracker opens no span: one finding.
+SearchResult PointerSpan(int seed) {
+  obs::PhaseTracker* tracker = nullptr;
+  SearchResult result;
+  result.vertices = seed;
+  LOCS_VALIDATE_RESULT("PointerSpan", result, seed, 0);
+  (void)tracker;
+  return result;
+}
+
+// A direct validator call is not the hook: it runs in production builds,
+// where LOCS_VALIDATE_RESULT compiles away. One finding.
+SearchResult DirectValidate(int seed) {
+  obs::PhaseTracker tracker;
+  SearchResult result;
+  result.vertices = seed;
+  validate::DieOnViolation("DirectValidate", result, seed, 0);
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Fixture: locs-wire-err-literal — every "ERR ..." reply must come
 // from the typed WireError table (FormatError in serve/wire.cc),
 // never an ad-hoc string literal.
-#include "locs_stubs.h"
+// Lexed by locs_lint, never compiled: the fixture needs no includes.
 
 namespace fixture {
 

@@ -1,15 +1,12 @@
-// locs_lint — portable fallback engine for the locs-* project-invariant
-// checks (tools/lint/).
+// locs_lint — the engine behind the five locs-* project-invariant checks
+// (tools/lint/, gated by tools/run_lint.sh).
 //
-// The authoritative implementation of these checks is the clang-tidy
-// plugin under tools/lint/tidy/, which sees the real AST. This engine
-// re-implements the same five checks over a comment/string-stripped
-// token stream so the gate still runs — in ctest, in CI, and on
-// developer machines — when clang-tidy development headers are absent
-// (they are not packaged on Debian/Ubuntu). Both engines emit
-// clang-tidy-formatted diagnostics and honor // NOLINT(locs-...) and
-// // NOLINTNEXTLINE(locs-...), so one set of golden fixtures
-// (tools/lint/fixtures/) validates whichever engine runs.
+// The checks run over a comment/string-stripped token stream, so the
+// engine builds with any C++20 compiler and needs no clang: the gate is
+// the same in ctest, in CI, and on developer machines. Diagnostics use
+// clang-tidy's format and honor // NOLINT(locs-...) and
+// // NOLINTNEXTLINE(locs-...); the golden fixtures under
+// tools/lint/fixtures/ prove every check still fires.
 //
 // Checks:
 //   locs-raw-sync            raw std::mutex/lock_guard/condition_variable
@@ -17,7 +14,8 @@
 //                            invisible to Clang thread-safety analysis.
 //   locs-lock-order          cycle in the lock-acquisition graph built
 //                            from nested locs::MutexLock scopes plus
-//                            LOCS_REQUIRES annotations (static deadlock
+//                            LOCS_REQUIRES annotations, on a definition
+//                            or on its declaration (static deadlock
 //                            detection; the graph is merged across every
 //                            input file, so cross-TU cycles are caught).
 //   locs-blocking-under-lock syscall-shaped call (read/write/poll/open/
@@ -41,6 +39,11 @@
 // normalized spelling (Class::member_). Both biases are conservative:
 // they can produce a finding a human must audit (and suppress with a
 // justified NOLINT), never silently miss the pattern they encode.
+// What it cannot see without types: a raw primitive renamed by a type
+// alias or a using-declaration (the line that spells std:: fires, later
+// uses do not); "ERR" spelled through escapes or split across adjacent
+// literals; and the class of an object whose mutex is locked through
+// `obj.mu_` / `obj->mu_` (that node keeps the bare member name).
 
 #include <algorithm>
 #include <cctype>
@@ -283,6 +286,12 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+bool EndsWith(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
+             0;
+}
+
 std::vector<Token> Tokenize(const std::string& code) {
   std::vector<Token> tokens;
   int line = 1, col = 1;
@@ -373,21 +382,23 @@ const std::set<std::string>& ControlKeywords() {
 }
 
 /// Syscall-shaped callables that must never run under a serving-path
-/// mutex. Matched against the unqualified callee name of free calls;
-/// kBlockingMembers additionally matches explicit member calls.
+/// mutex. Matched against the unqualified callee name of free and member
+/// calls alike (`in.read(...)` blocks like `read(...)`); BlockingMembers
+/// adds names that block only as member calls.
 const std::set<std::string>& BlockingCalls() {
   static const std::set<std::string> set = {
-      "read",       "write",      "pread",     "pwrite",    "readv",
-      "writev",     "recv",       "recvfrom",  "recvmsg",   "send",
-      "sendto",     "sendmsg",    "poll",      "ppoll",     "select",
-      "epoll_wait", "connect",    "accept",    "accept4",   "open",
-      "openat",     "close",      "fsync",     "fdatasync", "unlink",
-      "rename",     "mkdir",      "sleep",     "usleep",    "nanosleep",
-      "system",     "popen",      "pclose",    "fork",      "waitpid",
-      "fopen",      "fclose",     "fread",     "fwrite",    "fprintf",
-      "vfprintf",   "fputs",      "fputc",     "fgets",     "fgetc",
-      "fflush",     "fscanf",     "getline",   "printf",    "puts",
-      "scanf",      "sleep_for",  "sleep_until"};
+      "read",      "write",      "pread",       "pwrite",    "readv",
+      "writev",    "recv",       "recvfrom",    "recvmsg",   "send",
+      "sendto",    "sendmsg",    "poll",        "ppoll",     "select",
+      "pselect",   "epoll_wait", "epoll_pwait", "connect",   "accept",
+      "accept4",   "open",       "openat",      "close",     "fsync",
+      "fdatasync", "unlink",     "rename",      "mkdir",     "sleep",
+      "usleep",    "nanosleep",  "system",      "popen",     "pclose",
+      "fork",      "waitpid",    "fopen",       "fclose",    "fread",
+      "fwrite",    "fprintf",    "vfprintf",    "fputs",     "fputc",
+      "fgets",     "fgetc",      "fflush",      "fscanf",    "getline",
+      "getdelim",  "printf",     "puts",        "scanf",     "sleep_for",
+      "sleep_until"};
   return set;
 }
 
@@ -428,10 +439,112 @@ std::string NormalizeMutexExpr(const std::vector<std::string>& expr,
   return last;
 }
 
+/// True when tokens [begin, open) head a class/struct/union definition
+/// (not `struct X x = {...}`: no '=' or '(' allowed); *name gets the
+/// class name, "" for an anonymous one.
+bool IsClassHeader(const std::vector<Token>& tokens, size_t begin,
+                   size_t open, std::string* name) {
+  const std::string& first = tokens[begin].text;
+  if (first != "class" && first != "struct" && first != "union") return false;
+  for (size_t i = begin; i < open; ++i) {
+    if (tokens[i].text == "=" || tokens[i].text == "(") return false;
+  }
+  name->clear();
+  for (size_t i = begin + 1; i < open; ++i) {
+    if (IsIdentChar(tokens[i].text[0]) && tokens[i].text != "alignas" &&
+        tokens[i].text != "final") {
+      *name = tokens[i].text;
+      break;
+    }
+  }
+  return true;
+}
+
+/// Index of the identifier naming the function that header tokens
+/// [begin, end) declare or define: the first non-keyword identifier
+/// directly followed by '(' (return-type tokens never are). Returns
+/// `end` when there is none (a lambda or an expression).
+size_t FunctionNameIndex(const std::vector<Token>& tokens, size_t begin,
+                         size_t end) {
+  for (size_t i = begin; i + 1 < end; ++i) {
+    if (IsIdentChar(tokens[i].text[0]) &&
+        ControlKeywords().count(tokens[i].text) == 0 &&
+        tokens[i + 1].text == "(") {
+      return i;
+    }
+  }
+  return end;
+}
+
+/// Walks `A :: B :: [~]name` back from tokens[name_index] (destructors
+/// carry a '~' between the '::' and the name). Returns the qualified
+/// name; *first, when given, gets the index where it starts.
+std::string QualifiedName(const std::vector<Token>& tokens,
+                          size_t name_index, size_t* first = nullptr) {
+  std::string qualified = tokens[name_index].text;
+  size_t walk = name_index;
+  if (walk >= 1 && tokens[walk - 1].text == "~") --walk;
+  while (walk >= 2 && tokens[walk - 1].text == "::" &&
+         IsIdentChar(tokens[walk - 2].text[0])) {
+    qualified = tokens[walk - 2].text + "::" + qualified;
+    walk -= 2;
+  }
+  if (first != nullptr) *first = walk;
+  return qualified;
+}
+
+/// The scope a function's unqualified member names resolve in: the
+/// qualifier of an out-of-line definition, else the enclosing class.
+std::string MemberContext(const std::string& qualified,
+                          const std::string& class_context) {
+  const size_t sep = qualified.rfind("::");
+  return sep == std::string::npos ? class_context : qualified.substr(0, sep);
+}
+
+/// One key for a function's declaration and its definition, in or out of
+/// the class body: `Class::Name`, or the bare name of a free function.
+std::string FunctionKey(const std::string& qualified,
+                        const std::string& class_context) {
+  if (qualified.find("::") != std::string::npos || class_context.empty()) {
+    return qualified;
+  }
+  return class_context + "::" + qualified;
+}
+
+/// Mutexes listed by every LOCS_REQUIRES(mu[, mu2]) in tokens
+/// [begin, end), normalized in `context`.
+std::vector<std::string> RequiredMutexes(const std::vector<Token>& tokens,
+                                         size_t begin, size_t end,
+                                         const std::string& context) {
+  std::vector<std::string> held;
+  for (size_t i = begin; i + 1 < end; ++i) {
+    if (tokens[i].text != "LOCS_REQUIRES" || tokens[i + 1].text != "(") {
+      continue;
+    }
+    std::vector<std::string> expr;
+    int depth = 1;
+    for (size_t j = i + 2; j < end && depth > 0; ++j) {
+      if (tokens[j].text == "(") ++depth;
+      if (tokens[j].text == ")") {
+        --depth;
+        if (depth == 0) break;
+      }
+      if (tokens[j].text == ",") {
+        held.push_back(NormalizeMutexExpr(expr, context));
+        expr.clear();
+        continue;
+      }
+      expr.push_back(tokens[j].text);
+    }
+    if (!expr.empty()) held.push_back(NormalizeMutexExpr(expr, context));
+  }
+  return held;
+}
+
 struct Analyzer {
   // Options.
   std::set<std::string> enabled;
-  std::string wire_allow = "serve/wire.cc";  // substring allow-list entry
+  std::string wire_allow = "serve/wire.cc";  // path-suffix allow-list entry
   std::string contract_paths = "src/core/,lint/fixtures/";
 
   // Cross-file state.
@@ -440,6 +553,8 @@ struct Analyzer {
   std::set<std::string> entry_names;  // SearchResult-returning def names
   std::vector<FunctionDef> functions;
   std::vector<const SourceFile*> files;
+  // FunctionKey -> mutexes a LOCS_REQUIRES declaration says are held.
+  std::map<std::string, std::vector<std::string>> declared_requires;
 
   bool CheckEnabled(const std::string& name) const {
     return enabled.count(name) != 0;
@@ -453,9 +568,43 @@ struct Analyzer {
   // -------------------------------------------------------------------------
   // Per-file pass
 
-  void AnalyzeFile(const SourceFile& file) {
+  /// LOCS_REQUIRES on a declaration (`void F() LOCS_REQUIRES(mu_);`)
+  /// holds in the body too, as the compiler carries the attribute to the
+  /// definition. Runs over every input before any AnalyzeFile, so a
+  /// header's contract reaches the .cc file that sorts before it.
+  void CollectDeclaredRequires(const std::vector<Token>& tokens) {
+    std::vector<std::string> classes;  // per open block: its class or ""
+    size_t header_begin = 0;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const std::string& text = tokens[i].text;
+      if (text == "{") {
+        std::string name;
+        const bool is_class = header_begin < i &&
+                              IsClassHeader(tokens, header_begin, i, &name);
+        classes.push_back(is_class ? name : "");
+      } else if (text == "}") {
+        if (!classes.empty()) classes.pop_back();
+      } else if (text == ";") {
+        const std::string class_name = classes.empty() ? "" : classes.back();
+        const size_t name_index = FunctionNameIndex(tokens, header_begin, i);
+        if (name_index != i) {
+          const std::string qualified = QualifiedName(tokens, name_index);
+          for (std::string& mutex_id :
+               RequiredMutexes(tokens, name_index + 1, i,
+                               MemberContext(qualified, class_name))) {
+            declared_requires[FunctionKey(qualified, class_name)].push_back(
+                std::move(mutex_id));
+          }
+        }
+      } else {
+        continue;
+      }
+      header_begin = i + 1;
+    }
+  }
+
+  void AnalyzeFile(const SourceFile& file, const std::vector<Token>& tokens) {
     files.push_back(&file);
-    const std::vector<Token> tokens = Tokenize(file.code);
     CheckRawSync(file, tokens);
     CheckWireErrLiterals(file);
     WalkStructure(file, tokens);
@@ -463,7 +612,7 @@ struct Analyzer {
 
   void CheckRawSync(const SourceFile& file, const std::vector<Token>& tokens) {
     if (!CheckEnabled("locs-raw-sync")) return;
-    if (file.path.find("thread_annotations.h") != std::string::npos) return;
+    if (EndsWith(file.path, "util/thread_annotations.h")) return;
     static const std::set<std::string> kRaw = {
         "mutex",          "timed_mutex",
         "recursive_mutex", "recursive_timed_mutex",
@@ -471,21 +620,36 @@ struct Analyzer {
         "lock_guard",     "unique_lock",
         "scoped_lock",    "shared_lock",
         "condition_variable", "condition_variable_any"};
-    for (size_t i = 2; i < tokens.size(); ++i) {
-      if (tokens[i - 2].text == "std" && tokens[i - 1].text == "::" &&
-          kRaw.count(tokens[i].text) != 0) {
-        Report(file, tokens[i - 2].line, tokens[i - 2].col, "locs-raw-sync",
-               "raw std::" + tokens[i].text +
-                   " is invisible to thread-safety analysis; use "
-                   "locs::Mutex/MutexLock/CondVar from "
-                   "util/thread_annotations.h");
+    // After `using namespace std;` a bare name in type position (followed
+    // by a declarator or template arguments) is the raw type too.
+    bool using_std = false;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      if (tokens[i].text == "using" && i + 3 < tokens.size() &&
+          tokens[i + 1].text == "namespace" && tokens[i + 2].text == "std" &&
+          tokens[i + 3].text == ";") {
+        using_std = true;
       }
+      if (kRaw.count(tokens[i].text) == 0) continue;
+      const std::string prev = i > 0 ? tokens[i - 1].text : "";
+      const bool qualified =
+          i >= 2 && prev == "::" && tokens[i - 2].text == "std";
+      const bool bare = using_std && prev != "::" && prev != "." &&
+                        prev != "->" && i + 1 < tokens.size() &&
+                        (tokens[i + 1].text == "<" ||
+                         IsIdentChar(tokens[i + 1].text[0]));
+      if (!qualified && !bare) continue;
+      const Token& at = qualified ? tokens[i - 2] : tokens[i];
+      Report(file, at.line, at.col, "locs-raw-sync",
+             "raw std::" + tokens[i].text +
+                 " is invisible to thread-safety analysis; use "
+                 "locs::Mutex/MutexLock/CondVar from "
+                 "util/thread_annotations.h");
     }
   }
 
   void CheckWireErrLiterals(const SourceFile& file) {
     if (!CheckEnabled("locs-wire-err-literal")) return;
-    if (file.path.find(wire_allow) != std::string::npos) return;
+    if (EndsWith(file.path, wire_allow)) return;
     if (file.path.find("tests/") != std::string::npos) return;
     for (const StringLit& lit : file.strings) {
       // The detector must spell the pattern it detects.
@@ -574,15 +738,19 @@ struct Analyzer {
         continue;
       }
 
-      // RAII lock declaration: [locs ::] MutexLock name ( expr ) ;
+      // RAII lock declaration: [locs ::] MutexLock name ( expr ) ; or
+      // the brace-initialized MutexLock name { expr } ;
       if (token.text == "MutexLock" && i + 2 < tokens.size() &&
-          IsIdentChar(tokens[i + 1].text[0]) && tokens[i + 2].text == "(") {
+          IsIdentChar(tokens[i + 1].text[0]) &&
+          (tokens[i + 2].text == "(" || tokens[i + 2].text == "{")) {
+        const std::string open = tokens[i + 2].text;
+        const std::string close = open == "(" ? ")" : "}";
         std::vector<std::string> expr;
         size_t j = i + 3;
         int depth = 1;
         for (; j < tokens.size() && depth > 0; ++j) {
-          if (tokens[j].text == "(") ++depth;
-          if (tokens[j].text == ")") {
+          if (tokens[j].text == open) ++depth;
+          if (tokens[j].text == close) {
             --depth;
             if (depth == 0) break;
           }
@@ -620,8 +788,8 @@ struct Analyzer {
         const bool member_call =
             i > 0 && (tokens[i - 1].text == "." || tokens[i - 1].text == "->");
         const bool blocking =
-            member_call ? BlockingMembers().count(token.text) != 0
-                        : BlockingCalls().count(token.text) != 0;
+            BlockingCalls().count(token.text) != 0 ||
+            (member_call && BlockingMembers().count(token.text) != 0);
         if (blocking && ControlKeywords().count(token.text) == 0) {
           Report(file, token.line, token.col, "locs-blocking-under-lock",
                  "'" + token.text + "' may block while '" +
@@ -684,51 +852,22 @@ struct Analyzer {
     }
     if (first.text == "enum") return block;  // enum class body, no scopes
     if (first.text == "extern") return block;
-    // class/struct definition (not `struct X x = {...}`: no '=' allowed).
+    if (IsClassHeader(tokens, header_begin, open, &block.name)) {
+      block.kind = Block::kClass;
+      return block;
+    }
     bool has_assign = false, has_parens = false;
     for (size_t i = header_begin; i < open; ++i) {
       if (tokens[i].text == "=") has_assign = true;
       if (tokens[i].text == "(") has_parens = true;
     }
-    if ((first.text == "class" || first.text == "struct" ||
-         first.text == "union") &&
-        !has_assign && !has_parens) {
-      block.kind = Block::kClass;
-      for (size_t i = header_begin + 1; i < open; ++i) {
-        if (IsIdentChar(tokens[i].text[0]) &&
-            tokens[i].text != "alignas" && tokens[i].text != "final") {
-          block.name = tokens[i].text;
-          break;
-        }
-      }
-      return block;
-    }
     if (!has_parens || has_assign) return block;  // init list / plain block
     if (ControlKeywords().count(first.text) != 0) return block;
 
-    // Function definition: the first identifier token directly followed
-    // by '(' names the function (return-type tokens never are).
-    size_t name_index = 0;
-    for (size_t i = header_begin; i + 1 < open; ++i) {
-      if (IsIdentChar(tokens[i].text[0]) &&
-          ControlKeywords().count(tokens[i].text) == 0 &&
-          tokens[i + 1].text == "(") {
-        name_index = i;
-        break;
-      }
-    }
-    if (name_index == 0) return block;  // lambda or expression block
-
-    // Qualified name: walk `A :: B :: [~]name` backwards (destructors
-    // carry a '~' between the '::' and the name).
-    std::string qualified = tokens[name_index].text;
-    size_t walk = name_index;
-    if (walk >= 1 && tokens[walk - 1].text == "~") --walk;
-    while (walk >= 2 && tokens[walk - 1].text == "::" &&
-           IsIdentChar(tokens[walk - 2].text[0])) {
-      qualified = tokens[walk - 2].text + "::" + qualified;
-      walk -= 2;
-    }
+    const size_t name_index = FunctionNameIndex(tokens, header_begin, open);
+    if (name_index == open) return block;  // lambda or expression block
+    size_t walk = 0;  // first token of the qualified name
+    const std::string qualified = QualifiedName(tokens, name_index, &walk);
     block.kind = Block::kFunction;
     block.name = qualified;
 
@@ -765,33 +904,20 @@ struct Analyzer {
       entry_names.insert(def.name);
     }
 
-    // LOCS_REQUIRES(mu[, mu2]) after the parameter list: the listed
-    // mutexes are held for the whole body.
-    for (size_t i = params_end; i + 1 < open; ++i) {
-      if (tokens[i].text != "LOCS_REQUIRES" || tokens[i + 1].text != "(") {
-        continue;
-      }
-      std::vector<std::string> expr;
-      int req_depth = 1;
-      for (size_t j = i + 2; j < open && req_depth > 0; ++j) {
-        if (tokens[j].text == "(") ++req_depth;
-        if (tokens[j].text == ")") {
-          --req_depth;
-          if (req_depth == 0) break;
-        }
-        if (tokens[j].text == ",") {
-          locks->push_back({NormalizeMutexExpr(expr, class_context), "",
-                            /*depth=*/0, tokens[i].line, tokens[i].col,
-                            true});
-          expr.clear();
-          continue;
-        }
-        expr.push_back(tokens[j].text);
-      }
-      if (!expr.empty()) {
-        locks->push_back({NormalizeMutexExpr(expr, class_context), "",
-                          /*depth=*/0, tokens[i].line, tokens[i].col, true});
-      }
+    // LOCS_REQUIRES(mu[, mu2]) after the parameter list or on the
+    // function's declaration: the listed mutexes are held for the whole
+    // body (a mutex listed twice only repeats deduplicated edges).
+    std::vector<std::string> held = RequiredMutexes(
+        tokens, params_end, open, MemberContext(qualified, class_context));
+    const auto declared =
+        declared_requires.find(FunctionKey(qualified, class_context));
+    if (declared != declared_requires.end()) {
+      held.insert(held.end(), declared->second.begin(),
+                  declared->second.end());
+    }
+    for (const std::string& mutex_id : held) {
+      locks->push_back(
+          {mutex_id, "", /*depth=*/0, def.line, def.col, true});
     }
     return block;
   }
@@ -899,10 +1025,6 @@ struct Analyzer {
     for (const SourceFile* file : files) by_path[file->path] = file;
     for (const FunctionDef& def : functions) {
       if (!InContractScope(def.file)) continue;
-      if (def.file.size() < 3 ||
-          def.file.compare(def.file.size() - 3, 3, ".cc") != 0) {
-        continue;
-      }
       if (def.return_type.find("SearchResult") == std::string::npos) continue;
       // Exemptions: *Impl workers (their caller owns the span), Make*
       // factories, transformers taking a SearchResult, and internal
@@ -937,11 +1059,18 @@ struct Analyzer {
           def.body.find(" " + def.name + "Impl (") != std::string::npos) {
         delegates = true;
       }
-      const bool has_tracker =
-          def.body.find("PhaseTracker") != std::string::npos;
+      // A span is a PhaseTracker variable, not a pointer or reference to
+      // one; validation is the LOCS_VALIDATE_RESULT hook, which compiles
+      // away in production builds, not a direct call to the validator.
+      bool has_tracker = false;
+      for (size_t at = 0; !has_tracker && (at = def.body.find(
+                                               "PhaseTracker ", at)) !=
+                                              std::string::npos;) {
+        at += 13;
+        has_tracker = at < def.body.size() && IsIdentChar(def.body[at]);
+      }
       const bool has_validate =
-          def.body.find("LOCS_VALIDATE_RESULT") != std::string::npos ||
-          def.body.find("DieOnViolation") != std::string::npos;
+          def.body.find("LOCS_VALIDATE_RESULT") != std::string::npos;
       const SourceFile* file = by_path[def.file];
       if (file == nullptr) continue;
       if (!has_tracker && !delegates) {
@@ -970,7 +1099,7 @@ bool Suppressed(const SourceFile& file, const Diagnostic& diag) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: locs_lint [--checks=c1,c2,...] [--wire-allow=SUBSTR]\n"
+      "usage: locs_lint [--checks=c1,c2,...] [--wire-allow=SUFFIX]\n"
       "                 [--contract-paths=P1,P2] [--list-checks] file...\n");
   return 2;
 }
@@ -1019,8 +1148,9 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) return Usage();
 
-  // Lex every file first (the lock graph and the entry-point set are
-  // whole-input properties), then analyze.
+  // Lex every file first (the lock graph, the entry-point set and the
+  // declared LOCS_REQUIRES contracts are whole-input properties), then
+  // analyze.
   std::vector<SourceFile> sources(paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {
     if (!LexFile(paths[i], &sources[i])) {
@@ -1028,7 +1158,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  for (const SourceFile& file : sources) analyzer.AnalyzeFile(file);
+  std::vector<std::vector<Token>> tokens;
+  for (const SourceFile& file : sources) {
+    tokens.push_back(Tokenize(file.code));
+    analyzer.CollectDeclaredRequires(tokens.back());
+  }
+  for (size_t i = 0; i < sources.size(); ++i) {
+    analyzer.AnalyzeFile(sources[i], tokens[i]);
+  }
   analyzer.Finalize();
 
   std::map<std::string, const SourceFile*> by_path;

@@ -1,37 +1,24 @@
 #!/usr/bin/env bash
 # Golden expected-diagnostics runner for the locs-* check fixtures.
 #
-# Each fixtures/<check>.cc encodes firing, clean, and NOLINT-audited
-# variants of one invariant; fixtures/<check>.expected lists the
-# diagnostics that must fire as sorted "line check-name" pairs
-# (column-free so both engines normalize identically). The same
-# goldens validate whichever engine runs:
+# Each fixtures/<name>.cc (or .h) encodes firing, clean, and
+# NOLINT-audited variants of one invariant; fixtures/<name>.expected
+# lists the diagnostics that must fire as sorted "line check-name" pairs.
 #
-#   run_fixtures.sh <fixtures-dir> fallback <locs_lint-binary>
-#   run_fixtures.sh <fixtures-dir> plugin <clang-tidy> <module.so>
+#   run_fixtures.sh <fixtures-dir> <locs_lint-binary>
 #
 # Exit: 0 all fixtures match, 1 any mismatch, 2 usage.
 set -uo pipefail
 
 fixtures="${1:-}"
-mode="${2:-}"
-binary="${3:-}"
-module="${4:-}"
-usage() {
-  echo "usage: run_fixtures.sh <fixtures-dir> fallback <locs_lint>" >&2
-  echo "       run_fixtures.sh <fixtures-dir> plugin <clang-tidy> <module>" >&2
+binary="${2:-}"
+if [[ ! -d "${fixtures}" || -z "${binary}" ]]; then
+  echo "usage: run_fixtures.sh <fixtures-dir> <locs_lint>" >&2
   exit 2
-}
-[[ -d "${fixtures}" && -n "${binary}" ]] || usage
-case "${mode}" in
-  fallback) ;;
-  plugin) [[ -n "${module}" ]] || usage ;;
-  *) usage ;;
-esac
+fi
 
-# clang-tidy prints "path:line:col: warning: msg [check]"; locs_lint
-# matches that shape. Reduce either to sorted unique "line check" pairs
-# (the plugin can double-report one construct via type sugar).
+# Reduce "path:line:col: warning: msg [check]" to sorted unique
+# "line check" pairs (one construct can miss two obligations).
 normalize() {
   sed -n 's/^[^:]*:\([0-9][0-9]*\):[0-9][0-9]*: warning: .*\[\(locs-[a-z-]*\)\]$/\1 \2/p' |
     sort -u
@@ -40,22 +27,16 @@ normalize() {
 status=0
 shopt -s nullglob
 count=0
-for fixture in "${fixtures}"/*.cc; do
+for fixture in "${fixtures}"/*.cc "${fixtures}"/*.h; do
   count=$((count + 1))
-  name="$(basename "${fixture}" .cc)"
+  name="$(basename "${fixture%.*}")"
   expected="${fixtures}/${name}.expected"
   if [[ ! -f "${expected}" ]]; then
     echo "FAIL: ${fixture} has no ${name}.expected golden" >&2
     status=1
     continue
   fi
-  if [[ "${mode}" == fallback ]]; then
-    got="$("${binary}" "${fixture}" | normalize)"
-  else
-    got="$("${binary}" -load "${module}" --checks='-*,locs-*' --quiet \
-            "${fixture}" -- -std=c++17 -I "${fixtures}/include" \
-            2>/dev/null | normalize)"
-  fi
+  got="$("${binary}" "${fixture}" | normalize)"
   want="$(sort -u "${expected}")"
   if [[ "${got}" != "${want}" ]]; then
     echo "FAIL: ${name}: diagnostics differ from the golden" >&2
@@ -68,6 +49,6 @@ if [[ "${count}" -eq 0 ]]; then
   status=1
 fi
 if [[ "${status}" -eq 0 ]]; then
-  echo "lint fixtures: ${count} goldens match (${mode} engine)"
+  echo "lint fixtures: ${count} goldens match"
 fi
 exit "${status}"

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Degraded-mode coverage for the locs-lint gate (ctest: lint_degraded).
 #
-#   1. plugin engine requested but unavailable  -> clean skip + notice
-#   2. same under LOCS_LINT_STRICT=1            -> exit 2
-#   3. tampered golden                          -> runner exits nonzero
-#   4. missing golden                           -> runner exits nonzero
+#   1. tampered golden                  -> runner exits nonzero
+#   2. missing golden                   -> runner exits nonzero
+#   3. LOCS_LINT_BIN not an executable  -> gate exits 2 naming the path
 #
 # Usage: test_degraded.sh <locs_lint-binary>
 set -uo pipefail
@@ -17,51 +16,35 @@ fi
 cd "$(dirname "$0")/../.."
 fail=0
 
-# 1. Plugin requested, no clang-tidy: a developer machine without clang
-# must get a notice and a zero exit, never a hard failure.
-out="$(LOCS_LINT_ENGINE=plugin CLANG_TIDY=/nonexistent/clang-tidy \
-       LOCS_LINT_STRICT=0 LOCS_LINT_MODULE= bash tools/run_lint.sh 2>&1)"
-rc=$?
-if [[ ${rc} -ne 0 ]] || ! grep -q "skipping the locs-lint gate" <<<"${out}"
-then
-  echo "FAIL: plugin-missing mode did not skip cleanly (rc=${rc}):" >&2
-  printf '%s\n' "${out}" >&2
-  fail=1
-fi
-
-# 2. CI pins LOCS_LINT_STRICT=1 so the gate can never silently vanish.
-out="$(LOCS_LINT_ENGINE=plugin CLANG_TIDY=/nonexistent/clang-tidy \
-       LOCS_LINT_STRICT=1 LOCS_LINT_MODULE= bash tools/run_lint.sh 2>&1)"
-rc=$?
-if [[ ${rc} -ne 2 ]]; then
-  echo "FAIL: plugin-missing strict mode exited ${rc}, want 2:" >&2
-  printf '%s\n' "${out}" >&2
-  fail=1
-fi
-
-# 3. A golden that disagrees with the engine must fail the runner —
+# 1. A golden that disagrees with the engine must fail the runner —
 # this is the inverted-fixture proof that the gate can go red.
 work="$(mktemp -d)"
 trap 'rm -rf "${work}"' EXIT
-cp tools/lint/fixtures/*.cc tools/lint/fixtures/*.expected "${work}/"
-mkdir -p "${work}/include"
-cp tools/lint/fixtures/include/locs_stubs.h "${work}/include/"
+cp tools/lint/fixtures/* "${work}/"
 echo "999 locs-raw-sync" >>"${work}/raw_sync.expected"
-if bash tools/lint/run_fixtures.sh "${work}" fallback "${binary}" \
-    >/dev/null 2>&1; then
+if bash tools/lint/run_fixtures.sh "${work}" "${binary}" >/dev/null 2>&1; then
   echo "FAIL: tampered golden did not fail the fixture runner" >&2
   fail=1
 fi
 
-# 4. A fixture without its golden is a broken invariant, not a skip.
+# 2. A fixture without its golden is a broken invariant, not a skip.
 rm "${work}/raw_sync.expected"
-if bash tools/lint/run_fixtures.sh "${work}" fallback "${binary}" \
-    >/dev/null 2>&1; then
+if bash tools/lint/run_fixtures.sh "${work}" "${binary}" >/dev/null 2>&1; then
   echo "FAIL: missing golden did not fail the fixture runner" >&2
   fail=1
 fi
 
+# 3. An explicit engine that cannot run is an error, never a silent
+# switch to some other binary.
+out="$(LOCS_LINT_BIN=/nonexistent bash tools/run_lint.sh 2>&1)"
+rc=$?
+if [[ ${rc} -ne 2 ]] || ! grep -q "/nonexistent" <<<"${out}"; then
+  echo "FAIL: LOCS_LINT_BIN=/nonexistent exited ${rc}, want 2 naming it:" >&2
+  printf '%s\n' "${out}" >&2
+  fail=1
+fi
+
 if [[ ${fail} -eq 0 ]]; then
-  echo "lint degraded modes: all 4 cases behave"
+  echo "lint degraded modes: all 3 cases behave"
 fi
 exit "${fail}"

@@ -1,170 +1,61 @@
 #!/usr/bin/env bash
 # locs-lint gate: the five project-invariant checks (locs-raw-sync,
 # locs-lock-order, locs-blocking-under-lock, locs-wire-err-literal,
-# locs-solver-contract) over the full tree, mirroring run_tidy.sh.
+# locs-solver-contract) over the full tree, run by the lexical engine
+# tools/lint/locs_lint.cc (any C++20 compiler builds it).
 #
-# Two engines implement the same checks (same names, same diagnostic
-# format, same NOLINT semantics, one set of goldens):
-#   plugin    the clang-tidy module tools/lint/tidy/ (authoritative,
-#             AST-accurate) — needs a clang-tidy binary AND the module
-#             .so, which only builds where clang-tidy development
-#             headers exist (they are not packaged everywhere).
-#   fallback  the portable lexical engine tools/lint/locs_lint.cc —
-#             builds with any C++20 compiler, so the gate never
-#             silently vanishes.
-#
-# Usage: tools/run_lint.sh [build-dir]
-#   build-dir: a CMake tree with compile_commands.json for plugin mode
-#              (default: build-tidy/, configured on demand).
+# Usage: tools/run_lint.sh
 #
 # Environment:
-#   LOCS_LINT_ENGINE   auto (default) | plugin | fallback
-#   LOCS_LINT_BIN      prebuilt locs_lint binary (fallback engine)
-#   LOCS_LINT_MODULE   prebuilt liblocs_tidy_module.so (plugin engine)
-#   CLANG_TIDY         override the clang-tidy binary
-#   LOCS_LINT_STRICT=1 fail (exit 2) when the requested engine is
-#                      unavailable instead of skipping; CI sets this.
+#   LOCS_LINT_BIN   a prebuilt locs_lint binary. Without it the gate uses
+#                   build/tools/lint/locs_lint when that is newer than the
+#                   source, else compiles the engine into build-lint/.
 #
-# Exit: 0 clean (or graceful skip), 1 findings or fixture mismatch,
-#       2 requested engine unavailable under LOCS_LINT_STRICT=1.
+# Exit: 0 clean, 1 findings or fixture mismatch, 2 no engine (an
+#       LOCS_LINT_BIN that is not executable, or no compiler to build one).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-engine="${LOCS_LINT_ENGINE:-auto}"
-strict="${LOCS_LINT_STRICT:-0}"
-build_dir="${1:-build-tidy}"
-fixtures="tools/lint/fixtures"
-
-find_tidy() {
-  if [[ -n "${CLANG_TIDY:-}" ]]; then
-    command -v "${CLANG_TIDY}" >/dev/null 2>&1 && echo "${CLANG_TIDY}"
+find_engine() {
+  if [[ -n "${LOCS_LINT_BIN:-}" ]]; then
+    [[ -x "${LOCS_LINT_BIN}" ]] && echo "${LOCS_LINT_BIN}"
     return 0
   fi
-  local candidate
-  for candidate in clang-tidy clang-tidy-19 clang-tidy-18 clang-tidy-17 \
-                   clang-tidy-16 clang-tidy-15 clang-tidy-14; do
-    if command -v "${candidate}" >/dev/null 2>&1; then
-      echo "${candidate}"
-      return 0
-    fi
-  done
-  return 0
-}
-
-find_module() {
-  if [[ -n "${LOCS_LINT_MODULE:-}" && -f "${LOCS_LINT_MODULE}" ]]; then
-    echo "${LOCS_LINT_MODULE}"
+  local prebuilt=build/tools/lint/locs_lint
+  if [[ -x "${prebuilt}" && "${prebuilt}" -nt tools/lint/locs_lint.cc ]]; then
+    echo "${prebuilt}"
     return 0
   fi
-  local candidate
-  for candidate in "${build_dir}/tools/lint/liblocs_tidy_module.so" \
-                   build/tools/lint/liblocs_tidy_module.so; do
-    if [[ -f "${candidate}" ]]; then
-      echo "${candidate}"
-      return 0
-    fi
-  done
-  return 0
-}
-
-# Fallback binary: an explicit override, an existing build, or a
-# direct one-file compile (no configure needed).
-find_fallback() {
-  if [[ -n "${LOCS_LINT_BIN:-}" && -x "${LOCS_LINT_BIN}" ]]; then
-    echo "${LOCS_LINT_BIN}"
-    return 0
-  fi
-  local candidate
-  for candidate in build/tools/lint/locs_lint \
-                   "${build_dir}/tools/lint/locs_lint"; do
-    if [[ -x "${candidate}" && "${candidate}" -nt tools/lint/locs_lint.cc ]]
-    then
-      echo "${candidate}"
-      return 0
-    fi
-  done
-  local cxx="${CXX:-c++}"
   mkdir -p build-lint
-  if "${cxx}" -std=c++20 -O2 -o build-lint/locs_lint \
+  if "${CXX:-c++}" -std=c++20 -O2 -o build-lint/locs_lint \
       tools/lint/locs_lint.cc 2>build-lint/locs_lint.build.log; then
     echo "build-lint/locs_lint"
   fi
   return 0
 }
 
-tidy="$(find_tidy)"
-module="$(find_module)"
-plugin_ready=0
-[[ -n "${tidy}" && -n "${module}" ]] && plugin_ready=1
-
-if [[ "${engine}" == "auto" ]]; then
-  if [[ "${plugin_ready}" == "1" ]]; then
-    engine="plugin"
+binary="$(find_engine)"
+if [[ -z "${binary}" ]]; then
+  if [[ -n "${LOCS_LINT_BIN:-}" ]]; then
+    echo "run_lint: LOCS_LINT_BIN=${LOCS_LINT_BIN} is not an executable" >&2
   else
-    engine="fallback"
+    echo "run_lint: cannot build tools/lint/locs_lint.cc" >&2
+    cat build-lint/locs_lint.build.log >&2
   fi
-fi
-
-if [[ "${engine}" == "plugin" && "${plugin_ready}" != "1" ]]; then
-  reason="clang-tidy binary"
-  [[ -n "${tidy}" ]] && reason="plugin module (clang-tidy dev headers absent at configure time)"
-  if [[ "${strict}" == "1" ]]; then
-    echo "run_lint: plugin engine requested but no ${reason} found (LOCS_LINT_STRICT=1)" >&2
-    exit 2
-  fi
-  echo "run_lint: no ${reason} found; skipping the locs-lint gate" \
-       "(set LOCS_LINT_STRICT=1 to fail instead, or use LOCS_LINT_ENGINE=fallback)"
-  exit 0
-fi
-
-if [[ "${engine}" == "fallback" ]]; then
-  binary="$(find_fallback)"
-  if [[ -z "${binary}" ]]; then
-    if [[ "${strict}" == "1" ]]; then
-      echo "run_lint: cannot build the fallback engine (LOCS_LINT_STRICT=1)" >&2
-      [[ -f build-lint/locs_lint.build.log ]] && cat build-lint/locs_lint.build.log >&2
-      exit 2
-    fi
-    echo "run_lint: no C++ compiler for the fallback engine; skipping"
-    exit 0
-  fi
+  exit 2
 fi
 
 # Self-test first: every check must still fire on its golden fixture.
 # A gate whose checks are silently broken is worse than no gate.
-if [[ "${engine}" == "plugin" ]]; then
-  bash tools/lint/run_fixtures.sh "${fixtures}" plugin "${tidy}" "${module}" \
-    2> >(grep -v 'finding(s)$' >&2 || true)
-else
-  bash tools/lint/run_fixtures.sh "${fixtures}" fallback "${binary}" \
-    2> >(grep -v 'finding(s)$' >&2 || true)
-fi
+bash tools/lint/run_fixtures.sh tools/lint/fixtures "${binary}" \
+  2> >(grep -v 'finding(s)$' >&2 || true)
 
-# Tree sweep: everything the compile database covers, headers included;
-# the fixtures are intentional violations and stay out.
+# Tree sweep, headers included; the fixtures are intentional violations
+# and stay out.
 mapfile -t sources < <(find src tools tests bench examples \
-  \( -name '*.cc' -o -name '*.h' \) ! -path 'tools/lint/fixtures/*' | sort)
-
-if [[ "${engine}" == "plugin" ]]; then
-  if [[ ! -f "${build_dir}/compile_commands.json" ]]; then
-    echo "=== configuring ${build_dir} for compile_commands.json ==="
-    cmake -B "${build_dir}" -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-      -DLOCS_BUILD_BENCHMARKS=ON >/dev/null
-  fi
-  # The plugin sweeps exactly the compile database's translation units
-  # (headers ride along through HeaderFilterRegex in .clang-tidy).
-  mapfile -t sources < <(grep -o '"file": *"[^"]*"' \
-      "${build_dir}/compile_commands.json" |
-    sed 's/.*"file": *"//; s/"$//' |
-    grep -vE 'tools/lint/fixtures/' | sort -u)
-  echo "=== locs-lint (plugin) over ${#sources[@]} files ==="
-  "${tidy}" -load "${module}" -p "${build_dir}" --quiet \
-    --checks='-*,locs-*' --warnings-as-errors='locs-*' "${sources[@]}"
-else
-  echo "=== locs-lint (fallback) over ${#sources[@]} files ==="
-  "${binary}" "${sources[@]}"
-fi
-echo "locs-lint gate clean (${engine} engine)."
+  \( -name '*.cc' -o -name '*.h' -o -name '*.cpp' \) \
+  ! -path 'tools/lint/fixtures/*' | sort)
+echo "=== locs-lint over ${#sources[@]} files ==="
+"${binary}" "${sources[@]}"
+echo "locs-lint gate clean."

@@ -56,11 +56,9 @@ fi
 
 # Everything we compile under src/, tools/, tests/, and bench/. Headers
 # are covered through HeaderFilterRegex in .clang-tidy. Excluded: the
-# lint fixtures (intentional violations, never compiled) and the
-# clang-tidy plugin sources (only in the compile database where the
-# clang-tidy development headers exist).
+# lint fixtures (intentional violations, never compiled).
 mapfile -t sources < <(find src tools tests bench -name '*.cc' \
-  ! -path 'tools/lint/fixtures/*' ! -path 'tools/lint/tidy/*' | sort)
+  ! -path 'tools/lint/fixtures/*' | sort)
 echo "=== ${tidy} over ${#sources[@]} files (${build_dir}/compile_commands.json) ==="
 
 jobs="$(nproc 2>/dev/null || echo 2)"
