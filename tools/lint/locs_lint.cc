@@ -31,7 +31,7 @@
 //                            a LOCS_VALIDATE_RESULT hook, and does not
 //                            delegate to an entry point that does.
 //
-// Usage: locs_lint [--checks=a,b,...] [--list-checks] file...
+// Usage: locs_lint file...   (every check runs on every file)
 // Exit:  0 clean, 1 findings, 2 usage/read error.
 //
 // Being lexical, the engine over-approximates scopes (a lambda defined
@@ -75,9 +75,10 @@ struct Diagnostic {
   }
 };
 
-const char* const kAllChecks[] = {
-    "locs-raw-sync", "locs-lock-order", "locs-blocking-under-lock",
-    "locs-wire-err-literal", "locs-solver-contract"};
+// The one file allowed to spell "ERR ..." literals (a path suffix).
+const char kWireAllow[] = "serve/wire.cc";
+// Path fragments that put a file in scope for locs-solver-contract.
+const char kContractPaths[] = "src/core/,lint/fixtures/";
 
 // ---------------------------------------------------------------------------
 // Lexing: strip comments and strings, record literals and NOLINTs
@@ -284,12 +285,6 @@ struct Token {
 
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
 }
 
 std::vector<Token> Tokenize(const std::string& code) {
@@ -542,11 +537,6 @@ std::vector<std::string> RequiredMutexes(const std::vector<Token>& tokens,
 }
 
 struct Analyzer {
-  // Options.
-  std::set<std::string> enabled;
-  std::string wire_allow = "serve/wire.cc";  // path-suffix allow-list entry
-  std::string contract_paths = "src/core/,lint/fixtures/";
-
   // Cross-file state.
   std::vector<Diagnostic> diagnostics;
   std::vector<LockEdge> edges;
@@ -555,10 +545,6 @@ struct Analyzer {
   std::vector<const SourceFile*> files;
   // FunctionKey -> mutexes a LOCS_REQUIRES declaration says are held.
   std::map<std::string, std::vector<std::string>> declared_requires;
-
-  bool CheckEnabled(const std::string& name) const {
-    return enabled.count(name) != 0;
-  }
 
   void Report(const SourceFile& file, int line, int col,
               const std::string& check, const std::string& message) {
@@ -611,8 +597,7 @@ struct Analyzer {
   }
 
   void CheckRawSync(const SourceFile& file, const std::vector<Token>& tokens) {
-    if (!CheckEnabled("locs-raw-sync")) return;
-    if (EndsWith(file.path, "util/thread_annotations.h")) return;
+    if (file.path.ends_with("util/thread_annotations.h")) return;
     static const std::set<std::string> kRaw = {
         "mutex",          "timed_mutex",
         "recursive_mutex", "recursive_timed_mutex",
@@ -648,8 +633,7 @@ struct Analyzer {
   }
 
   void CheckWireErrLiterals(const SourceFile& file) {
-    if (!CheckEnabled("locs-wire-err-literal")) return;
-    if (EndsWith(file.path, wire_allow)) return;
+    if (file.path.ends_with(kWireAllow)) return;
     if (file.path.find("tests/") != std::string::npos) return;
     for (const StringLit& lit : file.strings) {
       // The detector must spell the pattern it detects.
@@ -664,7 +648,7 @@ struct Analyzer {
 
   // Returns true when `path` is in scope for locs-solver-contract.
   bool InContractScope(const std::string& path) const {
-    std::stringstream stream(contract_paths);
+    std::stringstream stream(kContractPaths);
     std::string prefix;
     while (std::getline(stream, prefix, ',')) {
       if (!prefix.empty() && path.find(prefix) != std::string::npos) {
@@ -781,9 +765,10 @@ struct Analyzer {
         continue;
       }
 
+      if (active_count() == 0) continue;
+
       // Calls while a lock is live: the blocking-under-lock check.
-      if (CheckEnabled("locs-blocking-under-lock") && active_count() > 0 &&
-          IsIdentChar(token.text[0]) && i + 1 < tokens.size() &&
+      if (IsIdentChar(token.text[0]) && i + 1 < tokens.size() &&
           tokens[i + 1].text == "(") {
         const bool member_call =
             i > 0 && (tokens[i - 1].text == "." || tokens[i - 1].text == "->");
@@ -800,8 +785,7 @@ struct Analyzer {
       }
 
       // std::cout / std::cerr under a lock are stream writes.
-      if (CheckEnabled("locs-blocking-under-lock") && active_count() > 0 &&
-          (token.text == "cout" || token.text == "cerr" ||
+      if ((token.text == "cout" || token.text == "cerr" ||
            token.text == "clog" || token.text == "cin") &&
           i >= 2 && tokens[i - 2].text == "std" &&
           tokens[i - 1].text == "::") {
@@ -823,11 +807,9 @@ struct Analyzer {
   void RecordAcquisition(const SourceFile& file, const Token& at,
                          const std::string& mutex_id,
                          const std::vector<ActiveLock>& locks) {
-    if (!CheckEnabled("locs-lock-order")) return;
     for (const ActiveLock& held : locks) {
       if (!held.active) continue;
-      edges.push_back(
-          {held.mutex_id, mutex_id, file.path, at.line, at.col});
+      edges.push_back({held.mutex_id, mutex_id, file.path, at.line, at.col});
     }
   }
 
@@ -916,8 +898,7 @@ struct Analyzer {
                   declared->second.end());
     }
     for (const std::string& mutex_id : held) {
-      locks->push_back(
-          {mutex_id, "", /*depth=*/0, def.line, def.col, true});
+      locks->push_back({mutex_id, "", /*depth=*/0, def.line, def.col, true});
     }
     return block;
   }
@@ -948,7 +929,6 @@ struct Analyzer {
   }
 
   void CheckLockOrder() {
-    if (!CheckEnabled("locs-lock-order")) return;
     // Dedup edges; self-edges are immediate deadlocks.
     std::map<std::pair<std::string, std::string>, const LockEdge*> unique;
     for (const LockEdge& edge : edges) {
@@ -1019,7 +999,6 @@ struct Analyzer {
   }
 
   void CheckSolverContract() {
-    if (!CheckEnabled("locs-solver-contract")) return;
     // NOLINT lookup needs the owning file.
     std::map<std::string, const SourceFile*> by_path;
     for (const SourceFile* file : files) by_path[file->path] = file;
@@ -1097,10 +1076,7 @@ bool Suppressed(const SourceFile& file, const Diagnostic& diag) {
 }
 
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: locs_lint [--checks=c1,c2,...] [--wire-allow=SUFFIX]\n"
-      "                 [--contract-paths=P1,P2] [--list-checks] file...\n");
+  std::fprintf(stderr, "usage: locs_lint file...\n");
   return 2;
 }
 
@@ -1108,41 +1084,10 @@ int Usage() {
 
 int main(int argc, char** argv) {
   Analyzer analyzer;
-  for (const char* check : kAllChecks) analyzer.enabled.insert(check);
 
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--list-checks") {
-      for (const char* check : kAllChecks) std::printf("%s\n", check);
-      return 0;
-    }
-    if (arg.compare(0, 9, "--checks=") == 0) {
-      analyzer.enabled.clear();
-      std::stringstream stream(arg.substr(9));
-      std::string name;
-      while (std::getline(stream, name, ',')) {
-        const bool known =
-            std::find_if(std::begin(kAllChecks), std::end(kAllChecks),
-                         [&name](const char* c) { return name == c; }) !=
-            std::end(kAllChecks);
-        if (!known) {
-          std::fprintf(stderr, "locs_lint: unknown check '%s'\n",
-                       name.c_str());
-          return 2;
-        }
-        analyzer.enabled.insert(name);
-      }
-      continue;
-    }
-    if (arg.compare(0, 13, "--wire-allow=") == 0) {
-      analyzer.wire_allow = arg.substr(13);
-      continue;
-    }
-    if (arg.compare(0, 17, "--contract-paths=") == 0) {
-      analyzer.contract_paths = arg.substr(17);
-      continue;
-    }
     if (arg.compare(0, 2, "--") == 0) return Usage();
     paths.push_back(arg);
   }

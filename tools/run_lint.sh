@@ -41,7 +41,8 @@ if [[ -z "${binary}" ]]; then
     echo "run_lint: LOCS_LINT_BIN=${LOCS_LINT_BIN} is not an executable" >&2
   else
     echo "run_lint: cannot build tools/lint/locs_lint.cc" >&2
-    cat build-lint/locs_lint.build.log >&2
+    [[ -f build-lint/locs_lint.build.log ]] &&
+      cat build-lint/locs_lint.build.log >&2
   fi
   exit 2
 fi
