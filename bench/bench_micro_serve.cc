@@ -165,7 +165,7 @@ struct SweepPoint {
 /// round-trip latencies in microseconds. `pool` < n restricts queries
 /// to the first `pool` vertex ids — the repeat-heavy workload whose
 /// working set a result cache absorbs (0 = sample the whole graph).
-std::vector<double> RunClient(serve::Transport& transport, uint32_t n,
+std::vector<double> RunClient(serve::FdTransport& transport, uint32_t n,
                               size_t queries, uint64_t seed,
                               uint32_t pool) {
   const uint32_t range = pool == 0 ? n : std::min(pool, n);
@@ -181,7 +181,7 @@ std::vector<double> RunClient(serve::Transport& transport, uint32_t n,
         " limit=1";
     WallTimer timer;
     if (!transport.WriteLine(request) ||
-        transport.ReadLine(&reply) != serve::Transport::ReadStatus::kLine) {
+        transport.ReadLine(&reply) != serve::FdTransport::ReadStatus::kLine) {
       std::fprintf(stderr, "client: session died mid-loop\n");
       std::exit(1);
     }

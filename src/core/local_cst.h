@@ -87,7 +87,7 @@ class LocalCstSolver {
   /// Solves CST(k) for `v0`. `status == kFound` iff a solution exists and
   /// the query ran to completion: the returned community is connected,
   /// contains v0, and has minimum induced degree >= k. `kNotExists` is an
-  /// exact negative. A `guard` trip (deadline / budget / cancel) yields an
+  /// exact negative. A `guard` trip (deadline / budget) yields an
   /// interrupted status with the best connected community so far in
   /// `best_so_far`.
   /// The unnamed fourth parameter is an ignored slot (always nullptr; see

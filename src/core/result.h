@@ -51,8 +51,7 @@ struct SearchResult {
   bool Found() const { return status == Termination::kFound; }
   bool Interrupted() const {
     return status == Termination::kDeadline ||
-           status == Termination::kBudgetExhausted ||
-           status == Termination::kCancelled;
+           status == Termination::kBudgetExhausted;
   }
 
   // std::optional-compatible view of the qualifying answer.

@@ -166,8 +166,7 @@ std::string CheckSearchResult(const Graph& graph, const SearchResult& result,
       }
       return "";
     case Termination::kDeadline:
-    case Termination::kBudgetExhausted:
-    case Termination::kCancelled: {
+    case Termination::kBudgetExhausted: {
       if (result.community.has_value()) {
         return "interrupted status but a community is engaged";
       }

@@ -44,7 +44,7 @@ std::string CheckCommunity(const Graph& graph, const Community& community,
 ///   - kFound: `community` engaged and sound per CheckCommunity (all
 ///     query vertices members), with min_degree >= k;
 ///   - kNotExists: no community and an empty best_so_far;
-///   - interrupted (deadline/budget/cancel): no community; best_so_far
+///   - interrupted (deadline/budget): no community; best_so_far
 ///     sound per CheckCommunity but only required to contain
 ///     query.front() (a multi-seed partial answer may not reach the
 ///     other query vertices).

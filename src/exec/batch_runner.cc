@@ -1,6 +1,7 @@
 #include "exec/batch_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -23,31 +24,15 @@ unsigned WorkerCount(unsigned num_threads, size_t num_queries) {
   return static_cast<unsigned>(std::min<size_t>(requested, num_queries));
 }
 
-/// Builds the guard for one query: per-query deadline/budget/cancel from
-/// the limits, tightened to the batch-wide absolute deadline so a batch
-/// expiry interrupts the query mid-search instead of waiting it out.
-QueryGuard MakeQueryGuard(const BatchLimits& limits,
-                          bool has_batch_deadline,
-                          QueryGuard::Clock::time_point batch_deadline) {
-  QueryLimits query_limits;
-  query_limits.deadline_ms = limits.query_deadline_ms;
-  query_limits.work_budget = limits.query_work_budget;
-  query_limits.cancel = limits.cancel;
-  QueryGuard guard(query_limits);
-  if (has_batch_deadline) guard.LimitDeadline(batch_deadline);
-  return guard;
-}
-
-/// Slots past the executed prefix were never started; report them under
-/// the batch stop cause with the singleton community as the (trivially
-/// valid) partial answer.
+/// Slots past the executed prefix were never started: the batch deadline
+/// stopped the claims. Report them as kDeadline with the singleton
+/// community as the (trivially valid) partial answer.
 void FillNeverStarted(const std::vector<VertexId>& queries, size_t completed,
-                      Termination cause, std::vector<SearchResult>* results,
-                      BatchStats* stats) {
+                      std::vector<SearchResult>* results, BatchStats* stats) {
   for (size_t i = completed; i < queries.size(); ++i) {
-    (*results)[i] =
-        SearchResult::MakeInterrupted(cause, Community{{queries[i]}, 0});
-    ++stats->status_counts[static_cast<size_t>(cause)];
+    (*results)[i] = SearchResult::MakeInterrupted(
+        Termination::kDeadline, Community{{queries[i]}, 0});
+    ++stats->status_counts[static_cast<size_t>(Termination::kDeadline)];
   }
 }
 
@@ -96,28 +81,25 @@ BatchResult BatchRunner::Run(const std::vector<VertexId>& queries,
   std::vector<WorkerTotals> totals(workers);
   std::vector<std::exception_ptr> errors(workers);
   std::atomic<size_t> cursor{0};
-  std::atomic<bool> failed{false};     // a worker caught an exception
-  std::atomic<bool> cancelled{false};  // a worker saw the cancel flag
+  std::atomic<bool> failed{false};  // a worker caught an exception
 
-  // Claims one query at a time until the batch is drained, cancelled,
-  // past its deadline or failed. A claimed query always finishes, so
-  // the queries run are the prefix [0, completed).
+  // Claims one query at a time until the batch is drained, past its
+  // deadline or failed. A claimed query always finishes, so the queries
+  // run are the prefix [0, completed).
   const auto work = [&](unsigned worker) {
     try {
       while (!failed.load(std::memory_order_relaxed)) {
-        if (limits.cancel != nullptr &&
-            limits.cancel->load(std::memory_order_relaxed)) {
-          cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
         if (has_batch_deadline &&
             QueryGuard::Clock::now() >= batch_deadline) {
           return;
         }
         const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= queries.size()) return;
-        QueryGuard guard =
-            MakeQueryGuard(limits, has_batch_deadline, batch_deadline);
+        // The query's own limits, tightened to the batch-wide deadline
+        // so a batch expiry interrupts it mid-search.
+        QueryGuard guard(
+            QueryLimits{limits.query_deadline_ms, limits.query_work_budget});
+        if (has_batch_deadline) guard.LimitDeadline(batch_deadline);
         out.results[i] = solve(Searcher(worker), queries[i], guard);
         totals[worker].Add(out.results[i]);
       }
@@ -157,12 +139,8 @@ BatchResult BatchRunner::Run(const std::vector<VertexId>& queries,
     }
   }
   if (stats.completed < queries.size()) {
-    stats.cancelled = cancelled.load(std::memory_order_relaxed);
-    stats.deadline_hit = !stats.cancelled;
-    FillNeverStarted(queries, stats.completed,
-                     stats.cancelled ? Termination::kCancelled
-                                     : Termination::kDeadline,
-                     &out.results, &stats);
+    stats.deadline_hit = true;
+    FillNeverStarted(queries, stats.completed, &out.results, &stats);
   }
   return out;
 }

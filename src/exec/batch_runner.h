@@ -28,7 +28,7 @@
 // LOCS_GUARDED_BY annotations (util/thread_annotations.h). Workers touch
 // strictly disjoint state: worker w owns searchers_[w], its totals and
 // its exception slot, result i is written by the one worker that
-// claimed query i, and the rest (the cursor, the stop flags) are
+// claimed query i, and the rest (the cursor, the failure flag) are
 // std::atomic. Joining the workers publishes their writes to the caller.
 // The Clang thread-safety analysis therefore has nothing to prove here;
 // the TSan lane (tools/run_sanitizers.sh) is the check that this
@@ -37,7 +37,6 @@
 #ifndef LOCS_EXEC_BATCH_RUNNER_H_
 #define LOCS_EXEC_BATCH_RUNNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,8 +66,6 @@ struct BatchLimits {
   /// Per-query work budget (visited vertices + scanned edges); 0 = none.
   /// Budget trips are deterministic and thread-count invariant.
   uint64_t query_work_budget = 0;
-  /// External cancellation flag, polled by every in-flight query's guard.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Per-query telemetry aggregated over one batch.
@@ -79,12 +76,11 @@ struct BatchStats {
   uint64_t scanned_edges = 0;
   uint64_t total_answer_size = 0;
   /// Per-termination-status query counts, indexed by Termination. Counts
-  /// every result slot, including never-started queries (reported under
-  /// the batch stop cause).
+  /// every result slot, including never-started queries (reported as
+  /// kDeadline).
   uint64_t status_counts[kNumTerminations] = {};
   double wall_ms = 0.0;
   bool deadline_hit = false;
-  bool cancelled = false;
 
   uint64_t CountOf(Termination status) const {
     return status_counts[static_cast<size_t>(status)];
@@ -93,7 +89,7 @@ struct BatchStats {
 
 struct BatchResult {
   /// results[i] answers queries[i]; slots past stats.completed were never
-  /// started and carry the batch stop cause with a singleton best_so_far.
+  /// started and carry kDeadline with a singleton best_so_far.
   std::vector<SearchResult> results;
   BatchStats stats;
 };

@@ -136,7 +136,7 @@ bool RetryClient::Exchange(std::string_view request, std::string* reply) {
   transport_options.idle_timeout_ms = options_.request_deadline_ms;
   FdTransport transport(fd_, fd_, transport_options);
   if (!transport.WriteLine(request) ||
-      transport.ReadLine(reply) != Transport::ReadStatus::kLine) {
+      transport.ReadLine(reply) != FdTransport::ReadStatus::kLine) {
     Disconnect();
     return false;
   }

@@ -28,7 +28,7 @@
 // searcher from the shared GraphRegistry), and the wire protocol is
 // request/response — a reconnected session serves any request — so
 // retrying across connections is safe for every verb. Not thread-safe:
-// one RetryClient per client thread, like one Transport per session.
+// one RetryClient per client thread, like one FdTransport per session.
 
 #ifndef LOCS_SERVE_CLIENT_H_
 #define LOCS_SERVE_CLIENT_H_

@@ -65,9 +65,8 @@ bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
                         std::string* error) {
   static constexpr std::string_view kFlags[] = {
       "port", "port-file", "preload", "max-graphs", "max-sessions",
-      "max-inflight", "default-deadline-ms", "max-deadline-ms",
-      "default-budget", "max-budget", "member-limit", "max-reply-bytes",
-      "cache-entries", "io-timeout-ms", "idle-timeout-ms"};
+      "max-inflight", "max-reply-bytes", "cache-entries", "io-timeout-ms",
+      "idle-timeout-ms"};
   static constexpr std::string_view kSwitches[] = {"stdio"};
   if (!cli.OnlyKnownFlags(kFlags, error, kSwitches)) return false;
   options->stdio = cli.Has("stdio");
@@ -77,22 +76,13 @@ bool ParseDaemonOptions(const CommandLine& cli, DaemonOptions* options,
     return false;
   }
   ServerOptions& server = options->server;
-  SessionOptions& session = server.session;
   server.port_file = cli.GetString("port-file", "");
   const std::string preload = cli.GetString("preload", "");
   return ReadWhole(cli, "port", &server.port, error) &&
          ReadWhole(cli, "max-graphs", &server.max_graphs, error) &&
          ReadWhole(cli, "max-sessions", &server.max_sessions, error) &&
          ReadWhole(cli, "max-inflight", &server.max_inflight, error) &&
-         ReadMs(cli, "default-deadline-ms", &session.default_deadline_ms,
-                error) &&
-         ReadMs(cli, "max-deadline-ms", &session.max_deadline_ms, error) &&
-         ReadWhole(cli, "default-budget", &session.default_work_budget,
-                   error) &&
-         ReadWhole(cli, "max-budget", &session.max_work_budget, error) &&
-         ReadWhole(cli, "member-limit", &session.default_member_limit,
-                   error) &&
-         ReadWhole(cli, "max-reply-bytes", &session.max_reply_bytes,
+         ReadWhole(cli, "max-reply-bytes", &server.session.max_reply_bytes,
                    error) &&
          ReadWhole(cli, "cache-entries", &server.cache_entries, error) &&
          ReadWhole(cli, "io-timeout-ms", &server.io_timeout_ms, error) &&
@@ -112,10 +102,6 @@ const char* DaemonFlagHelp() {
       "                            BUSY and is closed (default 8)\n"
       "  --max-inflight=N          concurrent queries; more wait for a\n"
       "                            slot (default 4)\n"
-      "  --default-deadline-ms=D --max-deadline-ms=D\n"
-      "  --default-budget=W --max-budget=W\n"
-      "                            per-query guard policy (0 = none)\n"
-      "  --member-limit=N          member ids echoed per reply (0 = all)\n"
       "  --max-reply-bytes=N       cap one reply line; beyond it the\n"
       "                            reply becomes ERR too-large (0 = none)\n"
       "  --cache-entries=N         result-cache capacity in replies\n"
@@ -124,8 +110,9 @@ const char* DaemonFlagHelp() {
       "                            mid-request/mid-reply (0 = never)\n"
       "  --idle-timeout-ms=D       reap a session idle between requests\n"
       "                            (0 = never)\n"
-      "numbers are whole and non-negative (deadlines may be fractional);\n"
-      "a bad, unknown or repeated flag or any argument exits 2\n";
+      "numbers are whole and non-negative; a bad, unknown or repeated\n"
+      "flag or any argument exits 2. A query's limits are its own\n"
+      "deadline_ms=, budget= and limit= options\n";
 }
 
 int DaemonMain(const DaemonOptions& options) {
@@ -159,11 +146,14 @@ int ClientMain(const RetryClientOptions& options) {
   RetryClient client(options);
   std::string line;
   std::string reply;
-  bool quit_sent = false;
+  bool quit_acked = false;
   // Lockstep: every request line gets exactly one reply line (blank
   // input lines get none and are skipped), so a pipe never deadlocks.
   // Recovery (reconnect/backoff/BUSY) happens inside Request();
   // with max_attempts == 1 a failure here is the historical hard exit.
+  // The script ends at `OK bye`, which locsd sends only to QUIT: a line
+  // that merely starts with QUIT (QUITX, QUIT now) gets an ERR and the
+  // session, and the script, go on.
   while (std::getline(std::cin, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
@@ -172,12 +162,12 @@ int ClientMain(const RetryClientOptions& options) {
       return 1;
     }
     std::printf("%s\n", reply.c_str());
-    if (line.compare(0, 4, "QUIT") == 0) {
-      quit_sent = true;
+    if (reply == "OK bye") {
+      quit_acked = true;
       break;
     }
   }
-  if (!quit_sent && client.connected()) {
+  if (!quit_acked && client.connected()) {
     if (client.Request("QUIT", &reply)) std::printf("%s\n", reply.c_str());
   }
   return 0;

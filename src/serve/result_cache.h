@@ -1,8 +1,8 @@
 // ResultCache — a bounded LRU over rendered query replies.
 //
 // locsd query replies are deterministic functions of (graph contents,
-// verb, query vertices, k/max, effective limits, member limit, trace
-// flag): FormatQueryReply renders counters, never durations. γ is
+// verb, query vertices, k/max, the request's limits and member limit,
+// trace flag): FormatQueryReply renders counters, never durations. γ is
 // ignored by every served verb, so it is not part of the key. That makes
 // the full reply line safely cacheable — a hit returns the exact bytes a
 // fresh solve would produce — provided the key pins the *graph contents*

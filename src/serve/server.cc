@@ -176,7 +176,8 @@ void CommunityServer::Run() {
     }
     if (!admitted) {
       metrics_.CountRejected();
-      FdTransport transport(fd, fd);
+      // The wake fd ends this write at drain if the peer takes nothing.
+      FdTransport transport(fd, fd, {.wake_fd = wake_pipe_[0]});
       transport.WriteLine("BUSY sessions=" +
                           std::to_string(options_.max_sessions));
       ::close(fd);

@@ -81,9 +81,34 @@ std::string FormatQueryReply(const SearchResult& result,
   return reply;
 }
 
+/// Result-cache key for `request` against graph generation `epoch`:
+/// epoch + verb + query vertices + k/max + the request's limits and
+/// member limit + trace flag — every input the rendered reply is a
+/// deterministic function of. Lookup keys use the registry's current
+/// epoch; insert keys use the epoch of the entry that actually answered,
+/// so a racing re-LOAD can waste an insert but never alias one epoch's
+/// reply under another's key.
+std::string MakeCacheKey(uint64_t epoch, const Request& request) {
+  std::string key = std::to_string(epoch);
+  key += '|';
+  key += VerbName(request.verb);
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer),
+                "|%" PRIu32 "|%d|%.17g|%" PRIu64 "|%" PRIu64 "|%d",
+                request.k, request.multi_max ? 1 : 0,
+                request.limits.deadline_ms, request.limits.work_budget,
+                request.member_limit, request.trace ? 1 : 0);
+  key += buffer;
+  for (const VertexId v : request.vertices) {
+    key += '|';
+    key += std::to_string(v);
+  }
+  return key;
+}
+
 }  // namespace
 
-Session::Session(Transport& transport, GraphRegistry& registry,
+Session::Session(FdTransport& transport, GraphRegistry& registry,
                  AdmissionController& admission, ServerMetrics& metrics,
                  const SessionOptions& options)
     : transport_(transport),
@@ -99,12 +124,12 @@ Session::~Session() { metrics_.CountSessionClosed(); }
 void Session::Run() {
   std::string line;
   while (true) {
-    const Transport::ReadStatus status = transport_.ReadLine(&line);
-    if (status == Transport::ReadStatus::kEof ||
-        status == Transport::ReadStatus::kError) {
+    const FdTransport::ReadStatus status = transport_.ReadLine(&line);
+    if (status == FdTransport::ReadStatus::kEof ||
+        status == FdTransport::ReadStatus::kError) {
       return;
     }
-    if (status == Transport::ReadStatus::kTimeout) {
+    if (status == FdTransport::ReadStatus::kTimeout) {
       // Peer started a request and stalled past the io deadline; the
       // parting ERR is best-effort (the peer may already be gone).
       metrics_.CountIoTimeout();
@@ -113,14 +138,14 @@ void Session::Run() {
           FormatError(WireError::kIoTimeout, "request stalled; closing"));
       return;
     }
-    if (status == Transport::ReadStatus::kIdleTimeout) {
+    if (status == FdTransport::ReadStatus::kIdleTimeout) {
       // Idle reaper: a quiet-but-open connection gives its thread back.
       metrics_.CountIdleReaped();
       transport_.WriteLine(
           FormatError(WireError::kIoTimeout, "idle; closing"));
       return;
     }
-    if (status == Transport::ReadStatus::kTooLong) {
+    if (status == FdTransport::ReadStatus::kTooLong) {
       ++requests_handled_;
       metrics_.CountError(WireError::kLineTooLong);
       if (!transport_.WriteLine(FormatError(WireError::kLineTooLong,
@@ -304,27 +329,6 @@ std::string Session::ExecStats() {
                                              registry_.size());
 }
 
-QueryLimits Session::EffectiveLimits(const QueryLimits& requested) const {
-  QueryLimits limits = requested;
-  if (limits.deadline_ms <= 0.0) {
-    limits.deadline_ms = options_.default_deadline_ms;
-  }
-  if (options_.max_deadline_ms > 0.0 &&
-      (limits.deadline_ms <= 0.0 ||
-       limits.deadline_ms > options_.max_deadline_ms)) {
-    limits.deadline_ms = options_.max_deadline_ms;
-  }
-  if (limits.work_budget == 0) {
-    limits.work_budget = options_.default_work_budget;
-  }
-  if (options_.max_work_budget != 0 &&
-      (limits.work_budget == 0 ||
-       limits.work_budget > options_.max_work_budget)) {
-    limits.work_budget = options_.max_work_budget;
-  }
-  return limits;
-}
-
 std::string Session::ExecQuery(const Request& request,
                                std::string* cache_key) {
   // The lease ends with this query, inside Dispatch's admission ticket:
@@ -379,11 +383,9 @@ std::string Session::ExecQuery(const Request& request,
     return FormatError(WireError::kInternal, "injected solver fault");
   }
 
-  const uint64_t member_limit = request.member_limit != 0
-                                    ? request.member_limit
-                                    : options_.default_member_limit;
+  const uint64_t member_limit = request.member_limit;
   WallTimer timer;
-  QueryGuard guard(EffectiveLimits(request.limits));
+  QueryGuard guard(request.limits);
   SearchResult result;
   switch (request.verb) {
     case Verb::kCst:
@@ -412,28 +414,6 @@ std::string Session::ExecQuery(const Request& request,
     *cache_key = MakeCacheKey(lease.entry().epoch, request);
   }
   return FormatQueryReply(result, member_limit, request.trace);
-}
-
-std::string Session::MakeCacheKey(uint64_t epoch,
-                                  const Request& request) const {
-  const QueryLimits limits = EffectiveLimits(request.limits);
-  const uint64_t member_limit = request.member_limit != 0
-                                    ? request.member_limit
-                                    : options_.default_member_limit;
-  std::string key = std::to_string(epoch);
-  key += '|';
-  key += VerbName(request.verb);
-  char buffer[96];
-  std::snprintf(buffer, sizeof(buffer),
-                "|%" PRIu32 "|%d|%.17g|%" PRIu64 "|%" PRIu64 "|%d",
-                request.k, request.multi_max ? 1 : 0, limits.deadline_ms,
-                limits.work_budget, member_limit, request.trace ? 1 : 0);
-  key += buffer;
-  for (const VertexId v : request.vertices) {
-    key += '|';
-    key += std::to_string(v);
-  }
-  return key;
 }
 
 }  // namespace locs::serve

@@ -31,16 +31,9 @@
 
 namespace locs::serve {
 
-/// Server-imposed per-query policy, applied on top of request options.
+/// Server-side session policy. A query's limits (deadline_ms=, budget=,
+/// limit=) come from the request alone.
 struct SessionOptions {
-  /// Applied when a query carries no deadline_ms= / budget= option.
-  double default_deadline_ms = 0.0;
-  uint64_t default_work_budget = 0;
-  /// Hard caps: client-supplied limits are clamped to these (0 = no cap).
-  double max_deadline_ms = 0.0;
-  uint64_t max_work_budget = 0;
-  /// Member ids echoed per reply when the query has no limit= (0 = all).
-  uint64_t default_member_limit = 0;
   /// Hard cap on one rendered LOAD/query reply line; an oversized reply
   /// is replaced by `ERR too-large` instead of buffering without bound
   /// (0 = uncapped). Clients wanting big communities page with limit=.
@@ -58,7 +51,7 @@ struct SessionOptions {
 /// (sessions are the unit of concurrency, not shared between threads).
 class Session {
  public:
-  Session(Transport& transport, GraphRegistry& registry,
+  Session(FdTransport& transport, GraphRegistry& registry,
           AdmissionController& admission, ServerMetrics& metrics,
           const SessionOptions& options);
   ~Session();
@@ -86,24 +79,12 @@ class Session {
   std::string ExecQuery(const Request& request, std::string* cache_key);
   std::string ExecStats();
 
-  /// Result-cache key for `request` against graph generation `epoch`:
-  /// epoch + verb + query vertices + k/max + the *effective* limits
-  /// and member limit + trace flag — every input the rendered reply is a
-  /// deterministic function of. Lookup keys use the registry's current
-  /// epoch; insert keys use the epoch of the entry that actually
-  /// answered, so a racing re-LOAD can waste an insert but never alias
-  /// one epoch's reply under another's key.
-  std::string MakeCacheKey(uint64_t epoch, const Request& request) const;
-
-  /// Merges request limits with the session's defaults and caps.
-  QueryLimits EffectiveLimits(const QueryLimits& requested) const;
-
   bool Stopping() const {
     return options_.stop != nullptr &&
            options_.stop->load(std::memory_order_relaxed);
   }
 
-  Transport& transport_;
+  FdTransport& transport_;
   GraphRegistry& registry_;
   AdmissionController& admission_;
   ServerMetrics& metrics_;

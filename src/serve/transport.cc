@@ -84,7 +84,7 @@ long FdTransport::Refill() {
   }
 }
 
-Transport::ReadStatus FdTransport::ReadLine(std::string* line) {
+FdTransport::ReadStatus FdTransport::ReadLine(std::string* line) {
   line->clear();
   if (pending_error_) {
     // The previous call surfaced a buffered partial line ahead of a read
@@ -98,19 +98,16 @@ Transport::ReadStatus FdTransport::ReadLine(std::string* line) {
   if (LOCS_FAILPOINT("serve.transport.read_delay")) {
     SleepMs(kInjectedReadDelayMs);
   }
-  const bool guarded = Guarded();
+  const uint64_t now = NowMs();
   uint64_t idle_deadline = 0;
   uint64_t io_deadline = 0;
-  if (guarded) {
-    const uint64_t now = NowMs();
-    if (options_.idle_timeout_ms != 0) {
-      idle_deadline = now + options_.idle_timeout_ms;
-    }
-    // Bytes of the next line already buffered mean the request is in
-    // flight: the io clock starts now, not at the next read syscall.
-    if (options_.io_timeout_ms != 0 && buffer_pos_ < buffer_.size()) {
-      io_deadline = now + options_.io_timeout_ms;
-    }
+  if (options_.idle_timeout_ms != 0) {
+    idle_deadline = now + options_.idle_timeout_ms;
+  }
+  // Bytes of the next line already buffered mean the request is in
+  // flight: the io clock starts now, not at the next read syscall.
+  if (options_.io_timeout_ms != 0 && buffer_pos_ < buffer_.size()) {
+    io_deadline = now + options_.io_timeout_ms;
   }
   bool overflow = false;
   while (true) {
@@ -133,24 +130,21 @@ Transport::ReadStatus FdTransport::ReadLine(std::string* line) {
       buffer_.clear();
       buffer_pos_ = 0;
     }
-    if (guarded) {
-      // Mid-request once the io clock is running (or an overflow discard
-      // is in progress); idle otherwise. The io deadline is absolute —
-      // it never resets on partial progress, so a drip-feeding peer is
-      // bounded by io_timeout_ms total, not per byte.
-      const bool mid_request = io_deadline != 0 || overflow;
-      const uint64_t deadline = mid_request ? io_deadline : idle_deadline;
-      switch (Wait(read_fd_, POLLIN, deadline)) {
-        case WaitResult::kReady:
-          break;
-        case WaitResult::kTimeout:
-          return mid_request ? ReadStatus::kTimeout
-                             : ReadStatus::kIdleTimeout;
-        case WaitResult::kStop:
-          return ReadStatus::kEof;
-        case WaitResult::kError:
-          return ReadStatus::kError;
-      }
+    // Mid-request once the io clock is running (or an overflow discard
+    // is in progress); idle otherwise. The io deadline is absolute — it
+    // never resets on partial progress, so a drip-feeding peer is
+    // bounded by io_timeout_ms total, not per byte.
+    const bool mid_request = io_deadline != 0 || overflow;
+    const uint64_t deadline = mid_request ? io_deadline : idle_deadline;
+    switch (Wait(read_fd_, POLLIN, deadline)) {
+      case WaitResult::kReady:
+        break;
+      case WaitResult::kTimeout:
+        return mid_request ? ReadStatus::kTimeout : ReadStatus::kIdleTimeout;
+      case WaitResult::kStop:
+        return ReadStatus::kEof;
+      case WaitResult::kError:
+        return ReadStatus::kError;
     }
     const long n = Refill();
     if (n <= 0) {
@@ -170,7 +164,7 @@ Transport::ReadStatus FdTransport::ReadLine(std::string* line) {
       return overflow ? ReadStatus::kTooLong : ReadStatus::kEof;
     }
     // First bytes of this request: start the io clock.
-    if (guarded && io_deadline == 0 && options_.io_timeout_ms != 0) {
+    if (io_deadline == 0 && options_.io_timeout_ms != 0) {
       io_deadline = NowMs() + options_.io_timeout_ms;
     }
   }
@@ -193,30 +187,25 @@ bool FdTransport::WriteLine(std::string_view reply) {
     (void)ignored;
     return false;
   }
-  const bool guarded = Guarded();
-  uint64_t deadline = 0;
-  if (guarded && options_.io_timeout_ms != 0) {
-    deadline = NowMs() + options_.io_timeout_ms;
-  }
+  const uint64_t deadline =
+      options_.io_timeout_ms != 0 ? NowMs() + options_.io_timeout_ms : 0;
   size_t written = 0;
   while (written < framed.size()) {
-    if (guarded) {
-      switch (Wait(write_fd_, POLLOUT, deadline)) {
-        case WaitResult::kReady:
-          break;
-        case WaitResult::kTimeout:
-          write_timed_out_ = true;
-          return false;
-        case WaitResult::kStop:
-        case WaitResult::kError:
-          return false;
-      }
+    switch (Wait(write_fd_, POLLOUT, deadline)) {
+      case WaitResult::kReady:
+        break;
+      case WaitResult::kTimeout:
+        write_timed_out_ = true;
+        return false;
+      case WaitResult::kStop:
+      case WaitResult::kError:
+        return false;
     }
     const ssize_t n =
         ::write(write_fd_, framed.data() + written, framed.size() - written);
     if (n < 0) {
       // EAGAIN: a non-blocking socket filled up; wait for room again.
-      if (errno == EINTR || (guarded && errno == EAGAIN)) continue;
+      if (errno == EINTR || errno == EAGAIN) continue;
       return false;
     }
     written += static_cast<size_t>(n);

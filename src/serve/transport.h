@@ -1,11 +1,11 @@
-// Transport — byte streams under the wire protocol.
+// FdTransport — byte streams under the wire protocol.
 //
 // The session layer speaks lines; the transport turns POSIX file
-// descriptors into lines. One implementation covers both deployment
-// modes: FdTransport(0, 1) is the stdio transport (tests, pipes, inetd-
-// style supervision), FdTransport(fd, fd) wraps an accepted TCP socket,
-// which the server makes non-blocking so that a guarded write waits for
-// room in poll, never inside write(2).
+// descriptors into lines. One class covers both deployment modes:
+// FdTransport(0, 1) is the stdio transport (tests, pipes, inetd-style
+// supervision), FdTransport(fd, fd) wraps an accepted TCP socket, which
+// the server makes non-blocking. Every read and every write first waits
+// in poll(2), so a write waits for room there, never inside write(2).
 //
 // Overlong lines are a protocol error, not a buffering hazard: once a
 // line passes kMaxLineBytes the reader discards bytes until the next
@@ -13,9 +13,9 @@
 // server buffer unbounded input, and the session stays usable for the
 // next request.
 //
-// Lifecycle guards (all opt-in via FdTransportOptions; with none set the
-// transport is a plain blocking reader/writer, byte-for-byte the
-// historical behavior):
+// Lifecycle guards (all opt-in via FdTransportOptions; with none set a
+// wait has no deadline and no wake fd, so it ends only when the fd is
+// ready):
 //
 //   - io_timeout_ms bounds the wall time a peer may take to finish a
 //     request it has started (first byte seen -> newline) and the time a
@@ -46,8 +46,16 @@
 
 namespace locs::serve {
 
-/// Line-oriented bidirectional byte stream.
-class Transport {
+/// Deadline policy for FdTransport. Zeros + no wake fd = no limits.
+struct FdTransportOptions {
+  uint64_t io_timeout_ms = 0;    ///< mid-request / write stall cap; 0 = none
+  uint64_t idle_timeout_ms = 0;  ///< between-requests cap; 0 = none
+  int wake_fd = -1;  ///< readable once the server drains; -1 = none
+};
+
+/// Line-oriented transport over a POSIX read/write fd pair. Does not own
+/// the fds: the caller closes them after the transport is gone.
+class FdTransport {
  public:
   enum class ReadStatus : uint8_t {
     kLine,         ///< *line holds the next request (newline stripped)
@@ -58,40 +66,22 @@ class Transport {
     kIdleTimeout,  ///< no request started within idle_timeout_ms
   };
 
-  virtual ~Transport() = default;
-
-  /// Blocks for the next line. A trailing '\r' (CRLF peers) is stripped;
-  /// embedded NULs are preserved for the parser to reject.
-  virtual ReadStatus ReadLine(std::string* line) = 0;
-
-  /// Writes `reply` plus a newline. False on a write failure (peer gone).
-  virtual bool WriteLine(std::string_view reply) = 0;
-
-  /// True when the most recent WriteLine failure was a deadline expiry
-  /// rather than a peer-gone error (metrics attribute them differently).
-  virtual bool WriteTimedOut() const { return false; }
-};
-
-/// Deadline policy for FdTransport. Zeros + no wake fd = fully blocking.
-struct FdTransportOptions {
-  uint64_t io_timeout_ms = 0;    ///< mid-request / write stall cap; 0 = none
-  uint64_t idle_timeout_ms = 0;  ///< between-requests cap; 0 = none
-  int wake_fd = -1;  ///< readable once the server drains; -1 = none
-};
-
-/// Transport over a POSIX read/write fd pair. Does not own the fds: the
-/// caller closes them after the transport is gone.
-class FdTransport final : public Transport {
- public:
   FdTransport(int read_fd, int write_fd, FdTransportOptions options = {})
       : read_fd_(read_fd), write_fd_(write_fd), options_(options) {}
 
   FdTransport(const FdTransport&) = delete;
   FdTransport& operator=(const FdTransport&) = delete;
 
-  ReadStatus ReadLine(std::string* line) override;
-  bool WriteLine(std::string_view reply) override;
-  bool WriteTimedOut() const override { return write_timed_out_; }
+  /// Blocks for the next line. A trailing '\r' (CRLF peers) is stripped;
+  /// embedded NULs are preserved for the parser to reject.
+  ReadStatus ReadLine(std::string* line);
+
+  /// Writes `reply` plus a newline. False on a write failure (peer gone).
+  bool WriteLine(std::string_view reply);
+
+  /// True when the most recent WriteLine failure was a deadline expiry
+  /// rather than a peer-gone error (metrics attribute them differently).
+  bool WriteTimedOut() const { return write_timed_out_; }
 
  private:
   enum class WaitResult : uint8_t { kReady, kTimeout, kStop, kError };
@@ -100,12 +90,6 @@ class FdTransport final : public Transport {
   /// monotonic; 0 = unbounded) expires, the wake fd turns readable while
   /// `fd` is not ready, or a hard error.
   WaitResult Wait(int fd, short events, uint64_t deadline_ms) const;
-
-  /// True when any guard is configured and waits must go through poll.
-  bool Guarded() const {
-    return options_.io_timeout_ms != 0 || options_.idle_timeout_ms != 0 ||
-           options_.wake_fd >= 0;
-  }
 
   /// Refills buffer_; returns bytes read (0 = EOF, -1 = error).
   long Refill();

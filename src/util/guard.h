@@ -2,15 +2,15 @@
 //
 // The paper's own CSM design controls runaway local searches with a
 // γ-scaled search-space budget (Eq. 8); QueryGuard generalizes that idea
-// to every solver family: one small object carries a wall-clock deadline,
-// a work cap counted in visited vertices + scanned edges, and an external
-// cancel flag, and the solver inner loops poll it cooperatively.
+// to every solver family: one small object carries a wall-clock deadline
+// and a work cap counted in visited vertices + scanned edges, and the
+// solver inner loops poll it cooperatively.
 //
 // Polling is amortized to stay off the per-edge hot path: Spend(units)
 // accumulates work and only performs the expensive checks (clock read,
-// cancel-flag load, budget compare) once per ~kPollInterval accumulated
-// units. An unlimited guard (default construction, or limits that are all
-// zero) never reaches the slow path — Spend is one add, one compare, one
+// budget compare) once per ~kPollInterval accumulated units. An
+// unlimited guard (default construction, or limits that are all zero)
+// never reaches the slow path — Spend is one add, one compare, one
 // never-taken branch — so solvers can unconditionally poll a guard
 // instead of branching on "is there a guard?" per edge.
 //
@@ -26,18 +26,13 @@
 // but only occur at poll points, which are themselves deterministic.
 //
 // Thread-safety: a QueryGuard belongs to exactly one query on one
-// thread and takes no lock, so nothing here needs the
-// LOCS_GUARDED_BY annotations of util/thread_annotations.h. The only
-// cross-thread state is the caller-owned cancel flag, which is read
-// through std::atomic with relaxed ordering (a trip needs no
-// happens-before edge beyond the poll itself); guard_test's concurrency
-// label puts that protocol under the TSan lane.
+// thread, shares no state and takes no lock, so nothing here needs the
+// LOCS_GUARDED_BY annotations of util/thread_annotations.h.
 
 #ifndef LOCS_UTIL_GUARD_H_
 #define LOCS_UTIL_GUARD_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string_view>
@@ -53,13 +48,12 @@ enum class Termination : uint8_t {
   kNotExists,        ///< ran to completion; provably no answer exists
   kDeadline,         ///< interrupted: wall-clock deadline expired
   kBudgetExhausted,  ///< interrupted: work budget (or mCST step cap) spent
-  kCancelled,        ///< interrupted: external cancel flag was set
 };
 
-inline constexpr int kNumTerminations = 5;
+inline constexpr int kNumTerminations = 4;
 
 /// Human-readable status name ("found", "not-exists", "deadline",
-/// "budget-exhausted", "cancelled").
+/// "budget-exhausted").
 constexpr std::string_view TerminationName(Termination status) {
   switch (status) {
     case Termination::kFound:
@@ -70,24 +64,18 @@ constexpr std::string_view TerminationName(Termination status) {
       return "deadline";
     case Termination::kBudgetExhausted:
       return "budget-exhausted";
-    case Termination::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
 
-/// User-facing per-query limits; zero / null members mean "no limit".
+/// User-facing per-query limits; zero members mean "no limit".
 struct QueryLimits {
   /// Wall-clock budget in milliseconds from guard construction.
   double deadline_ms = 0.0;
   /// Cap on visited vertices + scanned edges (mCST: search steps).
   uint64_t work_budget = 0;
-  /// External cancellation flag, polled at guard poll points.
-  const std::atomic<bool>* cancel = nullptr;
 
-  bool Unlimited() const {
-    return deadline_ms <= 0.0 && work_budget == 0 && cancel == nullptr;
-  }
+  bool Unlimited() const { return deadline_ms <= 0.0 && work_budget == 0; }
 };
 
 /// The steady-clock instant `ms` milliseconds from now, saturating: a
@@ -113,8 +101,7 @@ inline std::chrono::steady_clock::time_point DeadlineAfterMs(double ms) {
                           : now + Clock::duration(span);
 }
 
-/// See the file comment. Not thread-safe (one guard per in-flight query);
-/// the cancel flag it watches may be set from any thread.
+/// See the file comment. Not thread-safe (one guard per in-flight query).
 class QueryGuard {
  public:
   using Clock = std::chrono::steady_clock;
@@ -126,7 +113,7 @@ class QueryGuard {
   QueryGuard() = default;
 
   explicit QueryGuard(const QueryLimits& limits)
-      : cancel_(limits.cancel), work_budget_(limits.work_budget) {
+      : work_budget_(limits.work_budget) {
     if (limits.deadline_ms > 0.0) {
       has_deadline_ = true;
       deadline_ = DeadlineAfterMs(limits.deadline_ms);
@@ -169,9 +156,6 @@ class QueryGuard {
     // Forces a mid-search interruption regardless of the real limits so
     // tests can exercise the degradation path deterministically.
     if (LOCS_FAILPOINT("guard.force_deadline")) return Trip(Termination::kDeadline);
-    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-      return Trip(Termination::kCancelled);
-    }
     if (work_budget_ != 0 && spent_ > work_budget_) {
       return Trip(Termination::kBudgetExhausted);
     }
@@ -194,7 +178,6 @@ class QueryGuard {
     return true;
   }
 
-  const std::atomic<bool>* cancel_ = nullptr;
   uint64_t work_budget_ = 0;
   bool has_deadline_ = false;
   bool stopped_ = false;

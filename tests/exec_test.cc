@@ -2,7 +2,7 @@
 // CommunitySearcher's, thread-count invariance, stat aggregation,
 // per-worker searcher reuse across batches, and how a batch executes
 // (every query claimed once, exceptions rethrown after the join,
-// deadline and cancel stops with prefix semantics, the worker-thread
+// deadline stops with prefix semantics, the worker-thread
 // cap), driven through test recorders, whose Record() runs inside the
 // worker loop.
 
@@ -295,21 +295,6 @@ TEST_F(BatchRunnerTest, StatsAggregateThePerQueryCounters) {
   }
 }
 
-TEST_F(BatchRunnerTest, CancelledBatchReportsCompletedPrefix) {
-  BatchRunner runner(snapshot_);
-  std::atomic<bool> cancel{true};
-  BatchLimits limits;
-  limits.cancel = &cancel;
-  const auto batch = runner.RunCst(queries_, 3, limits);
-  EXPECT_TRUE(batch.stats.cancelled);
-  EXPECT_EQ(batch.stats.completed, 0u);
-  EXPECT_EQ(batch.stats.CountOf(Termination::kCancelled), queries_.size());
-  for (const auto& result : batch.results) {
-    EXPECT_FALSE(result.has_value());
-    EXPECT_EQ(result.status, Termination::kCancelled);
-  }
-}
-
 TEST_F(BatchRunnerTest, EmptyBatchIsANoOp) {
   BatchRunner runner(snapshot_);
   const auto cst = runner.RunCst({}, 3);
@@ -376,7 +361,6 @@ TEST_F(ExecutorTest, RunsEveryItemExactlyOnce) {
   const auto batch = runner.RunCsm(queries_, Threads(4));
   EXPECT_EQ(batch.stats.completed, queries_.size());
   EXPECT_FALSE(batch.stats.deadline_hit);
-  EXPECT_FALSE(batch.stats.cancelled);
   EXPECT_EQ(recorder.calls(), queries_.size());
 }
 
@@ -428,42 +412,10 @@ TEST_F(ExecutorTest, DeadlineStopsEarlyWithPrefixSemantics) {
   limits.deadline_ms = 10.0;
   const auto batch = runner.RunCsm(queries_, limits);
   EXPECT_TRUE(batch.stats.deadline_hit);
-  EXPECT_FALSE(batch.stats.cancelled);
   ASSERT_LT(batch.stats.completed, queries_.size());
   // A claimed query always finishes: exactly the prefix was recorded.
   EXPECT_EQ(recorder.calls(), batch.stats.completed);
   ExpectPrefix(batch, Termination::kDeadline);
-}
-
-TEST_F(ExecutorTest, PreSetCancelRunsNothing) {
-  CallbackRecorder recorder([](uint64_t) {});
-  BatchRunner runner(snapshot_);
-  runner.set_recorder(&recorder);
-  std::atomic<bool> cancel{true};
-  BatchLimits limits = Threads(4);
-  limits.cancel = &cancel;
-  const auto batch = runner.RunCsm(queries_, limits);
-  EXPECT_TRUE(batch.stats.cancelled);
-  EXPECT_EQ(batch.stats.completed, 0u);
-  EXPECT_EQ(recorder.calls(), 0u);
-}
-
-TEST_F(ExecutorTest, CancelMidFlightStops) {
-  std::atomic<bool> cancel{false};
-  CallbackRecorder recorder([&](uint64_t call) {
-    if (call >= 8) cancel.store(true);
-  });
-  BatchRunner runner(snapshot_);
-  runner.set_recorder(&recorder);
-  BatchLimits limits = Threads(4);
-  limits.cancel = &cancel;
-  const auto batch = runner.RunCsm(queries_, limits);
-  EXPECT_TRUE(batch.stats.cancelled);
-  EXPECT_FALSE(batch.stats.deadline_hit);
-  EXPECT_GE(batch.stats.completed, 8u);
-  ASSERT_LT(batch.stats.completed, queries_.size());
-  EXPECT_EQ(recorder.calls(), batch.stats.completed);
-  ExpectPrefix(batch, Termination::kCancelled);
 }
 
 TEST_F(ExecutorTest, MaxWorkersCapsWorkerIds) {
@@ -504,7 +456,6 @@ TEST_F(ExecutorTest, ZeroItemsIsANoOp) {
   EXPECT_TRUE(batch.results.empty());
   EXPECT_EQ(batch.stats.completed, 0u);
   EXPECT_FALSE(batch.stats.deadline_hit);
-  EXPECT_FALSE(batch.stats.cancelled);
 }
 
 TEST(BatchRunnerDeadlineTest, DeadlineYieldsCompletedPrefix) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -140,18 +139,6 @@ TEST(QueryGuardTest, UnrepresentableDeadlineNeverTrips) {
   }
 }
 
-TEST(QueryGuardTest, CancelFlagTrips) {
-  std::atomic<bool> cancel{false};
-  QueryLimits limits;
-  limits.cancel = &cancel;
-  QueryGuard guard(limits);
-  EXPECT_FALSE(guard.Spend(1));
-  cancel.store(true);
-  // The flag is polled at most every kPollInterval units.
-  EXPECT_TRUE(guard.Spend(2 * QueryGuard::kPollInterval));
-  EXPECT_EQ(guard.cause(), Termination::kCancelled);
-}
-
 TEST(QueryGuardTest, ForceDeadlineFailpointTripsAnyLimitedGuard) {
   failpoint::ScopedFailpoint fp("guard.force_deadline");
   QueryGuard guard = BudgetGuard(uint64_t{1} << 40);
@@ -241,19 +228,6 @@ TEST(GuardedCstTest, ExpiredDeadlineReturnsPartialImmediately) {
   const SearchResult result = solver.Solve(0, 10, {}, nullptr, &guard);
   ASSERT_EQ(result.status, Termination::kDeadline);
   ExpectValidPartial(g, result, 0);
-}
-
-TEST(GuardedCstTest, PresetCancelReturnsSingleton) {
-  Graph g = gen::Clique(30);
-  const GraphFacts facts = GraphFacts::Compute(g);
-  LocalCstSolver solver(g, nullptr, &facts);
-  std::atomic<bool> cancel{true};
-  QueryLimits limits;
-  limits.cancel = &cancel;
-  QueryGuard guard(limits);
-  const SearchResult result = solver.Solve(4, 10, {}, nullptr, &guard);
-  ASSERT_EQ(result.status, Termination::kCancelled);
-  ExpectValidPartial(g, result, 4);
 }
 
 TEST(GuardedCstTest, NotExistsStaysExactUnderGenerousGuard) {

@@ -262,9 +262,12 @@ TEST(LocsdIntegrationTest, UsageAndBadFlagsFailCleanly) {
       0);
   // With a valid mode, each bad flag alone must still fail: exit 2 with
   // the flag named on stderr, and no session served. So must a
-  // positional argument and a repeated flag.
+  // positional argument, a repeated flag and every retired flag (a
+  // query's limits come from the request alone).
   for (const std::string flag :
        {"--frobnicate", "--max-queue=8", "--max-sessions-per-peer=2",
+        "--default-deadline-ms=50", "--max-deadline-ms=50",
+        "--default-budget=100", "--max-budget=100", "--member-limit=5",
         "--max-sessions=-1", "--max-inflight=abc", "extra",
         "--max-inflight=2 --max-inflight=3"}) {
     const auto [code, out] =
@@ -378,6 +381,25 @@ TEST(LocsdIntegrationTest, TcpSessionCapSaysBusy) {
       " client --port=" + port + " 2>/dev/null; wait");
   EXPECT_EQ(code, 0);
   EXPECT_NE(out.find("BUSY sessions=1"), std::string::npos) << out;
+  EXPECT_EQ(daemon.Terminate(), 0);
+}
+
+TEST(LocsdIntegrationTest, ClientScriptEndsAtByeNotAtAQuitPrefix) {
+  LocsdProcess daemon("");
+  ASSERT_GT(daemon.port(), 0);
+  // QUITX is an unknown verb, not QUIT: locsd answers ERR and keeps the
+  // session, so the client must go on with the script until `OK bye`.
+  const auto [code, out] = RunShell(
+      "printf 'PING\\nQUITX\\nPING\\nQUIT\\n' | " +
+      std::string(LOCS_CLI_PATH) + " client --port=" +
+      std::to_string(daemon.port()) + " 2>/dev/null");
+  EXPECT_EQ(code, 0);
+  const std::vector<std::string> replies = SplitLines(out);
+  ASSERT_EQ(replies.size(), 4u) << out;
+  EXPECT_EQ(replies[0], "OK pong");
+  EXPECT_EQ(replies[1].rfind("ERR unknown-verb", 0), 0u) << replies[1];
+  EXPECT_EQ(replies[2], "OK pong");
+  EXPECT_EQ(replies[3], "OK bye");
   EXPECT_EQ(daemon.Terminate(), 0);
 }
 

@@ -133,7 +133,7 @@ struct CacheFixture {
     EXPECT_GE(read_fd, 0);
     FdTransport reader(read_fd, -1);
     std::string line;
-    while (reader.ReadLine(&line) == Transport::ReadStatus::kLine) {
+    while (reader.ReadLine(&line) == FdTransport::ReadStatus::kLine) {
       replies.push_back(line);
     }
     ::close(read_fd);

@@ -58,7 +58,7 @@ std::vector<std::string> ReadReplies(const std::string& path) {
   EXPECT_GE(fd, 0);
   FdTransport reader(fd, -1);
   std::string line;
-  while (reader.ReadLine(&line) == Transport::ReadStatus::kLine) {
+  while (reader.ReadLine(&line) == FdTransport::ReadStatus::kLine) {
     replies.push_back(line);
   }
   ::close(fd);
@@ -573,7 +573,7 @@ TEST(ServeChaosTest, RetryClientRidesOutTheSessionCap) {
   FdTransport held(fd, fd);
   std::string line;
   ASSERT_TRUE(held.WriteLine("PING"));
-  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  ASSERT_EQ(held.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "OK pong");
 
   RetryClientOptions client_options;
@@ -598,7 +598,7 @@ TEST(ServeChaosTest, RetryClientRidesOutTheSessionCap) {
   }
   EXPECT_GE(server.metrics().Snapshot().rejected, 1u);
   ASSERT_TRUE(held.WriteLine("QUIT"));
-  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  ASSERT_EQ(held.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "OK bye");
   client_thread.join();
   ::close(fd);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -229,7 +230,7 @@ TEST(WireParseTest, ErrorAndVerbNamesAreStable) {
 /// Feeds `bytes` through a file-backed fd (payloads exceed the pipe
 /// buffer) and drains the transport; returns the (status, line) sequence
 /// until EOF/error.
-std::vector<std::pair<Transport::ReadStatus, std::string>> Feed(
+std::vector<std::pair<FdTransport::ReadStatus, std::string>> Feed(
     const std::string& bytes) {
   // Named after the running test: ctest runs each test as its own
   // process in parallel, and two feeding one path read each other's bytes.
@@ -251,13 +252,13 @@ std::vector<std::pair<Transport::ReadStatus, std::string>> Feed(
   const int read_fd = ::open(path.c_str(), O_RDONLY);
   EXPECT_GE(read_fd, 0);
   FdTransport transport(read_fd, -1);
-  std::vector<std::pair<Transport::ReadStatus, std::string>> out;
+  std::vector<std::pair<FdTransport::ReadStatus, std::string>> out;
   for (;;) {
     std::string line;
-    const Transport::ReadStatus status = transport.ReadLine(&line);
+    const FdTransport::ReadStatus status = transport.ReadLine(&line);
     out.emplace_back(status, line);
-    if (status == Transport::ReadStatus::kEof ||
-        status == Transport::ReadStatus::kError) {
+    if (status == FdTransport::ReadStatus::kEof ||
+        status == FdTransport::ReadStatus::kError) {
       break;
     }
   }
@@ -271,15 +272,15 @@ TEST(FdTransportTest, SplitsLinesAndStripsCr) {
   EXPECT_EQ(out[0].second, "PING");
   EXPECT_EQ(out[1].second, "STATS");
   EXPECT_EQ(out[2].second, "QUIT");
-  EXPECT_EQ(out[3].first, Transport::ReadStatus::kEof);
+  EXPECT_EQ(out[3].first, FdTransport::ReadStatus::kEof);
 }
 
 TEST(FdTransportTest, UnterminatedTailIsStillALine) {
   const auto out = Feed("PING\nQUIT");
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].first, Transport::ReadStatus::kLine);
+  EXPECT_EQ(out[1].first, FdTransport::ReadStatus::kLine);
   EXPECT_EQ(out[1].second, "QUIT");
-  EXPECT_EQ(out[2].first, Transport::ReadStatus::kEof);
+  EXPECT_EQ(out[2].first, FdTransport::ReadStatus::kEof);
 }
 
 TEST(FdTransportTest, OverlongLineIsDiscardedSessionSurvives) {
@@ -289,8 +290,8 @@ TEST(FdTransportTest, OverlongLineIsDiscardedSessionSurvives) {
   bytes += "\nPING\n";
   const auto out = Feed(bytes);
   ASSERT_GE(out.size(), 3u);
-  EXPECT_EQ(out[0].first, Transport::ReadStatus::kTooLong);
-  EXPECT_EQ(out[1].first, Transport::ReadStatus::kLine);
+  EXPECT_EQ(out[0].first, FdTransport::ReadStatus::kTooLong);
+  EXPECT_EQ(out[1].first, FdTransport::ReadStatus::kLine);
   EXPECT_EQ(out[1].second, "PING");
 }
 
@@ -310,11 +311,11 @@ TEST(FdTransportTest, WriteSideClosedMidLineSurfacesPartialThenEof) {
   ::close(fds[1]);  // mid-line hangup
   FdTransport transport(fds[0], -1);
   std::string line;
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "PING");
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "STA");
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kEof);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kEof);
   ::close(fds[0]);
 }
 
@@ -327,9 +328,9 @@ TEST(FdTransportTest, SocketShutdownMidLineSurfacesPartialThenEof) {
   ASSERT_EQ(::shutdown(fds[1], SHUT_WR), 0);
   FdTransport transport(fds[0], -1);
   std::string line;
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "QUIT");
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kEof);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kEof);
   ::close(fds[0]);
   ::close(fds[1]);
 }
@@ -355,19 +356,23 @@ TEST(BusyReplyTest, NewWireErrorKindsHaveStableNames) {
 TEST(FdTransportTest, ReadErrorAfterPartialLineSurfacesLineThenError) {
   // An errno-level read failure must not swallow a buffered partial
   // line: the line is delivered first, the error on the next call.
-  // A non-blocking pipe makes the failure deterministic — the first
-  // read drains the buffered bytes, the second fails with EAGAIN.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
-  ASSERT_EQ(::write(fds[1], "STATS", 5), 5);
-  FdTransport transport(fds[0], -1);
+  // A pty master whose slave side has closed makes the failure
+  // deterministic: it polls readable, the first read drains the bytes
+  // the slave wrote, the second fails with EIO.
+  const int master = ::posix_openpt(O_RDWR | O_NOCTTY);
+  ASSERT_GE(master, 0);
+  ASSERT_EQ(::grantpt(master), 0);
+  ASSERT_EQ(::unlockpt(master), 0);
+  const int slave = ::open(::ptsname(master), O_RDWR | O_NOCTTY);
+  ASSERT_GE(slave, 0);
+  ASSERT_EQ(::write(slave, "STATS", 5), 5);
+  ::close(slave);
+  FdTransport transport(master, -1);
   std::string line;
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kLine);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "STATS");
-  EXPECT_EQ(transport.ReadLine(&line), Transport::ReadStatus::kError);
-  ::close(fds[0]);
-  ::close(fds[1]);
+  EXPECT_EQ(transport.ReadLine(&line), FdTransport::ReadStatus::kError);
+  ::close(master);
 }
 
 }  // namespace

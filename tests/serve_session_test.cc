@@ -100,7 +100,7 @@ struct ServeFixture {
     EXPECT_GE(read_fd, 0);
     FdTransport reader(read_fd, -1);
     std::string line;
-    while (reader.ReadLine(&line) == Transport::ReadStatus::kLine) {
+    while (reader.ReadLine(&line) == FdTransport::ReadStatus::kLine) {
       replies.push_back(line);
     }
     ::close(read_fd);
@@ -410,25 +410,6 @@ TEST(ServeSessionTest, RegistryCapacityIsEnforced) {
   EXPECT_EQ(replies[3], "OK graphs=1 a:5:5");
 }
 
-TEST(ServeSessionTest, MemberLimitDefaultsAndOverrides) {
-  ServeFixture fix;
-  fix.options.default_member_limit = 3;
-  fix.Register("g", gen::Clique(6));
-  const auto replies = fix.Run(
-      {
-          "CST g 0 5",          // server default caps the echo at 3
-          "CST g 0 5 limit=1",  // request override wins
-      },
-      "limit");
-  ASSERT_EQ(replies.size(), 2u);
-  // Clique(6) answer has n=6; the echo is capped at 3 (server default)
-  // and 1 (request override) members respectively.
-  EXPECT_TRUE(replies[0].find("truncated=3") != std::string::npos)
-      << replies[0];
-  EXPECT_TRUE(replies[1].find("truncated=5") != std::string::npos)
-      << replies[1];
-}
-
 TEST(ServeSessionTest, UnrepresentableDeadlineMeansNoDeadline) {
   // The wire accepts any deadline >= 0, inf included. One too large for
   // the clock's tick count must behave as "no deadline", not expire at
@@ -449,47 +430,34 @@ TEST(ServeSessionTest, UnrepresentableDeadlineMeansNoDeadline) {
 }
 
 TEST(ServeSessionTest, ServerBudgetPolicyDefaultsAndClamps) {
-  // locsd's --default-budget applies to a query without budget=, and
-  // --max-budget clamps any larger one. Budget trips are deterministic,
-  // so each reply must equal a policy-free session's reply to the
-  // budget the policy should have chosen. CST(39) on a 40-clique needs
-  // 1600 work units; the three budgets trip at three different sizes.
-  const std::vector<std::string> explicit_budgets = {
-      "CST g 0 39 budget=100", "CST g 0 39 budget=400",
-      "CST g 0 39 budget=200"};
-  ServeFixture reference;
-  reference.Register("g", gen::Clique(40));
-  const auto want = reference.Run(explicit_budgets, "reference");
-  ASSERT_EQ(want.size(), 3u);
-  for (const std::string& reply : want) {
-    EXPECT_TRUE(StartsWith(reply, "OK status=budget-exhausted ")) << reply;
-  }
-  EXPECT_NE(want[0], want[1]);
-  EXPECT_NE(want[0], want[2]);
-  EXPECT_NE(want[1], want[2]);
-
+  // A query's work budget is its own budget= option. Budget trips are
+  // deterministic, but a tripped reply reflects where the guard stopped,
+  // so the cache admits only settled replies. CST(39) on a 40-clique needs 1600 work units; the
+  // three budgets trip at three different sizes.
   ServeFixture fix;
   fix.Register("g", gen::Clique(40));
   fix.Register("small", gen::Clique(6));  // CST(5): 36 work units
   ResultCache cache(16);
   fix.options.cache = &cache;
-  fix.options.default_work_budget = 100;
-  fix.options.max_work_budget = 400;
   const auto replies = fix.Run(
       {
-          "CST g 0 39",                // no budget=: the default, 100
-          "CST g 0 39 budget=100000",  // clamped to the cap, 400
-          "CST g 0 39 budget=200",     // below the cap: its own value
-          "CST g 0 39 budget=200",     // tripped replies are not cached
-          "CST small 0 5",             // settles under the default
-          "CST small 0 5",             // ... and is cached
+          "CST g 0 39 budget=100",
+          "CST g 0 39 budget=400",
+          "CST g 0 39 budget=200",
+          "CST g 0 39 budget=200",    // tripped replies are not cached
+          "CST small 0 5 budget=100",  // settles under its budget
+          "CST small 0 5 budget=100",  // ... and is cached
       },
-      "policy");
+      "budget");
   ASSERT_EQ(replies.size(), 6u);
-  EXPECT_EQ(replies[0], want[0]);
-  EXPECT_EQ(replies[1], want[1]);
-  EXPECT_EQ(replies[2], want[2]);
-  EXPECT_EQ(replies[3], want[2]);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(StartsWith(replies[i], "OK status=budget-exhausted "))
+        << replies[i];
+  }
+  EXPECT_NE(replies[0], replies[1]);
+  EXPECT_NE(replies[0], replies[2]);
+  EXPECT_NE(replies[1], replies[2]);
+  EXPECT_EQ(replies[3], replies[2]);
   EXPECT_TRUE(StartsWith(replies[4], "OK status=found n=6 delta=5"))
       << replies[4];
   EXPECT_EQ(replies[5], replies[4]);
@@ -630,7 +598,7 @@ std::vector<std::string> TcpScript(uint16_t port,
   }
   std::vector<std::string> replies;
   std::string line;
-  while (transport.ReadLine(&line) == Transport::ReadStatus::kLine) {
+  while (transport.ReadLine(&line) == FdTransport::ReadStatus::kLine) {
     replies.push_back(line);
   }
   ::close(fd);
@@ -653,7 +621,7 @@ struct TcpClient {
   /// The next reply line, or "" when none arrives.
   std::string Reply() {
     std::string line;
-    return transport.ReadLine(&line) == Transport::ReadStatus::kLine ? line
+    return transport.ReadLine(&line) == FdTransport::ReadStatus::kLine ? line
                                                                      : "";
   }
 };
@@ -917,7 +885,7 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   FdTransport held(fd, fd);
   ASSERT_TRUE(held.WriteLine("PING"));
   std::string line;
-  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  ASSERT_EQ(held.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "OK pong");
 
   const auto rejected = TcpScript(server.port(), {"PING"});
@@ -925,7 +893,7 @@ TEST(TcpServerTest, SessionCapRejectsWithBusy) {
   EXPECT_EQ(rejected[0], "BUSY sessions=1");
 
   EXPECT_TRUE(held.WriteLine("QUIT"));
-  ASSERT_EQ(held.ReadLine(&line), Transport::ReadStatus::kLine);
+  ASSERT_EQ(held.ReadLine(&line), FdTransport::ReadStatus::kLine);
   EXPECT_EQ(line, "OK bye");
   server.Stop();
   accept_thread.join();
@@ -954,7 +922,7 @@ TEST(TcpServerTest, StopUnblocksIdleSessions) {
   FdTransport idle(fd, fd);
   ASSERT_TRUE(idle.WriteLine("PING"));
   std::string line;
-  ASSERT_EQ(idle.ReadLine(&line), Transport::ReadStatus::kLine);
+  ASSERT_EQ(idle.ReadLine(&line), FdTransport::ReadStatus::kLine);
 
   server.Stop();        // session is idle in ReadLine at this point
   accept_thread.join();  // must not hang
@@ -985,7 +953,7 @@ TEST(TcpServerTest, EveryAdmittedSessionIsServed) {
     FdTransport transport(fd, fd, within_one_second);
     std::string reply;
     EXPECT_TRUE(transport.WriteLine("PING"));
-    EXPECT_EQ(transport.ReadLine(&reply), Transport::ReadStatus::kLine)
+    EXPECT_EQ(transport.ReadLine(&reply), FdTransport::ReadStatus::kLine)
         << "connection " << c << " got no reply within 1 s";
     EXPECT_EQ(reply, "OK pong");
   }
@@ -1046,7 +1014,7 @@ TEST(TcpServerTest, InFlightReplySurvivesDrain) {
   const std::string reply = client.Reply();
   EXPECT_TRUE(StartsWith(reply, "OK status=found")) << reply;
   std::string line;
-  EXPECT_EQ(client.transport.ReadLine(&line), Transport::ReadStatus::kEof);
+  EXPECT_EQ(client.transport.ReadLine(&line), FdTransport::ReadStatus::kEof);
   // The server closes the fd only after the session has ended.
   const MetricsSnapshot snap = fix.server->metrics().Snapshot();
   EXPECT_EQ(snap.q_attempted, 1u);

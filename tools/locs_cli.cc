@@ -56,12 +56,6 @@
 namespace locs {
 namespace {
 
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(),
-                      suffix) == 0;
-}
-
 // Exit codes. 0 = success, 1 = generic usage/argument error, 2 = bad
 // command line, 64 = unknown subcommand (distinct from `help`, so a
 // script typo never parses as a successful usage request). Load failures
@@ -73,7 +67,6 @@ constexpr int kExitTruncatedError = 5;  // input file short/truncated
 constexpr int kExitAllocError = 6;      // graph did not fit in memory
 constexpr int kExitDeadline = 10;       // query interrupted: deadline
 constexpr int kExitBudget = 11;         // query interrupted: work budget
-constexpr int kExitCancelled = 12;      // query interrupted: cancel flag
 constexpr int kExitUnknownCommand = 64; // subcommand not recognized
 
 int IoExitCode(IoErrorKind kind) {
@@ -98,8 +91,6 @@ int StatusExitCode(Termination status) {
       return kExitDeadline;
     case Termination::kBudgetExhausted:
       return kExitBudget;
-    case Termination::kCancelled:
-      return kExitCancelled;
     case Termination::kFound:
     case Termination::kNotExists:
       break;
@@ -136,7 +127,7 @@ int AttachTrace(const CommandLine& cli, const char* label,
 }
 
 bool SaveAuto(const Graph& graph, const std::string& path) {
-  if (EndsWith(path, ".metis") || EndsWith(path, ".graph")) {
+  if (path.ends_with(".metis") || path.ends_with(".graph")) {
     return SaveMetis(graph, path);
   }
   return SaveEdgeList(graph, path);
@@ -185,7 +176,7 @@ int Usage() {
       "            malformed flag, missing required flag, positional\n"
       "            argument), 3 open, 4 parse,\n"
       "            5 truncated, 6 alloc, 10 deadline, 11 work-budget,\n"
-      "            12 cancelled, 64 unknown command\n");
+      "            64 unknown command\n");
   return 2;
 }
 
@@ -566,8 +557,7 @@ int CmdBatch(const CommandLine& cli) {
     }
   }
   // Per-status exit reporting: interrupted queries surface the dominant
-  // interruption cause as the exit code (cancelled > deadline > budget).
-  if (stats.CountOf(Termination::kCancelled) > 0) return kExitCancelled;
+  // interruption cause as the exit code (deadline > budget).
   if (stats.CountOf(Termination::kDeadline) > 0) return kExitDeadline;
   if (stats.CountOf(Termination::kBudgetExhausted) > 0) return kExitBudget;
   return 0;

@@ -4,8 +4,9 @@
 // (--stdio: piped scripts, tests, inetd-style supervision) or a TCP
 // loopback socket (--port). Graphs live in a shared registry; sessions
 // are concurrent, up to --max-sessions (one more connection gets BUSY
-// and is closed). Per-query deadlines/budgets bound each request, and
-// at most --max-inflight run at once while the rest wait for a slot.
+// and is closed). A query's own deadline_ms=/budget=/limit= options
+// bound it (the daemon adds none), and at most --max-inflight run at
+// once while the rest wait for a slot.
 // An unknown, repeated or malformed flag, a value on --stdio or any
 // positional argument exits 2, naming it. SIGTERM/SIGINT drain
 // gracefully: in-flight requests finish, a final STATS line goes to

@@ -46,8 +46,9 @@ run_pass() {
 }
 
 # TSan halts on the first data race so errors can't scroll past unseen.
-# The concurrency label includes guard_test (deadline/budget/cancel
-# interruption) and the batch-runner suites; the serve label
+# The concurrency label includes guard_test, whose cross-thread case is
+# its batch suite (budgeted batches on 2 and 8 worker threads), and the
+# batch-runner suites; the serve label
 # adds the serving layer's concurrent sessions (shared registry,
 # admission controller, metrics, TCP drain); the obs label adds the
 # telemetry sinks (AggregateRecorder/TraceSink are shared by concurrent
