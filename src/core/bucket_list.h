@@ -1,11 +1,12 @@
 // Epoch-stamped bucket structure of Figure 5.
 //
 // A collection of doubly-linked lists, one per key value, over dense vertex
-// ids. The paper uses it for the `li` heuristic (select the frontier vertex
-// with the largest number of links to C in O(1)); we reuse the same
-// structure min-oriented for the `lg` heuristic's minimum-degree sources.
-// All operations are O(1) amortized; a query reset is O(1) thanks to epoch
-// stamping on both the vertex entries and the bucket heads.
+// ids. The paper uses it for the `li` heuristic; local CST's li frontier is
+// the lazy queue of core/lazy_bucket_queue.h, which pops in this order for
+// less work. This one backs the `lg` heuristic's minimum-degree sources
+// and local CSM's frontier B (§5.1). All operations are O(1) amortized; a
+// query reset is O(1) thanks to epoch stamping on both the vertex entries
+// and the bucket heads.
 //
 // Layout is flattened for the solvers' inner loops: each entry packs its
 // epoch stamp and key into one aligned 8-byte cell (likewise each bucket
@@ -14,7 +15,7 @@
 // tombstone instead of rolling the stamp back, which lets the stamp double
 // as the solvers' "discovered at least once this query" bit — the
 // single-probe IncrementOrInsert / IncrementIfPresent ops below are the
-// specialized inner loops of the `li` and `lg` strategies.
+// specialized inner loops of local CSM's frontier and of `lg`.
 //
 // Every array sits on a ZeroPageArray (util/zero_page_array.h), so the
 // structure is built in O(1) with no fill: a zero entry or head cell

@@ -48,7 +48,8 @@ LocalCstSolver::LocalCstSolver(const Graph& graph,
       enqueued_(graph.NumVertices()),
       peeled_(graph.NumVertices()),
       cursor_(graph.NumVertices()),
-      li_queue_(graph.NumVertices(), graph.MaxDegree() + 1),
+      li_queue_(graph.NumVertices(), graph.MaxDegree(),
+                2 * graph.NumEdges()),
       lg_sources_(graph.NumVertices(), graph.MaxDegree() + 1) {
   LOCS_CHECK(core.empty() || core.size() == graph.NumVertices());
 }
@@ -157,18 +158,22 @@ SearchResult LocalCstSolver::SolveImpl(std::span<const VertexId> seeds,
   };
 
   obs::PhaseStats& expansion = tracker.Enter(obs::Phase::kExpansion);
+  auto add_to_c = [&](VertexId v) {  // AddToC is compiled per strategy
+    switch (options.strategy) {
+      case Strategy::kNaive: return AddToC<Strategy::kNaive>(v, k, expansion);
+      case Strategy::kLG: return AddToC<Strategy::kLG>(v, k, expansion);
+      case Strategy::kLI: return AddToC<Strategy::kLI>(v, k, expansion);
+    }
+  };
   for (VertexId s : seeds) {
     enqueued_.Set(s);
-    if (multi) {
-      // A seed not yet in C must never enter the li queue: a same-epoch
-      // tombstone makes IncrementOrInsert skip it, as enqueued_ does for
-      // the naive and lg frontiers.
-      li_queue_.Insert(s, 0);
-      li_queue_.Erase(s);
-    }
+    // A seed not yet in C must never enter the li queue: the tombstone
+    // makes IncrementOrInsert skip it, as enqueued_ does for the naive and
+    // lg frontiers.
+    if (multi) li_queue_.Tombstone(s);
   }
   for (VertexId s : seeds) {
-    AddToC(s, k, options.strategy, use_ordered, expansion);
+    add_to_c(s);
     if (multi) JoinFragments(s, k);
   }
   if (spend()) {
@@ -192,7 +197,7 @@ SearchResult LocalCstSolver::SolveImpl(std::span<const VertexId> seeds,
       // component of every seed and the fallback answer is exact.
       return GlobalFallback(seeds, k, tracker, g, charged);
     }
-    AddToC(next, k, options.strategy, use_ordered, expansion);
+    add_to_c(next);
     // Once C is one fragment it stays one: every later vertex joins as a
     // neighbor of C.
     if (fragments_ > 1) JoinFragments(next, k);
@@ -254,11 +259,9 @@ void LocalCstSolver::JoinFragments(VertexId v, uint32_t k) {
   // untouched; AddToC already charged these edges. Every C member has
   // degree >= k, so a degree-sorted list can stop where AddToC's did.
   ++fragments_;
-  const bool use_ordered = ordered_ != nullptr;
   const std::span<const VertexId> nbrs =
-      use_ordered ? ordered_->Neighbors(v) : graph_.Neighbors(v);
-  for (VertexId w : nbrs) {
-    if (use_ordered && graph_.Degree(w) < k) break;
+      ordered_ != nullptr ? ordered_->Neighbors(v) : graph_.Neighbors(v);
+  for (VertexId w : nbrs.first(BreakIndex(nbrs, k))) {
     if (OutsideCore(w, k) || !c_deg_.Fresh(w)) continue;
     const VertexId root_w = FindFragment(w);
     if (root_w != v) {
@@ -303,93 +306,79 @@ Community LocalCstSolver::HarvestExpansion(VertexId anchor) {
   return partial;
 }
 
-void LocalCstSolver::AddToC(VertexId v, uint32_t k, Strategy strategy,
-                            bool use_ordered, obs::PhaseStats& ph) {
+size_t LocalCstSolver::BreakIndex(std::span<const VertexId> nbrs,
+                                  uint32_t k) const {
+  if (ordered_ == nullptr) return nbrs.size();
+  const auto brk =
+      std::partition_point(nbrs.begin(), nbrs.end(),
+                           [&](VertexId w) { return graph_.Degree(w) >= k; });
+  return static_cast<size_t>(brk - nbrs.begin());
+}
+
+template <Strategy kStrategy>
+void LocalCstSolver::AddToC(VertexId v, uint32_t k, obs::PhaseStats& ph) {
   c_deg_.Set(v, 0);  // marks v ∈ C; the exact incidence is written below
   c_members_.push_back(v);
   ++ph.vertices_visited;
 
+  // A degree-sorted list stops at the break (§4.3.2), one rejected
+  // candidate; the plain list is scanned whole, testing each degree.
+  const bool use_ordered = ordered_ != nullptr;
+  const std::span<const VertexId> nbrs =
+      use_ordered ? ordered_->Neighbors(v) : graph_.Neighbors(v);
+  const size_t end = BreakIndex(nbrs, k);
+  // Counters and the core numbers' pointer live in locals: the phase's
+  // uint64_t fields and the span's size may alias the scratch cells.
+  uint64_t rejected = end < nbrs.size() ? 1 : 0;
+  uint64_t generated = 0;
   uint32_t incidence = 0;
-  auto visit_neighbor = [&](VertexId w) {
-    ++ph.edges_scanned;
+  const uint32_t* const core = core_.empty() ? nullptr : core_.data();
+
+  // Up to four random-access streams per neighbor, each prefetched: the
+  // CSR offsets (plain list), core numbers, c_deg_ and li's key cells.
+  const uint64_t* const offsets = graph_.offsets().data();
+  for (size_t i = 0; i < end; ++i) {
+    if (i + kPrefetchDistance < end) {
+      const VertexId ahead = nbrs[i + kPrefetchDistance];
+      if (!use_ordered) LOCS_PREFETCH(offsets + ahead);
+      if (core != nullptr) LOCS_PREFETCH(core + ahead);
+      c_deg_.Prefetch(ahead);
+      if constexpr (kStrategy == Strategy::kLI) li_queue_.Prefetch(ahead);
+    }
+    const VertexId w = nbrs[i];
+    // Core numbers are not sorted with degree: skip, do not stop.
+    if ((!use_ordered && graph_.Degree(w) < k) ||
+        (core != nullptr && core[w] < k)) {
+      ++rejected;
+      continue;
+    }
     if (c_deg_.Fresh(w)) {
       // One packed probe answers both "w ∈ C?" and its induced degree.
       ++incidence;
       const uint32_t deg_w = c_deg_.Get(w) + 1;
       c_deg_.Set(w, deg_w);
       if (deg_w == k) --deficient_;
-      if (strategy == Strategy::kLG) lg_sources_.IncrementIfPresent(w);
-      return;
-    }
-    if (strategy == Strategy::kLI) {
-      // Single-probe frontier upkeep: the queue's own stamps already
-      // encode "discovered this query" (popped vertices go straight into
-      // C, so tombstones are unreachable here), and the naive fifo is
-      // never consulted under li — no per-candidate bookkeeping beyond
-      // the one bucket cell.
-      if (li_queue_.IncrementOrInsert(w, 1, [] { return true; }) ==
-          EpochBucketList::Probe::kInserted) {
-        ++ph.candidates_generated;
+      if constexpr (kStrategy == Strategy::kLG) {
+        lg_sources_.IncrementIfPresent(w);
       }
-      return;
+      continue;
     }
-    if (enqueued_.TestAndSet(w)) {
-      ++ph.candidates_generated;
+    if constexpr (kStrategy == Strategy::kLI) {
+      // The key cells encode "discovered this query"; popped vertices go
+      // straight into C, so only seed tombstones are skipped here.
+      if (li_queue_.IncrementOrInsert(w)) ++generated;
+    } else if (enqueued_.TestAndSet(w)) {
+      ++generated;
       fifo_.push_back(w);
     }
-  };
-
-  // Up to four independent random-access streams per neighbor: the CSR
-  // offsets (degree probe), the core numbers when bound, the packed c_deg_
-  // cells, and — under li — the frontier's bucket cells. Each gets its own
-  // prefetch ahead of the sequential neighbor scan.
-  const uint64_t* const offsets = graph_.offsets().data();
-  auto prefetch_ahead = [&](VertexId ahead, Strategy s) {
-    LOCS_PREFETCH(offsets + ahead);
-    if (!core_.empty()) LOCS_PREFETCH(core_.data() + ahead);
-    c_deg_.Prefetch(ahead);
-    if (s == Strategy::kLI) li_queue_.Prefetch(ahead);
-  };
-  if (use_ordered) {
-    // Neighbors sorted by descending degree: stop at the first one below k
-    // (§4.3.2) — everything after it is prunable by Proposition 3.
-    const std::span<const VertexId> nbrs = ordered_->Neighbors(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (i + kPrefetchDistance < nbrs.size()) {
-        prefetch_ahead(nbrs[i + kPrefetchDistance], strategy);
-      }
-      const VertexId w = nbrs[i];
-      if (graph_.Degree(w) < k) {
-        ++ph.candidates_rejected;
-        break;
-      }
-      if (OutsideCore(w, k)) {
-        // Core numbers are not sorted with degree: skip, do not stop.
-        ++ph.edges_scanned;
-        ++ph.candidates_rejected;
-        continue;
-      }
-      visit_neighbor(w);
-    }
-  } else {
-    const std::span<const VertexId> nbrs = graph_.Neighbors(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (i + kPrefetchDistance < nbrs.size()) {
-        prefetch_ahead(nbrs[i + kPrefetchDistance], strategy);
-      }
-      const VertexId w = nbrs[i];
-      if (graph_.Degree(w) < k || OutsideCore(w, k)) {
-        ++ph.edges_scanned;
-        ++ph.candidates_rejected;
-        continue;
-      }
-      visit_neighbor(w);
-    }
   }
+  ph.edges_scanned += end;
+  ph.candidates_rejected += rejected;
+  ph.candidates_generated += generated;
 
   c_deg_.Set(v, incidence);
   if (incidence < k) ++deficient_;
-  if (strategy == Strategy::kLG) {
+  if constexpr (kStrategy == Strategy::kLG) {
     lg_sources_.Insert(v, incidence);
     cursor_.Set(v, 0);
   }
@@ -422,30 +411,20 @@ VertexId LocalCstSolver::SelectLg(uint32_t k, bool use_ordered) {
     const VertexId u = lg_sources_.MinElement();
     const auto nbrs =
         use_ordered ? ordered_->Neighbors(u) : graph_.Neighbors(u);
+    // Nothing past the break of a degree-sorted list is eligible.
+    const size_t end = BreakIndex(nbrs, k);
     uint32_t cur = cursor_.Get(u);
-    bool exhausted = true;
-    while (cur < nbrs.size()) {
+    while (cur < end) {
       const VertexId w = nbrs[cur];
-      if (graph_.Degree(w) < k) {
-        if (use_ordered) {
-          // Degree-sorted list: nothing eligible remains.
-          cur = static_cast<uint32_t>(nbrs.size());
-          break;
-        }
-        ++cur;
-        continue;
+      // Stop at a frontier vertex adjacent to a minimum-degree member.
+      if ((use_ordered || graph_.Degree(w) >= k) && !OutsideCore(w, k) &&
+          !c_deg_.Fresh(w)) {
+        break;
       }
-      if (OutsideCore(w, k) || c_deg_.Fresh(w)) {
-        ++cur;
-        continue;
-      }
-      // Frontier vertex adjacent to a minimum-degree member found.
-      cursor_.Set(u, cur);
-      exhausted = false;
-      break;
+      ++cur;
     }
-    if (exhausted) {
-      cursor_.Set(u, cur);
+    cursor_.Set(u, cur);
+    if (cur == end) {
       // u has no unexplored eligible neighbors left; it can no longer act
       // as a selection source (it stays a C member regardless).
       lg_sources_.Erase(u);

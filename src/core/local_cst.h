@@ -5,8 +5,9 @@
 //   2. candidate generation from the query vertex's neighborhood
 //      (Algorithm 3), with the vertex-selection strategy pluggable:
 //      naive FIFO, `lg` (largest increment of goodness, Eq. 5), or `li`
-//      (largest number of incidence, Eq. 6 — backed by the Figure-5 bucket
-//      structure for O(1) selection);
+//      (largest number of incidence, Eq. 6 — backed by a lazy bucket
+//      queue, core/lazy_bucket_queue.h, that pops in the Figure-5
+//      structure's order);
 //   3. if generation exhausts the candidates without qualifying, a global
 //      peel restricted to G[C] (sound by Proposition 4, and exact because
 //      the candidate set always contains the k-core component of v0).
@@ -22,8 +23,14 @@
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state. Construction is O(1)
 // as well: the scratch arrays are zero-page mappings (core/epoch.h,
-// core/bucket_list.h), so memory becomes resident only where queries
-// write, and the destructor hands it back to the OS.
+// core/bucket_list.h, core/lazy_bucket_queue.h), so memory becomes
+// resident only where queries write, and the destructor hands it back to
+// the OS.
+//
+// A vertex joins C with one neighbor scan (AddToC, compiled per strategy).
+// On a degree-sorted list it ends at the §4.3.2 break, binary-searched
+// (BreakIndex), so it reads no neighbor's degree; an li step is one C-cell
+// probe plus, for a frontier neighbor, one key write and one append.
 //
 // One engine serves every local CST entry point. `Solve(v0, k)` is the
 // paper's single-vertex query; `CstMulti(Q, k)` runs the same li expansion,
@@ -45,6 +52,7 @@
 #include "core/bucket_list.h"
 #include "core/common.h"
 #include "core/epoch.h"
+#include "core/lazy_bucket_queue.h"
 #include "core/result.h"
 #include "graph/graph.h"
 #include "graph/ordering.h"
@@ -128,9 +136,15 @@ class LocalCstSolver {
                             QueryGuard* guard, obs::PhaseTracker& tracker);
   VertexId SelectNext(Strategy strategy, uint32_t k, bool use_ordered);
   VertexId SelectLg(uint32_t k, bool use_ordered);
-  void AddToC(VertexId v, uint32_t k, Strategy strategy, bool use_ordered,
-              obs::PhaseStats& ph);
+  /// Moves v into C with one scan of its neighbors, the frontier upkeep
+  /// compiled per strategy.
+  template <Strategy kStrategy>
+  void AddToC(VertexId v, uint32_t k, obs::PhaseStats& ph);
   void JoinFragments(VertexId v, uint32_t k);
+  /// The §4.3.2 break: on the degree-sorted list the index of the first
+  /// neighbor of degree < k (Proposition 3 prunes it and all after), in
+  /// O(log d) degree reads; otherwise the list's end.
+  size_t BreakIndex(std::span<const VertexId> nbrs, uint32_t k) const;
   VertexId FindFragment(VertexId v);
   /// True iff cores are bound and w lies outside the k-core (Lemma 3).
   bool OutsideCore(VertexId w, uint32_t k) const {
@@ -159,7 +173,7 @@ class LocalCstSolver {
   EpochU32Array peeled_;            // fallback: 1 = peeled, 2 = BFS-reached
   EpochU32Array cursor_;            // lg: adjacency scan position
   std::vector<VertexId> peel_worklist_;
-  EpochBucketList li_queue_;        // li: frontier keyed by incidence
+  LazyBucketQueue li_queue_;        // li: frontier keyed by incidence
   EpochBucketList lg_sources_;      // lg: C members keyed by deg_in_c
   std::vector<VertexId> fifo_;      // naive order / lg fallback
   size_t fifo_head_ = 0;

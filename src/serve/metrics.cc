@@ -152,12 +152,11 @@ std::string MetricsSnapshot::RenderStatsLine(unsigned inflight,
   Append(&line, "interrupted", interrupted);
   Append(&line, "io_timeouts", io_timeouts);
   Append(&line, "idle_reaped", idle_reaped);
-  // Nothing sheds or hints a retry; both keys stay, always 0, because
-  // perfbench and tools/chaos_serve.sh parse q_shed.
-  Append(&line, "retry_hints", 0);
   Append(&line, "q_attempted", q_attempted);
   Append(&line, "q_completed", q_completed);
   Append(&line, "q_failed", q_failed);
+  // Nothing sheds; the key stays, always 0, because perfbench and
+  // tools/chaos_serve.sh parse it.
   Append(&line, "q_shed", 0);
   Append(&line, "cache_hits", cache_hits);
   Append(&line, "cache_misses", cache_misses);

@@ -1,15 +1,31 @@
 // Tests for the bucket priority structures (MinBucketQueue,
-// EpochBucketList).
+// EpochBucketList, LazyBucketQueue).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <queue>
+#include <vector>
 
 #include "core/bucket_list.h"
+#include "core/lazy_bucket_queue.h"
 #include "util/bucket_queue.h"
 #include "util/rng.h"
 
 namespace locs {
+
+/// Test-only access to the epoch counters, so a test can reach the wrap
+/// without running ~4G epochs.
+class EpochTestPeer {
+ public:
+  static void SetEpoch(EpochBucketList& list, uint32_t epoch) {
+    list.epoch_ = epoch;
+  }
+  static void SetEpoch(LazyBucketQueue& queue, uint32_t epoch) {
+    queue.epoch_ = epoch;
+  }
+};
+
 namespace {
 
 TEST(MinBucketQueueTest, PopsInKeyOrder) {
@@ -166,6 +182,92 @@ TEST(EpochBucketListTest, StressAgainstMultiset) {
     for (int k : key) present += k >= 0;
     ASSERT_EQ(list.Size(), present);
   }
+}
+
+TEST(LazyBucketQueueTest, FifoWithinKeyAndMaxFirst) {
+  LazyBucketQueue queue(8, 4, 16);
+  queue.NewEpoch();
+  EXPECT_TRUE(queue.IncrementOrInsert(3));  // key 1
+  EXPECT_TRUE(queue.IncrementOrInsert(5));  // key 1
+  EXPECT_TRUE(queue.IncrementOrInsert(1));  // key 1
+  EXPECT_FALSE(queue.IncrementOrInsert(5));  // 5 -> key 2, a stale record
+  EXPECT_FALSE(queue.IncrementOrInsert(3));  // 3 -> key 2, behind 5
+  EXPECT_EQ(queue.Size(), 3u);
+  EXPECT_EQ(queue.PopMax(), 5u);
+  EXPECT_EQ(queue.PopMax(), 3u);
+  EXPECT_EQ(queue.PopMax(), 1u);  // the stale key-1 records are skipped
+  EXPECT_TRUE(queue.Empty());
+  // Popped and tombstoned vertices are never admitted again this epoch.
+  queue.Tombstone(6);
+  EXPECT_FALSE(queue.IncrementOrInsert(6));
+  EXPECT_FALSE(queue.IncrementOrInsert(3));
+  EXPECT_TRUE(queue.Empty());
+  queue.NewEpoch();
+  EXPECT_TRUE(queue.IncrementOrInsert(6));
+  EXPECT_EQ(queue.PopMax(), 6u);
+}
+
+// The li frontier must pop exactly what Figure 5's lists pop. Random
+// streams of inserts (at key 1) and increments through IncrementOrInsert,
+// tombstones and pops drive both structures side by side over many
+// queries on the same instances, across the 32-bit epoch wrap.
+TEST(LazyBucketQueueTest, PopsExactlyWhatEpochBucketListPops) {
+  constexpr uint32_t kCap = 256;
+  constexpr uint32_t kMaxKey = 48;
+  EpochBucketList list(kCap, kMaxKey);
+  // Every step appends at most one record.
+  LazyBucketQueue lazy(kCap, kMaxKey, 4000);
+  EpochTestPeer::SetEpoch(list, UINT32_MAX - 3);
+  EpochTestPeer::SetEpoch(lazy, UINT32_MAX - 3);
+  Rng rng(2014);
+  enum class State { kUnseen, kPresent, kBarred };
+  uint64_t pops = 0;
+  for (int query = 0; query < 60; ++query) {
+    list.NewEpoch();
+    lazy.NewEpoch();
+    std::vector<State> state(kCap, State::kUnseen);
+    std::vector<uint32_t> key(kCap, 0);
+    const int steps = 200 + static_cast<int>(rng.Below(3000));
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("query " + std::to_string(query) + " step " +
+                   std::to_string(step));
+      const auto v = static_cast<uint32_t>(rng.Below(kCap));
+      const double dice = rng.NextDouble();
+      if (dice < 0.6) {
+        if (state[v] == State::kPresent && key[v] + 2 >= kMaxKey) continue;
+        const bool inserted =
+            list.IncrementOrInsert(v, 1, [] { return true; }) ==
+            EpochBucketList::Probe::kInserted;
+        ASSERT_EQ(lazy.IncrementOrInsert(v), inserted);
+        ASSERT_EQ(inserted, state[v] == State::kUnseen);
+        if (state[v] == State::kUnseen) {
+          state[v] = State::kPresent;
+          key[v] = 1;
+        } else if (state[v] == State::kPresent) {
+          ++key[v];
+        }
+      } else if (dice < 0.7 && state[v] != State::kBarred) {
+        if (state[v] == State::kUnseen) list.Insert(v, 0);
+        list.Erase(v);
+        lazy.Tombstone(v);
+        state[v] = State::kBarred;
+      } else if (!list.Empty()) {
+        const uint32_t popped = list.PopMax();
+        ASSERT_EQ(lazy.PopMax(), popped);
+        state[popped] = State::kBarred;
+        ++pops;
+      }
+      ASSERT_EQ(lazy.Size(), list.Size());
+      ASSERT_EQ(lazy.Empty(), list.Empty());
+    }
+    // Drain: the rest of the order agrees too.
+    while (!list.Empty()) {
+      ASSERT_EQ(lazy.PopMax(), list.PopMax()) << "query " << query;
+      ++pops;
+    }
+    ASSERT_TRUE(lazy.Empty());
+  }
+  EXPECT_GT(pops, 5000u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "gen/powerlaw.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
+#include "util/guard.h"
 
 namespace locs {
 namespace {
@@ -399,6 +402,170 @@ TEST(LocalCstMultiTest, SingleSeedCstMultiIsSolve) {
         }
       }
     }
+  }
+}
+
+// Pinned digests: a 64-bit FNV-1a fold of every answer a solver gives over
+// a fixed query sweep, recorded from the solver as it stands. The fold
+// covers the status, the best community's members in order, δ, the
+// fallback flag, the answer size and every per-phase counter, so any
+// change to an answer, a member order or a counter changes a digest. A
+// change that alters them on purpose must say so and record new values.
+class Digest {
+ public:
+  void Fold(uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((value >> (8 * byte)) & 0xffu)) * 0x100000001b3u;
+    }
+  }
+
+  void Fold(const SearchResult& result) {
+    Fold(static_cast<uint64_t>(result.status));
+    const Community& best = result.Best();
+    Fold(best.members.size());
+    for (VertexId v : best.members) Fold(v);
+    Fold(best.min_degree);
+    Fold(result.telemetry.used_global_fallback ? 1u : 0u);
+    Fold(result.telemetry.answer_size);
+    for (const obs::PhaseStats& phase : result.telemetry.phases) {
+      Fold(phase.entered);
+      Fold(phase.vertices_visited);
+      Fold(phase.edges_scanned);
+      Fold(phase.candidates_generated);
+      Fold(phase.candidates_rejected);
+      Fold(phase.budget_spent);
+    }
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325u;
+};
+
+/// The sweep's graphs: the property zoo plus one LFR graph whose hubs give
+/// long degree-sorted lists with the §4.3.2 break anywhere in them.
+std::vector<testing::GraphCase> DigestGraphs() {
+  std::vector<testing::GraphCase> cases = testing::PropertyGraphs();
+  gen::LfrParams params;
+  params.n = 400;
+  params.min_degree = 4;
+  params.max_degree = 30;
+  params.min_community = 15;
+  params.max_community = 80;
+  params.seed = 2024;
+  cases.push_back({"lfr_n400", gen::Lfr(params).graph});
+  return cases;
+}
+
+struct DigestConfig {
+  bool ordered;
+  bool cores;
+};
+
+constexpr DigestConfig kDigestConfigs[] = {
+    {true, true}, {true, false}, {false, true}, {false, false}};
+
+std::string DigestHex(uint64_t value) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
+}
+
+// Solve over every vertex at k in {1, 2, 3, core - 1, core, core + 1}, then
+// again under a work budget of 40 (the interrupted best-so-far answers):
+// {naive, lg, li} x {ordered, plain} x {with, without core numbers}.
+TEST(LocalCstDigestTest, SolveMatchesPinnedDigests) {
+  constexpr Strategy kStrategies[] = {Strategy::kNaive, Strategy::kLG,
+                                      Strategy::kLI};
+  // [strategy][config], configs in kDigestConfigs order.
+  constexpr uint64_t kPinned[3][4] = {
+      {0xe38c04d1bb4d0298u, 0x267217c8693494e7u,
+       0x1d151c64d4556cb3u, 0x3c3089a8635c3a34u},
+      {0xae94a1368f8d00cdu, 0xb08b661dec333cfdu,
+       0xacd143a72b4ce78bu, 0x1ebee0bf4a8da2ecu},
+      {0x006994c106615ceau, 0x075fae3d9009a8b4u,
+       0xd67736bdb9d0ebf0u, 0x4ac9e70fd994e9abu},
+  };
+  const std::vector<testing::GraphCase> graphs = DigestGraphs();
+  for (size_t s = 0; s < 3; ++s) {
+    for (size_t c = 0; c < 4; ++c) {
+      const DigestConfig config = kDigestConfigs[c];
+      Digest digest;
+      for (const testing::GraphCase& gc : graphs) {
+        const Graph& g = gc.graph;
+        const GraphFacts facts = GraphFacts::Compute(g);
+        const OrderedAdjacency ordered(g);
+        const CoreDecomposition cores = ComputeCores(g);
+        LocalCstSolver solver(
+            g, config.ordered ? &ordered : nullptr, &facts,
+            config.cores ? std::span<const uint32_t>(cores.core)
+                         : std::span<const uint32_t>());
+        CstOptions options;
+        options.strategy = kStrategies[s];
+        for (VertexId v = 0; v < g.NumVertices(); ++v) {
+          const uint32_t core = cores.core[v];
+          for (const uint32_t k : {1u, 2u, 3u, core - 1, core, core + 1}) {
+            if (k > g.MaxDegree() + 1) continue;
+            digest.Fold(solver.Solve(v, k, options));
+            QueryLimits limits;
+            limits.work_budget = 40;
+            QueryGuard guard(limits);
+            digest.Fold(solver.Solve(v, k, options, nullptr, &guard));
+          }
+        }
+      }
+      EXPECT_EQ(DigestHex(digest.value()), DigestHex(kPinned[s][c]))
+          << StrategyName(kStrategies[s])
+          << (config.ordered ? " ordered" : " plain")
+          << (config.cores ? " with cores" : " without cores");
+    }
+  }
+}
+
+// CstMulti over seed pairs and triples of nearby ids (often in different
+// k-core components, so every exit runs) and CsmMulti over the pairs,
+// with and without a work budget.
+TEST(LocalCstDigestTest, MultiMatchesPinnedDigests) {
+  // Configs in kDigestConfigs order.
+  constexpr uint64_t kPinned[4] = {0xb5e88fac8e3e8278u, 0xe2a398fe40200630u,
+                                   0x6b08e459c1462b8eu, 0x09c01d9163322266u};
+  const std::vector<testing::GraphCase> graphs = DigestGraphs();
+  for (size_t c = 0; c < 4; ++c) {
+    const DigestConfig config = kDigestConfigs[c];
+    Digest digest;
+    for (const testing::GraphCase& gc : graphs) {
+      const Graph& g = gc.graph;
+      const VertexId n = g.NumVertices();
+      const GraphFacts facts = GraphFacts::Compute(g);
+      const OrderedAdjacency ordered(g);
+      const CoreDecomposition cores = ComputeCores(g);
+      LocalCstSolver solver(
+          g, config.ordered ? &ordered : nullptr, &facts,
+          config.cores ? std::span<const uint32_t>(cores.core)
+                       : std::span<const uint32_t>());
+      for (VertexId v = 0; v + 13 < n; v += 3) {
+        const std::vector<VertexId> pair = {v, v + 1};
+        const std::vector<VertexId> triple = {v, v + 7, v + 13};
+        for (const uint32_t k : {1u, 2u, 3u, 4u, cores.core[v]}) {
+          digest.Fold(solver.CstMulti(pair, k));
+          digest.Fold(solver.CstMulti(triple, k));
+          QueryLimits limits;
+          limits.work_budget = 60;
+          QueryGuard guard(limits);
+          digest.Fold(solver.CstMulti(triple, k, nullptr, &guard));
+        }
+        digest.Fold(solver.CsmMulti(pair));
+        QueryLimits limits;
+        limits.work_budget = 200;
+        QueryGuard guard(limits);
+        digest.Fold(solver.CsmMulti(triple, &guard));
+      }
+    }
+    EXPECT_EQ(DigestHex(digest.value()), DigestHex(kPinned[c]))
+        << (config.ordered ? "ordered" : "plain")
+        << (config.cores ? " with cores" : " without cores");
   }
 }
 

@@ -28,6 +28,9 @@ namespace {
 #ifndef LOCSD_PATH
 #define LOCSD_PATH "locsd"
 #endif
+#ifndef LOCS_CST_GOLDEN_PATH
+#define LOCS_CST_GOLDEN_PATH "cst_served_golden.txt"
+#endif
 
 /// Runs `command` under sh, captures stdout; returns {exit code, output}.
 std::pair<int, std::string> RunShell(const std::string& command) {
@@ -188,6 +191,38 @@ TEST(LocsdIntegrationTest, GoldenTranscriptIsDeterministicModuloDurations) {
   EXPECT_EQ(Field(replies_a[5], "solver_queries"), "4") << replies_a[5];
   EXPECT_NE(Field(replies_a[5], "ph_expansion_visited"), "")
       << replies_a[5];
+}
+
+TEST(LocsdIntegrationTest, ServedCstMatchesCheckedInGolden) {
+  // tests/data/cst_served_golden.txt pins served CST replies across
+  // commits: its request lines are replayed against a fresh daemon, and
+  // the transcript (the file's leading comment, then each request and its
+  // reply) must reproduce the file byte for byte. Traced CST replies carry
+  // no durations, so nothing is masked.
+  std::ifstream in(LOCS_CST_GOLDEN_PATH, std::ios::binary);
+  ASSERT_TRUE(in.good()) << LOCS_CST_GOLDEN_PATH;
+  std::ostringstream golden_text;
+  golden_text << in.rdbuf();
+  const std::string golden = golden_text.str();
+  std::string expected;
+  std::string script = "LOAD g " + GraphPath() + "\n";
+  std::vector<std::string> requests;
+  for (const std::string& line : SplitLines(golden)) {
+    if (StartsWith(line, "#")) {
+      expected += line + "\n";
+    } else if (StartsWith(line, "CST ")) {
+      requests.push_back(line);
+      script += line + "\n";
+    }
+  }
+  ASSERT_GE(requests.size(), 150u);
+  const auto [code, replies] = StdioSession(script + "QUIT\n");
+  EXPECT_EQ(code, 0);
+  ASSERT_EQ(replies.size(), requests.size() + 2);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    expected += requests[i] + "\n" + replies[i + 1] + "\n";
+  }
+  EXPECT_EQ(expected, golden);
 }
 
 TEST(LocsdIntegrationTest, ServedAnswersMatchOneShotCli) {

@@ -64,10 +64,15 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 # label (differential local-vs-global solver suite) and the obs label
 # (telemetry layer) run instrumented early for the same fast-fail
 # reason: they cover the widest solver surface per second of test time.
+# The solver label (local CST tests and pinned digests, the bucket
+# frontiers' differential test, the searcher; its served-CST golden
+# needs locsd, which these trees do not build) runs early because the
+# li frontier's record and bucket index arithmetic is exactly what ASan
+# and UBSan check.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}" \
   run_pass asan-ubsan address,undefined \
-    'io|serve|property|obs|cache|chaos|store'
+    'io|serve|property|obs|cache|chaos|store|solver'
 
 # Third pass: same asan-ubsan tree (already built), everything.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
