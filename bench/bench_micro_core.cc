@@ -5,9 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/bucket_list.h"
 #include "core/global.h"
 #include "core/kcore.h"
+#include "core/lazy_bucket_queue.h"
 #include "core/local_cst.h"
 #include "gen/lfr.h"
 #include "graph/ordering.h"
@@ -60,22 +60,35 @@ void BM_OrderedAdjacencyBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_OrderedAdjacencyBuild)->Unit(benchmark::kMillisecond);
 
-void BM_EpochBucketListOps(benchmark::State& state) {
+void BM_LazyBucketQueueOps(benchmark::State& state) {
   const auto n = static_cast<uint32_t>(state.range(0));
-  EpochBucketList list(n, 64);
+  // Each pass appends n inserts and at most 2n increments.
+  LazyBucketQueue queue(n, 64, size_t{3} * n);
   Rng rng(7);
+  const auto admit = [] { return true; };
   for (auto _ : state) {
-    list.NewEpoch();
-    for (uint32_t v = 0; v < n; ++v) list.Insert(v, 1);
+    // Max side, as li and local CSM use it.
+    queue.NewEpoch();
+    for (uint32_t v = 0; v < n; ++v) queue.IncrementOrInsert(v, admit);
     for (uint32_t i = 0; i < n; ++i) {
-      const auto v = static_cast<uint32_t>(rng.Below(n));
-      if (list.Contains(v) && list.Key(v) < 60) list.Increment(v);
+      queue.IncrementOrInsert(static_cast<uint32_t>(rng.Below(n)), admit);
     }
-    while (!list.Empty()) benchmark::DoNotOptimize(list.PopMax());
+    while (!queue.Empty()) benchmark::DoNotOptimize(queue.PopMax());
+    // Min side, as lg uses it.
+    queue.NewEpoch();
+    for (uint32_t v = 0; v < n; ++v) queue.Insert(v, 0);
+    for (uint32_t i = 0; i < n; ++i) {
+      queue.IncrementIfPresent(static_cast<uint32_t>(rng.Below(n)));
+    }
+    while (!queue.Empty()) {
+      const uint32_t v = queue.MinElement();
+      benchmark::DoNotOptimize(v);
+      queue.Tombstone(v);
+    }
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * 3);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * 6);
 }
-BENCHMARK(BM_EpochBucketListOps)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_LazyBucketQueueOps)->Arg(1024)->Arg(65536);
 
 void BM_InducedSubgraph(benchmark::State& state) {
   const Graph& g = TestGraph();

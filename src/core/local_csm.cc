@@ -23,7 +23,8 @@ LocalCsmSolver::LocalCsmSolver(const Graph& graph,
       a_deg_(graph.NumVertices()),
       bfs_seen_(graph.NumVertices()),
       local_id_(graph.NumVertices()),
-      frontier_(graph.NumVertices(), graph.MaxDegree() + 1),
+      frontier_(graph.NumVertices(), graph.MaxDegree(),
+                2 * graph.NumEdges()),
       degree_count_(static_cast<size_t>(graph.MaxDegree()) + 2, 0) {}
 
 void LocalCsmSolver::AddToA(VertexId v, obs::PhaseStats& ph) {
@@ -121,9 +122,9 @@ SearchResult LocalCsmSolver::SolveImpl(VertexId v0, const CsmOptions& options,
 
   for (VertexId w : graph_.Neighbors(v0)) {
     ++expansion.edges_scanned;
-    if (graph_.Degree(w) > delta_h) {
+    if (frontier_.IncrementOrInsert(
+            w, [&] { return graph_.Degree(w) > delta_h; })) {
       ++expansion.candidates_generated;
-      frontier_.Insert(w, 1);
     }
   }
   if (spend()) {
@@ -156,9 +157,9 @@ SearchResult LocalCsmSolver::SolveImpl(VertexId v0, const CsmOptions& options,
     }
     // Line 14: extend the frontier with v's neighbors of sufficient
     // degree. Two single-cell probes per neighbor: the packed A cell,
-    // then the frontier cell, whose IncrementOrInsert folds the old
-    // Contains/discovered/Insert triple into one load (tombstones left
-    // by PopMax keep rejected vertices out for good).
+    // then the frontier's key cell, which tells a present neighbor from
+    // an unseen one in one load (PopMax bars a popped vertex, so a
+    // rejected one stays out for good).
     const std::span<const VertexId> nbrs = graph_.Neighbors(v);
     const uint64_t* const offsets = graph_.offsets().data();
     for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -171,9 +172,8 @@ SearchResult LocalCsmSolver::SolveImpl(VertexId v0, const CsmOptions& options,
       const VertexId w = nbrs[i];
       ++expansion.edges_scanned;
       if (a_deg_.Fresh(w)) continue;
-      const EpochBucketList::Probe probe = frontier_.IncrementOrInsert(
-          w, 1, [&] { return graph_.Degree(w) > delta_h; });
-      if (probe == EpochBucketList::Probe::kInserted) {
+      if (frontier_.IncrementOrInsert(
+              w, [&] { return graph_.Degree(w) > delta_h; })) {
         ++expansion.candidates_generated;
       }
     }

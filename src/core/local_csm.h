@@ -16,9 +16,9 @@
 #ifndef LOCS_CORE_LOCAL_CSM_H_
 #define LOCS_CORE_LOCAL_CSM_H_
 
-#include "core/bucket_list.h"
 #include "core/common.h"
 #include "core/epoch.h"
+#include "core/lazy_bucket_queue.h"
 #include "core/local_cst.h"
 #include "core/result.h"
 #include "graph/graph.h"
@@ -73,13 +73,13 @@ class LocalCsmSolver {
   obs::QueryTelemetry telemetry_;  // reset at the top of every Solve
 
   // Flattened scratch: membership and induced degree share one packed
-  // cell (fresh ⟺ v ∈ A), and the frontier's own epoch stamps double as
-  // the "discovered at least once" bit (erased entries leave tombstones),
-  // so the line-14 inner loop costs two single-cell probes per neighbor.
+  // cell (fresh ⟺ v ∈ A), and the frontier's key cells double as the
+  // "discovered at least once" bit (popped entries leave tombstones), so
+  // the line-14 inner loop costs two single-cell probes per neighbor.
   EpochU32Array a_deg_;            // fresh ⟺ in A; value = deg within G[A]
   EpochFlags bfs_seen_;            // scratch for Cnaive BFS (CSM2)
   EpochU32Array local_id_;         // candidate -> compact id + 1
-  EpochBucketList frontier_;       // B, keyed by incidence to A
+  LazyBucketQueue frontier_;       // B, keyed by incidence to A
   std::vector<VertexId> order_;    // A in insertion order
   // Compact unsorted CSR over the candidate set, rebuilt per query for
   // the maxcore phase (allocations amortize across queries).

@@ -50,7 +50,8 @@ LocalCstSolver::LocalCstSolver(const Graph& graph,
       cursor_(graph.NumVertices()),
       li_queue_(graph.NumVertices(), graph.MaxDegree(),
                 2 * graph.NumEdges()),
-      lg_sources_(graph.NumVertices(), graph.MaxDegree() + 1) {
+      lg_sources_(graph.NumVertices(), graph.MaxDegree(),
+                  graph.NumVertices() + 2 * graph.NumEdges()) {
   LOCS_CHECK(core.empty() || core.size() == graph.NumVertices());
 }
 
@@ -366,7 +367,7 @@ void LocalCstSolver::AddToC(VertexId v, uint32_t k, obs::PhaseStats& ph) {
     if constexpr (kStrategy == Strategy::kLI) {
       // The key cells encode "discovered this query"; popped vertices go
       // straight into C, so only seed tombstones are skipped here.
-      if (li_queue_.IncrementOrInsert(w)) ++generated;
+      if (li_queue_.IncrementOrInsert(w, [] { return true; })) ++generated;
     } else if (enqueued_.TestAndSet(w)) {
       ++generated;
       fifo_.push_back(w);
@@ -427,7 +428,7 @@ VertexId LocalCstSolver::SelectLg(uint32_t k, bool use_ordered) {
     if (cur == end) {
       // u has no unexplored eligible neighbors left; it can no longer act
       // as a selection source (it stays a C member regardless).
-      lg_sources_.Erase(u);
+      lg_sources_.Tombstone(u);
       continue;
     }
     return nbrs[cur];

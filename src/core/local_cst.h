@@ -23,9 +23,8 @@
 // Per-query cost is proportional to the neighborhood actually explored —
 // not to |V| — thanks to epoch-stamped scratch state. Construction is O(1)
 // as well: the scratch arrays are zero-page mappings (core/epoch.h,
-// core/bucket_list.h, core/lazy_bucket_queue.h), so memory becomes
-// resident only where queries write, and the destructor hands it back to
-// the OS.
+// core/lazy_bucket_queue.h), so memory becomes resident only where
+// queries write, and the destructor hands it back to the OS.
 //
 // A vertex joins C with one neighbor scan (AddToC, compiled per strategy).
 // On a degree-sorted list it ends at the §4.3.2 break, binary-searched
@@ -49,7 +48,6 @@
 #include <span>
 #include <vector>
 
-#include "core/bucket_list.h"
 #include "core/common.h"
 #include "core/epoch.h"
 #include "core/lazy_bucket_queue.h"
@@ -174,7 +172,7 @@ class LocalCstSolver {
   EpochU32Array cursor_;            // lg: adjacency scan position
   std::vector<VertexId> peel_worklist_;
   LazyBucketQueue li_queue_;        // li: frontier keyed by incidence
-  EpochBucketList lg_sources_;      // lg: C members keyed by deg_in_c
+  LazyBucketQueue lg_sources_;      // lg: C members keyed by deg_in_c
   std::vector<VertexId> fifo_;      // naive order / lg fallback
   size_t fifo_head_ = 0;
   std::vector<VertexId> c_members_;

@@ -1,8 +1,8 @@
 // Monotone bucket priority queue used by k-core peeling
 // (Batagelj–Zaversnik): pop the vertex with the minimum key; keys only
 // decrease, one unit at a time, so every operation is O(1) amortized.
-// The paper's Figure-5 max-bucket structure for the `li` heuristic is
-// EpochBucketList (core/bucket_list.h).
+// The paper's Figure-5 structure, whose keys only grow, is the lazy
+// bucket queue of core/lazy_bucket_queue.h.
 
 #ifndef LOCS_UTIL_BUCKET_QUEUE_H_
 #define LOCS_UTIL_BUCKET_QUEUE_H_

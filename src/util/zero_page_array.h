@@ -1,6 +1,6 @@
 // ZeroPageArray — a fixed-size array on its own anonymous mapping.
 //
-// The solvers' per-vertex scratch (core/epoch.h, core/bucket_list.h) is
+// The solvers' per-vertex scratch (core/epoch.h, core/lazy_bucket_queue.h) is
 // sized by |V|, but a local query touches only the neighbourhood it
 // explores. This array maps its storage with mmap(MAP_PRIVATE |
 // MAP_ANONYMOUS | MAP_NORESERVE), so construction is O(1) whatever the

@@ -1,13 +1,13 @@
 // Tests for the bucket priority structures (MinBucketQueue,
-// EpochBucketList, LazyBucketQueue).
+// LazyBucketQueue).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <string>
 #include <vector>
 
-#include "core/bucket_list.h"
 #include "core/lazy_bucket_queue.h"
 #include "util/bucket_queue.h"
 #include "util/rng.h"
@@ -18,9 +18,6 @@ namespace locs {
 /// without running ~4G epochs.
 class EpochTestPeer {
  public:
-  static void SetEpoch(EpochBucketList& list, uint32_t epoch) {
-    list.epoch_ = epoch;
-  }
   static void SetEpoch(LazyBucketQueue& queue, uint32_t epoch) {
     queue.epoch_ = epoch;
   }
@@ -89,185 +86,274 @@ TEST(MinBucketQueueTest, StressAgainstHeap) {
   }
 }
 
-TEST(EpochBucketListTest, FifoWithinBucket) {
-  EpochBucketList list(8, 8);
-  list.Insert(3, 1);
-  list.Insert(5, 1);
-  list.Insert(1, 1);
-  EXPECT_EQ(list.PopMax(), 3u);  // first inserted pops first
-  EXPECT_EQ(list.PopMax(), 5u);
-  EXPECT_EQ(list.PopMax(), 1u);
-}
-
-TEST(EpochBucketListTest, NewEpochResetsInO1) {
-  EpochBucketList list(8, 8);
-  list.Insert(0, 4);
-  list.Insert(1, 2);
-  list.NewEpoch();
-  EXPECT_TRUE(list.Empty());
-  EXPECT_FALSE(list.Contains(0));
-  list.Insert(0, 1);
-  EXPECT_EQ(list.PopMax(), 0u);
-  EXPECT_TRUE(list.Empty());
-}
-
-TEST(EpochBucketListTest, MinAndMaxTracking) {
-  EpochBucketList list(10, 16);
-  list.Insert(0, 5);
-  list.Insert(1, 2);
-  list.Insert(2, 9);
-  EXPECT_EQ(list.MinKey(), 2u);
-  EXPECT_EQ(list.MaxKey(), 9u);
-  list.Erase(1);
-  EXPECT_EQ(list.MinKey(), 5u);
-  list.Increment(0);
-  EXPECT_EQ(list.Key(0), 6u);
-  EXPECT_EQ(list.PopMax(), 2u);
-  EXPECT_EQ(list.PopMax(), 0u);
-}
-
-TEST(EpochBucketListTest, BucketIterationViaHeadNext) {
-  EpochBucketList list(8, 4);
-  list.Insert(2, 3);
-  list.Insert(4, 3);
-  list.Insert(6, 3);
-  std::vector<uint32_t> seen;
-  for (uint32_t v = list.Head(3); v != EpochBucketList::kNil;
-       v = list.Next(v)) {
-    seen.push_back(v);
-  }
-  EXPECT_EQ(seen, (std::vector<uint32_t>{2, 4, 6}));
-}
-
-TEST(EpochBucketListTest, ReinsertAfterErase) {
-  EpochBucketList list(4, 4);
-  list.Insert(1, 2);
-  list.Erase(1);
-  EXPECT_FALSE(list.Contains(1));
-  list.Insert(1, 3);
-  EXPECT_TRUE(list.Contains(1));
-  EXPECT_EQ(list.Key(1), 3u);
-}
-
-TEST(EpochBucketListTest, StressAgainstMultiset) {
-  Rng rng(41);
-  constexpr uint32_t kCap = 64;
-  constexpr uint32_t kMaxKey = 32;
-  EpochBucketList list(kCap, kMaxKey);
-  std::vector<int> key(kCap, -1);  // -1 = absent
-  for (int round = 0; round < 5000; ++round) {
-    const auto v = static_cast<uint32_t>(rng.Below(kCap));
-    const double dice = rng.NextDouble();
-    if (dice < 0.35 && key[v] < 0) {
-      const auto k = static_cast<uint32_t>(rng.Below(kMaxKey - 1));
-      list.Insert(v, k);
-      key[v] = static_cast<int>(k);
-    } else if (dice < 0.55 && key[v] >= 0 &&
-               key[v] + 1 < static_cast<int>(kMaxKey)) {
-      list.Increment(v);
-      ++key[v];
-    } else if (dice < 0.7 && key[v] >= 0) {
-      list.Erase(v);
-      key[v] = -1;
-    } else if (!list.Empty()) {
-      int expect_max = -1;
-      for (int k : key) expect_max = std::max(expect_max, k);
-      EXPECT_EQ(static_cast<int>(list.MaxKey()), expect_max);
-      const uint32_t popped = list.PopMax();
-      EXPECT_EQ(key[popped], expect_max);
-      key[popped] = -1;
-    }
-    // Size invariant.
-    uint32_t present = 0;
-    for (int k : key) present += k >= 0;
-    ASSERT_EQ(list.Size(), present);
-  }
-}
-
 TEST(LazyBucketQueueTest, FifoWithinKeyAndMaxFirst) {
   LazyBucketQueue queue(8, 4, 16);
   queue.NewEpoch();
-  EXPECT_TRUE(queue.IncrementOrInsert(3));  // key 1
-  EXPECT_TRUE(queue.IncrementOrInsert(5));  // key 1
-  EXPECT_TRUE(queue.IncrementOrInsert(1));  // key 1
-  EXPECT_FALSE(queue.IncrementOrInsert(5));  // 5 -> key 2, a stale record
-  EXPECT_FALSE(queue.IncrementOrInsert(3));  // 3 -> key 2, behind 5
+  const auto admit = [] { return true; };
+  EXPECT_TRUE(queue.IncrementOrInsert(3, admit));   // key 1
+  EXPECT_TRUE(queue.IncrementOrInsert(5, admit));   // key 1
+  EXPECT_TRUE(queue.IncrementOrInsert(1, admit));   // key 1
+  EXPECT_FALSE(queue.IncrementOrInsert(5, admit));  // key 2, a stale record
+  EXPECT_FALSE(queue.IncrementOrInsert(3, admit));  // key 2, behind 5
   EXPECT_EQ(queue.Size(), 3u);
   EXPECT_EQ(queue.PopMax(), 5u);
   EXPECT_EQ(queue.PopMax(), 3u);
   EXPECT_EQ(queue.PopMax(), 1u);  // the stale key-1 records are skipped
   EXPECT_TRUE(queue.Empty());
-  // Popped and tombstoned vertices are never admitted again this epoch.
+  // Popped and tombstoned vertices are never admitted again this epoch,
+  // and a refused vertex stays unseen.
   queue.Tombstone(6);
-  EXPECT_FALSE(queue.IncrementOrInsert(6));
-  EXPECT_FALSE(queue.IncrementOrInsert(3));
+  EXPECT_FALSE(queue.IncrementOrInsert(6, admit));
+  EXPECT_FALSE(queue.IncrementOrInsert(3, admit));
+  EXPECT_FALSE(queue.IncrementOrInsert(2, [] { return false; }));
+  EXPECT_TRUE(queue.IncrementOrInsert(2, admit));
+  EXPECT_EQ(queue.PopMax(), 2u);
   EXPECT_TRUE(queue.Empty());
   queue.NewEpoch();
-  EXPECT_TRUE(queue.IncrementOrInsert(6));
+  EXPECT_TRUE(queue.IncrementOrInsert(6, admit));
   EXPECT_EQ(queue.PopMax(), 6u);
 }
 
-// The li frontier must pop exactly what Figure 5's lists pop. Random
-// streams of inserts (at key 1) and increments through IncrementOrInsert,
-// tombstones and pops drive both structures side by side over many
-// queries on the same instances, across the 32-bit epoch wrap.
-TEST(LazyBucketQueueTest, PopsExactlyWhatEpochBucketListPops) {
+TEST(LazyBucketQueueTest, NewEpochResetsInO1) {
+  LazyBucketQueue queue(8, 8, 16);
+  queue.NewEpoch();
+  queue.Insert(0, 4);
+  queue.Insert(1, 2);
+  queue.NewEpoch();
+  EXPECT_TRUE(queue.Empty());
+  queue.Insert(0, 0);  // unseen again; key 0 first, like lg's first seed
+  queue.Insert(2, 1);
+  EXPECT_EQ(queue.MinElement(), 0u);
+  EXPECT_EQ(queue.PopMax(), 2u);
+  EXPECT_EQ(queue.PopMax(), 0u);
+  EXPECT_TRUE(queue.Empty());
+}
+
+TEST(LazyBucketQueueTest, MinAndMaxTracking) {
+  LazyBucketQueue queue(10, 16, 16);
+  queue.NewEpoch();
+  queue.Insert(0, 5);
+  queue.Insert(1, 2);
+  queue.Insert(2, 9);
+  EXPECT_EQ(queue.MinElement(), 1u);
+  queue.Tombstone(1);
+  EXPECT_EQ(queue.MinElement(), 0u);
+  queue.IncrementIfPresent(1);  // tombstoned: no effect
+  queue.IncrementIfPresent(3);  // unseen: no effect
+  queue.Insert(3, 6);
+  queue.IncrementIfPresent(0);  // key 6, behind 3
+  EXPECT_EQ(queue.MinElement(), 3u);
+  queue.Insert(4, 0);  // the min cursor moves back down
+  EXPECT_EQ(queue.MinElement(), 4u);
+  EXPECT_EQ(queue.Size(), 4u);
+  EXPECT_EQ(queue.PopMax(), 2u);
+  EXPECT_EQ(queue.PopMax(), 3u);
+  EXPECT_EQ(queue.PopMax(), 0u);
+  EXPECT_EQ(queue.MinElement(), 4u);
+  EXPECT_EQ(queue.PopMax(), 4u);
+  EXPECT_TRUE(queue.Empty());
+}
+
+// The min side of Figure 5's lists: vertices inserted at one key leave it
+// in insertion order, seen from MinElement and from PopMax alike.
+TEST(LazyBucketQueueTest, FifoWithinBucket) {
+  LazyBucketQueue queue(8, 8, 16);
+  queue.NewEpoch();
+  queue.Insert(3, 1);
+  queue.Insert(5, 1);
+  queue.Insert(1, 1);
+  EXPECT_EQ(queue.MinElement(), 3u);  // first inserted comes first
+  EXPECT_EQ(queue.PopMax(), 3u);
+  EXPECT_EQ(queue.MinElement(), 5u);
+  EXPECT_EQ(queue.PopMax(), 5u);
+  EXPECT_EQ(queue.MinElement(), 1u);
+  EXPECT_EQ(queue.PopMax(), 1u);
+  EXPECT_TRUE(queue.Empty());
+}
+
+// Keys alone, against a plain per-vertex key table: whatever PopMax
+// returns holds the maximal key, MinElement's vertex the minimal one, and
+// Size counts the present vertices.
+TEST(LazyBucketQueueTest, StressAgainstMultiset) {
+  Rng rng(41);
+  constexpr uint32_t kCap = 64;
+  constexpr uint32_t kMaxKey = 32;
+  LazyBucketQueue queue(kCap, kMaxKey, 6000);
+  queue.NewEpoch();
+  std::vector<int> key(kCap, -1);  // -1 = unseen, -2 = popped or tombstoned
+  uint64_t pops = 0;
+  int epochs = 1;
+  for (int round = 0; round < 5000; ++round) {
+    const auto v = static_cast<uint32_t>(rng.Below(kCap));
+    const double dice = rng.NextDouble();
+    if (dice < 0.35 && key[v] == -1) {
+      const auto k = static_cast<uint32_t>(rng.Below(kMaxKey - 1));
+      queue.Insert(v, k);
+      key[v] = static_cast<int>(k);
+    } else if (dice < 0.55 && key[v] + 1 < static_cast<int>(kMaxKey)) {
+      queue.IncrementIfPresent(v);
+      if (key[v] >= 0) ++key[v];
+    } else if (dice < 0.65 && key[v] >= 0) {
+      queue.Tombstone(v);
+      key[v] = -2;
+    } else if (!queue.Empty()) {
+      int expect_max = -1;
+      int expect_min = static_cast<int>(kMaxKey) + 1;
+      for (int k : key) {
+        if (k < 0) continue;
+        expect_max = std::max(expect_max, k);
+        expect_min = std::min(expect_min, k);
+      }
+      EXPECT_EQ(key[queue.MinElement()], expect_min);
+      const uint32_t popped = queue.PopMax();
+      EXPECT_EQ(key[popped], expect_max);
+      key[popped] = -2;
+      ++pops;
+    }
+    uint32_t present = 0;
+    for (int k : key) present += k >= 0;
+    ASSERT_EQ(queue.Size(), present);
+    // Every vertex has been popped or tombstoned: open a new epoch.
+    if (std::count(key.begin(), key.end(), -1) == 0 && queue.Empty()) {
+      queue.NewEpoch();
+      key.assign(kCap, -1);
+      ++epochs;
+    }
+  }
+  EXPECT_GT(pops, 300u);
+  EXPECT_GT(epochs, 3);
+}
+
+/// Figure 5's order written down: a present vertex holds its key and the
+/// time it reached that key. PopMax takes the maximal key and MinElement
+/// the minimal one, each the earliest arrival at that key.
+class NaiveBuckets {
+ public:
+  explicit NaiveBuckets(uint32_t capacity) : cells_(capacity) {}
+
+  bool Unseen(uint32_t v) const { return cells_[v].state == kUnseen; }
+  bool Present(uint32_t v) const { return cells_[v].state == kPresent; }
+  uint32_t Key(uint32_t v) const { return cells_[v].key; }
+  uint32_t Size() const { return size_; }
+  void Insert(uint32_t v, uint32_t key) {
+    cells_[v] = {kPresent, key, ++clock_};
+    ++size_;
+  }
+  void IncrementIfPresent(uint32_t v) {
+    if (Present(v)) cells_[v] = {kPresent, Key(v) + 1, ++clock_};
+  }
+  void Tombstone(uint32_t v) {
+    size_ -= Present(v) ? 1 : 0;
+    cells_[v].state = kBarred;
+  }
+  uint32_t PopMax() {
+    const uint32_t v = Select(true);
+    Tombstone(v);
+    return v;
+  }
+  uint32_t MinElement() const { return Select(false); }
+
+ private:
+  enum State { kUnseen, kPresent, kBarred };
+  struct Cell {
+    State state = kUnseen;
+    uint32_t key = 0;
+    uint64_t arrival = 0;
+  };
+
+  uint32_t Select(bool max) const {
+    uint32_t best = ~uint32_t{0};
+    for (uint32_t v = 0; v < cells_.size(); ++v) {
+      if (!Present(v)) continue;
+      const Cell& c = cells_[v];
+      if (best == ~uint32_t{0} ||
+          (max ? c.key > Key(best) : c.key < Key(best)) ||
+          (c.key == Key(best) && c.arrival < cells_[best].arrival)) {
+        best = v;
+      }
+    }
+    return best;
+  }
+
+  std::vector<Cell> cells_;
+  uint32_t size_ = 0;
+  uint64_t clock_ = 0;
+};
+
+// Random streams of every operation drive the queue and the naive model
+// side by side over many epochs on one instance, across the 32-bit epoch
+// wrap: IncrementOrInsert (with admission refusals), Insert at keys from 0
+// up, IncrementIfPresent, Tombstone, PopMax and MinElement.
+TEST(LazyBucketQueueTest, MatchesNaiveFigure5Order) {
   constexpr uint32_t kCap = 256;
   constexpr uint32_t kMaxKey = 48;
-  EpochBucketList list(kCap, kMaxKey);
   // Every step appends at most one record.
-  LazyBucketQueue lazy(kCap, kMaxKey, 4000);
-  EpochTestPeer::SetEpoch(list, UINT32_MAX - 3);
-  EpochTestPeer::SetEpoch(lazy, UINT32_MAX - 3);
+  LazyBucketQueue queue(kCap, kMaxKey, 4000);
+  EpochTestPeer::SetEpoch(queue, UINT32_MAX - 3);
   Rng rng(2014);
-  enum class State { kUnseen, kPresent, kBarred };
   uint64_t pops = 0;
-  for (int query = 0; query < 60; ++query) {
-    list.NewEpoch();
-    lazy.NewEpoch();
-    std::vector<State> state(kCap, State::kUnseen);
-    std::vector<uint32_t> key(kCap, 0);
+  uint64_t mins = 0;
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    queue.NewEpoch();
+    NaiveBuckets model(kCap);
+    if (epoch % 2 == 0) {  // open at key 0, as lg does
+      queue.Insert(epoch, 0);
+      model.Insert(epoch, 0);
+    }
     const int steps = 200 + static_cast<int>(rng.Below(3000));
     for (int step = 0; step < steps; ++step) {
-      SCOPED_TRACE("query " + std::to_string(query) + " step " +
+      SCOPED_TRACE("epoch " + std::to_string(epoch) + " step " +
                    std::to_string(step));
       const auto v = static_cast<uint32_t>(rng.Below(kCap));
       const double dice = rng.NextDouble();
-      if (dice < 0.6) {
-        if (state[v] == State::kPresent && key[v] + 2 >= kMaxKey) continue;
-        const bool inserted =
-            list.IncrementOrInsert(v, 1, [] { return true; }) ==
-            EpochBucketList::Probe::kInserted;
-        ASSERT_EQ(lazy.IncrementOrInsert(v), inserted);
-        ASSERT_EQ(inserted, state[v] == State::kUnseen);
-        if (state[v] == State::kUnseen) {
-          state[v] = State::kPresent;
-          key[v] = 1;
-        } else if (state[v] == State::kPresent) {
-          ++key[v];
+      if (model.Present(v) && model.Key(v) == kMaxKey && dice < 0.6) continue;
+      if (dice < 0.35) {
+        const bool admit = rng.Chance(0.8);
+        int asked = 0;
+        const bool inserted = queue.IncrementOrInsert(v, [&] {
+          ++asked;
+          return admit;
+        });
+        ASSERT_EQ(asked, model.Unseen(v) ? 1 : 0);
+        ASSERT_EQ(inserted, model.Unseen(v) && admit);
+        if (inserted) {
+          model.Insert(v, 1);
+        } else {
+          model.IncrementIfPresent(v);
         }
-      } else if (dice < 0.7 && state[v] != State::kBarred) {
-        if (state[v] == State::kUnseen) list.Insert(v, 0);
-        list.Erase(v);
-        lazy.Tombstone(v);
-        state[v] = State::kBarred;
-      } else if (!list.Empty()) {
-        const uint32_t popped = list.PopMax();
-        ASSERT_EQ(lazy.PopMax(), popped);
-        state[popped] = State::kBarred;
+      } else if (dice < 0.45) {
+        if (!model.Unseen(v)) continue;
+        const auto key = static_cast<uint32_t>(rng.Below(kMaxKey / 2));
+        queue.Insert(v, key);
+        model.Insert(v, key);
+      } else if (dice < 0.6) {
+        queue.IncrementIfPresent(v);
+        model.IncrementIfPresent(v);
+      } else if (dice < 0.67) {
+        queue.Tombstone(v);
+        model.Tombstone(v);
+      } else if (model.Size() == 0) {
+        continue;
+      } else if (dice < 0.85) {
+        ASSERT_EQ(queue.PopMax(), model.PopMax());
         ++pops;
+      } else {
+        ASSERT_EQ(queue.MinElement(), model.MinElement());
+        ++mins;
       }
-      ASSERT_EQ(lazy.Size(), list.Size());
-      ASSERT_EQ(lazy.Empty(), list.Empty());
+      ASSERT_EQ(queue.Size(), model.Size());
+      ASSERT_EQ(queue.Empty(), model.Size() == 0);
     }
-    // Drain: the rest of the order agrees too.
-    while (!list.Empty()) {
-      ASSERT_EQ(lazy.PopMax(), list.PopMax()) << "query " << query;
+    // Drain: the rest of both orders agrees too.
+    while (model.Size() > 0) {
+      ASSERT_EQ(queue.MinElement(), model.MinElement()) << "epoch " << epoch;
+      ASSERT_EQ(queue.PopMax(), model.PopMax()) << "epoch " << epoch;
       ++pops;
     }
-    ASSERT_TRUE(lazy.Empty());
+    ASSERT_TRUE(queue.Empty());
   }
   EXPECT_GT(pops, 5000u);
+  EXPECT_GT(mins, 2000u);
 }
 
 }  // namespace

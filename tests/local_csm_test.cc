@@ -18,11 +18,15 @@
 #include "gen/lfr.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
+#include "util/guard.h"
 
 namespace locs {
 namespace {
 
 using testing::BruteForceCsmGoodness;
+using testing::Digest;
+using testing::DigestGraphs;
+using testing::DigestHex;
 using testing::ToSet;
 
 constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
@@ -245,6 +249,55 @@ TEST(LocalCsmStatsTest, VisitedStaysLocalOnBarbell) {
   EXPECT_EQ(result->min_degree, 7u);
   EXPECT_EQ(result->members.size(), 8u);
   EXPECT_LT(result.telemetry.TotalVisited(), 12u);
+}
+
+// Pinned digests of every answer local CSM gives (see testing::Digest):
+// Solve over every vertex of the digest graphs, then again under a work
+// budget of 50 (the interrupted best-so-far answers), for
+// {CSM1, CSM2} x γ in {−∞, 0, 1, 3} x {ordered, plain}.
+TEST(LocalCsmDigestTest, SolveMatchesPinnedDigests) {
+  constexpr CsmCandidateRule kRules[] = {CsmCandidateRule::kFromVisited,
+                                         CsmCandidateRule::kFromNaive};
+  constexpr double kGammas[] = {kMinusInf, 0.0, 1.0, 3.0};
+  // [rule][gamma][ordered, plain].
+  constexpr uint64_t kPinned[2][4][2] = {
+      {{0x235141f775939103u, 0x235141f775939103u},
+       {0x235141f775939103u, 0x235141f775939103u},
+       {0x054787f2894cf62bu, 0x054787f2894cf62bu},
+       {0xedde9e1cd667a294u, 0xedde9e1cd667a294u}},
+      {{0xd09acd7a88a3548bu, 0x1abbf0f85c1da10bu},
+       {0xd09acd7a88a3548bu, 0x1abbf0f85c1da10bu},
+       {0xb5ed58dedf59b223u, 0xc480a1f04cf411dau},
+       {0x47580bfcaef88678u, 0xd0cb3ddb382eae0du}},
+  };
+  const std::vector<testing::GraphCase> graphs = DigestGraphs();
+  for (size_t r = 0; r < 2; ++r) {
+    for (size_t y = 0; y < 4; ++y) {
+      for (size_t o = 0; o < 2; ++o) {
+        const bool ordered = o == 0;
+        Digest digest;
+        for (const testing::GraphCase& gc : graphs) {
+          const Graph& g = gc.graph;
+          const GraphFacts facts = GraphFacts::Compute(g);
+          const OrderedAdjacency order(g);
+          LocalCsmSolver solver(g, ordered ? &order : nullptr, &facts);
+          CsmOptions options;
+          options.candidate_rule = kRules[r];
+          options.gamma = kGammas[y];
+          for (VertexId v = 0; v < g.NumVertices(); ++v) {
+            digest.Fold(solver.Solve(v, options));
+            QueryLimits limits;
+            limits.work_budget = 50;
+            QueryGuard guard(limits);
+            digest.Fold(solver.Solve(v, options, nullptr, &guard));
+          }
+        }
+        EXPECT_EQ(DigestHex(digest.value()), DigestHex(kPinned[r][y][o]))
+            << (r == 0 ? "CSM1" : "CSM2") << " gamma=" << kGammas[y]
+            << (ordered ? " ordered" : " plain");
+      }
+    }
+  }
 }
 
 }  // namespace

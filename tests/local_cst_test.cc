@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,6 +26,9 @@
 namespace locs {
 namespace {
 
+using testing::Digest;
+using testing::DigestGraphs;
+using testing::DigestHex;
 using testing::ToSet;
 
 struct Config {
@@ -405,59 +407,6 @@ TEST(LocalCstMultiTest, SingleSeedCstMultiIsSolve) {
   }
 }
 
-// Pinned digests: a 64-bit FNV-1a fold of every answer a solver gives over
-// a fixed query sweep, recorded from the solver as it stands. The fold
-// covers the status, the best community's members in order, δ, the
-// fallback flag, the answer size and every per-phase counter, so any
-// change to an answer, a member order or a counter changes a digest. A
-// change that alters them on purpose must say so and record new values.
-class Digest {
- public:
-  void Fold(uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ = (hash_ ^ ((value >> (8 * byte)) & 0xffu)) * 0x100000001b3u;
-    }
-  }
-
-  void Fold(const SearchResult& result) {
-    Fold(static_cast<uint64_t>(result.status));
-    const Community& best = result.Best();
-    Fold(best.members.size());
-    for (VertexId v : best.members) Fold(v);
-    Fold(best.min_degree);
-    Fold(result.telemetry.used_global_fallback ? 1u : 0u);
-    Fold(result.telemetry.answer_size);
-    for (const obs::PhaseStats& phase : result.telemetry.phases) {
-      Fold(phase.entered);
-      Fold(phase.vertices_visited);
-      Fold(phase.edges_scanned);
-      Fold(phase.candidates_generated);
-      Fold(phase.candidates_rejected);
-      Fold(phase.budget_spent);
-    }
-  }
-
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325u;
-};
-
-/// The sweep's graphs: the property zoo plus one LFR graph whose hubs give
-/// long degree-sorted lists with the §4.3.2 break anywhere in them.
-std::vector<testing::GraphCase> DigestGraphs() {
-  std::vector<testing::GraphCase> cases = testing::PropertyGraphs();
-  gen::LfrParams params;
-  params.n = 400;
-  params.min_degree = 4;
-  params.max_degree = 30;
-  params.min_community = 15;
-  params.max_community = 80;
-  params.seed = 2024;
-  cases.push_back({"lfr_n400", gen::Lfr(params).graph});
-  return cases;
-}
-
 struct DigestConfig {
   bool ordered;
   bool cores;
@@ -465,13 +414,6 @@ struct DigestConfig {
 
 constexpr DigestConfig kDigestConfigs[] = {
     {true, true}, {true, false}, {false, true}, {false, false}};
-
-std::string DigestHex(uint64_t value) {
-  char text[19];
-  std::snprintf(text, sizeof(text), "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return text;
-}
 
 // Solve over every vertex at k in {1, 2, 3, core - 1, core, core + 1}, then
 // again under a work budget of 40 (the interrupted best-so-far answers):

@@ -9,6 +9,7 @@
 #include "core/bounds.h"
 #include "core/global.h"
 #include "core/kcore.h"
+#include "core/lazy_bucket_queue.h"
 #include "core/local_cst.h"
 #include "gen/classic.h"
 #include "graph/subgraph.h"
@@ -150,28 +151,33 @@ TEST_F(PaperExamplesTest, Example9LiBucketState) {
   // After C = {e, a}: f(b) = f(c) = f(f) = 1 and f(d) = 2 — d pops next.
   // Reproduced through the public solver: with query e and k = 3, li's
   // third pick is d (Figure 4(b) step 3); asserted indirectly through the
-  // 5-step trace of Example 7. Here we assert the incidence counts
-  // directly on the Figure-5 structure.
-  EpochBucketList buckets(g_.NumVertices(), g_.MaxDegree() + 1);
+  // 5-step trace of Example 7. Here we assert the pop order directly on
+  // the Figure-5 structure: d first, then the key-1 vertices in the order
+  // they were discovered.
+  LazyBucketQueue buckets(g_.NumVertices(), g_.MaxDegree(),
+                          2 * g_.NumEdges());
+  buckets.NewEpoch();
+  std::vector<VertexId> discovered;
   auto add_neighbors = [&](VertexId v, const std::vector<VertexId>& in_c) {
     for (VertexId w : g_.Neighbors(v)) {
       bool is_member = false;
       for (VertexId m : in_c) is_member |= m == w;
       if (is_member) continue;
-      if (buckets.Contains(w)) {
-        buckets.Increment(w);
-      } else {
-        buckets.Insert(w, 1);
+      if (buckets.IncrementOrInsert(w, [] { return true; })) {
+        discovered.push_back(w);
       }
     }
   };
   add_neighbors(V('e'), {V('e'), V('a')});
   add_neighbors(V('a'), {V('e'), V('a')});
-  EXPECT_EQ(buckets.Key(V('b')), 1u);
-  EXPECT_EQ(buckets.Key(V('c')), 1u);
-  EXPECT_EQ(buckets.Key(V('f')), 1u);
-  EXPECT_EQ(buckets.Key(V('d')), 2u);
+  EXPECT_EQ(ToSet(discovered), ToSet(Set("bcdf")));
   EXPECT_EQ(buckets.PopMax(), V('d'));
+  for (VertexId w : discovered) {
+    if (w != V('d')) {
+      EXPECT_EQ(buckets.PopMax(), w);
+    }
+  }
+  EXPECT_TRUE(buckets.Empty());
 }
 
 TEST_F(PaperExamplesTest, Figure2ExponentialSolutionCount) {

@@ -1,6 +1,6 @@
 // Tests for the solvers' scratch storage: ZeroPageArray (residency,
 // ownership, failure and bounds) and the epoch wrap of the three epoch
-// types built on it (EpochFlags, EpochU32Array, EpochBucketList).
+// types built on it (EpochFlags, EpochU32Array, LazyBucketQueue).
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/bucket_list.h"
 #include "core/epoch.h"
+#include "core/lazy_bucket_queue.h"
 #include "util/zero_page_array.h"
 
 namespace locs {
@@ -29,8 +29,8 @@ class EpochTestPeer {
   static void SetEpoch(EpochU32Array& array, uint32_t epoch) {
     array.epoch_ = epoch;
   }
-  static void SetEpoch(EpochBucketList& list, uint32_t epoch) {
-    list.epoch_ = epoch;
+  static void SetEpoch(LazyBucketQueue& queue, uint32_t epoch) {
+    queue.epoch_ = epoch;
   }
   static const ZeroPageArray<uint32_t>& Stamps(const EpochFlags& flags) {
     return flags.stamp_;
@@ -38,8 +38,8 @@ class EpochTestPeer {
   static const ZeroPageArray<uint64_t>& Cells(const EpochU32Array& array) {
     return array.cell_;
   }
-  static const ZeroPageArray<uint64_t>& Entries(const EpochBucketList& list) {
-    return list.entry_;
+  static const ZeroPageArray<uint64_t>& Keys(const LazyBucketQueue& queue) {
+    return queue.key_;
   }
 };
 
@@ -222,39 +222,43 @@ TEST(EpochWrapTest, EpochU32ArrayWrapReadsZero) {
   EXPECT_EQ(array.Get(9), 0u);
 }
 
-TEST(EpochWrapTest, EpochBucketListWrapEmptiesEveryBucket) {
+TEST(EpochWrapTest, LazyBucketQueueWrapEmptiesEveryKey) {
   constexpr uint32_t kMaxKey = 8;
-  EpochBucketList list(kWrapEntries, kMaxKey);
-  list.Insert(7, 2);  // epoch 1: entry and bucket-2 head stamped 1
-  list.Insert(8, 5);
-  list.Erase(8);      // a same-epoch tombstone
-  list.NewEpoch();
-  EpochTestPeer::SetEpoch(list, UINT32_MAX);
-  list.Insert(9, 3);
-  list.Insert(kWrapEntries - 1, 3);
-  ASSERT_EQ(list.PopMax(), 9u);
-  list.NewEpoch();
-  EXPECT_EQ(ResidentPages(EpochTestPeer::Entries(list)), 0u);
-  EXPECT_TRUE(list.Empty());
+  LazyBucketQueue queue(kWrapEntries, kMaxKey, 64);
+  queue.Insert(7, 2);  // epoch 1, which the wrap brings back
+  queue.Insert(8, 5);
+  queue.Tombstone(8);  // a tombstone stamped 1
+  queue.NewEpoch();
+  EpochTestPeer::SetEpoch(queue, UINT32_MAX);
+  queue.Insert(9, 3);
+  queue.Insert(kWrapEntries - 1, 3);
+  ASSERT_EQ(queue.PopMax(), 9u);
+  queue.NewEpoch();
+  EXPECT_EQ(ResidentPages(EpochTestPeer::Keys(queue)), 0u);
+  EXPECT_TRUE(queue.Empty());
+  // Every vertex is unseen again: each one is admitted, even those
+  // popped or tombstoned before the wrap, and keys of the old epochs do
+  // not leak into the new one.
   for (uint32_t v = 0; v < kWrapEntries; ++v) {
-    EXPECT_FALSE(list.Contains(v)) << v;
-    EXPECT_FALSE(list.Seen(v)) << v;
+    int asked = 0;
+    EXPECT_FALSE(queue.IncrementOrInsert(v, [&] {
+      ++asked;
+      return false;
+    }));
+    EXPECT_EQ(asked, 1) << v;
   }
-  for (uint32_t key = 0; key <= kMaxKey; ++key) {
-    EXPECT_EQ(list.Head(key), EpochBucketList::kNil) << key;
-  }
-  // Inserts work again, FIFO within a bucket, across the old heads.
-  list.Insert(8, 2);
-  list.Insert(7, 2);
-  list.Insert(kWrapEntries - 1, 6);
-  list.Increment(7);
-  EXPECT_EQ(list.Size(), 3u);
-  EXPECT_EQ(list.MinElement(), 8u);
-  EXPECT_EQ(list.PopMax(), kWrapEntries - 1);
-  EXPECT_EQ(list.PopMax(), 7u);
-  EXPECT_EQ(list.Key(8), 2u);
-  EXPECT_EQ(list.PopMax(), 8u);
-  EXPECT_TRUE(list.Empty());
+  EXPECT_TRUE(queue.Empty());
+  // Inserts work again, FIFO within a key.
+  queue.Insert(8, 2);
+  queue.Insert(7, 2);
+  queue.Insert(kWrapEntries - 1, 6);
+  queue.IncrementIfPresent(7);
+  EXPECT_EQ(queue.Size(), 3u);
+  EXPECT_EQ(queue.MinElement(), 8u);
+  EXPECT_EQ(queue.PopMax(), kWrapEntries - 1);
+  EXPECT_EQ(queue.PopMax(), 7u);
+  EXPECT_EQ(queue.PopMax(), 8u);
+  EXPECT_TRUE(queue.Empty());
 }
 
 }  // namespace

@@ -64,11 +64,12 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 # label (differential local-vs-global solver suite) and the obs label
 # (telemetry layer) run instrumented early for the same fast-fail
 # reason: they cover the widest solver surface per second of test time.
-# The solver label (local CST tests and pinned digests, the bucket
-# frontiers' differential test, the searcher; its served-CST golden
-# needs locsd, which these trees do not build) runs early because the
-# li frontier's record and bucket index arithmetic is exactly what ASan
-# and UBSan check.
+# The solver label (local CST and CSM tests and their pinned digests,
+# the bucket queue's model test and epoch wrap, the paper's worked
+# examples, the searcher; its served-CST golden needs locsd, which these
+# trees do not build) runs early because the bucket queue's record, key
+# and cursor arithmetic behind li, lg and local CSM's frontier is exactly
+# what ASan and UBSan check.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}" \
   run_pass asan-ubsan address,undefined \
