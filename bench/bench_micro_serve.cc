@@ -282,24 +282,16 @@ int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
   const uint32_t n = MicroServeGraph().NumVertices();
   const std::string path = CachePath(kCacheTag);
 
-  const auto make_options = [port](uint64_t seed) {
-    serve::RetryClientOptions options;
-    options.port = port;
-    options.max_attempts = 64;
-    options.request_deadline_ms = 30000;
-    options.backoff_base_ms = 10;
-    options.backoff_cap_ms = 1000;
-    options.breaker_threshold = 4;
-    options.breaker_cooldown_ms = 200;
-    options.jitter_seed = seed;
-    return options;
-  };
+  serve::RetryClientOptions options;
+  options.port = port;
+  options.max_attempts = 64;
+  options.request_deadline_ms = 30000;
   // Register the dataset over the wire (idempotent across runs and
   // across a daemon restart mid-run: any thread's retry re-LOADs only
   // if its own request path needs the connection re-established, and a
   // LOAD of an already-registered name refreshes it).
   {
-    serve::RetryClient loader(make_options(0));
+    serve::RetryClient loader(options);
     std::string reply;
     if (!loader.Request("LOAD g " + path, &reply) ||
         reply.compare(0, 2, "OK") != 0) {
@@ -319,7 +311,7 @@ int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
   clients.reserve(sessions);
   for (unsigned s = 0; s < sessions; ++s) {
     clients.emplace_back([&, s] {
-      serve::RetryClient client(make_options(s + 1));
+      serve::RetryClient client(options);
       uint64_t state = (s + 1) * 0x9e3779b97f4a7c15ULL + 1;
       std::string reply;
       for (size_t q = 0; q < queries; ++q) {
@@ -348,11 +340,9 @@ int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
     total.stats.connects += o.stats.connects;
     total.stats.retries += o.stats.retries;
     total.stats.busy_honored += o.stats.busy_honored;
-    total.stats.breaker_opens += o.stats.breaker_opens;
-    total.stats.probes += o.stats.probes;
   }
   TableWriter table({"sessions", "ok", "failed", "wall ms", "qps",
-                     "connects", "retries", "busy", "breaker", "probes"});
+                     "connects", "retries", "busy"});
   table.Row()
       .Num(uint64_t{sessions})
       .Num(uint64_t{total.ok})
@@ -363,9 +353,7 @@ int TcpMain(uint16_t port, unsigned sessions, size_t queries) {
            0)
       .Num(total.stats.connects)
       .Num(total.stats.retries)
-      .Num(total.stats.busy_honored)
-      .Num(total.stats.breaker_opens)
-      .Num(total.stats.probes);
+      .Num(total.stats.busy_honored);
   table.Print();
   if (total.failed != 0) {
     std::fprintf(stderr, "%zu requests failed after retries\n",

@@ -40,9 +40,9 @@ int DaemonMain(const DaemonOptions& options);
 /// (one reply line read and printed per request line), appends QUIT
 /// when stdin ends without one. With max_attempts == 1 (the default) a
 /// transport failure is fatal, the historical behavior; larger values
-/// engage the RetryClient recovery discipline (reconnect, backoff,
-/// riding out the session cap's BUSY, circuit breaker). Returns nonzero
-/// when a request ultimately failed.
+/// engage the RetryClient recovery discipline (reconnect, capped
+/// backoff, riding out the session cap's BUSY, all under the request
+/// deadline). Returns nonzero when a request ultimately failed.
 int ClientMain(const RetryClientOptions& options);
 
 }  // namespace locs::serve

@@ -155,8 +155,7 @@ std::string MetricsSnapshot::RenderStatsLine(unsigned inflight,
   Append(&line, "q_attempted", q_attempted);
   Append(&line, "q_completed", q_completed);
   Append(&line, "q_failed", q_failed);
-  // Nothing sheds; the key stays, always 0, because perfbench and
-  // tools/chaos_serve.sh parse it.
+  // Nothing sheds; the key stays, always 0, because perfbench parses it.
   Append(&line, "q_shed", 0);
   Append(&line, "cache_hits", cache_hits);
   Append(&line, "cache_misses", cache_misses);

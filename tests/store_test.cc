@@ -45,8 +45,12 @@
 namespace locs::store {
 namespace {
 
+/// A file name of the running test's own: ctest runs the tests as
+/// parallel processes, and two writing one path read each other's bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {

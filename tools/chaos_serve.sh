@@ -14,7 +14,7 @@
 #      image_churn_client's reloads keep doing. A silent connection
 #      opened at soak start must be idle-reaped along the way. Afterwards the
 #      daemon must still answer PING and its STATS ledger must conserve
-#      q_attempted = q_completed + q_failed + q_shed.
+#      q_attempted = q_completed + q_failed.
 #   2. Kill + restart recovery — bench_micro_serve --port runs its
 #      closed loops through the RetryClient while the daemon is
 #      SIGKILLed mid-run and restarted on the same port; the bench must
@@ -191,19 +191,18 @@ fi
 q_attempted="$(stat_field "${stats_line}" q_attempted)"
 q_completed="$(stat_field "${stats_line}" q_completed)"
 q_failed="$(stat_field "${stats_line}" q_failed)"
-q_shed="$(stat_field "${stats_line}" q_shed)"
 idle_reaped="$(stat_field "${stats_line}" idle_reaped)"
 errors="$(stat_field "${stats_line}" errors)"
 image_loads="$(stat_field "${stats_line}" image_loads)"
 image_load_errors="$(stat_field "${stats_line}" image_load_errors)"
 printf '%s\n' "${stats_line}" >"${work}/stats.txt"
 echo "soak ledger: attempted=${q_attempted} completed=${q_completed}" \
-     "failed=${q_failed} shed=${q_shed} idle_reaped=${idle_reaped}" \
+     "failed=${q_failed} idle_reaped=${idle_reaped}" \
      "errors=${errors:-?} image_loads=${image_loads:-?}" \
      "image_load_errors=${image_load_errors:-?}"
-if (( q_attempted != q_completed + q_failed + q_shed )); then
+if (( q_attempted != q_completed + q_failed )); then
   echo "FAIL: ledger leak: ${q_attempted} != ${q_completed} +" \
-       "${q_failed} + ${q_shed}" >&2
+       "${q_failed}" >&2
   exit 1
 fi
 if (( q_attempted < sessions * 50 )); then
