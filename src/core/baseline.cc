@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/timer.h"
+#include "core/validate.h"
 
 namespace locs {
 
@@ -14,28 +14,24 @@ namespace {
 /// decreases the degree of existing members.
 class BaselineSearch {
  public:
-  BaselineSearch(const Graph& graph, uint32_t k, uint64_t max_steps,
-                 double max_millis)
+  BaselineSearch(const Graph& graph, uint32_t k, QueryGuard& guard,
+                 obs::PhaseStats& expansion)
       : graph_(graph),
         k_(k),
-        max_steps_(max_steps),
-        max_millis_(max_millis),
+        guard_(guard),
+        expansion_(expansion),
         in_h_(graph.NumVertices(), 0),
         deg_in_h_(graph.NumVertices(), 0) {}
 
-  BaselineResult Run(VertexId v0) {
-    BaselineResult result;
+  /// True when a solution containing `v0` was found (see Answer()); false
+  /// when none exists or the guard stopped the search.
+  bool Run(VertexId v0) {
     members_.push_back(v0);
     in_h_[v0] = 1;
-    const bool found = Search(result);
-    if (found) {
-      Community community;
-      community.members = members_;
-      community.min_degree = MinDegree();
-      result.community = std::move(community);
-    }
-    return result;
+    return Search();
   }
+
+  Community Answer() const { return Community{members_, MinDegree()}; }
 
  private:
   uint32_t MinDegree() const {
@@ -45,17 +41,9 @@ class BaselineSearch {
   }
 
   /// Returns true when `members_` currently holds a solution.
-  bool Search(BaselineResult& result) {
-    if (result.steps >= max_steps_) {
-      result.budget_exhausted = true;
-      return false;
-    }
-    if (max_millis_ > 0.0 && (result.steps & 63) == 0 &&
-        timer_.Millis() > max_millis_) {
-      result.budget_exhausted = true;
-      return false;
-    }
-    ++result.steps;
+  bool Search() {
+    if (guard_.Spend(1)) return false;
+    ++expansion_.budget_spent;
     const uint32_t delta = MinDegree();
     if (delta >= k_) return true;
     // Enumerate the neighbors of H (each once), keeping those that do not
@@ -74,9 +62,9 @@ class BaselineSearch {
       for (VertexId x : graph_.Neighbors(w)) incidence += in_h_[x] == 1;
       if (incidence < delta) continue;  // would decrease δ
       Push(w, incidence);
-      if (Search(result)) return true;
+      if (Search()) return true;
       Pop(w);
-      if (result.budget_exhausted) return false;
+      if (guard_.Stopped()) return false;
     }
     return false;
   }
@@ -101,25 +89,45 @@ class BaselineSearch {
 
   const Graph& graph_;
   const uint32_t k_;
-  const uint64_t max_steps_;
-  const double max_millis_;
-  WallTimer timer_;
+  QueryGuard& guard_;
+  obs::PhaseStats& expansion_;
   std::vector<uint8_t> in_h_;
   std::vector<uint32_t> deg_in_h_;
   std::vector<VertexId> members_;
 };
 
+SearchResult BaselineCstImpl(const Graph& graph, VertexId v0, uint32_t k,
+                             obs::QueryTelemetry& telemetry,
+                             obs::PhaseTracker& tracker, QueryGuard* guard) {
+  LOCS_CHECK_LT(v0, graph.NumVertices());
+  obs::PhaseStats& expansion = tracker.Enter(obs::Phase::kExpansion);
+  // Proposition 3: no solution can exist.
+  if (k > 0 && graph.Degree(v0) < k) return SearchResult::MakeNotExists();
+  QueryGuard unlimited;
+  QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  BaselineSearch search(graph, k, g, expansion);
+  if (search.Run(v0)) {
+    Community answer = search.Answer();
+    telemetry.answer_size = answer.members.size();
+    return SearchResult::MakeFound(std::move(answer));
+  }
+  if (g.Stopped()) {
+    return SearchResult::MakeInterrupted(g.cause(), Community{{v0}, 0});
+  }
+  return SearchResult::MakeNotExists();
+}
+
 }  // namespace
 
-BaselineResult BaselineCst(const Graph& graph, VertexId v0, uint32_t k,
-                           uint64_t max_steps, double max_millis) {
-  LOCS_CHECK_LT(v0, graph.NumVertices());
-  if (k > 0 && graph.Degree(v0) < k) {
-    // Proposition 3: no solution can exist.
-    return BaselineResult{};
-  }
-  BaselineSearch search(graph, k, max_steps, max_millis);
-  return search.Run(v0);
+SearchResult BaselineCst(const Graph& graph, VertexId v0, uint32_t k,
+                         QueryGuard* guard) {
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, /*timed=*/false);
+  SearchResult result =
+      BaselineCstImpl(graph, v0, k, telemetry, tracker, guard);
+  FinishQuery(result, telemetry, tracker, obs::Recorder::Null());
+  LOCS_VALIDATE_RESULT("BaselineCst", graph, result, v0, k);
+  return result;
 }
 
 }  // namespace locs

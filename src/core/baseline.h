@@ -4,36 +4,27 @@
 // sequence along which δ never decreases, so a depth-first enumeration of
 // monotone extensions is complete. Its worst case is exponential; the
 // paper's Table 2 shows it failing to answer within a minute on real
-// graphs, which is exactly why the framework of §4.2 exists. A step budget
+// graphs, which is exactly why the framework of §4.2 exists. A QueryGuard
 // makes the behaviour measurable without unbounded runtimes.
 
 #ifndef LOCS_CORE_BASELINE_H_
 #define LOCS_CORE_BASELINE_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "core/common.h"
+#include "core/result.h"
 #include "graph/graph.h"
+#include "util/guard.h"
 
 namespace locs {
 
-/// Outcome of a budgeted baseline run.
-struct BaselineResult {
-  /// The solution, when one was found within budget.
-  std::optional<Community> community;
-  /// True when a budget (steps or wall clock) expired before the search
-  /// completed. When false and `community` is empty, no solution exists.
-  bool budget_exhausted = false;
-  /// Recursive expansion steps consumed.
-  uint64_t steps = 0;
-};
-
-/// Runs Algorithm 1 for CST(k) from `v0`, spending at most `max_steps`
-/// expansion steps and (when `max_millis` > 0) at most that much wall
-/// time — the paper's Table 2 counts queries answered within one minute.
-BaselineResult BaselineCst(const Graph& graph, VertexId v0, uint32_t k,
-                           uint64_t max_steps, double max_millis = 0.0);
+/// Runs Algorithm 1 for CST(k) from `v0`. Each recursive search step
+/// charges `guard` one unit (so a work budget counts search steps) and is
+/// reported in `telemetry[Phase::kExpansion].budget_spent`. An
+/// interrupted run answers `{v0}` with δ = 0; kNotExists is exact.
+SearchResult BaselineCst(const Graph& graph, VertexId v0, uint32_t k,
+                         QueryGuard* guard = nullptr);
 
 }  // namespace locs
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 
+#include "core/multi.h"
 #include "core/validate.h"
 #include "graph/subgraph.h"
-#include "util/bucket_queue.h"
 
 namespace locs {
 
@@ -38,23 +39,29 @@ Community HarvestComponent(const Graph& graph, VertexId v0,
   return community;
 }
 
-SearchResult GlobalCstImpl(const Graph& graph, VertexId v0, uint32_t k,
+/// The one seed-set engine behind GlobalCst and the multi-seed globals
+/// (Lemma 3 lifted to seed sets): iteratively delete vertices of degree
+/// < k, kNotExists once a seed is peeled, then BFS from seeds[0] over the
+/// survivors, kNotExists unless every seed is reached. The guard is
+/// charged as the work happens: |V| for the degree pass, then 1 + deg(v)
+/// per peeled or listed vertex. Phase counters accumulate (`+=`), so the
+/// probes of GlobalCsmMulti's binary search sum into one telemetry.
+SearchResult GlobalCstImpl(const Graph& graph,
+                           std::span<const VertexId> seeds, uint32_t k,
                            obs::QueryTelemetry& telemetry,
                            obs::PhaseTracker& tracker, QueryGuard* guard) {
-  LOCS_CHECK_LT(v0, graph.NumVertices());
   // The global method always touches the whole graph: charge the peel
   // phase its full |V| + 2|E| cost up front (the historical accounting).
   obs::PhaseStats& peel_ph = tracker.Enter(obs::Phase::kCoreDecomposition);
-  peel_ph.vertices_visited = graph.NumVertices();
-  peel_ph.edges_scanned = 2 * graph.NumEdges();
+  peel_ph.vertices_visited += graph.NumVertices();
+  peel_ph.edges_scanned += 2 * graph.NumEdges();
+  const VertexId v0 = seeds[0];
   QueryGuard unlimited;
   QueryGuard& g = guard != nullptr ? *guard : unlimited;
   if (g.Stopped()) {
     return SearchResult::MakeInterrupted(g.cause(), Community{{v0}, 0});
   }
 
-  // Iteratively delete vertices of degree < k (Lemma 3), then return the
-  // connected component of v0 among the survivors.
   const VertexId n = graph.NumVertices();
   std::vector<uint32_t> degree(n);
   std::vector<uint8_t> removed(n, 0);
@@ -66,11 +73,19 @@ SearchResult GlobalCstImpl(const Graph& graph, VertexId v0, uint32_t k,
       worklist.push_back(v);
     }
   }
-  if (g.Spend(n)) {
-    if (removed[v0] != 0) return SearchResult::MakeNotExists();
+  // Removals are sound mid-peel, so a peeled seed is an exact negative
+  // even when the guard stops the peel; otherwise an interrupted peel
+  // degrades to v0's component of the survivors.
+  const auto seed_peeled = [&] {
+    return std::any_of(seeds.begin(), seeds.end(),
+                       [&](VertexId q) { return removed[q] != 0; });
+  };
+  const auto interrupted_peel = [&] {
+    if (seed_peeled()) return SearchResult::MakeNotExists();
     return SearchResult::MakeInterrupted(g.cause(),
                                          HarvestComponent(graph, v0, removed));
-  }
+  };
+  if (g.Spend(n)) return interrupted_peel();
   for (size_t head = 0; head < worklist.size(); ++head) {
     const VertexId v = worklist[head];
     for (VertexId w : graph.Neighbors(v)) {
@@ -79,15 +94,9 @@ SearchResult GlobalCstImpl(const Graph& graph, VertexId v0, uint32_t k,
         worklist.push_back(w);
       }
     }
-    if (g.Spend(1 + graph.Degree(v))) {
-      // Removals are sound mid-peel, so a removed v0 stays an exact
-      // negative; otherwise degrade to v0's component of the survivors.
-      if (removed[v0] != 0) return SearchResult::MakeNotExists();
-      return SearchResult::MakeInterrupted(
-          g.cause(), HarvestComponent(graph, v0, removed));
-    }
+    if (g.Spend(1 + graph.Degree(v))) return interrupted_peel();
   }
-  if (removed[v0] != 0) return SearchResult::MakeNotExists();
+  if (seed_peeled()) return SearchResult::MakeNotExists();
 
   // BFS within the survivors.
   tracker.Enter(obs::Phase::kConnectivity);
@@ -119,9 +128,53 @@ SearchResult GlobalCstImpl(const Graph& graph, VertexId v0, uint32_t k,
       return SearchResult::MakeInterrupted(g.cause(), std::move(community));
     }
   }
+  for (VertexId q : seeds) {
+    // A seed in another component of the survivors.
+    if (removed[q] != 2) return SearchResult::MakeNotExists();
+  }
   community.min_degree = min_degree;
   telemetry.answer_size = community.members.size();
   return SearchResult::MakeFound(std::move(community));
+}
+
+SearchResult GlobalCsmMultiImpl(const Graph& graph,
+                                const std::vector<VertexId>& query,
+                                obs::QueryTelemetry& telemetry,
+                                obs::PhaseTracker& tracker,
+                                QueryGuard* guard) {
+  CheckQuerySet(graph, query);
+  // Feasibility is monotone decreasing in k (Proposition 1 lifts to query
+  // sets verbatim), so binary search over [0, min degree of queries].
+  uint32_t lo = 0;  // k = 0 always succeeds if the queries share a
+                    // component; handle the disconnected case first.
+  uint32_t hi = graph.Degree(query[0]);
+  for (VertexId q : query) hi = std::min(hi, graph.Degree(q));
+  SearchResult best =
+      GlobalCstImpl(graph, query, 0, telemetry, tracker, guard);
+  if (best.Interrupted()) return best;
+  if (!best.Found()) {
+    // Queries in different components: fall back to the first query's
+    // singleton (no community spans them).
+    telemetry.answer_size = 1;
+    return SearchResult::MakeFound(Community{{query[0]}, 0});
+  }
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo + 1) / 2;
+    SearchResult attempt =
+        GlobalCstImpl(graph, query, mid, telemetry, tracker, guard);
+    if (attempt.Interrupted()) {
+      // The best answer proven before the interruption is still valid.
+      return SearchResult::MakeInterrupted(attempt.status,
+                                           std::move(*best));
+    }
+    if (attempt.Found()) {
+      best = std::move(attempt);
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return best;
 }
 
 SearchResult GlobalCsmImpl(const Graph& graph, VertexId v0,
@@ -158,13 +211,30 @@ SearchResult GlobalCsmImpl(const Graph& graph, VertexId v0,
 
 SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,
                        QueryGuard* guard, obs::Recorder* recorder) {
+  LOCS_CHECK_LT(v0, graph.NumVertices());
   obs::Recorder& rec =
       recorder != nullptr ? *recorder : obs::Recorder::Null();
   obs::QueryTelemetry telemetry;
   obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
-  SearchResult result = GlobalCstImpl(graph, v0, k, telemetry, tracker, guard);
+  SearchResult result =
+      GlobalCstImpl(graph, {&v0, 1}, k, telemetry, tracker, guard);
   FinishQuery(result, telemetry, tracker, rec);
   LOCS_VALIDATE_RESULT("GlobalCst", graph, result, v0, k);
+  return result;
+}
+
+SearchResult GlobalCstMulti(const Graph& graph,
+                            const std::vector<VertexId>& query, uint32_t k,
+                            QueryGuard* guard, obs::Recorder* recorder) {
+  CheckQuerySet(graph, query);
+  obs::Recorder& rec =
+      recorder != nullptr ? *recorder : obs::Recorder::Null();
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
+  SearchResult result =
+      GlobalCstImpl(graph, query, k, telemetry, tracker, guard);
+  FinishQuery(result, telemetry, tracker, rec);
+  LOCS_VALIDATE_RESULT("GlobalCstMulti", graph, result, query, k);
   return result;
 }
 
@@ -177,6 +247,21 @@ SearchResult GlobalCsm(const Graph& graph, VertexId v0, QueryGuard* guard,
   SearchResult result = GlobalCsmImpl(graph, v0, telemetry, tracker, guard);
   FinishQuery(result, telemetry, tracker, rec);
   LOCS_VALIDATE_RESULT("GlobalCsm", graph, result, v0, 0);
+  return result;
+}
+
+SearchResult GlobalCsmMulti(const Graph& graph,
+                            const std::vector<VertexId>& query,
+                            QueryGuard* guard, obs::Recorder* recorder) {
+  obs::Recorder& rec =
+      recorder != nullptr ? *recorder : obs::Recorder::Null();
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, rec.timing_enabled());
+  SearchResult result =
+      GlobalCsmMultiImpl(graph, query, telemetry, tracker, guard);
+  FinishQuery(result, telemetry, tracker, rec);
+  LOCS_VALIDATE_RESULT("GlobalCsmMulti", graph, result,
+                       validate::CsmMultiQuery(result, query), 0);
   return result;
 }
 

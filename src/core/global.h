@@ -19,18 +19,20 @@
 namespace locs {
 
 /// Global CST(k): the connected component of v0 in the k-core of G
-/// (kNotExists exactly when v0 is outside the k-core). O(|V| + |E|). A
-/// `guard` trip mid-peel degrades to v0's component among the not-yet-
-/// removed vertices (or an exact kNotExists when v0 was already peeled).
+/// (kNotExists exactly when v0 is outside the k-core). O(|V| + |E|). The
+/// peel and the BFS charge `guard` as they go; a trip mid-peel degrades
+/// to v0's component among the not-yet-removed vertices (or an exact
+/// kNotExists when v0 was already peeled), a trip mid-BFS to the listed
+/// prefix. GlobalCstMulti (core/multi.h) is the same peel over a seed set.
 SearchResult GlobalCst(const Graph& graph, VertexId v0, uint32_t k,
                        QueryGuard* guard = nullptr,
                        obs::Recorder* recorder = nullptr);
 
 /// Global CSM via core decomposition — the linear implementation of the
 /// greedy algorithm (m*(G, v0) equals the core number of v0; the answer is
-/// v0's component of its maxcore). O(|V| + |E|). The decomposition is one
-/// indivisible pass: the guard is consulted on entry and charged the whole
-/// |V| + 2|E| cost, but cannot interrupt the pass itself.
+/// v0's component of its maxcore). O(|V| + |E|). Unlike the CST peel, the
+/// decomposition cannot be interrupted: the guard is consulted on entry
+/// and charged the whole |V| + 2|E| cost up front.
 SearchResult GlobalCsm(const Graph& graph, VertexId v0,
                        QueryGuard* guard = nullptr,
                        obs::Recorder* recorder = nullptr);

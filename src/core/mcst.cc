@@ -14,8 +14,8 @@ namespace {
 /// Backtracking clique search restricted to v0's closed neighborhood.
 class CliqueSearch {
  public:
-  CliqueSearch(const Graph& graph, uint32_t size, uint64_t max_steps)
-      : graph_(graph), target_(size), max_steps_(max_steps) {}
+  CliqueSearch(const Graph& graph, uint32_t size, QueryGuard& guard)
+      : graph_(graph), target_(size), guard_(guard) {}
 
   std::optional<std::vector<VertexId>> Run(VertexId v0) {
     clique_.push_back(v0);
@@ -32,7 +32,7 @@ class CliqueSearch {
  private:
   bool Extend(const std::vector<VertexId>& candidates) {
     if (clique_.size() == target_) return true;
-    if (steps_++ >= max_steps_) return false;
+    if (guard_.Spend(1)) return false;
     if (clique_.size() + candidates.size() < target_) return false;
     for (size_t i = 0; i < candidates.size(); ++i) {
       const VertexId v = candidates[i];
@@ -44,14 +44,14 @@ class CliqueSearch {
       clique_.push_back(v);
       if (Extend(next)) return true;
       clique_.pop_back();
+      if (guard_.Stopped()) return false;
     }
     return false;
   }
 
   const Graph& graph_;
   const uint32_t target_;
-  const uint64_t max_steps_;
-  uint64_t steps_ = 0;
+  QueryGuard& guard_;
   std::vector<VertexId> clique_;
 };
 
@@ -61,13 +61,11 @@ class CliqueSearch {
 class ExactSearch {
  public:
   ExactSearch(const Graph& graph, uint32_t k, size_t target,
-              uint64_t max_steps, QueryGuard& guard, McstResult& result)
+              QueryGuard& guard)
       : graph_(graph),
         k_(k),
         target_(target),
-        max_steps_(max_steps),
         guard_(guard),
-        result_(result),
         state_(graph.NumVertices(), State::kOpen),
         deg_in_h_(graph.NumVertices(), 0) {}
 
@@ -91,17 +89,7 @@ class ExactSearch {
 
   bool Dfs(const std::vector<VertexId>& candidates) {
     if (members_.size() == target_) return MinDegree() >= k_;
-    ++result_.steps;
-    if (result_.steps >= max_steps_) {
-      result_.budget_exhausted = true;
-      result_.termination = Termination::kBudgetExhausted;
-      return false;
-    }
-    if (guard_.Spend(1)) {
-      result_.budget_exhausted = true;
-      result_.termination = guard_.cause();
-      return false;
-    }
+    if (guard_.Spend(1)) return false;
     // Bound: a member short of degree k can gain at most one unit per
     // added vertex, and only target - |H| additions remain.
     const size_t room = target_ - members_.size();
@@ -143,7 +131,7 @@ class ExactSearch {
       }
       deg_in_h_[v] = 0;
       for (VertexId w : newly_queued) state_[w] = State::kOpen;
-      if (result_.budget_exhausted) break;
+      if (guard_.Stopped()) break;
       // --- Exclude v from the rest of this subtree. ---
       state_[v] = State::kForbidden;
       forbidden_here.push_back(v);
@@ -161,29 +149,80 @@ class ExactSearch {
   const Graph& graph_;
   const uint32_t k_;
   const size_t target_;
-  const uint64_t max_steps_;
   QueryGuard& guard_;
-  McstResult& result_;
   std::vector<State> state_;
   std::vector<uint32_t> deg_in_h_;
   std::vector<VertexId> members_;
 };
 
+/// The clique shortcut, then iterative deepening on the answer size up
+/// to `max_size`, the size of a known answer: the smallest CST(k)
+/// community through v0, or nullopt when `guard` stopped the search.
+std::optional<Community> SmallestUpTo(const Graph& graph, VertexId v0,
+                                      uint32_t k, size_t max_size,
+                                      QueryGuard& guard) {
+  // Lemma 1 shortcut: a (k+1)-clique through v0 is optimal.
+  const std::optional<std::vector<VertexId>> clique =
+      FindCliqueThrough(graph, v0, k + 1, &guard);
+  if (clique.has_value()) return Community{*clique, k};
+  for (size_t target = static_cast<size_t>(k) + 1;
+       target <= max_size && !guard.Stopped(); ++target) {
+    ExactSearch search(graph, k, target, guard);
+    if (search.Run(v0)) {
+      return Community{search.members(),
+                       MinDegreeOfInduced(graph, search.members())};
+    }
+  }
+  return std::nullopt;
+}
+
+SearchResult ExactMcstImpl(const Graph& graph, VertexId v0, uint32_t k,
+                           obs::QueryTelemetry& telemetry,
+                           obs::PhaseTracker& tracker, QueryGuard* guard) {
+  LOCS_CHECK_LT(v0, graph.NumVertices());
+  if (k == 0) {
+    telemetry.answer_size = 1;
+    return SearchResult::MakeFound(Community{{v0}, 0});
+  }
+  QueryGuard unlimited;
+  QueryGuard& g = guard != nullptr ? *guard : unlimited;
+  // Any solution must exist inside the k-core component of v0; the
+  // greedy answer bounds the exact search's size, and its telemetry
+  // starts this query's.
+  SearchResult upper = GreedyMcst(graph, v0, k, &g);
+  telemetry = upper.telemetry;
+  // kNotExists, or interrupted with the greedy stage's own partial.
+  if (!upper.Found()) return upper;
+
+  obs::PhaseStats& expansion = tracker.Enter(obs::Phase::kExpansion);
+  const uint64_t spent_before = g.spent();
+  std::optional<Community> smallest =
+      SmallestUpTo(graph, v0, k, upper->members.size(), g);
+  expansion.budget_spent += g.spent() - spent_before;
+  if (smallest.has_value()) {
+    telemetry.answer_size = smallest->members.size();
+    return SearchResult::MakeFound(std::move(*smallest));
+  }
+  if (g.Stopped()) {
+    return SearchResult::MakeInterrupted(g.cause(), std::move(*upper));
+  }
+  return upper;  // nothing smaller: the greedy answer is optimal
+}
+
 }  // namespace
 
-McstResult ExactMcstImpl(const Graph& graph, VertexId v0, uint32_t k,
-                         uint64_t max_steps, QueryGuard* guard);
 SearchResult GreedyMcstImpl(const Graph& graph, VertexId v0, uint32_t k,
                             QueryGuard* guard);
 
 std::optional<std::vector<VertexId>> FindCliqueThrough(const Graph& graph,
                                                        VertexId v0,
                                                        uint32_t size,
-                                                       uint64_t max_steps) {
+                                                       QueryGuard* guard) {
   LOCS_CHECK_LT(v0, graph.NumVertices());
   LOCS_CHECK_GE(size, 1u);
   if (graph.Degree(v0) + 1 < size) return std::nullopt;
-  CliqueSearch search(graph, size, max_steps);
+  QueryGuard unlimited;
+  CliqueSearch search(graph, size, guard != nullptr ? *guard : unlimited);
   std::optional<std::vector<VertexId>> clique = search.Run(v0);
 #if defined(LOCS_VALIDATE)
   if (clique.has_value()) {
@@ -200,72 +239,13 @@ std::optional<std::vector<VertexId>> FindCliqueThrough(const Graph& graph,
   return clique;
 }
 
-McstResult ExactMcst(const Graph& graph, VertexId v0, uint32_t k,
-                     uint64_t max_steps, QueryGuard* guard) {
-  McstResult result = ExactMcstImpl(graph, v0, k, max_steps, guard);
-#if defined(LOCS_VALIDATE)
-  // Whatever the termination, an engaged mCST community is always a
-  // genuine CST(k) answer: connected, v0 a member, exact min degree >= k.
-  if (result.community.has_value()) {
-    validate::DieOnViolation("ExactMcst", graph,
-                             SearchResult::MakeFound(*result.community), v0,
-                             k);
-  }
-#endif
-  return result;
-}
-
-McstResult ExactMcstImpl(const Graph& graph, VertexId v0, uint32_t k,
-                         uint64_t max_steps, QueryGuard* guard) {
-  LOCS_CHECK_LT(v0, graph.NumVertices());
-  QueryGuard unlimited;
-  QueryGuard& g = guard != nullptr ? *guard : unlimited;
-  McstResult result;
-  if (k == 0) {
-    result.community = Community{{v0}, 0};
-    result.termination = Termination::kFound;
-    return result;
-  }
-  // Any solution must exist inside the k-core component of v0.
-  const SearchResult upper = GreedyMcst(graph, v0, k, &g);
-  if (upper.status == Termination::kNotExists) return result;
-  if (upper.Interrupted()) {
-    // The greedy stage already blew the budget; surface its (still valid,
-    // just non-minimal) partial answer if it reached one.
-    result.budget_exhausted = true;
-    result.termination = upper.status;
-    if (upper.best_so_far.min_degree >= k) {
-      result.community = upper.best_so_far;
-    }
-    return result;
-  }
-
-  // Lemma 1 shortcut: a (k+1)-clique through v0 is optimal.
-  const std::optional<std::vector<VertexId>> clique =
-      FindCliqueThrough(graph, v0, k + 1, max_steps / 4);
-  if (clique.has_value()) {
-    result.community = Community{*clique, k};
-    result.termination = Termination::kFound;
-    return result;
-  }
-
-  // Iterative deepening on the answer size, capped by the greedy answer.
-  for (size_t target = static_cast<size_t>(k) + 1;
-       target <= upper->members.size(); ++target) {
-    ExactSearch search(graph, k, target, max_steps, g, result);
-    if (search.Run(v0)) {
-      Community community;
-      community.members = search.members();
-      community.min_degree = MinDegreeOfInduced(graph, community.members);
-      result.community = std::move(community);
-      result.termination = Termination::kFound;
-      return result;
-    }
-    if (result.budget_exhausted) break;
-  }
-  // Fall back to the greedy answer (optimal only if the loop completed).
-  result.community = *upper;
-  if (!result.budget_exhausted) result.termination = Termination::kFound;
+SearchResult ExactMcst(const Graph& graph, VertexId v0, uint32_t k,
+                       QueryGuard* guard) {
+  obs::QueryTelemetry telemetry;
+  obs::PhaseTracker tracker(&telemetry, /*timed=*/false);
+  SearchResult result = ExactMcstImpl(graph, v0, k, telemetry, tracker, guard);
+  FinishQuery(result, telemetry, tracker, obs::Recorder::Null());
+  LOCS_VALIDATE_RESULT("ExactMcst", graph, result, v0, k);
   return result;
 }
 

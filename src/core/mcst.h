@@ -19,31 +19,23 @@ namespace locs {
 
 /// Lemma 1: a clique of size k+1 containing v0 is a smallest possible
 /// CST(k) solution (every solution needs >= k+1 vertices). Searches v0's
-/// neighborhood for such a clique with a bounded backtracking search;
-/// returns its members on success.
-std::optional<std::vector<VertexId>> FindCliqueThrough(const Graph& graph,
-                                                       VertexId v0,
-                                                       uint32_t size,
-                                                       uint64_t max_steps);
-
-/// Result of an exact mCST run.
-struct McstResult {
-  std::optional<Community> community;
-  /// True when the step budget (or a guard limit) expired; the answer (if
-  /// any) is then the smallest found so far but not necessarily optimal.
-  bool budget_exhausted = false;
-  uint64_t steps = 0;
-  /// kFound / kNotExists for a completed run; the guard cause (or
-  /// kBudgetExhausted for the native step budget) otherwise.
-  Termination termination = Termination::kNotExists;
-};
+/// neighborhood for such a clique with a backtracking search that charges
+/// `guard` one unit per step; returns its members on success, nullopt when
+/// there is none or the guard stopped the search.
+std::optional<std::vector<VertexId>> FindCliqueThrough(
+    const Graph& graph, VertexId v0, uint32_t size,
+    QueryGuard* guard = nullptr);
 
 /// Exact mCST(k) by branch-and-bound over connected supersets of {v0}.
-/// Exponential; intended for small graphs / small answers. The search is
-/// bounded by `max_steps` expansion steps; an optional `guard` is charged
-/// one unit per search step and can interrupt the run the same way.
-McstResult ExactMcst(const Graph& graph, VertexId v0, uint32_t k,
-                     uint64_t max_steps, QueryGuard* guard = nullptr);
+/// Exponential; intended for small graphs / small answers. One `guard`
+/// covers the whole query: the greedy stage (GreedyMcst, whose answer
+/// bounds the search), then the clique shortcut and the exact search,
+/// which charge it one unit per search step and report those steps in
+/// `telemetry[Phase::kExpansion].budget_spent`. An interrupted run
+/// answers in `best_so_far` the greedy upper bound, or the greedy stage's
+/// own partial when the guard stopped that stage.
+SearchResult ExactMcst(const Graph& graph, VertexId v0, uint32_t k,
+                       QueryGuard* guard = nullptr);
 
 /// Heuristic mCST(k): start from any CST(k) solution (the k-core component
 /// of v0) and greedily delete vertices while the community stays valid.

@@ -7,9 +7,10 @@
 //   CstMulti(Q, k): connected H ⊇ Q with δ(G[H]) >= k, or nullopt;
 //   CsmMulti(Q):    connected H ⊇ Q maximizing δ(G[H]).
 //
-// This header holds the global oracles. The local solver is not a second
-// engine: LocalCstSolver::CstMulti/CsmMulti (core/local_cst.h) run the
-// paper's li expansion, G[C] peel and BFS over the query set.
+// This header declares the global oracles, defined in core/global.cc
+// on GlobalCst's peel. The local solver is not a second engine:
+// LocalCstSolver::CstMulti/CsmMulti (core/local_cst.h) run the paper's
+// li expansion, G[C] peel and BFS over the query set.
 //
 // Served MULTI queries run neither. CommunitySearcher answers them from
 // the CoreIndex: the maximal community, i.e. query[0]'s component of
@@ -31,10 +32,12 @@
 
 namespace locs {
 
-/// Global multi-vertex CST(k): peel vertices of degree < k, then require
-/// every query vertex to survive in one common component. O(|V| + |E|).
-/// The peel is one indivisible pass: the guard is consulted on entry and
-/// charged the whole cost but cannot interrupt the pass itself.
+/// Global multi-vertex CST(k): GlobalCst's peel of vertices of degree < k,
+/// then its BFS from query[0], which must reach every query vertex.
+/// O(|V| + |E|). The guard is charged as the peel and the BFS go: a trip
+/// returns kNotExists when a query vertex was already peeled, and
+/// otherwise query[0]'s component among the survivors (mid-peel) or the
+/// listed BFS prefix (mid-BFS) as the partial answer.
 SearchResult GlobalCstMulti(const Graph& graph,
                             const std::vector<VertexId>& query, uint32_t k,
                             QueryGuard* guard = nullptr,

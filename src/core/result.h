@@ -1,9 +1,11 @@
 // SearchResult — the uniform solver answer type with a termination
 // taxonomy.
 //
-// Every solver family (local/global CST, CSM, mCST, multi-vertex) reports
-// not just "answer or no answer" but *why* the query ended, and on
-// interruption carries the best connected community found so far. This is
+// Every solver family (local/global CST, CSM, the Algorithm-1 baseline,
+// greedy and exact mCST, multi-vertex) reports not just "answer or no
+// answer" but *why* the query ended, and on interruption carries the best
+// connected community found so far. (GreedyGlobalCsm, the independent
+// oracle for GlobalCsm, returns its Community alone.) This is
 // the graceful-degradation contract of the serving layer: a query that
 // blows past its deadline or work budget still yields a well-defined
 // partial answer instead of an indistinguishable std::nullopt.

@@ -47,7 +47,7 @@ enum class Termination : uint8_t {
   kFound,            ///< ran to completion and produced the answer
   kNotExists,        ///< ran to completion; provably no answer exists
   kDeadline,         ///< interrupted: wall-clock deadline expired
-  kBudgetExhausted,  ///< interrupted: work budget (or mCST step cap) spent
+  kBudgetExhausted,  ///< interrupted: work budget spent
 };
 
 inline constexpr int kNumTerminations = 4;
@@ -72,7 +72,8 @@ constexpr std::string_view TerminationName(Termination status) {
 struct QueryLimits {
   /// Wall-clock budget in milliseconds from guard construction.
   double deadline_ms = 0.0;
-  /// Cap on visited vertices + scanned edges (mCST: search steps).
+  /// Cap on visited vertices + scanned edges (baseline and mCST: search
+  /// steps).
   uint64_t work_budget = 0;
 
   bool Unlimited() const { return deadline_ms <= 0.0 && work_budget == 0; }

@@ -552,29 +552,32 @@ TEST(GuardedSearcherTest, ManySeedMultiIsChargedToItsGuard) {
 // ---------------------------------------------------------------------------
 // mCST termination taxonomy.
 
-TEST(GuardedMcstTest, NativeStepCapReportsBudgetExhausted) {
+TEST(GuardedMcstTest, StepBudgetReportsBudgetExhausted) {
   // Cycle: minimal CST(2) containing v0 is the whole cycle; the clique
-  // shortcut cannot answer and deepening needs many steps.
+  // shortcut cannot answer and deepening needs many steps. The budget is
+  // the greedy stage's own charge plus 3 search steps.
   Graph g = gen::Cycle(14);
-  const McstResult capped = ExactMcst(g, 0, 2, /*max_steps=*/3);
-  EXPECT_TRUE(capped.budget_exhausted);
-  EXPECT_EQ(capped.termination, Termination::kBudgetExhausted);
-  ASSERT_TRUE(capped.community.has_value());  // greedy upper bound stands
-  EXPECT_TRUE(IsValidCommunity(g, capped.community->members, 0, 2));
+  QueryGuard greedy_guard;
+  ASSERT_TRUE(GreedyMcst(g, 0, 2, &greedy_guard).Found());
+  QueryGuard guard = BudgetGuard(greedy_guard.spent() + 3);
+  const SearchResult capped = ExactMcst(g, 0, 2, &guard);
+  EXPECT_EQ(capped.status, Termination::kBudgetExhausted);
+  // The greedy upper bound stands.
+  ExpectValidPartial(g, capped, 0);
+  EXPECT_TRUE(IsValidCommunity(g, capped.best_so_far.members, 0, 2));
 
-  const McstResult full = ExactMcst(g, 0, 2, 100000000);
-  EXPECT_FALSE(full.budget_exhausted);
-  EXPECT_EQ(full.termination, Termination::kFound);
-  ASSERT_TRUE(full.community.has_value());
-  EXPECT_EQ(full.community->members.size(), 14u);
+  const SearchResult full = ExactMcst(g, 0, 2);
+  EXPECT_EQ(full.status, Termination::kFound);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->members.size(), 14u);
 }
 
 TEST(GuardedMcstTest, GuardDeadlinePropagatesIntoTermination) {
   Graph g = gen::Cycle(12);
   QueryGuard guard = ExpiredGuard();
-  const McstResult result = ExactMcst(g, 0, 2, 100000000, &guard);
-  EXPECT_TRUE(result.budget_exhausted);
-  EXPECT_EQ(result.termination, Termination::kDeadline);
+  const SearchResult result = ExactMcst(g, 0, 2, &guard);
+  EXPECT_EQ(result.status, Termination::kDeadline);
+  ExpectValidPartial(g, result, 0);
 }
 
 TEST(GuardedMcstTest, GreedyMcstGuardTripStillReturnsValidCommunity) {

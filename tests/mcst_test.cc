@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/validate.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -16,11 +17,9 @@ namespace {
 
 using testing::BruteForceMcstSize;
 
-constexpr uint64_t kPlenty = 1u << 22;
-
 TEST(FindCliqueThroughTest, TriangleInCycleWithChord) {
   Graph g = BuildGraph(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
-  const auto clique = FindCliqueThrough(g, 0, 3, kPlenty);
+  const auto clique = FindCliqueThrough(g, 0, 3);
   ASSERT_TRUE(clique.has_value());
   EXPECT_EQ(clique->size(), 3u);
   EXPECT_TRUE(IsConnectedSubset(g, *clique));
@@ -29,19 +28,19 @@ TEST(FindCliqueThroughTest, TriangleInCycleWithChord) {
 
 TEST(FindCliqueThroughTest, NoCliqueInBipartite) {
   Graph g = gen::CompleteBipartite(4, 4);
-  EXPECT_FALSE(FindCliqueThrough(g, 0, 3, kPlenty).has_value());
+  EXPECT_FALSE(FindCliqueThrough(g, 0, 3).has_value());
 }
 
 TEST(FindCliqueThroughTest, FullCliqueFound) {
   Graph g = gen::Clique(7);
-  const auto clique = FindCliqueThrough(g, 2, 7, kPlenty);
+  const auto clique = FindCliqueThrough(g, 2, 7);
   ASSERT_TRUE(clique.has_value());
   EXPECT_EQ(clique->size(), 7u);
 }
 
 TEST(FindCliqueThroughTest, DegreePruning) {
   Graph g = gen::Star(10);
-  EXPECT_FALSE(FindCliqueThrough(g, 1, 3, kPlenty).has_value());
+  EXPECT_FALSE(FindCliqueThrough(g, 1, 3).has_value());
 }
 
 TEST(GreedyMcstTest, InfeasibleReturnsNull) {
@@ -80,10 +79,9 @@ TEST(ExactMcstTest, PaperLemma1CliqueIsOptimal) {
   builder.AddEdge(3, 4);
   builder.AddEdge(4, 5);
   Graph g = builder.Build();
-  const McstResult result = ExactMcst(g, 0, 3, kPlenty);
-  ASSERT_TRUE(result.community.has_value());
-  EXPECT_EQ(result.community->members.size(), 4u);
-  EXPECT_FALSE(result.budget_exhausted);
+  const SearchResult result = ExactMcst(g, 0, 3);
+  ASSERT_TRUE(result.Found());
+  EXPECT_EQ(result->members.size(), 4u);
 }
 
 TEST(ExactMcstTest, MatchesBruteForceOnTinyGraphs) {
@@ -92,17 +90,18 @@ TEST(ExactMcstTest, MatchesBruteForceOnTinyGraphs) {
     for (VertexId v0 = 0; v0 < g.NumVertices(); v0 += 2) {
       for (uint32_t k = 1; k <= 4; ++k) {
         const size_t expect = BruteForceMcstSize(g, v0, k);
-        const McstResult result = ExactMcst(g, v0, k, kPlenty);
-        ASSERT_FALSE(result.budget_exhausted)
+        const SearchResult result = ExactMcst(g, v0, k);
+        ASSERT_FALSE(result.Interrupted())
+            << "seed=" << seed << " v0=" << v0 << " k=" << k;
+        EXPECT_EQ(validate::CheckSearchResult(g, result, {v0}, k), "")
             << "seed=" << seed << " v0=" << v0 << " k=" << k;
         if (expect == 0) {
-          EXPECT_FALSE(result.community.has_value());
+          EXPECT_FALSE(result.has_value());
         } else {
-          ASSERT_TRUE(result.community.has_value());
-          EXPECT_EQ(result.community->members.size(), expect)
+          ASSERT_TRUE(result.has_value());
+          EXPECT_EQ(result->members.size(), expect)
               << "seed=" << seed << " v0=" << v0 << " k=" << k;
-          EXPECT_TRUE(
-              IsValidCommunity(g, result.community->members, v0, k));
+          EXPECT_TRUE(IsValidCommunity(g, result->members, v0, k));
         }
       }
     }
@@ -111,25 +110,35 @@ TEST(ExactMcstTest, MatchesBruteForceOnTinyGraphs) {
 
 TEST(ExactMcstTest, ThresholdZeroIsSingleton) {
   Graph g = gen::Cycle(6);
-  const McstResult result = ExactMcst(g, 3, 0, kPlenty);
-  ASSERT_TRUE(result.community.has_value());
-  EXPECT_EQ(result.community->members.size(), 1u);
+  const SearchResult result = ExactMcst(g, 3, 0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->members.size(), 1u);
 }
 
 TEST(ExactMcstTest, CycleNeedsWholeCycleForK2) {
   // On a pure cycle, the only min-degree-2 community is the whole cycle.
   Graph g = gen::Cycle(7);
-  const McstResult result = ExactMcst(g, 0, 2, kPlenty);
-  ASSERT_TRUE(result.community.has_value());
-  EXPECT_EQ(result.community->members.size(), 7u);
+  const SearchResult result = ExactMcst(g, 0, 2);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->members.size(), 7u);
 }
 
 TEST(ExactMcstTest, BudgetExhaustionFallsBackToGreedy) {
+  // One guard covers the whole query: a budget of the greedy stage's own
+  // charge plus 16 leaves the clique and exact stages 16 search steps.
   Graph g = gen::ErdosRenyiGnp(40, 0.25, 3);
-  const McstResult result = ExactMcst(g, 0, 5, /*max_steps=*/16);
-  if (result.community.has_value()) {
-    EXPECT_TRUE(IsValidCommunity(g, result.community->members, 0, 5));
-  }
+  QueryGuard greedy_guard;
+  const SearchResult upper = GreedyMcst(g, 0, 5, &greedy_guard);
+  QueryLimits limits;
+  limits.work_budget = greedy_guard.spent() + 16;
+  QueryGuard guard(limits);
+  const SearchResult result = ExactMcst(g, 0, 5, &guard);
+  EXPECT_EQ(result.status, Termination::kBudgetExhausted);
+  EXPECT_EQ(validate::CheckSearchResult(g, result, {0}, 5), "");
+  // The greedy upper bound stands in for the unfinished search.
+  ASSERT_TRUE(upper.Found());
+  EXPECT_EQ(result.best_so_far.members, upper->members);
+  EXPECT_TRUE(IsValidCommunity(g, result.best_so_far.members, 0, 5));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/global.h"
 #include "core/local_cst.h"
 #include "core/searcher.h"
+#include "core/validate.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -176,6 +177,31 @@ TEST_F(MultiSolverTest, LocalAgreesWithGlobalOnRandomGraphs) {
         }
       }
     }
+  }
+}
+
+TEST_F(MultiSolverTest, GlobalCstMultiStopsWithinItsBudget) {
+  // The peel charges the guard as it goes: a budget below |V| stops it
+  // right after the degree pass, and the partial answer is query[0]'s
+  // component among the survivors. Larger budgets stop it mid-peel or
+  // mid-BFS; every interrupted answer keeps the contract.
+  const Graph g = gen::ErdosRenyiGnp(300, 0.05, 31);
+  const std::vector<VertexId> query = {0, 7, 42};
+  constexpr uint32_t k = 3;
+  QueryGuard unlimited;
+  ASSERT_TRUE(GlobalCstMulti(g, query, k, &unlimited).Found());
+  const uint64_t n = g.NumVertices();
+  const uint64_t total = unlimited.spent();
+  for (uint64_t budget : {n / 2, n + 10, total / 2, total - 1}) {
+    QueryLimits limits;
+    limits.work_budget = budget;
+    QueryGuard guard(limits);
+    const SearchResult result = GlobalCstMulti(g, query, k, &guard);
+    EXPECT_EQ(result.status, Termination::kBudgetExhausted)
+        << "budget=" << budget;
+    EXPECT_EQ(validate::CheckSearchResult(g, result, query, k), "")
+        << "budget=" << budget;
+    EXPECT_TRUE(ContainsAll(result.best_so_far.members, {query[0]}));
   }
 }
 

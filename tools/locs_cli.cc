@@ -11,6 +11,8 @@
 //   compile  <input> <image>                  build a mmap-ready graph
 //                                             image (src/store/)
 //   generate --model=lfr|ba|gnp --output=F    synthetic graphs
+//   client   --port=P [--retries=N]           scripted TCP session
+//                                             with locsd (stdin script)
 //
 // Every subcommand but compile lists its flags (util/cli.h): an unknown,
 // repeated or malformed flag, a value on a switch (--global,

@@ -34,7 +34,8 @@ run_pass() {
   local dir="${root}/${name}"
   local -a select=()
   if [[ -n "${label}" ]]; then
-    select=(-L "${label}")
+    # An empty label fails instead of passing with no test run.
+    select=(-L "${label}" --no-tests=error)
     echo "=== ${name}: LOCS_SANITIZE=${sanitize}, ctest -L ${label} ==="
   else
     echo "=== ${name}: LOCS_SANITIZE=${sanitize}, full ctest suite ==="
