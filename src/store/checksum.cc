@@ -118,14 +118,20 @@ uint64_t Checksum64::Digest() const {
   return h;
 }
 
-uint64_t ImageChecksum(const char* bytes, size_t size) {
+Checksum64 ImageHeaderChecksum(const char* header) {
   constexpr size_t kField = offsetof(ImageHeader, checksum);
   constexpr char kZeros[sizeof(uint64_t)] = {};
   Checksum64 checksum;
-  checksum.Update(bytes, kField);
+  checksum.Update(header, kField);
   checksum.Update(kZeros, sizeof(kZeros));
-  checksum.Update(bytes + kField + sizeof(uint64_t),
-                  size - kField - sizeof(uint64_t));
+  checksum.Update(header + kField + sizeof(uint64_t),
+                  sizeof(ImageHeader) - kField - sizeof(uint64_t));
+  return checksum;
+}
+
+uint64_t ImageChecksum(const char* bytes, size_t size) {
+  Checksum64 checksum = ImageHeaderChecksum(bytes);
+  checksum.Update(bytes + sizeof(ImageHeader), size - sizeof(ImageHeader));
   return checksum.Digest();
 }
 

@@ -38,6 +38,11 @@ class Checksum64 {
   uint64_t total_bytes_ = 0;
 };
 
+/// A Checksum64 that has absorbed the image header at `header`
+/// (sizeof(ImageHeader) bytes) with its checksum field read as zero; feed
+/// it the rest of the file to get the image checksum.
+Checksum64 ImageHeaderChecksum(const char* header);
+
 /// Checksum of a whole image held in memory, with the header's checksum
 /// field read as zero (the value the header must carry). `size` must
 /// cover the header.

@@ -27,7 +27,11 @@ namespace locs::store {
 inline constexpr std::string_view kImageExtension = ".limg";
 
 /// Serializes `graph` plus its precomputations to `path`. Returns false
-/// on I/O failure with `error` populated.
+/// on I/O failure with `error` populated. The image is written to
+/// `<path>.tmp.<pid>` and renamed over `path`, so a process that has the
+/// old image loaded keeps its bytes, a failed write leaves the old image
+/// intact, and no temp file outlives the call. A symlink at `path` is
+/// replaced by the new file, not followed.
 bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
                      const OrderedAdjacency& ordered, const CoreIndex& index,
                      const std::string& path, IoError* error = nullptr);

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
@@ -115,7 +117,12 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
   header.checksum = 0;  // patched below
   header.section_count = kNumSections;
 
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+  // Write beside the target and rename over it: truncating `path` in
+  // place would pull the pages from under a process that has the old
+  // image mapped (SIGBUS on its next read), and a failed write would
+  // destroy the old image.
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  std::FILE* file = std::fopen(temp.c_str(), "wb");
   if (file == nullptr) {
     Fail(error, IoErrorKind::kOpen,
          "cannot create " + path + ": " + std::strerror(errno));
@@ -143,10 +150,14 @@ bool WriteGraphImage(const Graph& graph, const GraphFacts& facts,
     if (ok) write_errno = errno;
     ok = false;
   }
+  if (ok && std::rename(temp.c_str(), path.c_str()) != 0) {
+    write_errno = errno;
+    ok = false;
+  }
   if (!ok) {
     Fail(error, IoErrorKind::kOpen,
          "write failed for " + path + ": " + std::strerror(write_errno));
-    std::remove(path.c_str());  // never leave a half-written image
+    std::remove(temp.c_str());  // never leave a half-written image
     return false;
   }
   if (error != nullptr) *error = IoError{};

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -221,6 +222,63 @@ TEST(StoreRoundTripTest, DegenerateGraphsSurvive) {
   ExpectLosslessRoundTrip(Graph::FromCsr({0}, {}), "empty");
   ExpectLosslessRoundTrip(Graph::FromCsr({0, 0, 0}, {}), "isolated");
   ExpectLosslessRoundTrip(Graph::FromCsr({0, 1, 2}, {1, 0}), "one_edge");
+}
+
+/// Rewrites `bytes` with the section payloads in reverse file order
+/// (table rows, offsets and file size updated, checksum fixed).
+std::string ReverseSectionOrder(const std::string& bytes) {
+  SectionEntry table[kNumSections];
+  std::memcpy(table, bytes.data() + sizeof(ImageHeader), sizeof(table));
+  std::string out = bytes.substr(0, sizeof(ImageHeader) + sizeof(table));
+  for (uint32_t i = kNumSections; i-- > 0;) {
+    out.resize(AlignUp(out.size()), '\0');
+    const uint64_t offset = out.size();
+    out.append(bytes, table[i].offset, table[i].length);
+    table[i].offset = offset;
+  }
+  std::memcpy(out.data() + sizeof(ImageHeader), table, sizeof(table));
+  const uint64_t file_bytes = out.size();
+  std::memcpy(out.data() + offsetof(ImageHeader, file_bytes), &file_bytes,
+              sizeof(file_bytes));
+  FixChecksum(&out);
+  return out;
+}
+
+TEST(StoreRoundTripTest, SectionsInReverseFileOrderLoadTheSameArrays) {
+  // The reader hashes and checks the sections in file order, so an image
+  // whose payloads run backwards (forest first, meta last) must load
+  // array for array like the writer's. The graph is large enough that the
+  // neighbor sections span several 64 KiB chunks.
+  const std::string path =
+      CompileToTemp(gen::BarabasiAlbert(30000, 4, /*seed=*/3), "rev_src");
+  const std::string bytes = ReadFileBytes(path);
+  const std::string reversed = ReverseSectionOrder(bytes);
+  ASSERT_GT(SectionOffsetOf(reversed, SectionId::kMeta),
+            SectionOffsetOf(reversed, SectionId::kForestNodes));
+  ASSERT_GT(SectionOffsetOf(bytes, SectionId::kOrderedNeighbors) -
+                SectionOffsetOf(bytes, SectionId::kNeighbors),
+            uint64_t{4} << 16);
+  const std::string reversed_path = TempPath("store_rev.limg");
+  WriteFileBytes(reversed_path, reversed);
+  IoError error;
+  const std::optional<Snapshot> original = LoadGraphImage(path, &error);
+  ASSERT_TRUE(original.has_value()) << error.message;
+  const std::optional<Snapshot> loaded = LoadGraphImage(reversed_path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error.message;
+  ExpectSameSnapshot(*loaded, *original);
+
+  // The checks still run on the reordered sections.
+  std::string bad = reversed;
+  const VertexId bogus = 1u << 30;
+  std::memcpy(bad.data() + SectionOffsetOf(bad, SectionId::kNeighbors) +
+                  sizeof(VertexId),
+              &bogus, sizeof(bogus));
+  FixChecksum(&bad);
+  WriteFileBytes(reversed_path, bad);
+  EXPECT_FALSE(LoadGraphImage(reversed_path, &error).has_value());
+  EXPECT_NE(error.message.find("structural validation failed: adjacency"),
+            std::string::npos)
+      << error.message;
 }
 
 TEST(StoreRoundTripTest, SniffRecognizesImagesByContentNotExtension) {
@@ -458,6 +516,62 @@ TEST(StoreCraftedTest, OverflowingHalfEdgeCountIsRejected) {
       << error.message;
 }
 
+TEST(StoreCraftedTest, ListRunningPastTheNeighborSectionIsRejected) {
+  // offsets[1] = half + 1 makes vertex 0's list end one neighbor past the
+  // section. The reader bounds every list end by half before it reads the
+  // list, so the image fails on its offsets before any neighbor of vertex
+  // 0 is compared: an adjacency error here would mean the list was read.
+  const std::string path = CompileToTemp(gen::Barbell(4, 0), "past_src");
+  std::string bytes = ReadFileBytes(path);
+  uint64_t half = 0;
+  std::memcpy(&half,
+              bytes.data() + SectionOffsetOf(bytes, SectionId::kMeta) +
+                  offsetof(ImageMeta, num_half_edges),
+              sizeof(half));
+  const uint64_t past = half + 1;
+  std::memcpy(bytes.data() + SectionOffsetOf(bytes, SectionId::kOffsets) +
+                  sizeof(uint64_t),
+              &past, sizeof(past));
+  FixChecksum(&bytes);
+  const std::string patched = TempPath("store_past.limg");
+  WriteFileBytes(patched, bytes);
+  IoError error;
+  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find(
+                "structural validation failed: CSR offsets are not monotone"),
+            std::string::npos)
+      << error.message;
+}
+
+TEST(StoreCraftedTest, StaleChecksumWinsOverACorruptSectionTable) {
+  // The sweep needs the section table before it hashes the payloads, yet
+  // a corrupt row behind a stale checksum must still read as corruption;
+  // only with the checksum fixed does the table error surface.
+  const std::string path = CompileToTemp(gen::Barbell(4, 0), "table_src");
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t bad_id = kNumSections + 5;
+  std::memcpy(bytes.data() + SectionEntryPos(bytes, SectionId::kNeighbors) +
+                  offsetof(SectionEntry, id),
+              &bad_id, sizeof(bad_id));
+  const std::string patched = TempPath("store_table.limg");
+  WriteFileBytes(patched, bytes);
+  IoError error;
+  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find("checksum mismatch"), std::string::npos)
+      << error.message;
+
+  FixChecksum(&bytes);
+  WriteFileBytes(patched, bytes);
+  EXPECT_FALSE(LoadGraphImage(patched, &error).has_value());
+  EXPECT_EQ(error.kind, IoErrorKind::kParse);
+  EXPECT_NE(error.message.find("bad or duplicate section id " +
+                               std::to_string(bad_id)),
+            std::string::npos)
+      << error.message;
+}
+
 TEST(StoreCraftedTest, CoreNumberTamperingFailsStructuralPass) {
   const std::string path = CompileToTemp(gen::Barbell(4, 0), "core_src");
   std::string bytes = ReadFileBytes(path);
@@ -507,6 +621,47 @@ void ExpectStructuralRejection(std::string bytes, const std::string& detail) {
   EXPECT_NE(error.message.find("structural validation failed: " + detail),
             std::string::npos)
       << error.message;
+}
+
+TEST(StoreCraftedTest, AdjacencyFaultsPastTheFirstChunkAreRejected) {
+  // The reader checks neighbors 64 KiB (16384 ids) at a time. A descent
+  // whose pair straddles a chunk boundary and a self-loop deep in a later
+  // chunk must be caught like one in the first.
+  const Graph graph = gen::BarabasiAlbert(30000, 4, /*seed=*/3);
+  const std::string path = CompileToTemp(graph, "chunk_src");
+  const std::string bytes = ReadFileBytes(path);
+  const uint64_t neighbors = SectionOffsetOf(bytes, SectionId::kNeighbors);
+  constexpr uint64_t kBoundary = 16384;  // first id of the second chunk
+  const auto offsets = graph.offsets();
+  VertexId straddling = 0;
+  while (offsets[straddling + 1] <= kBoundary) ++straddling;
+  ASSERT_LT(offsets[straddling], kBoundary)
+      << "no list spans the chunk boundary";
+  {
+    SCOPED_TRACE("descent across the chunk boundary");
+    std::string patched = bytes;
+    char* pair = patched.data() + neighbors + (kBoundary - 1) * 4;
+    std::swap_ranges(pair, pair + 4, pair + 4);
+    ExpectStructuralRejection(patched, "adjacency list is not sorted");
+  }
+  {
+    SCOPED_TRACE("self-loop in a later chunk");
+    const VertexId v = graph.NumVertices() / 2;
+    ASSERT_GT(offsets[v], 2 * kBoundary);
+    // Put v at its own sorted place in its list (over the first neighbor
+    // above it, or over the last): the list stays ascending and in range,
+    // so only the self-loop check catches it.
+    const auto list = graph.Neighbors(v);
+    const uint64_t at =
+        offsets[v] +
+        std::min<uint64_t>(
+            std::lower_bound(list.begin(), list.end(), v) - list.begin(),
+            list.size() - 1);
+    ASSERT_NE((at + 1) % kBoundary, 0u) << "pick a vertex off the chunk end";
+    std::string patched = bytes;
+    std::memcpy(patched.data() + neighbors + at * 4, &v, sizeof(v));
+    ExpectStructuralRejection(patched, "adjacency list is not sorted");
+  }
 }
 
 TEST(StoreCraftedTest, ComponentSizeTamperingIsRejected) {
@@ -640,6 +795,71 @@ TEST(StoreCraftedTest, CoreForestTamperingIsRejected) {
                 &file_bytes, sizeof(file_bytes));
     ExpectStructuralRejection(patched, "more core-forest nodes than vertices");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Writer: an image is replaced by rename, never truncated in place.
+
+/// Files in `path`'s directory whose names start with `path`'s plus
+/// ".tmp" (the writer's temp files).
+std::vector<std::string> TempFilesOf(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(StoreWriterTest, CompilingOverALoadedImageKeepsItsSnapshot) {
+  // A served image recompiled in place: truncating the file would leave
+  // the loaded snapshot's mapping without pages (SIGBUS on the next
+  // read). The old snapshot must keep reading its own bytes.
+  const Graph old_graph = gen::Barbell(5, 2);
+  const std::string path = CompileToTemp(old_graph, "replace");
+  const std::string old_bytes = ReadFileBytes(path);
+  IoError error;
+  const std::optional<Snapshot> old_snapshot = LoadGraphImage(path, &error);
+  ASSERT_TRUE(old_snapshot.has_value()) << error.message;
+
+  const Graph new_graph = gen::Barbell(4, 0);
+  ASSERT_TRUE(CompileGraphImage(new_graph, path, &error)) << error.message;
+
+  // The old mapping starts the offsets section's offset before its
+  // offsets array, and still holds a whole, self-consistent image.
+  const char* old_base =
+      reinterpret_cast<const char*>(old_snapshot->graph.offsets().data()) -
+      SectionOffsetOf(old_bytes, SectionId::kOffsets);
+  ImageHeader header;
+  std::memcpy(&header, old_base, sizeof(header));
+  EXPECT_EQ(header.file_bytes, old_bytes.size());
+  EXPECT_EQ(ImageChecksum(old_base, old_bytes.size()), header.checksum);
+  EXPECT_EQ(old_snapshot->graph.neighbors(), old_graph.neighbors());
+
+  const std::optional<Snapshot> fresh = LoadGraphImage(path, &error);
+  ASSERT_TRUE(fresh.has_value()) << error.message;
+  EXPECT_EQ(fresh->graph.offsets(), new_graph.offsets());
+  EXPECT_EQ(fresh->graph.neighbors(), new_graph.neighbors());
+  EXPECT_TRUE(TempFilesOf(path).empty());
+}
+
+TEST(StoreWriterTest, FailedWriteRemovesItsTempFile) {
+  // The rename fails (the target is a non-empty directory): a typed
+  // error, the target untouched, and no temp file left behind.
+  const std::string path = TempPath("store_dir_target");
+  std::filesystem::remove_all(path);
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+  WriteFileBytes(path + "/keep", "keep");
+  IoError error;
+  EXPECT_FALSE(CompileGraphImage(gen::Barbell(4, 0), path, &error));
+  EXPECT_EQ(error.kind, IoErrorKind::kOpen);
+  EXPECT_NE(error.message.find("write failed for " + path), std::string::npos)
+      << error.message;
+  EXPECT_EQ(ReadFileBytes(path + "/keep"), "keep");
+  EXPECT_TRUE(TempFilesOf(path).empty());
 }
 
 // ---------------------------------------------------------------------------
